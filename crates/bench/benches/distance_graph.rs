@@ -1,25 +1,21 @@
 //! Criterion micro-benchmarks of the distance-graph phases: the sequential
-//! cross-cell reduction kernels and the dense vs chunked vs sparse global
-//! reduction (the §V-F memory/runtime trade-off).
+//! cross-cell reduction kernels and the two MST pipelines (the replicated
+//! dense `Allreduce(MIN)` plus Prim vs the distributed Borůvka rounds).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use steiner::{solve_partitioned, ReduceModeConfig, SolverConfig};
+use steiner::{solve_partitioned, MstMode, SolverConfig};
 use stgraph::datasets::Dataset;
 use stgraph::partition::partition_graph;
 
-fn bench_reduce_modes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("distance_graph_reduce");
+fn bench_mst_modes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("distance_graph_mst");
     let g = Dataset::Lvj.generate_tiny(11);
     let seeds = seeds::select(&g, 64, seeds::Strategy::BfsLevel, 1);
     let pg = partition_graph(&g, 2, None);
-    for (name, mode) in [
-        ("dense", ReduceModeConfig::Dense { chunk: None }),
-        ("chunked_256", ReduceModeConfig::Dense { chunk: Some(256) }),
-        ("sparse", ReduceModeConfig::Sparse),
-    ] {
+    for (name, mst_mode) in [("replicated", MstMode::Replicated), ("dist", MstMode::Dist)] {
         let cfg = SolverConfig {
             num_ranks: 2,
-            reduce_mode: mode,
+            mst_mode,
             ..SolverConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, cfg| {
@@ -44,5 +40,5 @@ fn bench_cross_edge_reduction(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_reduce_modes, bench_cross_edge_reduction);
+criterion_group!(benches, bench_mst_modes, bench_cross_edge_reduction);
 criterion_main!(benches);

@@ -1,10 +1,11 @@
-//! Distributed Borůvka MST over the distance graph (`--mst dist`).
+//! Distributed Borůvka MST over the distance graph (`--mst dist`, the
+//! solver's default).
 //!
-//! The paper's Alg 3 Step 3 replicates the full `binom(|S|, 2)` edge
-//! buffer on every rank with one `Allreduce(MIN)` and then runs Prim
-//! sequentially — the per-rank memory and latency ceiling Fig 3 shows
-//! growing with the seed count. This module is the Borůvka-style
-//! alternative (after arXiv:1610.04660 and the engineering in
+//! The paper's Alg 3 Step 3 (`--mst replicated`) replicates the full
+//! `binom(|S|, 2)` edge buffer on every rank with one `Allreduce(MIN)`
+//! and then runs Prim sequentially — the per-rank memory and latency
+//! ceiling Fig 3 shows growing with the seed count. This module is the
+//! Borůvka-style alternative (after arXiv:1610.04660 and the engineering in
 //! arXiv:2302.12199): ranks keep their [`local_min_edges`] candidate
 //! maps, and each round all-reduces only **one lightest-outgoing-edge
 //! slot per live component** — `O(#components)` elements, shrinking
@@ -86,9 +87,10 @@ pub fn slot_bytes(num_seeds: usize) -> usize {
     num_seeds * std::mem::size_of::<Cand>()
 }
 
-/// Bytes of the replicated pipeline's dense `binom(|S|, 2)` pair buffer
-/// for `num_seeds` seeds (one [`MinEdge`] per seed pair, materialized on
-/// every rank by `ReduceMode::Dense`).
+/// Bytes of the `--mst replicated` pipeline's dense `binom(|S|, 2)` pair
+/// buffer for `num_seeds` seeds (one [`MinEdge`] per seed pair,
+/// materialized on every rank by
+/// [`global_min_edges`](crate::distance_graph::global_min_edges)).
 pub fn dense_pair_bytes(num_seeds: usize) -> usize {
     num_seeds * num_seeds.saturating_sub(1) / 2 * std::mem::size_of::<MinEdge>()
 }
@@ -138,6 +140,9 @@ pub fn distributed_mst(
     }
     let k = num_seeds as u32;
     let mut parent: Vec<u32> = (0..k).collect();
+    // Root -> slot index for the current round; only live roots' entries
+    // are read, so the array is rewritten in place each round.
+    let mut slot_of: Vec<u32> = vec![0; num_seeds];
     let mut chosen: Vec<(PairKey, MinEdge)> = Vec::new();
 
     loop {
@@ -147,8 +152,9 @@ pub fn distributed_mst(
         if roots.len() <= 1 {
             break;
         }
-        let slot_of: BTreeMap<u32, usize> =
-            roots.iter().enumerate().map(|(s, &r)| (r, s)).collect();
+        for (s, &r) in roots.iter().enumerate() {
+            slot_of[r as usize] = s as u32;
+        }
 
         let span = comm.trace_span("boruvka_round");
         let slot_bytes = roots.len() * std::mem::size_of::<Cand>();
@@ -165,9 +171,9 @@ pub fn distributed_mst(
             }
             let cand: Cand = (e.total, si, ti, e.a, e.b, e.weight);
             for r in [ra, rb] {
-                let s = slot_of[&r];
-                if cand < slots[s] {
-                    slots[s] = cand;
+                let slot = &mut slots[slot_of[r as usize] as usize];
+                if cand < *slot {
+                    *slot = cand;
                 }
             }
         }
@@ -188,7 +194,15 @@ pub fn distributed_mst(
             }
             let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
             parent[hi as usize] = lo;
-            chosen.push(((si, ti), MinEdge { total, a, b, weight }));
+            chosen.push((
+                (si, ti),
+                MinEdge {
+                    total,
+                    a,
+                    b,
+                    weight,
+                },
+            ));
             merged += 1;
         }
         // Pointer jumping to a rooted star, so the next round's `find`
@@ -357,8 +371,8 @@ mod tests {
         // The acceptance criterion: the per-round reduction footprint
         // under `distance_graph_boruvka` peaks at one slot per live
         // component (k slots in round one), strictly below the dense
-        // `binom(k, 2)` MinEdge buffer, and the dense/sparse labels of
-        // the replicated path are never touched.
+        // `binom(k, 2)` MinEdge buffer, and the dense label of the
+        // replicated path is never touched.
         let k = 24usize;
         let out = World::run(2, move |comm| {
             let mut local = BTreeMap::new();
@@ -374,7 +388,10 @@ mod tests {
         });
         let dense_bytes = k * (k - 1) / 2 * std::mem::size_of::<MinEdge>();
         // Sanity: the dense offset space really is binom(k, 2)-sized.
-        assert_eq!(pair_offset(k, (k - 2) as u32, (k - 1) as u32) + 1, k * (k - 1) / 2);
+        assert_eq!(
+            pair_offset(k, (k - 2) as u32, (k - 1) as u32) + 1,
+            k * (k - 1) / 2
+        );
         for (chosen_len, stats, peaks) in &out.results {
             assert_eq!(*chosen_len, k - 1);
             let peak = peaks["distance_graph_boruvka"];
@@ -389,7 +406,6 @@ mod tests {
                  buffer ({dense_bytes} B)"
             );
             assert!(!peaks.contains_key("distance_graph_dense"));
-            assert!(!peaks.contains_key("distance_graph_sparse"));
             // Round counters line up with the geometric shrink.
             assert_eq!(stats.rounds as usize, stats.edges_reduced.len());
             assert_eq!(stats.rounds as usize, stats.components.len());

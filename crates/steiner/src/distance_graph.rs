@@ -5,10 +5,11 @@
 //! in different Voronoi cells, the connecting-path length
 //! `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a candidate weight for the
 //! distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
-//! shipped to `v`'s owner as a probe message. Global minima are then found
-//! with an `Allreduce(MIN)` — dense (the paper's `binom(|S|, 2)` buffer,
-//! optionally chunked to bound memory, §V-F) or sparse (map-merge, the
-//! memory-friendly alternative the suite defaults to for large seed sets).
+//! shipped to `v`'s owner as a probe message. Under `--mst replicated`
+//! the global minima are then found with one dense `Allreduce(MIN)` over
+//! the paper's `binom(|S|, 2)` buffer ([`global_min_edges`]); the default
+//! `--mst dist` pipeline instead feeds the per-rank candidate maps
+//! straight into the Borůvka rounds ([`crate::boruvka`]).
 
 use crate::messages::ProbeMsg;
 use crate::state::{VertexStates, NO_VERTEX};
@@ -48,27 +49,6 @@ impl MinEdge {
 
 /// Seed-index pair `(si, ti)` with `si < ti`, keys of the distance graph.
 pub type PairKey = (u32, u32);
-
-/// How the global reduction is performed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceMode {
-    /// Dense `binom(|S|, 2)` buffer with `Allreduce(MIN)` — the paper's
-    /// approach. `chunk` bounds only the *shared collective slot* (§V-F):
-    /// the exchange proceeds `chunk` elements at a time, so the slot
-    /// clone rank 0 hosts stays one chunk long — but the rank-local
-    /// `binom(|S|, 2)` buffer is still fully materialized regardless
-    /// (`None` = one shot, slot as large as the buffer). Use
-    /// [`ReduceMode::Sparse`] — or the solver's `--mst dist` Borůvka
-    /// mode, which skips this reduction entirely — when the *local*
-    /// footprint is the ceiling.
-    Dense {
-        /// Elements per collective chunk (§V-F slot-memory optimization).
-        chunk: Option<usize>,
-    },
-    /// Sparse map-merge reduction; memory proportional to the number of
-    /// *populated* cell pairs.
-    Sparse,
-}
 
 /// Local phase: returns this rank's best candidate per cell pair plus the
 /// traversal stats. Collective (runs a traversal).
@@ -162,12 +142,13 @@ fn record_candidate(
 }
 
 /// Global phase: reduces per-rank candidate maps to the cluster-wide
-/// distance graph `G_1'`, as a sorted pair list. Collective.
+/// distance graph `G_1'`, as a sorted pair list. Collective — one
+/// `Allreduce(MIN)` over the dense `binom(|S|, 2)` buffer (the paper's
+/// Alg 5), which every rank materializes in full.
 pub fn global_min_edges(
     comm: &Comm,
     local: BTreeMap<PairKey, MinEdge>,
     num_seeds: usize,
-    mode: ReduceMode,
 ) -> Vec<(PairKey, MinEdge)> {
     // Fewer than two seeds means no cell pairs, hence an empty distance
     // graph. `num_seeds` is replicated on every rank, so all ranks take
@@ -178,73 +159,25 @@ pub fn global_min_edges(
     if num_seeds < 2 {
         return Vec::new();
     }
-    match mode {
-        ReduceMode::Dense { chunk } => {
-            let len = num_seeds * (num_seeds - 1) / 2;
-            comm.memory()
-                .record("distance_graph_dense", len * std::mem::size_of::<MinEdge>());
-            let mut buf = vec![MinEdge::UNSET; len];
-            for (&(si, ti), &e) in &local {
-                buf[pair_offset(num_seeds, si, ti)] = e;
+    let len = num_seeds * (num_seeds - 1) / 2;
+    let bytes = len * std::mem::size_of::<MinEdge>();
+    comm.memory().record("distance_graph_dense", bytes);
+    let mut buf = vec![MinEdge::UNSET; len];
+    for (&(si, ti), &e) in &local {
+        buf[pair_offset(num_seeds, si, ti)] = e;
+    }
+    comm.allreduce_min(&mut buf);
+    let mut out = Vec::new();
+    for si in 0..num_seeds as u32 {
+        for ti in (si + 1)..num_seeds as u32 {
+            let e = buf[pair_offset(num_seeds, si, ti)];
+            if e.total != INF {
+                out.push(((si, ti), e));
             }
-            match chunk {
-                Some(c) => {
-                    // The chunked exchange's bounded footprint gets its
-                    // own label, so the watermark separates the full-size
-                    // local buffer (above) from the one-chunk collective
-                    // slot §V-F actually bounds.
-                    let slot_bytes = c.min(len) * std::mem::size_of::<MinEdge>();
-                    comm.memory().record("distance_graph_dense_slot", slot_bytes);
-                    comm.allreduce_chunked(&mut buf, c, min_combine);
-                    comm.memory()
-                        .release("distance_graph_dense_slot", slot_bytes);
-                }
-                None => comm.allreduce(&mut buf, min_combine),
-            }
-            let mut out = Vec::new();
-            for si in 0..num_seeds as u32 {
-                for ti in (si + 1)..num_seeds as u32 {
-                    let e = buf[pair_offset(num_seeds, si, ti)];
-                    if e.total != INF {
-                        out.push(((si, ti), e));
-                    }
-                }
-            }
-            comm.memory()
-                .release("distance_graph_dense", len * std::mem::size_of::<MinEdge>());
-            out
-        }
-        ReduceMode::Sparse => {
-            let map_bytes = local.len() * std::mem::size_of::<(PairKey, MinEdge)>();
-            comm.memory().record("distance_graph_sparse", map_bytes);
-            let mut wrapped = vec![local];
-            comm.allreduce(&mut wrapped, |acc, other| {
-                for (&k, &e) in other {
-                    let slot = acc.entry(k).or_insert(MinEdge::UNSET);
-                    if e < *slot {
-                        *slot = e;
-                    }
-                }
-            });
-            let out = wrapped
-                .pop()
-                .expect("wrapped vec has one element")
-                .into_iter()
-                .collect();
-            // Settle the label once the exchange is done (the Dense arm
-            // releases symmetrically above); leaving it recorded kept
-            // `current("distance_graph_sparse")` inflated through every
-            // later phase, skewing Fig 8 attribution.
-            comm.memory().release("distance_graph_sparse", map_bytes);
-            out
         }
     }
-}
-
-fn min_combine(a: &mut MinEdge, b: &MinEdge) {
-    if *b < *a {
-        *a = *b;
-    }
+    comm.memory().release("distance_graph_dense", bytes);
+    out
 }
 
 /// Offset of pair `(si, ti)`, `si < ti`, in the dense upper-triangular
@@ -277,29 +210,19 @@ mod tests {
     fn global_min_edges_handles_degenerate_seed_counts() {
         // Regression: the dense size `k * (k - 1) / 2` underflowed (and
         // panicked) for k == 0. Both degenerate counts must return an
-        // empty distance graph in every reduce mode.
+        // empty distance graph.
         for num_seeds in [0usize, 1] {
-            for mode in [
-                ReduceMode::Dense { chunk: None },
-                ReduceMode::Dense { chunk: Some(4) },
-                ReduceMode::Sparse,
-            ] {
-                let out = struntime::World::run(2, move |comm| {
-                    global_min_edges(comm, BTreeMap::new(), num_seeds, mode)
-                });
-                for edges in &out.results {
-                    assert!(edges.is_empty(), "k={num_seeds}, mode={mode:?}");
-                }
+            let out = struntime::World::run(2, move |comm| {
+                global_min_edges(comm, BTreeMap::new(), num_seeds)
+            });
+            for edges in &out.results {
+                assert!(edges.is_empty(), "k={num_seeds}");
             }
         }
     }
 
     #[test]
-    fn sparse_reduce_releases_its_memory_label() {
-        // Regression: the Sparse arm recorded `distance_graph_sparse`
-        // but never released it, so the label stayed inflated for every
-        // later phase. After the reduce the current bytes must be zero
-        // (peak still witnesses the exchange).
+    fn dense_reduce_takes_the_per_pair_minimum_and_settles_its_label() {
         let out = struntime::World::run(2, |comm| {
             let mut local = BTreeMap::new();
             local.insert(
@@ -311,59 +234,30 @@ mod tests {
                     weight: 3,
                 },
             );
-            local.insert(
-                (1u32, 2u32),
-                MinEdge {
-                    total: 7,
-                    a: 4,
-                    b: 5,
-                    weight: 2,
-                },
-            );
-            let dg = global_min_edges(comm, local, 3, ReduceMode::Sparse);
+            if comm.rank() == 1 {
+                local.insert(
+                    (1u32, 2u32),
+                    MinEdge {
+                        total: 7,
+                        a: 4,
+                        b: 5,
+                        weight: 2,
+                    },
+                );
+            }
+            let dg = global_min_edges(comm, local, 3);
             (
-                dg.len(),
-                comm.memory().current("distance_graph_sparse"),
-                comm.memory().peaks()["distance_graph_sparse"],
-            )
-        });
-        for &(len, current, peak) in &out.results {
-            assert_eq!(len, 2);
-            assert_eq!(current, 0, "sparse label must be released post-reduce");
-            assert!(peak > 0, "peak still records the exchange footprint");
-        }
-    }
-
-    #[test]
-    fn chunked_dense_reduce_accounts_the_slot_separately() {
-        // Satellite of the Dense doc fix: the chunked exchange charges
-        // its bounded one-chunk footprint to its own label, distinct
-        // from the full-size local buffer, and settles it afterwards.
-        let out = struntime::World::run(2, |comm| {
-            let mut local = BTreeMap::new();
-            local.insert(
-                (0u32, 3u32),
-                MinEdge {
-                    total: 9,
-                    a: 8,
-                    b: 9,
-                    weight: 4,
-                },
-            );
-            let dg = global_min_edges(comm, local, 5, ReduceMode::Dense { chunk: Some(2) });
-            (
-                dg.len(),
-                comm.memory().current("distance_graph_dense_slot"),
-                comm.memory().peaks()["distance_graph_dense_slot"],
+                dg,
+                comm.memory().current("distance_graph_dense"),
                 comm.memory().peaks()["distance_graph_dense"],
             )
         });
-        for &(len, current, slot_peak, dense_peak) in &out.results {
-            assert_eq!(len, 1);
-            assert_eq!(current, 0);
-            assert_eq!(slot_peak, 2 * std::mem::size_of::<MinEdge>());
-            assert_eq!(dense_peak, 10 * std::mem::size_of::<MinEdge>());
-            assert!(slot_peak < dense_peak);
+        for (dg, current, peak) in &out.results {
+            let keys: Vec<PairKey> = dg.iter().map(|&(k, _)| k).collect();
+            assert_eq!(keys, vec![(0, 1), (1, 2)]);
+            assert_eq!(dg[0].1.total, 5, "rank 0's lighter candidate wins");
+            assert_eq!(*current, 0, "label released after the reduce");
+            assert_eq!(*peak, 3 * std::mem::size_of::<MinEdge>());
         }
     }
 

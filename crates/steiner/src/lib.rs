@@ -12,10 +12,13 @@
 //!    seeds at once, with optional priority message queues (Alg 4);
 //! 2. **Local min-distance edges** ([`distance_graph`]) — edge-centric scan
 //!    for the cheapest cross-cell bridges (Alg 5);
-//! 3. **Global reduction** — `Allreduce(MIN)` over the distance-graph
-//!    buffer, dense/chunked or sparse;
-//! 4. **Sequential MST** ([`mst`]) of the small distance graph `G_1'`,
-//!    replicated on every rank;
+//! 3. **Global reduction** — by default distributed Borůvka rounds
+//!    ([`boruvka`]) that all-reduce one slot per live component; with
+//!    [`MstMode::Replicated`], the paper's one-shot dense `Allreduce(MIN)`
+//!    over the `binom(|S|, 2)` distance-graph buffer;
+//! 4. **MST** of the small distance graph `G_1'` — already chosen by the
+//!    Borůvka rounds, or sequential Prim ([`mst`]) replicated on every
+//!    rank;
 //! 5. **Edge pruning** — keep only bridges chosen by the MST;
 //! 6. **Tree edges** ([`tree_edges`]) — trace predecessor chains back to
 //!    the seeds (Alg 6).
@@ -62,7 +65,7 @@ pub use struntime::{
     TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
 };
 
-use distance_graph::{MinEdge, PairKey, ReduceMode};
+use distance_graph::{MinEdge, PairKey};
 use state::VertexStates;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -74,51 +77,18 @@ use stgraph::steiner_tree::SteinerTree;
 use struntime::FailureReason;
 use struntime::{Comm, PersistentWorld, PhaseSnapshot, RunOutput, World, WorldConfig};
 
-/// How the distance-graph reduction buffer is organized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceModeConfig {
-    /// Dense below 256 seeds (chunked at 1M elements), sparse above.
-    Auto,
-    /// Force the paper's dense `binom(|S|, 2)` buffer.
-    Dense {
-        /// Optional chunk size for the §V-F memory optimization.
-        chunk: Option<usize>,
-    },
-    /// Force the sparse map-merge reduction.
-    Sparse,
-}
-
-impl ReduceModeConfig {
-    fn resolve(self, num_seeds: usize) -> ReduceMode {
-        match self {
-            ReduceModeConfig::Auto => {
-                if num_seeds <= 256 {
-                    ReduceMode::Dense {
-                        chunk: Some(1 << 20),
-                    }
-                } else {
-                    ReduceMode::Sparse
-                }
-            }
-            ReduceModeConfig::Dense { chunk } => ReduceMode::Dense { chunk },
-            ReduceModeConfig::Sparse => ReduceMode::Sparse,
-        }
-    }
-}
-
 /// How the `global_min_edge` + `mst` phases compute the MST of `G_1'`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MstMode {
-    /// The paper's Alg 3 Step 3: `Allreduce(MIN)` replicates the full
-    /// distance graph on every rank (dense or sparse per
-    /// [`ReduceModeConfig`]), then each rank runs Prim sequentially.
+    /// The paper's Alg 3 Step 3: one dense `Allreduce(MIN)` over the
+    /// `binom(|S|, 2)` pair buffer replicates the full distance graph on
+    /// every rank, then each rank runs Prim sequentially.
     Replicated,
-    /// Distributed Borůvka ([`boruvka`]): each round all-reduces one
-    /// lightest-outgoing-edge slot per live component (`O(#components)`,
-    /// shrinking geometrically) and merges via pointer jumping — the
-    /// `binom(|S|, 2)` buffer never materializes. The chosen tree is
-    /// bit-identical to [`MstMode::Replicated`]; `reduce_mode` is unused
-    /// in this mode.
+    /// Distributed Borůvka ([`boruvka`], the default): each round
+    /// all-reduces one lightest-outgoing-edge slot per live component
+    /// (`O(#components)`, shrinking geometrically) and merges via pointer
+    /// jumping — the `binom(|S|, 2)` buffer never materializes. The
+    /// chosen tree is bit-identical to [`MstMode::Replicated`].
     Dist,
 }
 
@@ -135,12 +105,10 @@ pub struct SolverConfig {
     /// Degree threshold above which a vertex becomes a replicated delegate
     /// (HavoqGT vertex-cut). `None` disables delegation.
     pub delegate_threshold: Option<usize>,
-    /// Distance-graph reduction layout (replicated MST mode only).
-    pub reduce_mode: ReduceModeConfig,
     /// MST execution mode for the `global_min_edge` + `mst` phases:
-    /// replicated Prim (the paper's Alg 3 Step 3, the default) or
-    /// distributed Borůvka rounds (`--mst dist`, see [`boruvka`]). Both
-    /// produce bit-identical trees.
+    /// distributed Borůvka rounds (the default, see [`boruvka`]) or the
+    /// paper's replicated dense reduction plus Prim (`--mst replicated`,
+    /// Alg 3 Step 3). Both produce bit-identical trees.
     pub mst_mode: MstMode,
     /// Apply the optional KMB steps 4–5 refinement to the output tree.
     pub refine: bool,
@@ -164,12 +132,6 @@ pub struct SolverConfig {
     /// bit-identical to a fault-free run; injection and recovery counters
     /// land in [`SolveReport::fault_stats`].
     pub faults: Option<FaultPlan>,
-    /// Solve-level retries taken when a phase fails under fault injection
-    /// (a defense-in-depth guard — with reliable delivery it should
-    /// never trigger). Each retry re-runs the world with a seed derived
-    /// from the plan's (`seed + attempt`). Ignored when `faults` is
-    /// `None` or inert.
-    pub fault_retries: usize,
     /// Gauge time-series sampling for the solve's world (off by default;
     /// see [`struntime::telemetry`]). Sampling is keyed to executed
     /// visits, never wall clock, so enabling it leaves the tree and every
@@ -199,14 +161,12 @@ impl Default for SolverConfig {
             num_ranks: 4,
             queue: QueueKind::Priority,
             delegate_threshold: None,
-            reduce_mode: ReduceModeConfig::Auto,
-            mst_mode: MstMode::Replicated,
+            mst_mode: MstMode::Dist,
             refine: false,
             batch_size: struntime::traversal::DEFAULT_BATCH_SIZE,
             trace: TraceConfig::Off,
             metrics: MetricsConfig::Off,
             faults: None,
-            fault_retries: 2,
             telemetry: TelemetryConfig::Off,
             deadline: None,
             checkpoints: true,
@@ -231,7 +191,10 @@ pub struct SolveReport {
     pub graph_bytes: usize,
     /// Peak algorithm-state bytes across all ranks (Fig 8 "states").
     pub state_peak_bytes: usize,
-    /// Number of edges in the reduced distance graph `G_1'`.
+    /// Number of edges in the reduced distance graph `G_1'` under
+    /// [`MstMode::Replicated`]; under [`MstMode::Dist`] the graph is never
+    /// assembled, so this counts the chosen bridges (`|S| - 1` for a
+    /// connected solve).
     pub distance_graph_edges: usize,
     /// Visitors processed per rank, summed over the asynchronous phases —
     /// the simulation's work metric.
@@ -250,7 +213,7 @@ pub struct SolveReport {
     /// [`SolverConfig::metrics`] was enabled).
     pub metrics: MetricsDump,
     /// Fault-injection and reliability-protocol counters (drops, dups,
-    /// delays, stalls, retransmits, dedup discards, acks, solve retries).
+    /// delays, stalls, retransmits, dedup discards, acks).
     /// All-zero when [`SolverConfig::faults`] is off.
     pub fault_stats: FaultSnapshot,
     /// Per-rank gauge time series (empty unless
@@ -372,20 +335,12 @@ pub fn solve_partitioned(
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
-    let reduce_mode = config.reduce_mode.resolve(seeds.len());
     let seed_index: BTreeMap<Vertex, u32> = seeds
         .iter()
         .enumerate()
         .map(|(i, &s)| (s, i as u32))
         .collect();
 
-    // Phase retry policy: with active fault injection, a phase-level
-    // failure (a disconnected distance graph that a fault-free run would
-    // not produce) is retried with a derived fault seed. Reliable
-    // delivery makes the runtime's output bit-identical to fault-free
-    // runs, so this is defense in depth — the counter stays at zero
-    // unless something slipped past the reliability layer.
-    let faults_active = config.faults.is_some_and(|pl| pl.is_active());
     // Crash-stop supervision: checkpoints are only taken when a restore
     // could consume them — recovery enabled and a plan that can actually
     // crash-stop a rank — so fault-free solves skip the snapshot work.
@@ -396,9 +351,8 @@ pub fn solve_partitioned(
     let mut recovery = RecoveryStats::default();
     let mut resume: Option<usize> = None;
     let mut plan = config.faults;
-    let mut retries = 0u64;
-    loop {
-        let mut world_config = WorldConfig {
+    let out = loop {
+        let world_config = WorldConfig {
             trace: config.trace,
             metrics: config.metrics,
             faults: plan,
@@ -406,11 +360,6 @@ pub fn solve_partitioned(
             deadline: config.deadline,
             ..WorldConfig::default()
         };
-        if retries > 0 {
-            if let Some(plan) = &mut world_config.faults {
-                plan.seed = plan.seed.wrapping_add(retries);
-            }
-        }
         let run = World::try_run_config(p, world_config, |comm: &mut Comm| {
             rank_main(
                 comm,
@@ -418,7 +367,6 @@ pub fn solve_partitioned(
                 &seeds,
                 &seed_index,
                 config.queue,
-                reduce_mode,
                 config.mst_mode,
                 config.batch_size,
                 if recovery_armed {
@@ -430,63 +378,49 @@ pub fn solve_partitioned(
         });
         recovery.checkpoints_taken = store.taken();
         recovery.checkpoint_bytes = recovery.checkpoint_bytes.max(store.resident_bytes() as u64);
-        let out = match run {
-            Ok(out) => out,
-            Err(failure) => {
-                recovery.aborted_ranks += failure.aborted_ranks as u64;
-                recovery.crashes_injected += failure.injected_crashes() as u64;
-                if failure.deadline_exceeded {
-                    // The runtime already wrote the flight dump; that is
-                    // the partial-progress record for this solve.
-                    return Err(SteinerError::DeadlineExceeded {
-                        deadline_ms: config.deadline.map_or(0, |d| d.as_millis() as u64),
-                    });
-                }
-                if failure
-                    .failures
-                    .iter()
-                    .any(|f| f.reason != FailureReason::InjectedCrash)
-                {
-                    // A genuine bug (assertion, lockstep violation):
-                    // restoring would deterministically replay it, so
-                    // re-raise the original payload — the legacy panic
-                    // propagation contract callers and tests rely on.
-                    std::panic::resume_unwind(failure.into_panic_payload());
-                }
-                let restore_from = if recovery.restores < config.max_restores as u64 {
-                    store.latest_complete()
-                } else {
-                    None
-                };
-                let Some(completed) = restore_from else {
-                    return Err(SteinerError::Unrecoverable {
-                        restores: recovery.restores,
-                    });
-                };
-                recovery.restores += 1;
-                recovery.replayed_phases += (Phase::ALL.len() - completed) as u64;
-                resume = Some(completed);
-                // Replay with the crash trigger disarmed; the message-level
-                // perturbations keep running, so the replayed phases still
-                // have to reach the fault-free tree through the
-                // reliability layer.
-                plan = plan.map(|pl| pl.disarm_crash());
-                continue;
-            }
+        let failure = match run {
+            Ok(out) => break out,
+            Err(failure) => failure,
         };
-        match assemble_report(pg, seeds.clone(), config, out, retries, recovery) {
-            Err(SteinerError::SeedsDisconnected(a, b))
-                if faults_active && (retries as usize) < config.fault_retries =>
-            {
-                let _ = (a, b);
-                retries += 1;
-                // A solve-level retry is a fresh attempt, not a restore.
-                resume = None;
-                store.clear();
-            }
-            other => return other,
+        recovery.aborted_ranks += failure.aborted_ranks as u64;
+        recovery.crashes_injected += failure.injected_crashes() as u64;
+        if failure.deadline_exceeded {
+            // The runtime already wrote the flight dump; that is the
+            // partial-progress record for this solve.
+            return Err(SteinerError::DeadlineExceeded {
+                deadline_ms: config.deadline.map_or(0, |d| d.as_millis() as u64),
+            });
         }
-    }
+        if failure
+            .failures
+            .iter()
+            .any(|f| f.reason != FailureReason::InjectedCrash)
+        {
+            // A genuine bug (assertion, lockstep violation): restoring
+            // would deterministically replay it, so re-raise the original
+            // payload — the legacy panic propagation contract callers and
+            // tests rely on.
+            std::panic::resume_unwind(failure.into_panic_payload());
+        }
+        let restore_from = if recovery.restores < config.max_restores as u64 {
+            store.latest_complete()
+        } else {
+            None
+        };
+        let Some(completed) = restore_from else {
+            return Err(SteinerError::Unrecoverable {
+                restores: recovery.restores,
+            });
+        };
+        recovery.restores += 1;
+        recovery.replayed_phases += (Phase::ALL.len() - completed) as u64;
+        resume = Some(completed);
+        // Replay with the crash trigger disarmed; the message-level
+        // perturbations keep running, so the replayed phases still have to
+        // reach the fault-free tree through the reliability layer.
+        plan = plan.map(|pl| pl.disarm_crash());
+    };
+    assemble_report(pg, seeds, config, out, recovery)
 }
 
 /// Like [`solve_partitioned`], but runs on resident rank threads — the
@@ -513,7 +447,6 @@ pub fn solve_on(
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
     assert_eq!(p, world.num_ranks(), "world/config rank mismatch");
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
-    let reduce_mode = config.reduce_mode.resolve(seeds.len());
     let seed_index: Arc<BTreeMap<Vertex, u32>> = Arc::new(
         seeds
             .iter()
@@ -533,18 +466,15 @@ pub fn solve_on(
             &seeds_job,
             &seed_index,
             queue,
-            reduce_mode,
             mst_mode,
             batch_size,
             None,
         )
     });
-    // No retry loop here: a persistent world's fault plan is fixed at
-    // construction, so the solve-level retry policy applies to
-    // `solve` / `solve_partitioned` only — and likewise no crash
-    // supervision: a crash on resident rank threads is a panic, as
-    // before.
-    assemble_report(pg, seeds, config, out, 0, RecoveryStats::default())
+    // No crash supervision here: a persistent world's fault plan is
+    // fixed at construction, and a crash on resident rank threads is a
+    // panic, as before.
+    assemble_report(pg, seeds, config, out, RecoveryStats::default())
 }
 
 fn assemble_report(
@@ -552,7 +482,6 @@ fn assemble_report(
     seeds: Vec<Vertex>,
     config: &SolverConfig,
     out: RunOutput<RankOutcome>,
-    retries: u64,
     recovery: RecoveryStats,
 ) -> Result<SolveReport, SteinerError> {
     // Flight recorder: a failed solve dumps its telemetry ring (when
@@ -593,8 +522,6 @@ fn assemble_report(
     }
     let message_counts = out.merged_counters();
     let state_peak_bytes = out.total_peak_memory();
-    let mut fault_stats = out.fault_stats;
-    fault_stats.retries += retries;
     Ok(SolveReport {
         tree,
         phase_times,
@@ -608,7 +535,7 @@ fn assemble_report(
         config: *config,
         trace: out.trace,
         metrics: out.metrics,
-        fault_stats,
+        fault_stats: out.fault_stats,
         telemetry: out.telemetry,
         recovery,
         boruvka,
@@ -672,7 +599,6 @@ fn rank_main(
     seeds: &[Vertex],
     seed_index: &BTreeMap<Vertex, u32>,
     queue: QueueKind,
-    reduce_mode: ReduceMode,
     mst_mode: MstMode,
     batch_size: usize,
     recovery: Option<(&CheckpointStore, Option<usize>)>,
@@ -838,7 +764,7 @@ fn rank_main(
         let l = local.take().expect("local min edges computed or restored");
         match mst_mode {
             MstMode::Replicated => {
-                let d = distance_graph::global_min_edges(comm, l, seeds.len(), reduce_mode);
+                let d = distance_graph::global_min_edges(comm, l, seeds.len());
                 comm.telemetry_gauge("distance_graph_edges", d.len() as u64);
                 drop(span);
                 times[Phase::GlobalMinEdge] = t.elapsed();
@@ -1151,20 +1077,18 @@ mod tests {
             .filter(|p| {
                 p.file_name()
                     .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("FLIGHT_") && n.ends_with(".json"))
+                    .is_some_and(|n| n.starts_with("FLIGHT_phase_failure") && n.ends_with(".json"))
             })
             .collect();
-        // The fault budget retries the solve, and every failed attempt
-        // leaves its own numbered dump — at least one, each schema-valid.
-        assert!(!dumps.is_empty(), "no flight dump in {dir:?}");
-        for dump in &dumps {
-            let doc = stgraph::json::parse(&std::fs::read_to_string(dump).unwrap()).unwrap();
-            assert_eq!(report::validate_flight(&doc), Ok(2));
-            assert_eq!(
-                doc.get("reason").and_then(|v| v.as_str()),
-                Some("phase_failure")
-            );
-        }
+        // A failed solve is not retried, so it leaves exactly one
+        // schema-valid dump.
+        assert_eq!(dumps.len(), 1, "expected one flight dump in {dir:?}");
+        let doc = stgraph::json::parse(&std::fs::read_to_string(&dumps[0]).unwrap()).unwrap();
+        assert_eq!(report::validate_flight(&doc), Ok(2));
+        assert_eq!(
+            doc.get("reason").and_then(|v| v.as_str()),
+            Some("phase_failure")
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1381,20 +1305,11 @@ mod tests {
     }
 
     #[test]
-    fn reduce_modes_agree() {
-        let g = stgraph::datasets::Dataset::Cts.generate_tiny(29);
-        let cc = stgraph::traversal::connected_components(&g);
-        let verts = cc.largest_component_vertices();
-        let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 9).copied().collect();
-        let mut cfg = config(3);
-        cfg.reduce_mode = ReduceModeConfig::Dense { chunk: None };
-        let dense = solve(&g, &seeds, &cfg).unwrap();
-        cfg.reduce_mode = ReduceModeConfig::Dense { chunk: Some(4) };
-        let chunked = solve(&g, &seeds, &cfg).unwrap();
-        cfg.reduce_mode = ReduceModeConfig::Sparse;
-        let sparse = solve(&g, &seeds, &cfg).unwrap();
-        assert_eq!(dense.tree, chunked.tree);
-        assert_eq!(dense.tree, sparse.tree);
+    fn default_config_runs_dist_boruvka() {
+        let g = path_graph(8);
+        let r = solve(&g, &[0, 3, 7], &SolverConfig::default()).unwrap();
+        assert!(r.boruvka.is_some(), "the default pipeline is Borůvka");
+        assert_eq!(r.run_report().config.mst_mode, "dist");
     }
 
     #[test]
@@ -1406,7 +1321,15 @@ mod tests {
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 7).copied().collect();
-        let reference = solve(&g, &seeds, &config(1)).unwrap();
+        let reference = solve(
+            &g,
+            &seeds,
+            &SolverConfig {
+                mst_mode: MstMode::Replicated,
+                ..config(1)
+            },
+        )
+        .unwrap();
         assert!(reference.boruvka.is_none(), "replicated reports no rounds");
         for p in [1, 2, 4] {
             let cfg = SolverConfig {
@@ -1436,7 +1359,15 @@ mod tests {
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 5).copied().collect();
-        let clean = solve(&g, &seeds, &config(3)).unwrap();
+        let clean = solve(
+            &g,
+            &seeds,
+            &SolverConfig {
+                mst_mode: MstMode::Replicated,
+                ..config(3)
+            },
+        )
+        .unwrap();
         for phase in Phase::ALL {
             let spec = format!(
                 "crash_rank=1,crash_at_sync=2,crash_phase={},seed=23",

@@ -143,7 +143,7 @@ proptest! {
                 QueueKind::Bucketed { delta: crate::auto_delta(&g) },
             ] {
                 let reference = solve(&g, &seeds, &SolverConfig {
-                    num_ranks: p, queue, ..SolverConfig::default()
+                    num_ranks: p, queue, mst_mode: MstMode::Replicated, ..SolverConfig::default()
                 }).unwrap();
                 for plan in fault_plans {
                     let r = solve(&g, &seeds, &SolverConfig {

@@ -88,16 +88,6 @@ impl CheckpointStore {
             .max()
     }
 
-    /// Drops every snapshot (used when a solve-level retry restarts the
-    /// whole attempt rather than restoring).
-    pub fn clear(&self) {
-        self.slots
-            .lock()
-            .expect("checkpoint store poisoned")
-            .clear();
-        self.bytes.store(0, Ordering::Relaxed);
-    }
-
     /// Bytes currently resident across all snapshots.
     pub fn resident_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
@@ -380,10 +370,6 @@ mod tests {
         assert_eq!(store.put(0, 0, vec![9; 4]), 10);
         assert_eq!(store.resident_bytes(), 34);
         assert_eq!(store.taken(), 5);
-
-        store.clear();
-        assert_eq!(store.resident_bytes(), 0);
-        assert_eq!(store.latest_complete(), None);
     }
 
     #[test]

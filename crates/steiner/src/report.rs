@@ -21,7 +21,7 @@
 //! - Durations are integer microseconds (`*_us`), sizes integer bytes.
 
 use crate::phases::Phase;
-use crate::{ReduceModeConfig, SolveReport, SolverConfig};
+use crate::{SolveReport, SolverConfig};
 use stgraph::json::Json;
 use struntime::{Gauge, QueueKind, TelemetryDump};
 
@@ -37,9 +37,9 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 ///
 /// **v2 → v3**: adds the `faults` object (injection and
 /// reliability-protocol counters: `drops`, `dups`, `delays`, `stalls`,
-/// `retransmits`, `dedup_discards`, `acks`, `retries` — all-zero for a
-/// fault-free run) and `config.faults` (the fault-plan spec string, or
-/// `"off"`). Again a strict superset of the previous version, and again
+/// `retransmits`, `dedup_discards`, `acks`, and a solve-level `retries`
+/// counter since removed in v8 — all-zero for a fault-free run) and
+/// `config.faults` (the fault-plan spec string, or `"off"`). Again a strict superset of the previous version, and again
 /// breaking: v2 readers comparing reports across runs would silently
 /// treat a faulted run as comparable to a fault-free one.
 ///
@@ -74,7 +74,13 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 /// collective bytes across runs would silently compare the dense
 /// `Allreduce(MIN)` pipeline against the Borůvka rounds as if they were
 /// the same work.
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// **v7 → v8**: removes `config.reduce_mode` (the sparse and chunked
+/// reductions are gone: `config.mst_mode` alone now names the pipeline,
+/// `"replicated"` being the one-shot dense reduce) and `faults.retries`
+/// (the solve-level retry loop is gone), and the default `mst_mode`
+/// becomes `"dist"`. Breaking by definition — two keys were removed.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The configuration a solve ran with, reduced to plain strings and
 /// numbers for the report.
@@ -87,10 +93,8 @@ pub struct ConfigFingerprint {
     pub queue: String,
     /// Delegate degree threshold, if delegation was on.
     pub delegate_threshold: Option<usize>,
-    /// Reduction layout (`"auto"`, `"dense"`, `"dense(chunk=N)"`,
-    /// `"sparse"`).
-    pub reduce_mode: String,
-    /// MST pipeline (`"replicated"` Prim or `"dist"` Borůvka; v7).
+    /// MST pipeline (`"dist"` Borůvka or `"replicated"` dense reduce plus
+    /// Prim; v7).
     pub mst_mode: String,
     /// Whether KMB steps 4–5 refinement ran.
     pub refine: bool,
@@ -110,12 +114,6 @@ impl ConfigFingerprint {
             QueueKind::Bucketed { delta } => format!("bucketed:{delta}"),
             QueueKind::Adversarial { seed } => format!("adversarial:{seed}"),
         };
-        let reduce_mode = match config.reduce_mode {
-            ReduceModeConfig::Auto => "auto".to_string(),
-            ReduceModeConfig::Dense { chunk: None } => "dense".to_string(),
-            ReduceModeConfig::Dense { chunk: Some(c) } => format!("dense(chunk={c})"),
-            ReduceModeConfig::Sparse => "sparse".to_string(),
-        };
         let mst_mode = match config.mst_mode {
             crate::MstMode::Replicated => "replicated".to_string(),
             crate::MstMode::Dist => "dist".to_string(),
@@ -128,7 +126,6 @@ impl ConfigFingerprint {
             num_ranks: config.num_ranks,
             queue,
             delegate_threshold: config.delegate_threshold,
-            reduce_mode,
             mst_mode,
             refine: config.refine,
             batch_size: config.batch_size,
@@ -141,7 +138,6 @@ impl ConfigFingerprint {
             .with("num_ranks", self.num_ranks)
             .with("queue", self.queue.as_str())
             .with("delegate_threshold", self.delegate_threshold)
-            .with("reduce_mode", self.reduce_mode.as_str())
             .with("mst_mode", self.mst_mode.as_str())
             .with("refine", self.refine)
             .with("batch_size", self.batch_size)
@@ -202,7 +198,8 @@ pub struct RunReport {
     pub graph_bytes: usize,
     /// Peak algorithm-state bytes across all ranks (Fig 8 "states").
     pub state_peak_bytes: usize,
-    /// Edges in the reduced distance graph `G_1'`.
+    /// Edges in the reduced distance graph `G_1'` (chosen bridges under
+    /// `mst_mode = "dist"`, see [`SolveReport::distance_graph_edges`]).
     pub distance_graph_edges: usize,
     /// Visitors processed per rank (the work metric behind speedup).
     pub rank_work: Vec<u64>,
@@ -308,8 +305,7 @@ impl RunReport {
                     .with("stalls", self.fault_stats.stalls)
                     .with("retransmits", self.fault_stats.retransmits)
                     .with("dedup_discards", self.fault_stats.dedup_discards)
-                    .with("acks", self.fault_stats.acks)
-                    .with("retries", self.fault_stats.retries),
+                    .with("acks", self.fault_stats.acks),
             )
             .with("timeseries", self.timeseries.clone().unwrap_or(Json::Null))
             .with(
@@ -462,7 +458,7 @@ impl SolveReport {
 }
 
 /// Validates one `RunReport` JSON document against the current schema.
-/// This is the single definition of the v6 contract — the bench
+/// This is the single definition of the current contract — the bench
 /// envelope validator and `xtask check-reports` both call it — kept
 /// next to the writer ([`RunReport::to_json`]) so the two cannot drift.
 /// Historical versions are rejected with a migration note.
@@ -520,6 +516,16 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
                  dist) and the boruvka object (rounds, edges_reduced, components — null \
                  for replicated solves) (no v6 key was removed or renamed) — regenerate \
                  the report with current binaries to migrate"
+                    .to_string(),
+            );
+        }
+        Some(7) => {
+            return Err(
+                "schema_version 7 report found; v8 removes config.reduce_mode (the sparse \
+                 and chunked reductions are gone; config.mst_mode alone names the pipeline) \
+                 and faults.retries (the solve-level retry loop is gone), and makes dist \
+                 the default mst_mode — regenerate the report with current binaries to \
+                 migrate"
                     .to_string(),
             );
         }
@@ -611,7 +617,6 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
         "retransmits",
         "dedup_discards",
         "acks",
-        "retries",
     ] {
         faults
             .get(key)
@@ -784,7 +789,7 @@ mod tests {
         let cfg = SolverConfig {
             num_ranks: 2,
             queue: QueueKind::Adversarial { seed: 99 },
-            reduce_mode: ReduceModeConfig::Dense { chunk: Some(16) },
+            mst_mode: crate::MstMode::Replicated,
             ..SolverConfig::default()
         };
         solve(&g, &[0, 7], &cfg).unwrap()
@@ -795,7 +800,6 @@ mod tests {
         let fp = sample_report().run_report().config;
         assert_eq!(fp.num_ranks, 2);
         assert_eq!(fp.queue, "adversarial:99");
-        assert_eq!(fp.reduce_mode, "dense(chunk=16)");
         assert_eq!(fp.mst_mode, "replicated");
         assert!(!fp.refine);
     }
@@ -871,7 +875,6 @@ mod tests {
             "retransmits",
             "dedup_discards",
             "acks",
-            "retries",
         ] {
             assert_eq!(
                 faults.get(key).and_then(|v| v.as_u64()),
@@ -1089,6 +1092,25 @@ mod tests {
         assert!(err.contains("mst_mode"), "{err}");
         assert!(err.contains("boruvka"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
+    }
+
+    #[test]
+    fn v7_run_report_rejected_with_migration_note() {
+        let mut doc = sample_report().run_report().to_json();
+        doc.insert("schema_version", 7u64);
+        let err = validate_run(&doc).unwrap_err();
+        assert!(err.contains("schema_version 7"), "{err}");
+        assert!(err.contains("reduce_mode"), "{err}");
+        assert!(err.contains("retries"), "{err}");
+        assert!(err.contains("regenerate"), "{err}");
+    }
+
+    #[test]
+    fn v8_drops_reduce_mode_and_retries() {
+        let doc = sample_report().run_report().to_json();
+        assert!(doc.get("config").unwrap().get("reduce_mode").is_none());
+        assert!(doc.get("faults").unwrap().get("retries").is_none());
+        assert!(validate_run(&doc).is_ok());
     }
 
     #[test]

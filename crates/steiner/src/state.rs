@@ -302,7 +302,7 @@ impl VertexStates {
 }
 
 /// Reusable per-rank visitor scratch buffers, allocated once per rank and
-/// reused across phases, retries, and BSP supersteps so the Voronoi hot
+/// reused across phases and BSP supersteps so the Voronoi hot
 /// path's steady state allocates nothing:
 ///
 /// - `init` — the bootstrap message list the asynchronous phase seeds its

@@ -39,7 +39,7 @@ use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
 
 /// Runs the Voronoi phase to quiescence on this rank. Collective.
 /// `scratch` provides the reusable bootstrap buffer so repeated solves
-/// (fault retries, benchmark sweeps) do not re-allocate per phase.
+/// (benchmark sweeps) do not re-allocate per phase.
 #[allow(clippy::too_many_arguments)] // collective phase entry: ctx + graph views + state + knobs
 pub fn run(
     comm: &Comm,

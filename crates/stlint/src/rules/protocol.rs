@@ -20,7 +20,7 @@ use crate::model::{CallSite, FileModel, Workspace};
 use crate::{Finding, RULE_LOCKSTEP, RULE_SEND_AFTER_QUIESCENCE, RULE_UNCHARGED_SEND};
 
 /// Method names that are collective operations (prefix match: `allreduce`
-/// also covers `allreduce_chunked` / `allreduce_sum` wrappers).
+/// also covers the `allreduce_min` / `allreduce_sum` wrappers).
 fn collective_kind(name: &str) -> Option<&'static str> {
     for kind in ["barrier", "allreduce", "broadcast"] {
         if name == kind || name.starts_with(&format!("{kind}_")) {

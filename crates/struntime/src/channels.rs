@@ -91,6 +91,10 @@ const RETRANSMIT_BASE: Duration = Duration::from_micros(200);
 /// Backoff exponent cap (200µs << 8 ≈ 51ms) so a long-lived entry keeps a
 /// bounded, predictable timer.
 const BACKOFF_CAP: u32 = 8;
+/// Abort-epoch polls a send to a dropped receiver makes before calling
+/// the drop a bug. An unwinding peer's supervisor raises the epoch within
+/// microseconds; each poll yields, so the bound is far above that.
+const PEER_UNWIND_POLLS: u32 = 1_000_000;
 
 /// Observability sidecar riding next to a traversal batch on the wire.
 /// Present only when the sending world records traces or metrics, so an
@@ -352,6 +356,15 @@ impl<T: Send + Clone + 'static> ChannelGroup<T> {
     /// the raw send, below the fault injector.
     fn raw_send(&self, dest: usize, msg: WireMsg<T>) {
         if self.senders[dest].send(msg).is_err() {
+            // `dest`'s receiver drops only when its rank closure exits. A
+            // crashed or panicking peer drops it while unwinding, shortly
+            // before its supervisor raises the abort epoch, so wait for
+            // the epoch and unwind cooperatively. A peer that returned
+            // normally never raises it: that is a protocol bug.
+            for _ in 0..PEER_UNWIND_POLLS {
+                self.ctx.shared.poll_abort(self.rank);
+                std::thread::yield_now();
+            }
             unreachable!("receiver endpoint dropped while its world is running");
         }
     }

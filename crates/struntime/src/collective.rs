@@ -1,10 +1,11 @@
 //! Collective operations: barrier-synchronized all-reduce and broadcast.
 //!
 //! These mirror the `MPI_Allreduce(MPI_MIN)` collectives the paper's
-//! Alg 5 uses for global min-distance-edge identification and edge pruning,
-//! plus the chunked variant discussed in §V-F ("multiple collective
-//! operations ... on smaller chunks, e.g., 500K or 1M items per chunk")
-//! that trades runtime for lower peak buffer memory.
+//! Alg 5 uses for global min-distance-edge identification and edge
+//! pruning, and the per-round slot reductions of the distributed Borůvka
+//! MST. The paper's §V-F chunked variant is deliberately absent: chunking
+//! bounds only the shared slot, never the rank-local buffer, so it never
+//! lowered peak memory (Fig 8); Borůvka's `O(#components)` slots do.
 //!
 //! Every collective must be called by **all** ranks of a world in the same
 //! program order, like their MPI counterparts. The reduction buffer is a
@@ -132,27 +133,6 @@ impl Comm {
         }
         self.memory()
             .release("collective_buffer", std::mem::size_of_val(data));
-    }
-
-    /// All-reduce over `data` in chunks of `chunk_len` elements, bounding
-    /// the shared buffer to one chunk at a time (the paper's memory
-    /// optimization for the ~50M-element |S| = 10K edge buffer, §V-F).
-    pub fn allreduce_chunked<T, F>(&self, data: &mut [T], chunk_len: usize, combine: F)
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&mut T, &T),
-    {
-        assert!(chunk_len >= 1, "chunk length must be positive");
-        // All ranks iterate the same chunk boundaries, so the inner
-        // collectives stay aligned.
-        let mut start = 0;
-        while start < data.len() {
-            let end = (start + chunk_len).min(data.len());
-            self.allreduce(&mut data[start..end], &combine);
-            start = end;
-        }
-        // Even a zero-length input must participate in the same number of
-        // collectives on every rank; lengths are equal by contract.
     }
 
     /// Element-wise minimum all-reduce (`MPI_Allreduce(MPI_MIN)`).

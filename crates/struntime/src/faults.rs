@@ -301,9 +301,6 @@ pub struct FaultStats {
     pub dedup_discards: AtomicU64,
     /// Acknowledgements delivered back to senders.
     pub acks: AtomicU64,
-    /// Solve-level phase retries taken (recorded by `steiner::solve`'s
-    /// retry policy, not by the runtime itself).
-    pub retries: AtomicU64,
     /// Crash-stop faults injected (ranks unwound mid-phase).
     pub crashes: AtomicU64,
 }
@@ -319,7 +316,6 @@ impl FaultStats {
             retransmits: self.retransmits.load(Ordering::Relaxed),
             dedup_discards: self.dedup_discards.load(Ordering::Relaxed),
             acks: self.acks.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             crashes: self.crashes.load(Ordering::Relaxed),
         }
     }
@@ -342,8 +338,6 @@ pub struct FaultSnapshot {
     pub dedup_discards: u64,
     /// Acknowledgements delivered back to senders.
     pub acks: u64,
-    /// Solve-level phase retries taken.
-    pub retries: u64,
     /// Crash-stop faults injected.
     pub crashes: u64,
 }

@@ -795,29 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_allreduce_matches_unchunked() {
-        for chunk in [1usize, 2, 3, 7, 100] {
-            let out = World::run(3, |comm| {
-                let mut data: Vec<u64> = (0..10)
-                    .map(|i| (i * 7 + comm.rank() as u64 * 3) % 13)
-                    .collect();
-                comm.allreduce_chunked(&mut data, chunk, |a, b| {
-                    if *b < *a {
-                        *a = *b;
-                    }
-                });
-                data
-            });
-            let expect: Vec<u64> = (0..10)
-                .map(|i| (0..3).map(|r| (i * 7 + r * 3) % 13).min().unwrap())
-                .collect();
-            for r in &out.results {
-                assert_eq!(r, &expect, "chunk = {chunk}");
-            }
-        }
-    }
-
-    #[test]
     fn broadcast_distributes_roots_value() {
         let out = World::run(4, |comm| {
             let v = if comm.rank() == 2 {
@@ -1104,24 +1081,6 @@ mod tests {
         assert_eq!(
             out.reports[1].peak_memory_by_label["collective_buffer"],
             8000
-        );
-    }
-
-    #[test]
-    fn chunked_allreduce_slot_peak_is_one_chunk() {
-        let out = World::run(2, |comm| {
-            let mut data = vec![comm.rank() as u64; 1000];
-            comm.allreduce_chunked(&mut data, 100, |a, b| {
-                if *b < *a {
-                    *a = *b;
-                }
-            });
-        });
-        // The slot holds at most one chunk at a time — this is the §V-F
-        // memory optimization the tracker must reflect.
-        assert_eq!(
-            out.reports[0].peak_memory_by_label["collective_slot"],
-            100 * 8
         );
     }
 
@@ -1501,6 +1460,33 @@ mod tests {
             .primary
             .as_ref()
             .is_some_and(|p| p.is::<InjectedCrash>()));
+    }
+
+    /// Regression: a crashed rank drops its receivers while unwinding,
+    /// before its supervisor raises the abort epoch. A survivor whose send
+    /// lands in that window used to panic as a bug, which the solver then
+    /// re-raised instead of restoring; it must unwind cooperatively.
+    #[test]
+    fn send_to_an_unwinding_peer_aborts_cooperatively() {
+        let dropped = AtomicBool::new(false);
+        let err = World::try_run_config(2, WorldConfig::default(), |comm| {
+            let chan = comm.open_channels::<u32>("race");
+            if comm.rank() == 1 {
+                drop(chan);
+                dropped.store(true, Ordering::SeqCst);
+                // Give rank 0 time to send into the closed receiver first.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::panic::panic_any(InjectedCrash { rank: 1 });
+            }
+            while !dropped.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            chan.send(1, 7);
+        })
+        .expect_err("the crash must fail the world");
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert_eq!(err.failures[0].reason, FailureReason::InjectedCrash);
+        assert_eq!(err.aborted_ranks, 1, "{err}");
     }
 
     #[test]

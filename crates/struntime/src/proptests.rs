@@ -35,25 +35,6 @@ proptest! {
         }
     }
 
-    /// Chunked allreduce equals unchunked for every chunk size.
-    #[test]
-    fn chunked_matches_unchunked(
-        p in 1usize..5,
-        len in 1usize..30,
-        chunk in 1usize..40,
-    ) {
-        let out = World::run(p, |comm: &mut Comm| {
-            let mut a: Vec<u64> = (0..len).map(|i| ((i * 31 + comm.rank() * 17) % 97) as u64).collect();
-            let mut b = a.clone();
-            comm.allreduce(&mut a, |x, y| if *y < *x { *x = *y });
-            comm.allreduce_chunked(&mut b, chunk, |x, y| if *y < *x { *x = *y });
-            (a, b)
-        });
-        for (a, b) in &out.results {
-            prop_assert_eq!(a, b);
-        }
-    }
-
     /// Sum all-reduce counts every rank's contribution exactly once.
     #[test]
     fn allreduce_sum_is_exact(p in 1usize..7, x in 0u64..10_000) {

@@ -59,8 +59,8 @@
 //! with telemetry sampling on while the baselines keep it off, so the
 //! sweep doubles as the proof that observation never perturbs the
 //! result. Both sweeps run each combination under `--mst replicated`
-//! and `--mst dist`, comparing every tree against the replicated
-//! fault-free baseline — so the matrix also pins the distributed
+//! and `--mst dist`, comparing every tree against a fault-free baseline
+//! pinned to `--mst replicated` — so the matrix also pins the distributed
 //! Borůvka pipeline bit-identical to the replicated Prim path. A second
 //! sweep injects seeded crash-stop rank deaths
 //! (visit- and sync-triggered, across phases) at ranks {2, 4} per queue
@@ -319,9 +319,12 @@ fn chaos() -> ExitCode {
     let mut combos = 0usize;
     for (qname, queue) in queues {
         for p in ranks {
+            // Pinned explicitly: the default pipeline is dist, and a dist
+            // baseline would compare Borůvka against itself.
             let base_cfg = steiner::SolverConfig {
                 num_ranks: p,
                 queue,
+                mst_mode: steiner::MstMode::Replicated,
                 ..steiner::SolverConfig::default()
             };
             let baseline = match steiner::solve(&g, &seeds, &base_cfg) {
@@ -376,9 +379,7 @@ fn chaos() -> ExitCode {
                             );
                             failures += 1;
                         }
-                        Ok(r)
-                            if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() =>
-                        {
+                        Ok(r) if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() => {
                             eprintln!(
                                 "  FAIL {qname} p={p} mst={mname} {spec}: dist solve \
                                  reported no Borůvka rounds"
@@ -420,6 +421,7 @@ fn chaos() -> ExitCode {
             let base_cfg = steiner::SolverConfig {
                 num_ranks: p,
                 queue,
+                mst_mode: steiner::MstMode::Replicated,
                 ..steiner::SolverConfig::default()
             };
             let baseline = match steiner::solve(&g, &seeds, &base_cfg) {
@@ -469,9 +471,7 @@ fn chaos() -> ExitCode {
                             );
                             failures += 1;
                         }
-                        Ok(r)
-                            if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() =>
-                        {
+                        Ok(r) if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() => {
                             eprintln!(
                                 "  FAIL {qname} p={p} mst={mname} {spec}: dist recovery \
                                  lost the Borůvka round counters"
@@ -488,9 +488,7 @@ fn chaos() -> ExitCode {
                             r.recovery.checkpoints_taken,
                         ),
                         Err(e) => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: solve failed: {e}"
-                            );
+                            eprintln!("  FAIL {qname} p={p} mst={mname} {spec}: solve failed: {e}");
                             failures += 1;
                         }
                     }

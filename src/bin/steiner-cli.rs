@@ -5,7 +5,7 @@
 //! steiner-cli stats    --graph graph.bin
 //! steiner-cli solve    --graph graph.bin (--seeds 1,2,3 | --select K[:STRATEGY])
 //!                      [--ranks P] [--queue fifo|priority|bucketed[:DELTA]]
-//!                      [--mst replicated|dist]
+//!                      [--mst dist|replicated]
 //!                      [--refine] [--improve ROUNDS] [--dot out.dot]
 //!                      [--faults drop=0.1,dup=0.05,seed=7]
 //!                      [--crash crash_rank=1,crash_at_sync=3,seed=7]
@@ -52,7 +52,7 @@ const USAGE: &str = "usage:
   steiner-cli stats    --graph FILE
   steiner-cli solve    --graph FILE (--seeds A,B,C | --select K[:STRATEGY])
                        [--ranks P] [--queue fifo|priority|bucketed[:DELTA]]
-                       [--mst replicated|dist]
+                       [--mst dist|replicated]
                        [--refine] [--improve ROUNDS] [--dot FILE] [--out TREE_FILE]
                        [--faults SPEC] [--crash SPEC] [--deadline MS] [--no-recover]
                        [--trace FILE] [--report FILE] [--analyze]
@@ -65,15 +65,16 @@ same stale-relaxation filter as priority). `bucketed` / `bucketed:auto`
 derive the bucket width from the graph's mean edge weight;
 `bucketed:DELTA` pins it explicitly (DELTA >= 1).
 
---mst picks the distance-graph MST pipeline: `replicated` (default)
-allreduces the full pair buffer and runs Prim on every rank; `dist`
-runs distributed Borůvka rounds that reduce one lightest-outgoing-edge
-slot per live component and merge via pointer jumping — same tree,
-bit-identical, but the binom(K,2) edge buffer never materializes.
+--mst picks the distance-graph MST pipeline: `dist` (default) runs
+distributed Borůvka rounds that reduce one lightest-outgoing-edge slot
+per live component and merge via pointer jumping, so the binom(K,2)
+edge buffer never materializes; `replicated` is the paper's Alg 3 Step
+3 — it allreduces the full pair buffer and runs Prim on every rank.
+Both choose the bit-identical tree.
 
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
 lane per simulated rank); --report writes the machine-readable RunReport
-(schema v7, with latency quantiles from the runtime's histograms, the
+(schema v8, with latency quantiles from the runtime's histograms, the
 fault/retransmit counters, per-rank stale-relaxation drop counts, the
 crash-recovery counters, the Borůvka round counters under --mst dist,
 and — when telemetry is on — the sampled
@@ -384,8 +385,8 @@ fn queue_kind(flags: &HashMap<String, String>, g: &CsrGraph) -> Result<QueueKind
 /// Parses `--mst` into the MST pipeline choice.
 fn mst_mode(flags: &HashMap<String, String>) -> Result<MstMode, String> {
     match flags.get("mst").map(String::as_str) {
-        None | Some("replicated") => Ok(MstMode::Replicated),
-        Some("dist") => Ok(MstMode::Dist),
+        None | Some("dist") => Ok(MstMode::Dist),
+        Some("replicated") => Ok(MstMode::Replicated),
         Some(other) => Err(format!(
             "unknown mst mode {other:?} (want `replicated` or `dist`)"
         )),
@@ -457,8 +458,8 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
             fs.drops, fs.dups, fs.delays, fs.stalls
         );
         println!(
-            "faults recovered {} retransmits, {} dedup discards, {} acks, {} retries",
-            fs.retransmits, fs.dedup_discards, fs.acks, fs.retries
+            "faults recovered {} retransmits, {} dedup discards, {} acks",
+            fs.retransmits, fs.dedup_discards, fs.acks
         );
     }
     if report.recovery.crashes_injected > 0 || report.recovery.restores > 0 {
