@@ -14,8 +14,8 @@
 //!
 //! Each scale point now runs under both ordered queue disciplines —
 //! `priority` (binary heap) and `bucketed:auto` (delta-stepping buckets,
-//! delta = mean edge weight) — with the stale-relaxation pop-time filter
-//! active for both. The `visits` column counts visitors actually
+//! delta = mean edge weight) — with the stale-relaxation filter (at queue
+//! admission and at pop) active for both. The `visits` column counts visitors actually
 //! processed, `stale` counts dominated relaxations dropped unvisited, and
 //! `churn-cut` is the reduction in voronoi-phase visit count relative to
 //! the unfiltered priority baseline (visits + stale of the priority row —

@@ -47,9 +47,9 @@ pub struct SpawnRec {
     pub phase: String,
 }
 
-/// One message consumption: a dequeue followed by either the visitor
-/// callback (`stale == false`) or a stale-relaxation drop
-/// (`stale == true`). Both terminate the message's lineage.
+/// One message consumption: either the visitor callback
+/// (`stale == false`) or a stale-relaxation drop at queue admission or at
+/// pop (`stale == true`). Both terminate the message's lineage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VisitRec {
     /// The visited message's id (0 = visitor from an uninstrumented
@@ -61,8 +61,8 @@ pub struct VisitRec {
     pub ts_us: u64,
     /// Channel phase label.
     pub phase: String,
-    /// True when the queue's stale filter dropped the message at pop
-    /// time instead of running the visitor callback.
+    /// True when the stale filter dropped the message (at queue
+    /// admission or at pop) instead of running the visitor callback.
     pub stale: bool,
 }
 
@@ -256,11 +256,11 @@ pub struct Analysis {
     /// Lineage edges in the trace.
     pub total_spawns: u64,
     /// Consumptions in the trace (visitor callbacks plus stale drops —
-    /// every popped message terminates here).
+    /// every delivered message terminates here).
     pub total_visits: u64,
-    /// Consumptions that were stale-relaxation drops: the queue's lazy
-    /// filter discarded the message at pop time without running the
-    /// visitor. Always `<= total_visits`.
+    /// Consumptions that were stale-relaxation drops: the stale filter
+    /// discarded the message at queue admission or at pop without
+    /// running the visitor. Always `<= total_visits`.
     pub stale_drops: u64,
     /// Visits whose message had no parent (traversal seeds).
     pub roots: u64,

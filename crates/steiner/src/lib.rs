@@ -199,9 +199,10 @@ pub struct SolveReport {
     /// Visitors processed per rank, summed over the asynchronous phases —
     /// the simulation's work metric.
     pub rank_work: Vec<u64>,
-    /// Per-rank stale relaxations dropped unvisited by the Voronoi
-    /// phase's pop-time filter (the ordered disciplines' decrease-key
-    /// emulation; all-zero under FIFO/adversarial queues).
+    /// Per-rank Voronoi relaxations that never became visits: dropped by
+    /// the stale filter at queue admission or at pop (the ordered
+    /// disciplines' decrease-key emulation; all-zero under
+    /// FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
     /// The configuration the solve ran with (the [`RunReport`]'s config
     /// fingerprint is derived from it).
@@ -866,10 +867,10 @@ fn rank_main(
     let spans = match mst_mode {
         MstMode::Replicated => chosen
             .as_deref()
-            .map_or(true, |ch| mst::spans_all_seeds(seeds.len(), ch)),
+            .is_none_or(|ch| mst::spans_all_seeds(seeds.len(), ch)),
         MstMode::Dist => bridges
             .as_deref()
-            .map_or(true, |b| b.len() + 1 == seeds.len()),
+            .is_none_or(|b| b.len() + 1 == seeds.len()),
     };
     if !spans {
         return RankOutcome {

@@ -203,9 +203,9 @@ pub struct RunReport {
     pub distance_graph_edges: usize,
     /// Visitors processed per rank (the work metric behind speedup).
     pub rank_work: Vec<u64>,
-    /// Stale Voronoi relaxations per rank, dropped unvisited by the
-    /// ordered disciplines' pop-time filter (v4; all-zero under
-    /// FIFO/adversarial queues).
+    /// Voronoi relaxations per rank that never became visits, dropped by
+    /// the ordered disciplines' stale filter at queue admission or at pop
+    /// (v4; all-zero under FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
     /// Work-based simulated speedup (Fig 3's scaling metric).
     pub simulated_speedup: f64,
@@ -977,6 +977,37 @@ mod tests {
             sd.get("per_rank").and_then(|v| v.as_arr()).map(|a| a.len()),
             Some(2)
         );
+    }
+
+    /// The telemetry `StaleDrops` gauge and the report's `stale_drops`
+    /// count the same drops (admission and pop alike): each rank's last
+    /// sample carries its final gauge value.
+    #[test]
+    fn telemetry_stale_drop_gauge_matches_run_report() {
+        let g = stgraph::datasets::Dataset::Cts.generate_tiny(5);
+        let seeds: Vec<Vertex> = (0..g.num_vertices() as Vertex).step_by(37).collect();
+        let cfg = SolverConfig {
+            num_ranks: 2,
+            queue: QueueKind::Priority,
+            telemetry: crate::TelemetryConfig::Ring {
+                sample_every: 64,
+                monitor: false,
+            },
+            ..SolverConfig::default()
+        };
+        let solved = solve(&g, &seeds, &cfg).unwrap();
+        let gauge_total: u64 = solved
+            .telemetry
+            .ranks
+            .iter()
+            .map(|r| {
+                r.samples.last().expect("boundary samples recorded").values
+                    [Gauge::StaleDrops as usize]
+            })
+            .sum();
+        let report = solved.run_report();
+        assert!(gauge_total > 0);
+        assert_eq!(gauge_total, report.stale_drops.iter().sum::<u64>());
     }
 
     #[test]

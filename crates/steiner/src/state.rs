@@ -172,19 +172,48 @@ impl VertexStates {
 
     /// Whether this rank holds state for `v` (owned or replica).
     pub fn holds(&self, v: Vertex) -> bool {
-        self.is_delegate(v)
-            || (v >= self.owned_start && ((v - self.owned_start) as usize) < self.owned_len)
+        self.find(v).is_some()
+    }
+
+    /// Where `v`'s state lives on this rank, with one delegate lookup.
+    fn find(&self, v: Vertex) -> Option<Slot> {
+        if let Ok(i) = self.delegates.binary_search(&v) {
+            return Some(Slot::Delegate(i));
+        }
+        let i = v.wrapping_sub(self.owned_start) as usize;
+        (v >= self.owned_start && i < self.owned_len).then_some(Slot::Owned(i))
     }
 
     fn slot(&self, v: Vertex) -> Slot {
-        if let Ok(i) = self.delegates.binary_search(&v) {
-            return Slot::Delegate(i);
+        self.find(v)
+            .unwrap_or_else(|| panic!("rank holds no state for vertex {v}"))
+    }
+
+    /// Number of state slots this rank holds: the range of
+    /// [`VertexStates::held_index`].
+    pub fn num_held(&self) -> usize {
+        self.owned_len + self.delegates.len()
+    }
+
+    /// Dense index of `v`'s state on this rank — owned slots first, then
+    /// delegate replicas — or `None` if the rank holds no state for `v`.
+    /// Resolves the slot once, so a caller that needs several reads of
+    /// the same vertex pays one delegate lookup.
+    pub fn held_index(&self, v: Vertex) -> Option<usize> {
+        self.find(v).map(|s| match s {
+            Slot::Owned(i) => i,
+            Slot::Delegate(i) => self.owned_len + i,
+        })
+    }
+
+    /// The current label at dense index `i` (see
+    /// [`VertexStates::held_index`]).
+    pub fn label_at(&self, i: usize) -> Label {
+        if i < self.owned_len {
+            self.label_in(Slot::Owned(i))
+        } else {
+            self.label_in(Slot::Delegate(i - self.owned_len))
         }
-        assert!(
-            v >= self.owned_start && ((v - self.owned_start) as usize) < self.owned_len,
-            "rank holds no state for vertex {v}"
-        );
-        Slot::Owned((v - self.owned_start) as usize)
     }
 
     fn arrays(&self, s: Slot) -> (&StateArrays, usize) {
@@ -203,7 +232,11 @@ impl VertexStates {
 
     /// The current label of `v`.
     pub fn label(&self, v: Vertex) -> Label {
-        let (a, i) = self.arrays(self.slot(v));
+        self.label_in(self.slot(v))
+    }
+
+    fn label_in(&self, s: Slot) -> Label {
+        let (a, i) = self.arrays(s);
         Label {
             dist: a.dist[i],
             src: a.src[i],
@@ -242,8 +275,8 @@ impl VertexStates {
     /// globally known).
     pub fn init_seeds(&mut self, seeds: &[Vertex]) {
         for &s in seeds {
-            if self.holds(s) {
-                let (a, i) = self.arrays_mut(self.slot(s));
+            if let Some(slot) = self.find(s) {
+                let (a, i) = self.arrays_mut(slot);
                 a.dist[i] = 0;
                 a.src[i] = s;
                 a.pred[i] = NO_VERTEX;
@@ -307,6 +340,10 @@ impl VertexStates {
 ///
 /// - `init` — the bootstrap message list the asynchronous phase seeds its
 ///   local queue from,
+/// - `admitted` — the asynchronous phase's best label admitted to the
+///   visitor queue so far, per held vertex (indexed by
+///   [`VertexStates::held_index`]; the admission side of its stale
+///   filter),
 /// - `outboxes` — the BSP variant's per-destination relaxation outboxes,
 /// - `wire` — the flat byte buffer batches are wire-encoded into before
 ///   shipping (see `ChannelGroup::send_batch_encoded`).
@@ -317,6 +354,7 @@ impl VertexStates {
 #[derive(Default)]
 pub struct ScratchArena {
     init: Vec<VoronoiMsg>,
+    admitted: Vec<Label>,
     outboxes: Vec<Vec<VoronoiMsg>>,
     wire: Vec<u8>,
 }
@@ -327,10 +365,18 @@ impl ScratchArena {
         ScratchArena::default()
     }
 
-    /// The bootstrap message buffer, cleared but with capacity retained.
-    pub fn init_msgs(&mut self) -> &mut Vec<VoronoiMsg> {
+    /// The asynchronous Voronoi phase's buffers, split-borrowed: the
+    /// bootstrap message buffer (cleared, capacity retained) and the
+    /// admitted-label array, reset to `states`' current labels.
+    pub fn voronoi_buffers(
+        &mut self,
+        states: &VertexStates,
+    ) -> (&mut Vec<VoronoiMsg>, &mut Vec<Label>) {
         self.init.clear();
-        &mut self.init
+        self.admitted.clear();
+        self.admitted
+            .extend((0..states.num_held()).map(|i| states.label_at(i)));
+        (&mut self.init, &mut self.admitted)
     }
 
     /// The BSP outboxes (resized to `p` destinations, each cleared with
@@ -348,6 +394,7 @@ impl ScratchArena {
     /// retained capacity is what the arena's reuse is about).
     pub fn memory_bytes(&self) -> usize {
         self.init.capacity() * std::mem::size_of::<VoronoiMsg>()
+            + self.admitted.capacity() * std::mem::size_of::<Label>()
             + self
                 .outboxes
                 .iter()
@@ -456,6 +503,21 @@ mod tests {
     }
 
     #[test]
+    fn held_index_is_dense_over_owned_then_replicas() {
+        let mut st = make_states(true);
+        st.init_seeds(&[0, 2]);
+        // Rank 0 owns 0..4; vertex 0 is a delegate, so its state is the
+        // replica slot after the owned ones.
+        assert_eq!(st.held_index(2), Some(2));
+        assert_eq!(st.held_index(0), Some(4));
+        assert_eq!(st.held_index(7), None);
+        assert_eq!(st.num_held(), 5);
+        for v in [0, 2, 3] {
+            assert_eq!(st.label_at(st.held_index(v).unwrap()), st.label(v));
+        }
+    }
+
+    #[test]
     fn mark_traced_once() {
         let mut st = make_states(false);
         assert!(st.mark_traced(2));
@@ -513,12 +575,18 @@ mod tests {
 
     #[test]
     fn scratch_arena_clears_but_retains_capacity() {
+        let mut st = make_states(true);
         let mut a = ScratchArena::new();
-        a.init_msgs()
+        a.voronoi_buffers(&st)
+            .0
             .extend([VoronoiMsg::Start(1), VoronoiMsg::Start(2)]);
-        let init = a.init_msgs(); // handed out cleared
+        st.init_seeds(&[1]);
+        let (init, admitted) = a.voronoi_buffers(&st); // handed out cleared
         assert!(init.is_empty());
         assert!(init.capacity() >= 2, "reuse must keep the allocation");
+        assert_eq!(admitted.len(), st.num_held());
+        assert_eq!(admitted[st.held_index(1).unwrap()], Label::seed(1));
+        assert!(a.memory_bytes() >= st.num_held() * std::mem::size_of::<Label>());
 
         let (outboxes, _wire) = a.bsp_buffers(4);
         assert_eq!(outboxes.len(), 4);

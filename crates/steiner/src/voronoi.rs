@@ -20,26 +20,43 @@
 //! ## Stale-relaxation filtering
 //!
 //! Under the ordered queue disciplines (priority, bucketed) the traversal
-//! applies a staleness predicate at pop time: a queued `Relax` or
-//! `DelegateUpdate` whose candidate label is already `>=` the target's
-//! current label can never pass `try_improve`, so it is dropped without a
-//! visit (counted in `TraversalStats::stale_dropped`). The predicate is
-//! monotone — labels only shrink, so a dominated message stays dominated —
-//! which makes the drop safe: it removes exactly the visits that would
-//! have been no-ops, leaving the label fixpoint (and the tree) bit-
-//! identical across disciplines.
+//! asks a staleness predicate about every `Relax` and `DelegateUpdate`
+//! at queue admission and again at pop (see `struntime::traversal`,
+//! "Stale-entry filtering"). The
+//! predicate keeps, per held vertex (owned slot or delegate replica), the
+//! best candidate label *admitted* to this rank's queue so far, in one
+//! dense array seeded from the labels after `init_seeds`:
+//!
+//! - **admission** rejects a candidate that is not strictly below the
+//!   target's admitted label and records it otherwise, so a relaxation
+//!   that cannot beat the target's tentative distance is never queued —
+//!   HavoqGT's `pre_visit`, the tentative-distance filter of
+//!   delta-stepping;
+//! - **pop** drops a candidate that is above the admitted label (a better
+//!   one was queued after it) or not below the committed label.
+//!
+//! Both answers are safe. The committed label is never below the admitted
+//! one, so a rejected candidate either cannot pass `try_improve` or is
+//! dominated by an admitted candidate for the same target, whose visit
+//! (or drop, by induction) leaves the target at a label at least as
+//! small, and whose out-arc relaxations dominate the rejected one's. The
+//! pop answer is monotone — both labels only shrink — and the visit is
+//! unchanged, so the strict-lexicographic label fixpoint (and the tree)
+//! stays bit-identical across disciplines. Dropped candidates are counted
+//! in `TraversalStats::stale_dropped`.
 
 use crate::messages::VoronoiMsg;
 use crate::state::{Label, ScratchArena, VertexStates};
 use std::cell::RefCell;
 use stgraph::csr::{Vertex, Weight};
 use stgraph::partition::{BlockPartition, RankGraph};
-use struntime::traversal::{run_traversal_filtered, TraversalOptions};
+use struntime::traversal::{run_traversal_filtered, StaleCheck, TraversalOptions};
 use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
 
 /// Runs the Voronoi phase to quiescence on this rank. Collective.
-/// `scratch` provides the reusable bootstrap buffer so repeated solves
-/// (benchmark sweeps) do not re-allocate per phase.
+/// `scratch` provides the reusable bootstrap buffer and admitted-label
+/// array so repeated solves (benchmark sweeps) do not re-allocate per
+/// phase.
 #[allow(clippy::too_many_arguments)] // collective phase entry: ctx + graph views + state + knobs
 pub fn run(
     comm: &Comm,
@@ -52,11 +69,11 @@ pub fn run(
     scratch: &mut ScratchArena,
 ) -> TraversalStats {
     states.init_seeds(seeds);
+    let (init, admitted) = scratch.voronoi_buffers(states);
 
     // Bootstrap: this rank starts every seed whose outgoing arcs it holds —
     // owned non-delegate seeds, plus every delegate seed (each rank holds a
     // slice of a delegate's adjacency).
-    let init = scratch.init_msgs();
     init.extend(
         seeds
             .iter()
@@ -75,13 +92,23 @@ pub fn run(
         chan,
         options,
         VoronoiMsg::priority,
-        |msg: &VoronoiMsg| match *msg {
+        |check: StaleCheck, msg: &VoronoiMsg| match *msg {
             // Bootstraps are never stale: they carry no candidate label.
             VoronoiMsg::Start(_) => false,
             VoronoiMsg::Relax { target, label, .. }
             | VoronoiMsg::DelegateUpdate { target, label, .. } => {
                 let st = states.borrow();
-                st.holds(target) && label >= st.label(target)
+                let Some(i) = st.held_index(target) else {
+                    return false;
+                };
+                match check {
+                    StaleCheck::Admit if label < admitted[i] => {
+                        admitted[i] = label;
+                        false
+                    }
+                    StaleCheck::Admit => true,
+                    StaleCheck::Pop => label > admitted[i] || label >= st.label_at(i),
+                }
             }
         },
         init.iter().copied(),
@@ -178,5 +205,64 @@ fn relax_out_arcs(
         for (nbr, w) in rg.adj(v) {
             emit(nbr, w, pusher);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stgraph::datasets::Dataset;
+    use stgraph::partition::partition_graph;
+    use struntime::{QueueKind, World};
+
+    /// One 1-rank Voronoi run on a tiny RMAT graph with hub delegates:
+    /// its traversal stats, the phase's local message count and the number
+    /// of bootstraps.
+    fn one_rank(queue: QueueKind) -> (TraversalStats, u64, u64) {
+        let g = Dataset::Lvj.generate_tiny(11);
+        let seeds: Vec<Vertex> = (0..g.num_vertices() as Vertex).step_by(61).collect();
+        let pg = partition_graph(&g, 1, Some(24));
+        assert!(!pg.ranks[0].delegates.is_empty(), "exercise replica slots");
+        let out = World::run(1, |comm| {
+            let chan = comm.open_channels::<Vec<VoronoiMsg>>("voronoi");
+            let rg = &pg.ranks[0];
+            let mut states = VertexStates::new(rg);
+            let mut scratch = ScratchArena::new();
+            run(
+                comm,
+                &chan,
+                rg,
+                &pg.partition,
+                &mut states,
+                &seeds,
+                TraversalOptions::new(queue),
+                &mut scratch,
+            )
+        });
+        let local = out.merged_counters()["voronoi"].local_msgs;
+        (out.results[0], local, seeds.len() as u64)
+    }
+
+    /// `stale_dropped` counts relaxations that never became visits, at
+    /// admission or at pop: on one rank every push is local, so each
+    /// bootstrap and each local message is either visited or dropped,
+    /// exactly once.
+    #[test]
+    fn priority_visits_plus_drops_equal_pushes_and_queue_stays_short() {
+        let (priority, local, bootstraps) = one_rank(QueueKind::Priority);
+        assert!(priority.stale_dropped > 0);
+        assert_eq!(
+            priority.processed + priority.stale_dropped,
+            bootstraps + local
+        );
+        let (fifo, fifo_local, _) = one_rank(QueueKind::Fifo);
+        assert_eq!(fifo.stale_dropped, 0);
+        assert_eq!(fifo.processed, bootstraps + fifo_local);
+        assert!(
+            priority.peak_queue_len < fifo.peak_queue_len,
+            "priority peak {} vs fifo {}",
+            priority.peak_queue_len,
+            fifo.peak_queue_len
+        );
     }
 }

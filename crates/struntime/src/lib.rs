@@ -70,8 +70,8 @@ pub use trace::{TraceConfig, TraceDump, TraceEvent, TraceEventKind, TraceSpan};
 #[cfg(feature = "check")]
 pub use traversal::run_traversal_mutant_premature;
 pub use traversal::{
-    run_traversal, run_traversal_config, run_traversal_filtered, Pusher, TraversalOptions,
-    TraversalStats,
+    run_traversal, run_traversal_config, run_traversal_filtered, Pusher, StaleCheck,
+    TraversalOptions, TraversalStats,
 };
 pub use wire::{DeepBytes, Wire};
 

@@ -122,9 +122,10 @@ pub enum MetricKind {
     BatchSize,
     /// One visit-callback invocation, microseconds.
     VisitServiceUs,
-    /// Enqueue -> stale-filter drop, microseconds: how long a dominated
-    /// relaxation sat queued before the filter killed it unvisited (see
-    /// `run_traversal_filtered`).
+    /// Enqueue -> stale-filter drop at pop, microseconds: how long a
+    /// dominated relaxation sat queued before the filter killed it
+    /// unvisited (see `run_traversal_filtered`). Drops at queue admission
+    /// record no sample: they never sat in the queue.
     StaleDropAgeUs,
 }
 

@@ -20,11 +20,14 @@
 //!
 //! ## Stale-entry filtering
 //!
-//! The ordered disciplines (priority and bucketed) support *lazy
-//! decrease-key emulation* through [`VisitorQueue::pop_stale_filtered`]:
-//! since pushes never remove the superseded entries an improvement leaves
-//! behind, the queue instead applies a caller-supplied staleness predicate
-//! at pop time and drops dominated entries before they reach the visit
+//! The ordered disciplines (priority and bucketed) emulate decrease-key in
+//! two steps. The traversal driver filters visitors *before* they are
+//! pushed (the admission check of `crate::traversal`, "Stale-entry
+//! filtering"), so a relaxation that does not beat its target's best
+//! admitted label never costs a push. Pushes still never remove the
+//! entries a later improvement supersedes, so
+//! [`VisitorQueue::pop_stale_filtered`] applies a caller-supplied
+//! staleness predicate at pop and drops those before they reach the visit
 //! callback — the delta-stepping trick of filtering `dist(v) < tentative`
 //! entries, generalized to a callback. FIFO and adversarial queues ignore
 //! the filter on purpose: they are the full-delivery baselines the
@@ -43,7 +46,7 @@ pub enum QueueKind {
     Priority,
     /// Delta-stepping bucket array: pops drain the lowest non-empty bucket
     /// of width `delta` in arrival order. O(1) push/pop, approximate
-    /// priority order, lazy stale filtering at pop time.
+    /// priority order, stale filtering at admission and at pop.
     Bucketed {
         /// Bucket width in priority units (must be >= 1). The
         /// mean-edge-weight heuristic of `baselines::delta_stepping`'s
@@ -316,10 +319,10 @@ impl<V: DeepBytes> VisitorQueue<V> {
     /// disciplines filter (see [`QueueKind::filters_stale`]) — for FIFO
     /// and adversarial queues this is exactly [`VisitorQueue::pop`].
     ///
-    /// This is the decrease-key emulation of the delta-stepping hot path:
-    /// an improvement to a vertex label does not hunt down the superseded
-    /// entries already queued for it; they die here, at pop time, without
-    /// paying for a full visit.
+    /// This is the pop half of the delta-stepping decrease-key emulation
+    /// (the traversal's admission check is the other): an improvement to
+    /// a vertex label does not hunt down the superseded entries already
+    /// queued for it; they die here, without paying for a full visit.
     pub fn pop_stale_filtered(&mut self, mut stale: impl FnMut(&V) -> bool) -> (Option<V>, u64) {
         if !self.kind.filters_stale() {
             return (self.pop(), 0);

@@ -25,14 +25,26 @@
 //!
 //! ## Stale-entry filtering
 //!
-//! [`run_traversal_filtered`] threads a staleness predicate down to the
-//! queue's lazy decrease-key emulation
-//! ([`crate::queue::VisitorQueue::pop_stale_filtered`]): under the ordered
-//! disciplines (priority, bucketed) an entry the predicate marks as
-//! dominated is dropped at pop time — counted in
-//! [`TraversalStats::stale_dropped`], never visited, never re-forwarded.
-//! The plain entry points use a constant-`false` predicate, so their exact
-//! processed counts (which several tests pin) are unchanged.
+//! [`run_traversal_filtered`] threads a staleness predicate through the
+//! queue. Under the ordered disciplines (priority, bucketed) it is asked
+//! at two points, and the [`StaleCheck`] argument says which:
+//!
+//! - **admission** ([`StaleCheck::Admit`]): before a visitor enters this
+//!   rank's queue — each visitor a visit pushes to its own rank (drained
+//!   after the visit returns) and each visitor of an inbound batch. A
+//!   dominated relaxation never reaches the queue, the `pre_visit`
+//!   filter of HavoqGT's visitor queue and the tentative-distance
+//!   decrease-key emulation of delta-stepping;
+//! - **pop** ([`StaleCheck::Pop`]): when an admitted visitor reaches the
+//!   head of the queue ([`crate::queue::VisitorQueue::pop_stale_filtered`]),
+//!   which catches visitors superseded while they waited.
+//!
+//! A visitor dropped at either point is counted in
+//! [`TraversalStats::stale_dropped`], never visited, never re-forwarded,
+//! and meets its terminal lineage `Visit` event (`stale = 1`). FIFO and
+//! adversarial queues never consult the predicate. The plain entry points
+//! use a constant-`false` predicate, so their exact processed counts
+//! (which several tests pin) are unchanged.
 //!
 //! ## Termination
 //!
@@ -183,6 +195,16 @@ impl Lineage {
         id
     }
 
+    /// Records the terminal consumption of visitor `id` that the stale
+    /// filter dropped (at admission or at pop): a `Visit` lineage event
+    /// with arg2 = 1, so the causality DAG stays covered — every spawn
+    /// still meets its end — while analyzers can tell drops from visits.
+    fn stale_drop(&self, comm: &Comm, phase: &'static str, id: u64) {
+        if self.enabled {
+            comm.trace_event2(TraceEventKind::Visit, phase, id, 1);
+        }
+    }
+
     /// Current time against the world epoch, or 0 when observability is
     /// off (keeps the uninstrumented hot path free of clock reads).
     fn now_us(&self, comm: &Comm) -> u64 {
@@ -313,9 +335,12 @@ fn flush_one<V: Send + Clone + Wire + DeepBytes + 'static>(
 pub struct TraversalStats {
     /// Visitors this rank processed (local + remote).
     pub processed: u64,
-    /// Queued visitors dropped unvisited by the stale-entry filter of
-    /// [`run_traversal_filtered`] (always 0 for the plain entry points
-    /// and for the full-delivery disciplines).
+    /// Relaxations that never became visits: visitors the stale-entry
+    /// filter of [`run_traversal_filtered`] dropped, either at admission
+    /// (never queued) or at pop (queued, then dropped unvisited). Every
+    /// visitor that reached this rank is therefore counted exactly once in
+    /// `processed + stale_dropped`. Always 0 for the plain entry points and
+    /// for the full-delivery disciplines.
     pub stale_dropped: u64,
     /// Peak length of this rank's local queue.
     pub peak_queue_len: usize,
@@ -370,24 +395,45 @@ where
         chan,
         options,
         priority,
-        |_: &V| false,
+        |_: StaleCheck, _: &V| false,
         init,
         visit,
         Duration::ZERO,
     )
 }
 
-/// [`run_traversal_config`] with a staleness predicate: under the ordered
-/// disciplines ([`QueueKind::filters_stale`]), a queued visitor for which
-/// `stale` returns true when it reaches the head of the queue is dropped
-/// unvisited and counted in [`TraversalStats::stale_dropped`] — the lazy
-/// decrease-key emulation of delta-stepping, generalized to a callback.
+/// Which check [`run_traversal_filtered`] asks its staleness predicate to
+/// make.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StaleCheck {
+    /// The visitor is about to enter this rank's queue: a push a visit
+    /// made to its own rank, or one visitor of an inbound batch. `true`
+    /// drops it before it is queued.
+    Admit,
+    /// The visitor reached the head of the queue. `true` drops it
+    /// unvisited.
+    Pop,
+}
+
+/// [`run_traversal_config`] with a staleness predicate. Under the ordered
+/// disciplines ([`QueueKind::filters_stale`]) the traversal calls
+/// `stale(StaleCheck::Admit, v)` before it queues a visitor pushed to
+/// this rank or received in a batch, and `stale(StaleCheck::Pop, v)` when
+/// a queued visitor reaches the head of the queue. A `true` answer drops
+/// the visitor unvisited and counts it in
+/// [`TraversalStats::stale_dropped`] — the decrease-key emulation of
+/// delta-stepping, generalized to a callback. Bootstrap visitors from
+/// `init` are only checked at pop.
 ///
-/// `stale` must be *monotone*: once a visitor is stale it stays stale
-/// (labels only improve), so dropping it can never lose work that a later
+/// The predicate may keep state (the admission check typically records
+/// the best candidate admitted so far), but its answers must be safe: a
+/// dropped visitor's visit must be a no-op, or its effect implied by a
+/// visitor that was admitted and is not dropped for the same reason.
+/// Pop answers must be *monotone*: once a visitor is stale it stays stale
+/// (labels only improve), so dropping it can never lose work a later
 /// state would have needed. Under FIFO and adversarial disciplines the
-/// predicate is ignored and every visitor is delivered (those are the
-/// full-delivery baselines the chaos matrix compares against).
+/// predicate is never called and every visitor is delivered (those are
+/// the full-delivery baselines the chaos matrix compares against).
 #[allow(clippy::too_many_arguments)]
 pub fn run_traversal_filtered<V, P, S, F>(
     comm: &Comm,
@@ -401,7 +447,7 @@ pub fn run_traversal_filtered<V, P, S, F>(
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
     P: Fn(&V) -> u64,
-    S: FnMut(&V) -> bool,
+    S: FnMut(StaleCheck, &V) -> bool,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
     traversal_loop::<false, V, P, S, F>(
@@ -444,11 +490,53 @@ where
         chan,
         options,
         priority,
-        |_: &V| false,
+        |_: StaleCheck, _: &V| false,
         init,
         visit,
         delay,
     )
+}
+
+/// Queues `visitors` through the admission side of the stale filter:
+/// with a predicate (`stale` is `Some` only under the ordered
+/// disciplines), a visitor it marks stale is dropped before it is queued.
+/// Returns the number dropped. Admission drops record no
+/// `StaleDropAgeUs` sample: that histogram measures how long dropped
+/// entries sat in the queue, and these never entered it.
+fn admit<V, P, S>(
+    queue: &mut VisitorQueue<(VisitMeta, V)>,
+    visitors: impl Iterator<Item = (VisitMeta, V)>,
+    priority: &P,
+    mut stale: Option<&mut S>,
+    comm: &Comm,
+    phase: &'static str,
+    lineage: &Lineage,
+) -> u64
+where
+    V: DeepBytes,
+    P: Fn(&V) -> u64,
+    S: FnMut(StaleCheck, &V) -> bool,
+{
+    let mut dropped = 0;
+    for (meta, v) in visitors {
+        if let Some(stale) = stale.as_mut() {
+            if stale(StaleCheck::Admit, &v) {
+                lineage.stale_drop(comm, phase, meta.id);
+                dropped += 1;
+                continue;
+            }
+        }
+        queue.push(priority(&v), (meta, v));
+    }
+    dropped
+}
+
+/// Adds `dropped` stale-filter drops to the rank's stats and telemetry.
+fn count_stale(comm: &Comm, stats: &mut TraversalStats, dropped: u64) {
+    if dropped > 0 {
+        stats.stale_dropped += dropped;
+        comm.telemetry_stale_drop(dropped);
+    }
 }
 
 /// The traversal loop. `PREMATURE_MUTANT` selects the intentionally broken
@@ -469,7 +557,7 @@ fn traversal_loop<const PREMATURE_MUTANT: bool, V, P, S, F>(
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
     P: Fn(&V) -> u64,
-    S: FnMut(&V) -> bool,
+    S: FnMut(StaleCheck, &V) -> bool,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
     assert!(options.batch_size >= 1, "batch size must be positive");
@@ -495,6 +583,8 @@ where
     let metrics = comm.metrics_phase(chan.phase());
 
     let mut stats = TraversalStats::default();
+    // The full-delivery disciplines never consult the predicate.
+    let filters = options.queue.filters_stale();
     let mut queue: VisitorQueue<(VisitMeta, V)> = VisitorQueue::new(options.queue);
     for v in init {
         let pr = priority(&v);
@@ -545,14 +635,23 @@ where
             if let (Some(m), Some(sc)) = (metrics.as_deref(), sidecar.as_ref()) {
                 m.record(MetricKind::MsgLatencyUs, now.saturating_sub(sc.sent_us));
             }
-            for (i, v) in batch.into_iter().enumerate() {
-                let pr = priority(&v);
+            let inbound = batch.into_iter().enumerate().map(|(i, v)| {
                 let id = sidecar
                     .as_ref()
                     .and_then(|sc| sc.ids.get(i).copied())
                     .unwrap_or(0);
-                queue.push(pr, (VisitMeta { id, enq_us: now }, v));
-            }
+                (VisitMeta { id, enq_us: now }, v)
+            });
+            let dropped = admit(
+                &mut queue,
+                inbound,
+                &priority,
+                filters.then_some(&mut stale),
+                comm,
+                chan.phase(),
+                &lineage,
+            );
+            count_stale(comm, &mut stats, dropped);
         }
         // Sample the peak at drain time, before any visitor is popped:
         // the queue is at its true maximum right after an inbound batch
@@ -560,32 +659,22 @@ where
         stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
         stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
 
-        // Pop through the stale filter: entries the predicate marks as
-        // dominated die here without a visit (the decrease-key emulation
-        // of the bucketed/priority hot path). Their queue residency is
-        // recorded as StaleDropAgeUs so the latency histograms show how
-        // long dead relaxations sat in the queue.
+        // Pop through the stale filter: admitted entries that were
+        // superseded while they waited die here without a visit. Their
+        // queue residency is recorded as StaleDropAgeUs so the latency
+        // histograms show how long dead relaxations sat in the queue.
         let (popped, dropped) = queue.pop_stale_filtered(|(meta, v)| {
-            if !stale(v) {
+            if !stale(StaleCheck::Pop, v) {
                 return false;
             }
-            // The drop is the message's terminal consumption: record it as
-            // a Visit lineage event with arg2 = 1 (stale) so the causality
-            // DAG stays covered — every spawn still meets its end — while
-            // analyzers can tell drops from real visits.
-            if lineage.enabled {
-                comm.trace_event2(TraceEventKind::Visit, chan.phase(), meta.id, 1);
-            }
+            lineage.stale_drop(comm, chan.phase(), meta.id);
             if let Some(m) = metrics.as_deref() {
                 let now = lineage.now_us(comm);
                 m.record(MetricKind::StaleDropAgeUs, now.saturating_sub(meta.enq_us));
             }
             true
         });
-        stats.stale_dropped += dropped;
-        if dropped > 0 {
-            comm.telemetry_stale_drop(dropped);
-        }
+        count_stale(comm, &mut stats, dropped);
         if let Some((meta, v)) = popped {
             debug_assert!(!idle, "queue cannot be non-empty while idle");
             let visit_start = lineage.now_us(comm);
@@ -627,10 +716,16 @@ where
             if stats.processed & 0xff == 1 {
                 comm.trace_instant("queue_depth", queue.len() as u64);
             }
-            for (nmeta, nv) in local_buf.drain(..) {
-                let pr = priority(&nv);
-                queue.push(pr, (nmeta, nv));
-            }
+            let dropped = admit(
+                &mut queue,
+                local_buf.drain(..),
+                &priority,
+                filters.then_some(&mut stale),
+                comm,
+                chan.phase(),
+                &lineage,
+            );
+            count_stale(comm, &mut stats, dropped);
             stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
             stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
             // Telemetry step hook: advances the step-keyed sampling
@@ -719,4 +814,99 @@ where
         );
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::World;
+
+    /// What one rank saw in [`admission_run`]: its stats, the visitors it
+    /// visited (sorted), and the checks on which the predicate answered
+    /// "stale".
+    struct Seen {
+        stats: TraversalStats,
+        visited: Vec<u32>,
+        stale_at: Vec<(StaleCheck, u32)>,
+        asked: u64,
+    }
+
+    /// Two ranks; rank 0's single bootstrap `0` pushes `1..=4` to itself
+    /// and `11..=14` to rank 1, and every other visitor is a leaf. The toy
+    /// predicate calls even non-zero visitors stale — a fixed property,
+    /// so it is monotone.
+    fn admission_run(queue: QueueKind) -> Vec<Seen> {
+        World::run(2, |comm| {
+            let chan = comm.open_channels::<Vec<u32>>("admission");
+            let init = if comm.rank() == 0 { vec![0u32] } else { vec![] };
+            let mut visited = Vec::new();
+            let mut stale_at = Vec::new();
+            let mut asked = 0;
+            let stats = run_traversal_filtered(
+                comm,
+                &chan,
+                TraversalOptions::new(queue),
+                |&v| u64::from(v),
+                |check, &v| {
+                    asked += 1;
+                    let stale = v != 0 && v % 2 == 0;
+                    if stale {
+                        stale_at.push((check, v));
+                    }
+                    stale
+                },
+                init,
+                |v, pusher| {
+                    visited.push(v);
+                    if v == 0 {
+                        for i in 1..=4 {
+                            pusher.push(0, i);
+                            pusher.push(1, 10 + i);
+                        }
+                    }
+                },
+            );
+            visited.sort_unstable();
+            Seen {
+                stats,
+                visited,
+                stale_at,
+                asked,
+            }
+        })
+        .results
+    }
+
+    #[test]
+    fn ordered_queues_drop_stale_visitors_at_admission() {
+        for queue in [QueueKind::Priority, QueueKind::Bucketed { delta: 2 }] {
+            let seen = admission_run(queue);
+            // Rank 0 rejects its own pushes 2 and 4 (local admission),
+            // rank 1 the batch entries 12 and 14 (inbound admission).
+            assert_eq!(seen[0].visited, vec![0, 1, 3], "{queue:?}");
+            assert_eq!(seen[1].visited, vec![11, 13], "{queue:?}");
+            let admit = |vs: [u32; 2]| vs.map(|v| (StaleCheck::Admit, v)).to_vec();
+            assert_eq!(seen[0].stale_at, admit([2, 4]), "{queue:?}");
+            assert_eq!(seen[1].stale_at, admit([12, 14]), "{queue:?}");
+            for (r, s) in seen.iter().enumerate() {
+                assert_eq!(s.stats.stale_dropped, 2, "{queue:?} rank {r}");
+                assert_eq!(s.stats.processed, s.visited.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn full_delivery_queues_never_consult_the_predicate() {
+        for queue in [QueueKind::Fifo, QueueKind::Adversarial { seed: 3 }] {
+            let seen = admission_run(queue);
+            assert_eq!(seen[0].visited, vec![0, 1, 2, 3, 4], "{queue:?}");
+            assert_eq!(seen[1].visited, vec![11, 12, 13, 14], "{queue:?}");
+            for s in &seen {
+                assert_eq!(s.stats.stale_dropped, 0, "{queue:?}");
+                assert_eq!(s.asked, 0, "{queue:?}");
+            }
+            let processed: u64 = seen.iter().map(|s| s.stats.processed).sum();
+            assert_eq!(processed, 9, "{queue:?}");
+        }
+    }
 }

@@ -151,6 +151,30 @@ fn solve_trace_yields_verified_causality_dag() {
     assert!(cp.acyclic);
 }
 
+/// On one rank every relaxation is a local push, so most of Voronoi's
+/// messages end in a stale-filter drop at queue admission rather than a
+/// visit. Those drops must still close their lineage: the trace of a
+/// 1-rank priority solve verifies, and its drop count is the report's.
+#[test]
+fn one_rank_priority_trace_closes_every_spawn() {
+    let g = sample_graph();
+    let report = solve(
+        &g,
+        &SEEDS,
+        &SolverConfig {
+            num_ranks: 1,
+            queue: QueueKind::Priority,
+            trace: TraceConfig::ring(),
+            ..SolverConfig::default()
+        },
+    )
+    .unwrap();
+    let analysis = stanalyze::analyze(&stanalyze::model_from_dump(&report.trace));
+    analysis.verify().expect("1-rank solve trace must verify");
+    assert!(analysis.stale_drops > 0);
+    assert_eq!(analysis.stale_drops, report.stale_drops.iter().sum::<u64>());
+}
+
 /// Quantiles computed from the metrics histograms must describe the
 /// solve: every traversal phase that processed visitors has
 /// visit-service samples, and the JSON twin carries ordered quantiles.
