@@ -6,11 +6,11 @@
 //! and then runs Prim sequentially — the per-rank memory and latency
 //! ceiling Fig 3 shows growing with the seed count. This module is the
 //! Borůvka-style alternative (after arXiv:1610.04660 and the engineering in
-//! arXiv:2302.12199): ranks keep their [`local_min_edges`] candidate
-//! maps, and each round all-reduces only **one lightest-outgoing-edge
-//! slot per live component** — `O(#components)` elements, shrinking
-//! geometrically — then merges components by hooking and pointer-jumping
-//! over the replicated parent array. The dense pair buffer never
+//! arXiv:2302.12199): ranks keep their sorted [`local_min_edges`]
+//! candidate lists, and each round all-reduces only **one
+//! lightest-outgoing-edge slot per live component** — `O(#components)`
+//! elements, shrinking geometrically — then merges components by hooking
+//! and pointer-jumping over the replicated parent array. The dense pair buffer never
 //! materializes anywhere.
 //!
 //! ## Bit-identity with the replicated Prim path
@@ -41,7 +41,6 @@
 //! [`MinEdge`]: crate::distance_graph::MinEdge
 
 use crate::distance_graph::{MinEdge, PairKey};
-use std::collections::BTreeMap;
 use stgraph::csr::INF;
 use struntime::Comm;
 
@@ -106,7 +105,7 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 }
 
 /// Distributed Borůvka MST of the distance graph `G_1'`. Collective —
-/// every rank passes its own `local` candidate map (the
+/// every rank passes its own `local` candidate list (the
 /// [`local_min_edges`] output, *not* globally reduced) and all ranks
 /// return the identical chosen edge set, sorted by pair key, plus the
 /// per-round counters.
@@ -128,7 +127,7 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 /// [`mst_of_distance_graph`]: crate::mst::mst_of_distance_graph
 pub fn distributed_mst(
     comm: &Comm,
-    local: &BTreeMap<PairKey, MinEdge>,
+    local: &[(PairKey, MinEdge)],
     num_seeds: usize,
 ) -> (Vec<(PairKey, MinEdge)>, BoruvkaStats) {
     let mut stats = BoruvkaStats::default();
@@ -164,7 +163,7 @@ pub fn distributed_mst(
         // components' slots; the local fold plus the rank-ordered
         // allreduce below compute the same global MIN regardless of how
         // candidates are spread across ranks.
-        for (&(si, ti), e) in local {
+        for &((si, ti), e) in local {
             let (ra, rb) = (find(&parent, si), find(&parent, ti));
             if ra == rb {
                 continue;
@@ -241,6 +240,7 @@ pub fn distributed_mst(
 mod tests {
     use super::*;
     use crate::distance_graph::pair_offset;
+    use std::collections::BTreeMap;
     use struntime::World;
 
     fn edge(total: u64, a: u32, b: u32, weight: u64) -> MinEdge {
@@ -253,14 +253,14 @@ mod tests {
     }
 
     /// The replicated reference pipeline over the union of all ranks'
-    /// candidate maps: per-pair MIN reduce, then Prim.
+    /// candidate lists: per-pair MIN reduce, then Prim.
     fn replicated_reference(
-        maps: &[BTreeMap<PairKey, MinEdge>],
+        lists: &[Vec<(PairKey, MinEdge)>],
         num_seeds: usize,
     ) -> Vec<(PairKey, MinEdge)> {
         let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
-        for m in maps {
-            for (&key, &e) in m {
+        for l in lists {
+            for &(key, e) in l {
                 let slot = merged.entry(key).or_insert(MinEdge::UNSET);
                 if e < *slot {
                     *slot = e;
@@ -280,18 +280,16 @@ mod tests {
         // extended to k = 2: k < 2 runs zero rounds and returns no
         // edges; k = 2 with one bridge converges in one round.
         for num_seeds in [0usize, 1] {
-            let out = World::run(2, move |comm| {
-                distributed_mst(comm, &BTreeMap::new(), num_seeds)
-            });
+            let out = World::run(2, move |comm| distributed_mst(comm, &[], num_seeds));
             for (chosen, stats) in &out.results {
                 assert!(chosen.is_empty(), "k={num_seeds}");
                 assert_eq!(stats.rounds, 0, "k={num_seeds}");
             }
         }
         let out = World::run(2, |comm| {
-            let mut local = BTreeMap::new();
+            let mut local = Vec::new();
             if comm.rank() == 1 {
-                local.insert((0u32, 1u32), edge(7, 3, 9, 2));
+                local.push(((0u32, 1u32), edge(7, 3, 9, 2)));
             }
             distributed_mst(comm, &local, 2)
         });
@@ -304,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_replicated_prim_on_split_candidate_maps() {
+    fn matches_replicated_prim_on_split_candidate_lists() {
         // Candidates scattered across ranks, with deliberate per-pair
         // ties (equal totals, different bridges) so the composed
         // reduction's tie-breaking is exercised end to end.
@@ -329,11 +327,13 @@ mod tests {
                 *slot = *e;
             }
         }
-        let expect = replicated_reference(&maps, k);
+        let lists: Vec<Vec<(PairKey, MinEdge)>> =
+            maps.into_iter().map(|m| m.into_iter().collect()).collect();
+        let expect = replicated_reference(&lists, k);
         assert_eq!(expect.len(), k - 1, "reference spans all seeds");
-        let maps_ref = &maps;
+        let lists_ref = &lists;
         let out = World::run(3, move |comm| {
-            distributed_mst(comm, &maps_ref[comm.rank()], k)
+            distributed_mst(comm, &lists_ref[comm.rank()], k)
         });
         for (chosen, stats) in &out.results {
             assert_eq!(chosen, &expect);
@@ -352,10 +352,10 @@ mod tests {
         // the loop must terminate (no outgoing edges) with fewer than
         // k-1 chosen edges, mirroring the replicated spans check.
         let out = World::run(2, |comm| {
-            let mut local = BTreeMap::new();
+            let mut local = Vec::new();
             if comm.rank() == 0 {
-                local.insert((0u32, 1u32), edge(3, 5, 6, 1));
-                local.insert((2u32, 3u32), edge(4, 7, 8, 2));
+                local.push(((0u32, 1u32), edge(3, 5, 6, 1)));
+                local.push(((2u32, 3u32), edge(4, 7, 8, 2)));
             }
             distributed_mst(comm, &local, 4)
         });
@@ -375,13 +375,13 @@ mod tests {
         // replicated path is never touched.
         let k = 24usize;
         let out = World::run(2, move |comm| {
-            let mut local = BTreeMap::new();
+            let mut local = Vec::new();
             // A path 0-1-2-...-(k-1) plus heavier chords.
             for i in 0..k as u32 - 1 {
-                local.insert((i, i + 1), edge(2 + u64::from(i % 3), 100 + i, 200 + i, 1));
+                local.push(((i, i + 1), edge(2 + u64::from(i % 3), 100 + i, 200 + i, 1)));
             }
             for i in 0..k as u32 - 2 {
-                local.insert((i, i + 2), edge(50 + u64::from(i), 300 + i, 400 + i, 9));
+                local.push(((i, i + 2), edge(50 + u64::from(i), 300 + i, 400 + i, 9)));
             }
             let (chosen, stats) = distributed_mst(comm, &local, k);
             (chosen.len(), stats, comm.memory().peaks())

@@ -1,19 +1,38 @@
 //! Distance-graph construction (Alg 5): local min-distance cross-cell edge
 //! identification followed by the global collective reduction.
 //!
-//! Each rank scans its local arcs; for an arc `(u, v)` whose endpoints lie
-//! in different Voronoi cells, the connecting-path length
+//! Each rank scans its local arcs `(u, v)` with `u < v`; for one whose
+//! endpoints lie in different Voronoi cells, the connecting-path length
 //! `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a candidate weight for the
 //! distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
-//! shipped to `v`'s owner as a probe message. Under `--mst replicated`
-//! the global minima are then found with one dense `Allreduce(MIN)` over
-//! the paper's `binom(|S|, 2)` buffer ([`global_min_edges`]); the default
-//! `--mst dist` pipeline instead feeds the per-rank candidate maps
-//! straight into the Borůvka rounds ([`crate::boruvka`]).
+//! shipped to `v`'s owner as a probe message. Each rank ends with a sorted
+//! candidate list holding its best bridge per cell pair. Under
+//! `--mst replicated` the global minima are then found with one dense
+//! `Allreduce(MIN)` over the paper's `binom(|S|, 2)` buffer
+//! ([`global_min_edges`]); the default `--mst dist` pipeline instead feeds
+//! the per-rank sorted candidate lists straight into the Borůvka rounds
+//! ([`crate::boruvka`]).
+//!
+//! No map sits on the local path:
+//!
+//! - **Cell index.** A cell is named by its seed's index in the sorted
+//!   seed list, resolved once per held vertex (`cell_index`) rather than
+//!   once per arc endpoint. Seed-index order is seed-vertex order, so
+//!   tie-breaking is unchanged.
+//! - **One evaluation per undirected edge.** Only arcs with `u < v` are
+//!   evaluated. Every undirected edge is stored as exactly one such arc on
+//!   exactly one rank: the owner of `u`, or the rank holding that share of
+//!   a delegate `u`'s adjacency. The candidate `(total, a, b, weight)` is
+//!   the same from either direction, so per-pair minima are unchanged.
+//! - **Dense or sorted reduce.** A rank whose local arc count is at least
+//!   `binom(|S|, 2)` folds candidates into a dense [`pair_offset`] table.
+//!   Otherwise it appends them, sorts, and keeps each pair's first
+//!   (smallest) entry: the filter/sort edge processing of Sanders and
+//!   Schimek (arXiv:2302.12199). Either way the working set is bounded by
+//!   the rank's arcs, and both give the same sorted list.
 
 use crate::messages::ProbeMsg;
 use crate::state::{VertexStates, NO_VERTEX};
-use std::collections::BTreeMap;
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::partition::{BlockPartition, RankGraph};
 use struntime::{run_traversal, ChannelGroup, Comm, QueueKind};
@@ -50,17 +69,126 @@ impl MinEdge {
 /// Seed-index pair `(si, ti)` with `si < ti`, keys of the distance graph.
 pub type PairKey = (u32, u32);
 
-/// Local phase: returns this rank's best candidate per cell pair plus the
-/// traversal stats. Collective (runs a traversal).
+/// Cell of a vertex no seed reached.
+const NO_CELL: u32 = u32::MAX;
+
+/// The dense cell index of this rank: for each state slot it holds
+/// (indexed by [`VertexStates::held_index`]), the index in `seeds` of the
+/// label's source, or [`NO_CELL`]. `seeds` must be sorted, as the solver
+/// entry points leave them.
+fn cell_index(states: &VertexStates, seeds: &[Vertex]) -> Vec<u32> {
+    (0..states.num_held())
+        .map(|i| match states.label_at(i).src {
+            NO_VERTEX => NO_CELL,
+            src => seeds
+                .binary_search(&src)
+                .expect("every label source is a seed") as u32,
+        })
+        .collect()
+}
+
+/// One rank's per-pair minimum over its candidates (see the module docs).
+enum PairMins {
+    Dense {
+        num_seeds: usize,
+        table: Vec<MinEdge>,
+    },
+    Sorted(Vec<(PairKey, MinEdge)>),
+}
+
+impl PairMins {
+    /// The dense `binom(num_seeds, 2)` table when it is no larger than the
+    /// rank's arc count, the sorted list otherwise.
+    fn new(num_seeds: usize, local_arcs: usize) -> PairMins {
+        let pairs = num_seeds * num_seeds.saturating_sub(1) / 2;
+        if pairs <= local_arcs {
+            PairMins::Dense {
+                num_seeds,
+                table: vec![MinEdge::UNSET; pairs],
+            }
+        } else {
+            PairMins::Sorted(Vec::new())
+        }
+    }
+
+    /// Offers the arc `(u, v)` of weight `w` between `u`, at distance
+    /// `du` in cell `cu`, and `v`, at `dv` in `cv`, oriented from the
+    /// smaller seed's cell. Arcs inside one cell, and arcs into an
+    /// unreached `v` (`u` is always reached), are skipped.
+    #[inline]
+    fn offer(
+        &mut self,
+        (u, cu, du): (Vertex, u32, Distance),
+        (v, cv, dv): (Vertex, u32, Distance),
+        w: Weight,
+    ) {
+        if cv == NO_CELL || cv == cu {
+            return;
+        }
+        let total = du + w + dv;
+        let (key, a, b) = if cu < cv {
+            ((cu, cv), u, v)
+        } else {
+            ((cv, cu), v, u)
+        };
+        let cand = MinEdge {
+            total,
+            a,
+            b,
+            weight: w,
+        };
+        match self {
+            PairMins::Dense { num_seeds, table } => {
+                let slot = &mut table[pair_offset(*num_seeds, key.0, key.1)];
+                if cand < *slot {
+                    *slot = cand;
+                }
+            }
+            PairMins::Sorted(list) => list.push((key, cand)),
+        }
+    }
+
+    /// The key-sorted list of each pair's smallest candidate.
+    fn finish(self) -> Vec<(PairKey, MinEdge)> {
+        match self {
+            PairMins::Dense { num_seeds, table } => dense_to_sorted(num_seeds, &table),
+            PairMins::Sorted(mut list) => {
+                list.sort_unstable();
+                list.dedup_by_key(|&mut (key, _)| key);
+                list
+            }
+        }
+    }
+}
+
+/// The set entries of a dense `binom(num_seeds, 2)` table, in key order.
+fn dense_to_sorted(num_seeds: usize, table: &[MinEdge]) -> Vec<(PairKey, MinEdge)> {
+    let mut out = Vec::new();
+    let mut entries = table.iter();
+    for si in 0..num_seeds as u32 {
+        for ti in (si + 1)..num_seeds as u32 {
+            let &e = entries.next().expect("table holds binom(k, 2) entries");
+            if e.total != INF {
+                out.push(((si, ti), e));
+            }
+        }
+    }
+    out
+}
+
+/// Local phase: returns this rank's best candidate per cell pair, sorted
+/// by pair key, plus the traversal stats. `seeds` is the sorted seed list
+/// that names the cells. Collective (runs a traversal).
 pub fn local_min_edges(
     comm: &Comm,
     chan: &ChannelGroup<Vec<ProbeMsg>>,
     rg: &RankGraph,
     partition: &BlockPartition,
     states: &VertexStates,
-    seed_index: &BTreeMap<Vertex, u32>,
-) -> (BTreeMap<PairKey, MinEdge>, struntime::TraversalStats) {
-    let mut local: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
+    seeds: &[Vertex],
+) -> (Vec<(PairKey, MinEdge)>, struntime::TraversalStats) {
+    let cells = cell_index(states, seeds);
+    let mut mins = PairMins::new(seeds.len(), rg.num_local_arcs());
 
     let stats = run_traversal(
         comm,
@@ -70,25 +198,37 @@ pub fn local_min_edges(
         [ProbeMsg::Scan],
         |msg, pusher| match msg {
             ProbeMsg::Scan => {
+                // Arcs arrive grouped by source, so `u`'s slot is resolved
+                // once per source vertex.
+                let (mut cur, mut iu) = (NO_VERTEX, 0);
                 for (u, v, w) in rg.local_arcs() {
-                    let lu = states.label(u);
-                    if lu.src == NO_VERTEX {
+                    if u >= v {
                         continue;
                     }
-                    if states.holds(v) {
+                    if u != cur {
+                        cur = u;
+                        iu = states.held_index(u).expect("arc sources are held");
+                    }
+                    let u_cell = cells[iu];
+                    if u_cell == NO_CELL {
+                        continue;
+                    }
+                    let u_dist = states.dist_at(iu);
+                    match states.held_index(v) {
                         // Both endpoints' states are local: evaluate here.
-                        record_candidate(&mut local, states, seed_index, v, u, w, lu.src, lu.dist);
-                    } else {
-                        pusher.push(
+                        Some(iv) => {
+                            mins.offer((u, u_cell, u_dist), (v, cells[iv], states.dist_at(iv)), w)
+                        }
+                        None => pusher.push(
                             partition.owner(v),
                             ProbeMsg::Candidate {
                                 v,
                                 u,
                                 weight: w,
-                                u_src: lu.src,
-                                u_dist: lu.dist,
+                                u_cell,
+                                u_dist,
                             },
-                        );
+                        ),
                     }
                 }
             }
@@ -96,58 +236,28 @@ pub fn local_min_edges(
                 v,
                 u,
                 weight,
-                u_src,
+                u_cell,
                 u_dist,
             } => {
-                record_candidate(&mut local, states, seed_index, v, u, weight, u_src, u_dist);
+                let iv = states.held_index(v).expect("probes go to v's owner");
+                mins.offer(
+                    (u, u_cell, u_dist),
+                    (v, cells[iv], states.dist_at(iv)),
+                    weight,
+                );
             }
         },
     );
-    (local, stats)
+    (mins.finish(), stats)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn record_candidate(
-    local: &mut BTreeMap<PairKey, MinEdge>,
-    states: &VertexStates,
-    seed_index: &BTreeMap<Vertex, u32>,
-    v: Vertex,
-    u: Vertex,
-    w: Weight,
-    u_src: Vertex,
-    u_dist: Distance,
-) {
-    let lv = states.label(v);
-    if lv.src == NO_VERTEX || lv.src == u_src {
-        return;
-    }
-    let total = u_dist + w + lv.dist;
-    let (si, ti) = (seed_index[&u_src], seed_index[&lv.src]);
-    // Orient the bridge from the smaller seed's cell.
-    let (key, a, b) = if si < ti {
-        ((si, ti), u, v)
-    } else {
-        ((ti, si), v, u)
-    };
-    let cand = MinEdge {
-        total,
-        a,
-        b,
-        weight: w,
-    };
-    let entry = local.entry(key).or_insert(MinEdge::UNSET);
-    if cand < *entry {
-        *entry = cand;
-    }
-}
-
-/// Global phase: reduces per-rank candidate maps to the cluster-wide
-/// distance graph `G_1'`, as a sorted pair list. Collective — one
-/// `Allreduce(MIN)` over the dense `binom(|S|, 2)` buffer (the paper's
+/// Global phase: reduces the per-rank sorted candidate lists to the
+/// cluster-wide distance graph `G_1'`, as a sorted pair list. Collective —
+/// one `Allreduce(MIN)` over the dense `binom(|S|, 2)` buffer (the paper's
 /// Alg 5), which every rank materializes in full.
 pub fn global_min_edges(
     comm: &Comm,
-    local: BTreeMap<PairKey, MinEdge>,
+    local: &[(PairKey, MinEdge)],
     num_seeds: usize,
 ) -> Vec<(PairKey, MinEdge)> {
     // Fewer than two seeds means no cell pairs, hence an empty distance
@@ -163,25 +273,17 @@ pub fn global_min_edges(
     let bytes = len * std::mem::size_of::<MinEdge>();
     comm.memory().record("distance_graph_dense", bytes);
     let mut buf = vec![MinEdge::UNSET; len];
-    for (&(si, ti), &e) in &local {
+    for &((si, ti), e) in local {
         buf[pair_offset(num_seeds, si, ti)] = e;
     }
     comm.allreduce_min(&mut buf);
-    let mut out = Vec::new();
-    for si in 0..num_seeds as u32 {
-        for ti in (si + 1)..num_seeds as u32 {
-            let e = buf[pair_offset(num_seeds, si, ti)];
-            if e.total != INF {
-                out.push(((si, ti), e));
-            }
-        }
-    }
+    let out = dense_to_sorted(num_seeds, &buf);
     comm.memory().release("distance_graph_dense", bytes);
     out
 }
 
 /// Offset of pair `(si, ti)`, `si < ti`, in the dense upper-triangular
-/// buffer over `k` seeds.
+/// buffer over `k` seeds. Offsets follow key order.
 pub fn pair_offset(k: usize, si: u32, ti: u32) -> usize {
     let (si, ti) = (si as usize, ti as usize);
     debug_assert!(si < ti && ti < k);
@@ -191,6 +293,16 @@ pub fn pair_offset(k: usize, si: u32, ti: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::VoronoiMsg;
+    use crate::state::{Label, ScratchArena};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeMap;
+    use stgraph::csr::CsrGraph;
+    use stgraph::partition::partition_graph;
+    use stgraph::weights::WeightRange;
+    use struntime::traversal::TraversalOptions;
+    use struntime::World;
 
     #[test]
     fn pair_offsets_are_dense_and_unique() {
@@ -212,9 +324,7 @@ mod tests {
         // panicked) for k == 0. Both degenerate counts must return an
         // empty distance graph.
         for num_seeds in [0usize, 1] {
-            let out = struntime::World::run(2, move |comm| {
-                global_min_edges(comm, BTreeMap::new(), num_seeds)
-            });
+            let out = World::run(2, move |comm| global_min_edges(comm, &[], num_seeds));
             for edges in &out.results {
                 assert!(edges.is_empty(), "k={num_seeds}");
             }
@@ -223,9 +333,8 @@ mod tests {
 
     #[test]
     fn dense_reduce_takes_the_per_pair_minimum_and_settles_its_label() {
-        let out = struntime::World::run(2, |comm| {
-            let mut local = BTreeMap::new();
-            local.insert(
+        let out = World::run(2, |comm| {
+            let mut local = vec![(
                 (0u32, 1u32),
                 MinEdge {
                     total: 5 + comm.rank() as u64,
@@ -233,9 +342,9 @@ mod tests {
                     b: 2,
                     weight: 3,
                 },
-            );
+            )];
             if comm.rank() == 1 {
-                local.insert(
+                local.push((
                     (1u32, 2u32),
                     MinEdge {
                         total: 7,
@@ -243,9 +352,9 @@ mod tests {
                         b: 5,
                         weight: 2,
                     },
-                );
+                ));
             }
-            let dg = global_min_edges(comm, local, 3);
+            let dg = global_min_edges(comm, &local, 3);
             (
                 dg,
                 comm.memory().current("distance_graph_dense"),
@@ -284,5 +393,149 @@ mod tests {
         };
         assert!(c < a);
         assert!(a < MinEdge::UNSET);
+    }
+
+    #[test]
+    fn both_reduce_paths_give_the_same_sorted_minima() {
+        let cands = [
+            ((1u32, 2u32), (7u32, 8u32), 4u64),
+            ((0, 2), (3, 5), 6),
+            ((1, 2), (6, 8), 4), // tie on total: the smaller bridge wins
+            ((0, 1), (9, 2), 3),
+            ((1, 2), (7, 8), 5),
+        ];
+        let run = |local_arcs| {
+            let mut mins = PairMins::new(3, local_arcs);
+            for &((cu, cv), (u, v), total) in &cands {
+                mins.offer((u, cu, 0), (v, cv, total - 1), 1);
+            }
+            (matches!(mins, PairMins::Dense { .. }), mins.finish())
+        };
+        let (dense, from_table) = run(3);
+        let (sorted, from_sort) = run(2);
+        assert!(dense && !sorted);
+        assert_eq!(from_table, from_sort);
+        let keys: Vec<PairKey> = from_sort.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, vec![(0, 1), (0, 2), (1, 2)]);
+        assert_eq!((from_sort[2].1.a, from_sort[2].1.b), (6, 8));
+        // The bridge is oriented from the smaller seed's cell.
+        assert_eq!((from_sort[0].1.a, from_sort[0].1.b), (9, 2));
+    }
+
+    /// A Barabási–Albert graph: hubs above the delegate threshold, and
+    /// every vertex reachable.
+    fn ba_graph(n: usize) -> CsrGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let edges = stgraph::generators::barabasi_albert(n, 2, &mut rng);
+        stgraph::generators::weighted_from_edges(n, edges, WeightRange::new(1, 9), &mut rng)
+    }
+
+    /// One rank's sorted candidate list, and whether it reduced dense.
+    type RankCandidates = (Vec<(PairKey, MinEdge)>, bool);
+
+    /// Voronoi then [`local_min_edges`] on `p` ranks. Returns every rank's
+    /// candidates and the label of every vertex.
+    fn local_phase(
+        g: &CsrGraph,
+        seeds: &[Vertex],
+        p: usize,
+        delegate_threshold: Option<usize>,
+    ) -> (Vec<RankCandidates>, Vec<Label>) {
+        let pg = partition_graph(g, p, delegate_threshold);
+        assert_eq!(pg.delegates.is_empty(), delegate_threshold.is_none());
+        let out = World::run(p, |comm| {
+            let rg = &pg.ranks[comm.rank()];
+            let chan_voronoi = comm.open_channels::<Vec<VoronoiMsg>>("voronoi");
+            let chan_probe = comm.open_channels::<Vec<ProbeMsg>>("local_min_edge");
+            let mut states = VertexStates::new(rg);
+            crate::voronoi::run(
+                comm,
+                &chan_voronoi,
+                rg,
+                &pg.partition,
+                &mut states,
+                seeds,
+                TraversalOptions::new(QueueKind::Priority),
+                &mut ScratchArena::new(),
+            );
+            let (local, _) = local_min_edges(comm, &chan_probe, rg, &pg.partition, &states, seeds);
+            let dense = matches!(
+                PairMins::new(seeds.len(), rg.num_local_arcs()),
+                PairMins::Dense { .. }
+            );
+            let mut labels: Vec<(Vertex, Label)> = states.owned_labels().collect();
+            labels.extend(rg.delegates.iter().map(|&d| (d, states.label(d))));
+            ((local, dense), labels)
+        });
+        let mut labels = vec![Label::UNSET; g.num_vertices()];
+        let mut per_rank = Vec::new();
+        for (local, held) in out.results {
+            for (v, l) in held {
+                labels[v as usize] = l;
+            }
+            per_rank.push(local);
+        }
+        (per_rank, labels)
+    }
+
+    /// Per-pair minimum over every undirected edge of `g`, straight from
+    /// the labels.
+    fn brute_force(g: &CsrGraph, seeds: &[Vertex], labels: &[Label]) -> Vec<(PairKey, MinEdge)> {
+        let mut best: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
+        for (u, v, w) in g.arcs() {
+            let (lu, lv) = (labels[u as usize], labels[v as usize]);
+            if u > v || lu.src == NO_VERTEX || lv.src == NO_VERTEX || lu.src == lv.src {
+                continue;
+            }
+            let cell = |s| seeds.binary_search(&s).unwrap() as u32;
+            let (cu, cv) = (cell(lu.src), cell(lv.src));
+            let (key, a, b) = if cu < cv {
+                ((cu, cv), u, v)
+            } else {
+                ((cv, cu), v, u)
+            };
+            let cand = MinEdge {
+                total: lu.dist + w + lv.dist,
+                a,
+                b,
+                weight: w,
+            };
+            let slot = best.entry(key).or_insert(MinEdge::UNSET);
+            *slot = (*slot).min(cand);
+        }
+        best.into_iter().collect()
+    }
+
+    #[test]
+    fn local_min_edges_match_brute_force_on_both_reduce_paths() {
+        let g = ba_graph(400);
+        // 6 seeds: binom(6, 2) = 15 fits every rank's arc count (dense).
+        // 90 seeds: binom(90, 2) = 4005 exceeds the graph's ~1600 arcs
+        // (sorted).
+        let few: Vec<Vertex> = (0..6).map(|i| i * 61 + 3).collect();
+        let many: Vec<Vertex> = (0..90).map(|i| i * 4 + 1).collect();
+        for (seeds, dense) in [(&few, true), (&many, false)] {
+            for p in [1usize, 2, 4] {
+                for delegates in [None, Some(12)] {
+                    let ctx = format!("|S|={} p={p} delegates={delegates:?}", seeds.len());
+                    let (per_rank, labels) = local_phase(&g, seeds, p, delegates);
+                    let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
+                    for (local, rank_dense) in &per_rank {
+                        assert_eq!(*rank_dense, dense, "{ctx}: reduce path");
+                        assert!(
+                            local.windows(2).all(|w| w[0].0 < w[1].0),
+                            "{ctx}: keys sorted and unique"
+                        );
+                        for &(key, e) in local {
+                            let slot = merged.entry(key).or_insert(MinEdge::UNSET);
+                            *slot = (*slot).min(e);
+                        }
+                    }
+                    let merged: Vec<(PairKey, MinEdge)> = merged.into_iter().collect();
+                    assert!(!merged.is_empty(), "{ctx}");
+                    assert_eq!(merged, brute_force(&g, seeds, &labels), "{ctx}");
+                }
+            }
+        }
     }
 }

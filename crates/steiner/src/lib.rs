@@ -336,11 +336,6 @@ pub fn solve_partitioned(
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
-    let seed_index: BTreeMap<Vertex, u32> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| (s, i as u32))
-        .collect();
 
     // Crash-stop supervision: checkpoints are only taken when a restore
     // could consume them — recovery enabled and a plan that can actually
@@ -366,7 +361,6 @@ pub fn solve_partitioned(
                 comm,
                 pg,
                 &seeds,
-                &seed_index,
                 config.queue,
                 config.mst_mode,
                 config.batch_size,
@@ -448,29 +442,13 @@ pub fn solve_on(
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
     assert_eq!(p, world.num_ranks(), "world/config rank mismatch");
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
-    let seed_index: Arc<BTreeMap<Vertex, u32>> = Arc::new(
-        seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect(),
-    );
     let queue = config.queue;
     let mst_mode = config.mst_mode;
     let batch_size = config.batch_size;
     let pg_job = Arc::clone(pg);
     let seeds_job = Arc::new(seeds.clone());
     let out = world.execute(move |comm: &mut Comm| {
-        rank_main(
-            comm,
-            &pg_job,
-            &seeds_job,
-            &seed_index,
-            queue,
-            mst_mode,
-            batch_size,
-            None,
-        )
+        rank_main(comm, &pg_job, &seeds_job, queue, mst_mode, batch_size, None)
     });
     // No crash supervision here: a persistent world's fault plan is
     // fixed at construction, and a crash on resident rank threads is a
@@ -593,12 +571,10 @@ fn put_checkpoint(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn rank_main(
     comm: &mut Comm,
     pg: &PartitionedGraph,
     seeds: &[Vertex],
-    seed_index: &BTreeMap<Vertex, u32>,
     queue: QueueKind,
     mst_mode: MstMode,
     batch_size: usize,
@@ -632,7 +608,7 @@ fn rank_main(
     let mut times = PhaseTimes::default();
     let mut processed = 0u64;
     let mut stale_dropped = 0u64;
-    let mut local: Option<BTreeMap<PairKey, MinEdge>> = None;
+    let mut local: Option<Vec<(PairKey, MinEdge)>> = None;
     let mut dg: Option<Vec<(PairKey, MinEdge)>> = None;
     let mut chosen: Option<Vec<usize>> = None;
     let mut dg_len = 0usize;
@@ -649,7 +625,7 @@ fn rank_main(
         times = ck.times();
         processed = ck.processed;
         stale_dropped = ck.stale_dropped;
-        local = ck.local.map(|v| v.into_iter().collect());
+        local = ck.local;
         dg_len = ck.dg_len;
         dg = ck.dg;
         chosen = ck.chosen;
@@ -724,12 +700,11 @@ fn rank_main(
             Phase::LocalMinEdge.index() as u64,
         );
         let (l, probe_stats) =
-            distance_graph::local_min_edges(comm, &chan_probe, rg, partition, &states, seed_index);
+            distance_graph::local_min_edges(comm, &chan_probe, rg, partition, &states, seeds);
         drop(span);
         times[Phase::LocalMinEdge] = t.elapsed();
         processed += probe_stats.processed;
         if let Some(store) = store {
-            let local_vec: Vec<(PairKey, MinEdge)> = l.iter().map(|(&k, &v)| (k, v)).collect();
             put_checkpoint(
                 comm,
                 store,
@@ -738,7 +713,7 @@ fn rank_main(
                 &times,
                 processed,
                 stale_dropped,
-                Some(&local_vec),
+                Some(&l),
                 None,
                 None,
                 0,
@@ -765,7 +740,7 @@ fn rank_main(
         let l = local.take().expect("local min edges computed or restored");
         match mst_mode {
             MstMode::Replicated => {
-                let d = distance_graph::global_min_edges(comm, l, seeds.len());
+                let d = distance_graph::global_min_edges(comm, &l, seeds.len());
                 comm.telemetry_gauge("distance_graph_edges", d.len() as u64);
                 drop(span);
                 times[Phase::GlobalMinEdge] = t.elapsed();

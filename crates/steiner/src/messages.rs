@@ -57,7 +57,8 @@ pub enum ProbeMsg {
     /// Bootstrap: scan this rank's local arcs.
     Scan,
     /// A boundary arc probe: rank holding `u`'s state asks `v`'s owner to
-    /// evaluate the arc `(u, v)` as a cross-cell candidate.
+    /// evaluate the arc `(u, v)`, `u < v`, as a cross-cell candidate. One
+    /// probe per cross-rank undirected edge; 29 wire bytes.
     Candidate {
         /// Remote endpoint whose state the receiver holds.
         v: Vertex,
@@ -65,8 +66,9 @@ pub enum ProbeMsg {
         u: Vertex,
         /// Arc weight `d(u, v)`.
         weight: Weight,
-        /// `src(u)` at the sender.
-        u_src: Vertex,
+        /// Cell of `u` at the sender: the index of `src(u)` in the sorted
+        /// seed list (same 4 wire bytes as the vertex id it replaces).
+        u_cell: u32,
         /// `d_1(src(u), u)` at the sender.
         u_dist: Distance,
     },
@@ -167,14 +169,14 @@ impl Wire for ProbeMsg {
                 v,
                 u,
                 weight,
-                u_src,
+                u_cell,
                 u_dist,
             } => {
                 out.push(1);
                 v.encode_into(out);
                 u.encode_into(out);
                 weight.encode_into(out);
-                u_src.encode_into(out);
+                u_cell.encode_into(out);
                 u_dist.encode_into(out);
             }
         }
@@ -187,7 +189,7 @@ impl Wire for ProbeMsg {
                 v: Vertex::decode_from(buf, pos)?,
                 u: Vertex::decode_from(buf, pos)?,
                 weight: Weight::decode_from(buf, pos)?,
-                u_src: Vertex::decode_from(buf, pos)?,
+                u_cell: u32::decode_from(buf, pos)?,
                 u_dist: Distance::decode_from(buf, pos)?,
             }),
             _ => None,
@@ -266,7 +268,7 @@ mod tests {
                 v: 1,
                 u: 2,
                 weight: 3,
-                u_src: 4,
+                u_cell: 4,
                 u_dist: 5,
             },
         ];

@@ -216,6 +216,16 @@ impl VertexStates {
         }
     }
 
+    /// The current distance at dense index `i` (see
+    /// [`VertexStates::held_index`]).
+    pub(crate) fn dist_at(&self, i: usize) -> Distance {
+        if i < self.owned_len {
+            self.owned.dist[i]
+        } else {
+            self.replicas.dist[i - self.owned_len]
+        }
+    }
+
     fn arrays(&self, s: Slot) -> (&StateArrays, usize) {
         match s {
             Slot::Owned(i) => (&self.owned, i),

@@ -25,15 +25,16 @@ use struntime::{run_traversal, AuditViolation, Comm, FaultPlan, QueueKind, World
 // ---------------------------------------------------------------------------
 
 fn chaos_graph() -> stgraph::csr::CsrGraph {
-    // Ring + chords: every partitioning has cross-rank edges, so drops
-    // and duplicates land on real traffic at every rank count.
-    let n: u32 = 64;
+    // Ring + a chord from every vertex to its antipode: every partitioning
+    // has cross-rank edges, and at 2 ranks every vertex has a neighbor on
+    // the other rank. Each phase then ships enough batches that every
+    // plan of the matrix draws faults at every multi-rank count, so drops
+    // and duplicates land on real traffic.
+    let n: u32 = 512;
     let mut b = stgraph::builder::GraphBuilder::new(n as usize);
     for i in 0..n {
         b.add_edge(i, (i + 1) % n, 1 + (i % 4) as u64);
-        if i % 5 == 0 {
-            b.add_edge(i, (i + n / 3) % n, 7);
-        }
+        b.add_edge(i, (i + n / 2) % n, 2);
     }
     b.build()
 }
