@@ -1,23 +1,27 @@
-//! stlint: a semantic static-analysis pass for the Steiner workspace.
+//! stlint: the workspace's static-analysis pass, run by
+//! `cargo run -p xtask -- lint`.
 //!
-//! Where `xtask lint`'s original rules are line regexes, stlint models the
-//! workspace at token level — per-function bodies, `cfg(test)` regions,
-//! method-call chains, and a coarse per-function call graph — and runs
-//! rule families that need that structure:
+//! It models the workspace at token level — per-function bodies,
+//! `cfg(test)` regions, method-call chains, and a coarse per-function
+//! call graph — and runs rule families on that model:
 //!
 //! * determinism — [`rules::determinism`]: `nondet-iter`, `wallclock`
 //! * protocol safety — [`rules::protocol`]: `collective-lockstep`,
-//!   `send-after-quiescence`, `uncharged-send`
+//!   `send-after-quiescence`, `uncharged-send`, `relaxed-quiescence`,
+//!   `thread-spawn`, `plain-send-vec`
+//! * label uniqueness — [`rules::labels`]: `phase-label-dup`,
+//!   `trace-label-dup`, `gauge-label-dup`
 //! * unsafe hygiene — [`rules::unsafety`]: `unsafe-safety` + inventory
-//! * unwind boundaries — [`rules::unwind`]: `catch-unwind-justify`
+//! * unwind boundaries — [`rules::unwind`]: `catch-unwind-justify`,
+//!   `unwrap-expect`
 //! * lock ordering — [`rules::locks`]: `lock-order`
 //!
 //! Suppressions are line-scoped `stcheck: allow(<rule>): <why>` comments
 //! (same line or the line directly above) or file-scoped
-//! `stcheck: allow-file(<rule>): <why>`. For stlint's rules the
-//! justification is mandatory: a bare allow still suppresses, but emits an
-//! `unjustified-allow` finding of its own, so every suppression in the
-//! tree carries a written reason.
+//! `stcheck: allow-file(<rule>): <why>`. The justification is mandatory:
+//! a bare allow still suppresses, but emits an `unjustified-allow`
+//! finding of its own, so every suppression in the tree carries a
+//! written reason.
 //!
 //! The crate is deliberately dependency-free (hand-rolled lexer, JSON
 //! emitter): it must build in offline sandboxes and never adds to the
@@ -37,6 +41,13 @@ pub const RULE_UNCHARGED_SEND: &str = "uncharged-send";
 pub const RULE_UNSAFE_SAFETY: &str = "unsafe-safety";
 pub const RULE_CATCH_UNWIND_JUSTIFY: &str = "catch-unwind-justify";
 pub const RULE_LOCK_ORDER: &str = "lock-order";
+pub const RULE_RELAXED: &str = "relaxed-quiescence";
+pub const RULE_SPAWN: &str = "thread-spawn";
+pub const RULE_UNWRAP: &str = "unwrap-expect";
+pub const RULE_PHASE_DUP: &str = "phase-label-dup";
+pub const RULE_TRACE_DUP: &str = "trace-label-dup";
+pub const RULE_PLAIN_SEND: &str = "plain-send-vec";
+pub const RULE_GAUGE_DUP: &str = "gauge-label-dup";
 pub const RULE_UNJUSTIFIED_ALLOW: &str = "unjustified-allow";
 
 /// Every stlint rule id with a one-line summary (emitted in stlint.json).
@@ -62,6 +73,30 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
         "public send path that never reaches the charge() accounting hook",
     ),
     (
+        RULE_RELAXED,
+        "Ordering::Relaxed on a quiescence field in the runtime",
+    ),
+    (
+        RULE_SPAWN,
+        "thread::spawn/scope/Builder outside the runtime's World",
+    ),
+    (
+        RULE_PLAIN_SEND,
+        "plain send on a Vec-payload channel group instead of send_batch*",
+    ),
+    (
+        RULE_PHASE_DUP,
+        "open_channels phase label reused within a file",
+    ),
+    (
+        RULE_TRACE_DUP,
+        "trace_span/trace_instant label reused across modules",
+    ),
+    (
+        RULE_GAUGE_DUP,
+        "telemetry_gauge/set_named label reused across modules",
+    ),
+    (
         RULE_UNSAFE_SAFETY,
         "unsafe item without an adjacent // SAFETY: comment",
     ),
@@ -70,17 +105,22 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
         "catch_unwind/AssertUnwindSafe without an adjacent justification comment",
     ),
     (
+        RULE_UNWRAP,
+        "unwrap/expect in runtime code instead of a structured diagnostic",
+    ),
+    (
         RULE_LOCK_ORDER,
         "lock acquisition cycle (conflicting nesting orders)",
     ),
     (
         RULE_UNJUSTIFIED_ALLOW,
-        "stcheck: allow(...) for an stlint rule without a justification",
+        "stcheck: allow(...) without a justification",
     ),
 ];
 
-/// Rules whose suppressions must carry a justification.
-fn is_stlint_rule(rule: &str) -> bool {
+/// Is `rule` a catalog id? Anything else after `stcheck: allow(` (prose
+/// such as `allow(<rule>)`) is not a suppression.
+fn is_known_rule(rule: &str) -> bool {
     RULE_CATALOG.iter().any(|(id, _)| *id == rule)
 }
 
@@ -134,6 +174,7 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
     let mut inventory = Vec::new();
     rules::determinism::run(&ws, &mut findings);
     rules::protocol::run(&ws, &mut findings);
+    rules::labels::run(&ws, &mut findings);
     rules::unsafety::run(&ws, &mut findings, &mut inventory);
     rules::unwind::run(&ws, &mut findings);
     rules::locks::run(&ws, &mut findings);
@@ -141,9 +182,6 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
     // Collect declared suppressions and flag unjustified ones.
     let mut suppressions: Vec<Suppression> = Vec::new();
     for fm in &ws.files {
-        if fm.whole_file_test {
-            continue;
-        }
         for t in &fm.toks {
             if !t.is_comment() {
                 continue;
@@ -156,8 +194,8 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
                     let rule = tail[..close].trim().to_string();
                     let after = &tail[close + 1..];
                     rest = after;
-                    if !is_stlint_rule(&rule) {
-                        continue; // legacy xtask-lint allows stay bare
+                    if !is_known_rule(&rule) {
+                        continue;
                     }
                     let justification = justification_of(after);
                     suppressions.push(Suppression {
@@ -172,7 +210,7 @@ pub fn analyze(files: &[(String, String)]) -> Analysis {
             }
         }
         for fa in &fm.file_allows {
-            if !is_stlint_rule(&fa.rule) {
+            if !is_known_rule(&fa.rule) {
                 continue;
             }
             suppressions.push(Suppression {
@@ -470,11 +508,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_rule_allows_need_no_justification() {
+    fn every_rule_allow_needs_a_justification() {
         let src = "fn f() {\n\
                        let x = y.unwrap(); // stcheck: allow(unwrap-expect)\n\
                    }\n";
-        assert!(analyze_raw(&[("crates/steiner/src/x.rs", src)]).is_empty());
+        let a = analyze_full(&[("crates/struntime/src/x.rs", src)]);
+        assert_eq!(rules_of(&a.findings), vec![RULE_UNJUSTIFIED_ALLOW]);
+        assert!(a.suppressions[0].used, "a bare allow still suppresses");
     }
 
     #[test]

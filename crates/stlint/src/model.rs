@@ -34,6 +34,8 @@ pub struct CallSite {
     pub name: String,
     /// Code-token index of the name token.
     pub pos: usize,
+    /// Code-token index of the argument list's opening `(`.
+    pub open: usize,
     pub line: u32,
     pub is_method: bool,
     /// For method calls: receiver chain, outermost first, e.g.
@@ -120,12 +122,21 @@ impl<'a> FileModel<'a> {
             out.push(CallSite {
                 name: t.text.to_string(),
                 pos: i,
+                open: after,
                 line: t.line,
                 is_method,
                 recv,
             });
         }
         out
+    }
+
+    /// Every call site in the file, test code and item level included.
+    pub fn calls(&self) -> Vec<CallSite> {
+        match self.code.len() {
+            0 => Vec::new(),
+            n => self.calls_in((0, n - 1)),
+        }
     }
 
     /// If `i` points at `::` `<` … `>` returns the index after the
@@ -745,6 +756,18 @@ mod tests {
         assert!(!w.files[0].functions[0].is_test, "live fn");
         assert!(w.files[1].whole_file_test, "declared module file");
         assert!(w.files[1].functions[0].is_test);
+    }
+
+    #[test]
+    fn non_root_parent_modules_resolve_child_paths() {
+        let files = ws(&[
+            ("crates/a/src/solver.rs", "#[cfg(test)]\nmod tests;\n"),
+            ("crates/a/src/solver/tests.rs", "fn t() {}\n"),
+            ("crates/a/src/tests.rs", "fn live() {}\n"),
+        ]);
+        let w = Workspace::build(&files);
+        assert!(w.files[1].whole_file_test);
+        assert!(!w.files[2].whole_file_test, "sibling of the parent");
     }
 
     #[test]

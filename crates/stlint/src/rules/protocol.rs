@@ -15,9 +15,35 @@
 //! layer must route through the single `charge()` accounting hook
 //! (directly or transitively); a send path that skips it silently
 //! undercounts the paper's per-phase message statistics.
+//!
+//! `relaxed-quiescence` — the double-read termination protocol is only
+//! sound under `SeqCst`: an atomic call on a quiescence field (`sent`,
+//! `received`, `idle`, `done`, or anything reached through `quiescence`)
+//! must not pass `Relaxed`. Applies in the runtime crate.
+//!
+//! `thread-spawn` — `thread::spawn`, `thread::scope` and
+//! `thread::Builder` outside the runtime crate start threads the World
+//! does not own: no counters, no audit ledger, no perturbers, no panic
+//! propagation. All parallelism goes through the runtime, tests included.
+//!
+//! `plain-send-vec` — `send` on a channel group opened with a `Vec<_>`
+//! payload routes batch traffic down the unsequenced control-plane path:
+//! no sequence number, no retransmission, no wire-codec round trip, and a
+//! shallow byte charge. Batches go through `send_batch`/
+//! `send_batch_traced`/`send_batch_encoded` instead.
 
+use super::RUNTIME_SRC;
 use crate::model::{CallSite, FileModel, Workspace};
-use crate::{Finding, RULE_LOCKSTEP, RULE_SEND_AFTER_QUIESCENCE, RULE_UNCHARGED_SEND};
+use crate::{
+    Finding, RULE_LOCKSTEP, RULE_PLAIN_SEND, RULE_RELAXED, RULE_SEND_AFTER_QUIESCENCE, RULE_SPAWN,
+    RULE_UNCHARGED_SEND,
+};
+
+/// Receiver segments that name the termination-detection state.
+const QUIESCENCE_FIELDS: &[&str] = &["quiescence", "sent", "received", "idle", "done"];
+
+/// `std::thread` items that start threads outside the World.
+const THREAD_ENTRIES: &[&str] = &["spawn", "scope", "Builder"];
 
 /// Method names that are collective operations (prefix match: `allreduce`
 /// also covers the `allreduce_min` / `allreduce_sum` wrappers).
@@ -50,6 +76,10 @@ pub fn run(ws: &Workspace<'_>, findings: &mut Vec<Finding>) {
             send_after_quiescence(fm, body, &senders, findings);
         }
         uncharged_send(fm, &chargers, findings);
+        thread_spawn(fm, findings);
+        let calls = fm.calls();
+        relaxed_quiescence(fm, &calls, findings);
+        plain_send_vec(fm, &calls, findings);
     }
 }
 
@@ -237,7 +267,7 @@ fn uncharged_send(
     chargers: &std::collections::BTreeSet<String>,
     findings: &mut Vec<Finding>,
 ) {
-    if !fm.path.starts_with("crates/struntime/src") {
+    if !fm.path.starts_with(RUNTIME_SRC) {
         return;
     }
     for f in &fm.functions {
@@ -264,6 +294,153 @@ fn uncharged_send(
             });
         }
     }
+}
+
+/// Flags a `Relaxed` ordering passed to an atomic call whose receiver
+/// chain holds a quiescence field. Fields match whole segments, so
+/// `q.done_count` is an ordinary counter.
+fn relaxed_quiescence(fm: &FileModel<'_>, calls: &[CallSite], findings: &mut Vec<Finding>) {
+    if !fm.path.starts_with(RUNTIME_SRC) {
+        return;
+    }
+    let mut last_line = 0;
+    for i in 0..fm.code.len() {
+        if !fm.tok(i).is_ident("Relaxed") {
+            continue;
+        }
+        let Some(open) = enclosing_paren(fm, i) else {
+            continue;
+        };
+        let on_quiescence = calls.iter().any(|c| {
+            c.open == open
+                && c.is_method
+                && c.recv
+                    .iter()
+                    .any(|seg| QUIESCENCE_FIELDS.contains(&seg.as_str()))
+        });
+        let line = fm.line_of(i);
+        if on_quiescence && line != last_line {
+            last_line = line;
+            findings.push(Finding {
+                rule: RULE_RELAXED,
+                path: fm.path.clone(),
+                line,
+                message: "Ordering::Relaxed on a quiescence field; the double-read \
+                          termination protocol requires SeqCst"
+                    .to_string(),
+                snippet: fm.raw_line(line).trim().to_string(),
+            });
+        }
+    }
+}
+
+/// The unclosed `(` before code index `i` within its statement, if any.
+fn enclosing_paren(fm: &FileModel<'_>, i: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for j in (0..i).rev() {
+        let t = fm.tok(j);
+        if t.is_punct(")") {
+            depth += 1;
+        } else if t.is_punct("(") {
+            if depth == 0 {
+                return Some(j);
+            }
+            depth -= 1;
+        } else if depth == 0 && (t.is_punct(";") || t.is_punct("{") || t.is_punct("}")) {
+            return None;
+        }
+    }
+    None
+}
+
+/// Flags `thread::spawn` / `thread::scope` / `thread::Builder` paths, and
+/// `use std::thread::{…}` groups that import one, outside the runtime.
+fn thread_spawn(fm: &FileModel<'_>, findings: &mut Vec<Finding>) {
+    if fm.path.starts_with(RUNTIME_SRC) {
+        return;
+    }
+    let entry_at = |k: usize| THREAD_ENTRIES.iter().find(|e| fm.tok(k).is_ident(e));
+    let mut last_line = 0;
+    for i in 0..fm.code.len().saturating_sub(3) {
+        if !(fm.tok(i).is_ident("thread")
+            && fm.tok(i + 1).is_punct(":")
+            && fm.tok(i + 2).is_punct(":"))
+        {
+            continue;
+        }
+        let entry = if fm.tok(i + 3).is_punct("{") {
+            let close = fm.match_forward(i + 3, "{", "}").unwrap_or(i + 3);
+            (i + 4..close).find_map(entry_at)
+        } else {
+            entry_at(i + 3)
+        };
+        let line = fm.line_of(i);
+        let Some(entry) = entry.filter(|_| line != last_line) else {
+            continue;
+        };
+        last_line = line;
+        findings.push(Finding {
+            rule: RULE_SPAWN,
+            path: fm.path.clone(),
+            line,
+            message: format!(
+                "raw thread::{entry} outside struntime; spawn ranks through \
+                 World/PersistentWorld so counters, audit, and panic \
+                 propagation stay wired"
+            ),
+            snippet: fm.raw_line(line).trim().to_string(),
+        });
+    }
+}
+
+/// Flags `NAME.send(…)` where `NAME` was bound by
+/// `let [mut] NAME = … open_channels::<Vec<…>>(…)` in the same file's
+/// non-test code.
+fn plain_send_vec(fm: &FileModel<'_>, calls: &[CallSite], findings: &mut Vec<Finding>) {
+    let groups: Vec<(&str, u32)> = calls
+        .iter()
+        // `open_channels :: < Vec …`: the turbofish's first type token.
+        .filter(|c| c.name == "open_channels" && c.open > c.pos + 4)
+        .filter(|c| fm.tok(c.pos + 4).is_ident("Vec") && !fm.is_test_at(c.pos))
+        .filter_map(|c| let_binding(fm, c.pos).map(|name| (name, c.line)))
+        .collect();
+    for c in calls {
+        if !c.is_method || c.name != "send" || fm.is_test_at(c.pos) {
+            continue;
+        }
+        let Some(last) = c.recv.last() else { continue };
+        let Some((name, bound_line)) = groups.iter().find(|(g, _)| g == last) else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: RULE_PLAIN_SEND,
+            path: fm.path.clone(),
+            line: c.line,
+            message: format!(
+                "plain send on Vec-payload channel group `{name}` (opened on line \
+                 {bound_line}); send is the unsequenced control-plane path — use \
+                 send_batch/send_batch_traced/send_batch_encoded so batches ride \
+                 the sequenced reliable protocol with exact wire-byte accounting"
+            ),
+            snippet: fm.raw_line(c.line).trim().to_string(),
+        });
+    }
+}
+
+/// The name a `let [mut] NAME = …` statement binds, walking back from
+/// code index `i` to the statement start.
+fn let_binding<'a>(fm: &FileModel<'a>, i: usize) -> Option<&'a str> {
+    for j in (0..i).rev() {
+        let t = fm.tok(j);
+        if t.is_punct(";") || t.is_punct("{") || t.is_punct("}") {
+            return None;
+        }
+        if t.is_ident("let") {
+            let name = fm.tok(j + 1 + usize::from(fm.tok(j + 1).is_ident("mut")));
+            return (name.kind == crate::lexer::TokKind::Ident).then_some(name.text);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -394,5 +571,109 @@ mod tests {
                        fn send_ack(&self, dest: usize) {}\n\
                    }\n";
         assert!(analyze_raw(&[("crates/struntime/src/channels.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn relaxed_on_quiescence_field_is_flagged_in_runtime_only() {
+        let src = "fn f(q: &Q) { q.sent.fetch_add(1, Ordering::Relaxed); }\n";
+        let f = analyze_raw(&[("crates/struntime/src/traversal.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_RELAXED]);
+        assert_eq!(f[0].line, 1);
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn relaxed_on_plain_counters_is_fine() {
+        let src = "stats.local_msgs.fetch_add(1, Ordering::Relaxed);\n";
+        assert!(analyze_raw(&[("crates/struntime/src/channels.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn relaxed_matches_whole_field_names_across_lines() {
+        let src = "q.done.store(true, Ordering::Relaxed);\n\
+                   q.done_count.fetch_add(1, Ordering::Relaxed);\n\
+                   q.idle_ns.load(Relaxed);\n\
+                   s.quiescence\n    .received\n    .load(Relaxed);\n";
+        let f = analyze_raw(&[("crates/struntime/src/traversal.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_RELAXED, RULE_RELAXED]);
+        assert_eq!((f[0].line, f[1].line), (1, 6));
+    }
+
+    #[test]
+    fn relaxed_finding_can_be_suppressed_with_a_reason() {
+        let src = "// stcheck: allow(relaxed-quiescence): diagnostic read only.\n\
+                   q.done.load(Ordering::Relaxed);\n";
+        assert!(analyze_raw(&[("crates/struntime/src/x.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn thread_spawn_outside_runtime_is_flagged() {
+        let src = "let h = std::thread::spawn(move || 1);\n";
+        let f = analyze_raw(&[("crates/steiner/src/solver.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_SPAWN]);
+        assert!(analyze_raw(&[("crates/struntime/src/lib.rs", src)]).is_empty());
+        // No test exemption: tests start threads through the World too,
+        // so a suppression in a test file must hold as well.
+        let f = analyze_raw(&[("tests/stress.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_SPAWN]);
+        let allowed = format!("// stcheck: allow(thread-spawn): drives the OS directly.\n{src}");
+        assert!(analyze_raw(&[("tests/stress.rs", &allowed)]).is_empty());
+    }
+
+    #[test]
+    fn thread_scope_and_builder_are_flagged() {
+        let src = "use std::thread::{self, Builder};\n\
+                   std::thread::scope(|s| { s.spawn(|| 1); });\n\
+                   let h = thread::Builder::new().spawn(|| 2);\n";
+        let f = analyze_raw(&[("crates/steiner/src/lib.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_SPAWN; 3]);
+    }
+
+    #[test]
+    fn spawn_in_comments_and_strings_is_ignored() {
+        let src = "// never call thread::spawn here\nlet s = \"thread::spawn\";\n";
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn plain_send_on_vec_channel_group_is_flagged() {
+        let src = "let batches = comm.open_channels::<Vec<u64>>(\"phase_x\");\n\
+                   batches.send(1, vec![1, 2, 3]);\n";
+        let f = analyze_raw(&[("crates/steiner/src/lib.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_PLAIN_SEND]);
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("line 1"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn send_batch_on_vec_channel_group_is_fine() {
+        let src = "let batches = comm.open_channels::<Vec<u64>>(\"phase_x\");\n\
+                   batches.send_batch(1, vec![1, 2, 3]);\n\
+                   let singles = comm.open_channels::<u64>(\"phase_y\");\n\
+                   singles.send(1, 7);\n";
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn plain_send_partial_identifier_does_not_match() {
+        let src = "let ch = comm.open_channels::<Vec<u64>>(\"phase_x\");\n\
+                   ch.send_batch(0, vec![1]);\n\
+                   batch.send(0, 7);\n";
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn plain_send_in_test_code_is_exempt_and_suppressible() {
+        let test_src = "#[cfg(test)]\n\
+                        mod tests {\n\
+                            fn t(comm: &mut Comm) {\n\
+                                let g = comm.open_channels::<Vec<u8>>(\"t\");\n\
+                                g.send(0, vec![1]);\n\
+                            }\n\
+                        }\n";
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", test_src)]).is_empty());
+        let suppressed = "let g = comm.open_channels::<Vec<u8>>(\"p\");\n\
+                          g.send(0, vec![1]); // stcheck: allow(plain-send-vec): one-shot control message.\n";
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", suppressed)]).is_empty());
     }
 }

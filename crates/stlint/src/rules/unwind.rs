@@ -10,15 +10,22 @@
 //! same line or in the comment block directly above (only comment and
 //! attribute lines between). `catch_unwind(AssertUnwindSafe(..))` on one
 //! line is a single boundary and needs a single justification.
+//!
+//! `unwrap-expect` — `.unwrap()` / `.expect(…)` in the runtime crate's
+//! non-test code turn protocol violations into context-free panics; the
+//! runtime emits structured diagnostics (match + `panic!` naming tag,
+//! phase, and types) instead.
 
+use super::RUNTIME_SRC;
 use crate::model::{FileModel, Workspace};
-use crate::{Finding, RULE_CATCH_UNWIND_JUSTIFY};
+use crate::{Finding, RULE_CATCH_UNWIND_JUSTIFY, RULE_UNWRAP};
 
 /// The marker a justification comment must contain.
 const MARKER: &str = "catch-unwind-justify";
 
 pub fn run(ws: &Workspace<'_>, findings: &mut Vec<Finding>) {
     for fm in &ws.files {
+        unwrap_expect(fm, findings);
         let mut last_line = 0u32;
         for i in 0..fm.code.len() {
             let t = fm.tok(i);
@@ -49,6 +56,30 @@ pub fn run(ws: &Workspace<'_>, findings: &mut Vec<Finding>) {
                 });
             }
         }
+    }
+}
+
+/// One finding per runtime line that calls `.unwrap()` or `.expect(…)`.
+fn unwrap_expect(fm: &FileModel<'_>, findings: &mut Vec<Finding>) {
+    if !fm.path.starts_with(RUNTIME_SRC) {
+        return;
+    }
+    let mut last_line = 0u32;
+    for c in fm.calls() {
+        let panics = c.is_method && (c.name == "unwrap" || c.name == "expect");
+        if !panics || fm.is_test_at(c.pos) || c.line == last_line {
+            continue;
+        }
+        last_line = c.line;
+        findings.push(Finding {
+            rule: RULE_UNWRAP,
+            path: fm.path.clone(),
+            line: c.line,
+            message: "unwrap/expect in struntime runtime code; emit a structured \
+                      diagnostic (match + panic! naming tag, phase, and types)"
+                .to_string(),
+            snippet: fm.raw_line(c.line).trim().to_string(),
+        });
     }
 }
 
@@ -148,5 +179,56 @@ mod tests {
                    }\n";
         let f = analyze_raw(&[("crates/struntime/src/x.rs", src)]);
         assert_eq!(rules_of(&f), vec![RULE_CATCH_UNWIND_JUSTIFY]);
+    }
+
+    #[test]
+    fn unwrap_in_runtime_code_is_flagged() {
+        let src = "let v = slot.take().unwrap();\nlet w = rx.recv().expect(\"msg\");\n";
+        let f = analyze_raw(&[("crates/struntime/src/collective.rs", src)]);
+        assert_eq!(rules_of(&f), vec![RULE_UNWRAP, RULE_UNWRAP]);
+        assert!(analyze_raw(&[("crates/steiner/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn unwrap_inside_cfg_test_module_is_exempt() {
+        let src = "fn run() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn t() { helper().unwrap(); }\n\
+                   }\n";
+        assert!(analyze_raw(&[("crates/struntime/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn unwrap_or_else_is_not_unwrap() {
+        let src = "h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));\n";
+        assert!(analyze_raw(&[("crates/struntime/src/lib.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn integration_test_files_are_wholly_test_code() {
+        let src = "fn t() { helper().unwrap(); }\n";
+        assert!(analyze_raw(&[("crates/struntime/tests/e2e.rs", src)]).is_empty());
+    }
+
+    #[test]
+    fn cfg_test_out_of_line_module_is_exempt_and_does_not_swallow_the_file() {
+        let lib = "#[cfg(test)]\nmod proptests;\nfn run() { x.unwrap(); }\n";
+        let module = "fn t() { helper().unwrap(); }\n";
+        let f = analyze_raw(&[
+            ("crates/struntime/src/lib.rs", lib),
+            ("crates/struntime/src/proptests.rs", module),
+        ]);
+        assert_eq!(rules_of(&f), vec![RULE_UNWRAP]);
+        assert_eq!(
+            (f[0].path.as_str(), f[0].line),
+            ("crates/struntime/src/lib.rs", 3)
+        );
+        // Without the cfg gate the same module is runtime code.
+        let f = analyze_raw(&[
+            ("crates/struntime/src/lib.rs", "mod proptests;\n"),
+            ("crates/struntime/src/proptests.rs", module),
+        ]);
+        assert_eq!(rules_of(&f), vec![RULE_UNWRAP]);
     }
 }

@@ -5,8 +5,8 @@
 
 use stlint::{
     analyze, Finding, RULE_CATCH_UNWIND_JUSTIFY, RULE_LOCKSTEP, RULE_LOCK_ORDER, RULE_NONDET_ITER,
-    RULE_SEND_AFTER_QUIESCENCE, RULE_UNCHARGED_SEND, RULE_UNJUSTIFIED_ALLOW, RULE_UNSAFE_SAFETY,
-    RULE_WALLCLOCK,
+    RULE_SEND_AFTER_QUIESCENCE, RULE_TRACE_DUP, RULE_UNCHARGED_SEND, RULE_UNJUSTIFIED_ALLOW,
+    RULE_UNSAFE_SAFETY, RULE_WALLCLOCK,
 };
 
 /// A small clean workspace: solver crate + channel layer, every rule
@@ -21,6 +21,7 @@ fn clean_fixture() -> Vec<(String, String)> {
                  for (_, d) in dist.iter() {\n\
                      total += d;\n\
                  }\n\
+                 let _span = comm.trace_span(\"solve\");\n\
                  comm.barrier();\n\
                  if comm.rank() == 0 {\n\
                      comm.broadcast(0, Some(total));\n\
@@ -224,5 +225,14 @@ fn seeded_unjustified_allow_is_caught() {
             "for (_, d) in dist.iter() {",
             "for (_, d) in dist.iter() { // stcheck: allow(nondet-iter)",
         );
+    });
+}
+
+#[test]
+fn seeded_label_collision_is_caught() {
+    assert_mutation_caught(RULE_TRACE_DUP, |files| {
+        files[2].1 = files[2]
+            .1
+            .replace("comm.barrier();", "comm.trace_instant(\"solve\", 1);");
     });
 }

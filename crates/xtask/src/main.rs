@@ -9,19 +9,18 @@
 //! cargo run -p xtask -- bench-guard [dir] [--update-baseline]
 //! ```
 //!
-//! `lint` is a thin driver over two passes run on every non-vendored
-//! `.rs` file (default root: the workspace directory, found relative to
-//! this crate's manifest): the original line-oriented rules in [`lint`]
-//! and the token-level semantic analyzer in the `stlint` crate
-//! (determinism, collective lockstep, send-after-quiescence, charge
-//! coverage, unsafe hygiene, lock ordering). stlint findings are gated by
-//! the checked-in `stlint.baseline` file — baselined findings are
-//! reported as grandfathered but do not fail the build; anything new
-//! does. Every run rewrites `stlint.json` (a versioned machine-readable
-//! report) at the workspace root. `--update-baseline` rewrites the
-//! baseline from the current findings instead of failing. Exit code 0
-//! means clean; 1 means findings were printed; 2 means usage or I/O
-//! error.
+//! `lint` runs the `stlint` analyzer over every non-vendored `.rs` file
+//! (default root: the workspace directory, found relative to this
+//! crate's manifest): determinism, protocol safety (collective lockstep,
+//! send-after-quiescence, charge coverage, SeqCst quiescence, no raw
+//! threads, batched Vec sends), label uniqueness, unsafe hygiene, unwind
+//! boundaries and lock ordering. Findings are gated by the checked-in
+//! `stlint.baseline` file — baselined findings are reported as
+//! grandfathered but do not fail the build; anything new does. Every run
+//! rewrites `stlint.json` (a versioned machine-readable report) at the
+//! workspace root. `--update-baseline` rewrites the baseline from the
+//! current findings instead of failing. Exit code 0 means clean; 1 means
+//! findings were printed; 2 means usage or I/O error.
 //!
 //! `check-reports` parses every `BENCH_*.json` in the given directory
 //! (default: `bench_results/` under the workspace root) and validates it
@@ -89,7 +88,6 @@
 //! scale point missing from the fresh report; 2 means usage or I/O
 //! error.
 
-mod lint;
 mod perfdiff;
 mod stlint_report;
 
@@ -175,10 +173,43 @@ fn main() -> ExitCode {
     }
 }
 
-/// The lint driver: legacy line rules + the stlint semantic analyzer,
-/// with baseline gating and the `stlint.json` report.
+/// Directories never descended into when collecting sources.
+const SKIP_DIRS: &[&str] = &["vendored", "target", ".git"];
+
+/// Collects `(workspace-relative path, contents)` for every `.rs` file
+/// under `root`, skipping vendored shims and build products. Paths are
+/// sorted so findings are deterministic.
+fn collect_sources(root: &std::path::Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut files = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            let path = entry.path();
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if path.is_dir() {
+                if !SKIP_DIRS.contains(&name.as_ref()) {
+                    stack.push(path);
+                }
+            } else if name.ends_with(".rs") {
+                let rel = path
+                    .strip_prefix(root)
+                    .unwrap_or(&path)
+                    .to_string_lossy()
+                    .replace('\\', "/");
+                files.push((rel, std::fs::read_to_string(&path)?));
+            }
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// The lint driver: the stlint analyzer, with baseline gating and the
+/// `stlint.json` report.
 fn lint_cmd(root: &std::path::Path, update_baseline: bool) -> ExitCode {
-    let files = match lint::collect_sources(root) {
+    let files = match collect_sources(root) {
         Ok(files) => files,
         Err(e) => {
             eprintln!(
@@ -189,10 +220,6 @@ fn lint_cmd(root: &std::path::Path, update_baseline: bool) -> ExitCode {
         }
     };
 
-    // Pass 1: the original line-oriented rules.
-    let legacy_errors = lint::run_lints(&files);
-
-    // Pass 2: the token-level semantic analyzer.
     let analysis = stlint::analyze(&files);
     let baseline_path = root.join("stlint.baseline");
     let baseline = match std::fs::read_to_string(&baseline_path) {
@@ -232,31 +259,17 @@ fn lint_cmd(root: &std::path::Path, update_baseline: bool) -> ExitCode {
         .iter()
         .partition(|f| !baseline.contains(f));
 
-    for e in &legacy_errors {
-        eprintln!("{e}");
-    }
     for f in &new {
         eprintln!("{}:{}: [{}] {}", f.path, f.line, f.rule, f.message);
         if !f.snippet.is_empty() {
             eprintln!("    {}", f.snippet);
         }
     }
-    let failures = legacy_errors.len() + new.len();
-    if failures == 0 {
+    if new.is_empty() {
         println!(
-            "xtask lint: {} files clean ({} legacy rules + {} stlint rules, \
-             {} grandfathered, {} suppression(s), {} unsafe site(s) inventoried)",
+            "xtask lint: {} files clean ({} rules, {} grandfathered, \
+             {} suppression(s), {} unsafe site(s) inventoried)",
             files.len(),
-            [
-                lint::RULE_RELAXED,
-                lint::RULE_SPAWN,
-                lint::RULE_UNWRAP,
-                lint::RULE_PHASE_DUP,
-                lint::RULE_TRACE_DUP,
-                lint::RULE_PLAIN_SEND,
-                lint::RULE_GAUGE_DUP
-            ]
-            .len(),
             stlint::RULE_CATALOG.len(),
             grandfathered.len(),
             analysis.suppressions.len(),
@@ -265,9 +278,7 @@ fn lint_cmd(root: &std::path::Path, update_baseline: bool) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "xtask lint: {failures} finding(s) ({} legacy, {} stlint; \
-             {} grandfathered not counted)",
-            legacy_errors.len(),
+            "xtask lint: {} finding(s) ({} grandfathered not counted)",
             new.len(),
             grandfathered.len()
         );

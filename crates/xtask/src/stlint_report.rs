@@ -67,14 +67,20 @@ pub fn validate(doc: &Json) -> Result<ReportCounts, String> {
         str_field(r, "summary", &ctx)?;
     }
 
+    let known_rule = |obj: &Json, ctx: &str| {
+        let rule = str_field(obj, "rule", ctx)?;
+        if rule_ids.iter().any(|id| id == rule) {
+            Ok(())
+        } else {
+            Err(format!("{ctx}: rule {rule:?} not in the rules catalog"))
+        }
+    };
+
     let findings = arr_field(doc, "findings")?;
     let mut new_findings = 0usize;
     for (i, f) in findings.iter().enumerate() {
         let ctx = format!("findings[{i}]");
-        let rule = str_field(f, "rule", &ctx)?;
-        if !rule_ids.iter().any(|id| id == rule) {
-            return Err(format!("{ctx}: rule {rule:?} not in the rules catalog"));
-        }
+        known_rule(f, &ctx)?;
         str_field(f, "path", &ctx)?;
         str_field(f, "message", &ctx)?;
         u64_field(f, "line", &ctx)?;
@@ -88,7 +94,7 @@ pub fn validate(doc: &Json) -> Result<ReportCounts, String> {
     let suppressions = arr_field(doc, "suppressions")?;
     for (i, s) in suppressions.iter().enumerate() {
         let ctx = format!("suppressions[{i}]");
-        str_field(s, "rule", &ctx)?;
+        known_rule(s, &ctx)?;
         str_field(s, "path", &ctx)?;
         u64_field(s, "line", &ctx)?;
         bool_field(s, "used", &ctx)?;
@@ -174,6 +180,24 @@ mod tests {
         assert!(validate(&doc)
             .unwrap_err()
             .contains("not in the rules catalog"));
+    }
+
+    #[test]
+    fn unknown_suppression_rule_is_rejected() {
+        let doc = parse(
+            r#"{
+              "schema_version": 1,
+              "tool": {"name": "stlint", "version": "0"},
+              "rules": [{"id": "nondet-iter", "summary": "s"}],
+              "findings": [],
+              "suppressions": [{"rule": "bogus", "path": "p", "line": 1,
+                                "scope": "line", "used": true, "justification": "why"}],
+              "unsafe_inventory": []
+            }"#,
+        );
+        let err = validate(&doc).unwrap_err();
+        assert!(err.starts_with("suppressions[0]"), "{err}");
+        assert!(err.contains("not in the rules catalog"), "{err}");
     }
 
     #[test]
