@@ -61,8 +61,8 @@ pub use phases::{Phase, PhaseTimes};
 pub use recovery::{CheckpointStore, RecoveryStats};
 pub use report::{ConfigFingerprint, RunReport};
 pub use struntime::{
-    FaultPlan, FaultSnapshot, Gauge, MetricKind, MetricsConfig, MetricsDump, QueueKind,
-    TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
+    FaultPlan, FaultSnapshot, Gauge, MetricKind, MetricsConfig, MetricsDump, PersistentWorld,
+    QueueKind, TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
 };
 
 use distance_graph::{MinEdge, PairKey};
@@ -74,8 +74,7 @@ use stgraph::csr::{CsrGraph, Vertex, Weight};
 use stgraph::error::SteinerError;
 use stgraph::partition::{partition_graph, PartitionedGraph};
 use stgraph::steiner_tree::SteinerTree;
-use struntime::FailureReason;
-use struntime::{Comm, PersistentWorld, PhaseSnapshot, RunOutput, World, WorldConfig};
+use struntime::{Comm, FailureReason, PhaseSnapshot, RunOutput, World, WorldConfig, WorldFailure};
 
 /// How the `global_min_edge` + `mst` phases compute the MST of `G_1'`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -336,41 +335,92 @@ pub fn solve_partitioned(
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
-
-    // Crash-stop supervision: checkpoints are only taken when a restore
-    // could consume them — recovery enabled and a plan that can actually
-    // crash-stop a rank — so fault-free solves skip the snapshot work.
-    let recovery_armed = config.checkpoints
-        && config.max_restores > 0
-        && config.faults.is_some_and(|pl| pl.crash_armed());
-    let store = CheckpointStore::new(p);
-    let mut recovery = RecoveryStats::default();
-    let mut resume: Option<usize> = None;
-    let mut plan = config.faults;
-    let out = loop {
+    supervise(pg, &seeds, config, |faults, recovery| {
         let world_config = WorldConfig {
             trace: config.trace,
             metrics: config.metrics,
-            faults: plan,
+            faults,
             telemetry: config.telemetry,
             deadline: config.deadline,
             ..WorldConfig::default()
         };
-        let run = World::try_run_config(p, world_config, |comm: &mut Comm| {
-            rank_main(
-                comm,
-                pg,
-                &seeds,
-                config.queue,
-                config.mst_mode,
-                config.batch_size,
-                if recovery_armed {
-                    Some((&store, resume))
-                } else {
-                    None
-                },
-            )
-        });
+        World::try_run_config(p, world_config, |comm: &mut Comm| {
+            rank_main(comm, pg, &seeds, config, recovery.as_ref())
+        })
+    })
+}
+
+/// Like [`solve_partitioned`], but runs each solve as one supervised job
+/// on resident rank threads — the entry point for interactive workloads
+/// that issue many solves against one loaded graph. `world.num_ranks()`
+/// must equal `config.num_ranks`.
+///
+/// Per job, as in [`solve_partitioned`]: [`SolverConfig::deadline`] and
+/// [`SolverConfig::faults`], crash-stop recovery included; a failed job
+/// leaves the world usable. Per world: trace, metrics and telemetry are
+/// fixed when the world is built and accumulate across jobs (drain them
+/// with [`PersistentWorld::finish_trace`] and its siblings), so the
+/// report's `trace`, `metrics` and `telemetry` are empty, and a config
+/// that differs from the world's in any of them is rejected with
+/// [`SteinerError::ResidentConfigMismatch`].
+pub fn solve_on(
+    world: &PersistentWorld,
+    pg: &Arc<PartitionedGraph>,
+    seeds: &[Vertex],
+    config: &SolverConfig,
+) -> Result<SolveReport, SteinerError> {
+    let p = pg.ranks.len();
+    assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
+    assert_eq!(p, world.num_ranks(), "world/config rank mismatch");
+    let wc = world.config();
+    let differs = [
+        ("trace", config.trace != wc.trace),
+        ("metrics", config.metrics != wc.metrics),
+        ("telemetry", config.telemetry != wc.telemetry),
+    ];
+    if let Some(&(field, _)) = differs.iter().find(|d| d.1) {
+        return Err(SteinerError::ResidentConfigMismatch { field });
+    }
+    let seeds = Arc::new(check_seeds_against(pg.partition.num_vertices(), seeds)?);
+    supervise(pg, &seeds, config, |faults, recovery| {
+        let (pg, seeds, config) = (Arc::clone(pg), Arc::clone(&seeds), *config);
+        world.try_execute(faults, config.deadline, move |comm: &mut Comm| {
+            rank_main(comm, &pg, &seeds, &config, recovery.as_ref())
+        })
+    })
+}
+
+/// Checkpoint store plus the number of phases a resumed attempt skips
+/// (`None` on the first attempt).
+type Resume = (Arc<CheckpointStore>, Option<usize>);
+
+/// The crash-stop supervisor both entry points share. It runs `attempt`
+/// until one completes, passing each the fault plan and — when recovery
+/// is armed — the checkpoint store and resume point. A tripped deadline
+/// becomes [`SteinerError::DeadlineExceeded`], an injected crash a
+/// restore from the last complete checkpoint, and a real panic is
+/// re-raised.
+fn supervise(
+    pg: &PartitionedGraph,
+    seeds: &[Vertex],
+    config: &SolverConfig,
+    mut attempt: impl FnMut(
+        Option<FaultPlan>,
+        Option<Resume>,
+    ) -> Result<RunOutput<RankOutcome>, WorldFailure>,
+) -> Result<SolveReport, SteinerError> {
+    // Checkpoints are only taken when a restore could consume them —
+    // recovery enabled and a plan that can actually crash-stop a rank —
+    // so fault-free solves skip the snapshot work.
+    let recovery_armed = config.checkpoints
+        && config.max_restores > 0
+        && config.faults.is_some_and(|pl| pl.crash_armed());
+    let store = Arc::new(CheckpointStore::new(pg.ranks.len()));
+    let mut recovery = RecoveryStats::default();
+    let mut resume: Option<usize> = None;
+    let mut plan = config.faults;
+    let out = loop {
+        let run = attempt(plan, recovery_armed.then(|| (Arc::clone(&store), resume)));
         recovery.checkpoints_taken = store.taken();
         recovery.checkpoint_bytes = recovery.checkpoint_bytes.max(store.resident_bytes() as u64);
         let failure = match run {
@@ -415,45 +465,7 @@ pub fn solve_partitioned(
         // reach the fault-free tree through the reliability layer.
         plan = plan.map(|pl| pl.disarm_crash());
     };
-    assemble_report(pg, seeds, config, out, recovery)
-}
-
-/// Like [`solve_partitioned`], but runs on resident rank threads — the
-/// right entry point for interactive workloads that issue many solves
-/// against one loaded graph. `world.num_ranks()` must equal
-/// `config.num_ranks`.
-///
-/// Event tracing on a persistent world is configured when the world is
-/// built ([`struntime::WorldConfig::trace`]) and accumulates across
-/// jobs; drain it with [`PersistentWorld::finish_trace`]. The same
-/// holds for metrics ([`PersistentWorld::finish_metrics`]) and telemetry
-/// ([`PersistentWorld::finish_telemetry`]). The returned report's
-/// [`SolveReport::trace`], [`SolveReport::metrics`], and
-/// [`SolveReport::telemetry`] are therefore always empty here, and
-/// [`SolverConfig::trace`] / [`SolverConfig::metrics`] /
-/// [`SolverConfig::telemetry`] are ignored.
-pub fn solve_on(
-    world: &PersistentWorld,
-    pg: &Arc<PartitionedGraph>,
-    seeds: &[Vertex],
-    config: &SolverConfig,
-) -> Result<SolveReport, SteinerError> {
-    let p = pg.ranks.len();
-    assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
-    assert_eq!(p, world.num_ranks(), "world/config rank mismatch");
-    let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
-    let queue = config.queue;
-    let mst_mode = config.mst_mode;
-    let batch_size = config.batch_size;
-    let pg_job = Arc::clone(pg);
-    let seeds_job = Arc::new(seeds.clone());
-    let out = world.execute(move |comm: &mut Comm| {
-        rank_main(comm, &pg_job, &seeds_job, queue, mst_mode, batch_size, None)
-    });
-    // No crash supervision here: a persistent world's fault plan is
-    // fixed at construction, and a crash on resident rank threads is a
-    // panic, as before.
-    assemble_report(pg, seeds, config, out, RecoveryStats::default())
+    assemble_report(pg, seeds.to_vec(), config, out, recovery)
 }
 
 fn assemble_report(
@@ -575,11 +587,10 @@ fn rank_main(
     comm: &mut Comm,
     pg: &PartitionedGraph,
     seeds: &[Vertex],
-    queue: QueueKind,
-    mst_mode: MstMode,
-    batch_size: usize,
-    recovery: Option<(&CheckpointStore, Option<usize>)>,
+    config: &SolverConfig,
+    recovery: Option<&Resume>,
 ) -> RankOutcome {
+    let (queue, mst_mode, batch_size) = (config.queue, config.mst_mode, config.batch_size);
     let rg = &pg.ranks[comm.rank()];
     let partition = &pg.partition;
 
@@ -597,7 +608,7 @@ fn rank_main(
     let mut scratch = state::ScratchArena::new();
 
     let (store, resume) = match recovery {
-        Some((store, resume)) => (Some(store), resume),
+        Some((store, resume)) => (Some(&**store), *resume),
         None => (None, None),
     };
     // Phases already completed by a previous (crashed) attempt; every
@@ -1470,6 +1481,95 @@ mod persistent_tests {
             assert!(r.tree.validate(&g).is_ok());
             let batch = solve(&g, &seeds, &cfg).unwrap();
             assert_eq!(r.tree, batch.tree, "step {step}");
+        }
+    }
+
+    /// A 2-rank resident world over the Cts tiny graph, six seeds, and
+    /// the batch tree to compare against.
+    fn resident_fixture() -> (
+        PersistentWorld,
+        Arc<PartitionedGraph>,
+        Vec<Vertex>,
+        SolverConfig,
+        SteinerTree,
+    ) {
+        let g = stgraph::datasets::Dataset::Cts.generate_tiny(43);
+        let cc = stgraph::traversal::connected_components(&g);
+        let verts = cc.largest_component_vertices();
+        let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 6).copied().collect();
+        let cfg = SolverConfig {
+            num_ranks: 2,
+            ..SolverConfig::default()
+        };
+        let batch = solve(&g, &seeds, &cfg).unwrap().tree;
+        let pg = Arc::new(partition_graph(&g, 2, None));
+        (PersistentWorld::new(2), pg, seeds, cfg, batch)
+    }
+
+    #[test]
+    fn solve_on_honours_a_zero_deadline() {
+        let (world, pg, seeds, cfg, batch) = resident_fixture();
+        let expired = SolverConfig {
+            deadline: Some(Duration::ZERO),
+            ..cfg
+        };
+        assert!(matches!(
+            solve_on(&world, &pg, &seeds, &expired),
+            Err(SteinerError::DeadlineExceeded { .. })
+        ));
+        assert_eq!(solve_on(&world, &pg, &seeds, &cfg).unwrap().tree, batch);
+    }
+
+    #[test]
+    fn solve_on_recovers_a_crash_on_resident_ranks() {
+        let (world, pg, seeds, cfg, batch) = resident_fixture();
+        let crashing = SolverConfig {
+            faults: Some(
+                FaultPlan::from_spec("crash_rank=1,crash_after_visits=3,crash_phase=0,seed=7")
+                    .unwrap(),
+            ),
+            ..cfg
+        };
+        let crashed = solve_on(&world, &pg, &seeds, &crashing).unwrap();
+        assert_eq!(crashed.tree, batch, "recovered tree must match solve");
+        assert_eq!(crashed.recovery.crashes_injected, 1);
+        assert!(crashed.recovery.restores >= 1, "{:?}", crashed.recovery);
+        let next = solve_on(&world, &pg, &seeds, &cfg).unwrap();
+        assert_eq!(next.tree, batch, "the world must stay usable");
+        assert_eq!(next.recovery, RecoveryStats::default());
+    }
+
+    #[test]
+    fn solve_on_rejects_observability_the_world_lacks() {
+        let (world, pg, seeds, cfg, _) = resident_fixture();
+        let mismatches = [
+            (
+                "trace",
+                SolverConfig {
+                    trace: TraceConfig::ring(),
+                    ..cfg
+                },
+            ),
+            (
+                "metrics",
+                SolverConfig {
+                    metrics: MetricsConfig::On,
+                    ..cfg
+                },
+            ),
+            (
+                "telemetry",
+                SolverConfig {
+                    telemetry: TelemetryConfig::ring(),
+                    ..cfg
+                },
+            ),
+        ];
+        for (field, bad) in mismatches {
+            assert_eq!(
+                solve_on(&world, &pg, &seeds, &bad).unwrap_err(),
+                SteinerError::ResidentConfigMismatch { field }
+            );
         }
     }
 }

@@ -36,6 +36,13 @@ pub enum SteinerError {
         /// Restores performed before giving up.
         restores: u64,
     },
+    /// A solve on a resident world asked for a world-level observability
+    /// setting (`trace`, `metrics` or `telemetry`) other than the one the
+    /// world was built with.
+    ResidentConfigMismatch {
+        /// The solver-config field that differs from the world's.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for SteinerError {
@@ -60,6 +67,11 @@ impl std::fmt::Display for SteinerError {
                 f,
                 "rank failure unrecoverable after {restores} restore(s): \
                  no usable phase checkpoint"
+            ),
+            SteinerError::ResidentConfigMismatch { field } => write!(
+                f,
+                "solver config's `{field}` differs from the resident world's; \
+                 build the world with the same `{field}` setting"
             ),
         }
     }

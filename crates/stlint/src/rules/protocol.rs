@@ -385,8 +385,8 @@ fn thread_spawn(fm: &FileModel<'_>, findings: &mut Vec<Finding>) {
             line,
             message: format!(
                 "raw thread::{entry} outside struntime; spawn ranks through \
-                 World/PersistentWorld so counters, audit, and panic \
-                 propagation stay wired"
+                 World/PersistentWorld so counters, audit, and failure \
+                 supervision stay wired"
             ),
             snippet: fm.raw_line(line).trim().to_string(),
         });

@@ -230,7 +230,7 @@ impl GroupCtx {
     #[cfg(test)]
     pub(crate) fn detached(phase: &'static str) -> Self {
         GroupCtx {
-            shared: Arc::new(Shared::new(1)),
+            shared: Arc::new(Shared::new(1, std::time::Instant::now(), None)),
             perturb: None,
             faults: None,
             trace: None,

@@ -219,9 +219,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use crate::shared::Shared;
-    use crate::{stress_schedules, Comm};
-    use std::sync::Arc;
+    use crate::{stress_schedules, World};
 
     #[test]
     fn allreduce_folds_in_rank_order_under_perturbed_schedules() {
@@ -251,11 +249,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "collective lockstep violation")]
     fn non_root_some_is_a_lockstep_panic() {
-        // A standalone rank-1 endpoint of a 2-rank world: the lockstep
-        // check fires before the first barrier, so no peer thread is
-        // needed and the panic cannot deadlock the test.
-        let comm =
-            Comm::new_for_persistent(1, Arc::new(Shared::new(2)), None, None, None, None, None);
-        let _ = comm.broadcast(0, Some(7u32));
+        // Rank 1 wrongly supplies a value: its lockstep check fires before
+        // the first barrier, the abort epoch unwinds the root out of that
+        // barrier, and the world re-raises rank 1's panic.
+        World::run(2, |comm| comm.broadcast(0, Some(7u32)));
     }
 }

@@ -5,18 +5,22 @@
 //! surviving ranks on a barrier or collective that the dead rank will
 //! never reach. The protocol:
 //!
-//! 1. The dying rank's panic is caught by the per-thread `catch_unwind`
-//!    wrapper in [`crate::World::try_run_config`], classified into a
-//!    [`RankFailure`], and recorded on the world's shared state, which
-//!    raises the **abort epoch** (a world-level flag) and wakes every
-//!    barrier waiter.
+//! 1. The dying rank's panic is caught by the per-rank `catch_unwind`
+//!    body that every job runs through — on the scoped threads of
+//!    [`crate::World::try_run_config`] and on the resident threads of a
+//!    [`crate::PersistentWorld`] alike — classified into a
+//!    [`RankFailure`], and recorded on the job's shared state, which
+//!    raises the **abort epoch** (a per-job flag) and wakes every barrier
+//!    waiter.
 //! 2. Surviving ranks observe the epoch at their next sync point — every
 //!    [`crate::Comm::pause`] / channel pause / collective spin / barrier
 //!    wait polls it — and unwind with a [`CooperativeAbort`] payload.
-//! 3. All rank threads therefore join promptly; the supervisor drains the
+//! 3. All ranks therefore report promptly; the supervisor reads the
 //!    telemetry rings for a flight-recorder dump and either surfaces a
 //!    [`WorldFailure`] (structured, for a recovery supervisor) or
-//!    re-raises the primary panic (legacy `World::run` behaviour).
+//!    re-raises the primary panic (legacy `World::run` and
+//!    `PersistentWorld::execute` behaviour). A resident world then runs
+//!    its next job on fresh shared state.
 //!
 //! The panic payloads [`InjectedCrash`] and [`CooperativeAbort`] are
 //! control flow, not errors: a process-wide panic-hook filter keeps them
@@ -86,7 +90,8 @@ impl std::fmt::Display for RankFailure {
     }
 }
 
-/// Everything [`crate::World::try_run_config`] knows about a failed run.
+/// Everything the supervisor knows about a failed run
+/// ([`crate::World::try_run_config`], [`crate::PersistentWorld::try_execute`]).
 #[derive(Debug)]
 pub struct WorldFailure {
     /// Primary failures (injected crashes, real panics, the deadline

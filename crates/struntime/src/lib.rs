@@ -50,6 +50,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod traversal;
 pub mod wire;
+mod world;
 
 pub use audit::AuditViolation;
 pub use channels::ChannelGroup;
@@ -74,6 +75,7 @@ pub use traversal::{
     TraversalOptions, TraversalStats,
 };
 pub use wire::{DeepBytes, Wire};
+pub use world::World;
 
 use channels::GroupCtx;
 use counters::RankCounters;
@@ -82,7 +84,7 @@ use memory::MemoryTracker;
 use metrics::{PhaseMetrics, RankMetrics};
 use shared::{ChannelSlot, Shared};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use trace::TraceBuffer;
 
@@ -106,39 +108,6 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn new_for_persistent(
-        rank: usize,
-        shared: Arc<Shared>,
-        perturb: Option<Arc<SchedulePerturber>>,
-        trace: Option<Arc<TraceBuffer>>,
-        metrics: Option<Arc<RankMetrics>>,
-        faults: Option<Arc<FaultInjector>>,
-        telemetry: Option<Arc<TelemetrySampler>>,
-    ) -> Comm {
-        Comm {
-            rank,
-            shared,
-            counters: Arc::new(RankCounters::default()),
-            memory: Arc::new(MemoryTracker::default()),
-            tag_counter: 0,
-            perturb,
-            trace,
-            metrics,
-            faults,
-            telemetry,
-            lineage_seq: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn install_observers(
-        &mut self,
-        counters: Arc<RankCounters>,
-        memory: Arc<MemoryTracker>,
-    ) {
-        self.counters = counters;
-        self.memory = memory;
-    }
-
     /// This rank's id, in `0..num_ranks`.
     pub fn rank(&self) -> usize {
         self.rank
@@ -508,7 +477,9 @@ impl<T> RunOutput<T> {
     }
 }
 
-/// Configuration for [`World::run_config`].
+/// Configuration for [`World::run_config`] and
+/// [`PersistentWorld::new_with_config`] (where `faults` and `deadline`
+/// apply afresh to every job).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldConfig {
     /// When set, every rank runs with a [`SchedulePerturber`] derived from
@@ -540,193 +511,10 @@ pub struct WorldConfig {
     pub deadline: Option<std::time::Duration>,
 }
 
-/// The simulated cluster.
-pub struct World;
-
-impl World {
-    /// Spawns `p` ranks, runs `f` on each with its [`Comm`], and joins them.
-    /// Panics in any rank propagate after all ranks are joined.
-    pub fn run<T, F>(p: usize, f: F) -> RunOutput<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        Self::run_config(p, WorldConfig::default(), f)
-    }
-
-    /// [`World::run`] with explicit [`WorldConfig`] (schedule
-    /// perturbation). Rank panics propagate — recovery supervisors should
-    /// use [`World::try_run_config`] instead.
-    pub fn run_config<T, F>(p: usize, config: WorldConfig, f: F) -> RunOutput<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        match Self::try_run_config(p, config, f) {
-            Ok(out) => out,
-            Err(wf) => std::panic::resume_unwind(wf.into_panic_payload()),
-        }
-    }
-
-    /// [`World::run_config`] that survives rank death: every rank closure
-    /// runs under `catch_unwind`; a dying rank raises the world's abort
-    /// epoch so survivors unblock from barriers, collectives, and channel
-    /// waits at their next sync point, every rank joins promptly, the
-    /// telemetry rings are drained for a flight-recorder dump, and the
-    /// run surfaces a structured [`WorldFailure`] instead of a panic.
-    pub fn try_run_config<T, F>(
-        p: usize,
-        config: WorldConfig,
-        f: F,
-    ) -> Result<RunOutput<T>, WorldFailure>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        assert!(p >= 1, "need at least one rank");
-        failure::install_quiet_abort_hook();
-        let shared = Arc::new(Shared::new(p));
-        if let Some(d) = config.deadline {
-            // Cooperative cancellation is inherently wall-clock; the
-            // deadline never influences what a completed solve computes.
-            // stcheck: allow(wallclock): arming the cooperative deadline.
-            shared.set_deadline(Some(std::time::Instant::now() + d));
-        }
-        let counters: Vec<_> = (0..p).map(|_| Arc::new(RankCounters::default())).collect();
-        let memory: Vec<_> = (0..p).map(|_| Arc::new(MemoryTracker::default())).collect();
-        let perturbers: Vec<Option<Arc<SchedulePerturber>>> = (0..p)
-            .map(|rank| {
-                config
-                    .perturb_seed
-                    .map(|seed| Arc::new(SchedulePerturber::new(seed, rank)))
-            })
-            .collect();
-        let trace_buffers = trace::make_buffers(p, config.trace, shared.epoch);
-        let metric_regs = metrics::make_registries(p, config.metrics);
-        let injectors = faults::make_injectors(p, config.faults, &shared.faults);
-        let samplers = telemetry::make_samplers(p, config.telemetry);
-        let monitor_stop = AtomicBool::new(false);
-
-        let outcome: Result<Vec<T>, WorldFailure> = std::thread::scope(|scope| {
-            let monitor = match &samplers {
-                Some(s) if config.telemetry.monitor_enabled() => {
-                    let s = s.clone();
-                    let stop = &monitor_stop;
-                    Some(scope.spawn(move || telemetry::monitor_loop(&s, stop)))
-                }
-                _ => None,
-            };
-            let handles: Vec<_> = (0..p)
-                .map(|rank| {
-                    let mut comm = Comm {
-                        rank,
-                        shared: Arc::clone(&shared),
-                        counters: Arc::clone(&counters[rank]),
-                        memory: Arc::clone(&memory[rank]),
-                        tag_counter: 0,
-                        perturb: perturbers[rank].clone(),
-                        trace: trace_buffers.as_ref().map(|b| Arc::clone(&b[rank])),
-                        metrics: metric_regs.as_ref().map(|m| Arc::clone(&m[rank])),
-                        faults: injectors.as_ref().map(|i| Arc::clone(&i[rank])),
-                        telemetry: samplers.as_ref().map(|t| Arc::clone(&t[rank])),
-                        lineage_seq: AtomicU64::new(0),
-                    };
-                    let f = &f;
-                    let shared = Arc::clone(&shared);
-                    scope.spawn(move || {
-                        // stlint: catch-unwind-justify — rank isolation: a
-                        // dying rank must raise the abort epoch right here,
-                        // before its thread exits, so survivors unblock from
-                        // barriers and collectives instead of deadlocking
-                        // the world; the payload is classified into a
-                        // RankFailure and surfaced by the supervisor.
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut comm)));
-                        if let Err(payload) = &result {
-                            shared.record_panic_payload(rank, payload.as_ref());
-                        }
-                        result
-                    })
-                })
-                .collect();
-            // Join every rank before reporting: the scope would wait for
-            // the stragglers anyway (the abort epoch guarantees they
-            // arrive), and a full join means the telemetry rings are
-            // quiescent and safe to drain for the flight recorder.
-            let joined: Vec<Result<T, Box<dyn std::any::Any + Send>>> = handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(payload) => Err(payload),
-                })
-                .collect();
-            monitor_stop.store(true, Ordering::Release);
-            if let Some(m) = monitor {
-                let _ = m.join();
-            }
-            let mut results = Vec::with_capacity(p);
-            let mut primary: Option<Box<dyn std::any::Any + Send>> = None;
-            let mut any_failed = false;
-            for r in joined {
-                match r {
-                    Ok(v) => results.push(v),
-                    Err(payload) => {
-                        any_failed = true;
-                        if primary.is_none() && !payload.is::<CooperativeAbort>() {
-                            primary = Some(payload);
-                        }
-                    }
-                }
-            }
-            if any_failed {
-                // This is the abort-path flight dump: with the epoch in
-                // place every rank joins even after a mid-phase crash, so
-                // — unlike the old post-join-only dump — it actually fires.
-                let reason = if shared.deadline_exceeded.load(Ordering::SeqCst) {
-                    "deadline"
-                } else {
-                    "panic"
-                };
-                telemetry::write_flight_dump_env(&telemetry::drain_samplers(&samplers), reason);
-                Err(WorldFailure {
-                    failures: std::mem::take(&mut *shared.failures.lock()),
-                    aborted_ranks: shared.aborted_ranks.load(Ordering::SeqCst),
-                    deadline_exceeded: shared.deadline_exceeded.load(Ordering::SeqCst),
-                    primary,
-                })
-            } else {
-                Ok(results)
-            }
-        });
-
-        let results = outcome?;
-        let reports = (0..p)
-            .map(|rank| RankReport {
-                counters: counters[rank].snapshot(),
-                peak_memory_bytes: memory[rank].peak_total(),
-                peak_memory_by_label: memory[rank].peaks(),
-            })
-            .collect();
-        Ok(RunOutput {
-            results,
-            reports,
-            audit_violations: shared.audit.take_violations(),
-            perturb_traces: perturbers
-                .iter()
-                .map(|p| p.as_ref().map(|p| p.trace()).unwrap_or_default())
-                .collect(),
-            trace: trace::drain_buffers(&trace_buffers),
-            metrics: metrics::drain_registries(&metric_regs),
-            fault_stats: shared.faults.snapshot(),
-            telemetry: telemetry::drain_samplers(&samplers),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn single_rank_world() {

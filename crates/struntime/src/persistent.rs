@@ -4,41 +4,27 @@
 //! call — fine for batch solves, wasteful for the interactive loop the
 //! paper motivates (many small solves against one resident graph, like an
 //! MPI job that stays allocated between queries). [`PersistentWorld`]
-//! keeps the rank threads alive; each [`PersistentWorld::execute`] ships a
-//! job closure to every rank and collects results, with fresh counters and
-//! memory ledgers per job so observability matches `World::run`.
+//! keeps the rank threads alive and ships each job to them; the job runs
+//! through the same setup and supervisor as a one-shot world.
 
-use crate::counters::RankCounters;
-use crate::faults;
-use crate::memory::MemoryTracker;
+use crate::faults::FaultPlan;
 use crate::metrics::{self, MetricsDump};
-use crate::perturb::SchedulePerturber;
-use crate::shared::Shared;
 use crate::telemetry::{self, TelemetryDump};
 use crate::trace::{self, TraceDump};
-use crate::{Comm, RankReport, RunOutput, WorldConfig};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use std::any::Any;
+use crate::world::{JobSetup, WorldSetup};
+use crate::{Comm, RunOutput, WorldConfig, WorldFailure};
+use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
+use std::time::Duration;
 
-type JobFn = dyn Fn(&mut Comm) -> Box<dyn Any + Send> + Send + Sync;
-
-struct Job {
-    f: Arc<JobFn>,
-    counters: Arc<RankCounters>,
-    memory: Arc<MemoryTracker>,
-    results: Sender<(usize, Box<dyn Any + Send>)>,
-}
+/// One job's work for one resident rank.
+type Task = Box<dyn FnOnce(&WorldSetup) + Send>;
 
 /// A world whose rank threads persist across computations.
 pub struct PersistentWorld {
-    num_ranks: usize,
-    shared: Arc<Shared>,
-    perturbers: Vec<Option<Arc<SchedulePerturber>>>,
-    trace_buffers: Option<Vec<Arc<crate::trace::TraceBuffer>>>,
-    metric_regs: Option<Vec<Arc<crate::metrics::RankMetrics>>>,
-    telemetry_samplers: Option<Vec<Arc<crate::telemetry::TelemetrySampler>>>,
-    job_senders: Vec<Sender<Job>>,
+    config: WorldConfig,
+    world: Arc<WorldSetup>,
+    job_senders: Vec<Sender<Task>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -48,61 +34,27 @@ impl PersistentWorld {
         Self::new_with_config(p, WorldConfig::default())
     }
 
-    /// [`PersistentWorld::new`] with explicit [`WorldConfig`]. A
-    /// perturbation seed applies to every job the world executes; the
-    /// per-rank decision streams (and recorded traces) continue across
-    /// jobs rather than restarting.
+    /// [`PersistentWorld::new`] with explicit [`WorldConfig`]. The
+    /// perturbation seed, trace, metrics and telemetry are per world and
+    /// continue across jobs; `faults` and `deadline` apply afresh to every
+    /// [`PersistentWorld::execute`].
     pub fn new_with_config(p: usize, config: WorldConfig) -> Self {
-        assert!(p >= 1, "need at least one rank");
-        let shared = Arc::new(Shared::new(p));
-        let perturbers: Vec<Option<Arc<SchedulePerturber>>> = (0..p)
-            .map(|rank| {
-                config
-                    .perturb_seed
-                    .map(|seed| Arc::new(SchedulePerturber::new(seed, rank)))
+        let world = Arc::new(WorldSetup::new(p, &config));
+        let (job_senders, handles) = (0..p)
+            .map(|_| {
+                let (tx, rx) = unbounded::<Task>();
+                let world = Arc::clone(&world);
+                let handle = std::thread::spawn(move || {
+                    while let Ok(task) = rx.recv() {
+                        task(&world);
+                    }
+                });
+                (tx, handle)
             })
-            .collect();
-        let trace_buffers = trace::make_buffers(p, config.trace, shared.epoch);
-        let metric_regs = metrics::make_registries(p, config.metrics);
-        let injectors = faults::make_injectors(p, config.faults, &shared.faults);
-        let telemetry_samplers = telemetry::make_samplers(p, config.telemetry);
-        let mut job_senders = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for (rank, perturb) in perturbers.iter().enumerate() {
-            let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
-            job_senders.push(tx);
-            let shared = Arc::clone(&shared);
-            let perturb = perturb.clone();
-            let trace = trace_buffers.as_ref().map(|b| Arc::clone(&b[rank]));
-            let rank_metrics = metric_regs.as_ref().map(|m| Arc::clone(&m[rank]));
-            let rank_faults = injectors.as_ref().map(|i| Arc::clone(&i[rank]));
-            let rank_telemetry = telemetry_samplers.as_ref().map(|t| Arc::clone(&t[rank]));
-            handles.push(std::thread::spawn(move || {
-                let mut comm = Comm::new_for_persistent(
-                    rank,
-                    shared,
-                    perturb,
-                    trace,
-                    rank_metrics,
-                    rank_faults,
-                    rank_telemetry,
-                );
-                while let Ok(job) = rx.recv() {
-                    comm.install_observers(Arc::clone(&job.counters), Arc::clone(&job.memory));
-                    let out = (job.f)(&mut comm);
-                    // The coordinator outlives the job; a send failure
-                    // means it gave up, which only happens on panic there.
-                    let _ = job.results.send((rank, out));
-                }
-            }));
-        }
+            .unzip();
         PersistentWorld {
-            num_ranks: p,
-            shared,
-            perturbers,
-            trace_buffers,
-            metric_regs,
-            telemetry_samplers,
+            config,
+            world,
             job_senders,
             handles,
         }
@@ -110,13 +62,19 @@ impl PersistentWorld {
 
     /// Number of resident ranks.
     pub fn num_ranks(&self) -> usize {
-        self.num_ranks
+        self.world.num_ranks()
+    }
+
+    /// The configuration the world was built with.
+    pub fn config(&self) -> &WorldConfig {
+        &self.config
     }
 
     /// Drains every rank's event trace accumulated since the last drain
     /// (or since construction). Unlike [`crate::World::run_config`], a
     /// persistent world's traces span jobs; call this between jobs to
-    /// slice them. Empty unless the world was built with
+    /// slice them. Lineage ids restart with every job, so analyse one
+    /// job's slice at a time. Empty unless the world was built with
     /// [`crate::trace::TraceConfig::Ring`].
     ///
     /// Safe to call between `execute`s: rank threads are parked in their
@@ -124,7 +82,7 @@ impl PersistentWorld {
     /// previous job established the happens-before edge to their buffer
     /// writes.
     pub fn finish_trace(&self) -> TraceDump {
-        trace::drain_buffers(&self.trace_buffers)
+        trace::drain_buffers(&self.world.trace)
     }
 
     /// Snapshots every rank's latency histograms accumulated since
@@ -133,7 +91,7 @@ impl PersistentWorld {
     /// [`crate::metrics::MetricsConfig::On`]. Same between-jobs calling
     /// contract as [`PersistentWorld::finish_trace`].
     pub fn finish_metrics(&self) -> MetricsDump {
-        metrics::drain_registries(&self.metric_regs)
+        metrics::drain_registries(&self.world.metrics)
     }
 
     /// Drains every rank's gauge time series accumulated since the last
@@ -142,87 +100,61 @@ impl PersistentWorld {
     /// calling contract. Empty unless the world was built with
     /// [`crate::telemetry::TelemetryConfig::Ring`].
     pub fn finish_telemetry(&self) -> TelemetryDump {
-        telemetry::drain_samplers(&self.telemetry_samplers)
+        telemetry::dump_samplers(&self.world.telemetry, true)
     }
 
-    /// Runs `f` on every rank concurrently and returns the per-rank
-    /// results plus per-job observability, exactly like
-    /// [`crate::World::run`]. Jobs are serialized: one `execute` completes
-    /// before the next begins.
+    /// Runs `f` on every rank under the world's own `faults` and
+    /// `deadline`, exactly like [`crate::World::run_config`]: rank panics
+    /// propagate. Jobs are serialized: one `execute` completes before the
+    /// next begins.
     pub fn execute<T, F>(&self, f: F) -> RunOutput<T>
     where
         T: Send + 'static,
         F: Fn(&mut Comm) -> T + Send + Sync + 'static,
     {
-        let p = self.num_ranks;
-        let f: Arc<JobFn> =
-            Arc::new(move |comm: &mut Comm| Box::new(f(comm)) as Box<dyn Any + Send>);
-        let counters: Vec<_> = (0..p).map(|_| Arc::new(RankCounters::default())).collect();
-        let memory: Vec<_> = (0..p).map(|_| Arc::new(MemoryTracker::default())).collect();
-        let (results_tx, results_rx) = bounded(p);
-        for rank in 0..p {
-            if self.job_senders[rank]
-                .send(Job {
-                    f: Arc::clone(&f),
-                    counters: Arc::clone(&counters[rank]),
-                    memory: Arc::clone(&memory[rank]),
-                    results: results_tx.clone(),
-                })
-                .is_err()
-            {
+        match self.try_execute(self.config.faults, self.config.deadline, f) {
+            Ok(out) => out,
+            Err(wf) => std::panic::resume_unwind(wf.into_panic_payload()),
+        }
+    }
+
+    /// Runs `f` on every rank as one supervised job, like
+    /// [`crate::World::try_run_config`], with `faults` injected and
+    /// `deadline` armed from now. A rank death fails only this job: the
+    /// world runs the next one on fresh state. The output's `trace`,
+    /// `metrics` and `telemetry` stay empty; they accumulate on the world.
+    pub fn try_execute<T, F>(
+        &self,
+        faults: Option<FaultPlan>,
+        deadline: Option<Duration>,
+        f: F,
+    ) -> Result<RunOutput<T>, WorldFailure>
+    where
+        T: Send + 'static,
+        F: Fn(&mut Comm) -> T + Send + Sync + 'static,
+    {
+        let f = Arc::new(f);
+        let job = Arc::new(JobSetup::new(&self.world, faults, deadline));
+        let (results_tx, results_rx) = std::sync::mpsc::channel();
+        for (rank, sender) in self.job_senders.iter().enumerate() {
+            let (f, job, results) = (Arc::clone(&f), Arc::clone(&job), results_tx.clone());
+            let task: Task = Box::new(move |world| {
+                // The coordinator outlives the job; a send failure means it
+                // gave up, which only happens on panic there.
+                let _ = results.send((rank, job.run_rank(world, rank, &*f)));
+            });
+            if sender.send(task).is_err() {
                 unreachable!("resident rank {rank} exited while the world is alive");
             }
         }
         drop(results_tx);
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        for _ in 0..p {
-            let (rank, boxed) = match results_rx.recv() {
-                Ok(pair) => pair,
-                Err(_) => {
-                    panic!("a resident rank thread panicked or exited before reporting its result")
-                }
-            };
-            let value = match boxed.downcast::<T>() {
-                Ok(v) => *v,
-                Err(_) => unreachable!("job result type fixed by the dispatching closure"),
-            };
-            slots[rank] = Some(value);
-        }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(rank, s)| match s {
-                Some(v) => v,
-                None => unreachable!("rank {rank} reported exactly once above"),
-            })
-            .collect();
-        let reports = (0..p)
-            .map(|rank| RankReport {
-                counters: counters[rank].snapshot(),
-                peak_memory_bytes: memory[rank].peak_total(),
-                peak_memory_by_label: memory[rank].peaks(),
-            })
-            .collect();
-        RunOutput {
-            results,
-            reports,
-            audit_violations: self.shared.audit.take_violations(),
-            perturb_traces: self
-                .perturbers
-                .iter()
-                .map(|p| p.as_ref().map(|p| p.trace()).unwrap_or_default())
-                .collect(),
-            // Event traces and metrics accumulate across jobs on a
-            // persistent world; drain them explicitly with
-            // [`PersistentWorld::finish_trace`] / `finish_metrics`.
-            trace: TraceDump::default(),
-            metrics: MetricsDump::default(),
-            // Fault counters also accumulate across jobs; the snapshot is
-            // cumulative, like `finish_metrics`.
-            fault_stats: self.shared.faults.snapshot(),
-            // Telemetry also accumulates; drain with `finish_telemetry`.
-            telemetry: TelemetryDump::default(),
-        }
+        // Every rank catches its own panic and reports, so this collects
+        // one result per rank.
+        let mut joined: Vec<_> = results_rx.iter().collect();
+        assert_eq!(joined.len(), self.num_ranks(), "a resident rank died");
+        joined.sort_unstable_by_key(|&(rank, _)| rank);
+        let joined = joined.into_iter().map(|(_, out)| out).collect();
+        job.supervise(&self.world, joined, false)
     }
 }
 
@@ -239,7 +171,113 @@ impl Drop for PersistentWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_traversal, QueueKind};
+    use crate::{run_traversal, FailureReason, QueueKind};
+    use std::time::Duration;
+
+    /// Runs `job` against `world` on a helper thread and waits a bounded
+    /// time for it, so a hung resident world fails the test instead of
+    /// hanging the suite.
+    fn within_timeout<R: Send + 'static>(
+        world: &Arc<PersistentWorld>,
+        job: impl FnOnce(&PersistentWorld) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let world = Arc::clone(world);
+        std::thread::spawn(move || {
+            let _ = tx.send(job(&world));
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(r) => r,
+            Err(e) => panic!("resident job did not finish: {e}"),
+        }
+    }
+
+    /// One message from each of two ranks to the other on phase `"p"`.
+    fn exchange(comm: &mut Comm) -> usize {
+        let chan = comm.open_channels::<u8>("p");
+        chan.send(1 - comm.rank(), 1);
+        comm.barrier();
+        while chan.try_recv().is_some() {}
+        comm.rank()
+    }
+
+    /// The job after a failed one must run on fresh state.
+    fn next_job_is_clean(world: &PersistentWorld) {
+        let out = world.execute(exchange);
+        assert_eq!(out.results, vec![0, 1]);
+        assert_eq!(
+            out.merged_counters()["p"].remote_msgs,
+            2,
+            "counters must be fresh after a failed job"
+        );
+        assert!(out.fault_stats.injected() == 0 && out.audit_violations.is_empty());
+    }
+
+    #[test]
+    fn rank_panic_fails_the_job_and_the_world_runs_on() {
+        let world = Arc::new(PersistentWorld::new(2));
+        let err = within_timeout(&world, |w| {
+            w.try_execute(None, None, |comm| {
+                exchange(comm);
+                comm.set_phase("voronoi", 0);
+                if comm.rank() == 1 {
+                    panic!("resident boom");
+                }
+                // The survivor heads for a barrier the dead rank never reaches.
+                comm.barrier();
+            })
+        })
+        .expect_err("a rank panic must fail the job");
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert_eq!((err.failures[0].rank, err.aborted_ranks), (1, 1), "{err}");
+        assert!(
+            matches!(&err.failures[0].reason, FailureReason::Panic(m) if m.contains("resident boom")),
+            "{err}"
+        );
+        within_timeout(&world, next_job_is_clean);
+    }
+
+    #[test]
+    fn injected_crash_is_classified_and_the_world_runs_on() {
+        let world = Arc::new(PersistentWorld::new(2));
+        let plan = FaultPlan::from_spec("crash_rank=1,crash_at_sync=4,seed=11").unwrap();
+        let err = within_timeout(&world, move |w| {
+            w.try_execute(Some(plan), None, |comm| {
+                exchange(comm);
+                for _ in 0..64 {
+                    comm.barrier();
+                }
+            })
+        })
+        .expect_err("an armed crash plan must fail the job");
+        assert_eq!(err.failures.len(), 1, "{err}");
+        assert_eq!(err.failures[0].reason, FailureReason::InjectedCrash);
+        assert_eq!(err.injected_crashes(), 1);
+        within_timeout(&world, next_job_is_clean);
+    }
+
+    #[test]
+    fn zero_deadline_fails_the_job_and_the_world_runs_on() {
+        let world = Arc::new(PersistentWorld::new(2));
+        let err = within_timeout(&world, |w| {
+            w.try_execute(None, Some(Duration::ZERO), exchange)
+        })
+        .expect_err("an expired deadline must fail the job");
+        assert!(err.deadline_exceeded, "{err}");
+        assert_eq!(err.failures[0].reason, FailureReason::DeadlineExceeded);
+        within_timeout(&world, next_job_is_clean);
+    }
+
+    #[test]
+    #[should_panic(expected = "legacy resident boom")]
+    fn execute_reraises_the_primary_panic() {
+        PersistentWorld::new(2).execute(|comm| {
+            if comm.rank() == 0 {
+                panic!("legacy resident boom");
+            }
+            comm.barrier();
+        });
+    }
 
     #[test]
     fn executes_multiple_jobs() {

@@ -1,6 +1,7 @@
-//! State shared by all ranks of a [`crate::World`]: the channel registry,
-//! the barrier, the collective exchange slot, the quiescence detector,
-//! the protocol-audit ledger, and the crash-stop abort epoch.
+//! State shared by all ranks of one job (built fresh for every job a
+//! world runs): the channel registry, the barrier, the collective
+//! exchange slot, the quiescence detector, the protocol-audit ledger,
+//! and the crash-stop abort epoch.
 
 use crate::audit::AuditState;
 use crate::failure::{panic_message, CooperativeAbort, FailureReason, InjectedCrash, RankFailure};
@@ -139,7 +140,7 @@ impl AbortableBarrier {
     }
 }
 
-/// Everything the ranks of one world share.
+/// Everything the ranks of one job share.
 pub struct Shared {
     /// Number of ranks.
     pub num_ranks: usize,
@@ -165,7 +166,7 @@ pub struct Shared {
     /// and metrics latencies are all microseconds since this instant, so
     /// observability data from different ranks lines up on one axis.
     pub epoch: Instant,
-    /// The world-level abort epoch: raised once by the first recorded
+    /// The job-level abort epoch: raised once by the first recorded
     /// failure; every sync point polls it and unwinds cooperatively.
     pub abort: AtomicBool,
     /// Primary rank failures, in recording order (see
@@ -174,21 +175,19 @@ pub struct Shared {
     pub failures: Mutex<Vec<RankFailure>>,
     /// Ranks that unwound with a [`CooperativeAbort`] payload.
     pub aborted_ranks: AtomicUsize,
-    /// Set when a rank observed the world deadline expire.
+    /// Set when a rank observed the job deadline expire.
     pub deadline_exceeded: AtomicBool,
-    /// Fast-path gate for the deadline poll: avoids a clock read per sync
-    /// point on the (default) deadline-free worlds.
-    has_deadline: AtomicBool,
-    /// The absolute deadline, when one is configured.
-    deadline: Mutex<Option<Instant>>,
+    /// The job's absolute deadline, when one is configured.
+    deadline: Option<Instant>,
     /// Per-rank current phase label (see [`crate::Comm::set_phase`]),
     /// read when classifying that rank's failure.
     phase_labels: Vec<Mutex<&'static str>>,
 }
 
 impl Shared {
-    /// Shared state for `p` ranks.
-    pub fn new(p: usize) -> Self {
+    /// Shared state for `p` ranks whose clock origin is `epoch`, with an
+    /// optional absolute `deadline`.
+    pub fn new(p: usize, epoch: Instant, deadline: Option<Instant>) -> Self {
         Shared {
             num_ranks: p,
             barrier: AbortableBarrier::new(p),
@@ -197,25 +196,14 @@ impl Shared {
             quiescence: Quiescence::default(),
             audit: Arc::new(AuditState::new()),
             faults: Arc::new(FaultStats::default()),
-            // The world's clock origin for trace/metrics timestamps;
-            // observability-only, never read back into solver control flow.
-            // stcheck: allow(wallclock): timestamp origin, measurement only.
-            epoch: Instant::now(),
+            epoch,
             abort: AtomicBool::new(false),
             failures: Mutex::new(Vec::new()),
             aborted_ranks: AtomicUsize::new(0),
             deadline_exceeded: AtomicBool::new(false),
-            has_deadline: AtomicBool::new(false),
-            deadline: Mutex::new(None),
+            deadline,
             phase_labels: (0..p).map(|_| Mutex::new("startup")).collect(),
         }
-    }
-
-    /// Arms the world deadline (absolute instant). Called once by
-    /// [`crate::World::try_run_config`] before any rank starts.
-    pub fn set_deadline(&self, at: Option<Instant>) {
-        *self.deadline.lock() = at;
-        self.has_deadline.store(at.is_some(), Ordering::SeqCst);
     }
 
     /// Updates `rank`'s current phase label (failure classification and
@@ -262,30 +250,24 @@ impl Shared {
     /// The cooperative abort/deadline poll, called from every sync point
     /// (`Comm::pause`, channel pauses, collective fold spins, barrier
     /// entry). Unwinds with a [`CooperativeAbort`] payload when the abort
-    /// epoch is raised, and trips the epoch itself when the world
-    /// deadline has expired. Reads only atomics on the fault-free path.
+    /// epoch is raised, and trips the epoch itself when the job's
+    /// deadline has expired. Reads no clock on a deadline-free job.
     #[inline]
     pub fn poll_abort(&self, rank: usize) {
         if self.abort.load(Ordering::Relaxed) {
             std::panic::panic_any(CooperativeAbort { rank });
         }
-        if self.has_deadline.load(Ordering::Relaxed) {
-            let expired = {
-                let dl = self.deadline.lock();
-                // Cooperative cancellation is inherently wall-clock: the
-                // deadline only decides *when* the solve gives up, never
-                // what a completed solve computes.
-                // stcheck: allow(wallclock): deadline check, cancellation only.
-                dl.map(|at| Instant::now() >= at).unwrap_or(false)
-            };
-            if expired {
-                if !self.deadline_exceeded.swap(true, Ordering::SeqCst) {
-                    // First observer records the primary failure; the
-                    // abort epoch it raises unwinds everyone else.
-                    self.record_failure(rank, FailureReason::DeadlineExceeded);
-                }
-                std::panic::panic_any(CooperativeAbort { rank });
+        // Cooperative cancellation is inherently wall-clock: the deadline
+        // only decides *when* the solve gives up, never what a completed
+        // solve computes.
+        // stcheck: allow(wallclock): deadline check, cancellation only.
+        if self.deadline.is_some_and(|at| Instant::now() >= at) {
+            if !self.deadline_exceeded.swap(true, Ordering::SeqCst) {
+                // First observer records the primary failure; the abort
+                // epoch it raises unwinds everyone else.
+                self.record_failure(rank, FailureReason::DeadlineExceeded);
             }
+            std::panic::panic_any(CooperativeAbort { rank });
         }
     }
 }
@@ -343,7 +325,7 @@ mod tests {
 
     #[test]
     fn record_failure_raises_abort_and_keeps_phase() {
-        let shared = Shared::new(2);
+        let shared = Shared::new(2, Instant::now(), None);
         shared.set_phase_label(1, "voronoi");
         shared.record_failure(1, FailureReason::Panic("boom".into()));
         assert!(shared.abort.load(Ordering::SeqCst));
@@ -355,7 +337,7 @@ mod tests {
 
     #[test]
     fn cooperative_payloads_are_counted_not_recorded() {
-        let shared = Shared::new(2);
+        let shared = Shared::new(2, Instant::now(), None);
         let payload: Box<dyn Any + Send> = Box::new(CooperativeAbort { rank: 0 });
         assert!(shared.record_panic_payload(0, payload.as_ref()));
         assert!(!shared.abort.load(Ordering::SeqCst));

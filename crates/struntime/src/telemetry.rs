@@ -39,9 +39,10 @@
 //! that owns the `Comm` writes ring slots (via `record_sample`, called
 //! from the step hook and phase transitions); the monitor thread reads
 //! only the *atomic* gauge mirror, never the ring. The drain
-//! ([`TelemetrySampler::take`]) runs after the rank threads are joined,
-//! with the happens-before edge established by the join plus the release
-//! store / acquire load on `count`. There is never a concurrent
+//! ([`TelemetrySampler::read`]) runs after the rank threads are joined or
+//! while resident threads are parked between jobs, with the
+//! happens-before edge established by the join or the results-channel
+//! receive plus the release store / acquire load on `count`. There is never a concurrent
 //! reader/writer pair on the same slot.
 
 use parking_lot::Mutex;
@@ -342,10 +343,10 @@ impl TelemetrySampler {
         self.count.store(n + 1, Ordering::Release);
     }
 
-    /// Drains the ring into a chronological sample list and resets it.
-    /// Must not race `record_sample` (see module docs for when that
-    /// holds).
-    pub(crate) fn take(&self) -> RankTelemetry {
+    /// Reads the ring into a chronological sample list, resetting it
+    /// when `reset` is set. Must not race `record_sample` (see module
+    /// docs for when that holds).
+    pub(crate) fn read(&self, reset: bool) -> RankTelemetry {
         let n = self.count.load(Ordering::Acquire);
         let kept = n.min(self.capacity as u64) as usize;
         let mut samples = Vec::with_capacity(kept);
@@ -361,7 +362,9 @@ impl TelemetrySampler {
             // SAFETY: the writer is quiescent per the drain contract.
             samples.push(unsafe { *self.slots[slot].get() });
         }
-        self.count.store(0, Ordering::Release);
+        if reset {
+            self.count.store(0, Ordering::Release);
+        }
         RankTelemetry {
             rank: self.rank,
             dropped: n - kept as u64,
@@ -507,13 +510,17 @@ pub(crate) fn make_samplers(
     }
 }
 
-/// Drains every sampler into a [`TelemetryDump`] (empty when off).
-pub(crate) fn drain_samplers(samplers: &Option<Vec<Arc<TelemetrySampler>>>) -> TelemetryDump {
+/// Collects every sampler's ring into a [`TelemetryDump`] (empty when
+/// off), resetting the rings when `drain` is set.
+pub(crate) fn dump_samplers(
+    samplers: &Option<Vec<Arc<TelemetrySampler>>>,
+    drain: bool,
+) -> TelemetryDump {
     match samplers {
         None => TelemetryDump::default(),
         Some(s) => TelemetryDump {
             sample_every: s.first().map(|s| s.sample_every()).unwrap_or(0),
-            ranks: s.iter().map(|s| s.take()).collect(),
+            ranks: s.iter().map(|s| s.read(drain)).collect(),
         },
     }
 }
@@ -638,7 +645,7 @@ mod tests {
             s.set(Gauge::Visits, i);
             s.record_sample();
         }
-        let rt = s.take();
+        let rt = s.read(true);
         assert_eq!(rt.dropped, 6);
         let kept: Vec<u64> = rt
             .samples
@@ -652,8 +659,8 @@ mod tests {
     fn take_resets_the_ring() {
         let s = TelemetrySampler::new(0, 1, 4);
         s.record_sample();
-        assert_eq!(s.take().samples.len(), 1);
-        assert_eq!(s.take().samples.len(), 0);
+        assert_eq!(s.read(true).samples.len(), 1);
+        assert_eq!(s.read(true).samples.len(), 0);
     }
 
     #[test]
@@ -680,7 +687,7 @@ mod tests {
     fn phase_transition_forces_boundary_sample() {
         let s = TelemetrySampler::new(0, 1 << 20, 8);
         s.set_phase(3);
-        let rt = s.take();
+        let rt = s.read(true);
         assert_eq!(rt.samples.len(), 1);
         assert_eq!(rt.samples[0].phase, 3);
     }
@@ -699,11 +706,11 @@ mod tests {
         s.set(Gauge::QueueDepth, 7);
         s.set_named("vertex_state_bytes", 42);
         s.record_sample();
-        let dump = drain_samplers(&Some(vec![Arc::new(TelemetrySampler::new(9, 1, 8))]));
+        let dump = dump_samplers(&Some(vec![Arc::new(TelemetrySampler::new(9, 1, 8))]), true);
         assert!(dump.is_empty());
         let dump = TelemetryDump {
             sample_every: 1,
-            ranks: vec![s.take()],
+            ranks: vec![s.read(true)],
         };
         let doc = stgraph::json::parse(&dump.to_json().to_string()).expect("parses");
         assert_eq!(doc.get("sample_every").and_then(|v| v.as_u64()), Some(1));
@@ -744,7 +751,7 @@ mod tests {
         s.record_sample();
         let dump = TelemetryDump {
             sample_every: 1,
-            ranks: vec![s.take()],
+            ranks: vec![s.read(true)],
         };
         let peaks = dump.phase_peaks();
         assert_eq!(peaks[&0][Gauge::QueueBytes as usize], 300);
@@ -757,7 +764,7 @@ mod tests {
         s.record_sample();
         let dump = TelemetryDump {
             sample_every: 1,
-            ranks: vec![s.take()],
+            ranks: vec![s.read(true)],
         };
         let dir =
             std::env::temp_dir().join(format!("struntime_flight_test_{}", std::process::id()));
@@ -798,7 +805,7 @@ mod tests {
         assert!(!TelemetryConfig::Off.is_enabled());
         assert!(TelemetryConfig::ring().is_enabled());
         assert!(!TelemetryConfig::ring().monitor_enabled());
-        let dump = drain_samplers(&make_samplers(4, TelemetryConfig::Off));
+        let dump = dump_samplers(&make_samplers(4, TelemetryConfig::Off), true);
         assert!(dump.is_empty());
         assert_eq!(dump.num_samples(), 0);
     }

@@ -31,12 +31,14 @@
 //! ## Safety argument (single-writer ring)
 //!
 //! Slot cells are `UnsafeCell` so the writer needs no lock. The
-//! discipline: only the rank thread that owns the `Comm` writes; the
-//! drain ([`TraceBuffer::take`]) runs either after the rank threads are
-//! joined (`World::run_config`) or while resident threads are parked
-//! between jobs (`PersistentWorld`), with a happens-before edge from the
-//! writer established by the thread join / results-channel receive plus
-//! the release store on `count`. There is never a concurrent
+//! discipline: only the rank thread running the current job's `Comm`
+//! writes; the drain ([`TraceBuffer::take`]) runs only once every rank
+//! has reported that job — after the scoped threads are joined
+//! (`World::run_config`) or while resident threads are parked between
+//! jobs (`PersistentWorld`). The happens-before edge from the writer is
+//! the thread join or the results-channel receive, plus the release
+//! store on `count`. A failed job reports only after its rank has
+//! unwound, so the edge holds on the failure path too. There is never a concurrent
 //! reader/writer pair on the same slot.
 
 use std::cell::UnsafeCell;

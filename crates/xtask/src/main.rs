@@ -54,8 +54,9 @@
 //! graph under seeded drop/dup/delay/stall plans across queue
 //! disciplines and rank counts, asserting every faulted solve recovers a
 //! tree bit-identical to the fault-free baseline and actually exercised
-//! the fault path (nonzero injection counters). The faulted solves run
-//! with telemetry sampling on while the baselines keep it off, so the
+//! the fault path (nonzero injection counters). The fresh-world
+//! message-fault solves run with telemetry sampling on while the
+//! baselines keep it off, so the
 //! sweep doubles as the proof that observation never perturbs the
 //! result. Both sweeps run each combination under `--mst replicated`
 //! and `--mst dist`, comparing every tree against a fault-free baseline
@@ -65,9 +66,12 @@
 //! (visit- and sync-triggered, across phases) at ranks {2, 4} per queue
 //! discipline and asserts the supervisor restored from a phase
 //! checkpoint and the recovered tree is bit-identical (for dist solves,
-//! with the Borůvka round counters intact after the restore); a final smoke
-//! checks an expired `deadline` surfaces as the structured
-//! `DeadlineExceeded` error. Exit code 0 means every combination
+//! with the Borůvka round counters intact after the restore). Every plan
+//! also reruns through `solve_on` on one resident world per (queue,
+//! ranks), which must match the same baseline and keep serving solves
+//! after the crashed jobs. A final smoke checks an expired `deadline`
+//! surfaces as the structured `DeadlineExceeded` error on a fresh and on
+//! a resident world. Exit code 0 means every combination
 //! matched; 1 means a divergence or a plan that injected nothing; 2
 //! means usage error.
 //!
@@ -286,11 +290,15 @@ fn lint_cmd(root: &std::path::Path, update_baseline: bool) -> ExitCode {
     }
 }
 
-/// Quick fault sweep: every seeded plan × queue discipline × rank count
-/// must recover a tree bit-identical to the fault-free baseline.
+/// Quick fault sweep: every seeded plan × queue discipline × rank count,
+/// on a fresh world per solve and on one resident world per (queue,
+/// ranks), must recover a tree bit-identical to the fault-free baseline.
 fn chaos() -> ExitCode {
+    use std::sync::Arc;
     use stgraph::builder::GraphBuilder;
     use stgraph::csr::Vertex;
+    use stgraph::error::SteinerError;
+    use stgraph::partition::partition_graph;
 
     // Deterministic ring + chords: enough cross-rank traffic to exercise
     // retransmission at every rank count, small enough to sweep quickly.
@@ -311,6 +319,13 @@ fn chaos() -> ExitCode {
         "delay=0.2,delay_us=200,seed=13",
         "drop=0.1,dup=0.1,delay=0.1,stall=0.05,seed=14",
     ];
+    // Seeded crash-stop rank deaths (visit-triggered in voronoi,
+    // sync-triggered in mst and edge_pruning), run at ranks {2, 4}.
+    let crash_plans = [
+        "crash_rank=1,crash_after_visits=3,crash_phase=0,seed=7",
+        "crash_rank=0,crash_at_sync=2,crash_phase=3,seed=11",
+        "crash_rank=1,crash_at_sync=2,crash_phase=4,seed=13",
+    ];
     let queues = [
         ("fifo", steiner::QueueKind::Fifo),
         ("priority", steiner::QueueKind::Priority),
@@ -324,12 +339,11 @@ fn chaos() -> ExitCode {
         ("replicated", steiner::MstMode::Replicated),
         ("dist", steiner::MstMode::Dist),
     ];
-    let ranks = [1usize, 2, 4];
 
     let mut failures = 0usize;
     let mut combos = 0usize;
     for (qname, queue) in queues {
-        for p in ranks {
+        for p in [1usize, 2, 4] {
             // Pinned explicitly: the default pipeline is dist, and a dist
             // baseline would compare Borůvka against itself.
             let base_cfg = steiner::SolverConfig {
@@ -339,168 +353,65 @@ fn chaos() -> ExitCode {
                 ..steiner::SolverConfig::default()
             };
             let baseline = match steiner::solve(&g, &seeds, &base_cfg) {
-                Ok(r) => r,
+                Ok(r) => r.tree,
                 Err(e) => {
                     eprintln!("  FAIL {qname} p={p} baseline: {e}");
                     failures += 1;
                     continue;
                 }
             };
-            for (mname, mst_mode) in modes {
-                for spec in plans {
-                    combos += 1;
-                    let plan = match steiner::FaultPlan::from_spec(spec) {
-                        Ok(plan) => plan,
-                        Err(e) => {
-                            eprintln!("xtask chaos: bad plan {spec:?}: {e}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    // Telemetry on for the faulted run only: the
-                    // tree-equality check below then also proves sampling
-                    // never perturbs the solve (the step-keyed cadence is
-                    // deterministic).
-                    let cfg = steiner::SolverConfig {
-                        mst_mode,
-                        faults: Some(plan),
-                        telemetry: steiner::TelemetryConfig::ring(),
-                        ..base_cfg
-                    };
-                    match steiner::solve(&g, &seeds, &cfg) {
-                        Ok(r) if r.tree != baseline.tree => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: tree diverged \
-                                 (distance {} vs fault-free {})",
-                                r.tree.total_distance(),
-                                baseline.tree.total_distance()
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) if p > 1 && r.fault_stats.injected() == 0 => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: plan injected \
-                                 nothing (fault path not exercised)"
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) if r.telemetry.is_empty() => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: telemetry ring \
-                                 sampled nothing"
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: dist solve \
-                                 reported no Borůvka rounds"
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) => println!(
-                            "  ok {qname} p={p} mst={mname} {spec}: tree identical \
-                             ({} drops, {} dups, {} delays, {} retransmits, {} dedups)",
-                            r.fault_stats.drops,
-                            r.fault_stats.dups,
-                            r.fault_stats.delays,
-                            r.fault_stats.retransmits,
-                            r.fault_stats.dedup_discards,
-                        ),
-                        Err(e) => {
-                            eprintln!("  FAIL {qname} p={p} mst={mname} {spec}: solve failed: {e}");
-                            failures += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Crash-stop recovery sweep: seeded crash plans (visit-triggered in
-    // voronoi, sync-triggered in mst and edge_pruning) across every queue
-    // discipline × ranks {2, 4} × both MST pipelines. Each faulted solve
-    // must actually crash, restore from a phase checkpoint, and still
-    // produce a tree bit-identical to the undisturbed replicated baseline
-    // — the `--mst dist` column proves crash recovery covers the Borůvka
-    // phase structure too.
-    let crash_plans = [
-        "crash_rank=1,crash_after_visits=3,crash_phase=0,seed=7",
-        "crash_rank=0,crash_at_sync=2,crash_phase=3,seed=11",
-        "crash_rank=1,crash_at_sync=2,crash_phase=4,seed=13",
-    ];
-    for (qname, queue) in queues {
-        for p in [2usize, 4] {
-            let base_cfg = steiner::SolverConfig {
-                num_ranks: p,
-                queue,
-                mst_mode: steiner::MstMode::Replicated,
-                ..steiner::SolverConfig::default()
-            };
-            let baseline = match steiner::solve(&g, &seeds, &base_cfg) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  FAIL {qname} p={p} crash baseline: {e}");
-                    failures += 1;
-                    continue;
-                }
-            };
-            for (mname, mst_mode) in modes {
-                for spec in crash_plans {
-                    combos += 1;
-                    let plan = match steiner::FaultPlan::from_spec(spec) {
-                        Ok(plan) => plan,
-                        Err(e) => {
-                            eprintln!("xtask chaos: bad crash plan {spec:?}: {e}");
-                            return ExitCode::from(2);
-                        }
-                    };
-                    let cfg = steiner::SolverConfig {
-                        mst_mode,
-                        faults: Some(plan),
-                        ..base_cfg
-                    };
-                    match steiner::solve(&g, &seeds, &cfg) {
-                        Ok(r) if r.tree != baseline.tree => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: recovered tree \
-                                 diverged (distance {} vs undisturbed {})",
-                                r.tree.total_distance(),
-                                baseline.tree.total_distance()
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) if r.recovery.crashes_injected == 0 => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: plan injected \
-                                 no crash (crash path not exercised)"
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) if r.recovery.restores == 0 => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: crashed but \
-                                 never restored from a checkpoint"
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) if mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() => {
-                            eprintln!(
-                                "  FAIL {qname} p={p} mst={mname} {spec}: dist recovery \
-                                 lost the Borůvka round counters"
-                            );
-                            failures += 1;
-                        }
-                        Ok(r) => println!(
-                            "  ok {qname} p={p} mst={mname} {spec}: tree identical after \
-                             {} crash(es), {} restore(s), {} phase(s) replayed \
-                             ({} checkpoints)",
-                            r.recovery.crashes_injected,
-                            r.recovery.restores,
-                            r.recovery.replayed_phases,
-                            r.recovery.checkpoints_taken,
-                        ),
-                        Err(e) => {
-                            eprintln!("  FAIL {qname} p={p} mst={mname} {spec}: solve failed: {e}");
-                            failures += 1;
+            // One resident world serves every resident solve of this
+            // (queue, ranks) cell, crashed jobs included.
+            let world = steiner::PersistentWorld::new(p);
+            let pg = Arc::new(partition_graph(&g, p, None));
+            let crash: &[&str] = if p > 1 { &crash_plans } else { &[] };
+            let specs = plans.iter().map(|s| (s, false));
+            let specs: Vec<_> = specs.chain(crash.iter().map(|s| (s, true))).collect();
+            for resident in [false, true] {
+                let engine = if resident { "resident" } else { "batch" };
+                for (mname, mst_mode) in modes {
+                    for &(spec, crashes) in &specs {
+                        combos += 1;
+                        let plan = match steiner::FaultPlan::from_spec(spec) {
+                            Ok(plan) => plan,
+                            Err(e) => {
+                                eprintln!("xtask chaos: bad plan {spec:?}: {e}");
+                                return ExitCode::from(2);
+                            }
+                        };
+                        // Telemetry on for the batch message-fault runs:
+                        // the tree-equality check then also proves
+                        // sampling never perturbs the solve. A resident
+                        // world's telemetry is fixed (off) at build time.
+                        let sampled = !resident && !crashes;
+                        let cfg = steiner::SolverConfig {
+                            mst_mode,
+                            faults: Some(plan),
+                            telemetry: if sampled {
+                                steiner::TelemetryConfig::ring()
+                            } else {
+                                steiner::TelemetryConfig::Off
+                            },
+                            ..base_cfg
+                        };
+                        let solved = if resident {
+                            steiner::solve_on(&world, &pg, &seeds, &cfg)
+                        } else {
+                            steiner::solve(&g, &seeds, &cfg)
+                        };
+                        let verdict = solved
+                            .map_err(|e| format!("solve failed: {e}"))
+                            .and_then(|r| chaos_verdict(&r, &baseline, crashes, sampled));
+                        match verdict {
+                            Ok(line) => {
+                                println!("  ok {engine} {qname} p={p} mst={mname} {spec}: {line}")
+                            }
+                            Err(why) => {
+                                eprintln!(
+                                    "  FAIL {engine} {qname} p={p} mst={mname} {spec}: {why}"
+                                );
+                                failures += 1;
+                            }
                         }
                     }
                 }
@@ -509,24 +420,50 @@ fn chaos() -> ExitCode {
     }
 
     // Deadline smoke: an already-expired budget must surface as the
-    // structured error, not a hang or a panic.
-    combos += 1;
+    // structured error, not a hang or a panic — on a fresh world and on
+    // a resident one, which must then still serve the next solve.
     let deadline_cfg = steiner::SolverConfig {
         num_ranks: 2,
         deadline: Some(std::time::Duration::ZERO),
         ..steiner::SolverConfig::default()
     };
-    match steiner::solve(&g, &seeds, &deadline_cfg) {
-        Err(stgraph::error::SteinerError::DeadlineExceeded { .. }) => {
-            println!("  ok deadline=0: structured DeadlineExceeded");
-        }
-        Ok(_) => {
-            eprintln!("  FAIL deadline=0: solve completed despite an expired budget");
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("  FAIL deadline=0: expected DeadlineExceeded, got: {e}");
-            failures += 1;
+    let world = steiner::PersistentWorld::new(2);
+    let pg = Arc::new(partition_graph(&g, 2, None));
+    for resident in [false, true] {
+        combos += 1;
+        let engine = if resident { "resident" } else { "batch" };
+        let solved = if resident {
+            steiner::solve_on(&world, &pg, &seeds, &deadline_cfg)
+        } else {
+            steiner::solve(&g, &seeds, &deadline_cfg)
+        };
+        let after = steiner::SolverConfig {
+            deadline: None,
+            ..deadline_cfg
+        };
+        match solved {
+            Err(SteinerError::DeadlineExceeded { .. }) if resident => {
+                match steiner::solve_on(&world, &pg, &seeds, &after) {
+                    Ok(_) => println!(
+                        "  ok {engine} deadline=0: structured DeadlineExceeded, world still serves"
+                    ),
+                    Err(e) => {
+                        eprintln!("  FAIL {engine} deadline=0: next solve failed: {e}");
+                        failures += 1;
+                    }
+                }
+            }
+            Err(SteinerError::DeadlineExceeded { .. }) => {
+                println!("  ok {engine} deadline=0: structured DeadlineExceeded");
+            }
+            Ok(_) => {
+                eprintln!("  FAIL {engine} deadline=0: solve completed despite an expired budget");
+                failures += 1;
+            }
+            Err(e) => {
+                eprintln!("  FAIL {engine} deadline=0: expected DeadlineExceeded, got: {e}");
+                failures += 1;
+            }
         }
     }
 
@@ -537,6 +474,55 @@ fn chaos() -> ExitCode {
         eprintln!("xtask chaos: {failures} failing combination(s)");
         ExitCode::FAILURE
     }
+}
+
+/// Judges one faulted chaos solve against the fault-free `baseline`
+/// tree: `Ok` carries the summary line, `Err` the reason it fails.
+/// `crashes` marks a crash-stop plan, which must have crashed a rank and
+/// restored from a checkpoint; a message-fault plan must have injected
+/// faults (at more than one rank) and, when `sampled`, recorded
+/// telemetry.
+fn chaos_verdict(
+    r: &steiner::SolveReport,
+    baseline: &stgraph::SteinerTree,
+    crashes: bool,
+    sampled: bool,
+) -> Result<String, String> {
+    if r.tree != *baseline {
+        return Err(format!(
+            "tree diverged (distance {} vs fault-free {})",
+            r.tree.total_distance(),
+            baseline.total_distance()
+        ));
+    }
+    if r.config.mst_mode == steiner::MstMode::Dist && r.boruvka.is_none() {
+        return Err("dist solve reported no Borůvka rounds".into());
+    }
+    let rec = &r.recovery;
+    let stats = &r.fault_stats;
+    if crashes {
+        if rec.crashes_injected == 0 {
+            return Err("plan injected no crash (crash path not exercised)".into());
+        }
+        if rec.restores == 0 {
+            return Err("crashed but never restored from a checkpoint".into());
+        }
+        return Ok(format!(
+            "tree identical after {} crash(es), {} restore(s), {} phase(s) replayed \
+             ({} checkpoints)",
+            rec.crashes_injected, rec.restores, rec.replayed_phases, rec.checkpoints_taken,
+        ));
+    }
+    if r.config.num_ranks > 1 && stats.injected() == 0 {
+        return Err("plan injected nothing (fault path not exercised)".into());
+    }
+    if sampled && r.telemetry.is_empty() {
+        return Err("telemetry ring sampled nothing".into());
+    }
+    Ok(format!(
+        "tree identical ({} drops, {} dups, {} delays, {} retransmits, {} dedups)",
+        stats.drops, stats.dups, stats.delays, stats.retransmits, stats.dedup_discards,
+    ))
 }
 
 /// One fig3 scale point's guarded quantities, extracted from a `"solve"`
