@@ -2,7 +2,7 @@
 //!
 //! The paper's related-work section notes that algorithms beating ratio 2
 //! "iteratively refine a base-solution which is typically computed using a
-//! 2-approximation algorithm" [41]. This module implements the classic
+//! 2-approximation algorithm" \[41\]. This module implements the classic
 //! refinement move, *key-path exchange*: a key path (maximal tree path
 //! whose interior vertices are non-terminals of tree-degree 2) is removed,
 //! splitting the tree in two; if a shorter path reconnects the two halves

@@ -13,12 +13,12 @@
 //! - [`apsp`]: seed-pair all-pairs shortest paths (the expensive KMB Step 1
 //!   that Table I compares against Voronoi cells);
 //! - [`mst`]: Kruskal and Prim over auxiliary edge lists; [`dsu`];
-//! - [`kmb`]: the KMB 2-approximation (Kou–Markowsky–Berman 1981);
-//! - [`www`]: the WWW generalized-MST 2-approximation (Wu–Widmayer–Wong
+//! - [`kmb`](mod@kmb): the KMB 2-approximation (Kou–Markowsky–Berman 1981);
+//! - [`www`](mod@www): the WWW generalized-MST 2-approximation (Wu–Widmayer–Wong
 //!   1986);
-//! - [`takahashi`]: the Takahashi–Matsuyama shortest-path heuristic
+//! - [`takahashi`](mod@takahashi): the Takahashi–Matsuyama shortest-path heuristic
 //!   (1980), the original 2-approximation;
-//! - [`mehlhorn`]: Mehlhorn's Voronoi-cell 2-approximation (1988);
+//! - [`mehlhorn`](mod@mehlhorn): Mehlhorn's Voronoi-cell 2-approximation (1988);
 //! - [`exact`]: Dreyfus–Wagner exact Steiner minimal trees (the suite's
 //!   SCIP-Jack stand-in for measuring approximation quality);
 //! - [`lower_bound`]: certified lower bounds on `D_min` for instances too

@@ -1,4 +1,4 @@
-//! The Takahashi–Matsuyama algorithm (1980) — the paper's reference [13],
+//! The Takahashi–Matsuyama algorithm (1980) — the paper's reference \[13\],
 //! the original shortest-path-heuristic 2-approximation with bound
 //! `2(1 - 1/|S|)`.
 //!

@@ -1,7 +1,7 @@
 //! Fig 7: influence of the edge-weight distribution on runtime, FIFO vs
 //! priority queues.
 //!
-//! The paper reweights the LVJ graph with ranges [1,100] up to [1,100K]
+//! The paper reweights the LVJ graph with ranges \[1,100\] up to \[1,100K\]
 //! (fixed 1K seeds, one machine) and finds: (a) weight range affects
 //! Voronoi convergence, (b) FIFO runtime is far more variable across
 //! ranges (stddev 13.5s vs 0.91s), i.e. the priority queue makes the

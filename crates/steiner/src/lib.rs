@@ -44,7 +44,6 @@
 pub mod boruvka;
 pub mod distance_graph;
 pub mod interactive;
-pub mod kernels;
 pub mod messages;
 pub mod mst;
 pub mod phases;
@@ -54,7 +53,6 @@ pub mod report;
 pub mod state;
 pub mod tree_edges;
 pub mod voronoi;
-pub mod voronoi_bsp;
 
 pub use boruvka::BoruvkaStats;
 pub use phases::{Phase, PhaseTimes};

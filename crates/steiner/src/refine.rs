@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use stgraph::csr::{Vertex, Weight};
-use stgraph::dsu::Dsu;
 use stgraph::mst::{kruskal, AuxEdge};
 use stgraph::steiner_tree::SteinerTree;
 
@@ -62,31 +61,6 @@ pub fn refine(tree: &SteinerTree) -> SteinerTree {
     SteinerTree::new(tree.seeds.iter().copied(), edges)
 }
 
-/// Checks whether an edge multiset is a single connected tree over its
-/// vertices — used by debug assertions and tests.
-pub fn is_tree(edges: &[(Vertex, Vertex, Weight)]) -> bool {
-    if edges.is_empty() {
-        return true;
-    }
-    let mut ids: HashMap<Vertex, u32> = HashMap::new();
-    for &(u, v, _) in edges {
-        let next = ids.len() as u32;
-        ids.entry(u).or_insert(next);
-        let next = ids.len() as u32;
-        ids.entry(v).or_insert(next);
-    }
-    if edges.len() != ids.len() - 1 {
-        return false;
-    }
-    let mut dsu = Dsu::new(ids.len());
-    for &(u, v, _) in edges {
-        if !dsu.union(ids[&u], ids[&v]) {
-            return false;
-        }
-    }
-    dsu.num_components() == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,17 +79,5 @@ mod tests {
     fn refine_keeps_minimal_tree_unchanged() {
         let t = SteinerTree::new([0, 2], [(0, 1, 1), (1, 2, 1)]);
         assert_eq!(refine(&t), t);
-    }
-
-    #[test]
-    fn is_tree_accepts_tree() {
-        assert!(is_tree(&[(0, 1, 1), (1, 2, 1), (1, 3, 1)]));
-        assert!(is_tree(&[]));
-    }
-
-    #[test]
-    fn is_tree_rejects_cycle_and_forest() {
-        assert!(!is_tree(&[(0, 1, 1), (1, 2, 1), (2, 0, 1)]));
-        assert!(!is_tree(&[(0, 1, 1), (2, 3, 1)]));
     }
 }

@@ -461,73 +461,18 @@ impl SolveReport {
 /// This is the single definition of the current contract — the bench
 /// envelope validator and `xtask check-reports` both call it — kept
 /// next to the writer ([`RunReport::to_json`]) so the two cannot drift.
-/// Historical versions are rejected with a migration note.
+/// Historical versions are rejected with a pointer to [`SCHEMA_VERSION`]'s
+/// version history.
 pub fn validate_run(run: &Json) -> Result<(), String> {
     match run.get("schema_version").and_then(|v| v.as_u64()) {
         Some(v) if v == SCHEMA_VERSION => {}
-        Some(1) => {
-            return Err(
-                "schema_version 1 report found; v2 adds imbalance_ratio, critical_path, \
-                 and latency_quantiles (no v1 key was removed or renamed) — regenerate \
-                 the report with current binaries to migrate"
-                    .to_string(),
-            );
-        }
-        Some(2) => {
-            return Err(
-                "schema_version 2 report found; v3 adds the faults object (injection and \
-                 reliability-protocol counters) and config.faults (no v2 key was removed \
-                 or renamed) — regenerate the report with current binaries to migrate"
-                    .to_string(),
-            );
-        }
-        Some(3) => {
-            return Err(
-                "schema_version 3 report found; v4 adds the stale_drops object (total plus \
-                 per_rank relaxations dropped by the ordered queues' pop-time filter) and \
-                 the bucketed:DELTA form of config.queue (no v3 key was removed or renamed) \
-                 — regenerate the report with current binaries to migrate"
-                    .to_string(),
-            );
-        }
-        Some(4) => {
-            return Err(
-                "schema_version 4 report found; v5 adds timeseries (per-rank gauge time \
-                 series, null when telemetry was off) and peak_memory (per-phase \
-                 peak-memory watermarks attributed to queue/arena/reliability buffers) \
-                 (no v4 key was removed or renamed) — regenerate the report with current \
-                 binaries to migrate"
-                    .to_string(),
-            );
-        }
-        Some(5) => {
-            return Err(
-                "schema_version 5 report found; v6 adds the recovery object \
-                 (crashes_injected, checkpoints_taken, checkpoint_bytes, restores, \
-                 replayed_phases, aborted_ranks — all-zero for an undisturbed solve) \
-                 (no v5 key was removed or renamed) — regenerate the report with current \
-                 binaries to migrate"
-                    .to_string(),
-            );
-        }
-        Some(6) => {
-            return Err(
-                "schema_version 6 report found; v7 adds config.mst_mode (replicated or \
-                 dist) and the boruvka object (rounds, edges_reduced, components — null \
-                 for replicated solves) (no v6 key was removed or renamed) — regenerate \
-                 the report with current binaries to migrate"
-                    .to_string(),
-            );
-        }
-        Some(7) => {
-            return Err(
-                "schema_version 7 report found; v8 removes config.reduce_mode (the sparse \
-                 and chunked reductions are gone; config.mst_mode alone names the pipeline) \
-                 and faults.retries (the solve-level retry loop is gone), and makes dist \
-                 the default mst_mode — regenerate the report with current binaries to \
-                 migrate"
-                    .to_string(),
-            );
+        Some(found) if (1..SCHEMA_VERSION).contains(&found) => {
+            return Err(format!(
+                "schema_version {found} report found; this build reads v{SCHEMA_VERSION} \
+                 — regenerate the report with current binaries (version history, \
+                 including when the faults, stale_drops, timeseries, peak_memory, \
+                 recovery and boruvka sections were added: report::SCHEMA_VERSION docs)"
+            ));
         }
         _ => {
             return Err(format!("schema_version must be {SCHEMA_VERSION}"));
@@ -1062,23 +1007,15 @@ mod tests {
     }
 
     #[test]
-    fn v4_run_report_rejected_with_migration_note() {
-        let mut doc = sample_report().run_report().to_json();
-        doc.insert("schema_version", 4u64);
-        let err = validate_run(&doc).unwrap_err();
-        assert!(err.contains("schema_version 4"), "{err}");
-        assert!(err.contains("timeseries"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
-    }
-
-    #[test]
-    fn v5_run_report_rejected_with_migration_note() {
-        let mut doc = sample_report().run_report().to_json();
-        doc.insert("schema_version", 5u64);
-        let err = validate_run(&doc).unwrap_err();
-        assert!(err.contains("schema_version 5"), "{err}");
-        assert!(err.contains("recovery"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
+    fn historical_run_reports_rejected_with_regeneration_note() {
+        for version in 1..SCHEMA_VERSION {
+            let mut doc = sample_report().run_report().to_json();
+            doc.insert("schema_version", version);
+            let err = validate_run(&doc).unwrap_err();
+            assert!(err.contains(&format!("schema_version {version}")), "{err}");
+            assert!(err.contains(&format!("reads v{SCHEMA_VERSION}")), "{err}");
+            assert!(err.contains("regenerate"), "{err}");
+        }
     }
 
     #[test]
@@ -1112,28 +1049,6 @@ mod tests {
         bad.insert("recovery", Json::from("nope"));
         let err = validate_run(&bad).unwrap_err();
         assert!(err.contains("recovery"), "{err}");
-    }
-
-    #[test]
-    fn v6_run_report_rejected_with_migration_note() {
-        let mut doc = sample_report().run_report().to_json();
-        doc.insert("schema_version", 6u64);
-        let err = validate_run(&doc).unwrap_err();
-        assert!(err.contains("schema_version 6"), "{err}");
-        assert!(err.contains("mst_mode"), "{err}");
-        assert!(err.contains("boruvka"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
-    }
-
-    #[test]
-    fn v7_run_report_rejected_with_migration_note() {
-        let mut doc = sample_report().run_report().to_json();
-        doc.insert("schema_version", 7u64);
-        let err = validate_run(&doc).unwrap_err();
-        assert!(err.contains("schema_version 7"), "{err}");
-        assert!(err.contains("reduce_mode"), "{err}");
-        assert!(err.contains("retries"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
     }
 
     #[test]

@@ -345,18 +345,15 @@ impl VertexStates {
 }
 
 /// Reusable per-rank visitor scratch buffers, allocated once per rank and
-/// reused across phases and BSP supersteps so the Voronoi hot
-/// path's steady state allocates nothing:
+/// reused across phases so the Voronoi hot path's steady state allocates
+/// nothing:
 ///
 /// - `init` — the bootstrap message list the asynchronous phase seeds its
 ///   local queue from,
 /// - `admitted` — the asynchronous phase's best label admitted to the
 ///   visitor queue so far, per held vertex (indexed by
 ///   [`VertexStates::held_index`]; the admission side of its stale
-///   filter),
-/// - `outboxes` — the BSP variant's per-destination relaxation outboxes,
-/// - `wire` — the flat byte buffer batches are wire-encoded into before
-///   shipping (see `ChannelGroup::send_batch_encoded`).
+///   filter).
 ///
 /// Buffers are cleared (capacity retained) each time they are handed out,
 /// so a fault-injection retry of the whole solve reuses the previous
@@ -365,8 +362,6 @@ impl VertexStates {
 pub struct ScratchArena {
     init: Vec<VoronoiMsg>,
     admitted: Vec<Label>,
-    outboxes: Vec<Vec<VoronoiMsg>>,
-    wire: Vec<u8>,
 }
 
 impl ScratchArena {
@@ -389,29 +384,11 @@ impl ScratchArena {
         (&mut self.init, &mut self.admitted)
     }
 
-    /// The BSP outboxes (resized to `p` destinations, each cleared with
-    /// capacity retained) and the shared wire-encoding scratch buffer,
-    /// split-borrowed so a superstep loop can fill and flush concurrently.
-    pub fn bsp_buffers(&mut self, p: usize) -> (&mut Vec<Vec<VoronoiMsg>>, &mut Vec<u8>) {
-        self.outboxes.resize_with(p, Vec::new);
-        for outbox in &mut self.outboxes {
-            outbox.clear();
-        }
-        (&mut self.outboxes, &mut self.wire)
-    }
-
     /// Approximate bytes held across all scratch buffers (capacity, since
     /// retained capacity is what the arena's reuse is about).
     pub fn memory_bytes(&self) -> usize {
         self.init.capacity() * std::mem::size_of::<VoronoiMsg>()
             + self.admitted.capacity() * std::mem::size_of::<Label>()
-            + self
-                .outboxes
-                .iter()
-                .map(|o| o.capacity() * std::mem::size_of::<VoronoiMsg>())
-                .sum::<usize>()
-            + self.outboxes.capacity() * std::mem::size_of::<Vec<VoronoiMsg>>()
-            + self.wire.capacity()
     }
 }
 
@@ -597,12 +574,5 @@ mod tests {
         assert_eq!(admitted.len(), st.num_held());
         assert_eq!(admitted[st.held_index(1).unwrap()], Label::seed(1));
         assert!(a.memory_bytes() >= st.num_held() * std::mem::size_of::<Label>());
-
-        let (outboxes, _wire) = a.bsp_buffers(4);
-        assert_eq!(outboxes.len(), 4);
-        outboxes[2].push(VoronoiMsg::Start(9));
-        let (outboxes, _wire) = a.bsp_buffers(2);
-        assert_eq!(outboxes.len(), 2, "shrinks to the requested rank count");
-        assert!(outboxes.iter().all(|o| o.is_empty()));
     }
 }

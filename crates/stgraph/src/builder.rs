@@ -50,11 +50,6 @@ impl GraphBuilder {
         self.num_vertices
     }
 
-    /// Number of edge records added so far (before dedup/symmetrization).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds an undirected edge `{u, v}` with weight `w >= 1`. Self-loops are
     /// silently dropped (the Steiner problem never uses them). Panics on
     /// out-of-range endpoints or a zero weight.

@@ -34,7 +34,6 @@ pub mod mst;
 pub mod partition;
 pub mod stats;
 pub mod steiner_tree;
-pub mod transform;
 pub mod traversal;
 pub mod weights;
 

@@ -94,54 +94,6 @@ pub struct RankGraph {
 }
 
 impl RankGraph {
-    /// Builds a rank subgraph from arcs gathered at runtime — the
-    /// constructor used by distributed ingestion (`steiner::kernels`),
-    /// where each rank receives its owned vertices' arcs over the network
-    /// instead of slicing a resident [`CsrGraph`].
-    ///
-    /// `owned_arcs` holds arcs whose source this rank owns (delegate
-    /// sources excluded); `delegate_arcs[i]` is this rank's share of
-    /// `delegates[i]`'s adjacency. Arcs may arrive in any order.
-    pub fn from_arcs(
-        rank: usize,
-        owned: Range<Vertex>,
-        delegates: Arc<Vec<Vertex>>,
-        mut owned_arcs: Vec<(Vertex, Vertex, Weight)>,
-        delegate_arcs: Vec<Vec<(Vertex, Weight)>>,
-    ) -> Self {
-        assert_eq!(delegate_arcs.len(), delegates.len());
-        owned_arcs.sort_unstable();
-        // Parallel arcs keep the minimum weight, like `GraphBuilder`.
-        owned_arcs.dedup_by(|next, prev| next.0 == prev.0 && next.1 == prev.1);
-        let num_owned = (owned.end - owned.start) as usize;
-        let mut offsets = vec![0u64; num_owned + 1];
-        for &(u, _, _) in &owned_arcs {
-            assert!(
-                owned.contains(&u) && delegates.binary_search(&u).is_err(),
-                "arc source {u} does not belong in rank {rank}'s owned storage"
-            );
-            offsets[(u - owned.start) as usize + 1] += 1;
-        }
-        for i in 0..num_owned {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut targets = Vec::with_capacity(owned_arcs.len());
-        let mut weights = Vec::with_capacity(owned_arcs.len());
-        for (_, v, w) in owned_arcs {
-            targets.push(v);
-            weights.push(w);
-        }
-        RankGraph {
-            rank,
-            owned,
-            delegates,
-            offsets,
-            targets,
-            weights,
-            delegate_slices: delegate_arcs,
-        }
-    }
-
     /// Whether this rank owns vertex `v`.
     #[inline]
     pub fn owns(&self, v: Vertex) -> bool {

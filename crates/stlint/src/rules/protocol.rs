@@ -30,7 +30,7 @@
 //! payload routes batch traffic down the unsequenced control-plane path:
 //! no sequence number, no retransmission, no wire-codec round trip, and a
 //! shallow byte charge. Batches go through `send_batch`/
-//! `send_batch_traced`/`send_batch_encoded` instead.
+//! `send_batch_traced` instead.
 
 use super::RUNTIME_SRC;
 use crate::model::{CallSite, FileModel, Workspace};
@@ -419,7 +419,7 @@ fn plain_send_vec(fm: &FileModel<'_>, calls: &[CallSite], findings: &mut Vec<Fin
             message: format!(
                 "plain send on Vec-payload channel group `{name}` (opened on line \
                  {bound_line}); send is the unsequenced control-plane path — use \
-                 send_batch/send_batch_traced/send_batch_encoded so batches ride \
+                 send_batch/send_batch_traced so batches ride \
                  the sequenced reliable protocol with exact wire-byte accounting"
             ),
             snippet: fm.raw_line(c.line).trim().to_string(),

@@ -6,7 +6,7 @@
 //! rank must call [`crate::Comm::open_channels`] in the same program order,
 //! exactly like creating an MPI communicator). Sends are attributed to the
 //! phase label the group was opened under, through a single accounting
-//! hook ([`ChannelGroup::charge`]) shared by both send paths.
+//! hook (`ChannelGroup::charge`) shared by both send paths.
 //!
 //! stcheck: allow-file(wallclock): the reliability layer's retransmission
 //! deadlines and delayed-delivery due times are real timers by design —
@@ -24,8 +24,8 @@
 //!
 //! When the world runs with a [`crate::faults::FaultPlan`], every
 //! *sequenced* transmission consults the rank's
-//! [`crate::faults::FaultInjector`] at the [`ChannelGroup::ship`] /
-//! [`ChannelGroup::try_recv_traced`] boundary and may be dropped,
+//! [`crate::faults::FaultInjector`] at the `ChannelGroup::ship` /
+//! `ChannelGroup::try_recv_traced` boundary and may be dropped,
 //! duplicated, or parked. The protocol that defeats the injector:
 //!
 //! - **Sequence numbers** — each sender assigns a per-(src, dest, channel)
@@ -36,7 +36,7 @@
 //!   (a clone of the wire payload, so the audit id is preserved across
 //!   retransmissions) until the destination acknowledges it. Overdue
 //!   entries are retransmitted with exponential backoff by
-//!   [`ChannelGroup::tick`], which runs on every empty poll — an idle
+//!   `ChannelGroup::tick`, which runs on every empty poll — an idle
 //!   rank polling for termination is therefore also the retransmit timer.
 //! - **Receiver-side dedup window** — per-source watermark + sparse set;
 //!   a re-delivered sequence is counted, re-acknowledged, and discarded
@@ -770,38 +770,6 @@ impl<V: Send + Clone + 'static> ChannelGroup<Vec<V>> {
         let visitors = batch.len() as u64;
         let wire = self.wrap(dest, batch, visitors);
         self.ship(dest, wire, lineage, payload_bytes, true);
-    }
-
-    /// Ships `batch` through the flat wire codec, leaving the caller's
-    /// buffers intact for reuse: `batch` is encoded into `scratch`
-    /// (cleared first, capacity retained), charged at its exact encoded
-    /// length, decoded back out, and shipped — then `batch` is cleared
-    /// with its capacity retained. This is the allocation-free-steady-
-    /// state send for BSP-style outbox loops; the asynchronous traversal
-    /// driver has its own internal equivalent.
-    pub fn send_batch_encoded(&self, dest: usize, batch: &mut Vec<V>, scratch: &mut Vec<u8>)
-    where
-        V: crate::wire::Wire,
-    {
-        if batch.is_empty() {
-            return;
-        }
-        scratch.clear();
-        crate::wire::encode_batch(batch, scratch);
-        let shipped = match crate::wire::decode_batch::<V>(scratch, batch.len()) {
-            Some(v) => v,
-            None => panic!(
-                "wire codec violation: phase \"{phase}\": encode_batch produced \
-                 {len} bytes that decode_batch could not round-trip for visitor \
-                 type `{ty}` (the Wire impl's encoded_len/encode_into/decode_from \
-                 disagree)",
-                phase = self.phase(),
-                len = scratch.len(),
-                ty = std::any::type_name::<V>(),
-            ),
-        };
-        batch.clear();
-        self.send_batch_wire(dest, shipped, scratch.len() as u64, None);
     }
 }
 

@@ -13,7 +13,7 @@
 //!    raises the **abort epoch** (a per-job flag) and wakes every barrier
 //!    waiter.
 //! 2. Surviving ranks observe the epoch at their next sync point — every
-//!    [`crate::Comm::pause`] / channel pause / collective spin / barrier
+//!    `Comm::pause` / channel pause / collective spin / barrier
 //!    wait polls it — and unwind with a [`CooperativeAbort`] payload.
 //! 3. All ranks therefore report promptly; the supervisor reads the
 //!    telemetry rings for a flight-recorder dump and either surfaces a

@@ -151,7 +151,7 @@ pub struct Shared {
     pub channel_registry: Mutex<HashMap<u64, ChannelSlots>>,
     /// Exchange slot for collectives (reduction accumulator / broadcast
     /// value), guarded by the collective call protocol in
-    /// [`crate::collective`].
+    /// `crate::collective`.
     pub collective_slot: Mutex<Option<CollectiveSlot>>,
     /// Termination detector for asynchronous traversals.
     pub quiescence: Quiescence,

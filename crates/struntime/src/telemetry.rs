@@ -39,7 +39,7 @@
 //! that owns the `Comm` writes ring slots (via `record_sample`, called
 //! from the step hook and phase transitions); the monitor thread reads
 //! only the *atomic* gauge mirror, never the ring. The drain
-//! ([`TelemetrySampler::read`]) runs after the rank threads are joined or
+//! (`TelemetrySampler::read`) runs after the rank threads are joined or
 //! while resident threads are parked between jobs, with the
 //! happens-before edge established by the join or the results-channel
 //! receive plus the release store / acquire load on `count`. There is never a concurrent

@@ -32,7 +32,7 @@
 //!
 //! Slot cells are `UnsafeCell` so the writer needs no lock. The
 //! discipline: only the rank thread running the current job's `Comm`
-//! writes; the drain ([`TraceBuffer::take`]) runs only once every rank
+//! writes; the drain (`TraceBuffer::take`) runs only once every rank
 //! has reported that job — after the scoped threads are joined
 //! (`World::run_config`) or while resident threads are parked between
 //! jobs (`PersistentWorld`). The happens-before edge from the writer is

@@ -68,7 +68,7 @@
 //! module changing a line: `sent` still counts logical batches at flush
 //! time, but a batch only bumps `received` when its **first** copy is
 //! delivered — acknowledgements are absorbed and duplicate deliveries
-//! discarded below [`crate::channels::ChannelGroup::try_recv_traced`],
+//! discarded below `ChannelGroup::try_recv_traced`,
 //! and a dropped copy is retransmitted (exponential backoff, injector
 //! bypass past `max_attempts`) until one lands. `sent == received`
 //! therefore still means exactly "every logical batch was delivered
@@ -908,5 +908,53 @@ mod tests {
             let processed: u64 = seen.iter().map(|s| s.stats.processed).sum();
             assert_eq!(processed, 9, "{queue:?}");
         }
+    }
+
+    /// A visitor whose codec is broken: `decode_from` rejects the bytes
+    /// `encode_into` wrote, so the flush's round trip must fail.
+    #[derive(Clone)]
+    struct Undecodable(u32);
+
+    impl Wire for Undecodable {
+        fn encoded_len(&self) -> usize {
+            4
+        }
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            self.0.encode_into(out);
+        }
+        fn decode_from(_: &[u8], _: &mut usize) -> Option<Self> {
+            None
+        }
+    }
+
+    impl DeepBytes for Undecodable {
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wire codec violation: phase \"codec_check\"")]
+    fn flush_panics_on_a_codec_that_cannot_round_trip() {
+        World::run(2, |comm| {
+            let chan = comm.open_channels::<Vec<Undecodable>>("codec_check");
+            let init = if comm.rank() == 0 {
+                vec![Undecodable(0)]
+            } else {
+                vec![]
+            };
+            run_traversal(
+                comm,
+                &chan,
+                QueueKind::Fifo,
+                |_| 0,
+                init,
+                |v, pusher| {
+                    if v.0 == 0 {
+                        pusher.push(1, Undecodable(1));
+                    }
+                },
+            );
+        });
     }
 }

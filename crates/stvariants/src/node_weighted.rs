@@ -1,7 +1,7 @@
 //! Node-weighted Steiner trees: vertices carry costs alongside edges.
 //!
 //! The paper cites the node-weighted variant through its systems-biology
-//! application (identifying cancer-related signalling pathways, ref [8]).
+//! application (identifying cancer-related signalling pathways, ref \[8\]).
 //! The variant is strictly harder than the edge-weighted problem
 //! (O(log n)-approximation is best possible), so this module provides the
 //! standard *cost-splitting* heuristic: charge half of each endpoint's
