@@ -1,10 +1,10 @@
 //! Distance-graph construction (Alg 5): local min-distance cross-cell edge
 //! identification followed by the global collective reduction.
 //!
-//! Each rank scans its local arcs `(u, v)` with `u < v`; for one whose
-//! endpoints lie in different Voronoi cells, the connecting-path length
-//! `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a candidate weight for the
-//! distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
+//! Each rank scans one direction of each of its local edges; for an arc
+//! `(u, v)` whose endpoints lie in different Voronoi cells, the
+//! connecting-path length `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a
+//! candidate weight for the distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
 //! shipped to `v`'s owner as a probe message. Each rank ends with a sorted
 //! candidate list holding its best bridge per cell pair. Under
 //! `--mst replicated` the global minima are then found with one dense
@@ -19,11 +19,15 @@
 //!   seed list, resolved once per held vertex (`cell_index`) rather than
 //!   once per arc endpoint. Seed-index order is seed-vertex order, so
 //!   tie-breaking is unchanged.
-//! - **One evaluation per undirected edge.** Only arcs with `u < v` are
-//!   evaluated. Every undirected edge is stored as exactly one such arc on
-//!   exactly one rank: the owner of `u`, or the rank holding that share of
-//!   a delegate `u`'s adjacency. The candidate `(total, a, b, weight)` is
-//!   the same from either direction, so per-pair minima are unchanged.
+//! - **One evaluation per undirected edge.** An arc `(u, v)` is evaluated
+//!   iff `u < v` agrees with `u + v` being even (`evaluates`). Exactly
+//!   one of an edge's two arcs passes, and self-loops never do. Every arc
+//!   is stored on exactly one rank: the owner of `u`, or the rank holding
+//!   that share of a delegate `u`'s adjacency. The candidate `(total, a,
+//!   b, weight)` is the same from either direction, so per-pair minima are
+//!   unchanged. The parity spreads the evaluating end over both endpoints,
+//!   so under the block partition cross-rank probes flow both ways instead
+//!   of all toward the higher rank.
 //! - **Dense or sorted reduce.** A rank whose local arc count is at least
 //!   `binom(|S|, 2)` folds candidates into a dense [`pair_offset`] table.
 //!   Otherwise it appends them, sorts, and keeps each pair's first
@@ -176,6 +180,14 @@ fn dense_to_sorted(num_seeds: usize, table: &[MinEdge]) -> Vec<(PairKey, MinEdge
     out
 }
 
+/// Arc sources per `Scan` visitor. Each scan chunk ends with a visit
+/// boundary, where the traversal drains the probes other ranks sent, so a
+/// rank evaluates them while it is still scanning. One whole-rank scan
+/// held every probe in the channels until both ranks finished scanning:
+/// with probes flowing both ways, that cost web-async about 13 MiB of
+/// peak RSS.
+const SCAN_CHUNK: usize = 1 << 12;
+
 /// Local phase: returns this rank's best candidate per cell pair, sorted
 /// by pair key, plus the traversal stats. `seeds` is the sorted seed list
 /// that names the cells. Collective (runs a traversal).
@@ -190,19 +202,24 @@ pub fn local_min_edges(
     let cells = cell_index(states, seeds);
     let mut mins = PairMins::new(seeds.len(), rg.num_local_arcs());
 
+    let sources = rg.num_sources();
     let stats = run_traversal(
         comm,
         chan,
         QueueKind::Fifo,
         |_| 0,
-        [ProbeMsg::Scan],
+        [ProbeMsg::Scan(0)],
         |msg, pusher| match msg {
-            ProbeMsg::Scan => {
+            ProbeMsg::Scan(first) => {
+                let end = sources.min(first as usize + SCAN_CHUNK);
+                if end < sources {
+                    pusher.push(pusher.rank(), ProbeMsg::Scan(end as u32));
+                }
                 // Arcs arrive grouped by source, so `u`'s slot is resolved
                 // once per source vertex.
                 let (mut cur, mut iu) = (NO_VERTEX, 0);
-                for (u, v, w) in rg.local_arcs() {
-                    if u >= v {
+                for (u, v, w) in rg.local_arcs(first as usize..end) {
+                    if !evaluates(u, v) {
                         continue;
                     }
                     if u != cur {
@@ -249,6 +266,12 @@ pub fn local_min_edges(
         },
     );
     (mins.finish(), stats)
+}
+
+/// Whether the scan evaluates arc `(u, v)`: for `u != v`, exactly one of
+/// `(u, v)` and `(v, u)` does, and for `u == v` neither.
+fn evaluates(u: Vertex, v: Vertex) -> bool {
+    (u < v) == ((u ^ v) & 1 == 0)
 }
 
 /// Global phase: reduces the per-rank sorted candidate lists to the
@@ -508,17 +531,28 @@ mod tests {
 
     #[test]
     fn local_min_edges_match_brute_force_on_both_reduce_paths() {
-        let g = ba_graph(400);
+        let small = ba_graph(400);
+        // Below 4 ranks, every rank scans the large graph in several
+        // chunks.
+        let large = ba_graph(3 * SCAN_CHUNK);
         // 6 seeds: binom(6, 2) = 15 fits every rank's arc count (dense).
-        // 90 seeds: binom(90, 2) = 4005 exceeds the graph's ~1600 arcs
-        // (sorted).
+        // 90 seeds: binom(90, 2) = 4005 exceeds the small graph's ~1600
+        // arcs (sorted).
         let few: Vec<Vertex> = (0..6).map(|i| i * 61 + 3).collect();
         let many: Vec<Vertex> = (0..90).map(|i| i * 4 + 1).collect();
-        for (seeds, dense) in [(&few, true), (&many, false)] {
+        for (g, seeds, dense) in [
+            (&small, &few, true),
+            (&small, &many, false),
+            (&large, &few, true),
+        ] {
             for p in [1usize, 2, 4] {
                 for delegates in [None, Some(12)] {
-                    let ctx = format!("|S|={} p={p} delegates={delegates:?}", seeds.len());
-                    let (per_rank, labels) = local_phase(&g, seeds, p, delegates);
+                    let ctx = format!(
+                        "n={} |S|={} p={p} delegates={delegates:?}",
+                        g.num_vertices(),
+                        seeds.len()
+                    );
+                    let (per_rank, labels) = local_phase(g, seeds, p, delegates);
                     let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
                     for (local, rank_dense) in &per_rank {
                         assert_eq!(*rank_dense, dense, "{ctx}: reduce path");
@@ -533,7 +567,7 @@ mod tests {
                     }
                     let merged: Vec<(PairKey, MinEdge)> = merged.into_iter().collect();
                     assert!(!merged.is_empty(), "{ctx}");
-                    assert_eq!(merged, brute_force(&g, seeds, &labels), "{ctx}");
+                    assert_eq!(merged, brute_force(g, seeds, &labels), "{ctx}");
                 }
             }
         }

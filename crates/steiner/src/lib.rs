@@ -201,6 +201,11 @@ pub struct SolveReport {
     /// disciplines' decrease-key emulation; all-zero under
     /// FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
+    /// Per-rank Voronoi relaxations the ordered disciplines resolved by a
+    /// label comparison before they were pushed, so they never became
+    /// messages (see [`voronoi`], "Stale-relaxation filtering"; all-zero
+    /// under FIFO/adversarial queues).
+    pub pruned_at_push: Vec<u64>,
     /// The configuration the solve ran with (the [`RunReport`]'s config
     /// fingerprint is derived from it).
     pub config: SolverConfig,
@@ -289,8 +294,7 @@ struct RankOutcome {
     times: PhaseTimes,
     connected: bool,
     distance_graph_edges: usize,
-    visitors_processed: u64,
-    stale_dropped: u64,
+    work: recovery::Work,
     boruvka: Option<BoruvkaStats>,
 }
 
@@ -492,13 +496,15 @@ fn assemble_report(
     let mut rank_phase_times = Vec::with_capacity(p);
     let mut rank_work = Vec::with_capacity(p);
     let mut stale_drops = Vec::with_capacity(p);
+    let mut pruned_at_push = Vec::with_capacity(p);
     let mut dg_edges = 0;
     for r in &out.results {
         all_edges.extend_from_slice(&r.edges);
         phase_times = phase_times.max(&r.times);
         rank_phase_times.push(r.times);
-        rank_work.push(r.visitors_processed);
-        stale_drops.push(r.stale_dropped);
+        rank_work.push(r.work.processed);
+        stale_drops.push(r.work.stale_dropped);
+        pruned_at_push.push(r.work.pruned_at_push);
         dg_edges = dg_edges.max(r.distance_graph_edges);
     }
     // The Borůvka counters are replicated (every rank's rounds are
@@ -521,6 +527,7 @@ fn assemble_report(
         distance_graph_edges: dg_edges,
         rank_work,
         stale_drops,
+        pruned_at_push,
         config: *config,
         trace: out.trace,
         metrics: out.metrics,
@@ -552,8 +559,7 @@ fn put_checkpoint(
     completed: usize,
     states: &VertexStates,
     times: &PhaseTimes,
-    processed: u64,
-    stale_dropped: u64,
+    work: recovery::Work,
     local: Option<&[(PairKey, MinEdge)]>,
     dg: Option<&[(PairKey, MinEdge)]>,
     chosen: Option<&[usize]>,
@@ -562,16 +568,7 @@ fn put_checkpoint(
     boruvka: Option<&BoruvkaStats>,
 ) {
     let blob = recovery::RankCheckpoint::encode(
-        states,
-        times,
-        processed,
-        stale_dropped,
-        local,
-        dg,
-        chosen,
-        dg_len,
-        bridges,
-        boruvka,
+        states, times, work, local, dg, chosen, dg_len, bridges, boruvka,
     );
     let new_len = blob.len();
     let old_len = store.put(completed, comm.rank(), blob);
@@ -615,8 +612,7 @@ fn rank_main(
     let completed = resume.unwrap_or(0);
 
     let mut times = PhaseTimes::default();
-    let mut processed = 0u64;
-    let mut stale_dropped = 0u64;
+    let mut work = recovery::Work::default();
     let mut local: Option<Vec<(PairKey, MinEdge)>> = None;
     let mut dg: Option<Vec<(PairKey, MinEdge)>> = None;
     let mut chosen: Option<Vec<usize>> = None;
@@ -632,8 +628,7 @@ fn rank_main(
         let ck = recovery::RankCheckpoint::decode(&blob, &mut states)
             .expect("checkpoint taken under the same partitioning decodes");
         times = ck.times();
-        processed = ck.processed;
-        stale_dropped = ck.stale_dropped;
+        work = ck.work;
         local = ck.local;
         dg_len = ck.dg_len;
         dg = ck.dg;
@@ -644,19 +639,7 @@ fn rank_main(
         // Checkpoint 0: the initial state, so a crash inside the very
         // first phase is still recoverable.
         put_checkpoint(
-            comm,
-            store,
-            0,
-            &states,
-            &times,
-            processed,
-            stale_dropped,
-            None,
-            None,
-            None,
-            0,
-            None,
-            None,
+            comm, store, 0, &states, &times, work, None, None, None, 0, None, None,
         );
     }
 
@@ -679,23 +662,12 @@ fn rank_main(
         comm.telemetry_set(Gauge::ArenaBytes, scratch.memory_bytes() as u64);
         drop(span);
         times[Phase::Voronoi] = t.elapsed();
-        processed += voronoi_stats.processed;
-        stale_dropped += voronoi_stats.stale_dropped;
+        work.processed += voronoi_stats.processed;
+        work.stale_dropped += voronoi_stats.stale_dropped;
+        work.pruned_at_push += voronoi_stats.pruned_at_push;
         if let Some(store) = store {
             put_checkpoint(
-                comm,
-                store,
-                1,
-                &states,
-                &times,
-                processed,
-                stale_dropped,
-                None,
-                None,
-                None,
-                0,
-                None,
-                None,
+                comm, store, 1, &states, &times, work, None, None, None, 0, None, None,
             );
         }
     }
@@ -712,7 +684,7 @@ fn rank_main(
             distance_graph::local_min_edges(comm, &chan_probe, rg, partition, &states, seeds);
         drop(span);
         times[Phase::LocalMinEdge] = t.elapsed();
-        processed += probe_stats.processed;
+        work.processed += probe_stats.processed;
         if let Some(store) = store {
             put_checkpoint(
                 comm,
@@ -720,8 +692,7 @@ fn rank_main(
                 2,
                 &states,
                 &times,
-                processed,
-                stale_dropped,
+                work,
                 Some(&l),
                 None,
                 None,
@@ -761,8 +732,7 @@ fn rank_main(
                         3,
                         &states,
                         &times,
-                        processed,
-                        stale_dropped,
+                        work,
                         None,
                         Some(&d),
                         None,
@@ -787,8 +757,7 @@ fn rank_main(
                         3,
                         &states,
                         &times,
-                        processed,
-                        stale_dropped,
+                        work,
                         None,
                         None,
                         None,
@@ -830,8 +799,7 @@ fn rank_main(
                 4,
                 &states,
                 &times,
-                processed,
-                stale_dropped,
+                work,
                 None,
                 dg.as_deref(),
                 ch.as_deref(),
@@ -862,8 +830,7 @@ fn rank_main(
             times,
             connected: false,
             distance_graph_edges: dg_len,
-            visitors_processed: processed,
-            stale_dropped,
+            work,
             boruvka: boruvka_stats,
         };
     }
@@ -893,8 +860,7 @@ fn rank_main(
                 5,
                 &states,
                 &times,
-                processed,
-                stale_dropped,
+                work,
                 None,
                 None,
                 None,
@@ -918,15 +884,14 @@ fn rank_main(
     );
     drop(span);
     times[Phase::TreeEdge] = t.elapsed();
-    processed += trace_stats.processed;
+    work.processed += trace_stats.processed;
 
     RankOutcome {
         edges,
         times,
         connected: true,
         distance_graph_edges: dg_len,
-        visitors_processed: processed,
-        stale_dropped,
+        work,
         boruvka: boruvka_stats,
     }
 }

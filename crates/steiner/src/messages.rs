@@ -54,10 +54,12 @@ impl VoronoiMsg {
 /// Local-min-distance-edge phase messages (Alg 5, asynchronous part).
 #[derive(Clone, Copy, Debug)]
 pub enum ProbeMsg {
-    /// Bootstrap: scan this rank's local arcs.
-    Scan,
+    /// Scan this rank's local arcs from source index `first` on (see
+    /// `RankGraph::local_arcs`), one chunk per visit; the bootstrap is
+    /// `Scan(0)`.
+    Scan(u32),
     /// A boundary arc probe: rank holding `u`'s state asks `v`'s owner to
-    /// evaluate the arc `(u, v)`, `u < v`, as a cross-cell candidate. One
+    /// evaluate the arc `(u, v)` as a cross-cell candidate. One
     /// probe per cross-rank undirected edge; 29 wire bytes.
     Candidate {
         /// Remote endpoint whose state the receiver holds.
@@ -157,14 +159,17 @@ impl DeepBytes for VoronoiMsg {
 impl Wire for ProbeMsg {
     fn encoded_len(&self) -> usize {
         match self {
-            ProbeMsg::Scan => 1,
+            ProbeMsg::Scan(_) => 1 + 4,
             ProbeMsg::Candidate { .. } => 1 + 4 + 4 + 8 + 4 + 8,
         }
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            ProbeMsg::Scan => out.push(0),
+            ProbeMsg::Scan(first) => {
+                out.push(0);
+                first.encode_into(out);
+            }
             ProbeMsg::Candidate {
                 v,
                 u,
@@ -184,7 +189,7 @@ impl Wire for ProbeMsg {
 
     fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
         match u8::decode_from(buf, pos)? {
-            0 => Some(ProbeMsg::Scan),
+            0 => Some(ProbeMsg::Scan(u32::decode_from(buf, pos)?)),
             1 => Some(ProbeMsg::Candidate {
                 v: Vertex::decode_from(buf, pos)?,
                 u: Vertex::decode_from(buf, pos)?,
@@ -263,7 +268,7 @@ mod tests {
     #[test]
     fn probe_and_trace_msgs_round_trip() {
         let msgs = [
-            ProbeMsg::Scan,
+            ProbeMsg::Scan(4096),
             ProbeMsg::Candidate {
                 v: 1,
                 u: 2,

@@ -119,6 +119,18 @@ pub struct RecoveryStats {
     pub aborted_ranks: u64,
 }
 
+/// One rank's work counters, summed over the phases it has run; the
+/// report's `rank_work`, `stale_drops` and `pruned_at_push` come from them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// Visitors processed.
+    pub processed: u64,
+    /// Voronoi relaxations the queue's stale filter dropped.
+    pub stale_dropped: u64,
+    /// Voronoi relaxations pruned before they were pushed.
+    pub pruned_at_push: u64,
+}
+
 /// One rank's serialized snapshot at a phase boundary: the vertex state
 /// plus whichever phase artifacts later phases (and the final report)
 /// still need. Everything else — channel queues, scratch arenas,
@@ -129,10 +141,8 @@ pub struct RecoveryStats {
 pub(crate) struct RankCheckpoint {
     /// Per-phase elapsed times so far, in microseconds.
     pub times_us: [u64; Phase::ALL.len()],
-    /// Visitors processed so far (work counter for the report).
-    pub processed: u64,
-    /// Stale relaxations dropped so far.
-    pub stale_dropped: u64,
+    /// Work counters so far.
+    pub work: Work,
     /// Local min cross-cell edges (present at the post-`local_min_edge`
     /// boundary only; consumed by the global reduction).
     pub local: Option<Vec<(PairKey, MinEdge)>>,
@@ -205,8 +215,7 @@ impl RankCheckpoint {
     pub(crate) fn encode(
         states: &VertexStates,
         times: &PhaseTimes,
-        processed: u64,
-        stale_dropped: u64,
+        work: Work,
         local: Option<&[(PairKey, MinEdge)]>,
         dg: Option<&[(PairKey, MinEdge)]>,
         chosen: Option<&[usize]>,
@@ -219,8 +228,9 @@ impl RankCheckpoint {
         for phase in Phase::ALL {
             (times[phase].as_micros() as u64).encode_into(&mut out);
         }
-        processed.encode_into(&mut out);
-        stale_dropped.encode_into(&mut out);
+        work.processed.encode_into(&mut out);
+        work.stale_dropped.encode_into(&mut out);
+        work.pruned_at_push.encode_into(&mut out);
         encode_keyed_edges(local, &mut out);
         encode_keyed_edges(dg, &mut out);
         match chosen {
@@ -272,8 +282,11 @@ impl RankCheckpoint {
         for t in &mut ck.times_us {
             *t = u64::decode_from(blob, &mut pos)?;
         }
-        ck.processed = u64::decode_from(blob, &mut pos)?;
-        ck.stale_dropped = u64::decode_from(blob, &mut pos)?;
+        ck.work = Work {
+            processed: u64::decode_from(blob, &mut pos)?,
+            stale_dropped: u64::decode_from(blob, &mut pos)?,
+            pruned_at_push: u64::decode_from(blob, &mut pos)?,
+        };
         ck.local = decode_keyed_edges(blob, &mut pos)?;
         ck.dg = decode_keyed_edges(blob, &mut pos)?;
         ck.chosen = if bool::decode_from(blob, &mut pos)? {
@@ -398,11 +411,15 @@ mod tests {
             edges_reduced: vec![4, 2],
             components: vec![2, 1],
         };
+        let work = Work {
+            processed: 42,
+            stale_dropped: 7,
+            pruned_at_push: 5,
+        };
         let blob = RankCheckpoint::encode(
             &st,
             &times,
-            42,
-            7,
+            work,
             Some(&local),
             None,
             Some(&[3, 1, 4]),
@@ -414,8 +431,7 @@ mod tests {
         let ck = RankCheckpoint::decode(&blob, &mut fresh).expect("round trip");
         assert_eq!(fresh.label(0), st.label(0));
         assert_eq!(ck.times()[Phase::Voronoi], Duration::from_micros(1234));
-        assert_eq!(ck.processed, 42);
-        assert_eq!(ck.stale_dropped, 7);
+        assert_eq!(ck.work, work);
         assert_eq!(ck.local.as_deref(), Some(&local[..]));
         assert!(ck.dg.is_none());
         assert_eq!(ck.chosen.as_deref(), Some(&[3usize, 1, 4][..]));

@@ -80,7 +80,16 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 /// `"replicated"` being the one-shot dense reduce) and `faults.retries`
 /// (the solve-level retry loop is gone), and the default `mst_mode`
 /// becomes `"dist"`. Breaking by definition — two keys were removed.
-pub const SCHEMA_VERSION: u64 = 8;
+///
+/// **v8 → v9**: adds the `pruned_at_push` object (`total` plus
+/// `per_rank`, counting Voronoi relaxations the ordered disciplines
+/// resolved by a label comparison before they were pushed). These used
+/// to be queued and dropped at admission, so part of what v8 counted in
+/// `stale_drops` moved here. `stale_drops` keeps its meaning (relaxations
+/// that reached a queue and were dropped unvisited), but a v8 reader
+/// comparing it across versions would silently see the filtered work
+/// vanish.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// The configuration a solve ran with, reduced to plain strings and
 /// numbers for the report.
@@ -207,6 +216,9 @@ pub struct RunReport {
     /// the ordered disciplines' stale filter at queue admission or at pop
     /// (v4; all-zero under FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
+    /// Voronoi relaxations per rank the ordered disciplines pruned before
+    /// they were pushed (v9; all-zero under FIFO/adversarial queues).
+    pub pruned_at_push: Vec<u64>,
     /// Work-based simulated speedup (Fig 3's scaling metric).
     pub simulated_speedup: f64,
     /// Most-loaded rank's work divided by the mean — 1.0 is perfectly
@@ -245,7 +257,7 @@ impl RunReport {
     /// stability rules). Top-level keys: `schema_version`, `config`,
     /// `phase_times_us`, `total_time_us`, `message_counts`,
     /// `graph_bytes`, `state_peak_bytes`, `distance_graph_edges`,
-    /// `rank_work`, `stale_drops`, `simulated_speedup`,
+    /// `rank_work`, `stale_drops`, `pruned_at_push`, `simulated_speedup`,
     /// `imbalance_ratio`, `critical_path`, `latency_quantiles`, `faults`,
     /// `timeseries`, `peak_memory`, `recovery`, `boruvka`, `tree`.
     pub fn to_json(&self) -> Json {
@@ -277,15 +289,8 @@ impl RunReport {
                 "rank_work",
                 Json::Arr(self.rank_work.iter().map(|&w| Json::from(w)).collect()),
             )
-            .with(
-                "stale_drops",
-                Json::obj()
-                    .with("total", self.stale_drops.iter().sum::<u64>())
-                    .with(
-                        "per_rank",
-                        Json::Arr(self.stale_drops.iter().map(|&d| Json::from(d)).collect()),
-                    ),
-            )
+            .with("stale_drops", per_rank_json(&self.stale_drops))
+            .with("pruned_at_push", per_rank_json(&self.pruned_at_push))
             .with("simulated_speedup", self.simulated_speedup)
             .with("imbalance_ratio", self.imbalance_ratio)
             .with(
@@ -346,6 +351,16 @@ impl RunReport {
                     .with("total_distance", self.tree_total_distance),
             )
     }
+}
+
+/// A per-rank counter as `{"total": sum, "per_rank": [...]}`.
+fn per_rank_json(per_rank: &[u64]) -> Json {
+    Json::obj()
+        .with("total", per_rank.iter().sum::<u64>())
+        .with(
+            "per_rank",
+            Json::Arr(per_rank.iter().map(|&d| Json::from(d)).collect()),
+        )
 }
 
 /// Renders the per-phase peak-memory watermarks from a telemetry dump:
@@ -441,6 +456,7 @@ impl SolveReport {
             distance_graph_edges: self.distance_graph_edges,
             rank_work: self.rank_work.clone(),
             stale_drops: self.stale_drops.clone(),
+            pruned_at_push: self.pruned_at_push.clone(),
             simulated_speedup: self.simulated_speedup(),
             imbalance_ratio,
             critical_path,
@@ -471,7 +487,8 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
                 "schema_version {found} report found; this build reads v{SCHEMA_VERSION} \
                  — regenerate the report with current binaries (version history, \
                  including when the faults, stale_drops, timeseries, peak_memory, \
-                 recovery and boruvka sections were added: report::SCHEMA_VERSION docs)"
+                 recovery, boruvka and pruned_at_push sections were added: \
+                 report::SCHEMA_VERSION docs)"
             ));
         }
         _ => {
@@ -517,17 +534,19 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
     if work.iter().any(|w| w.as_u64().is_none()) {
         return Err("rank_work elements must be integers".to_string());
     }
-    let stale = run.get("stale_drops").ok_or("missing stale_drops")?;
-    stale
-        .get("total")
-        .and_then(|v| v.as_u64())
-        .ok_or("stale_drops.total must be an integer")?;
-    let per_rank = stale
-        .get("per_rank")
-        .and_then(|v| v.as_arr())
-        .ok_or("stale_drops.per_rank must be an array")?;
-    if per_rank.iter().any(|w| w.as_u64().is_none()) {
-        return Err("stale_drops.per_rank elements must be integers".to_string());
+    for key in ["stale_drops", "pruned_at_push"] {
+        let counter = run.get(key).ok_or_else(|| format!("missing {key}"))?;
+        counter
+            .get("total")
+            .and_then(|v| v.as_u64())
+            .ok_or_else(|| format!("{key}.total must be an integer"))?;
+        let per_rank = counter
+            .get("per_rank")
+            .and_then(|v| v.as_arr())
+            .ok_or_else(|| format!("{key}.per_rank must be an array"))?;
+        if per_rank.iter().any(|w| w.as_u64().is_none()) {
+            return Err(format!("{key}.per_rank elements must be integers"));
+        }
     }
     run.get("simulated_speedup")
         .and_then(|v| v.as_f64())
@@ -1057,6 +1076,41 @@ mod tests {
         assert!(doc.get("config").unwrap().get("reduce_mode").is_none());
         assert!(doc.get("faults").unwrap().get("retries").is_none());
         assert!(validate_run(&doc).is_ok());
+    }
+
+    #[test]
+    fn v9_pruned_at_push_object_emitted_and_required() {
+        let mut b = GraphBuilder::new(8);
+        for i in 0..7 {
+            b.add_edge(i as Vertex, (i + 1) as Vertex, 2);
+        }
+        let g = b.build();
+        let cfg = SolverConfig {
+            num_ranks: 2,
+            queue: QueueKind::Priority,
+            ..SolverConfig::default()
+        };
+        let report = solve(&g, &[0, 7], &cfg).unwrap().run_report();
+        assert_eq!(report.pruned_at_push.len(), 2);
+        // Every path vertex relaxes the arc back to its predecessor, a
+        // candidate its admitted label already beats.
+        assert!(report.pruned_at_push.iter().sum::<u64>() > 0);
+        let doc = report.to_json();
+        let pruned = doc.get("pruned_at_push").expect("v9 emits pruned_at_push");
+        assert_eq!(
+            pruned.get("total").and_then(|v| v.as_u64()),
+            Some(report.pruned_at_push.iter().sum::<u64>())
+        );
+        assert!(validate_run(&doc).is_ok());
+        let mut missing = doc.clone();
+        if let Json::Obj(pairs) = &mut missing {
+            pairs.retain(|(k, _)| k != "pruned_at_push");
+        }
+        let err = validate_run(&missing).unwrap_err();
+        assert!(err.contains("pruned_at_push"), "{err}");
+        // The full-delivery disciplines never prune.
+        let adversarial = sample_report().run_report();
+        assert_eq!(adversarial.pruned_at_push, vec![0, 0]);
     }
 
     #[test]

@@ -353,7 +353,9 @@ impl VertexStates {
 /// - `admitted` — the asynchronous phase's best label admitted to the
 ///   visitor queue so far, per held vertex (indexed by
 ///   [`VertexStates::held_index`]; the admission side of its stale
-///   filter).
+///   filter),
+/// - `ghost` — the best label this rank has sent to each remote vertex,
+///   indexed by vertex id (the sender side of the filter).
 ///
 /// Buffers are cleared (capacity retained) each time they are handed out,
 /// so a fault-injection retry of the whole solve reuses the previous
@@ -362,6 +364,7 @@ impl VertexStates {
 pub struct ScratchArena {
     init: Vec<VoronoiMsg>,
     admitted: Vec<Label>,
+    ghost: Vec<Label>,
 }
 
 impl ScratchArena {
@@ -371,24 +374,28 @@ impl ScratchArena {
     }
 
     /// The asynchronous Voronoi phase's buffers, split-borrowed: the
-    /// bootstrap message buffer (cleared, capacity retained) and the
-    /// admitted-label array, reset to `states`' current labels.
+    /// bootstrap message buffer (cleared, capacity retained), the
+    /// admitted-label array, reset to `states`' current labels, and
+    /// `ghost_len` ghost labels, reset to [`Label::UNSET`].
     pub fn voronoi_buffers(
         &mut self,
         states: &VertexStates,
-    ) -> (&mut Vec<VoronoiMsg>, &mut Vec<Label>) {
+        ghost_len: usize,
+    ) -> (&mut Vec<VoronoiMsg>, &mut Vec<Label>, &mut Vec<Label>) {
         self.init.clear();
         self.admitted.clear();
         self.admitted
             .extend((0..states.num_held()).map(|i| states.label_at(i)));
-        (&mut self.init, &mut self.admitted)
+        self.ghost.clear();
+        self.ghost.resize(ghost_len, Label::UNSET);
+        (&mut self.init, &mut self.admitted, &mut self.ghost)
     }
 
     /// Approximate bytes held across all scratch buffers (capacity, since
     /// retained capacity is what the arena's reuse is about).
     pub fn memory_bytes(&self) -> usize {
         self.init.capacity() * std::mem::size_of::<VoronoiMsg>()
-            + self.admitted.capacity() * std::mem::size_of::<Label>()
+            + (self.admitted.capacity() + self.ghost.capacity()) * std::mem::size_of::<Label>()
     }
 }
 
@@ -564,15 +571,16 @@ mod tests {
     fn scratch_arena_clears_but_retains_capacity() {
         let mut st = make_states(true);
         let mut a = ScratchArena::new();
-        a.voronoi_buffers(&st)
-            .0
-            .extend([VoronoiMsg::Start(1), VoronoiMsg::Start(2)]);
+        let (init, _, ghost) = a.voronoi_buffers(&st, 8);
+        init.extend([VoronoiMsg::Start(1), VoronoiMsg::Start(2)]);
+        ghost[7] = Label::seed(7);
         st.init_seeds(&[1]);
-        let (init, admitted) = a.voronoi_buffers(&st); // handed out cleared
+        let (init, admitted, ghost) = a.voronoi_buffers(&st, 8); // handed out cleared
         assert!(init.is_empty());
         assert!(init.capacity() >= 2, "reuse must keep the allocation");
         assert_eq!(admitted.len(), st.num_held());
         assert_eq!(admitted[st.held_index(1).unwrap()], Label::seed(1));
+        assert_eq!(ghost, &vec![Label::UNSET; 8], "ghost labels start fresh");
         assert!(a.memory_bytes() >= st.num_held() * std::mem::size_of::<Label>());
     }
 }

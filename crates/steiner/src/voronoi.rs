@@ -19,31 +19,56 @@
 //!
 //! ## Stale-relaxation filtering
 //!
-//! Under the ordered queue disciplines (priority, bucketed) the traversal
-//! asks a staleness predicate about every `Relax` and `DelegateUpdate`
-//! at queue admission and again at pop (see `struntime::traversal`,
-//! "Stale-entry filtering"). The
-//! predicate keeps, per held vertex (owned slot or delegate replica), the
-//! best candidate label *admitted* to this rank's queue so far, in one
-//! dense array seeded from the labels after `init_seeds`:
+//! Under the ordered queue disciplines (priority, bucketed) a relaxation
+//! is filtered at up to three points. FIFO and adversarial queues skip
+//! all three: they are the full-delivery baselines.
 //!
-//! - **admission** rejects a candidate that is not strictly below the
-//!   target's admitted label and records it otherwise, so a relaxation
-//!   that cannot beat the target's tentative distance is never queued —
-//!   HavoqGT's `pre_visit`, the tentative-distance filter of
-//!   delta-stepping;
-//! - **pop** drops a candidate that is above the admitted label (a better
-//!   one was queued after it) or not below the committed label.
+//! - **Push, held target.** Before `relax` builds a `Relax` for a vertex
+//!   this rank holds (owned slot or delegate replica), it compares the
+//!   candidate with the target's *admitted* label: the best candidate
+//!   admitted to this rank's queue so far, in one dense array seeded from
+//!   the labels after `init_seeds`. A candidate not strictly below it is
+//!   counted in `TraversalStats::pruned_at_push` and never becomes a
+//!   message: the compare-then-enqueue of Dijkstra's inner loop.
+//! - **Push, remote target.** A per-rank *ghost* label array, indexed by
+//!   vertex id, holds the best label this rank has sent to each remote
+//!   vertex. A candidate not strictly below it is pruned the same way;
+//!   one that is below it is sent and recorded. This is HavoqGT-style
+//!   sender-side filtering, as in the bulk exchanges of *Engineering
+//!   Massively Parallel MST Algorithms* (arXiv:2302.12199). It costs
+//!   16 B per vertex of the graph on each rank.
+//! - **Queue.** The traversal asks a staleness predicate about every
+//!   `Relax` and `DelegateUpdate` at queue admission and again at pop
+//!   (see `struntime::traversal`, "Stale-entry filtering"). Admission
+//!   rejects a candidate that is not strictly below the target's admitted
+//!   label and records it otherwise (HavoqGT's `pre_visit`, the
+//!   tentative-distance filter of delta-stepping); pop drops a candidate
+//!   that is above the admitted label (a better one was queued after it)
+//!   or not below the committed label. Both are counted in
+//!   `TraversalStats::stale_dropped`.
 //!
-//! Both answers are safe. The committed label is never below the admitted
-//! one, so a rejected candidate either cannot pass `try_improve` or is
-//! dominated by an admitted candidate for the same target, whose visit
-//! (or drop, by induction) leaves the target at a label at least as
-//! small, and whose out-arc relaxations dominate the rejected one's. The
-//! pop answer is monotone — both labels only shrink — and the visit is
-//! unchanged, so the strict-lexicographic label fixpoint (and the tree)
-//! stays bit-identical across disciplines. Dropped candidates are counted
-//! in `TraversalStats::stale_dropped`.
+//! All of them are safe:
+//!
+//! - The committed label is never below the admitted one, so a candidate
+//!   rejected at admission either cannot pass `try_improve` or is
+//!   dominated by an admitted candidate for the same target, whose visit
+//!   (or drop, by induction) leaves the target at a label at least as
+//!   small, and whose out-arc relaxations dominate the rejected one's.
+//! - The held-target push check only *reads* the admitted label;
+//!   admission stays its only writer. The label only shrinks between the
+//!   check and the admission of the same visit's pushes, so everything the
+//!   push check prunes, admission would have rejected. The queued sequence
+//!   is unchanged, and one-rank visits are identical with or without it.
+//! - A ghost label is a candidate this rank really sent. The channel layer
+//!   retransmits until delivery, so the owner eventually receives it, and
+//!   a pruned candidate is dominated by it just as above. Crash recovery
+//!   replays the whole phase on every rank from a checkpoint, and the
+//!   array is rebuilt fresh for each phase run.
+//! - The pop answer is monotone (both labels only shrink) and the visit is
+//!   unchanged.
+//!
+//! So the strict-lexicographic label fixpoint, and the tree, stays
+//! bit-identical across disciplines.
 
 use crate::messages::VoronoiMsg;
 use crate::state::{Label, ScratchArena, VertexStates};
@@ -54,9 +79,9 @@ use struntime::traversal::{run_traversal_filtered, StaleCheck, TraversalOptions}
 use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
 
 /// Runs the Voronoi phase to quiescence on this rank. Collective.
-/// `scratch` provides the reusable bootstrap buffer and admitted-label
-/// array so repeated solves (benchmark sweeps) do not re-allocate per
-/// phase.
+/// `scratch` provides the reusable bootstrap buffer and the admitted- and
+/// ghost-label arrays, so repeated solves (benchmark sweeps) do not
+/// re-allocate per phase.
 #[allow(clippy::too_many_arguments)] // collective phase entry: ctx + graph views + state + knobs
 pub fn run(
     comm: &Comm,
@@ -69,7 +94,14 @@ pub fn run(
     scratch: &mut ScratchArena,
 ) -> TraversalStats {
     states.init_seeds(seeds);
-    let (init, admitted) = scratch.voronoi_buffers(states);
+    let filter = options.queue.filters_stale();
+    // Only a filtering run on several ranks has remote targets to track.
+    let ghost_len = if filter && partition.num_ranks() > 1 {
+        partition.num_vertices()
+    } else {
+        0
+    };
+    let (init, admitted, ghost) = scratch.voronoi_buffers(states, ghost_len);
 
     // Bootstrap: this rank starts every seed whose outgoing arcs it holds —
     // owned non-delegate seeds, plus every delegate seed (each rank holds a
@@ -82,146 +114,205 @@ pub fn run(
             .map(VoronoiMsg::Start),
     );
 
-    // The stale predicate and the visit callback both need the vertex
-    // states (read-only vs. mutable); a RefCell arbitrates. The borrows
-    // never overlap: the traversal calls the predicate and the visit
-    // callback strictly in sequence on one thread.
-    let states = RefCell::new(states);
+    // The stale predicate and the visit callback both need the kernel
+    // state; a RefCell arbitrates. The borrows never overlap: the
+    // traversal calls the predicate and the visit callback strictly in
+    // sequence on one thread.
+    let kernel = RefCell::new(Kernel {
+        rg,
+        partition,
+        states,
+        admitted,
+        ghost,
+        filter,
+    });
     run_traversal_filtered(
         comm,
         chan,
         options,
         VoronoiMsg::priority,
-        |check: StaleCheck, msg: &VoronoiMsg| match *msg {
+        |check, msg| kernel.borrow_mut().is_stale(check, msg),
+        init.iter().copied(),
+        // The lock-order rule resolves calls by name and so reads the
+        // visit as borrowing `kernel` again; it never does.
+        // stcheck: allow(lock-order): one thread's RefCell, never re-entered
+        |msg, pusher| kernel.borrow_mut().visit(msg, pusher),
+    )
+}
+
+/// One rank's Voronoi kernel state for the length of a phase.
+struct Kernel<'a> {
+    rg: &'a RankGraph,
+    partition: &'a BlockPartition,
+    states: &'a mut VertexStates,
+    /// Best candidate admitted to this rank's queue, per held vertex
+    /// (indexed by [`VertexStates::held_index`]). Admission is its only
+    /// writer.
+    admitted: &'a mut [Label],
+    /// Best label this rank has sent, per remote vertex id (empty unless
+    /// `filter` is on and the world has several ranks).
+    ghost: &'a mut [Label],
+    /// Whether the queue discipline filters stale relaxations.
+    filter: bool,
+}
+
+impl Kernel<'_> {
+    fn is_stale(&mut self, check: StaleCheck, msg: &VoronoiMsg) -> bool {
+        match *msg {
             // Bootstraps are never stale: they carry no candidate label.
             VoronoiMsg::Start(_) => false,
             VoronoiMsg::Relax { target, label, .. }
             | VoronoiMsg::DelegateUpdate { target, label, .. } => {
-                let st = states.borrow();
-                let Some(i) = st.held_index(target) else {
+                let Some(i) = self.states.held_index(target) else {
                     return false;
                 };
                 match check {
-                    StaleCheck::Admit if label < admitted[i] => {
-                        admitted[i] = label;
+                    StaleCheck::Admit if label < self.admitted[i] => {
+                        self.admitted[i] = label;
                         false
                     }
                     StaleCheck::Admit => true,
-                    StaleCheck::Pop => label > admitted[i] || label >= st.label_at(i),
+                    StaleCheck::Pop => label > self.admitted[i] || label >= self.states.label_at(i),
                 }
-            }
-        },
-        init.iter().copied(),
-        |msg, pusher| visit(msg, rg, partition, &mut states.borrow_mut(), pusher),
-    )
-}
-
-fn visit(
-    msg: VoronoiMsg,
-    rg: &RankGraph,
-    partition: &BlockPartition,
-    states: &mut VertexStates,
-    pusher: &mut Pusher<'_, VoronoiMsg>,
-) {
-    match msg {
-        VoronoiMsg::Start(s) => {
-            let label = Label::seed(s);
-            relax_out_arcs(s, label, rg, partition, pusher);
-        }
-        VoronoiMsg::Relax {
-            target,
-            label,
-            pred_weight,
-        } => {
-            if states.try_improve(target, label, pred_weight) {
-                if rg.is_delegate(target) {
-                    // Local replica improved: sync the other replicas,
-                    // then relax this rank's slice of the hub's adjacency.
-                    pusher.trace_instant("delegate_broadcast", target as u64);
-                    for dest in 0..partition.num_ranks() {
-                        if dest != pusher.rank() {
-                            pusher.push(
-                                dest,
-                                VoronoiMsg::DelegateUpdate {
-                                    target,
-                                    label,
-                                    pred_weight,
-                                },
-                            );
-                        }
-                    }
-                }
-                relax_out_arcs(target, label, rg, partition, pusher);
-            }
-        }
-        VoronoiMsg::DelegateUpdate {
-            target,
-            label,
-            pred_weight,
-        } => {
-            // Replica update; priority-queue reordering can deliver a newer
-            // (better) update first, in which case the older one is a no-op.
-            if states.try_improve(target, label, pred_weight) {
-                relax_out_arcs(target, label, rg, partition, pusher);
             }
         }
     }
-}
 
-/// Relaxes every outgoing arc of `v` that this rank holds, given `v`'s
-/// (just-updated) label.
-fn relax_out_arcs(
-    v: Vertex,
-    label: Label,
-    rg: &RankGraph,
-    partition: &BlockPartition,
-    pusher: &mut Pusher<'_, VoronoiMsg>,
-) {
-    let emit = |nbr: Vertex, w: Weight, pusher: &mut Pusher<'_, VoronoiMsg>| {
-        let msg = VoronoiMsg::Relax {
-            target: nbr,
-            label: Label {
-                dist: label.dist + w,
-                src: label.src,
-                pred: v,
-            },
-            pred_weight: w,
-        };
-        // Delegate targets are relaxed against the local replica (every
-        // rank holds one); everything else routes to its owner.
-        let dest = if rg.is_delegate(nbr) {
-            pusher.rank()
+    fn visit(&mut self, msg: VoronoiMsg, pusher: &mut Pusher<'_, VoronoiMsg>) {
+        match msg {
+            VoronoiMsg::Start(s) => self.relax_out_arcs(s, Label::seed(s), pusher),
+            VoronoiMsg::Relax {
+                target,
+                label,
+                pred_weight,
+            } => {
+                if self.states.try_improve(target, label, pred_weight) {
+                    if self.rg.is_delegate(target) {
+                        // Local replica improved: sync the other replicas,
+                        // then relax this rank's slice of the hub's adjacency.
+                        pusher.trace_instant("delegate_broadcast", target as u64);
+                        for dest in 0..self.partition.num_ranks() {
+                            if dest != pusher.rank() {
+                                pusher.push(
+                                    dest,
+                                    VoronoiMsg::DelegateUpdate {
+                                        target,
+                                        label,
+                                        pred_weight,
+                                    },
+                                );
+                            }
+                        }
+                    }
+                    self.relax_out_arcs(target, label, pusher);
+                }
+            }
+            VoronoiMsg::DelegateUpdate {
+                target,
+                label,
+                pred_weight,
+            } => {
+                // Replica update; priority-queue reordering can deliver a
+                // newer (better) update first, in which case the older one
+                // is a no-op.
+                if self.states.try_improve(target, label, pred_weight) {
+                    self.relax_out_arcs(target, label, pusher);
+                }
+            }
+        }
+    }
+
+    /// Relaxes every outgoing arc of `v` that this rank holds, given `v`'s
+    /// (just-updated) label.
+    fn relax_out_arcs(&mut self, v: Vertex, label: Label, pusher: &mut Pusher<'_, VoronoiMsg>) {
+        let rg = self.rg;
+        if rg.is_delegate(v) {
+            for &(nbr, w) in rg.delegate_slice(v) {
+                self.relax(v, label, nbr, w, pusher);
+            }
         } else {
-            partition.owner(nbr)
+            debug_assert!(rg.owns(v));
+            for (nbr, w) in rg.adj(v) {
+                self.relax(v, label, nbr, w, pusher);
+            }
+        }
+    }
+
+    /// Relaxes the arc `(v, nbr)` of weight `w`. Under a filtering
+    /// discipline a candidate that cannot beat what `nbr` already has on
+    /// this rank (a held target's admitted label, a remote target's
+    /// ghost label) is counted as pruned and never becomes a message.
+    fn relax(
+        &mut self,
+        v: Vertex,
+        label: Label,
+        nbr: Vertex,
+        w: Weight,
+        pusher: &mut Pusher<'_, VoronoiMsg>,
+    ) {
+        let cand = Label {
+            dist: label.dist + w,
+            src: label.src,
+            pred: v,
         };
-        pusher.push(dest, msg);
-    };
-    if rg.is_delegate(v) {
-        for &(nbr, w) in rg.delegate_slice(v) {
-            emit(nbr, w, pusher);
-        }
-    } else {
-        debug_assert!(rg.owns(v));
-        for (nbr, w) in rg.adj(v) {
-            emit(nbr, w, pusher);
-        }
+        // Held targets (owned vertices and delegate replicas) are relaxed
+        // on this rank; everything else routes to its owner.
+        let dest = match self.states.held_index(nbr) {
+            Some(i) => {
+                if self.filter && cand >= self.admitted[i] {
+                    pusher.prune();
+                    return;
+                }
+                pusher.rank()
+            }
+            None => {
+                if self.filter {
+                    let ghost = &mut self.ghost[nbr as usize];
+                    if cand >= *ghost {
+                        pusher.prune();
+                        return;
+                    }
+                    *ghost = cand;
+                }
+                self.partition.owner(nbr)
+            }
+        };
+        pusher.push(
+            dest,
+            VoronoiMsg::Relax {
+                target: nbr,
+                label: cand,
+                pred_weight: w,
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use stgraph::csr::CsrGraph;
     use stgraph::datasets::Dataset;
     use stgraph::partition::partition_graph;
     use struntime::{QueueKind, World};
+
+    /// Degree above which a vertex of the tiny RMAT graphs becomes a
+    /// delegate: low enough that every run has replica slots.
+    const DELEGATE_THRESHOLD: usize = 24;
+
+    fn tiny(seed: u64) -> (CsrGraph, Vec<Vertex>) {
+        let g = Dataset::Lvj.generate_tiny(seed);
+        let seeds = (0..g.num_vertices() as Vertex).step_by(61).collect();
+        (g, seeds)
+    }
 
     /// One 1-rank Voronoi run on a tiny RMAT graph with hub delegates:
     /// its traversal stats, the phase's local message count and the number
     /// of bootstraps.
     fn one_rank(queue: QueueKind) -> (TraversalStats, u64, u64) {
-        let g = Dataset::Lvj.generate_tiny(11);
-        let seeds: Vec<Vertex> = (0..g.num_vertices() as Vertex).step_by(61).collect();
-        let pg = partition_graph(&g, 1, Some(24));
+        let (g, seeds) = tiny(11);
+        let pg = partition_graph(&g, 1, Some(DELEGATE_THRESHOLD));
         assert!(!pg.ranks[0].delegates.is_empty(), "exercise replica slots");
         let out = World::run(1, |comm| {
             let chan = comm.open_channels::<Vec<VoronoiMsg>>("voronoi");
@@ -243,20 +334,21 @@ mod tests {
         (out.results[0], local, seeds.len() as u64)
     }
 
-    /// `stale_dropped` counts relaxations that never became visits, at
-    /// admission or at pop: on one rank every push is local, so each
-    /// bootstrap and each local message is either visited or dropped,
-    /// exactly once.
+    /// On one rank every push is local, so each bootstrap and each local
+    /// message is either visited or dropped by the queue's stale filter,
+    /// exactly once; relaxations pruned at push are neither.
     #[test]
     fn priority_visits_plus_drops_equal_pushes_and_queue_stays_short() {
         let (priority, local, bootstraps) = one_rank(QueueKind::Priority);
         assert!(priority.stale_dropped > 0);
+        assert!(priority.pruned_at_push > 0);
         assert_eq!(
             priority.processed + priority.stale_dropped,
             bootstraps + local
         );
         let (fifo, fifo_local, _) = one_rank(QueueKind::Fifo);
         assert_eq!(fifo.stale_dropped, 0);
+        assert_eq!(fifo.pruned_at_push, 0);
         assert_eq!(fifo.processed, bootstraps + fifo_local);
         assert!(
             priority.peak_queue_len < fifo.peak_queue_len,
@@ -264,5 +356,75 @@ mod tests {
             priority.peak_queue_len,
             fifo.peak_queue_len
         );
+    }
+
+    /// Every held vertex's `(label, pred_weight)` after a Voronoi run on
+    /// `p` ranks: owned slots and delegate replicas, each replica checked
+    /// equal across ranks.
+    fn held_labels(
+        g: &CsrGraph,
+        seeds: &[Vertex],
+        p: usize,
+        queue: QueueKind,
+    ) -> BTreeMap<Vertex, (Label, Weight)> {
+        let pg = partition_graph(g, p, Some(DELEGATE_THRESHOLD));
+        assert!(!pg.ranks[0].delegates.is_empty(), "exercise replica slots");
+        let out = World::run(p, |comm| {
+            let chan = comm.open_channels::<Vec<VoronoiMsg>>("voronoi");
+            let rg = &pg.ranks[comm.rank()];
+            let mut states = VertexStates::new(rg);
+            run(
+                comm,
+                &chan,
+                rg,
+                &pg.partition,
+                &mut states,
+                seeds,
+                TraversalOptions::new(queue),
+                &mut ScratchArena::new(),
+            );
+            rg.owned
+                .clone()
+                .chain(rg.delegates.iter().copied())
+                .map(|v| (v, (states.label(v), states.pred_weight(v))))
+                .collect::<Vec<_>>()
+        });
+        let mut labels = BTreeMap::new();
+        for (v, held) in out.results.into_iter().flatten() {
+            if let Some(other) = labels.insert(v, held) {
+                assert_eq!(
+                    other, held,
+                    "replicas of {v} disagree ({p} ranks, {queue:?})"
+                );
+            }
+        }
+        assert_eq!(labels.len(), g.num_vertices());
+        labels
+    }
+
+    /// The push-time pruning changes which relaxations become messages,
+    /// never the fixpoint: every held vertex's `(dist, src, pred,
+    /// pred_weight)` matches the 1-rank FIFO run (no filter at all) under
+    /// every rank count and discipline, delegate replicas and
+    /// `DelegateUpdate`s included.
+    #[test]
+    fn labels_are_identical_across_ranks_and_queues_with_delegates() {
+        for graph_seed in [11, 12] {
+            let (g, seeds) = tiny(graph_seed);
+            let reference = held_labels(&g, &seeds, 1, QueueKind::Fifo);
+            for p in [1, 2, 4] {
+                for queue in [
+                    QueueKind::Fifo,
+                    QueueKind::Priority,
+                    QueueKind::Bucketed { delta: 500 },
+                    QueueKind::Adversarial { seed: graph_seed },
+                ] {
+                    assert!(
+                        held_labels(&g, &seeds, p, queue) == reference,
+                        "graph {graph_seed}, {p} ranks, {queue:?}: labels differ"
+                    );
+                }
+            }
+        }
     }
 }

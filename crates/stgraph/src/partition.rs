@@ -156,20 +156,33 @@ impl RankGraph {
                 .sum::<usize>()
     }
 
-    /// Iterator over every arc `(u, v, w)` stored on this rank — owned
-    /// adjacency plus delegate slices. Used by the edge-centric
-    /// min-distance-edge phase (Alg 5), which scans "every (u, v) ∈ E local
-    /// to a partition".
-    pub fn local_arcs(&self) -> impl Iterator<Item = (Vertex, Vertex, Weight)> + '_ {
-        let owned = self
-            .owned
-            .clone()
+    /// Number of arc sources stored on this rank: the owned vertices,
+    /// then the delegates (the index space of [`RankGraph::local_arcs`]).
+    pub fn num_sources(&self) -> usize {
+        self.num_owned() + self.delegates.len()
+    }
+
+    /// Iterator over the arcs `(u, v, w)` stored on this rank whose source
+    /// index lies in `sources`, grouped by source: owned adjacency for
+    /// indices below [`RankGraph::num_owned`], then delegate slices.
+    /// `0..num_sources()` yields every local arc. Used by the
+    /// edge-centric min-distance-edge phase (Alg 5), which scans "every
+    /// (u, v) ∈ E local to a partition".
+    pub fn local_arcs(
+        &self,
+        sources: Range<usize>,
+    ) -> impl Iterator<Item = (Vertex, Vertex, Weight)> + '_ {
+        let n = self.num_owned();
+        let owned = (sources.start.min(n)..sources.end.min(n))
+            .map(move |i| self.owned.start + i as Vertex)
             .filter(move |&v| !self.is_delegate(v))
             .flat_map(move |u| self.adj(u).map(move |(v, w)| (u, v, w)));
-        let delegated =
-            self.delegates.iter().enumerate().flat_map(move |(i, &d)| {
-                self.delegate_slices[i].iter().map(move |&(v, w)| (d, v, w))
-            });
+        let delegated = (sources.start.max(n)..sources.end.max(n)).flat_map(move |i| {
+            let d = self.delegates[i - n];
+            self.delegate_slices[i - n]
+                .iter()
+                .map(move |&(v, w)| (d, v, w))
+        });
         owned.chain(delegated)
     }
 }
@@ -325,10 +338,16 @@ mod tests {
     fn local_arcs_match_global() {
         let g = star_graph(7);
         let pg = partition_graph(&g, 3, Some(4));
+        // Scanned in source chunks of 2, as the min-edge phase scans.
         let mut local: Vec<_> = pg
             .ranks
             .iter()
-            .flat_map(|r| r.local_arcs().collect::<Vec<_>>())
+            .flat_map(|r| {
+                let n = r.num_sources();
+                (0..n)
+                    .step_by(2)
+                    .flat_map(move |s| r.local_arcs(s..(s + 2).min(n)))
+            })
             .collect();
         local.sort_unstable();
         let mut global: Vec<_> = g.arcs().collect();

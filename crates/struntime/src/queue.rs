@@ -21,10 +21,12 @@
 //! ## Stale-entry filtering
 //!
 //! The ordered disciplines (priority and bucketed) emulate decrease-key in
-//! two steps. The traversal driver filters visitors *before* they are
-//! pushed (the admission check of `crate::traversal`, "Stale-entry
-//! filtering"), so a relaxation that does not beat its target's best
-//! admitted label never costs a push. Pushes still never remove the
+//! three steps. A visit callback can resolve a relaxation by a comparison
+//! of its own and never push it ([`crate::Pusher::prune`]). The traversal
+//! driver filters the visitors that are pushed before they are queued
+//! (the admission check of `crate::traversal`, "Stale-entry filtering"),
+//! so a relaxation that does not beat its target's best admitted label
+//! never costs a queue push. Pushes still never remove the
 //! entries a later improvement supersedes, so
 //! [`VisitorQueue::pop_stale_filtered`] applies a caller-supplied
 //! staleness predicate at pop and drops those before they reach the visit
@@ -34,7 +36,7 @@
 //! Fig 5/6 experiments and the chaos matrix compare against.
 
 use crate::wire::DeepBytes;
-use std::cmp::Ordering as CmpOrdering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Which queue discipline a traversal uses.
@@ -84,30 +86,20 @@ impl QueueKind {
     }
 }
 
-struct Entry<V> {
-    prio: u64,
-    seq: u64,
-    value: V,
+/// A priority-slab entry: a queued value, or a vacated slot holding the
+/// next free slot's index.
+enum Slot<V> {
+    Full(V),
+    Free(usize),
 }
 
-impl<V> PartialEq for Entry<V> {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl<V> Eq for Entry<V> {}
-impl<V> PartialOrd for Entry<V> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl<V> Ord for Entry<V> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // BinaryHeap is a max-heap; reverse so the smallest (prio, seq)
-        // pops first.
-        (other.prio, other.seq).cmp(&(self.prio, self.seq))
-    }
-}
+/// End of the priority slab's free list.
+const NO_SLOT: usize = usize::MAX;
+
+/// Slots per priority-slab chunk. Chunks never move, so the slab grows
+/// without reallocating: a slab and a key heap doubling side by side
+/// would leave the allocator holes as large as themselves.
+const SLAB_CHUNK: usize = 1 << 7;
 
 /// Upper bound on the bucket window (`(max_prio - min_prio) / delta`). A
 /// wider spread means `delta` is far too small for the priority range —
@@ -118,7 +110,16 @@ const MAX_BUCKET_WINDOW: u64 = 1 << 24;
 pub struct VisitorQueue<V> {
     kind: QueueKind,
     fifo: VecDeque<V>,
-    heap: BinaryHeap<Entry<V>>,
+    /// Priority discipline: a min-heap of 24-byte `(prio, seq, slot)`
+    /// keys. `seq` is unique, so pops follow `(prio, seq)` exactly and
+    /// `slot` never decides an order; the value waits in `slab[slot]`, so
+    /// a sift moves 24 bytes whatever `V` is.
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Values of the queued priority keys, in chunks of [`SLAB_CHUNK`]
+    /// slots. Vacated slots form a free list threaded through the slab
+    /// itself, headed by `free`.
+    slab: Vec<Vec<Slot<V>>>,
+    free: usize,
     bag: Vec<V>,
     /// Cyclic bucket vector of the bucketed discipline: the entry for
     /// absolute bucket id `b = prio / delta` lives in slot `b % len`,
@@ -175,6 +176,8 @@ impl<V> VisitorQueue<V> {
             kind,
             fifo: VecDeque::new(),
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: NO_SLOT,
             bag: Vec::new(),
             buckets: Vec::new(),
             min_bucket: 0,
@@ -217,6 +220,10 @@ impl<V> VisitorQueue<V> {
         }
     }
 
+    fn slot_mut(&mut self, slot: usize) -> &mut Slot<V> {
+        &mut self.slab[slot / SLAB_CHUNK][slot % SLAB_CHUNK]
+    }
+
     /// Grows the cyclic bucket vector to hold a window of at least
     /// `needed` buckets, re-placing every live entry by its absolute
     /// bucket id. Per-bucket arrival order is preserved: the old window
@@ -248,9 +255,24 @@ impl<V: DeepBytes> VisitorQueue<V> {
         match self.kind {
             QueueKind::Fifo => self.fifo.push_back(value),
             QueueKind::Priority => {
-                let seq = self.seq;
+                let slot = if self.free == NO_SLOT {
+                    if self.slab.last().is_none_or(|c| c.len() == SLAB_CHUNK) {
+                        self.slab.push(Vec::with_capacity(SLAB_CHUNK));
+                    }
+                    let chunks = self.slab.len();
+                    let chunk = &mut self.slab[chunks - 1];
+                    chunk.push(Slot::Full(value));
+                    (chunks - 1) * SLAB_CHUNK + chunk.len() - 1
+                } else {
+                    let slot = self.free;
+                    match std::mem::replace(self.slot_mut(slot), Slot::Full(value)) {
+                        Slot::Free(next) => self.free = next,
+                        Slot::Full(_) => unreachable!("the free list holds only free slots"),
+                    }
+                    slot
+                };
+                self.heap.push(Reverse((prio, self.seq, slot)));
                 self.seq += 1;
-                self.heap.push(Entry { prio, seq, value });
             }
             QueueKind::Bucketed { delta } => {
                 let b = prio / delta;
@@ -280,7 +302,13 @@ impl<V: DeepBytes> VisitorQueue<V> {
     pub fn pop(&mut self) -> Option<V> {
         let popped = match self.kind {
             QueueKind::Fifo => self.fifo.pop_front(),
-            QueueKind::Priority => self.heap.pop().map(|e| e.value),
+            QueueKind::Priority => self.heap.pop().map(|Reverse((_, _, slot))| {
+                let vacated = Slot::Free(std::mem::replace(&mut self.free, slot));
+                match std::mem::replace(self.slot_mut(slot), vacated) {
+                    Slot::Full(value) => value,
+                    Slot::Free(_) => unreachable!("a queued key owns its slot"),
+                }
+            }),
             QueueKind::Bucketed { .. } => {
                 if self.bucket_items == 0 {
                     None
@@ -344,7 +372,11 @@ impl<V: DeepBytes> VisitorQueue<V> {
     pub fn memory_bytes(&self) -> usize {
         let buffers = match self.kind {
             QueueKind::Fifo => self.fifo.capacity() * std::mem::size_of::<V>(),
-            QueueKind::Priority => self.heap.capacity() * std::mem::size_of::<Entry<V>>(),
+            QueueKind::Priority => {
+                self.heap.capacity() * std::mem::size_of::<Reverse<(u64, u64, usize)>>()
+                    + self.slab.len() * SLAB_CHUNK * std::mem::size_of::<Slot<V>>()
+                    + self.slab.capacity() * std::mem::size_of::<Vec<Slot<V>>>()
+            }
             QueueKind::Bucketed { .. } => {
                 self.bucket_slot_cap * std::mem::size_of::<(u64, V)>()
                     + self.buckets.capacity() * std::mem::size_of::<VecDeque<(u64, V)>>()
@@ -495,6 +527,64 @@ mod tests {
                 q.memory_bytes() < 8000,
                 "{kind:?}: popped payload bytes must be released"
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod priority_model_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The slab-backed priority heap against a reference
+        /// `BinaryHeap<Reverse<(prio, seq)>>` over random push/pop
+        /// interleavings: identical pop order (ties and slots reused after
+        /// pops included), identical `len` and `is_empty`, and the same
+        /// drop count from `pop_stale_filtered` as a reference filter.
+        /// Each value is its push's sequence number, so a pop names
+        /// exactly which push it returned.
+        #[test]
+        fn priority_queue_matches_reference_heap(
+            ops in proptest::collection::vec((0u8..6, 0u64..6), 0..600),
+        ) {
+            let mut q = VisitorQueue::new(QueueKind::Priority);
+            let mut reference = BinaryHeap::new();
+            let mut seq = 0u64;
+            let unwrap = |e: Option<Reverse<(u64, u64)>>| e.map(|Reverse((_, s))| s);
+            for (op, prio) in ops {
+                match op {
+                    // Pushes outnumber pops, so the queue both grows past
+                    // one slab chunk and refills the slots pops vacate.
+                    0..=3 => {
+                        q.push(prio, seq);
+                        reference.push(Reverse((prio, seq)));
+                        seq += 1;
+                    }
+                    4 => prop_assert_eq!(q.pop(), unwrap(reference.pop())),
+                    _ => {
+                        // An arbitrary fixed property of the value is a
+                        // monotone staleness predicate.
+                        let stale = |s: &u64| s % 3 == prio % 3;
+                        let mut dropped = 0;
+                        let expect = loop {
+                            match unwrap(reference.pop()) {
+                                Some(s) if stale(&s) => dropped += 1,
+                                other => break other,
+                            }
+                        };
+                        prop_assert_eq!(q.pop_stale_filtered(stale), (expect, dropped));
+                    }
+                }
+                prop_assert_eq!(q.len(), reference.len());
+                prop_assert_eq!(q.is_empty(), reference.is_empty());
+            }
+            while let Some(s) = unwrap(reference.pop()) {
+                prop_assert_eq!(q.pop(), Some(s));
+            }
+            prop_assert_eq!(q.pop(), None);
         }
     }
 }

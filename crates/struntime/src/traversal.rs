@@ -41,10 +41,20 @@
 //!
 //! A visitor dropped at either point is counted in
 //! [`TraversalStats::stale_dropped`], never visited, never re-forwarded,
-//! and meets its terminal lineage `Visit` event (`stale = 1`). FIFO and
-//! adversarial queues never consult the predicate. The plain entry points
-//! use a constant-`false` predicate, so their exact processed counts
-//! (which several tests pin) are unchanged.
+//! and meets its terminal lineage `Visit` event (`stale = 1`).
+//!
+//! Cheaper still is a visitor that is never pushed: a visit callback that
+//! can tell by a comparison of its own that a follow-on visitor would be
+//! dropped calls [`Pusher::prune`] instead of [`Pusher::push`]. It costs
+//! no lineage id, no message count, no buffer slot and no admission
+//! check, and is counted in [`TraversalStats::pruned_at_push`]. The
+//! callback owns the safety argument: it must prune only visitors whose
+//! visit would be a no-op or implied by another (the Voronoi kernel's
+//! argument is in `steiner::voronoi`).
+//!
+//! FIFO and adversarial queues never consult the predicate. The plain
+//! entry points use a constant-`false` predicate, so their exact
+//! processed counts (which several tests pin) are unchanged.
 //!
 //! ## Termination
 //!
@@ -226,6 +236,7 @@ pub struct Pusher<'a, V: Send + 'static> {
     outgoing: &'a mut Vec<OutBuf<V>>,
     lineage: &'a Lineage,
     metrics: &'a Option<Arc<PhaseMetrics>>,
+    pruned: u64,
 }
 
 impl<'a, V: Send + Clone + Wire + DeepBytes + 'static> Pusher<'a, V> {
@@ -256,6 +267,13 @@ impl<'a, V: Send + Clone + Wire + DeepBytes + 'static> Pusher<'a, V> {
                 );
             }
         }
+    }
+
+    /// Counts a follow-on visitor the visit callback did not push
+    /// because a check of its own showed it could not do any work (see
+    /// [`TraversalStats::pruned_at_push`]).
+    pub fn prune(&mut self) {
+        self.pruned += 1;
     }
 
     /// This rank's id.
@@ -342,6 +360,10 @@ pub struct TraversalStats {
     /// `processed + stale_dropped`. Always 0 for the plain entry points and
     /// for the full-delivery disciplines.
     pub stale_dropped: u64,
+    /// Follow-on visitors the visit callback resolved by a comparison and
+    /// never pushed ([`Pusher::prune`]): they were never queued, sent or
+    /// counted as messages, so they are not part of `stale_dropped`.
+    pub pruned_at_push: u64,
     /// Peak length of this rank's local queue.
     pub peak_queue_len: usize,
     /// Peak bytes held by this rank's local queue buffers.
@@ -699,8 +721,10 @@ where
                 outgoing: &mut outgoing,
                 lineage: &lineage,
                 metrics: &metrics,
+                pruned: 0,
             };
             visit(v, &mut pusher);
+            stats.pruned_at_push += pusher.pruned;
             lineage.parent = 0;
             if let Some(m) = metrics.as_deref() {
                 m.record(

@@ -80,13 +80,18 @@
 //! `bench_results/`) against the checked-in
 //! `fig3_guard_baseline.json`: per scale point it bounds the drift of
 //! the voronoi phase's share of total time, the visit count (visitors
-//! processed), and the stale-drop counter within the baseline's recorded
-//! tolerances; `--mst dist` scale points additionally pin their Borůvka
-//! round count exactly (the rounds are a deterministic function of the
-//! instance). Visit counts in the asynchronous runtime are
-//! schedule-dependent, so the tolerances are generous — the guard exists
-//! to catch order-of-magnitude regressions (stale churn returning, the
-//! voronoi phase losing its dominance shape), not single-percent noise.
+//! processed), and the stale-drop and pruned-at-push counters within the
+//! baseline's recorded tolerances; `--mst dist` scale points additionally
+//! pin their Borůvka round count exactly (the rounds are a deterministic
+//! function of the instance). One-rank points run a deterministic
+//! schedule, so their visits and their stale drops plus pruned
+//! relaxations are pinned exactly too: pruning at push may move
+//! relaxations from one counter to the other, never change their sum. A
+//! baseline entry without `pruned` predates the counter and counts as 0.
+//! Multi-rank visit counts are schedule-dependent, so the tolerances are
+//! generous — the guard exists to catch order-of-magnitude regressions
+//! (stale churn returning, the voronoi phase losing its dominance shape),
+//! not single-percent noise.
 //! `--update-baseline` rewrites the baseline from the current report.
 //! Exit code 0 means every point within tolerance; 1 means drift or a
 //! scale point missing from the fresh report; 2 means usage or I/O
@@ -529,12 +534,16 @@ fn chaos_verdict(
 /// entry of `BENCH_fig3_strong_scaling.json`.
 struct GuardPoint {
     label: String,
+    /// `config.num_ranks`: one-rank points are deterministic.
+    ranks: u64,
     /// Voronoi phase time as a fraction of total time-to-solution.
     voronoi_share: f64,
     /// Visitors processed across all ranks (sum of `rank_work`).
     visits: u64,
     /// Stale relaxations dropped unvisited (`stale_drops.total`).
     stale: u64,
+    /// Relaxations pruned before they were pushed (`pruned_at_push.total`).
+    pruned: u64,
     /// Borůvka rounds for `--mst dist` points (v7 `boruvka.rounds`,
     /// `None` for replicated points). Deterministic — the slot-min and
     /// pointer-jumping make the round count a pure function of the
@@ -573,11 +582,17 @@ fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
             .and_then(|v| v.as_arr())
             .map(|a| a.iter().filter_map(|w| w.as_u64()).sum::<u64>())
             .ok_or("missing rank_work")?;
-        let stale = run
-            .get("stale_drops")
-            .and_then(|s| s.get("total"))
+        let total = |key: &str| {
+            run.get(key)
+                .and_then(|s| s.get("total"))
+                .and_then(|v| v.as_u64())
+                .ok_or(format!("missing {key}.total"))
+        };
+        let ranks = run
+            .get("config")
+            .and_then(|c| c.get("num_ranks"))
             .and_then(|v| v.as_u64())
-            .ok_or("missing stale_drops.total")?;
+            .ok_or("missing config.num_ranks")?;
         let boruvka_rounds = run
             .get("boruvka")
             .filter(|v| !v.is_null())
@@ -585,9 +600,11 @@ fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
             .and_then(|v| v.as_u64());
         points.push(GuardPoint {
             label,
+            ranks,
             voronoi_share: voronoi_us as f64 / total_us as f64,
             visits,
-            stale,
+            stale: total("stale_drops")?,
+            pruned: total("pruned_at_push")?,
             boruvka_rounds,
         });
     }
@@ -633,7 +650,8 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
                     .with("label", p.label.as_str())
                     .with("voronoi_share", p.voronoi_share)
                     .with("visits", p.visits)
-                    .with("stale", p.stale);
+                    .with("stale", p.stale)
+                    .with("pruned", p.pruned);
                 if let Some(rounds) = p.boruvka_rounds {
                     entry.insert("boruvka_rounds", rounds);
                 }
@@ -714,6 +732,7 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
             eprintln!("xtask bench-guard: malformed baseline entry: {base:?}");
             return ExitCode::from(2);
         };
+        let b_pruned = base.get("pruned").and_then(|v| v.as_u64()).unwrap_or(0);
         let Some(now) = fresh.iter().find(|p| p.label == label) else {
             eprintln!("  FAIL {label}: scale point missing from fresh report");
             failures += 1;
@@ -733,12 +752,31 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
                 now.visits, b_visits
             ));
         }
-        let stale_slack = (b_stale as f64 * stale_rel).max(stale_abs as f64);
-        if (now.stale as f64 - b_stale as f64).abs() > stale_slack {
-            bad.push(format!(
-                "stale drops {} drifted from {} (tol ±{stale_slack:.0})",
-                now.stale, b_stale
-            ));
+        for (what, got, want) in [
+            ("stale drops", now.stale, b_stale),
+            ("pruned relaxations", now.pruned, b_pruned),
+        ] {
+            let slack = (want as f64 * stale_rel).max(stale_abs as f64);
+            if (got as f64 - want as f64).abs() > slack {
+                bad.push(format!(
+                    "{what} {got} drifted from {want} (tol ±{slack:.0})"
+                ));
+            }
+        }
+        if now.ranks == 1 {
+            if now.visits != b_visits {
+                bad.push(format!(
+                    "visits {} changed from {b_visits} (one rank, tol 0)",
+                    now.visits
+                ));
+            }
+            if now.stale + now.pruned != b_stale + b_pruned {
+                bad.push(format!(
+                    "stale + pruned {} changed from {} (one rank, tol 0)",
+                    now.stale + now.pruned,
+                    b_stale + b_pruned
+                ));
+            }
         }
         // Borůvka round counts are deterministic per instance, so any
         // change at all means the tie-breaking or hooking logic moved.
@@ -751,8 +789,8 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
         }
         if bad.is_empty() {
             println!(
-                "  ok {label}: voronoi share {:.2}, {} visits, {} stale drops",
-                now.voronoi_share, now.visits, now.stale
+                "  ok {label}: voronoi share {:.2}, {} visits, {} stale drops, {} pruned",
+                now.voronoi_share, now.visits, now.stale, now.pruned
             );
         } else {
             for b in bad {

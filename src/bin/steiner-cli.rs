@@ -74,9 +74,10 @@ Both choose the bit-identical tree.
 
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
 lane per simulated rank); --report writes the machine-readable RunReport
-(schema v8, with latency quantiles from the runtime's histograms, the
-fault/retransmit counters, per-rank stale-relaxation drop counts, the
-crash-recovery counters, the Borůvka round counters under --mst dist,
+(schema v9, with latency quantiles from the runtime's histograms, the
+fault/retransmit counters, per-rank stale-relaxation drop and
+pruned-at-push counts, the crash-recovery counters, the Borůvka round
+counters under --mst dist,
 and — when telemetry is on — the sampled
 timeseries plus per-phase peak-memory watermarks); --analyze turns on
 tracing and prints the causality-DAG readout (critical path, load
