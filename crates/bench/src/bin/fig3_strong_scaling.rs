@@ -12,17 +12,15 @@
 //! simulated speedup grows as ranks double, more efficiently on the larger
 //! graphs.
 //!
-//! Each scale point now runs under both ordered queue disciplines —
-//! `priority` (binary heap) and `bucketed:auto` (delta-stepping buckets,
-//! delta = mean edge weight) — with the stale-relaxation filter (at queue
-//! admission and at pop) active for both. The `visits` column counts visitors actually
-//! processed, `stale` counts dominated relaxations dropped unvisited, and
-//! `churn-cut` is the reduction in voronoi-phase visit count relative to
-//! the unfiltered priority baseline (visits + stale of the priority row —
-//! what the pre-filter code visited). Trees are asserted bit-identical
-//! across disciplines at every scale point.
+//! Each scale point runs the `priority` queue (a ring of distance
+//! buckets of the graph-derived width Δ printed in each header) with the
+//! stale-relaxation filter active at queue admission and at pop. The
+//! `visits` column counts visitors actually processed, `stale` counts
+//! dominated relaxations dropped unvisited, and `churn-cut` is the
+//! reduction in visit count relative to the unfiltered priority baseline
+//! (visits + stale of the first row — what the pre-filter code visited).
 //!
-//! A third run per scale point exercises `--mst dist`: the distributed
+//! A second run per scale point exercises `--mst dist`: the distributed
 //! Borůvka pipeline that replaces the replicated binom(|S|,2)
 //! `Allreduce(MIN)` + Prim with per-component slot reductions and
 //! pointer-jumping merges. The `mst` column names the pipeline and
@@ -32,17 +30,11 @@
 //! Run: `cargo run -p bench --release --bin fig3_strong_scaling [--quick]`
 
 use bench::{banner, fmt_count, fmt_dur, load_dataset, pick_seeds, quick_mode, BenchReport, Table};
-use steiner::{auto_delta, solve_partitioned, MstMode, Phase, QueueKind, SolverConfig};
+use steiner::voronoi::bucket_width;
+use steiner::{solve_partitioned, MstMode, Phase, QueueKind, SolverConfig};
 use stgraph::datasets::Dataset;
 use stgraph::json::Json;
 use stgraph::partition::partition_graph;
-
-fn queue_label(queue: QueueKind) -> String {
-    match queue {
-        QueueKind::Bucketed { delta } => format!("bucketed:{delta}"),
-        other => other.name().to_string(),
-    }
-}
 
 fn main() {
     banner(
@@ -58,11 +50,17 @@ fn main() {
     let mut bench_report = BenchReport::new("fig3_strong_scaling");
     for dataset in Dataset::LARGE {
         let g = load_dataset(dataset);
-        let delta = auto_delta(&g);
+        // Delegate hubs like the paper's HavoqGT configuration:
+        // vertex-cut high-degree vertices for load balance.
+        let pgs: Vec<_> = rank_ladder
+            .iter()
+            .map(|&p| partition_graph(&g, p, Some(64)))
+            .collect();
+        let width = bucket_width(&pgs[0]);
         for &k in seed_counts {
             let seeds = pick_seeds(&g, k);
             println!(
-                "--- {} (|V|={}, 2|E|={}), |S| = {}, auto delta = {delta} ---",
+                "--- {} (|V|={}, 2|E|={}), |S| = {}, bucket width = {width} ---",
                 dataset.name(),
                 g.num_vertices(),
                 g.num_arcs(),
@@ -82,21 +80,14 @@ fn main() {
                 "churn-cut",
                 "b-rounds",
             ]);
-            for &p in rank_ladder {
-                // Delegate hubs like the paper's HavoqGT configuration:
-                // vertex-cut high-degree vertices for load balance.
-                let pg = partition_graph(&g, p, Some(64));
+            for (&p, pg) in rank_ladder.iter().zip(&pgs) {
                 // Unfiltered visit count of the pre-filter priority code:
                 // everything it popped got visited, so visits + stale of
                 // the filtered priority run reconstructs it.
                 let mut prio_unfiltered = 0u64;
                 let mut prio_tree = None;
-                let runs = [
-                    (QueueKind::Priority, MstMode::Replicated),
-                    (QueueKind::Bucketed { delta }, MstMode::Replicated),
-                    (QueueKind::Priority, MstMode::Dist),
-                ];
-                for (queue, mst_mode) in runs {
+                let queue = QueueKind::Priority;
+                for mst_mode in [MstMode::Replicated, MstMode::Dist] {
                     let cfg = SolverConfig {
                         num_ranks: p,
                         queue,
@@ -104,7 +95,7 @@ fn main() {
                         delegate_threshold: Some(64),
                         ..SolverConfig::default()
                     };
-                    let report = solve_partitioned(&pg, &seeds, &cfg).expect("seeds connected");
+                    let report = solve_partitioned(pg, &seeds, &cfg).expect("seeds connected");
                     let mst_label = match mst_mode {
                         MstMode::Replicated => "repl",
                         MstMode::Dist => "dist",
@@ -126,21 +117,20 @@ fn main() {
                             .with("graph", dataset.name())
                             .with("num_seeds", seeds.len())
                             .with("ranks", p)
-                            .with("queue", queue_label(queue).as_str())
+                            .with("queue", queue.name())
                             .with("mst", mst_label),
                         &report,
                     );
                     let visits: u64 = report.rank_work.iter().sum();
                     let stale: u64 = report.stale_drops.iter().sum();
-                    if queue == QueueKind::Priority && mst_mode == MstMode::Replicated {
+                    if mst_mode == MstMode::Replicated {
                         prio_unfiltered = visits + stale;
                         prio_tree = Some(report.tree.clone());
                     } else {
                         assert_eq!(
                             Some(&report.tree),
                             prio_tree.as_ref(),
-                            "disciplines and MST pipelines must converge \
-                             to bit-identical trees"
+                            "MST pipelines must converge to bit-identical trees"
                         );
                     }
                     let churn_cut = if prio_unfiltered > 0 {
@@ -161,7 +151,7 @@ fn main() {
                     let speedup = report.simulated_speedup();
                     table.row([
                         p.to_string(),
-                        queue_label(queue),
+                        queue.name().to_string(),
                         mst_label.to_string(),
                         fmt_dur(t[Phase::Voronoi]),
                         fmt_dur(t[Phase::LocalMinEdge]),

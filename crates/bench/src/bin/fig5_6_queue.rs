@@ -9,12 +9,10 @@
 //! wins on both metrics; the message-count gap concentrates in the Voronoi
 //! phase; LVJ (small weight cap, long chains) gains the most.
 //!
-//! A third row per graph runs the `bucketed` delta-stepping discipline
-//! (delta = mean edge weight): it replaces heap pops with O(1) bucket
-//! pops, and — like priority — it drops dominated relaxations unvisited,
+//! The priority queue is a ring of distance buckets whose width is
+//! derived from the graph, and it drops dominated relaxations unvisited,
 //! at queue admission or at pop (the stale-drops column; FIFO shows zero
-//! because full delivery is its baseline role). With such coarse buckets its message
-//! cut over FIFO is far smaller than priority's.
+//! because full delivery is its baseline role).
 //!
 //! Run: `cargo run -p bench --release --bin fig5_6_queue [--quick]`
 
@@ -55,14 +53,9 @@ fn main() {
         let g = load_dataset(dataset);
         let pg = partition_graph(&g, ranks, None);
         let seeds = pick_seeds(&g, k);
-        let delta = steiner::auto_delta(&g);
         let mut fifo_total = 0.0;
         let mut fifo_voronoi_msgs = 0u64;
-        for queue in [
-            QueueKind::Fifo,
-            QueueKind::Priority,
-            QueueKind::Bucketed { delta },
-        ] {
+        for queue in [QueueKind::Fifo, QueueKind::Priority] {
             let cfg = SolverConfig {
                 num_ranks: ranks,
                 queue,
@@ -130,10 +123,8 @@ fn main() {
     println!();
     println!("Paper shape: priority queue cuts Voronoi messages by 4.9x (FRS) to");
     println!("22.1x (LVJ) and runtime by 3.5x to 13x; local_min and tree_edge");
-    println!("traffic are queue-independent and small. bucketed (delta-stepping,");
-    println!("delta = mean edge weight) cuts Voronoi messages less than priority");
-    println!("does (improvement column): its coarse buckets visit some labels out");
-    println!("of order. Both ordered disciplines drop dominated relaxations");
-    println!("unvisited, at queue admission or at pop (stale drops column).");
+    println!("traffic are queue-independent and small. The priority queue drops");
+    println!("dominated relaxations unvisited, at queue admission or at pop");
+    println!("(stale drops column).");
     bench_report.finish();
 }

@@ -474,8 +474,7 @@ mod tests {
             crate::voronoi::run(
                 comm,
                 &chan_voronoi,
-                rg,
-                &pg.partition,
+                &pg,
                 &mut states,
                 seeds,
                 TraversalOptions::new(QueueKind::Priority),

@@ -95,9 +95,9 @@ pub struct SolverConfig {
     /// Number of simulated ranks (MPI processes). Default 4.
     pub num_ranks: usize,
     /// Message-queue discipline for the Voronoi phase. Default priority
-    /// (the paper's optimization; use FIFO to reproduce the baseline, or
-    /// `Bucketed` for the delta-stepping bucket array — [`auto_delta`]
-    /// gives the mean-edge-weight bucket width).
+    /// (the paper's optimization, with a bucket width derived from the
+    /// graph: [`voronoi::bucket_width`]); use FIFO to reproduce the
+    /// baseline.
     pub queue: QueueKind,
     /// Degree threshold above which a vertex becomes a replicated delegate
     /// (HavoqGT vertex-cut). `None` disables delegation.
@@ -141,14 +141,12 @@ pub struct SolverConfig {
     /// `FLIGHT_RECORDER_DIR` set, a flight dump preserves the partial
     /// progress record. `None` (the default) means no deadline.
     pub deadline: Option<Duration>,
-    /// Snapshot per-rank state at every phase barrier so an injected
-    /// crash-stop can be recovered by replaying from the last completed
-    /// phase (see [`recovery`]). Snapshots are only actually taken when
-    /// the fault plan is capable of crashing a rank, so fault-free solves
-    /// pay nothing. Default true.
-    pub checkpoints: bool,
     /// Restarts from a phase checkpoint the supervisor may perform before
-    /// giving up with [`SteinerError::Unrecoverable`]. Default 2.
+    /// giving up with [`SteinerError::Unrecoverable`]. Default 2. While it
+    /// is above 0, per-rank state is snapshotted at every phase barrier so
+    /// an injected crash-stop can be recovered by replaying from the last
+    /// completed phase (see [`recovery`]); snapshots are only taken when
+    /// the fault plan can crash a rank, so fault-free solves pay nothing.
     pub max_restores: usize,
 }
 
@@ -166,7 +164,6 @@ impl Default for SolverConfig {
             faults: None,
             telemetry: TelemetryConfig::Off,
             deadline: None,
-            checkpoints: true,
             max_restores: 2,
         }
     }
@@ -197,11 +194,11 @@ pub struct SolveReport {
     /// the simulation's work metric.
     pub rank_work: Vec<u64>,
     /// Per-rank Voronoi relaxations that never became visits: dropped by
-    /// the stale filter at queue admission or at pop (the ordered
-    /// disciplines' decrease-key emulation; all-zero under
+    /// the stale filter at queue admission or at pop (the priority
+    /// discipline's decrease-key emulation; all-zero under
     /// FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
-    /// Per-rank Voronoi relaxations the ordered disciplines resolved by a
+    /// Per-rank Voronoi relaxations the priority discipline resolved by a
     /// label comparison before they were pushed, so they never became
     /// messages (see [`voronoi`], "Stale-relaxation filtering"; all-zero
     /// under FIFO/adversarial queues).
@@ -296,22 +293,6 @@ struct RankOutcome {
     distance_graph_edges: usize,
     work: recovery::Work,
     boruvka: Option<BoruvkaStats>,
-}
-
-/// The `bucketed:auto` delta heuristic: the graph's mean edge weight
-/// (rounded down, at least 1) — the same choice as the sequential
-/// delta-stepping baseline's `default_delta`, so the distributed bucketed
-/// discipline and the sequential kernel bucket distances identically.
-pub fn auto_delta(g: &CsrGraph) -> u64 {
-    if g.num_arcs() == 0 {
-        return 1;
-    }
-    let sum: u128 = g
-        .vertices()
-        .flat_map(|v| g.neighbor_weights(v))
-        .map(|&w| w as u128)
-        .sum();
-    ((sum / g.num_arcs() as u128) as u64).max(1)
 }
 
 /// Runs the distributed solver end to end. Spawns `config.num_ranks`
@@ -414,9 +395,8 @@ fn supervise(
     // Checkpoints are only taken when a restore could consume them —
     // recovery enabled and a plan that can actually crash-stop a rank —
     // so fault-free solves skip the snapshot work.
-    let recovery_armed = config.checkpoints
-        && config.max_restores > 0
-        && config.faults.is_some_and(|pl| pl.crash_armed());
+    let recovery_armed =
+        config.max_restores > 0 && config.faults.is_some_and(|pl| pl.crash_armed());
     let store = Arc::new(CheckpointStore::new(pg.ranks.len()));
     let mut recovery = RecoveryStats::default();
     let mut resume: Option<usize> = None;
@@ -652,8 +632,7 @@ fn rank_main(
         let voronoi_stats = voronoi::run(
             comm,
             &chan_voronoi,
-            rg,
-            partition,
+            pg,
             &mut states,
             seeds,
             struntime::traversal::TraversalOptions { queue, batch_size },
@@ -1103,21 +1082,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_without_checkpoints_is_unrecoverable() {
-        // The no-checkpoint mutant: with snapshots disabled the
-        // supervisor must report the failure as unrecoverable instead of
-        // silently restarting from scratch.
+    fn crash_without_restores_is_unrecoverable() {
+        // The no-restore mutant: with no restore budget the supervisor
+        // must report the failure as unrecoverable instead of silently
+        // restarting from scratch.
         let g = path_graph(12);
-        let cfg = SolverConfig {
-            faults: Some(FaultPlan::from_spec("crash_rank=0,crash_at_sync=3,seed=3").unwrap()),
-            checkpoints: false,
-            ..config(2)
-        };
-        assert_eq!(
-            solve(&g, &[0, 11], &cfg).unwrap_err(),
-            SteinerError::Unrecoverable { restores: 0 }
-        );
-        // Same with an exhausted restore budget.
         let cfg = SolverConfig {
             faults: Some(FaultPlan::from_spec("crash_rank=0,crash_at_sync=3,seed=3").unwrap()),
             max_restores: 0,

@@ -45,42 +45,22 @@ fn arb_connected_instance(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The solver's delta heuristic mirrors the sequential baseline's
-    /// `default_delta` — both are the mean edge weight, floored at 1 — so
-    /// `--queue bucketed:auto` and the delta-stepping baseline bucket on
-    /// the same granularity.
-    #[test]
-    fn auto_delta_matches_baseline_heuristic(
-        (g, _) in arb_connected_instance(16, 24, 4),
-    ) {
-        prop_assert_eq!(crate::auto_delta(&g), baselines::delta_stepping::default_delta(&g));
-        prop_assert!(crate::auto_delta(&g) >= 1);
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Crash-stop recovery is deterministic: a seeded rank death in every
-    /// phase, at ranks {2, 4} and under fifo/priority/bucketed queues,
-    /// restores from the last complete phase checkpoint and recovers a
-    /// tree bit-identical to the undisturbed solve — with exactly one
-    /// injected crash and one restore. The no-checkpoint mutant of the
-    /// same plan must instead surface the structured unrecoverable error,
-    /// never a wrong tree or a hang.
+    /// phase, at ranks {2, 4} and under fifo/priority queues, restores
+    /// from the last complete phase checkpoint and recovers a tree
+    /// bit-identical to the undisturbed solve — with exactly one injected
+    /// crash and one restore. The no-restore mutant (`max_restores: 0`) of
+    /// the same plan must instead surface the structured unrecoverable
+    /// error, never a wrong tree or a hang.
     #[test]
     fn crash_recovery_is_bit_identical_across_phases(
         (g, seeds) in arb_connected_instance(12, 14, 4),
     ) {
         use crate::{FaultPlan, Phase};
         for p in [2usize, 4] {
-            for queue in [
-                QueueKind::Fifo,
-                QueueKind::Priority,
-                QueueKind::Bucketed { delta: crate::auto_delta(&g) },
-            ] {
+            for queue in [QueueKind::Fifo, QueueKind::Priority] {
                 let base = SolverConfig { num_ranks: p, queue, ..SolverConfig::default() };
                 let reference = solve(&g, &seeds, &base).unwrap();
                 for phase in Phase::ALL {
@@ -103,12 +83,12 @@ proptest! {
                 let plan = FaultPlan::from_spec("crash_rank=1,crash_at_sync=1,seed=19").unwrap();
                 let mutant = solve(&g, &seeds, &SolverConfig {
                     faults: Some(plan),
-                    checkpoints: false,
+                    max_restores: 0,
                     ..base
                 });
                 prop_assert!(
                     matches!(mutant, Err(stgraph::error::SteinerError::Unrecoverable { .. })),
-                    "no-checkpoint mutant at p={} queue={:?} returned {:?}",
+                    "no-restore mutant at p={} queue={:?} returned {:?}",
                     p, queue, mutant.map(|r| r.tree.total_distance()));
             }
         }
@@ -120,7 +100,7 @@ proptest! {
 
     /// The distributed Borůvka pipeline (`--mst dist`) is pinned
     /// bit-identical to the replicated Prim path across rank counts
-    /// {1, 2, 4} × fifo/priority/bucketed queues, fault-free and under
+    /// {1, 2, 4} × fifo/priority queues, fault-free and under
     /// message faults and a seeded crash-stop — the (total, si, ti)
     /// tie-breaking and the reliability/recovery machinery must never
     /// let the two pipelines disagree on a tree.
@@ -137,11 +117,7 @@ proptest! {
             ).unwrap()),
         ];
         for p in [1usize, 2, 4] {
-            for queue in [
-                QueueKind::Fifo,
-                QueueKind::Priority,
-                QueueKind::Bucketed { delta: crate::auto_delta(&g) },
-            ] {
+            for queue in [QueueKind::Fifo, QueueKind::Priority] {
                 let reference = solve(&g, &seeds, &SolverConfig {
                     num_ranks: p, queue, mst_mode: MstMode::Replicated, ..SolverConfig::default()
                 }).unwrap();
@@ -218,7 +194,6 @@ proptest! {
     fn queue_disciplines_agree_across_rank_counts(
         (g, seeds) in arb_connected_instance(14, 16, 5),
         chaos_seed in 0..u64::MAX,
-        delta in 1..80u64,
     ) {
         let reference = solve(&g, &seeds, &SolverConfig {
             num_ranks: 1, ..SolverConfig::default()
@@ -228,8 +203,6 @@ proptest! {
                 QueueKind::Fifo,
                 QueueKind::Priority,
                 QueueKind::Adversarial { seed: chaos_seed },
-                QueueKind::Bucketed { delta },
-                QueueKind::Bucketed { delta: crate::auto_delta(&g) },
             ] {
                 let cfg = SolverConfig { num_ranks: p, queue, ..SolverConfig::default() };
                 let r = solve(&g, &seeds, &cfg).unwrap();
@@ -258,7 +231,6 @@ proptest! {
                 QueueKind::Fifo,
                 QueueKind::Priority,
                 QueueKind::Adversarial { seed: chaos_seed },
-                QueueKind::Bucketed { delta: crate::auto_delta(&g) },
             ] {
                 let base = SolverConfig { num_ranks: p, queue, ..SolverConfig::default() };
                 let off = solve(&g, &seeds, &base).unwrap();
@@ -301,14 +273,8 @@ proptest! {
     fn distributed_voronoi_matches_sequential(
         (g, seeds) in arb_connected_instance(16, 20, 5),
         p in 1usize..5,
-        bucketed in proptest::bool::ANY,
     ) {
         use crate::state::{ScratchArena, VertexStates, NO_VERTEX};
-        let queue = if bucketed {
-            QueueKind::Bucketed { delta: crate::auto_delta(&g) }
-        } else {
-            QueueKind::Priority
-        };
         let pg = partition_graph(&g, p, None);
         let seeds_ref = &seeds;
         let pg_ref = &pg;
@@ -318,8 +284,8 @@ proptest! {
             let mut st = VertexStates::new(rg);
             let mut scratch = ScratchArena::new();
             crate::voronoi::run(
-                comm, &chan, rg, &pg_ref.partition, &mut st, seeds_ref,
-                struntime::traversal::TraversalOptions::new(queue),
+                comm, &chan, pg_ref, &mut st, seeds_ref,
+                struntime::traversal::TraversalOptions::new(QueueKind::Priority),
                 &mut scratch,
             );
             st.owned_labels().collect::<Vec<_>>()

@@ -46,7 +46,8 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 /// **v3 → v4**: adds the `stale_drops` object (`total` plus `per_rank`,
 /// counting Voronoi relaxations the ordered queue disciplines dropped
 /// unvisited at pop time) and the `"bucketed:DELTA"` form of
-/// `config.queue`. Strict superset once more, and breaking for the same
+/// `config.queue` (no longer emitted: the bucket width is now derived
+/// from the graph, not configured). Strict superset once more, and breaking for the same
 /// reason: v3 readers comparing visit counts across disciplines would
 /// silently miss that part of the work was filtered, not performed.
 ///
@@ -97,8 +98,7 @@ pub const SCHEMA_VERSION: u64 = 9;
 pub struct ConfigFingerprint {
     /// Simulated rank count.
     pub num_ranks: usize,
-    /// Queue discipline (`"fifo"`, `"priority"`, `"bucketed:DELTA"`,
-    /// `"adversarial:SEED"`).
+    /// Queue discipline (`"fifo"`, `"priority"`, `"adversarial:SEED"`).
     pub queue: String,
     /// Delegate degree threshold, if delegation was on.
     pub delegate_threshold: Option<usize>,
@@ -120,7 +120,6 @@ impl ConfigFingerprint {
         let queue = match config.queue {
             QueueKind::Fifo => "fifo".to_string(),
             QueueKind::Priority => "priority".to_string(),
-            QueueKind::Bucketed { delta } => format!("bucketed:{delta}"),
             QueueKind::Adversarial { seed } => format!("adversarial:{seed}"),
         };
         let mst_mode = match config.mst_mode {
@@ -213,10 +212,10 @@ pub struct RunReport {
     /// Visitors processed per rank (the work metric behind speedup).
     pub rank_work: Vec<u64>,
     /// Voronoi relaxations per rank that never became visits, dropped by
-    /// the ordered disciplines' stale filter at queue admission or at pop
+    /// the priority discipline's stale filter at queue admission or at pop
     /// (v4; all-zero under FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
-    /// Voronoi relaxations per rank the ordered disciplines pruned before
+    /// Voronoi relaxations per rank the priority discipline pruned before
     /// they were pushed (v9; all-zero under FIFO/adversarial queues).
     pub pruned_at_push: Vec<u64>,
     /// Work-based simulated speedup (Fig 3's scaling metric).
@@ -917,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn v4_stale_drops_object_and_bucketed_fingerprint() {
+    fn v4_stale_drops_object_and_priority_fingerprint() {
         let mut b = GraphBuilder::new(8);
         for i in 0..7 {
             b.add_edge(i as Vertex, (i + 1) as Vertex, 2);
@@ -925,11 +924,11 @@ mod tests {
         let g = b.build();
         let cfg = SolverConfig {
             num_ranks: 2,
-            queue: QueueKind::Bucketed { delta: 3 },
+            queue: QueueKind::Priority,
             ..SolverConfig::default()
         };
         let report = solve(&g, &[0, 7], &cfg).unwrap().run_report();
-        assert_eq!(report.config.queue, "bucketed:3");
+        assert_eq!(report.config.queue, "priority");
         assert_eq!(report.stale_drops.len(), 2);
         let doc = report.to_json();
         let sd = doc.get("stale_drops").expect("v4 emits stale_drops");

@@ -7,6 +7,19 @@
 //! first, approximating Dijkstra's settle order and slashing wasted
 //! relaxations (§V-C).
 //!
+//! ## Bucket width
+//!
+//! The priority queue is a ring of buckets, one per key, so the key sets
+//! the bucket width: a relaxation is queued under `dist / Δ`, and labels
+//! within one width of each other pop in arrival order. [`bucket_width`]
+//! derives Δ from the graph, Meyer and Sanders' delta-stepping choice
+//! Δ = ⌊max w / max deg⌋ (at least 1). A vertex's arcs then span at most
+//! `max deg` buckets, and the ring's live window stays about as wide as
+//! the highest degree. Δ comes from two statistics `partition_graph`
+//! records, so no option can mistune it and a solve pays nothing to find
+//! it. The width changes only the order of visits, never the fixpoint
+//! (below), so it cannot change a tree.
+//!
 //! Delegate (hub) vertices have a replica on every rank (HavoqGT's
 //! vertex-cut). A relaxation targeting a delegate is applied to the
 //! *local* replica — no network hop, no controller hotspot — and, when it
@@ -19,9 +32,9 @@
 //!
 //! ## Stale-relaxation filtering
 //!
-//! Under the ordered queue disciplines (priority, bucketed) a relaxation
-//! is filtered at up to three points. FIFO and adversarial queues skip
-//! all three: they are the full-delivery baselines.
+//! Under the priority discipline a relaxation is filtered at up to three
+//! points. FIFO and adversarial queues skip all three: they are the
+//! full-delivery baselines.
 //!
 //! - **Push, held target.** Before `relax` builds a `Relax` for a vertex
 //!   this rank holds (owned slot or delegate replica), it compares the
@@ -74,25 +87,32 @@ use crate::messages::VoronoiMsg;
 use crate::state::{Label, ScratchArena, VertexStates};
 use std::cell::RefCell;
 use stgraph::csr::{Vertex, Weight};
-use stgraph::partition::{BlockPartition, RankGraph};
+use stgraph::partition::{BlockPartition, PartitionedGraph, RankGraph};
 use struntime::traversal::{run_traversal_filtered, StaleCheck, TraversalOptions};
 use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
 
-/// Runs the Voronoi phase to quiescence on this rank. Collective.
+/// The priority queue's bucket width Δ for `pg`: `⌊max w / max deg⌋`,
+/// at least 1 (see "Bucket width" above).
+pub fn bucket_width(pg: &PartitionedGraph) -> u64 {
+    (pg.max_weight / pg.max_degree.max(1) as Weight).max(1)
+}
+
+/// Runs the Voronoi phase to quiescence on this rank's slice of `pg`.
+/// Collective. Relaxations are queued under `dist / Δ` ([`bucket_width`]).
 /// `scratch` provides the reusable bootstrap buffer and the admitted- and
 /// ghost-label arrays, so repeated solves (benchmark sweeps) do not
 /// re-allocate per phase.
-#[allow(clippy::too_many_arguments)] // collective phase entry: ctx + graph views + state + knobs
 pub fn run(
     comm: &Comm,
     chan: &ChannelGroup<Vec<VoronoiMsg>>,
-    rg: &RankGraph,
-    partition: &BlockPartition,
+    pg: &PartitionedGraph,
     states: &mut VertexStates,
     seeds: &[Vertex],
     options: TraversalOptions,
     scratch: &mut ScratchArena,
 ) -> TraversalStats {
+    let (rg, partition) = (&pg.ranks[comm.rank()], &pg.partition);
+    let width = bucket_width(pg);
     states.init_seeds(seeds);
     let filter = options.queue.filters_stale();
     // Only a filtering run on several ranks has remote targets to track.
@@ -130,7 +150,7 @@ pub fn run(
         comm,
         chan,
         options,
-        VoronoiMsg::priority,
+        |msg| msg.priority() / width,
         |check, msg| kernel.borrow_mut().is_stale(check, msg),
         init.iter().copied(),
         // The lock-order rule resolves calls by name and so reads the
@@ -291,10 +311,14 @@ impl Kernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use std::collections::BTreeMap;
+    use stgraph::builder::GraphBuilder;
     use stgraph::csr::CsrGraph;
     use stgraph::datasets::Dataset;
     use stgraph::partition::partition_graph;
+    use stgraph::weights::{reweight, WeightRange};
     use struntime::{QueueKind, World};
 
     /// Degree above which a vertex of the tiny RMAT graphs becomes a
@@ -305,6 +329,28 @@ mod tests {
         let g = Dataset::Lvj.generate_tiny(seed);
         let seeds = (0..g.num_vertices() as Vertex).step_by(61).collect();
         (g, seeds)
+    }
+
+    fn width_of(g: &CsrGraph) -> u64 {
+        bucket_width(&partition_graph(g, 1, None))
+    }
+
+    fn star(spokes: u32, w: Weight) -> CsrGraph {
+        let mut b = GraphBuilder::new(spokes as usize + 1);
+        for v in 1..=spokes {
+            b.add_edge(0, v, w);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn bucket_width_is_max_weight_over_max_degree() {
+        assert_eq!(width_of(&star(8, 1)), 1, "unit weights");
+        assert_eq!(width_of(&GraphBuilder::new(5).build()), 1, "edgeless");
+        assert_eq!(width_of(&star(8, 100)), 12, "heavy spokes: 100 / 8");
+        let mut b = GraphBuilder::new(4);
+        b.add_edge(0, 1, 7);
+        assert_eq!(width_of(&b.build()), 7, "one edge: degree 1");
     }
 
     /// One 1-rank Voronoi run on a tiny RMAT graph with hub delegates:
@@ -322,8 +368,7 @@ mod tests {
             run(
                 comm,
                 &chan,
-                rg,
-                &pg.partition,
+                &pg,
                 &mut states,
                 &seeds,
                 TraversalOptions::new(queue),
@@ -376,8 +421,7 @@ mod tests {
             run(
                 comm,
                 &chan,
-                rg,
-                &pg.partition,
+                &pg,
                 &mut states,
                 seeds,
                 TraversalOptions::new(queue),
@@ -402,26 +446,41 @@ mod tests {
         labels
     }
 
-    /// The push-time pruning changes which relaxations become messages,
+    /// The push-time pruning and the bucket width change which
+    /// relaxations become messages and in which order they are visited,
     /// never the fixpoint: every held vertex's `(dist, src, pred,
     /// pred_weight)` matches the 1-rank FIFO run (no filter at all) under
     /// every rank count and discipline, delegate replicas and
-    /// `DelegateUpdate`s included.
+    /// `DelegateUpdate`s included. Both RMAT graphs derive a width above
+    /// 1; the reweighted copy derives a width of 1.
     #[test]
     fn labels_are_identical_across_ranks_and_queues_with_delegates() {
-        for graph_seed in [11, 12] {
-            let (g, seeds) = tiny(graph_seed);
-            let reference = held_labels(&g, &seeds, 1, QueueKind::Fifo);
+        let (g11, seeds11) = tiny(11);
+        let narrow = reweight(
+            &g11,
+            WeightRange::new(1, 3),
+            &mut ChaCha8Rng::seed_from_u64(11),
+        );
+        let (g12, seeds12) = tiny(12);
+        assert_eq!(width_of(&narrow), 1);
+        for g in [&g11, &g12] {
+            assert!(width_of(g) > 1, "width {}", width_of(g));
+        }
+        for (name, g, seeds) in [
+            ("narrow 11", &narrow, &seeds11),
+            ("rmat 11", &g11, &seeds11),
+            ("rmat 12", &g12, &seeds12),
+        ] {
+            let reference = held_labels(g, seeds, 1, QueueKind::Fifo);
             for p in [1, 2, 4] {
                 for queue in [
                     QueueKind::Fifo,
                     QueueKind::Priority,
-                    QueueKind::Bucketed { delta: 500 },
-                    QueueKind::Adversarial { seed: graph_seed },
+                    QueueKind::Adversarial { seed: 11 },
                 ] {
                     assert!(
-                        held_labels(&g, &seeds, p, queue) == reference,
-                        "graph {graph_seed}, {p} ranks, {queue:?}: labels differ"
+                        held_labels(g, seeds, p, queue) == reference,
+                        "{name} graph, {p} ranks, {queue:?}: labels differ"
                     );
                 }
             }

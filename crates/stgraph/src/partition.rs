@@ -196,6 +196,10 @@ pub struct PartitionedGraph {
     pub ranks: Vec<RankGraph>,
     /// Sorted global delegate list.
     pub delegates: Arc<Vec<Vertex>>,
+    /// Heaviest edge weight of the whole graph (0 when it has no edges).
+    pub max_weight: Weight,
+    /// Highest vertex degree of the whole graph.
+    pub max_degree: usize,
 }
 
 /// Splits `g` into `p` rank subgraphs. Vertices with degree at least
@@ -259,6 +263,8 @@ pub fn partition_graph(
         partition,
         ranks,
         delegates,
+        max_weight: g.weight_range().map_or(0, |(_, hi)| hi),
+        max_degree: g.max_degree(),
     }
 }
 
@@ -353,6 +359,21 @@ mod tests {
         let mut global: Vec<_> = g.arcs().collect();
         global.sort_unstable();
         assert_eq!(local, global);
+    }
+
+    #[test]
+    fn records_max_weight_and_degree() {
+        let mut b = GraphBuilder::new(5);
+        for (u, v, w) in [(0, 1, 3), (0, 2, 9), (0, 3, 4), (3, 4, 7)] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        for (p, threshold) in [(1, None), (3, None), (2, Some(3))] {
+            let pg = partition_graph(&g, p, threshold);
+            assert_eq!((pg.max_weight, pg.max_degree), (9, 3), "{p} ranks");
+        }
+        let edgeless = partition_graph(&GraphBuilder::new(4).build(), 2, None);
+        assert_eq!((edgeless.max_weight, edgeless.max_degree), (0, 0));
     }
 
     #[test]

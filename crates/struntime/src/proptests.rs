@@ -81,8 +81,6 @@ proptest! {
             QueueKind::Fifo,
             QueueKind::Priority,
             QueueKind::Adversarial { seed: adversary + 1 },
-            QueueKind::Bucketed { delta: 1 },
-            QueueKind::Bucketed { delta: 3 },
         ];
         for kind in queues {
             let children = &children;

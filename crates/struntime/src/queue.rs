@@ -1,5 +1,4 @@
-//! Local visitor queues: FIFO, priority, bucketed, and adversarial
-//! disciplines.
+//! Local visitor queues: FIFO, priority, and adversarial disciplines.
 //!
 //! This is the paper's headline optimization knob (§IV, §V-C): HavoqGT's
 //! default message queue is FIFO; the authors replace it with a priority
@@ -8,27 +7,32 @@
 //! Bellman-Ford kernel. Ties are broken by arrival order so the priority
 //! queue degrades gracefully to FIFO on uniform priorities.
 //!
-//! The [`QueueKind::Bucketed`] discipline is the delta-stepping variant of
-//! the same idea (cf. the sequential `baselines::delta_stepping` kernel and
-//! the bucket structures of *Engineering Massively Parallel MST
-//! Algorithms*, arXiv:2302.12199): visitors land in a cyclic vector of
-//! buckets indexed by `prio / delta`, pops drain the lowest non-empty
-//! bucket in arrival order, and pushes are O(1) with no heap sift. Within
-//! a bucket the discipline is FIFO, so `delta = 1` on integer priorities
-//! matches the priority queue's settle order and larger deltas trade
-//! ordering precision for constant-time operations.
+//! The priority discipline is a cyclic ring of buckets, one per key (the
+//! bucket structure of delta-stepping, cf. the sequential
+//! `baselines::delta_stepping` kernel and *Engineering Massively Parallel
+//! MST Algorithms*, arXiv:2302.12199). Pushes are O(1) with no heap sift;
+//! pops drain the lowest non-empty bucket in arrival order, which is
+//! exactly the `(prio, seq)` order of a binary heap. Callers choose the
+//! bucket width by the keys they push: the Voronoi kernel pushes
+//! `dist / Δ` with a Δ derived from the graph (`steiner::voronoi`).
+//!
+//! The ring holds at most 2^16 buckets (`MAX_BUCKET_WINDOW`). When the live
+//! keys spread wider than that, the queue *coarsens*: it shifts every key
+//! right by one more bit and re-places the queued entries, so any `u64`
+//! key is accepted. From then on pops come in non-decreasing coarsened-key
+//! order, arrival order within a coarse bucket; the entries already queued
+//! keep their relative order.
 //!
 //! ## Stale-entry filtering
 //!
-//! The ordered disciplines (priority and bucketed) emulate decrease-key in
-//! three steps. A visit callback can resolve a relaxation by a comparison
-//! of its own and never push it ([`crate::Pusher::prune`]). The traversal
-//! driver filters the visitors that are pushed before they are queued
-//! (the admission check of `crate::traversal`, "Stale-entry filtering"),
-//! so a relaxation that does not beat its target's best admitted label
-//! never costs a queue push. Pushes still never remove the
-//! entries a later improvement supersedes, so
-//! [`VisitorQueue::pop_stale_filtered`] applies a caller-supplied
+//! The priority discipline emulates decrease-key in three steps. A visit
+//! callback can resolve a relaxation by a comparison of its own and never
+//! push it ([`crate::Pusher::prune`]). The traversal driver filters the
+//! visitors that are pushed before they are queued (the admission check of
+//! `crate::traversal`, "Stale-entry filtering"), so a relaxation that does
+//! not beat its target's best admitted label never costs a queue push.
+//! Pushes still never remove the entries a later improvement supersedes,
+//! so [`VisitorQueue::pop_stale_filtered`] applies a caller-supplied
 //! staleness predicate at pop and drops those before they reach the visit
 //! callback — the delta-stepping trick of filtering `dist(v) < tentative`
 //! entries, generalized to a callback. FIFO and adversarial queues ignore
@@ -36,25 +40,17 @@
 //! Fig 5/6 experiments and the chaos matrix compare against.
 
 use crate::wire::DeepBytes;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which queue discipline a traversal uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QueueKind {
     /// First-in first-out (HavoqGT's default).
     Fifo,
-    /// Min-priority first (the paper's optimization); lower keys pop first.
+    /// Min-priority first (the paper's optimization): lower keys pop
+    /// first, equal keys in arrival order. O(1) push and pop, stale
+    /// filtering at admission and at pop.
     Priority,
-    /// Delta-stepping bucket array: pops drain the lowest non-empty bucket
-    /// of width `delta` in arrival order. O(1) push/pop, approximate
-    /// priority order, stale filtering at admission and at pop.
-    Bucketed {
-        /// Bucket width in priority units (must be >= 1). The
-        /// mean-edge-weight heuristic of `baselines::delta_stepping`'s
-        /// `default_delta` is the standard choice for distance priorities.
-        delta: u64,
-    },
     /// Pops pseudo-randomly (seeded xorshift). A chaos-testing discipline:
     /// it simulates adversarial network reordering, so algorithms whose
     /// results must be timing-independent (like the Steiner solver's
@@ -71,61 +67,40 @@ impl QueueKind {
         match self {
             QueueKind::Fifo => "fifo",
             QueueKind::Priority => "priority",
-            QueueKind::Bucketed { .. } => "bucketed",
             QueueKind::Adversarial { .. } => "adversarial",
         }
     }
 
     /// Whether this discipline applies the stale-entry filter of
-    /// [`VisitorQueue::pop_stale_filtered`]. True for the ordered
-    /// disciplines (priority, bucketed), where dropping dominated entries
-    /// is the decrease-key emulation; false for FIFO and adversarial,
-    /// which stay full-delivery baselines.
+    /// [`VisitorQueue::pop_stale_filtered`]. True for the priority
+    /// discipline, where dropping dominated entries is the decrease-key
+    /// emulation; false for FIFO and adversarial, which stay
+    /// full-delivery baselines.
     pub fn filters_stale(&self) -> bool {
-        matches!(self, QueueKind::Priority | QueueKind::Bucketed { .. })
+        matches!(self, QueueKind::Priority)
     }
 }
 
-/// A priority-slab entry: a queued value, or a vacated slot holding the
-/// next free slot's index.
-enum Slot<V> {
-    Full(V),
-    Free(usize),
-}
-
-/// End of the priority slab's free list.
-const NO_SLOT: usize = usize::MAX;
-
-/// Slots per priority-slab chunk. Chunks never move, so the slab grows
-/// without reallocating: a slab and a key heap doubling side by side
-/// would leave the allocator holes as large as themselves.
-const SLAB_CHUNK: usize = 1 << 7;
-
-/// Upper bound on the bucket window (`(max_prio - min_prio) / delta`). A
-/// wider spread means `delta` is far too small for the priority range —
-/// fail loudly instead of allocating an absurd ring.
-const MAX_BUCKET_WINDOW: u64 = 1 << 24;
+/// Most buckets the priority ring holds (the live key window, after
+/// coarsening). Each bucket costs a `VecDeque` header even when empty, so
+/// this bounds the ring's fixed part at 2 MiB; a wider key spread
+/// coarsens the keys instead.
+const MAX_BUCKET_WINDOW: u64 = 1 << 16;
 
 /// A local visitor queue with a runtime-selected discipline.
 pub struct VisitorQueue<V> {
     kind: QueueKind,
     fifo: VecDeque<V>,
-    /// Priority discipline: a min-heap of 24-byte `(prio, seq, slot)`
-    /// keys. `seq` is unique, so pops follow `(prio, seq)` exactly and
-    /// `slot` never decides an order; the value waits in `slab[slot]`, so
-    /// a sift moves 24 bytes whatever `V` is.
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Values of the queued priority keys, in chunks of [`SLAB_CHUNK`]
-    /// slots. Vacated slots form a free list threaded through the slab
-    /// itself, headed by `free`.
-    slab: Vec<Vec<Slot<V>>>,
-    free: usize,
     bag: Vec<V>,
-    /// Cyclic bucket vector of the bucketed discipline: the entry for
-    /// absolute bucket id `b = prio / delta` lives in slot `b % len`,
+    /// Cyclic bucket ring of the priority discipline: the entries of
+    /// absolute bucket id `b = prio >> shift` live in slot `b % len`,
     /// `len` a power of two. The live window `[min_bucket, max_bucket]`
-    /// never exceeds `len` buckets, so a slot holds at most one bucket id.
-    buckets: Vec<VecDeque<(u64, V)>>,
+    /// never exceeds `len` buckets, so a slot holds at most one bucket id
+    /// and an entry's bucket follows from its slot.
+    buckets: Vec<VecDeque<V>>,
+    /// Key coarsening: 0 (exact keys) until the live spread first exceeds
+    /// [`MAX_BUCKET_WINDOW`], then one more bit per overflow.
+    shift: u32,
     /// Cursor at (or below) the lowest non-empty absolute bucket id.
     min_bucket: u64,
     /// Highest absolute bucket id currently occupied.
@@ -139,7 +114,6 @@ pub struct VisitorQueue<V> {
     /// [`DeepBytes`]) — keeps `memory_bytes` deep without O(n) scans.
     elem_heap_bytes: usize,
     rng_state: u64,
-    seq: u64,
 }
 
 /// SplitMix64 finalizer: a bijective avalanche mix, so every distinct
@@ -161,9 +135,6 @@ fn mix_seed(seed: u64) -> u64 {
 impl<V> VisitorQueue<V> {
     /// An empty queue of the given discipline.
     pub fn new(kind: QueueKind) -> Self {
-        if let QueueKind::Bucketed { delta } = kind {
-            assert!(delta >= 1, "bucketed queue delta must be >= 1");
-        }
         let rng_state = match kind {
             // Xorshift state must be non-zero; mix the seed so adjacent
             // seeds produce unrelated streams. (A plain `seed | 1` here
@@ -175,18 +146,15 @@ impl<V> VisitorQueue<V> {
         VisitorQueue {
             kind,
             fifo: VecDeque::new(),
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: NO_SLOT,
             bag: Vec::new(),
             buckets: Vec::new(),
+            shift: 0,
             min_bucket: 0,
             max_bucket: 0,
             bucket_items: 0,
             bucket_slot_cap: 0,
             elem_heap_bytes: 0,
             rng_state,
-            seq: 0,
         }
     }
 
@@ -220,77 +188,70 @@ impl<V> VisitorQueue<V> {
         }
     }
 
-    fn slot_mut(&mut self, slot: usize) -> &mut Slot<V> {
-        &mut self.slab[slot / SLAB_CHUNK][slot % SLAB_CHUNK]
+    /// The ring slot a new entry of key `prio` goes to. Widens the live
+    /// window to cover it, first coarsening the keys while the window
+    /// would exceed [`MAX_BUCKET_WINDOW`], then growing the ring if the
+    /// window outgrew it.
+    fn ring_slot(&mut self, prio: u64) -> usize {
+        let b = prio >> self.shift;
+        let (mut lo, mut hi) = if self.bucket_items == 0 {
+            (b, b)
+        } else {
+            (self.min_bucket.min(b), self.max_bucket.max(b))
+        };
+        let mut coarsen = 0;
+        while hi - lo >= MAX_BUCKET_WINDOW {
+            lo >>= 1;
+            hi >>= 1;
+            coarsen += 1;
+        }
+        if coarsen > 0 || hi - lo >= self.buckets.len() as u64 {
+            self.rebuild_ring(hi - lo + 1, coarsen);
+        }
+        self.min_bucket = lo;
+        self.max_bucket = hi;
+        ((b >> coarsen) % self.buckets.len() as u64) as usize
     }
 
-    /// Grows the cyclic bucket vector to hold a window of at least
-    /// `needed` buckets, re-placing every live entry by its absolute
-    /// bucket id. Per-bucket arrival order is preserved: the old window
-    /// also fit its ring, so each old slot held exactly one bucket id.
-    fn grow_ring(&mut self, needed: u64, delta: u64) {
-        assert!(
-            needed <= MAX_BUCKET_WINDOW,
-            "bucketed queue window of {needed} buckets exceeds {MAX_BUCKET_WINDOW}: \
-             delta {delta} is too small for this priority range"
-        );
-        let cap = (needed as usize).next_power_of_two().max(8);
-        let mut fresh: Vec<VecDeque<(u64, V)>> = (0..cap).map(|_| VecDeque::new()).collect();
-        for slot in std::mem::take(&mut self.buckets) {
-            for (prio, value) in slot {
-                let b = prio / delta;
-                fresh[(b % cap as u64) as usize].push_back((prio, value));
+    /// Re-places every live entry into a ring of at least `needed` slots
+    /// under `coarsen` more bits of key shift. Old buckets move in
+    /// ascending id order, so the queued entries keep their pop order; two
+    /// buckets merged by coarsening queue the lower one's entries first.
+    fn rebuild_ring(&mut self, needed: u64, coarsen: u32) {
+        let cap = (needed as usize)
+            .next_power_of_two()
+            .max(self.buckets.len())
+            .max(8);
+        let mut fresh: Vec<VecDeque<V>> = (0..cap).map(|_| VecDeque::new()).collect();
+        if self.bucket_items > 0 {
+            let old_cap = self.buckets.len() as u64;
+            for b in self.min_bucket..=self.max_bucket {
+                let from = &mut self.buckets[(b % old_cap) as usize];
+                let to = &mut fresh[((b >> coarsen) % cap as u64) as usize];
+                if to.is_empty() {
+                    std::mem::swap(to, from);
+                } else {
+                    to.append(from);
+                }
             }
         }
         self.buckets = fresh;
+        self.shift += coarsen;
         self.bucket_slot_cap = self.buckets.iter().map(VecDeque::capacity).sum();
     }
 }
 
 impl<V: DeepBytes> VisitorQueue<V> {
-    /// Enqueues `value`; `prio` is used only by the priority and bucketed
-    /// disciplines.
+    /// Enqueues `value`; `prio` is used only by the priority discipline.
     pub fn push(&mut self, prio: u64, value: V) {
         self.elem_heap_bytes += value.heap_bytes();
         match self.kind {
             QueueKind::Fifo => self.fifo.push_back(value),
             QueueKind::Priority => {
-                let slot = if self.free == NO_SLOT {
-                    if self.slab.last().is_none_or(|c| c.len() == SLAB_CHUNK) {
-                        self.slab.push(Vec::with_capacity(SLAB_CHUNK));
-                    }
-                    let chunks = self.slab.len();
-                    let chunk = &mut self.slab[chunks - 1];
-                    chunk.push(Slot::Full(value));
-                    (chunks - 1) * SLAB_CHUNK + chunk.len() - 1
-                } else {
-                    let slot = self.free;
-                    match std::mem::replace(self.slot_mut(slot), Slot::Full(value)) {
-                        Slot::Free(next) => self.free = next,
-                        Slot::Full(_) => unreachable!("the free list holds only free slots"),
-                    }
-                    slot
-                };
-                self.heap.push(Reverse((prio, self.seq, slot)));
-                self.seq += 1;
-            }
-            QueueKind::Bucketed { delta } => {
-                let b = prio / delta;
-                if self.bucket_items == 0 {
-                    self.min_bucket = b;
-                    self.max_bucket = b;
-                } else {
-                    self.min_bucket = self.min_bucket.min(b);
-                    self.max_bucket = self.max_bucket.max(b);
-                }
-                let needed = self.max_bucket - self.min_bucket + 1;
-                if needed > self.buckets.len() as u64 {
-                    self.grow_ring(needed, delta);
-                }
-                let cap = self.buckets.len() as u64;
-                let slot = &mut self.buckets[(b % cap) as usize];
+                let i = self.ring_slot(prio);
+                let slot = &mut self.buckets[i];
                 let before = slot.capacity();
-                slot.push_back((prio, value));
+                slot.push_back(value);
                 self.bucket_slot_cap += slot.capacity() - before;
                 self.bucket_items += 1;
             }
@@ -302,14 +263,7 @@ impl<V: DeepBytes> VisitorQueue<V> {
     pub fn pop(&mut self) -> Option<V> {
         let popped = match self.kind {
             QueueKind::Fifo => self.fifo.pop_front(),
-            QueueKind::Priority => self.heap.pop().map(|Reverse((_, _, slot))| {
-                let vacated = Slot::Free(std::mem::replace(&mut self.free, slot));
-                match std::mem::replace(self.slot_mut(slot), vacated) {
-                    Slot::Full(value) => value,
-                    Slot::Free(_) => unreachable!("a queued key owns its slot"),
-                }
-            }),
-            QueueKind::Bucketed { .. } => {
+            QueueKind::Priority => {
                 if self.bucket_items == 0 {
                     None
                 } else {
@@ -318,7 +272,7 @@ impl<V: DeepBytes> VisitorQueue<V> {
                         // Bounded: `bucket_items > 0` guarantees a
                         // non-empty slot inside the live window.
                         let slot = &mut self.buckets[(self.min_bucket % cap) as usize];
-                        if let Some((_, value)) = slot.pop_front() {
+                        if let Some(value) = slot.pop_front() {
                             self.bucket_items -= 1;
                             break Some(value);
                         }
@@ -343,8 +297,8 @@ impl<V: DeepBytes> VisitorQueue<V> {
 
     /// Dequeues the next visitor the staleness filter accepts, lazily
     /// dropping entries `stale` marks as dominated; returns the visitor
-    /// (if any) and how many entries were dropped. Only the ordered
-    /// disciplines filter (see [`QueueKind::filters_stale`]) — for FIFO
+    /// (if any) and how many entries were dropped. Only the priority
+    /// discipline filters (see [`QueueKind::filters_stale`]) — for FIFO
     /// and adversarial queues this is exactly [`VisitorQueue::pop`].
     ///
     /// This is the pop half of the delta-stepping decrease-key emulation
@@ -373,13 +327,8 @@ impl<V: DeepBytes> VisitorQueue<V> {
         let buffers = match self.kind {
             QueueKind::Fifo => self.fifo.capacity() * std::mem::size_of::<V>(),
             QueueKind::Priority => {
-                self.heap.capacity() * std::mem::size_of::<Reverse<(u64, u64, usize)>>()
-                    + self.slab.len() * SLAB_CHUNK * std::mem::size_of::<Slot<V>>()
-                    + self.slab.capacity() * std::mem::size_of::<Vec<Slot<V>>>()
-            }
-            QueueKind::Bucketed { .. } => {
-                self.bucket_slot_cap * std::mem::size_of::<(u64, V)>()
-                    + self.buckets.capacity() * std::mem::size_of::<VecDeque<(u64, V)>>()
+                self.bucket_slot_cap * std::mem::size_of::<V>()
+                    + self.buckets.capacity() * std::mem::size_of::<VecDeque<V>>()
             }
             QueueKind::Adversarial { .. } => self.bag.capacity() * std::mem::size_of::<V>(),
         };
@@ -390,20 +339,14 @@ impl<V: DeepBytes> VisitorQueue<V> {
 impl<V> VisitorQueue<V> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        match self.kind {
-            QueueKind::Fifo => self.fifo.is_empty(),
-            QueueKind::Priority => self.heap.is_empty(),
-            QueueKind::Bucketed { .. } => self.bucket_items == 0,
-            QueueKind::Adversarial { .. } => self.bag.is_empty(),
-        }
+        self.len() == 0
     }
 
     /// Number of queued visitors.
     pub fn len(&self) -> usize {
         match self.kind {
             QueueKind::Fifo => self.fifo.len(),
-            QueueKind::Priority => self.heap.len(),
-            QueueKind::Bucketed { .. } => self.bucket_items,
+            QueueKind::Priority => self.bucket_items,
             QueueKind::Adversarial { .. } => self.bag.len(),
         }
     }
@@ -412,6 +355,10 @@ impl<V> VisitorQueue<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn drain(q: &mut VisitorQueue<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
 
     #[test]
     fn fifo_preserves_order() {
@@ -439,12 +386,10 @@ mod tests {
     #[test]
     fn priority_ties_break_by_arrival() {
         let mut q = VisitorQueue::new(QueueKind::Priority);
-        q.push(3, 'x');
-        q.push(3, 'y');
-        q.push(3, 'z');
-        assert_eq!(q.pop(), Some('x'));
-        assert_eq!(q.pop(), Some('y'));
-        assert_eq!(q.pop(), Some('z'));
+        for v in 0..50u32 {
+            q.push(3, v);
+        }
+        assert_eq!(drain(&mut q), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -459,30 +404,76 @@ mod tests {
     }
 
     #[test]
-    fn stale_filter_drops_dominated_entries() {
-        for kind in [QueueKind::Priority, QueueKind::Bucketed { delta: 2 }] {
-            let mut q = VisitorQueue::new(kind);
-            for v in [10u32, 3, 7, 1, 8] {
-                q.push(v as u64, v);
-            }
-            // Everything above 5 is "dominated".
-            let (got, dropped) = q.pop_stale_filtered(|&v| v > 5);
-            assert_eq!(got, Some(1), "{kind:?}");
-            assert_eq!(dropped, 0, "{kind:?}: 1 pops first, nothing stale yet");
-            let mut survivors = vec![];
-            let mut total_dropped = 0;
-            loop {
-                let (v, d) = q.pop_stale_filtered(|&v| v > 5);
-                total_dropped += d;
-                match v {
-                    Some(v) => survivors.push(v),
-                    None => break,
-                }
-            }
-            assert_eq!(survivors, vec![3], "{kind:?}");
-            assert_eq!(total_dropped, 3, "{kind:?}: 7, 8, 10 dropped unvisited");
-            assert!(q.is_empty());
+    fn backward_pushes_pop_first() {
+        // Remote messages can arrive with priorities *below* the current
+        // cursor; the ring must accept them and serve them first.
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        q.push(40, 1);
+        q.push(41, 2);
+        assert_eq!(q.pop(), Some(1));
+        q.push(3, 3); // far below the cursor
+        q.push(100, 4);
+        assert_eq!(drain(&mut q), vec![3, 2, 4]);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn ring_grows_past_initial_capacity() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        // 1000 distinct buckets force several ring growths.
+        for p in (0..1000u64).rev() {
+            q.push(p, p as u32);
         }
+        assert_eq!(q.len(), 1000);
+        let expect: Vec<u32> = (0..1000).collect();
+        assert_eq!(drain(&mut q), expect, "growth must preserve bucket order");
+    }
+
+    #[test]
+    fn extreme_key_spread_coarsens_instead_of_panicking() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        q.push(1 << 40, 1u32);
+        q.push(0, 0u32);
+        assert_eq!(drain(&mut q), vec![0, 1]);
+        assert!(q.is_empty());
+        let ring = MAX_BUCKET_WINDOW as usize * std::mem::size_of::<VecDeque<u32>>();
+        assert!(q.memory_bytes() <= ring + 1024, "the ring stays bounded");
+    }
+
+    #[test]
+    fn coarsening_keeps_queued_order_and_is_fifo_within_a_bucket() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        q.push(5, 5u32);
+        q.push(3, 3);
+        // Forces 25 bits of coarsening: 3, 5 and 4 then share bucket 0.
+        q.push(1 << 40, 40);
+        q.push(4, 4);
+        assert_eq!(drain(&mut q), vec![3, 5, 4, 40]);
+    }
+
+    #[test]
+    fn stale_filter_drops_dominated_entries() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        for v in [10u32, 3, 7, 1, 8] {
+            q.push(v as u64, v);
+        }
+        // Everything above 5 is "dominated".
+        let (got, dropped) = q.pop_stale_filtered(|&v| v > 5);
+        assert_eq!(got, Some(1));
+        assert_eq!(dropped, 0, "1 pops first, nothing stale yet");
+        let mut survivors = vec![];
+        let mut total_dropped = 0;
+        loop {
+            let (v, d) = q.pop_stale_filtered(|&v| v > 5);
+            total_dropped += d;
+            match v {
+                Some(v) => survivors.push(v),
+                None => break,
+            }
+        }
+        assert_eq!(survivors, vec![3]);
+        assert_eq!(total_dropped, 3, "7, 8, 10 dropped unvisited");
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -511,12 +502,10 @@ mod tests {
         for kind in [
             QueueKind::Fifo,
             QueueKind::Priority,
-            QueueKind::Bucketed { delta: 1 },
             QueueKind::Adversarial { seed: 1 },
         ] {
             let mut q: VisitorQueue<Vec<u64>> = VisitorQueue::new(kind);
-            let payload: Vec<u64> = vec![0; 1000];
-            q.push(0, payload);
+            q.push(0, vec![0; 1000]);
             assert!(
                 q.memory_bytes() >= 8000,
                 "{kind:?}: a queued 8 kB payload must be deep-counted, got {}",
@@ -528,6 +517,16 @@ mod tests {
                 "{kind:?}: popped payload bytes must be released"
             );
         }
+        // The ring's bucket headers count even while the buckets are
+        // empty: a key spread of 100 grows the ring to 128 slots.
+        let mut q: VisitorQueue<Vec<u64>> = VisitorQueue::new(QueueKind::Priority);
+        q.push(0, vec![]);
+        q.push(100, vec![]);
+        let headers = 128 * std::mem::size_of::<VecDeque<Vec<u64>>>();
+        assert!(q.memory_bytes() >= headers + 2 * std::mem::size_of::<Vec<u64>>());
+        q.pop();
+        q.pop();
+        assert!(q.memory_bytes() >= headers, "popping keeps the ring");
     }
 }
 
@@ -535,20 +534,26 @@ mod tests {
 mod priority_model_tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The slab-backed priority heap against a reference
+        /// The bucket ring against a reference
         /// `BinaryHeap<Reverse<(prio, seq)>>` over random push/pop
-        /// interleavings: identical pop order (ties and slots reused after
-        /// pops included), identical `len` and `is_empty`, and the same
-        /// drop count from `pop_stale_filtered` as a reference filter.
-        /// Each value is its push's sequence number, so a pop names
-        /// exactly which push it returned.
+        /// interleavings: identical pop order (ties included), identical
+        /// `len` and `is_empty`, and the same drop count from
+        /// `pop_stale_filtered` as a reference filter. Narrow keys make
+        /// ties and pushes below the cursor; wide ones grow the ring
+        /// several times. Each value is its push's sequence number, so a
+        /// pop names exactly which push it returned.
         #[test]
         fn priority_queue_matches_reference_heap(
-            ops in proptest::collection::vec((0u8..6, 0u64..6), 0..600),
+            ops in proptest::collection::vec(
+                (0u8..6, prop_oneof![0u64..6, 0u64..5000]),
+                0..600,
+            ),
         ) {
             let mut q = VisitorQueue::new(QueueKind::Priority);
             let mut reference = BinaryHeap::new();
@@ -556,8 +561,8 @@ mod priority_model_tests {
             let unwrap = |e: Option<Reverse<(u64, u64)>>| e.map(|Reverse((_, s))| s);
             for (op, prio) in ops {
                 match op {
-                    // Pushes outnumber pops, so the queue both grows past
-                    // one slab chunk and refills the slots pops vacate.
+                    // Pushes outnumber pops, so the live window keeps
+                    // widening past the ring while pops move the cursor.
                     0..=3 => {
                         q.push(prio, seq);
                         reference.push(Reverse((prio, seq)));
@@ -586,92 +591,6 @@ mod priority_model_tests {
             }
             prop_assert_eq!(q.pop(), None);
         }
-    }
-}
-
-#[cfg(test)]
-mod bucketed_tests {
-    use super::*;
-
-    fn drain(q: &mut VisitorQueue<u32>) -> Vec<u32> {
-        std::iter::from_fn(|| q.pop()).collect()
-    }
-
-    #[test]
-    fn pops_lowest_bucket_first_fifo_within_bucket() {
-        let mut q = VisitorQueue::new(QueueKind::Bucketed { delta: 10 });
-        q.push(35, 1); // bucket 3
-        q.push(5, 2); // bucket 0
-        q.push(31, 3); // bucket 3, after 1
-        q.push(17, 4); // bucket 1
-        q.push(9, 5); // bucket 0, after 2
-        assert_eq!(drain(&mut q), vec![2, 5, 4, 1, 3]);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn delta_one_matches_priority_order_on_distinct_keys() {
-        let prios = [9u64, 2, 7, 0, 5, 12, 3];
-        let mut bucketed = VisitorQueue::new(QueueKind::Bucketed { delta: 1 });
-        let mut heap = VisitorQueue::new(QueueKind::Priority);
-        for &p in &prios {
-            bucketed.push(p, p as u32);
-            heap.push(p, p as u32);
-        }
-        assert_eq!(drain(&mut bucketed), drain(&mut heap));
-    }
-
-    #[test]
-    fn interleaved_push_pop_with_backward_pushes() {
-        // Remote messages can arrive with priorities *below* the current
-        // cursor; the ring must accept them and serve them first.
-        let mut q = VisitorQueue::new(QueueKind::Bucketed { delta: 4 });
-        q.push(40, 1);
-        q.push(41, 2);
-        assert_eq!(q.pop(), Some(1));
-        q.push(3, 3); // far below the cursor
-        q.push(100, 4);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(4));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn ring_grows_past_initial_capacity() {
-        let mut q = VisitorQueue::new(QueueKind::Bucketed { delta: 1 });
-        // 1000 distinct buckets force several ring growths.
-        for p in (0..1000u64).rev() {
-            q.push(p, p as u32);
-        }
-        assert_eq!(q.len(), 1000);
-        let got = drain(&mut q);
-        let expect: Vec<u32> = (0..1000).collect();
-        assert_eq!(got, expect, "growth must preserve bucket order");
-    }
-
-    #[test]
-    fn uniform_priorities_degrade_to_fifo() {
-        let mut q = VisitorQueue::new(QueueKind::Bucketed { delta: 7 });
-        for v in 0..50u32 {
-            q.push(3, v);
-        }
-        assert_eq!(drain(&mut q), (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "delta must be >= 1")]
-    fn zero_delta_is_rejected() {
-        let _ = VisitorQueue::<u32>::new(QueueKind::Bucketed { delta: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "too small for this priority range")]
-    fn absurd_bucket_window_is_rejected() {
-        let mut q = VisitorQueue::new(QueueKind::Bucketed { delta: 1 });
-        q.push(0, 0u32);
-        q.push(u64::MAX / 2, 1u32);
     }
 }
 

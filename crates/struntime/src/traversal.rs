@@ -2,7 +2,7 @@
 //!
 //! This is the runtime's equivalent of HavoqGT's `do_traversal()`: every
 //! rank drains its inbound channel into a local [`VisitorQueue`] (FIFO,
-//! priority, or bucketed), invokes the user's `visit` callback on each
+//! priority, or adversarial), invokes the user's `visit` callback on each
 //! dequeued visitor, and forwards the visitors the callback pushes —
 //! locally for owned destinations, over the channel group otherwise.
 //! Computation and communication overlap freely; there is no superstep
@@ -26,8 +26,8 @@
 //! ## Stale-entry filtering
 //!
 //! [`run_traversal_filtered`] threads a staleness predicate through the
-//! queue. Under the ordered disciplines (priority, bucketed) it is asked
-//! at two points, and the [`StaleCheck`] argument says which:
+//! queue. Under the priority discipline it is asked at two points, and
+//! the [`StaleCheck`] argument says which:
 //!
 //! - **admission** ([`StaleCheck::Admit`]): before a visitor enters this
 //!   rank's queue — each visitor a visit pushes to its own rank (drained
@@ -437,8 +437,8 @@ pub enum StaleCheck {
     Pop,
 }
 
-/// [`run_traversal_config`] with a staleness predicate. Under the ordered
-/// disciplines ([`QueueKind::filters_stale`]) the traversal calls
+/// [`run_traversal_config`] with a staleness predicate. Under the priority
+/// discipline ([`QueueKind::filters_stale`]) the traversal calls
 /// `stale(StaleCheck::Admit, v)` before it queues a visitor pushed to
 /// this rank or received in a batch, and `stale(StaleCheck::Pop, v)` when
 /// a queued visitor reaches the head of the queue. A `true` answer drops
@@ -520,8 +520,8 @@ where
 }
 
 /// Queues `visitors` through the admission side of the stale filter:
-/// with a predicate (`stale` is `Some` only under the ordered
-/// disciplines), a visitor it marks stale is dropped before it is queued.
+/// with a predicate (`stale` is `Some` only under the priority
+/// discipline), a visitor it marks stale is dropped before it is queued.
 /// Returns the number dropped. Admission drops record no
 /// `StaleDropAgeUs` sample: that histogram measures how long dropped
 /// entries sat in the queue, and these never entered it.
@@ -902,20 +902,18 @@ mod tests {
     }
 
     #[test]
-    fn ordered_queues_drop_stale_visitors_at_admission() {
-        for queue in [QueueKind::Priority, QueueKind::Bucketed { delta: 2 }] {
-            let seen = admission_run(queue);
-            // Rank 0 rejects its own pushes 2 and 4 (local admission),
-            // rank 1 the batch entries 12 and 14 (inbound admission).
-            assert_eq!(seen[0].visited, vec![0, 1, 3], "{queue:?}");
-            assert_eq!(seen[1].visited, vec![11, 13], "{queue:?}");
-            let admit = |vs: [u32; 2]| vs.map(|v| (StaleCheck::Admit, v)).to_vec();
-            assert_eq!(seen[0].stale_at, admit([2, 4]), "{queue:?}");
-            assert_eq!(seen[1].stale_at, admit([12, 14]), "{queue:?}");
-            for (r, s) in seen.iter().enumerate() {
-                assert_eq!(s.stats.stale_dropped, 2, "{queue:?} rank {r}");
-                assert_eq!(s.stats.processed, s.visited.len() as u64);
-            }
+    fn priority_queue_drops_stale_visitors_at_admission() {
+        let seen = admission_run(QueueKind::Priority);
+        // Rank 0 rejects its own pushes 2 and 4 (local admission),
+        // rank 1 the batch entries 12 and 14 (inbound admission).
+        assert_eq!(seen[0].visited, vec![0, 1, 3]);
+        assert_eq!(seen[1].visited, vec![11, 13]);
+        let admit = |vs: [u32; 2]| vs.map(|v| (StaleCheck::Admit, v)).to_vec();
+        assert_eq!(seen[0].stale_at, admit([2, 4]));
+        assert_eq!(seen[1].stale_at, admit([12, 14]));
+        for (r, s) in seen.iter().enumerate() {
+            assert_eq!(s.stats.stale_dropped, 2, "rank {r}");
+            assert_eq!(s.stats.processed, s.visited.len() as u64);
         }
     }
 

@@ -5,7 +5,10 @@
 //! entries matched by label) — and flags *regressions*: metrics where B
 //! is worse than A beyond a noise threshold. Improvements and in-noise
 //! drift are reported but never fail the diff, so the tool can gate CI
-//! without chasing scheduler jitter.
+//! without chasing scheduler jitter. Two envelopes that both carry no
+//! solve entries (harnesses that time baselines only) have nothing to
+//! compare and are skipped; one such envelope against a solve-carrying
+//! one is an error.
 //!
 //! Two metric classes with different thresholds:
 //!
@@ -45,8 +48,8 @@ struct Metric {
 }
 
 /// Extracts the labelled runs a document carries: a BENCH envelope
-/// yields one run per `"solve"` entry (keyed by its label), a bare
-/// RunReport yields a single `"run"` entry.
+/// yields one run per `"solve"` entry (keyed by its label, possibly
+/// none), a bare RunReport yields a single `"run"` entry.
 fn runs_of(doc: &Json) -> Result<Vec<(String, Json)>, String> {
     if let Some(entries) = doc.get("entries").and_then(|v| v.as_arr()) {
         let mut runs = Vec::new();
@@ -61,9 +64,6 @@ fn runs_of(doc: &Json) -> Result<Vec<(String, Json)>, String> {
                 .to_string();
             let run = entry.get("run").ok_or("solve entry missing run")?;
             runs.push((label, run.clone()));
-        }
-        if runs.is_empty() {
-            return Err("bench envelope has no solve entries".to_string());
         }
         Ok(runs)
     } else if doc.get("phase_times_us").is_some() {
@@ -158,6 +158,20 @@ fn metrics_of(run: &Json) -> BTreeMap<String, Metric> {
 pub fn diff(a: &Json, b: &Json, counters_only: bool) -> Result<Diff, String> {
     let a_runs = runs_of(a).map_err(|e| format!("baseline: {e}"))?;
     let b_runs = runs_of(b).map_err(|e| format!("candidate: {e}"))?;
+    if a_runs.is_empty() != b_runs.is_empty() {
+        let side = if a_runs.is_empty() {
+            "baseline"
+        } else {
+            "candidate"
+        };
+        return Err(format!("{side}: bench envelope has no solve entries"));
+    }
+    if a_runs.is_empty() {
+        return Ok(Diff {
+            lines: vec!["skipped: neither envelope has solve entries".to_string()],
+            regressions: 0,
+        });
+    }
     let mut lines = Vec::new();
     let mut regressions = 0usize;
     for (label, a_run) in &a_runs {
@@ -300,6 +314,42 @@ mod tests {
             "{:?}",
             d.lines
         );
+    }
+
+    fn solve_less_envelope() -> Json {
+        Json::obj().with("bench", "t").with(
+            "entries",
+            Json::Arr(vec![Json::obj().with("label", "m").with("kind", "metrics")]),
+        )
+    }
+
+    #[test]
+    fn envelopes_without_solves_on_both_sides_are_skipped() {
+        let d = diff(&solve_less_envelope(), &solve_less_envelope(), true).unwrap();
+        assert_eq!(d.regressions, 0);
+        assert_eq!(d.lines, ["skipped: neither envelope has solve entries"]);
+    }
+
+    #[test]
+    fn an_envelope_without_solves_against_one_with_solves_is_an_error() {
+        let with_solve = Json::obj().with("bench", "t").with(
+            "entries",
+            Json::Arr(vec![Json::obj()
+                .with("label", "p4")
+                .with("kind", "solve")
+                .with("run", sample_run(10_000))]),
+        );
+        let e = diff(&solve_less_envelope(), &with_solve, true)
+            .err()
+            .unwrap();
+        assert_eq!(e, "baseline: bench envelope has no solve entries");
+        let e = diff(&with_solve, &solve_less_envelope(), true)
+            .err()
+            .unwrap();
+        assert_eq!(e, "candidate: bench envelope has no solve entries");
+        let run = sample_run(10_000);
+        assert!(diff(&run, &solve_less_envelope(), true).is_err());
+        assert!(diff(&with_solve, &with_solve, true).is_ok());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! steiner-cli generate --dataset LVJ --out graph.bin [--tiny] [--seed N]
 //! steiner-cli stats    --graph graph.bin
 //! steiner-cli solve    --graph graph.bin (--seeds 1,2,3 | --select K[:STRATEGY])
-//!                      [--ranks P] [--queue fifo|priority|bucketed[:DELTA]]
+//!                      [--ranks P] [--queue fifo|priority]
 //!                      [--mst dist|replicated]
 //!                      [--refine] [--improve ROUNDS] [--dot out.dot]
 //!                      [--faults drop=0.1,dup=0.05,seed=7]
@@ -51,7 +51,7 @@ const USAGE: &str = "usage:
   steiner-cli generate --dataset NAME --out FILE [--tiny] [--seed N]
   steiner-cli stats    --graph FILE
   steiner-cli solve    --graph FILE (--seeds A,B,C | --select K[:STRATEGY])
-                       [--ranks P] [--queue fifo|priority|bucketed[:DELTA]]
+                       [--ranks P] [--queue fifo|priority]
                        [--mst dist|replicated]
                        [--refine] [--improve ROUNDS] [--dot FILE] [--out TREE_FILE]
                        [--faults SPEC] [--crash SPEC] [--deadline MS] [--no-recover]
@@ -59,11 +59,9 @@ const USAGE: &str = "usage:
                        [--telemetry] [--monitor]
 
 --queue picks the visitor-queue discipline: `priority` (default) settles
-in Dijkstra order, `fifo` is the unordered baseline, `bucketed` is
-delta-stepping (cheap bucket pops instead of a binary heap, plus the
-same stale-relaxation filter as priority). `bucketed` / `bucketed:auto`
-derive the bucket width from the graph's mean edge weight;
-`bucketed:DELTA` pins it explicitly (DELTA >= 1).
+in near-Dijkstra order from a ring of distance buckets whose width comes
+from the graph (max edge weight / max degree), and drops stale
+relaxations; `fifo` is the unordered baseline.
 
 --mst picks the distance-graph MST pipeline: `dist` (default) runs
 distributed Borůvka rounds that reduce one lightest-outgoing-edge slot
@@ -96,8 +94,8 @@ bit-identical to a fault-free solve.
 `crash_rank=1,crash_at_sync=3,seed=7` or
 `crash_after_visits=100,crash_phase=0`; the supervisor restores the
 survivors from the last complete phase checkpoint and the recovered
-tree is bit-identical to an undisturbed solve. --no-recover disables
-phase checkpointing (a crash then fails the solve as unrecoverable);
+tree is bit-identical to an undisturbed solve. --no-recover allows no
+restore (a crash then fails the solve as unrecoverable);
 --deadline bounds the solve's wall-clock time in milliseconds —
 on expiry the ranks are cooperatively aborted and the solve returns a
 structured deadline-exceeded error (plus a flight dump when
@@ -358,28 +356,22 @@ fn write_solve_artifacts(
     Ok(())
 }
 
-/// Parses `--queue` into a discipline. `bucketed` and `bucketed:auto`
-/// derive the bucket width from the graph's mean edge weight (the same
-/// heuristic as the sequential delta-stepping baseline); `bucketed:N`
-/// pins it explicitly.
-fn queue_kind(flags: &HashMap<String, String>, g: &CsrGraph) -> Result<QueueKind, String> {
+/// Parses `--queue` into a discipline.
+fn queue_kind(flags: &HashMap<String, String>) -> Result<QueueKind, String> {
     match flags.get("queue").map(String::as_str) {
         None | Some("priority") => Ok(QueueKind::Priority),
         Some("fifo") => Ok(QueueKind::Fifo),
-        Some("bucketed" | "bucketed:auto") => Ok(QueueKind::Bucketed {
-            delta: steiner::auto_delta(g),
-        }),
-        Some(spec) if spec.starts_with("bucketed:") => {
-            let raw = &spec["bucketed:".len()..];
-            let delta: u64 = raw
-                .parse()
-                .map_err(|_| format!("bad bucket width {raw:?} (want a number or `auto`)"))?;
-            if delta == 0 {
-                return Err("bucket width must be at least 1".into());
-            }
-            Ok(QueueKind::Bucketed { delta })
-        }
         Some(other) => Err(format!("unknown queue {other:?}")),
+    }
+}
+
+/// Checkpoint restores the supervisor may attempt: none under
+/// `--no-recover`, so an injected crash fails the solve.
+fn restore_budget(flags: &HashMap<String, String>) -> usize {
+    if flags.contains_key("no-recover") {
+        0
+    } else {
+        SolverConfig::default().max_restores
     }
 }
 
@@ -397,7 +389,7 @@ fn mst_mode(flags: &HashMap<String, String>) -> Result<MstMode, String> {
 fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
     let g = load_graph(flags)?;
     let seeds = seeds_from_flags(&g, flags)?;
-    let queue = queue_kind(flags, &g)?;
+    let queue = queue_kind(flags)?;
     let (trace, metrics, telemetry) = observability_config(flags);
     let config = SolverConfig {
         num_ranks: rank_count(flags)?,
@@ -409,7 +401,7 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
         telemetry,
         faults: fault_plan(flags)?,
         deadline: deadline(flags)?,
-        checkpoints: !flags.contains_key("no-recover"),
+        max_restores: restore_budget(flags),
         ..SolverConfig::default()
     };
     let t = Instant::now();
@@ -635,14 +627,14 @@ fn cmd_repl(flags: &HashMap<String, String>) -> Result<(), String> {
                 // batch `solve` subcommand (PR 2 wired only that path).
                 let config = SolverConfig {
                     num_ranks: rank_count(flags)?,
-                    queue: queue_kind(flags, &g)?,
+                    queue: queue_kind(flags)?,
                     mst_mode: mst_mode(flags)?,
                     trace: obs_trace,
                     metrics: obs_metrics,
                     telemetry: obs_telemetry,
                     faults: obs_faults,
                     deadline: deadline(flags)?,
-                    checkpoints: !flags.contains_key("no-recover"),
+                    max_restores: restore_budget(flags),
                     ..SolverConfig::default()
                 };
                 let t = Instant::now();

@@ -53,7 +53,6 @@ fn chaos_matrix_recovers_bit_identical_trees() {
         QueueKind::Fifo,
         QueueKind::Priority,
         QueueKind::Adversarial { seed: 5 },
-        QueueKind::Bucketed { delta: 3 },
     ];
     for queue in queues {
         for ranks in [1usize, 2, 4] {
