@@ -16,9 +16,14 @@
 //! No map sits on the local path:
 //!
 //! - **Cell index.** A cell is named by its seed's index in the sorted
-//!   seed list, resolved once per held vertex (`cell_index`) rather than
-//!   once per arc endpoint. Seed-index order is seed-vertex order, so
-//!   tie-breaking is unchanged.
+//!   seed list, resolved once per held vertex (`cell_labels`) rather than
+//!   once per arc endpoint, and packed with the vertex's distance, so an
+//!   arc endpoint costs one array read. Seed-index order is seed-vertex
+//!   order, so tie-breaking is unchanged.
+//! - **Direct loops.** The scan walks each source's adjacency slice
+//!   ([`RankGraph::owned_arcs`], [`RankGraph::delegate_arcs`]); a
+//!   source's index is also the held index of its state, so only the far
+//!   end `v` is looked up.
 //! - **One evaluation per undirected edge.** An arc `(u, v)` is evaluated
 //!   iff `u < v` agrees with `u + v` being even (`evaluates`). Exactly
 //!   one of an edge's two arcs passes, and self-loops never do. Every arc
@@ -39,7 +44,7 @@ use crate::messages::ProbeMsg;
 use crate::state::{VertexStates, NO_VERTEX};
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::partition::{BlockPartition, RankGraph};
-use struntime::{run_traversal, ChannelGroup, Comm, QueueKind};
+use struntime::{run_traversal, ChannelGroup, Comm, Pusher, QueueKind};
 
 /// The winning bridge for one distance-graph edge `(s, t)`.
 ///
@@ -76,17 +81,21 @@ pub type PairKey = (u32, u32);
 /// Cell of a vertex no seed reached.
 const NO_CELL: u32 = u32::MAX;
 
-/// The dense cell index of this rank: for each state slot it holds
-/// (indexed by [`VertexStates::held_index`]), the index in `seeds` of the
-/// label's source, or [`NO_CELL`]. `seeds` must be sorted, as the solver
-/// entry points leave them.
-fn cell_index(states: &VertexStates, seeds: &[Vertex]) -> Vec<u32> {
+/// This rank's scan input, packed: for each state slot it holds (indexed
+/// by [`VertexStates::held_index`]), the label's distance and the index
+/// in `seeds` of its source, or [`NO_CELL`]. `seeds` must be sorted, as
+/// the solver entry points leave them.
+fn cell_labels(states: &VertexStates, seeds: &[Vertex]) -> Vec<(Distance, u32)> {
     (0..states.num_held())
-        .map(|i| match states.label_at(i).src {
-            NO_VERTEX => NO_CELL,
-            src => seeds
-                .binary_search(&src)
-                .expect("every label source is a seed") as u32,
+        .map(|i| {
+            let label = states.label_at(i);
+            let cell = match label.src {
+                NO_VERTEX => NO_CELL,
+                src => seeds
+                    .binary_search(&src)
+                    .expect("every label source is a seed") as u32,
+            };
+            (label.dist, cell)
         })
         .collect()
 }
@@ -199,10 +208,15 @@ pub fn local_min_edges(
     states: &VertexStates,
     seeds: &[Vertex],
 ) -> (Vec<(PairKey, MinEdge)>, struntime::TraversalStats) {
-    let cells = cell_index(states, seeds);
+    let cells = cell_labels(states, seeds);
     let mut mins = PairMins::new(seeds.len(), rg.num_local_arcs());
+    let scan = Scan {
+        states,
+        cells: &cells,
+        partition,
+    };
 
-    let sources = rg.num_sources();
+    let (owned, sources) = (rg.num_owned(), rg.num_sources());
     let stats = run_traversal(
         comm,
         chan,
@@ -211,42 +225,21 @@ pub fn local_min_edges(
         [ProbeMsg::Scan(0)],
         |msg, pusher| match msg {
             ProbeMsg::Scan(first) => {
-                let end = sources.min(first as usize + SCAN_CHUNK);
+                let (first, end) = (first as usize, sources.min(first as usize + SCAN_CHUNK));
                 if end < sources {
                     pusher.push(pusher.rank(), ProbeMsg::Scan(end as u32));
                 }
-                // Arcs arrive grouped by source, so `u`'s slot is resolved
-                // once per source vertex.
-                let (mut cur, mut iu) = (NO_VERTEX, 0);
-                for (u, v, w) in rg.local_arcs(first as usize..end) {
-                    if !evaluates(u, v) {
-                        continue;
-                    }
-                    if u != cur {
-                        cur = u;
-                        iu = states.held_index(u).expect("arc sources are held");
-                    }
-                    let u_cell = cells[iu];
-                    if u_cell == NO_CELL {
-                        continue;
-                    }
-                    let u_dist = states.dist_at(iu);
-                    match states.held_index(v) {
-                        // Both endpoints' states are local: evaluate here.
-                        Some(iv) => {
-                            mins.offer((u, u_cell, u_dist), (v, cells[iv], states.dist_at(iv)), w)
-                        }
-                        None => pusher.push(
-                            partition.owner(v),
-                            ProbeMsg::Candidate {
-                                v,
-                                u,
-                                weight: w,
-                                u_cell,
-                                u_dist,
-                            },
-                        ),
-                    }
+                // Source index `i` is also the held index of its state.
+                for i in first.min(owned)..end.min(owned) {
+                    let u = rg.owned.start + i as Vertex;
+                    let (targets, weights) = rg.owned_arcs(i);
+                    let arcs = targets.iter().copied().zip(weights.iter().copied());
+                    scan.source(u, i, arcs, &mut mins, pusher);
+                }
+                for i in first.max(owned)..end.max(owned) {
+                    let k = i - owned;
+                    let arcs = rg.delegate_arcs(k).iter().copied();
+                    scan.source(rg.delegates[k], i, arcs, &mut mins, pusher);
                 }
             }
             ProbeMsg::Candidate {
@@ -257,15 +250,61 @@ pub fn local_min_edges(
                 u_dist,
             } => {
                 let iv = states.held_index(v).expect("probes go to v's owner");
-                mins.offer(
-                    (u, u_cell, u_dist),
-                    (v, cells[iv], states.dist_at(iv)),
-                    weight,
-                );
+                let (v_dist, v_cell) = cells[iv];
+                mins.offer((u, u_cell, u_dist), (v, v_cell, v_dist), weight);
             }
         },
     );
     (mins.finish(), stats)
+}
+
+/// What the local scan reads: the held states, their packed
+/// [`cell_labels`], and the owner map for probes.
+struct Scan<'a> {
+    states: &'a VertexStates,
+    cells: &'a [(Distance, u32)],
+    partition: &'a BlockPartition,
+}
+
+impl Scan<'_> {
+    /// Evaluates the arcs of source `u`, held at index `iu`, that this
+    /// rank evaluates ([`evaluates`]): offers the ones whose other end is
+    /// held here, and probes the owner of every other one.
+    #[inline]
+    fn source(
+        &self,
+        u: Vertex,
+        iu: usize,
+        arcs: impl Iterator<Item = (Vertex, Weight)>,
+        mins: &mut PairMins,
+        pusher: &mut Pusher<'_, ProbeMsg>,
+    ) {
+        let (u_dist, u_cell) = self.cells[iu];
+        if u_cell == NO_CELL {
+            return;
+        }
+        for (v, w) in arcs {
+            if !evaluates(u, v) {
+                continue;
+            }
+            match self.states.held_index(v) {
+                Some(iv) => {
+                    let (v_dist, v_cell) = self.cells[iv];
+                    mins.offer((u, u_cell, u_dist), (v, v_cell, v_dist), w);
+                }
+                None => pusher.push(
+                    self.partition.owner(v),
+                    ProbeMsg::Candidate {
+                        v,
+                        u,
+                        weight: w,
+                        u_cell,
+                        u_dist,
+                    },
+                ),
+            }
+        }
+    }
 }
 
 /// Whether the scan evaluates arc `(u, v)`: for `u != v`, exactly one of

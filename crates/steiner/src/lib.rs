@@ -68,7 +68,7 @@ use state::VertexStates;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use stgraph::csr::{CsrGraph, Vertex, Weight};
+use stgraph::csr::{CsrGraph, Vertex, Weight, INF};
 use stgraph::error::SteinerError;
 use stgraph::partition::{partition_graph, PartitionedGraph};
 use stgraph::steiner_tree::SteinerTree;
@@ -286,6 +286,24 @@ fn check_seeds_against(num_vertices: usize, seeds: &[Vertex]) -> Result<Vec<Vert
     Ok(out)
 }
 
+/// Rejects a graph whose distances could wrap. A label is a simple
+/// path's length, at most `(n - 1) * max_weight`, and the connecting
+/// paths of the distance graph add one edge and a second label, so every
+/// sum the solver forms is at most `(2n - 1) * max_weight`. That bound
+/// must stay below `INF`, which marks an unreached vertex.
+fn check_weights(pg: &PartitionedGraph) -> Result<(), SteinerError> {
+    let n = pg.partition.num_vertices();
+    let longest = (2 * n as u64).saturating_sub(1).checked_mul(pg.max_weight);
+    if longest.is_some_and(|d| d < INF) {
+        Ok(())
+    } else {
+        Err(SteinerError::WeightOverflow {
+            max_weight: pg.max_weight,
+            num_vertices: n,
+        })
+    }
+}
+
 struct RankOutcome {
     edges: Vec<(Vertex, Vertex, Weight)>,
     times: PhaseTimes,
@@ -316,6 +334,7 @@ pub fn solve_partitioned(
     config: &SolverConfig,
 ) -> Result<SolveReport, SteinerError> {
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
+    check_weights(pg)?;
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
     supervise(pg, &seeds, config, |faults, recovery| {
@@ -365,6 +384,7 @@ pub fn solve_on(
         return Err(SteinerError::ResidentConfigMismatch { field });
     }
     let seeds = Arc::new(check_seeds_against(pg.partition.num_vertices(), seeds)?);
+    check_weights(pg)?;
     supervise(pg, &seeds, config, |faults, recovery| {
         let (pg, seeds, config) = (Arc::clone(pg), Arc::clone(&seeds), *config);
         world.try_execute(faults, config.deadline, move |comm: &mut Comm| {
@@ -971,6 +991,47 @@ mod tests {
             solve(&g, &[0, 3], &config(2)),
             Err(SteinerError::SeedsDisconnected(_, _))
         ));
+    }
+
+    /// Two seeds joined by a light path 0–3–2 (weight 12) and a heavy
+    /// one 0–1–2 whose two edges weigh `heavy`.
+    fn heavy_square(heavy: Weight) -> CsrGraph {
+        let mut b = GraphBuilder::new(4);
+        b.extend_edges([(0, 1, heavy), (1, 2, heavy), (2, 3, 5), (0, 3, 7)]);
+        b.build()
+    }
+
+    /// With edges of 2^63, an unchecked `label.dist + w` wraps at vertex
+    /// 2 and seed 0 captures seed 2's cell, which reports the connected
+    /// seeds as `SeedsDisconnected(0, 2)`. Every entry point rejects such
+    /// a graph up front; one just inside the bound
+    /// `(2n - 1) * max_weight < INF` (n = 4) still solves.
+    #[test]
+    fn weights_that_could_wrap_a_distance_are_rejected() {
+        let inside = INF / 7;
+        for (heavy, ok) in [(1 << 63, false), (inside + 1, false), (inside, true)] {
+            let g = heavy_square(heavy);
+            let expect = SteinerError::WeightOverflow {
+                max_weight: heavy,
+                num_vertices: 4,
+            };
+            for p in [1, 2] {
+                let pg = Arc::new(partition_graph(&g, p, None));
+                let world = PersistentWorld::new(p);
+                let outcomes = [
+                    solve(&g, &[0, 2], &config(p)),
+                    solve_partitioned(&pg, &[0, 2], &config(p)),
+                    solve_on(&world, &pg, &[0, 2], &config(p)),
+                ];
+                for (entry, outcome) in outcomes.into_iter().enumerate() {
+                    match outcome {
+                        Ok(r) if ok => assert_eq!(r.tree.total_distance(), 12),
+                        Err(e) if !ok => assert_eq!(e, expect, "entry {entry}"),
+                        other => panic!("weight {heavy}, {p} ranks, entry {entry}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl VoronoiMsg {
 #[derive(Clone, Copy, Debug)]
 pub enum ProbeMsg {
     /// Scan this rank's local arcs from source index `first` on (see
-    /// `RankGraph::local_arcs`), one chunk per visit; the bootstrap is
+    /// `RankGraph::num_sources`), one chunk per visit; the bootstrap is
     /// `Scan(0)`.
     Scan(u32),
     /// A boundary arc probe: rank holding `u`'s state asks `v`'s owner to

@@ -94,7 +94,7 @@ impl StateArrays {
 
     fn bytes(len: usize) -> usize {
         len * (std::mem::size_of::<Distance>()
-            + 3 * std::mem::size_of::<Vertex>()
+            + 2 * std::mem::size_of::<Vertex>()
             + std::mem::size_of::<Weight>()
             + 1)
     }
@@ -213,16 +213,6 @@ impl VertexStates {
             self.label_in(Slot::Owned(i))
         } else {
             self.label_in(Slot::Delegate(i - self.owned_len))
-        }
-    }
-
-    /// The current distance at dense index `i` (see
-    /// [`VertexStates::held_index`]).
-    pub(crate) fn dist_at(&self, i: usize) -> Distance {
-        if i < self.owned_len {
-            self.owned.dist[i]
-        } else {
-            self.replicas.dist[i - self.owned_len]
         }
     }
 
@@ -352,8 +342,8 @@ impl VertexStates {
 ///   local queue from,
 /// - `admitted` — the asynchronous phase's best label admitted to the
 ///   visitor queue so far, per held vertex (indexed by
-///   [`VertexStates::held_index`]; the admission side of its stale
-///   filter),
+///   [`VertexStates::held_index`]; written by local pushes and by the
+///   admission of inbound visitors),
 /// - `ghost` — the best label this rank has sent to each remote vertex,
 ///   indexed by vertex id (the sender side of the filter).
 ///
@@ -508,6 +498,27 @@ mod tests {
         assert_eq!(st.num_held(), 5);
         for v in [0, 2, 3] {
             assert_eq!(st.label_at(st.held_index(v).unwrap()), st.label(v));
+        }
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_state_arrays_elements() {
+        use std::mem::size_of_val;
+        let element_bytes = |a: &StateArrays| {
+            size_of_val(&a.dist[..])
+                + size_of_val(&a.src[..])
+                + size_of_val(&a.pred[..])
+                + size_of_val(&a.pred_weight[..])
+                + size_of_val(&a.traced[..])
+        };
+        for delegate in [false, true] {
+            let st = make_states(delegate);
+            assert_eq!(
+                st.memory_bytes(),
+                element_bytes(&st.owned) + element_bytes(&st.replicas),
+                "delegates: {delegate}"
+            );
+            assert_eq!(st.memory_bytes(), 25 * st.num_held());
         }
     }
 

@@ -42,7 +42,10 @@
 //!   admitted to this rank's queue so far, in one dense array seeded from
 //!   the labels after `init_seeds`. A candidate not strictly below it is
 //!   counted in `TraversalStats::pruned_at_push` and never becomes a
-//!   message: the compare-then-enqueue of Dijkstra's inner loop.
+//!   message; one below it becomes the admitted label and is pushed to
+//!   this rank's queue. That write is the local push's admission, so the
+//!   traversal queues it without asking the predicate again: the
+//!   compare-then-enqueue of Dijkstra's inner loop.
 //! - **Push, remote target.** A per-rank *ghost* label array, indexed by
 //!   vertex id, holds the best label this rank has sent to each remote
 //!   vertex. A candidate not strictly below it is pruned the same way;
@@ -51,27 +54,28 @@
 //!   Massively Parallel MST Algorithms* (arXiv:2302.12199). It costs
 //!   16 B per vertex of the graph on each rank.
 //! - **Queue.** The traversal asks a staleness predicate about every
-//!   `Relax` and `DelegateUpdate` at queue admission and again at pop
-//!   (see `struntime::traversal`, "Stale-entry filtering"). Admission
-//!   rejects a candidate that is not strictly below the target's admitted
-//!   label and records it otherwise (HavoqGT's `pre_visit`, the
-//!   tentative-distance filter of delta-stepping); pop drops a candidate
-//!   that is above the admitted label (a better one was queued after it)
-//!   or not below the committed label. Both are counted in
-//!   `TraversalStats::stale_dropped`.
+//!   `Relax` and `DelegateUpdate` of an inbound batch at queue admission,
+//!   and about every queued one at pop (see `struntime::traversal`,
+//!   "Stale-entry filtering"). Admission rejects a candidate that is not
+//!   strictly below the target's admitted label and records it otherwise
+//!   (HavoqGT's `pre_visit`, the tentative-distance filter of
+//!   delta-stepping); pop drops a candidate that is above the admitted
+//!   label (a better one was queued after it) or not below the committed
+//!   label. Both are counted in `TraversalStats::stale_dropped`.
 //!
 //! All of them are safe:
 //!
 //! - The committed label is never below the admitted one, so a candidate
-//!   rejected at admission either cannot pass `try_improve` or is
-//!   dominated by an admitted candidate for the same target, whose visit
-//!   (or drop, by induction) leaves the target at a label at least as
-//!   small, and whose out-arc relaxations dominate the rejected one's.
-//! - The held-target push check only *reads* the admitted label;
-//!   admission stays its only writer. The label only shrinks between the
-//!   check and the admission of the same visit's pushes, so everything the
-//!   push check prunes, admission would have rejected. The queued sequence
-//!   is unchanged, and one-rank visits are identical with or without it.
+//!   rejected at push or at admission either cannot pass `try_improve`
+//!   or is dominated by an admitted candidate for the same target, whose
+//!   visit (or drop, by induction) leaves the target at a label at least
+//!   as small, and whose out-arc relaxations dominate the rejected one's.
+//! - Admitting a local push at push time queues exactly what a separate
+//!   admission pass over the visit's pushes would: the same candidates,
+//!   compared in the same order against the same running minimum. Only
+//!   the counter differs: a second candidate for one target within one
+//!   visit is pruned rather than dropped at admission, so one-rank visits
+//!   and the stale + pruned sum are the same either way.
 //! - A ghost label is a candidate this rank really sent. The channel layer
 //!   retransmits until delivery, so the owner eventually receives it, and
 //!   a pruned candidate is dominated by it just as above. Crash recovery
@@ -166,8 +170,8 @@ struct Kernel<'a> {
     partition: &'a BlockPartition,
     states: &'a mut VertexStates,
     /// Best candidate admitted to this rank's queue, per held vertex
-    /// (indexed by [`VertexStates::held_index`]). Admission is its only
-    /// writer.
+    /// (indexed by [`VertexStates::held_index`]). A local push and the
+    /// admission of an inbound visitor write it.
     admitted: &'a mut [Label],
     /// Best label this rank has sent, per remote vertex id (empty unless
     /// `filter` is on and the world has several ranks).
@@ -244,6 +248,7 @@ impl Kernel<'_> {
 
     /// Relaxes every outgoing arc of `v` that this rank holds, given `v`'s
     /// (just-updated) label.
+    #[inline]
     fn relax_out_arcs(&mut self, v: Vertex, label: Label, pusher: &mut Pusher<'_, VoronoiMsg>) {
         let rg = self.rg;
         if rg.is_delegate(v) {
@@ -261,7 +266,9 @@ impl Kernel<'_> {
     /// Relaxes the arc `(v, nbr)` of weight `w`. Under a filtering
     /// discipline a candidate that cannot beat what `nbr` already has on
     /// this rank (a held target's admitted label, a remote target's
-    /// ghost label) is counted as pruned and never becomes a message.
+    /// ghost label) is counted as pruned and never becomes a message; one
+    /// that beats it replaces it, since it is queued here or sent.
+    #[inline]
     fn relax(
         &mut self,
         v: Vertex,
@@ -279,9 +286,13 @@ impl Kernel<'_> {
         // on this rank; everything else routes to its owner.
         let dest = match self.states.held_index(nbr) {
             Some(i) => {
-                if self.filter && cand >= self.admitted[i] {
-                    pusher.prune();
-                    return;
+                if self.filter {
+                    let admitted = &mut self.admitted[i];
+                    if cand >= *admitted {
+                        pusher.prune();
+                        return;
+                    }
+                    *admitted = cand;
                 }
                 pusher.rank()
             }

@@ -1,6 +1,6 @@
 //! Errors shared by every Steiner tree solver in the suite.
 
-use crate::csr::Vertex;
+use crate::csr::{Vertex, Weight};
 
 /// Why a Steiner tree could not be computed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +36,15 @@ pub enum SteinerError {
         /// Restores performed before giving up.
         restores: u64,
     },
+    /// The graph's heaviest edge is too heavy for distance arithmetic: a
+    /// connecting path `d(s, u) + w(u, v) + d(v, t)` can reach
+    /// `(2n - 1) * max_weight`, which must stay below `INF`.
+    WeightOverflow {
+        /// Heaviest edge weight of the graph.
+        max_weight: Weight,
+        /// Vertex count of the graph.
+        num_vertices: usize,
+    },
     /// A solve on a resident world asked for a world-level observability
     /// setting (`trace`, `metrics` or `telemetry`) other than the one the
     /// world was built with.
@@ -67,6 +76,15 @@ impl std::fmt::Display for SteinerError {
                 f,
                 "rank failure unrecoverable after {restores} restore(s): \
                  no usable phase checkpoint"
+            ),
+            SteinerError::WeightOverflow {
+                max_weight,
+                num_vertices,
+            } => write!(
+                f,
+                "edge weight {max_weight} can overflow a path distance on \
+                 {num_vertices} vertices: (2n - 1) * max weight must stay below {}",
+                crate::csr::INF
             ),
             SteinerError::ResidentConfigMismatch { field } => write!(
                 f,

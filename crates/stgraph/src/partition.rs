@@ -122,12 +122,16 @@ impl RankGraph {
     /// delegate (its edges are in the delegate slices).
     pub fn adj(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Weight)> + '_ {
         assert!(self.owns(v), "rank {} does not own {v}", self.rank);
-        let i = (v - self.owned.start) as usize;
+        let (targets, weights) = self.owned_arcs((v - self.owned.start) as usize);
+        targets.iter().copied().zip(weights.iter().copied())
+    }
+
+    /// Adjacency of the `i`-th owned vertex as parallel target and weight
+    /// slices (both empty for an owned delegate).
+    #[inline]
+    pub fn owned_arcs(&self, i: usize) -> (&[Vertex], &[Weight]) {
         let r = self.offsets[i] as usize..self.offsets[i + 1] as usize;
-        self.targets[r.clone()]
-            .iter()
-            .copied()
-            .zip(self.weights[r].iter().copied())
+        (&self.targets[r.clone()], &self.weights[r])
     }
 
     /// This rank's slice of delegate `v`'s adjacency (empty if this rank
@@ -136,7 +140,14 @@ impl RankGraph {
         let i = self
             .delegate_index(v)
             .unwrap_or_else(|| panic!("{v} is not a delegate"));
-        &self.delegate_slices[i]
+        self.delegate_arcs(i)
+    }
+
+    /// This rank's slice of the `k`-th delegate's adjacency, in the order
+    /// of [`RankGraph::delegates`].
+    #[inline]
+    pub fn delegate_arcs(&self, k: usize) -> &[(Vertex, Weight)] {
+        &self.delegate_slices[k]
     }
 
     /// Number of arcs stored locally (owned adjacency + delegate slices).
@@ -156,34 +167,31 @@ impl RankGraph {
                 .sum::<usize>()
     }
 
-    /// Number of arc sources stored on this rank: the owned vertices,
-    /// then the delegates (the index space of [`RankGraph::local_arcs`]).
+    /// Number of arc sources stored on this rank: the owned vertices
+    /// ([`RankGraph::owned_arcs`]), then the delegates
+    /// ([`RankGraph::delegate_arcs`]). Together they hold every local arc
+    /// exactly once: the arcs the edge-centric min-distance-edge phase
+    /// (Alg 5) scans, "every (u, v) ∈ E local to a partition".
     pub fn num_sources(&self) -> usize {
         self.num_owned() + self.delegates.len()
     }
+}
 
-    /// Iterator over the arcs `(u, v, w)` stored on this rank whose source
-    /// index lies in `sources`, grouped by source: owned adjacency for
-    /// indices below [`RankGraph::num_owned`], then delegate slices.
-    /// `0..num_sources()` yields every local arc. Used by the
-    /// edge-centric min-distance-edge phase (Alg 5), which scans "every
-    /// (u, v) ∈ E local to a partition".
-    pub fn local_arcs(
-        &self,
-        sources: Range<usize>,
-    ) -> impl Iterator<Item = (Vertex, Vertex, Weight)> + '_ {
-        let n = self.num_owned();
-        let owned = (sources.start.min(n)..sources.end.min(n))
-            .map(move |i| self.owned.start + i as Vertex)
-            .filter(move |&v| !self.is_delegate(v))
-            .flat_map(move |u| self.adj(u).map(move |(v, w)| (u, v, w)));
-        let delegated = (sources.start.max(n)..sources.end.max(n)).flat_map(move |i| {
-            let d = self.delegates[i - n];
-            self.delegate_slices[i - n]
-                .iter()
-                .map(move |&(v, w)| (d, v, w))
-        });
-        owned.chain(delegated)
+#[cfg(test)]
+impl RankGraph {
+    /// Every arc `(u, v, w)` stored on this rank, read source by source
+    /// through the accessors the min-edge scan uses.
+    pub(crate) fn stored_arcs(&self) -> Vec<(Vertex, Vertex, Weight)> {
+        let mut arcs = Vec::new();
+        for i in 0..self.num_owned() {
+            let u = self.owned.start + i as Vertex;
+            let (targets, weights) = self.owned_arcs(i);
+            arcs.extend(targets.iter().zip(weights).map(|(&v, &w)| (u, v, w)));
+        }
+        for (k, &d) in self.delegates.iter().enumerate() {
+            arcs.extend(self.delegate_arcs(k).iter().map(|&(v, w)| (d, v, w)));
+        }
+        arcs
     }
 }
 
@@ -344,17 +352,7 @@ mod tests {
     fn local_arcs_match_global() {
         let g = star_graph(7);
         let pg = partition_graph(&g, 3, Some(4));
-        // Scanned in source chunks of 2, as the min-edge phase scans.
-        let mut local: Vec<_> = pg
-            .ranks
-            .iter()
-            .flat_map(|r| {
-                let n = r.num_sources();
-                (0..n)
-                    .step_by(2)
-                    .flat_map(move |s| r.local_arcs(s..(s + 2).min(n)))
-            })
-            .collect();
+        let mut local: Vec<_> = pg.ranks.iter().flat_map(RankGraph::stored_arcs).collect();
         local.sort_unstable();
         let mut global: Vec<_> = g.arcs().collect();
         global.sort_unstable();

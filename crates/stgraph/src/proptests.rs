@@ -67,7 +67,7 @@ proptest! {
     ) {
         let pg = partition_graph(&g, p, thresh);
         let mut local: Vec<_> = pg.ranks.iter()
-            .flat_map(|r| r.local_arcs(0..r.num_sources()).collect::<Vec<_>>())
+            .flat_map(|r| r.stored_arcs())
             .collect();
         local.sort_unstable();
         let mut global: Vec<_> = g.arcs().collect();

@@ -16,6 +16,13 @@
 //! bucket width by the keys they push: the Voronoi kernel pushes
 //! `dist / Δ` with a Δ derived from the graph (`steiner::voronoi`).
 //!
+//! No bucket allocates. Every queued entry lives in one arena of
+//! fixed-size chunks; a ring slot is the `(head, tail)` pair of `u32`
+//! arena indices of its bucket's FIFO list, and a popped entry joins a
+//! free list that the next push reuses. The arena therefore never
+//! outgrows the peak queue length, and growing or coarsening the ring
+//! re-links list ends without moving an entry.
+//!
 //! The ring holds at most 2^16 buckets (`MAX_BUCKET_WINDOW`). When the live
 //! keys spread wider than that, the queue *coarsens*: it shifts every key
 //! right by one more bit and re-places the queued entries, so any `u64`
@@ -27,10 +34,12 @@
 //!
 //! The priority discipline emulates decrease-key in three steps. A visit
 //! callback can resolve a relaxation by a comparison of its own and never
-//! push it ([`crate::Pusher::prune`]). The traversal driver filters the
-//! visitors that are pushed before they are queued (the admission check of
-//! `crate::traversal`, "Stale-entry filtering"), so a relaxation that does
-//! not beat its target's best admitted label never costs a queue push.
+//! push it ([`crate::Pusher::prune`]); the Voronoi kernel admits a local
+//! push by that same comparison. The traversal driver filters the
+//! visitors that arrive from other ranks before they are queued (the
+//! admission check of `crate::traversal`, "Stale-entry filtering"), so a
+//! relaxation that does not beat its target's best admitted label never
+//! costs a queue push either way.
 //! Pushes still never remove the entries a later improvement supersedes,
 //! so [`VisitorQueue::pop_stale_filtered`] applies a caller-supplied
 //! staleness predicate at pop and drops those before they reach the visit
@@ -49,7 +58,7 @@ pub enum QueueKind {
     Fifo,
     /// Min-priority first (the paper's optimization): lower keys pop
     /// first, equal keys in arrival order. O(1) push and pop, stale
-    /// filtering at admission and at pop.
+    /// filtering at inbound admission and at pop.
     Priority,
     /// Pops pseudo-randomly (seeded xorshift). A chaos-testing discipline:
     /// it simulates adversarial network reordering, so algorithms whose
@@ -82,22 +91,134 @@ impl QueueKind {
 }
 
 /// Most buckets the priority ring holds (the live key window, after
-/// coarsening). Each bucket costs a `VecDeque` header even when empty, so
-/// this bounds the ring's fixed part at 2 MiB; a wider key spread
+/// coarsening). Each bucket costs a `(head, tail)` pair even when empty,
+/// so this bounds the ring's fixed part at 512 KiB; a wider key spread
 /// coarsens the keys instead.
 const MAX_BUCKET_WINDOW: u64 = 1 << 16;
+
+/// End of an arena list: an empty bucket's head and tail, the last
+/// entry's `next`.
+const NIL: u32 = u32::MAX;
+
+/// One arena entry of the priority ring: a queued value and the index of
+/// the next entry in its bucket, or of the next free entry once popped.
+struct Entry<V> {
+    value: Option<V>,
+    next: u32,
+}
+
+/// Entries per arena chunk (a power of two).
+const CHUNK_BITS: u32 = 7;
+const CHUNK: usize = 1 << CHUNK_BITS;
+
+/// The priority ring's entry store: fixed chunks of [`CHUNK`] entries,
+/// addressed by one `u32` index, with a free list through the popped
+/// entries. It grows a chunk at a time, and a chunk never moves: a single
+/// doubling `Vec` holds its old and new buffers at once on every growth,
+/// which kept web-1rank's peak RSS about 5 MiB higher (EXPERIMENTS.md,
+/// "Lean local visitor path").
+struct Arena<V> {
+    chunks: Vec<Vec<Entry<V>>>,
+    /// Entries ever allocated, queued or free.
+    len: usize,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl<V> Arena<V> {
+    fn new() -> Self {
+        Arena {
+            chunks: Vec::new(),
+            len: 0,
+            free: NIL,
+        }
+    }
+
+    #[inline]
+    fn entry(&mut self, i: u32) -> &mut Entry<V> {
+        &mut self.chunks[(i >> CHUNK_BITS) as usize][i as usize & (CHUNK - 1)]
+    }
+
+    /// Stores `value` as a list end (`next` = [`NIL`]), in a free entry
+    /// if there is one, and returns its index.
+    fn alloc(&mut self, value: V) -> u32 {
+        let value = Some(value);
+        if self.free != NIL {
+            let i = self.free;
+            let entry = self.entry(i);
+            let next_free = std::mem::replace(entry, Entry { value, next: NIL }).next;
+            self.free = next_free;
+            return i;
+        }
+        let i = match u32::try_from(self.len) {
+            Ok(i) if i != NIL => i,
+            _ => panic!(
+                "visitor queue overflow: the priority ring addresses at most \
+                 {NIL} entries of `{ty}`, and all of them are queued",
+                ty = std::any::type_name::<V>(),
+            ),
+        };
+        let entry = Entry { value, next: NIL };
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(entry),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(entry);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+        i
+    }
+
+    /// Takes the value out of entry `i` and frees the entry; returns the
+    /// value and the entry's old `next`.
+    fn release(&mut self, i: u32) -> (Option<V>, u32) {
+        let free = self.free;
+        let entry = self.entry(i);
+        let taken = (entry.value.take(), entry.next);
+        entry.next = free;
+        self.free = i;
+        taken
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.chunks.len() * CHUNK * std::mem::size_of::<Entry<V>>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<Entry<V>>>()
+    }
+}
+
+/// A ring slot: the first and last arena index of one bucket's FIFO
+/// list, both [`NIL`] when the bucket is empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
+}
 
 /// A local visitor queue with a runtime-selected discipline.
 pub struct VisitorQueue<V> {
     kind: QueueKind,
     fifo: VecDeque<V>,
     bag: Vec<V>,
+    /// Every entry of the priority ring, queued or free. A popped entry
+    /// joins the free list and the next push reuses it, so the arena never
+    /// outgrows the peak number of queued entries.
+    arena: Arena<V>,
     /// Cyclic bucket ring of the priority discipline: the entries of
-    /// absolute bucket id `b = prio >> shift` live in slot `b % len`,
-    /// `len` a power of two. The live window `[min_bucket, max_bucket]`
-    /// never exceeds `len` buckets, so a slot holds at most one bucket id
-    /// and an entry's bucket follows from its slot.
-    buckets: Vec<VecDeque<V>>,
+    /// absolute bucket id `b = prio >> shift` form the list in slot
+    /// `b & (len - 1)`, `len` a power of two. The live window
+    /// `[min_bucket, max_bucket]` never exceeds `len` buckets, so a slot
+    /// holds at most one bucket id and an entry's bucket follows from its
+    /// slot.
+    buckets: Vec<Bucket>,
     /// Key coarsening: 0 (exact keys) until the live spread first exceeds
     /// [`MAX_BUCKET_WINDOW`], then one more bit per overflow.
     shift: u32,
@@ -107,9 +228,6 @@ pub struct VisitorQueue<V> {
     max_bucket: u64,
     /// Live entries across all buckets.
     bucket_items: usize,
-    /// Running sum of bucket-slot capacities (entries), so
-    /// [`VisitorQueue::memory_bytes`] stays O(1) in the per-visit path.
-    bucket_slot_cap: usize,
     /// Running sum of queued elements' owned heap bytes (see
     /// [`DeepBytes`]) — keeps `memory_bytes` deep without O(n) scans.
     elem_heap_bytes: usize,
@@ -147,12 +265,12 @@ impl<V> VisitorQueue<V> {
             kind,
             fifo: VecDeque::new(),
             bag: Vec::new(),
+            arena: Arena::new(),
             buckets: Vec::new(),
             shift: 0,
             min_bucket: 0,
             max_bucket: 0,
             bucket_items: 0,
-            bucket_slot_cap: 0,
             elem_heap_bytes: 0,
             rng_state,
         }
@@ -210,34 +328,81 @@ impl<V> VisitorQueue<V> {
         }
         self.min_bucket = lo;
         self.max_bucket = hi;
-        ((b >> coarsen) % self.buckets.len() as u64) as usize
+        ((b >> coarsen) & self.ring_mask()) as usize
     }
 
-    /// Re-places every live entry into a ring of at least `needed` slots
+    fn ring_mask(&self) -> u64 {
+        self.buckets.len() as u64 - 1
+    }
+
+    /// Re-links every live bucket into a ring of at least `needed` slots
     /// under `coarsen` more bits of key shift. Old buckets move in
     /// ascending id order, so the queued entries keep their pop order; two
     /// buckets merged by coarsening queue the lower one's entries first.
+    /// Only list ends move: no entry is copied.
     fn rebuild_ring(&mut self, needed: u64, coarsen: u32) {
         let cap = (needed as usize)
             .next_power_of_two()
             .max(self.buckets.len())
             .max(8);
-        let mut fresh: Vec<VecDeque<V>> = (0..cap).map(|_| VecDeque::new()).collect();
+        let mut fresh = vec![Bucket::EMPTY; cap];
         if self.bucket_items > 0 {
-            let old_cap = self.buckets.len() as u64;
+            let old_mask = self.ring_mask();
             for b in self.min_bucket..=self.max_bucket {
-                let from = &mut self.buckets[(b % old_cap) as usize];
-                let to = &mut fresh[((b >> coarsen) % cap as u64) as usize];
-                if to.is_empty() {
-                    std::mem::swap(to, from);
+                let from = self.buckets[(b & old_mask) as usize];
+                if from.head == NIL {
+                    continue;
+                }
+                let to = &mut fresh[((b >> coarsen) & (cap as u64 - 1)) as usize];
+                if to.head == NIL {
+                    *to = from;
                 } else {
-                    to.append(from);
+                    self.arena.entry(to.tail).next = from.head;
+                    to.tail = from.tail;
                 }
             }
         }
         self.buckets = fresh;
         self.shift += coarsen;
-        self.bucket_slot_cap = self.buckets.iter().map(VecDeque::capacity).sum();
+    }
+
+    /// Appends `value` to the list of ring slot `slot`.
+    fn link(&mut self, slot: usize, value: V) {
+        let i = self.arena.alloc(value);
+        let bucket = &mut self.buckets[slot];
+        if bucket.tail == NIL {
+            bucket.head = i;
+        } else {
+            self.arena.entry(bucket.tail).next = i;
+        }
+        bucket.tail = i;
+        self.bucket_items += 1;
+    }
+
+    /// Unlinks the oldest entry of the lowest non-empty bucket and frees
+    /// its arena entry, or `None` when the ring is empty.
+    fn unlink_min(&mut self) -> Option<V> {
+        if self.bucket_items == 0 {
+            return None;
+        }
+        let mask = self.ring_mask();
+        // Bounded: `bucket_items > 0` guarantees a non-empty slot inside
+        // the live window.
+        let slot = loop {
+            let slot = (self.min_bucket & mask) as usize;
+            if self.buckets[slot].head != NIL {
+                break slot;
+            }
+            self.min_bucket += 1;
+        };
+        let bucket = &mut self.buckets[slot];
+        let (value, next) = self.arena.release(bucket.head);
+        bucket.head = next;
+        if next == NIL {
+            bucket.tail = NIL;
+        }
+        self.bucket_items -= 1;
+        value
     }
 }
 
@@ -248,12 +413,8 @@ impl<V: DeepBytes> VisitorQueue<V> {
         match self.kind {
             QueueKind::Fifo => self.fifo.push_back(value),
             QueueKind::Priority => {
-                let i = self.ring_slot(prio);
-                let slot = &mut self.buckets[i];
-                let before = slot.capacity();
-                slot.push_back(value);
-                self.bucket_slot_cap += slot.capacity() - before;
-                self.bucket_items += 1;
+                let slot = self.ring_slot(prio);
+                self.link(slot, value);
             }
             QueueKind::Adversarial { .. } => self.bag.push(value),
         }
@@ -263,23 +424,7 @@ impl<V: DeepBytes> VisitorQueue<V> {
     pub fn pop(&mut self) -> Option<V> {
         let popped = match self.kind {
             QueueKind::Fifo => self.fifo.pop_front(),
-            QueueKind::Priority => {
-                if self.bucket_items == 0 {
-                    None
-                } else {
-                    let cap = self.buckets.len() as u64;
-                    loop {
-                        // Bounded: `bucket_items > 0` guarantees a
-                        // non-empty slot inside the live window.
-                        let slot = &mut self.buckets[(self.min_bucket % cap) as usize];
-                        if let Some(value) = slot.pop_front() {
-                            self.bucket_items -= 1;
-                            break Some(value);
-                        }
-                        self.min_bucket += 1;
-                    }
-                }
-            }
+            QueueKind::Priority => self.unlink_min(),
             QueueKind::Adversarial { .. } => {
                 if self.bag.is_empty() {
                     None
@@ -327,8 +472,7 @@ impl<V: DeepBytes> VisitorQueue<V> {
         let buffers = match self.kind {
             QueueKind::Fifo => self.fifo.capacity() * std::mem::size_of::<V>(),
             QueueKind::Priority => {
-                self.bucket_slot_cap * std::mem::size_of::<V>()
-                    + self.buckets.capacity() * std::mem::size_of::<VecDeque<V>>()
+                self.arena.memory_bytes() + self.buckets.capacity() * std::mem::size_of::<Bucket>()
             }
             QueueKind::Adversarial { .. } => self.bag.capacity() * std::mem::size_of::<V>(),
         };
@@ -436,8 +580,12 @@ mod tests {
         q.push(0, 0u32);
         assert_eq!(drain(&mut q), vec![0, 1]);
         assert!(q.is_empty());
-        let ring = MAX_BUCKET_WINDOW as usize * std::mem::size_of::<VecDeque<u32>>();
-        assert!(q.memory_bytes() <= ring + 1024, "the ring stays bounded");
+        let ring = MAX_BUCKET_WINDOW as usize * std::mem::size_of::<Bucket>();
+        let chunk = CHUNK * std::mem::size_of::<Entry<u32>>();
+        assert!(
+            q.memory_bytes() <= ring + chunk + 1024,
+            "the ring stays bounded"
+        );
     }
 
     #[test]
@@ -517,16 +665,47 @@ mod tests {
                 "{kind:?}: popped payload bytes must be released"
             );
         }
-        // The ring's bucket headers count even while the buckets are
-        // empty: a key spread of 100 grows the ring to 128 slots.
+        // The ring's slots count even while the buckets are empty: a key
+        // spread of 100 grows the ring to 128 slots. The arena's first
+        // chunk stays allocated for reuse.
         let mut q: VisitorQueue<Vec<u64>> = VisitorQueue::new(QueueKind::Priority);
         q.push(0, vec![]);
         q.push(100, vec![]);
-        let headers = 128 * std::mem::size_of::<VecDeque<Vec<u64>>>();
-        assert!(q.memory_bytes() >= headers + 2 * std::mem::size_of::<Vec<u64>>());
+        let slots = 128 * std::mem::size_of::<Bucket>();
+        let entries = CHUNK * std::mem::size_of::<Entry<Vec<u64>>>();
+        assert!(q.memory_bytes() >= slots + entries);
         q.pop();
         q.pop();
-        assert!(q.memory_bytes() >= headers, "popping keeps the ring");
+        assert!(
+            q.memory_bytes() >= slots + entries,
+            "popping keeps the ring"
+        );
+    }
+
+    #[test]
+    fn steady_push_pop_reuses_arena_entries() {
+        let mut q = VisitorQueue::new(QueueKind::Priority);
+        let mut peak_live = 0;
+        let mut key = 0u64;
+        // A sliding window of 1 to 40 live entries, keys rising like a
+        // Dijkstra frontier and now and then far ahead of it.
+        for round in 0..2000u64 {
+            for _ in 0..(round % 4) {
+                key += 1;
+                q.push(key + (round % 7) * 300, key as u32);
+            }
+            peak_live = peak_live.max(q.len());
+            if q.len() > 40 || round % 3 == 0 {
+                q.pop();
+            }
+            assert!(
+                q.arena.len <= peak_live,
+                "round {round}: arena {} past peak live {peak_live}",
+                q.arena.len
+            );
+        }
+        drain(&mut q);
+        assert_eq!(q.arena.len, peak_live, "every entry was once live");
     }
 }
 

@@ -29,13 +29,11 @@
 //! queue. Under the priority discipline it is asked at two points, and
 //! the [`StaleCheck`] argument says which:
 //!
-//! - **admission** ([`StaleCheck::Admit`]): before a visitor enters this
-//!   rank's queue — each visitor a visit pushes to its own rank (drained
-//!   after the visit returns) and each visitor of an inbound batch. A
-//!   dominated relaxation never reaches the queue, the `pre_visit`
-//!   filter of HavoqGT's visitor queue and the tentative-distance
-//!   decrease-key emulation of delta-stepping;
-//! - **pop** ([`StaleCheck::Pop`]): when an admitted visitor reaches the
+//! - **admission** ([`StaleCheck::Admit`]): before a visitor of an
+//!   inbound batch enters this rank's queue. A dominated relaxation never
+//!   reaches the queue, the `pre_visit` filter of HavoqGT's visitor queue
+//!   and the tentative-distance decrease-key emulation of delta-stepping;
+//! - **pop** ([`StaleCheck::Pop`]): when a queued visitor reaches the
 //!   head of the queue ([`crate::queue::VisitorQueue::pop_stale_filtered`]),
 //!   which catches visitors superseded while they waited.
 //!
@@ -43,20 +41,28 @@
 //! [`TraversalStats::stale_dropped`], never visited, never re-forwarded,
 //! and meets its terminal lineage `Visit` event (`stale = 1`).
 //!
-//! Cheaper still is a visitor that is never pushed: a visit callback that
-//! can tell by a comparison of its own that a follow-on visitor would be
-//! dropped calls [`Pusher::prune`] instead of [`Pusher::push`]. It costs
-//! no lineage id, no message count, no buffer slot and no admission
-//! check, and is counted in [`TraversalStats::pruned_at_push`]. The
-//! callback owns the safety argument: it must prune only visitors whose
-//! visit would be a no-op or implied by another (the Voronoi kernel's
-//! argument is in `steiner::voronoi`).
+//! Visitors a visit pushes to its own rank (drained after the visit
+//! returns) skip the admission check, because the visit callback has
+//! already seen them: it checks a follow-on visitor before it exists, and
+//! one that would be dropped it resolves with [`Pusher::prune`] instead
+//! of [`Pusher::push`]. A pruned visitor costs no lineage id, no message
+//! count, no buffer slot and no queue entry, and is counted in
+//! [`TraversalStats::pruned_at_push`]. The callback owns the safety
+//! argument: it must prune only visitors whose visit would be a no-op or
+//! implied by another, and record for the local pushes it lets through
+//! whatever its admission check would have recorded (the Voronoi
+//! kernel's argument is in `steiner::voronoi`). A local push it does not
+//! check is still dropped at pop once it is stale.
 //!
 //! FIFO and adversarial queues never consult the predicate. The plain
 //! entry points use a constant-`false` predicate, so their exact
 //! processed counts (which several tests pin) are unchanged.
 //!
 //! ## Termination
+//!
+//! A one-rank world never polls its inbound channel: with no other rank
+//! nothing can arrive, and the poll takes a channel lock per loop
+//! iteration.
 //!
 //! Quiescence is detected with shared `sent` / `received` counters and an
 //! idle-rank count (see [`crate::shared::Quiescence`]). `sent` is bumped
@@ -428,9 +434,8 @@ where
 /// make.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StaleCheck {
-    /// The visitor is about to enter this rank's queue: a push a visit
-    /// made to its own rank, or one visitor of an inbound batch. `true`
-    /// drops it before it is queued.
+    /// A visitor of an inbound batch is about to enter this rank's
+    /// queue. `true` drops it before it is queued.
     Admit,
     /// The visitor reached the head of the queue. `true` drops it
     /// unvisited.
@@ -439,13 +444,13 @@ pub enum StaleCheck {
 
 /// [`run_traversal_config`] with a staleness predicate. Under the priority
 /// discipline ([`QueueKind::filters_stale`]) the traversal calls
-/// `stale(StaleCheck::Admit, v)` before it queues a visitor pushed to
-/// this rank or received in a batch, and `stale(StaleCheck::Pop, v)` when
-/// a queued visitor reaches the head of the queue. A `true` answer drops
-/// the visitor unvisited and counts it in
-/// [`TraversalStats::stale_dropped`] — the decrease-key emulation of
-/// delta-stepping, generalized to a callback. Bootstrap visitors from
-/// `init` are only checked at pop.
+/// `stale(StaleCheck::Admit, v)` before it queues a visitor received in
+/// a batch, and `stale(StaleCheck::Pop, v)` when a queued visitor
+/// reaches the head of the queue. A `true` answer drops the visitor
+/// unvisited and counts it in [`TraversalStats::stale_dropped`] — the
+/// decrease-key emulation of delta-stepping, generalized to a callback.
+/// Bootstrap visitors from `init` and visitors a visit pushes to its own
+/// rank are only checked at pop (see "Stale-entry filtering").
 ///
 /// The predicate may keep state (the admission check typically records
 /// the best candidate admitted so far), but its answers must be safe: a
@@ -517,40 +522,6 @@ where
         visit,
         delay,
     )
-}
-
-/// Queues `visitors` through the admission side of the stale filter:
-/// with a predicate (`stale` is `Some` only under the priority
-/// discipline), a visitor it marks stale is dropped before it is queued.
-/// Returns the number dropped. Admission drops record no
-/// `StaleDropAgeUs` sample: that histogram measures how long dropped
-/// entries sat in the queue, and these never entered it.
-fn admit<V, P, S>(
-    queue: &mut VisitorQueue<(VisitMeta, V)>,
-    visitors: impl Iterator<Item = (VisitMeta, V)>,
-    priority: &P,
-    mut stale: Option<&mut S>,
-    comm: &Comm,
-    phase: &'static str,
-    lineage: &Lineage,
-) -> u64
-where
-    V: DeepBytes,
-    P: Fn(&V) -> u64,
-    S: FnMut(StaleCheck, &V) -> bool,
-{
-    let mut dropped = 0;
-    for (meta, v) in visitors {
-        if let Some(stale) = stale.as_mut() {
-            if stale(StaleCheck::Admit, &v) {
-                lineage.stale_drop(comm, phase, meta.id);
-                dropped += 1;
-                continue;
-            }
-        }
-        queue.push(priority(&v), (meta, v));
-    }
-    dropped
 }
 
 /// Adds `dropped` stale-filter drops to the rank's stats and telemetry.
@@ -625,13 +596,17 @@ where
     let mut idle = false;
     let traversal_span = comm.trace_span("traversal");
 
+    // A one-rank world has no other sender, so nothing can arrive: it
+    // skips the inbound poll, which takes a channel lock per iteration.
+    let poll = || if p > 1 { chan.try_recv_traced() } else { None };
+
     loop {
         // Drain the inbound channel into the local queue. Leave the idle
         // set BEFORE acknowledging the batch: if `received` were bumped
         // first, the detector could observe `sent == received` while this
         // rank still counted as idle and held an unprocessed batch — a
         // premature-termination race.
-        while let Some((batch, sidecar)) = chan.try_recv_traced() {
+        while let Some((batch, sidecar)) = poll() {
             if PREMATURE_MUTANT {
                 // Intentionally wrong order (mutation check): acknowledge
                 // the batch while still counted idle, and dwell in the
@@ -657,22 +632,23 @@ where
             if let (Some(m), Some(sc)) = (metrics.as_deref(), sidecar.as_ref()) {
                 m.record(MetricKind::MsgLatencyUs, now.saturating_sub(sc.sent_us));
             }
-            let inbound = batch.into_iter().enumerate().map(|(i, v)| {
+            // Admission: a visitor the predicate marks stale is dropped
+            // before it is queued. Such drops record no `StaleDropAgeUs`
+            // sample: that histogram measures how long dropped entries sat
+            // in the queue, and these never entered it.
+            let mut dropped = 0;
+            for (i, v) in batch.into_iter().enumerate() {
                 let id = sidecar
                     .as_ref()
                     .and_then(|sc| sc.ids.get(i).copied())
                     .unwrap_or(0);
-                (VisitMeta { id, enq_us: now }, v)
-            });
-            let dropped = admit(
-                &mut queue,
-                inbound,
-                &priority,
-                filters.then_some(&mut stale),
-                comm,
-                chan.phase(),
-                &lineage,
-            );
+                if filters && stale(StaleCheck::Admit, &v) {
+                    lineage.stale_drop(comm, chan.phase(), id);
+                    dropped += 1;
+                    continue;
+                }
+                queue.push(priority(&v), (VisitMeta { id, enq_us: now }, v));
+            }
             count_stale(comm, &mut stats, dropped);
         }
         // Sample the peak at drain time, before any visitor is popped:
@@ -740,16 +716,11 @@ where
             if stats.processed & 0xff == 1 {
                 comm.trace_instant("queue_depth", queue.len() as u64);
             }
-            let dropped = admit(
-                &mut queue,
-                local_buf.drain(..),
-                &priority,
-                filters.then_some(&mut stale),
-                comm,
-                chan.phase(),
-                &lineage,
-            );
-            count_stale(comm, &mut stats, dropped);
+            // Local pushes are queued unchecked: the visit callback made
+            // its own check before pushing (see "Stale-entry filtering").
+            for (meta, v) in local_buf.drain(..) {
+                queue.push(priority(&v), (meta, v));
+            }
             stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
             stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
             // Telemetry step hook: advances the step-keyed sampling
@@ -904,13 +875,15 @@ mod tests {
     #[test]
     fn priority_queue_drops_stale_visitors_at_admission() {
         let seen = admission_run(QueueKind::Priority);
-        // Rank 0 rejects its own pushes 2 and 4 (local admission),
-        // rank 1 the batch entries 12 and 14 (inbound admission).
+        // Only inbound visitors are checked at admission: rank 1 rejects
+        // the batch entries 12 and 14 there. Rank 0's own pushes 2 and 4
+        // are queued unchecked (a visit checks before it pushes) and
+        // dropped when they reach the head of the queue.
         assert_eq!(seen[0].visited, vec![0, 1, 3]);
         assert_eq!(seen[1].visited, vec![11, 13]);
-        let admit = |vs: [u32; 2]| vs.map(|v| (StaleCheck::Admit, v)).to_vec();
-        assert_eq!(seen[0].stale_at, admit([2, 4]));
-        assert_eq!(seen[1].stale_at, admit([12, 14]));
+        let at = |check, vs: [u32; 2]| vs.map(|v| (check, v)).to_vec();
+        assert_eq!(seen[0].stale_at, at(StaleCheck::Pop, [2, 4]));
+        assert_eq!(seen[1].stale_at, at(StaleCheck::Admit, [12, 14]));
         for (r, s) in seen.iter().enumerate() {
             assert_eq!(s.stats.stale_dropped, 2, "rank {r}");
             assert_eq!(s.stats.processed, s.visited.len() as u64);
