@@ -6,12 +6,29 @@
 //! and then runs Prim sequentially — the per-rank memory and latency
 //! ceiling Fig 3 shows growing with the seed count. This module is the
 //! Borůvka-style alternative (after arXiv:1610.04660 and the engineering in
-//! arXiv:2302.12199): ranks keep their sorted [`local_min_edges`]
-//! candidate lists, and each round all-reduces only **one
-//! lightest-outgoing-edge slot per live component** — `O(#components)`
-//! elements, shrinking geometrically — then merges components by hooking
-//! and pointer-jumping over the replicated parent array. The dense pair buffer never
-//! materializes anywhere.
+//! arXiv:2302.12199): each rank keeps the spanning forest of its own
+//! candidates ([`local_min_edges`] under [`MstMode::Dist`]), and each round
+//! all-reduces only **one lightest-outgoing-edge slot per live
+//! component** — `O(#components)` elements, shrinking geometrically —
+//! then merges components by hooking and pointer-jumping over the
+//! replicated parent array. The dense pair buffer never materializes
+//! anywhere.
+//!
+//! ## Forests in, same rounds out
+//!
+//! A rank's input is the minimum spanning forest of its candidates under
+//! the strict `(total, si, ti, a, b, weight)` order, at most `|S| - 1`
+//! edges instead of one per cell pair it sees; every round scans it whole.
+//! The filter is exact round by round, not only in the final tree. Under
+//! a strict order the MST of the union of all candidates is unique. The
+//! lightest outgoing candidate `e` of any component is an MST edge (cut
+//! property). Had the rank holding `e` dropped it, `e` would close a
+//! cycle of lighter candidates of that rank (the forest is the
+//! rank's own Kruskal result), so it could not be in the MST (cycle
+//! property). Hence every slot minimum over the forests equals the one
+//! over the unfiltered lists, and the rounds, the chosen bridges and the
+//! [`BoruvkaStats`] do not change. The filter runs per rank: merging
+//! forests needs this module's collective rounds all the same.
 //!
 //! ## Bit-identity with the replicated Prim path
 //!
@@ -39,17 +56,14 @@
 //!
 //! [`local_min_edges`]: crate::distance_graph::local_min_edges
 //! [`MinEdge`]: crate::distance_graph::MinEdge
+//! [`MstMode::Dist`]: crate::MstMode::Dist
 
-use crate::distance_graph::{MinEdge, PairKey};
+use crate::distance_graph::{cand, Cand, MinEdge, PairKey};
 use stgraph::csr::INF;
 use struntime::Comm;
 
-/// One reduction-slot entry: `(total, si, ti, a, b, weight)`. The
-/// derived lexicographic `Ord` is the tie-breaking rule (see the module
-/// docs); [`UNSET_CAND`] is the identity of the `MIN`.
-type Cand = (u64, u32, u32, u32, u32, u64);
-
-/// The "absent" slot entry — loses to every real candidate (real
+/// The "absent" slot entry, the identity of the slot `MIN` — loses to
+/// every real candidate (real
 /// connecting-path totals are strictly below `INF`, the same convention
 /// as [`MinEdge::UNSET`]).
 const UNSET_CAND: Cand = (INF, u32::MAX, u32::MAX, u32::MAX, u32::MAX, u64::MAX);
@@ -105,8 +119,9 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 }
 
 /// Distributed Borůvka MST of the distance graph `G_1'`. Collective —
-/// every rank passes its own `local` candidate list (the
-/// [`local_min_edges`] output, *not* globally reduced) and all ranks
+/// every rank passes its own `local` candidate list (in the solver, the
+/// rank's spanning forest from [`local_min_edges`], *not* globally
+/// reduced; any list of candidates gives the same result) and all ranks
 /// return the identical chosen edge set, sorted by pair key, plus the
 /// per-round counters.
 ///
@@ -168,11 +183,11 @@ pub fn distributed_mst(
             if ra == rb {
                 continue;
             }
-            let cand: Cand = (e.total, si, ti, e.a, e.b, e.weight);
+            let c = cand((si, ti), e);
             for r in [ra, rb] {
                 let slot = &mut slots[slot_of[r as usize] as usize];
-                if cand < *slot {
-                    *slot = cand;
+                if c < *slot {
+                    *slot = c;
                 }
             }
         }

@@ -4,14 +4,28 @@
 //! Each rank scans one direction of each of its local edges; for an arc
 //! `(u, v)` whose endpoints lie in different Voronoi cells, the
 //! connecting-path length `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a
-//! candidate weight for the distance-graph edge `(s, t)`. When `v`'s state is remote the arc is
-//! shipped to `v`'s owner as a probe message. Each rank ends with a sorted
-//! candidate list holding its best bridge per cell pair. Under
-//! `--mst replicated` the global minima are then found with one dense
-//! `Allreduce(MIN)` over the paper's `binom(|S|, 2)` buffer
-//! ([`global_min_edges`]); the default `--mst dist` pipeline instead feeds
-//! the per-rank sorted candidate lists straight into the Borůvka rounds
-//! ([`crate::boruvka`]).
+//! candidate weight for the distance-graph edge `(s, t)`. The phase is
+//! edge-centric, as in the paper's Alg 5 (a local scan, then a collective
+//! reduce), and runs no traversal: a probe never spawns further work, so
+//! it needs a bulk exchange, not termination detection.
+//!
+//! - **Scan.** When `v`'s state is held here the arc is offered at once;
+//!   otherwise it becomes a [`ProbeMsg`] in the bucket of `v`'s owner.
+//! - **Exchange.** The buckets cross in one [`Comm::alltoallv`] per
+//!   round, and each rank offers the probes it receives in a tight loop.
+//!   A rank scans its sources in `exchange_rounds` rounds of about
+//!   `ROUND_ARCS` arcs each, so the probes in flight stay bounded. The
+//!   round count is the same on every rank because each rank derives it
+//!   from every rank's arc count.
+//! - **Reduce.** Under `--mst replicated` each rank ends with its best
+//!   bridge per cell pair, sorted by pair key, and the global minima are
+//!   found with one dense `Allreduce(MIN)` over the paper's
+//!   `binom(|S|, 2)` buffer ([`global_min_edges`]). Under the default
+//!   `--mst dist` each rank instead keeps the minimum spanning forest of
+//!   its candidates (`spanning_forest`), at most `|S| - 1` edges, and
+//!   hands it to the Borůvka rounds ([`crate::boruvka`]). A listed rank
+//!   shrinks its candidates to that forest after every round but the
+//!   last, so it holds one round's candidates plus the forest.
 //!
 //! No map sits on the local path:
 //!
@@ -28,23 +42,26 @@
 //!   iff `u < v` agrees with `u + v` being even (`evaluates`). Exactly
 //!   one of an edge's two arcs passes, and self-loops never do. Every arc
 //!   is stored on exactly one rank: the owner of `u`, or the rank holding
-//!   that share of a delegate `u`'s adjacency. The candidate `(total, a,
-//!   b, weight)` is the same from either direction, so per-pair minima are
-//!   unchanged. The parity spreads the evaluating end over both endpoints,
-//!   so under the block partition cross-rank probes flow both ways instead
-//!   of all toward the higher rank.
-//! - **Dense or sorted reduce.** A rank whose local arc count is at least
-//!   `binom(|S|, 2)` folds candidates into a dense [`pair_offset`] table.
-//!   Otherwise it appends them, sorts, and keeps each pair's first
-//!   (smallest) entry: the filter/sort edge processing of Sanders and
-//!   Schimek (arXiv:2302.12199). Either way the working set is bounded by
-//!   the rank's arcs, and both give the same sorted list.
+//!   that share of a delegate `u`'s adjacency. The candidate is the same
+//!   from either direction, so per-pair minima are unchanged. The parity
+//!   spreads the evaluating end over both endpoints, so under the block
+//!   partition probes flow both ways instead of all toward the higher
+//!   rank.
+//! - **Dense or listed candidates.** A rank whose local arc count is at
+//!   least `binom(|S|, 2)` folds candidates into a dense [`pair_offset`]
+//!   table. Otherwise it appends them as `(total, si, ti, a, b, weight)` tuples and sorts (the
+//!   replicated per-pair list) or filters (the forest): the filter/sort
+//!   edge processing of Sanders and Schimek (arXiv:2302.12199). Either
+//!   way the working set is bounded by the rank's arcs, and both give the
+//!   same result.
 
 use crate::messages::ProbeMsg;
 use crate::state::{VertexStates, NO_VERTEX};
+use crate::{MstMode, Phase};
 use stgraph::csr::{Distance, Vertex, Weight, INF};
-use stgraph::partition::{BlockPartition, RankGraph};
-use struntime::{run_traversal, ChannelGroup, Comm, Pusher, QueueKind};
+use stgraph::dsu::Dsu;
+use stgraph::partition::{BlockPartition, PartitionedGraph, RankGraph};
+use struntime::Comm;
 
 /// The winning bridge for one distance-graph edge `(s, t)`.
 ///
@@ -78,6 +95,30 @@ impl MinEdge {
 /// Seed-index pair `(si, ti)` with `si < ti`, keys of the distance graph.
 pub type PairKey = (u32, u32);
 
+/// One distance-graph candidate `(total, si, ti, a, b, weight)`: the
+/// connecting-path total, the seed-index pair and the bridge. Its derived
+/// lexicographic order is the strict `(total, si, ti)` order of the MST,
+/// refined by the [`MinEdge`] bridge order within one pair.
+pub(crate) type Cand = (Distance, u32, u32, Vertex, Vertex, Weight);
+
+/// The candidate of bridge `e` of pair `(si, ti)`; [`keyed`] inverts it.
+pub(crate) fn cand((si, ti): PairKey, e: MinEdge) -> Cand {
+    (e.total, si, ti, e.a, e.b, e.weight)
+}
+
+/// `c` as a keyed distance-graph edge.
+pub(crate) fn keyed((total, si, ti, a, b, weight): Cand) -> (PairKey, MinEdge) {
+    (
+        (si, ti),
+        MinEdge {
+            total,
+            a,
+            b,
+            weight,
+        },
+    )
+}
+
 /// Cell of a vertex no seed reached.
 const NO_CELL: u32 = u32::MAX;
 
@@ -100,18 +141,20 @@ fn cell_labels(states: &VertexStates, seeds: &[Vertex]) -> Vec<(Distance, u32)> 
         .collect()
 }
 
-/// One rank's per-pair minimum over its candidates (see the module docs).
+/// One rank's candidates (see the module docs).
 enum PairMins {
+    /// The per-pair minimum so far, one slot per seed pair.
     Dense {
         num_seeds: usize,
         table: Vec<MinEdge>,
     },
-    Sorted(Vec<(PairKey, MinEdge)>),
+    /// Every candidate, unreduced.
+    Listed { num_seeds: usize, list: Vec<Cand> },
 }
 
 impl PairMins {
     /// The dense `binom(num_seeds, 2)` table when it is no larger than the
-    /// rank's arc count, the sorted list otherwise.
+    /// rank's arc count, the list otherwise.
     fn new(num_seeds: usize, local_arcs: usize) -> PairMins {
         let pairs = num_seeds * num_seeds.saturating_sub(1) / 2;
         if pairs <= local_arcs {
@@ -120,7 +163,10 @@ impl PairMins {
                 table: vec![MinEdge::UNSET; pairs],
             }
         } else {
-            PairMins::Sorted(Vec::new())
+            PairMins::Listed {
+                num_seeds,
+                list: Vec::new(),
+            }
         }
     }
 
@@ -139,145 +185,254 @@ impl PairMins {
             return;
         }
         let total = du + w + dv;
-        let (key, a, b) = if cu < cv {
-            ((cu, cv), u, v)
+        let (si, ti, a, b) = if cu < cv {
+            (cu, cv, u, v)
         } else {
-            ((cv, cu), v, u)
-        };
-        let cand = MinEdge {
-            total,
-            a,
-            b,
-            weight: w,
+            (cv, cu, v, u)
         };
         match self {
             PairMins::Dense { num_seeds, table } => {
-                let slot = &mut table[pair_offset(*num_seeds, key.0, key.1)];
+                let cand = MinEdge {
+                    total,
+                    a,
+                    b,
+                    weight: w,
+                };
+                let slot = &mut table[pair_offset(*num_seeds, si, ti)];
                 if cand < *slot {
                     *slot = cand;
                 }
             }
-            PairMins::Sorted(list) => list.push((key, cand)),
+            PairMins::Listed { list, .. } => list.push((total, si, ti, a, b, w)),
         }
     }
 
-    /// The key-sorted list of each pair's smallest candidate.
-    fn finish(self) -> Vec<(PairKey, MinEdge)> {
-        match self {
-            PairMins::Dense { num_seeds, table } => dense_to_sorted(num_seeds, &table),
-            PairMins::Sorted(mut list) => {
-                list.sort_unstable();
-                list.dedup_by_key(|&mut (key, _)| key);
-                list
+    /// Under [`MstMode::Replicated`], the key-sorted list of each pair's
+    /// smallest candidate; under [`MstMode::Dist`], the rank's minimum
+    /// spanning forest of its candidates, in [`Cand`] order.
+    fn finish(self, mst_mode: MstMode) -> Vec<(PairKey, MinEdge)> {
+        let (num_seeds, mut cands) = match (self, mst_mode) {
+            (PairMins::Dense { num_seeds, table }, MstMode::Replicated) => {
+                return dense_entries(num_seeds, &table).collect();
             }
+            (PairMins::Listed { mut list, .. }, MstMode::Replicated) => {
+                list.sort_unstable_by_key(|&(total, si, ti, a, b, w)| (si, ti, total, a, b, w));
+                list.dedup_by_key(|c| (c.1, c.2));
+                return list.into_iter().map(keyed).collect();
+            }
+            (PairMins::Dense { num_seeds, table }, MstMode::Dist) => {
+                let cands = dense_entries(num_seeds, &table).map(|(k, e)| cand(k, e));
+                (num_seeds, cands.collect())
+            }
+            (PairMins::Listed { num_seeds, list }, MstMode::Dist) => (num_seeds, list),
+        };
+        let forest = spanning_forest(num_seeds, &mut cands);
+        forest.into_iter().map(keyed).collect()
+    }
+
+    /// Replaces listed candidates by their spanning forest, which keeps
+    /// the list at about one round's candidates plus `|S| - 1` under
+    /// [`MstMode::Dist`]. Exact: the forest of a forest plus new
+    /// candidates is the forest of all of them (cycle property).
+    fn shrink_to_forest(&mut self) {
+        if let PairMins::Listed { num_seeds, list } = self {
+            let forest = spanning_forest(*num_seeds, list);
+            list.clear();
+            list.extend(forest);
         }
     }
+}
+
+/// Candidate count below which [`filter_kruskal`] sorts instead of
+/// splitting.
+const FILTER_BASE: usize = 1 << 10;
+
+/// The minimum spanning forest of `cands` over seed indices
+/// `0..num_seeds`, under the strict [`Cand`] order, in ascending order.
+/// `cands` is reordered in place.
+///
+/// This is Filter-Kruskal (Osipov, Sanders and Singler, ALENEX 2009):
+/// split at the median candidate, build the forest of the light half,
+/// drop every heavy candidate whose ends that forest already joins, and
+/// recurse on what is left. By the cycle property a dropped candidate
+/// closes a cycle of lighter ones, so the result is the forest a full
+/// sort followed by Kruskal gives. A pair's later candidates always close
+/// a cycle with its first, so each pair contributes at most its minimum
+/// bridge.
+pub(crate) fn spanning_forest(num_seeds: usize, cands: &mut [Cand]) -> Vec<Cand> {
+    let mut dsu = Dsu::new(num_seeds);
+    let mut forest = Vec::new();
+    filter_kruskal(cands, &mut dsu, &mut forest, num_seeds.saturating_sub(1));
+    forest
+}
+
+/// Appends to `forest` the edges of `cands` that join two trees of `dsu`,
+/// lightest first, until it holds `cap` edges.
+fn filter_kruskal(cands: &mut [Cand], dsu: &mut Dsu, forest: &mut Vec<Cand>, cap: usize) {
+    if forest.len() == cap {
+        return;
+    }
+    if cands.len() <= FILTER_BASE {
+        cands.sort_unstable();
+        for &c in cands.iter() {
+            if dsu.union(c.1, c.2) {
+                forest.push(c);
+                if forest.len() == cap {
+                    return;
+                }
+            }
+        }
+        return;
+    }
+    // The median as pivot: deterministic, and it halves every level.
+    let mid = cands.len() / 2;
+    cands.select_nth_unstable(mid);
+    let (light, heavy) = cands.split_at_mut(mid + 1);
+    filter_kruskal(light, dsu, forest, cap);
+    let mut kept = 0;
+    for i in 0..heavy.len() {
+        let c = heavy[i];
+        if dsu.find(c.1) != dsu.find(c.2) {
+            heavy[kept] = c;
+            kept += 1;
+        }
+    }
+    filter_kruskal(&mut heavy[..kept], dsu, forest, cap);
 }
 
 /// The set entries of a dense `binom(num_seeds, 2)` table, in key order.
-fn dense_to_sorted(num_seeds: usize, table: &[MinEdge]) -> Vec<(PairKey, MinEdge)> {
-    let mut out = Vec::new();
-    let mut entries = table.iter();
-    for si in 0..num_seeds as u32 {
-        for ti in (si + 1)..num_seeds as u32 {
-            let &e = entries.next().expect("table holds binom(k, 2) entries");
-            if e.total != INF {
-                out.push(((si, ti), e));
-            }
-        }
-    }
-    out
+fn dense_entries(
+    num_seeds: usize,
+    table: &[MinEdge],
+) -> impl Iterator<Item = (PairKey, MinEdge)> + '_ {
+    let k = num_seeds as u32;
+    let keys = (0..k).flat_map(move |si| (si + 1..k).map(move |ti| (si, ti)));
+    keys.zip(table.iter().copied())
+        .filter(|&(_, e)| e.total != INF)
 }
 
-/// Arc sources per `Scan` visitor. Each scan chunk ends with a visit
-/// boundary, where the traversal drains the probes other ranks sent, so a
-/// rank evaluates them while it is still scanning. One whole-rank scan
-/// held every probe in the channels until both ranks finished scanning:
-/// with probes flowing both ways, that cost web-async about 13 MiB of
-/// peak RSS.
-const SCAN_CHUNK: usize = 1 << 12;
+/// About how many arcs a rank scans per exchange round. It bounds the
+/// probes in flight, which a single whole-rank exchange would hold all
+/// at once.
+const ROUND_ARCS: usize = 1 << 16;
 
-/// Local phase: returns this rank's best candidate per cell pair, sorted
-/// by pair key, plus the traversal stats. `seeds` is the sorted seed list
-/// that names the cells. Collective (runs a traversal).
+/// Exchange rounds of the local phase: enough that no rank scans more
+/// than about `round_arcs` arcs per round, and at least one. Every rank
+/// computes it from every rank's arc count, so all agree without a
+/// collective.
+fn exchange_rounds(pg: &PartitionedGraph, round_arcs: usize) -> usize {
+    pg.ranks
+        .iter()
+        .map(|rg| rg.num_local_arcs().div_ceil(round_arcs))
+        .max()
+        .unwrap_or(0)
+        .max(1)
+}
+
+/// Local phase: returns this rank's candidates. Under
+/// [`MstMode::Replicated`] that is each cell pair's best bridge, sorted by
+/// pair key; under [`MstMode::Dist`], the minimum spanning forest of the
+/// rank's candidates. `seeds` is the sorted seed list that names the
+/// cells. Collective: every rank runs the same number of rounds of
+/// [`Comm::alltoallv`].
 pub fn local_min_edges(
     comm: &Comm,
-    chan: &ChannelGroup<Vec<ProbeMsg>>,
-    rg: &RankGraph,
-    partition: &BlockPartition,
+    pg: &PartitionedGraph,
     states: &VertexStates,
     seeds: &[Vertex],
-) -> (Vec<(PairKey, MinEdge)>, struntime::TraversalStats) {
-    let cells = cell_labels(states, seeds);
-    let mut mins = PairMins::new(seeds.len(), rg.num_local_arcs());
-    let scan = Scan {
-        states,
-        cells: &cells,
-        partition,
-    };
-
-    let (owned, sources) = (rg.num_owned(), rg.num_sources());
-    let stats = run_traversal(
-        comm,
-        chan,
-        QueueKind::Fifo,
-        |_| 0,
-        [ProbeMsg::Scan(0)],
-        |msg, pusher| match msg {
-            ProbeMsg::Scan(first) => {
-                let (first, end) = (first as usize, sources.min(first as usize + SCAN_CHUNK));
-                if end < sources {
-                    pusher.push(pusher.rank(), ProbeMsg::Scan(end as u32));
-                }
-                // Source index `i` is also the held index of its state.
-                for i in first.min(owned)..end.min(owned) {
-                    let u = rg.owned.start + i as Vertex;
-                    let (targets, weights) = rg.owned_arcs(i);
-                    let arcs = targets.iter().copied().zip(weights.iter().copied());
-                    scan.source(u, i, arcs, &mut mins, pusher);
-                }
-                for i in first.max(owned)..end.max(owned) {
-                    let k = i - owned;
-                    let arcs = rg.delegate_arcs(k).iter().copied();
-                    scan.source(rg.delegates[k], i, arcs, &mut mins, pusher);
-                }
-            }
-            ProbeMsg::Candidate {
-                v,
-                u,
-                weight,
-                u_cell,
-                u_dist,
-            } => {
-                let iv = states.held_index(v).expect("probes go to v's owner");
-                let (v_dist, v_cell) = cells[iv];
-                mins.offer((u, u_cell, u_dist), (v, v_cell, v_dist), weight);
-            }
-        },
-    );
-    (mins.finish(), stats)
+    mst_mode: MstMode,
+) -> Vec<(PairKey, MinEdge)> {
+    local_min_edges_in_rounds(comm, pg, states, seeds, mst_mode, ROUND_ARCS)
 }
 
-/// What the local scan reads: the held states, their packed
-/// [`cell_labels`], and the owner map for probes.
+/// [`local_min_edges`] with `round_arcs` arcs per round.
+fn local_min_edges_in_rounds(
+    comm: &Comm,
+    pg: &PartitionedGraph,
+    states: &VertexStates,
+    seeds: &[Vertex],
+    mst_mode: MstMode,
+    round_arcs: usize,
+) -> Vec<(PairKey, MinEdge)> {
+    let rg = &pg.ranks[comm.rank()];
+    let cells = cell_labels(states, seeds);
+    let mut mins = PairMins::new(seeds.len(), rg.num_local_arcs());
+    let mut scan = Scan {
+        rg,
+        states,
+        cells: &cells,
+        partition: &pg.partition,
+        out: vec![Vec::new(); comm.num_ranks()],
+    };
+    let rounds = exchange_rounds(pg, round_arcs);
+    let (arcs, sources) = (rg.num_local_arcs(), rg.num_sources());
+    let (mut next, mut scanned) = (0, 0);
+    let mut inbox = Vec::new();
+    for round in 1..=rounds {
+        // Sources up to the round's share of the arcs; the last round
+        // takes the rest.
+        let target = arcs * round / rounds;
+        while next < sources && (scanned < target || round == rounds) {
+            scanned += scan.source(next, &mut mins);
+            next += 1;
+        }
+        comm.alltoallv(Phase::LocalMinEdge.name(), &scan.out, &mut inbox);
+        scan.out.iter_mut().for_each(Vec::clear);
+        for probe in &inbox {
+            let iv = states.held_index(probe.v).expect("probes go to v's owner");
+            let (v_dist, v_cell) = cells[iv];
+            mins.offer(
+                (probe.u, probe.u_cell, probe.u_dist),
+                (probe.v, v_cell, v_dist),
+                probe.weight,
+            );
+        }
+        if round < rounds && mst_mode == MstMode::Dist {
+            mins.shrink_to_forest();
+        }
+    }
+    mins.finish(mst_mode)
+}
+
+/// What the local scan reads: the rank's arcs, the held states, their
+/// packed [`cell_labels`] and the owner map; and what it writes: one
+/// probe bucket per rank.
 struct Scan<'a> {
+    rg: &'a RankGraph,
     states: &'a VertexStates,
     cells: &'a [(Distance, u32)],
     partition: &'a BlockPartition,
+    out: Vec<Vec<ProbeMsg>>,
 }
 
 impl Scan<'_> {
-    /// Evaluates the arcs of source `u`, held at index `iu`, that this
-    /// rank evaluates ([`evaluates`]): offers the ones whose other end is
-    /// held here, and probes the owner of every other one.
+    /// Evaluates the arcs of source `i` (see [`RankGraph::num_sources`])
+    /// that this rank evaluates ([`evaluates`]): offers the ones whose
+    /// other end is held here, and buckets a probe for the owner of every
+    /// other one. Returns the source's arc count.
     #[inline]
-    fn source(
-        &self,
+    fn source(&mut self, i: usize, mins: &mut PairMins) -> usize {
+        let owned = self.rg.num_owned();
+        if i < owned {
+            let (targets, weights) = self.rg.owned_arcs(i);
+            let arcs = targets.iter().copied().zip(weights.iter().copied());
+            self.arcs(self.rg.owned.start + i as Vertex, i, arcs, mins);
+            targets.len()
+        } else {
+            let slice = self.rg.delegate_arcs(i - owned);
+            self.arcs(self.rg.delegates[i - owned], i, slice.iter().copied(), mins);
+            slice.len()
+        }
+    }
+
+    /// The body of [`Scan::source`] for source `u`, held at index `iu`.
+    #[inline]
+    fn arcs(
+        &mut self,
         u: Vertex,
         iu: usize,
         arcs: impl Iterator<Item = (Vertex, Weight)>,
         mins: &mut PairMins,
-        pusher: &mut Pusher<'_, ProbeMsg>,
     ) {
         let (u_dist, u_cell) = self.cells[iu];
         if u_cell == NO_CELL {
@@ -292,16 +447,13 @@ impl Scan<'_> {
                     let (v_dist, v_cell) = self.cells[iv];
                     mins.offer((u, u_cell, u_dist), (v, v_cell, v_dist), w);
                 }
-                None => pusher.push(
-                    self.partition.owner(v),
-                    ProbeMsg::Candidate {
-                        v,
-                        u,
-                        weight: w,
-                        u_cell,
-                        u_dist,
-                    },
-                ),
+                None => self.out[self.partition.owner(v)].push(ProbeMsg {
+                    v,
+                    u,
+                    weight: w,
+                    u_cell,
+                    u_dist,
+                }),
             }
         }
     }
@@ -339,7 +491,7 @@ pub fn global_min_edges(
         buf[pair_offset(num_seeds, si, ti)] = e;
     }
     comm.allreduce_min(&mut buf);
-    let out = dense_to_sorted(num_seeds, &buf);
+    let out = dense_entries(num_seeds, &buf).collect();
     comm.memory().release("distance_graph_dense", bytes);
     out
 }
@@ -364,7 +516,7 @@ mod tests {
     use stgraph::partition::partition_graph;
     use stgraph::weights::WeightRange;
     use struntime::traversal::TraversalOptions;
-    use struntime::World;
+    use struntime::{QueueKind, World};
 
     #[test]
     fn pair_offsets_are_dense_and_unique() {
@@ -471,7 +623,10 @@ mod tests {
             for &((cu, cv), (u, v), total) in &cands {
                 mins.offer((u, cu, 0), (v, cv, total - 1), 1);
             }
-            (matches!(mins, PairMins::Dense { .. }), mins.finish())
+            (
+                matches!(mins, PairMins::Dense { .. }),
+                mins.finish(MstMode::Replicated),
+            )
         };
         let (dense, from_table) = run(3);
         let (sorted, from_sort) = run(2);
@@ -492,23 +647,25 @@ mod tests {
         stgraph::generators::weighted_from_edges(n, edges, WeightRange::new(1, 9), &mut rng)
     }
 
-    /// One rank's sorted candidate list, and whether it reduced dense.
-    type RankCandidates = (Vec<(PairKey, MinEdge)>, bool);
+    /// One rank's replicated-mode candidate list, its dist-mode forest,
+    /// and whether it reduced dense.
+    type RankCandidates = (Vec<(PairKey, MinEdge)>, Vec<(PairKey, MinEdge)>, bool);
 
-    /// Voronoi then [`local_min_edges`] on `p` ranks. Returns every rank's
-    /// candidates and the label of every vertex.
+    /// Voronoi then the local phase in both modes on `p` ranks, in rounds
+    /// of `round_arcs` arcs. Returns every rank's candidates and the label
+    /// of every vertex.
     fn local_phase(
         g: &CsrGraph,
         seeds: &[Vertex],
         p: usize,
         delegate_threshold: Option<usize>,
+        round_arcs: usize,
     ) -> (Vec<RankCandidates>, Vec<Label>) {
         let pg = partition_graph(g, p, delegate_threshold);
         assert_eq!(pg.delegates.is_empty(), delegate_threshold.is_none());
         let out = World::run(p, |comm| {
             let rg = &pg.ranks[comm.rank()];
             let chan_voronoi = comm.open_channels::<Vec<VoronoiMsg>>("voronoi");
-            let chan_probe = comm.open_channels::<Vec<ProbeMsg>>("local_min_edge");
             let mut states = VertexStates::new(rg);
             crate::voronoi::run(
                 comm,
@@ -519,14 +676,15 @@ mod tests {
                 TraversalOptions::new(QueueKind::Priority),
                 &mut ScratchArena::new(),
             );
-            let (local, _) = local_min_edges(comm, &chan_probe, rg, &pg.partition, &states, seeds);
+            let [local, forest] = [MstMode::Replicated, MstMode::Dist]
+                .map(|mode| local_min_edges_in_rounds(comm, &pg, &states, seeds, mode, round_arcs));
             let dense = matches!(
                 PairMins::new(seeds.len(), rg.num_local_arcs()),
                 PairMins::Dense { .. }
             );
             let mut labels: Vec<(Vertex, Label)> = states.owned_labels().collect();
             labels.extend(rg.delegates.iter().map(|&d| (d, states.label(d))));
-            ((local, dense), labels)
+            ((local, forest, dense), labels)
         });
         let mut labels = vec![Label::UNSET; g.num_vertices()];
         let mut per_rank = Vec::new();
@@ -570,44 +728,56 @@ mod tests {
     #[test]
     fn local_min_edges_match_brute_force_on_both_reduce_paths() {
         let small = ba_graph(400);
-        // Below 4 ranks, every rank scans the large graph in several
-        // chunks.
-        let large = ba_graph(3 * SCAN_CHUNK);
         // 6 seeds: binom(6, 2) = 15 fits every rank's arc count (dense).
         // 90 seeds: binom(90, 2) = 4005 exceeds the small graph's ~1600
-        // arcs (sorted).
+        // arcs (listed).
         let few: Vec<Vertex> = (0..6).map(|i| i * 61 + 3).collect();
         let many: Vec<Vertex> = (0..90).map(|i| i * 4 + 1).collect();
-        for (g, seeds, dense) in [
-            (&small, &few, true),
-            (&small, &many, false),
-            (&large, &few, true),
-        ] {
-            for p in [1usize, 2, 4] {
-                for delegates in [None, Some(12)] {
-                    let ctx = format!(
-                        "n={} |S|={} p={p} delegates={delegates:?}",
-                        g.num_vertices(),
-                        seeds.len()
-                    );
-                    let (per_rank, labels) = local_phase(g, seeds, p, delegates);
-                    let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
-                    for (local, rank_dense) in &per_rank {
-                        assert_eq!(*rank_dense, dense, "{ctx}: reduce path");
-                        assert!(
-                            local.windows(2).all(|w| w[0].0 < w[1].0),
-                            "{ctx}: keys sorted and unique"
+        // One exchange round, and a dozen or more: the round count comes
+        // from the largest rank, so the others run rounds with nothing to
+        // scan.
+        for round_arcs in [ROUND_ARCS, 97] {
+            for (seeds, dense) in [(&few, true), (&many, false)] {
+                for p in [1usize, 2, 4] {
+                    for delegates in [None, Some(12)] {
+                        let ctx = format!(
+                            "|S|={} p={p} delegates={delegates:?} round_arcs={round_arcs}",
+                            seeds.len()
                         );
-                        for &(key, e) in local {
-                            let slot = merged.entry(key).or_insert(MinEdge::UNSET);
-                            *slot = (*slot).min(e);
+                        let (per_rank, labels) =
+                            local_phase(&small, seeds, p, delegates, round_arcs);
+                        let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
+                        let mut forests = Vec::new();
+                        for (local, forest, rank_dense) in &per_rank {
+                            assert!(forest.len() < seeds.len(), "{ctx}: forest size");
+                            forests.extend(forest.iter().map(|&(k, e)| cand(k, e)));
+                            assert_eq!(*rank_dense, dense, "{ctx}: reduce path");
+                            assert!(
+                                local.windows(2).all(|w| w[0].0 < w[1].0),
+                                "{ctx}: keys sorted and unique"
+                            );
+                            for &(key, e) in local {
+                                let slot = merged.entry(key).or_insert(MinEdge::UNSET);
+                                *slot = (*slot).min(e);
+                            }
                         }
+                        let merged: Vec<(PairKey, MinEdge)> = merged.into_iter().collect();
+                        assert!(!merged.is_empty(), "{ctx}");
+                        let expect = brute_force(&small, seeds, &labels);
+                        assert_eq!(merged, expect, "{ctx}");
+                        // The forests keep the distance graph's MST.
+                        let mut all: Vec<Cand> = expect.iter().map(|&(k, e)| cand(k, e)).collect();
+                        assert_eq!(
+                            spanning_forest(seeds.len(), &mut forests),
+                            spanning_forest(seeds.len(), &mut all),
+                            "{ctx}: forests"
+                        );
                     }
-                    let merged: Vec<(PairKey, MinEdge)> = merged.into_iter().collect();
-                    assert!(!merged.is_empty(), "{ctx}");
-                    assert_eq!(merged, brute_force(g, seeds, &labels), "{ctx}");
                 }
             }
         }
+        let one_rank = partition_graph(&small, 1, None);
+        assert!(exchange_rounds(&one_rank, 97) >= 12);
+        assert_eq!(exchange_rounds(&one_rank, ROUND_ARCS), 1);
     }
 }

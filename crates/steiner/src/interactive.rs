@@ -73,9 +73,12 @@ const NONE: Vertex = Vertex::MAX;
 type Bridge = (Distance, Vertex, Vertex, Weight);
 
 impl<'g> InteractiveSession<'g> {
-    /// Opens a session with an initial seed set (may be empty).
+    /// Opens a session with an initial seed set (may be empty). Rejects a
+    /// graph whose path sums could wrap with
+    /// [`SteinerError::WeightOverflow`], under the batch solver's bound.
     pub fn new(g: &'g CsrGraph, initial_seeds: &[Vertex]) -> Result<Self, SteinerError> {
         let n = g.num_vertices();
+        crate::check_weights(n, g.weight_range().map_or(0, |(_, hi)| hi))?;
         let mut session = InteractiveSession {
             g,
             seeds: BTreeSet::new(),
@@ -328,6 +331,43 @@ mod tests {
             b.add_edge(i as Vertex, (i + 1) as Vertex, 1);
         }
         b.build()
+    }
+
+    /// Two seeds joined by a light path 0–3–2 (weight 12) and a heavy
+    /// one 0–1–2 whose two edges weigh `heavy`.
+    fn heavy_square(heavy: Weight) -> CsrGraph {
+        let mut b = GraphBuilder::new(4);
+        b.extend_edges([(0, 1, heavy), (1, 2, heavy), (2, 3, 5), (0, 3, 7)]);
+        b.build()
+    }
+
+    /// With edges of 2^63, an unchecked `d + w` wraps: seed 0 reaches
+    /// seed 2 through the heavy path at distance 0, seed 2 cannot claim
+    /// its own cell, and the connected seeds read as disconnected. The
+    /// session rejects such a graph when it opens, under the solver's
+    /// bound `(2n - 1) * max_weight < INF` (n = 4); a graph just inside
+    /// it still gives the light tree.
+    #[test]
+    fn weights_that_could_wrap_a_distance_are_rejected() {
+        let inside = INF / 7;
+        for (heavy, ok) in [(1 << 63, false), (inside + 1, false), (inside, true)] {
+            let g = heavy_square(heavy);
+            let expect = SteinerError::WeightOverflow {
+                max_weight: heavy,
+                num_vertices: 4,
+            };
+            match InteractiveSession::new(&g, &[0, 2]) {
+                Ok(s) if ok => assert_eq!(s.tree().unwrap().total_distance(), 12),
+                Err(e) if !ok => assert_eq!(e, expect),
+                Ok(s) => panic!(
+                    "weight {heavy} accepted: seed 2 is in cell {:?} at distance {}, tree {:?}",
+                    s.cell_of(2),
+                    s.dist_to_seed(2),
+                    s.tree().map(|t| t.total_distance())
+                ),
+                Err(e) => panic!("weight {heavy}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -190,8 +190,9 @@ pub struct SolveReport {
     /// assembled, so this counts the chosen bridges (`|S| - 1` for a
     /// connected solve).
     pub distance_graph_edges: usize,
-    /// Visitors processed per rank, summed over the asynchronous phases —
-    /// the simulation's work metric.
+    /// Visitors processed per rank, summed over the traversals (Voronoi
+    /// and tree edges; the local min-edge exchange runs none) — the
+    /// simulation's work metric.
     pub rank_work: Vec<u64>,
     /// Per-rank Voronoi relaxations that never became visits: dropped by
     /// the stale filter at queue admission or at pop (the priority
@@ -291,15 +292,19 @@ fn check_seeds_against(num_vertices: usize, seeds: &[Vertex]) -> Result<Vec<Vert
 /// paths of the distance graph add one edge and a second label, so every
 /// sum the solver forms is at most `(2n - 1) * max_weight`. That bound
 /// must stay below `INF`, which marks an unreached vertex.
-fn check_weights(pg: &PartitionedGraph) -> Result<(), SteinerError> {
-    let n = pg.partition.num_vertices();
-    let longest = (2 * n as u64).saturating_sub(1).checked_mul(pg.max_weight);
+///
+/// [`interactive::InteractiveSession`] forms the same sums, so it checks
+/// the same bound.
+pub(crate) fn check_weights(num_vertices: usize, max_weight: Weight) -> Result<(), SteinerError> {
+    let longest = (2 * num_vertices as u64)
+        .saturating_sub(1)
+        .checked_mul(max_weight);
     if longest.is_some_and(|d| d < INF) {
         Ok(())
     } else {
         Err(SteinerError::WeightOverflow {
-            max_weight: pg.max_weight,
-            num_vertices: n,
+            max_weight,
+            num_vertices,
         })
     }
 }
@@ -334,7 +339,7 @@ pub fn solve_partitioned(
     config: &SolverConfig,
 ) -> Result<SolveReport, SteinerError> {
     let seeds = check_seeds_against(pg.partition.num_vertices(), seeds)?;
-    check_weights(pg)?;
+    check_weights(pg.partition.num_vertices(), pg.max_weight)?;
     let p = pg.ranks.len();
     assert_eq!(p, config.num_ranks, "partition/config rank mismatch");
     supervise(pg, &seeds, config, |faults, recovery| {
@@ -384,7 +389,7 @@ pub fn solve_on(
         return Err(SteinerError::ResidentConfigMismatch { field });
     }
     let seeds = Arc::new(check_seeds_against(pg.partition.num_vertices(), seeds)?);
-    check_weights(pg)?;
+    check_weights(pg.partition.num_vertices(), pg.max_weight)?;
     supervise(pg, &seeds, config, |faults, recovery| {
         let (pg, seeds, config) = (Arc::clone(pg), Arc::clone(&seeds), *config);
         world.try_execute(faults, config.deadline, move |comm: &mut Comm| {
@@ -589,11 +594,10 @@ fn rank_main(
     let rg = &pg.ranks[comm.rank()];
     let partition = &pg.partition;
 
-    // Channel groups for the three asynchronous phases, opened up front in
+    // Channel groups for the two asynchronous phases, opened up front in
     // identical order on every rank (also on a resumed run, so the channel
     // id space is identical to a fresh one).
     let chan_voronoi = comm.open_channels::<Vec<messages::VoronoiMsg>>(Phase::Voronoi.name());
-    let chan_probe = comm.open_channels::<Vec<messages::ProbeMsg>>(Phase::LocalMinEdge.name());
     let chan_trace = comm.open_channels::<Vec<messages::TraceMsg>>(Phase::TreeEdge.name());
 
     let mut states = VertexStates::new(rg);
@@ -671,7 +675,9 @@ fn rank_main(
         }
     }
 
-    // Step 2: local min-distance cross-cell edges (Alg 5, async part).
+    // Step 2: local min-distance cross-cell edges (Alg 5, local part): a
+    // scan plus bounded rounds of probe exchange, no traversal. Under
+    // `MstMode::Dist` each rank keeps only its candidates' spanning forest.
     if completed <= Phase::LocalMinEdge.index() {
         let t = Instant::now();
         let span = comm.trace_span(Phase::LocalMinEdge.name());
@@ -679,11 +685,9 @@ fn rank_main(
             Phase::LocalMinEdge.name(),
             Phase::LocalMinEdge.index() as u64,
         );
-        let (l, probe_stats) =
-            distance_graph::local_min_edges(comm, &chan_probe, rg, partition, &states, seeds);
+        let l = distance_graph::local_min_edges(comm, pg, &states, seeds, mst_mode);
         drop(span);
         times[Phase::LocalMinEdge] = t.elapsed();
-        work.processed += probe_stats.processed;
         if let Some(store) = store {
             put_checkpoint(
                 comm,

@@ -1,11 +1,13 @@
-//! Visitor message types exchanged between ranks, one enum per
-//! asynchronous phase (each phase opens its own channel group).
+//! Message types exchanged between ranks: one visitor type per
+//! asynchronous phase (each opens its own channel group), and the probe
+//! of the local min-edge phase's bulk exchange.
 //!
-//! Each message type implements the runtime's [`Wire`] codec (a one-byte
-//! tag plus little-endian fields) so the traversal driver can coalesce
-//! per-destination batches into flat byte buffers and charge their exact
-//! wire size, and [`DeepBytes`] (all messages are plain-old-data, so they
-//! own no heap).
+//! Each message type implements the runtime's [`Wire`] codec
+//! (little-endian fields, after a one-byte tag on [`VoronoiMsg`] and
+//! [`ProbeMsg`]) so the traversal loop and [`struntime::Comm::alltoallv`] can
+//! coalesce per-destination batches into flat byte buffers and charge
+//! their exact wire size. The visitors also implement [`DeepBytes`] (all
+//! messages are plain-old-data, so they own no heap).
 
 use crate::state::Label;
 use stgraph::csr::{Distance, Vertex, Weight};
@@ -51,30 +53,28 @@ impl VoronoiMsg {
     }
 }
 
-/// Local-min-distance-edge phase messages (Alg 5, asynchronous part).
-#[derive(Clone, Copy, Debug)]
-pub enum ProbeMsg {
-    /// Scan this rank's local arcs from source index `first` on (see
-    /// `RankGraph::num_sources`), one chunk per visit; the bootstrap is
-    /// `Scan(0)`.
-    Scan(u32),
-    /// A boundary arc probe: rank holding `u`'s state asks `v`'s owner to
-    /// evaluate the arc `(u, v)` as a cross-cell candidate. One
-    /// probe per cross-rank undirected edge; 29 wire bytes.
-    Candidate {
-        /// Remote endpoint whose state the receiver holds.
-        v: Vertex,
-        /// Local endpoint the sender evaluated.
-        u: Vertex,
-        /// Arc weight `d(u, v)`.
-        weight: Weight,
-        /// Cell of `u` at the sender: the index of `src(u)` in the sorted
-        /// seed list (same 4 wire bytes as the vertex id it replaces).
-        u_cell: u32,
-        /// `d_1(src(u), u)` at the sender.
-        u_dist: Distance,
-    },
+/// A boundary arc probe of the local min-edge phase (Alg 5): the rank
+/// holding `u`'s state asks `v`'s owner to evaluate the arc `(u, v)` as a
+/// cross-cell candidate. One probe per cross-rank undirected edge; 29
+/// wire bytes, a tag byte included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProbeMsg {
+    /// Remote endpoint whose state the receiver holds.
+    pub v: Vertex,
+    /// Local endpoint the sender evaluated.
+    pub u: Vertex,
+    /// Arc weight `d(u, v)`.
+    pub weight: Weight,
+    /// Cell of `u` at the sender: the index of `src(u)` in the sorted
+    /// seed list (same 4 wire bytes as the vertex id it replaces).
+    pub u_cell: u32,
+    /// `d_1(src(u), u)` at the sender.
+    pub u_dist: Distance,
 }
+
+/// The wire tag of a [`ProbeMsg`]. A decoder that meets any other leading
+/// byte rejects the buffer.
+const PROBE_TAG: u8 = 1;
 
 /// Tree-edge phase messages (Alg 6): trace the predecessor chain of a
 /// vertex back to its cell's seed.
@@ -158,53 +158,29 @@ impl DeepBytes for VoronoiMsg {
 
 impl Wire for ProbeMsg {
     fn encoded_len(&self) -> usize {
-        match self {
-            ProbeMsg::Scan(_) => 1 + 4,
-            ProbeMsg::Candidate { .. } => 1 + 4 + 4 + 8 + 4 + 8,
-        }
+        1 + 4 + 4 + 8 + 4 + 8
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
-        match *self {
-            ProbeMsg::Scan(first) => {
-                out.push(0);
-                first.encode_into(out);
-            }
-            ProbeMsg::Candidate {
-                v,
-                u,
-                weight,
-                u_cell,
-                u_dist,
-            } => {
-                out.push(1);
-                v.encode_into(out);
-                u.encode_into(out);
-                weight.encode_into(out);
-                u_cell.encode_into(out);
-                u_dist.encode_into(out);
-            }
-        }
+        out.push(PROBE_TAG);
+        self.v.encode_into(out);
+        self.u.encode_into(out);
+        self.weight.encode_into(out);
+        self.u_cell.encode_into(out);
+        self.u_dist.encode_into(out);
     }
 
     fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        match u8::decode_from(buf, pos)? {
-            0 => Some(ProbeMsg::Scan(u32::decode_from(buf, pos)?)),
-            1 => Some(ProbeMsg::Candidate {
-                v: Vertex::decode_from(buf, pos)?,
-                u: Vertex::decode_from(buf, pos)?,
-                weight: Weight::decode_from(buf, pos)?,
-                u_cell: u32::decode_from(buf, pos)?,
-                u_dist: Distance::decode_from(buf, pos)?,
-            }),
-            _ => None,
+        if u8::decode_from(buf, pos)? != PROBE_TAG {
+            return None;
         }
-    }
-}
-
-impl DeepBytes for ProbeMsg {
-    fn heap_bytes(&self) -> usize {
-        0
+        Some(ProbeMsg {
+            v: Vertex::decode_from(buf, pos)?,
+            u: Vertex::decode_from(buf, pos)?,
+            weight: Weight::decode_from(buf, pos)?,
+            u_cell: u32::decode_from(buf, pos)?,
+            u_dist: Distance::decode_from(buf, pos)?,
+        })
     }
 }
 
@@ -268,21 +244,26 @@ mod tests {
     #[test]
     fn probe_and_trace_msgs_round_trip() {
         let msgs = [
-            ProbeMsg::Scan(4096),
-            ProbeMsg::Candidate {
+            ProbeMsg {
                 v: 1,
                 u: 2,
                 weight: 3,
                 u_cell: 4,
                 u_dist: 5,
             },
+            ProbeMsg {
+                v: u32::MAX,
+                u: 0,
+                weight: u64::MAX,
+                u_cell: 7,
+                u_dist: 1 << 40,
+            },
         ];
         let mut buf = Vec::new();
         encode_batch(&msgs, &mut buf);
+        assert_eq!(buf.len(), 2 * 29);
         let back = decode_batch::<ProbeMsg>(&buf, msgs.len()).expect("round trip");
-        for (a, b) in msgs.iter().zip(&back) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
+        assert_eq!(back, msgs);
 
         let t = [TraceMsg { vertex: 77 }];
         let mut buf = Vec::new();

@@ -1,6 +1,8 @@
 //! Property-based tests of the distributed solver against the sequential
 //! references and the theoretical bound.
 
+use crate::boruvka::distributed_mst;
+use crate::distance_graph::{keyed, spanning_forest, Cand, MinEdge, PairKey};
 use crate::{solve, QueueKind, SolverConfig};
 use baselines::exact::dreyfus_wagner;
 use baselines::mehlhorn::mehlhorn;
@@ -136,6 +138,78 @@ proptest! {
                     prop_assert_eq!(stats.components.last(), Some(&1),
                         "rounds did not converge at p={} queue={:?}", p, queue);
                 }
+            }
+        }
+    }
+}
+
+/// Kruskal after a full sort: the reference [`spanning_forest`] must
+/// equal.
+///
+/// [`spanning_forest`]: crate::distance_graph::spanning_forest
+fn sorted_kruskal(num_seeds: usize, cands: &[Cand]) -> Vec<Cand> {
+    let mut sorted = cands.to_vec();
+    sorted.sort_unstable();
+    let mut dsu = stgraph::dsu::Dsu::new(num_seeds);
+    sorted.into_iter().filter(|c| dsu.union(c.1, c.2)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The per-rank spanning forest filter is exact. Over random
+    /// candidate lists, with repeated pairs and ties on `total`, and long
+    /// enough that Filter-Kruskal splits: it equals sort-then-Kruskal,
+    /// keeps at most |S| - 1 edges, gives the same forest when applied
+    /// chunk by chunk, and distributed Borůvka over the
+    /// per-rank forests returns the same chosen set and the same round
+    /// counters as over the unfiltered lists, at ranks {1, 2, 4}.
+    #[test]
+    fn spanning_forest_filter_is_exact(
+        k in 2usize..40,
+        raw in proptest::collection::vec(
+            (0u32..40, 0u32..40, 1u64..24, 0u32..500, 0u32..500, 1u64..6),
+            0..3000,
+        ),
+    ) {
+        let cands: Vec<Cand> = raw
+            .into_iter()
+            .map(|(x, y, total, a, b, w)| (x % k as u32, y % k as u32, total, a, b, w))
+            .filter(|&(x, y, ..)| x != y)
+            .map(|(x, y, total, a, b, w)| (total, x.min(y), x.max(y), a, b, w))
+            .collect();
+        let forest = spanning_forest(k, &mut cands.clone());
+        prop_assert_eq!(&forest, &sorted_kruskal(k, &cands));
+        prop_assert!(forest.len() < k);
+        // Shrinking to a forest as candidates arrive changes nothing.
+        let mut folded: Vec<Cand> = Vec::new();
+        for chunk in cands.chunks(400) {
+            folded.extend_from_slice(chunk);
+            folded = spanning_forest(k, &mut folded);
+        }
+        prop_assert_eq!(&folded, &forest);
+        for p in [1usize, 2, 4] {
+            let lists: Vec<Vec<Cand>> = (0..p)
+                .map(|r| cands.iter().copied().skip(r).step_by(p).collect())
+                .collect();
+            let unfiltered: Vec<Vec<(PairKey, MinEdge)>> = lists
+                .iter()
+                .map(|l| l.iter().copied().map(keyed).collect())
+                .collect();
+            let forests: Vec<Vec<(PairKey, MinEdge)>> = lists
+                .iter()
+                .map(|l| {
+                    let forest = spanning_forest(k, &mut l.clone());
+                    forest.into_iter().map(keyed).collect()
+                })
+                .collect();
+            let run = |per_rank: &[Vec<(PairKey, MinEdge)>]| {
+                World::run(p, |comm| distributed_mst(comm, &per_rank[comm.rank()], k)).results
+            };
+            let (full, filtered) = (run(&unfiltered), run(&forests));
+            for rank in 0..p {
+                prop_assert_eq!(&filtered[rank], &full[0], "p={} rank {}", p, rank);
+                prop_assert_eq!(&full[rank], &full[0], "p={} rank {}", p, rank);
             }
         }
     }

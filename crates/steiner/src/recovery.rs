@@ -143,8 +143,10 @@ pub(crate) struct RankCheckpoint {
     pub times_us: [u64; Phase::ALL.len()],
     /// Work counters so far.
     pub work: Work,
-    /// Local min cross-cell edges (present at the post-`local_min_edge`
-    /// boundary only; consumed by the global reduction).
+    /// Local min cross-cell edges: per-pair minima in `MstMode::Replicated`,
+    /// the rank's spanning forest in `MstMode::Dist` (present at the
+    /// post-`local_min_edge` boundary only; consumed by the global
+    /// reduction).
     pub local: Option<Vec<(PairKey, MinEdge)>>,
     /// Reduced distance graph (present after `global_min_edge` through
     /// `mst`).

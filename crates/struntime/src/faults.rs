@@ -456,6 +456,23 @@ impl FaultInjector {
         FaultAction::Deliver
     }
 
+    /// Decides whether one collective transmission arrives late: with
+    /// probability `delay_p` it returns the seeded delay, counted like a
+    /// channel delay. Collectives model a reliable transport, so they draw
+    /// no drops or duplicates.
+    pub fn draw_delay(&self) -> Option<Duration> {
+        if self.plan.delay_p <= 0.0 {
+            return None;
+        }
+        let mut inner = self.inner.lock();
+        if unit(&mut inner.rng) >= self.plan.delay_p {
+            return None;
+        }
+        self.stats.delays.fetch_add(1, Ordering::Relaxed);
+        let span = self.plan.delay_us.max(1);
+        Some(Duration::from_micros(1 + inner.rng.next_u64() % span))
+    }
+
     /// Maybe stall at a sync point: with probability `stall_p` the caller
     /// sleeps a bounded, seeded interval. The stall is a plain sleep —
     /// never a lock hold — so it can only slow the schedule down, not
