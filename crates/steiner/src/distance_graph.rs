@@ -38,15 +38,18 @@
 //!   ([`RankGraph::owned_arcs`], [`RankGraph::delegate_arcs`]); a
 //!   source's index is also the held index of its state, so only the far
 //!   end `v` is looked up.
-//! - **One evaluation per undirected edge.** An arc `(u, v)` is evaluated
-//!   iff `u < v` agrees with `u + v` being even (`evaluates`). Exactly
-//!   one of an edge's two arcs passes, and self-loops never do. Every arc
-//!   is stored on exactly one rank: the owner of `u`, or the rank holding
-//!   that share of a delegate `u`'s adjacency. The candidate is the same
-//!   from either direction, so per-pair minima are unchanged. The parity
-//!   spreads the evaluating end over both endpoints, so under the block
-//!   partition probes flow both ways instead of all toward the higher
-//!   rank.
+//! - **One evaluation per undirected edge, half the arcs read.** An arc
+//!   `(u, v)` is evaluated iff [`evaluates`] accepts it: `u < v` agrees
+//!   with `u + v` being even. Exactly one of an edge's two arcs passes,
+//!   and self-loops never do. Every arc is stored on exactly one rank:
+//!   the owner of `u`, or the rank holding that share of a delegate `u`'s
+//!   adjacency. The candidate is the same from either direction, so
+//!   per-pair minima are unchanged. The parity spreads the evaluating end
+//!   over both endpoints, so under the block partition probes flow both
+//!   ways instead of all toward the higher rank. `partition_graph` stores
+//!   each source's evaluated arcs first, so the scan walks that prefix
+//!   and stops at the first arc it does not evaluate: one branch per
+//!   source, and the other half of the arcs is never read.
 //! - **Dense or listed candidates.** A rank whose local arc count is at
 //!   least `binom(|S|, 2)` folds candidates into a dense [`pair_offset`]
 //!   table. Otherwise it appends them as `(total, si, ti, a, b, weight)` tuples and sorts (the
@@ -60,7 +63,7 @@ use crate::state::{VertexStates, NO_VERTEX};
 use crate::{MstMode, Phase};
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::dsu::Dsu;
-use stgraph::partition::{BlockPartition, PartitionedGraph, RankGraph};
+use stgraph::partition::{evaluates, BlockPartition, PartitionedGraph, RankGraph};
 use struntime::Comm;
 
 /// The winning bridge for one distance-graph edge `(s, t)`.
@@ -425,7 +428,9 @@ impl Scan<'_> {
         }
     }
 
-    /// The body of [`Scan::source`] for source `u`, held at index `iu`.
+    /// The body of [`Scan::source`] for source `u`, held at index `iu`:
+    /// walks the prefix of `arcs` that [`evaluates`] accepts (the
+    /// partition stores it first).
     #[inline]
     fn arcs(
         &mut self,
@@ -440,7 +445,7 @@ impl Scan<'_> {
         }
         for (v, w) in arcs {
             if !evaluates(u, v) {
-                continue;
+                break;
             }
             match self.states.held_index(v) {
                 Some(iv) => {
@@ -457,12 +462,6 @@ impl Scan<'_> {
             }
         }
     }
-}
-
-/// Whether the scan evaluates arc `(u, v)`: for `u != v`, exactly one of
-/// `(u, v)` and `(v, u)` does, and for `u == v` neither.
-fn evaluates(u: Vertex, v: Vertex) -> bool {
-    (u < v) == ((u ^ v) & 1 == 0)
 }
 
 /// Global phase: reduces the per-rank sorted candidate lists to the

@@ -60,7 +60,7 @@ pub use recovery::{CheckpointStore, RecoveryStats};
 pub use report::{ConfigFingerprint, RunReport};
 pub use struntime::{
     FaultPlan, FaultSnapshot, Gauge, MetricKind, MetricsConfig, MetricsDump, PersistentWorld,
-    QueueKind, TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
+    QueueKind, SyncPoints, TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
 };
 
 use distance_graph::{MinEdge, PairKey};
@@ -232,6 +232,11 @@ pub struct SolveReport {
     /// restore from a checkpoint taken past the Borůvka rounds the
     /// counters come back from the checkpoint itself.
     pub boruvka: Option<BoruvkaStats>,
+    /// Barriers and collectives each rank crossed. Ranks cross them in
+    /// lockstep, so every rank's count is the same and a deterministic
+    /// function of the instance and configuration. A restored solve
+    /// counts its last attempt only.
+    pub sync_points: SyncPoints,
 }
 
 impl SolveReport {
@@ -522,6 +527,11 @@ fn assemble_report(
     }
     let message_counts = out.merged_counters();
     let state_peak_bytes = out.total_peak_memory();
+    let sync_points = out.reports[0].sync_points;
+    debug_assert!(
+        out.reports.iter().all(|r| r.sync_points == sync_points),
+        "ranks crossed different sync points"
+    );
     Ok(SolveReport {
         tree,
         phase_times,
@@ -540,6 +550,7 @@ fn assemble_report(
         telemetry: out.telemetry,
         recovery,
         boruvka,
+        sync_points,
     })
 }
 

@@ -90,7 +90,15 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 /// that reached a queue and were dropped unvisited), but a v8 reader
 /// comparing it across versions would silently see the filtered work
 /// vanish.
-pub const SCHEMA_VERSION: u64 = 9;
+///
+/// **v9 → v10**: adds the `sync_points` object (`barriers`, every rank
+/// barrier a rank crossed including those inside collectives and
+/// traversal fences, and `collectives`, its collective calls). Ranks
+/// cross them in lockstep, so the counts are deterministic. Strict
+/// superset, and breaking for the usual reason: a v9 reader comparing
+/// small-solve times across runs would silently miss how many sync
+/// points each solve paid for.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// The configuration a solve ran with, reduced to plain strings and
 /// numbers for the report.
@@ -218,6 +226,9 @@ pub struct RunReport {
     /// Voronoi relaxations per rank the priority discipline pruned before
     /// they were pushed (v9; all-zero under FIFO/adversarial queues).
     pub pruned_at_push: Vec<u64>,
+    /// Barriers and collective calls per rank (v10; the same on every
+    /// rank).
+    pub sync_points: struntime::SyncPoints,
     /// Work-based simulated speedup (Fig 3's scaling metric).
     pub simulated_speedup: f64,
     /// Most-loaded rank's work divided by the mean — 1.0 is perfectly
@@ -256,9 +267,10 @@ impl RunReport {
     /// stability rules). Top-level keys: `schema_version`, `config`,
     /// `phase_times_us`, `total_time_us`, `message_counts`,
     /// `graph_bytes`, `state_peak_bytes`, `distance_graph_edges`,
-    /// `rank_work`, `stale_drops`, `pruned_at_push`, `simulated_speedup`,
-    /// `imbalance_ratio`, `critical_path`, `latency_quantiles`, `faults`,
-    /// `timeseries`, `peak_memory`, `recovery`, `boruvka`, `tree`.
+    /// `rank_work`, `stale_drops`, `pruned_at_push`, `sync_points`,
+    /// `simulated_speedup`, `imbalance_ratio`, `critical_path`,
+    /// `latency_quantiles`, `faults`, `timeseries`, `peak_memory`,
+    /// `recovery`, `boruvka`, `tree`.
     pub fn to_json(&self) -> Json {
         let mut phase_times = Json::obj();
         for &(name, us) in &self.phase_times_us {
@@ -290,6 +302,12 @@ impl RunReport {
             )
             .with("stale_drops", per_rank_json(&self.stale_drops))
             .with("pruned_at_push", per_rank_json(&self.pruned_at_push))
+            .with(
+                "sync_points",
+                Json::obj()
+                    .with("barriers", self.sync_points.barriers)
+                    .with("collectives", self.sync_points.collectives),
+            )
             .with("simulated_speedup", self.simulated_speedup)
             .with("imbalance_ratio", self.imbalance_ratio)
             .with(
@@ -456,6 +474,7 @@ impl SolveReport {
             rank_work: self.rank_work.clone(),
             stale_drops: self.stale_drops.clone(),
             pruned_at_push: self.pruned_at_push.clone(),
+            sync_points: self.sync_points,
             simulated_speedup: self.simulated_speedup(),
             imbalance_ratio,
             critical_path,
@@ -486,8 +505,8 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
                 "schema_version {found} report found; this build reads v{SCHEMA_VERSION} \
                  — regenerate the report with current binaries (version history, \
                  including when the faults, stale_drops, timeseries, peak_memory, \
-                 recovery, boruvka and pruned_at_push sections were added: \
-                 report::SCHEMA_VERSION docs)"
+                 recovery, boruvka, pruned_at_push and sync_points sections were \
+                 added: report::SCHEMA_VERSION docs)"
             ));
         }
         _ => {
@@ -546,6 +565,13 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
         if per_rank.iter().any(|w| w.as_u64().is_none()) {
             return Err(format!("{key}.per_rank elements must be integers"));
         }
+    }
+    let sync_points = run.get("sync_points").ok_or("missing sync_points")?;
+    for key in ["barriers", "collectives"] {
+        sync_points
+            .get(key)
+            .and_then(|v| v.as_u64())
+            .ok_or_else(|| format!("sync_points.{key} must be an integer"))?;
     }
     run.get("simulated_speedup")
         .and_then(|v| v.as_f64())
@@ -1110,6 +1136,38 @@ mod tests {
         // The full-delivery disciplines never prune.
         let adversarial = sample_report().run_report();
         assert_eq!(adversarial.pruned_at_push, vec![0, 0]);
+    }
+
+    #[test]
+    fn v10_sync_points_emitted_and_required() {
+        let report = sample_report().run_report();
+        // Two channel groups (two barriers each), the Voronoi and
+        // tree-edge traversals (three fences each), at least one probe
+        // exchange and the dense reduce: every rank barrier is counted.
+        assert!(
+            report.sync_points.collectives >= 2,
+            "{:?}",
+            report.sync_points
+        );
+        assert!(
+            report.sync_points.barriers >= 10 + 2 * report.sync_points.collectives,
+            "{:?}",
+            report.sync_points
+        );
+        assert_eq!(sample_report().sync_points, report.sync_points);
+        let doc = report.to_json();
+        let sync = doc.get("sync_points").expect("v10 emits sync_points");
+        assert_eq!(
+            sync.get("barriers").and_then(|v| v.as_u64()),
+            Some(report.sync_points.barriers)
+        );
+        assert!(validate_run(&doc).is_ok());
+        let mut missing = doc.clone();
+        if let Json::Obj(pairs) = &mut missing {
+            pairs.retain(|(k, _)| k != "sync_points");
+        }
+        let err = validate_run(&missing).unwrap_err();
+        assert!(err.contains("sync_points"), "{err}");
     }
 
     #[test]

@@ -10,6 +10,15 @@
 //! [`partition_graph`] materializes per-rank subgraphs ([`RankGraph`]): each
 //! rank stores the full adjacency of its owned non-delegate vertices plus a
 //! round-robin slice of every delegate's adjacency.
+//!
+//! **Evaluated arcs first.** The edge-centric min-distance-edge phase
+//! (Alg 5) evaluates each undirected edge once, from the end [`evaluates`]
+//! picks. Every stored adjacency, owned rows and delegate slices alike,
+//! holds the arcs `evaluates` accepts first, then the others, each class
+//! in the input graph's order. The scan then reads a prefix of each source
+//! and stops at the first arc it does not evaluate, so it reads half the
+//! arcs and its per-arc test fails once per source. Traversals relax
+//! every arc of a vertex and do not depend on the order.
 
 use crate::csr::{CsrGraph, Vertex, Weight};
 use std::ops::Range;
@@ -73,6 +82,39 @@ impl BlockPartition {
     }
 }
 
+/// Whether the min-edge scan evaluates arc `(u, v)`: for `u != v`, exactly
+/// one of `(u, v)` and `(v, u)` does, and for `u == v` neither. The end
+/// it picks alternates with `u + v`'s parity, so under the block partition
+/// boundary edges are evaluated from both sides, not all from the lower
+/// rank.
+#[inline]
+pub fn evaluates(u: Vertex, v: Vertex) -> bool {
+    (u < v) == ((u ^ v) & 1 == 0)
+}
+
+/// Lays out the `len` arcs of source `u` in one pass: `put(k, v, w)`
+/// stores arc `(u, v)` of weight `w` at row position `k`. Arcs that
+/// [`evaluates`] accepts fill the row from the front in `arcs`' order, the
+/// others from the back, so the caller reverses the returned tail
+/// `split..len` to restore their order. Which end an arc takes is a coin
+/// flip per arc, so the position is selected without a branch.
+fn fill_evaluated_first(
+    u: Vertex,
+    arcs: impl Iterator<Item = (Vertex, Weight)>,
+    len: usize,
+    mut put: impl FnMut(usize, Vertex, Weight),
+) -> usize {
+    let (mut front, mut back) = (0, len);
+    for (v, w) in arcs {
+        let evaluated = evaluates(u, v);
+        put(if evaluated { front } else { back - 1 }, v, w);
+        front += usize::from(evaluated);
+        back -= usize::from(!evaluated);
+    }
+    debug_assert_eq!(front, back, "source {u} does not have {len} arcs");
+    front
+}
+
 /// Per-rank share of the distributed graph.
 #[derive(Clone, Debug)]
 pub struct RankGraph {
@@ -127,7 +169,8 @@ impl RankGraph {
     }
 
     /// Adjacency of the `i`-th owned vertex as parallel target and weight
-    /// slices (both empty for an owned delegate).
+    /// slices (both empty for an owned delegate), the arcs [`evaluates`]
+    /// accepts first.
     #[inline]
     pub fn owned_arcs(&self, i: usize) -> (&[Vertex], &[Weight]) {
         let r = self.offsets[i] as usize..self.offsets[i + 1] as usize;
@@ -144,7 +187,7 @@ impl RankGraph {
     }
 
     /// This rank's slice of the `k`-th delegate's adjacency, in the order
-    /// of [`RankGraph::delegates`].
+    /// of [`RankGraph::delegates`], the arcs [`evaluates`] accepts first.
     #[inline]
     pub fn delegate_arcs(&self, k: usize) -> &[(Vertex, Weight)] {
         &self.delegate_slices[k]
@@ -233,28 +276,47 @@ pub fn partition_graph(
     for rank in 0..p {
         let owned = partition.range(rank);
         let num_owned = (owned.end - owned.start) as usize;
+        // Row lengths come from the degrees, so every row is laid out in
+        // place by `fill_evaluated_first`.
         let mut offsets = Vec::with_capacity(num_owned + 1);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
         offsets.push(0u64);
+        let mut num_arcs = 0;
         for v in owned.clone() {
             if delegates.binary_search(&v).is_err() {
-                for (t, w) in g.edges(v) {
-                    targets.push(t);
-                    weights.push(w);
-                }
+                num_arcs += g.degree(v);
             }
-            offsets.push(targets.len() as u64);
+            offsets.push(num_arcs as u64);
         }
-        // Round-robin share of each delegate's arcs.
+        let mut targets = vec![0; num_arcs];
+        let mut weights = vec![0; num_arcs];
+        for (i, v) in owned.clone().enumerate() {
+            let row = offsets[i] as usize..offsets[i + 1] as usize;
+            if row.is_empty() {
+                // An owned delegate (its arcs are in the delegate slices),
+                // or an isolated vertex.
+                continue;
+            }
+            let (targets, weights) = (&mut targets[row.clone()], &mut weights[row]);
+            let split = fill_evaluated_first(v, g.edges(v), targets.len(), |k, t, w| {
+                targets[k] = t;
+                weights[k] = w;
+            });
+            targets[split..].reverse();
+            weights[split..].reverse();
+        }
+        // Round-robin share of each delegate's arcs: every p-th arc from
+        // index `rank` on.
         let delegate_slices = delegates
             .iter()
             .map(|&d| {
-                g.edges(d)
-                    .enumerate()
-                    .filter(|(i, _)| i % p == rank)
-                    .map(|(_, e)| e)
-                    .collect::<Vec<_>>()
+                let share = g.edges(d).enumerate().filter(|(i, _)| i % p == rank);
+                let mut slice = vec![(0, 0); g.degree(d).saturating_sub(rank).div_ceil(p)];
+                let split =
+                    fill_evaluated_first(d, share.map(|(_, e)| e), slice.len(), |k, t, w| {
+                        slice[k] = (t, w)
+                    });
+                slice[split..].reverse();
+                slice
             })
             .collect();
         ranks.push(RankGraph {

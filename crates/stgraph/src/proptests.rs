@@ -2,9 +2,15 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, Vertex, Weight};
-use crate::partition::{partition_graph, BlockPartition};
+use crate::generators::{
+    barabasi_albert, erdos_renyi, grid2d, rmat, star, weighted_from_edges, RmatParams,
+};
+use crate::partition::{evaluates, partition_graph, BlockPartition};
 use crate::traversal::connected_components;
+use crate::weights::WeightRange;
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Strategy: an arbitrary small weighted edge list over `n` vertices.
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
@@ -22,6 +28,23 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = CsrGraph> {
             }
             b.build()
         })
+    })
+}
+
+/// Strategy: a graph from one of the generator families (Erdős–Rényi,
+/// Barabási–Albert, R-MAT, star, grid) with random weights.
+fn arb_family_graph() -> impl Strategy<Value = CsrGraph> {
+    (0..5usize, 2..7u32, 0..u64::MAX).prop_map(|(family, scale, seed)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = 1usize << scale;
+        let edges = match family {
+            0 => erdos_renyi(n, 2 * n, &mut rng),
+            1 => barabasi_albert(n, 2, &mut rng),
+            2 => rmat(scale, 4 * n, RmatParams::graph500(), &mut rng),
+            3 => star(n),
+            _ => grid2d(n / 4, 4),
+        };
+        weighted_from_edges(n, edges, WeightRange::new(1, 30), &mut rng)
     })
 }
 
@@ -107,5 +130,46 @@ proptest! {
             g.undirected_edges().collect::<Vec<_>>(),
             g2.undirected_edges().collect::<Vec<_>>()
         );
+    }
+
+    /// The min-edge scan's layout: every stored adjacency holds the arcs
+    /// `evaluates` accepts first, the stored arcs are the graph's, and the
+    /// evaluated prefixes cover each undirected edge exactly once across
+    /// ranks.
+    #[test]
+    fn stored_adjacency_puts_evaluated_arcs_first(g in arb_family_graph()) {
+        let mut global: Vec<_> = g.arcs().collect();
+        global.sort_unstable();
+        let mut edges: Vec<_> = global.iter().copied().filter(|&(u, v, _)| u < v).collect();
+        edges.sort_unstable();
+        for p in [1usize, 2, 4] {
+            for threshold in [None, Some(4)] {
+                let pg = partition_graph(&g, p, threshold);
+                let mut stored: Vec<_> = pg.ranks.iter().flat_map(|r| r.stored_arcs()).collect();
+                stored.sort_unstable();
+                prop_assert_eq!(&stored, &global, "p={} threshold={:?}", p, threshold);
+                let mut evaluated = Vec::new();
+                for rg in &pg.ranks {
+                    let owned = (0..rg.num_owned()).map(|i| {
+                        let (targets, weights) = rg.owned_arcs(i);
+                        let arcs: Vec<_> = targets.iter().copied().zip(weights.iter().copied()).collect();
+                        (rg.owned.start + i as Vertex, arcs)
+                    });
+                    let delegated = rg.delegates.iter().enumerate()
+                        .map(|(k, &d)| (d, rg.delegate_arcs(k).to_vec()));
+                    for (u, arcs) in owned.chain(delegated) {
+                        let prefix = arcs.iter().take_while(|&&(v, _)| evaluates(u, v)).count();
+                        prop_assert!(
+                            arcs[prefix..].iter().all(|&(v, _)| !evaluates(u, v)),
+                            "source {} at p={} threshold={:?}: evaluated arc after the prefix",
+                            u, p, threshold
+                        );
+                        evaluated.extend(arcs[..prefix].iter().map(|&(v, w)| (u.min(v), u.max(v), w)));
+                    }
+                }
+                evaluated.sort_unstable();
+                prop_assert_eq!(&evaluated, &edges, "p={} threshold={:?}", p, threshold);
+            }
+        }
     }
 }

@@ -61,6 +61,7 @@ impl Comm {
         F: Fn(&mut T, &T),
     {
         let _span = self.trace_span("allreduce");
+        self.counters().count_collective();
         let type_name = std::any::type_name::<T>();
         self.memory()
             .record("collective_buffer", std::mem::size_of_val(data));
@@ -185,6 +186,7 @@ impl Comm {
         let (me, p) = (self.rank(), self.num_ranks());
         assert_eq!(send.len(), p, "alltoallv needs one bucket per rank");
         let _span = self.trace_span("alltoallv");
+        self.counters().count_collective();
         let type_name = std::any::type_name::<T>();
         let stats = self.counters().phase(phase);
         let mut wire: Vec<Vec<u8>> = vec![Vec::new(); p];
@@ -298,6 +300,7 @@ impl Comm {
             );
         }
         let _span = self.trace_span("broadcast");
+        self.counters().count_collective();
         let type_name = std::any::type_name::<T>();
         self.barrier();
         if self.rank() == root {

@@ -1,4 +1,5 @@
-//! Per-rank, per-phase message and byte counters.
+//! Per-rank, per-phase message and byte counters, and the rank's sync
+//! point count.
 //!
 //! The paper's Fig 6 reports "the actual number of messages communicated,
 //! grouped by computation phases". Every [`crate::channels::ChannelGroup`]
@@ -51,16 +52,48 @@ impl PhaseSnapshot {
     }
 }
 
+/// The sync points one rank crossed. Every rank crosses the same ones
+/// in the same order (barriers and collectives are lockstep), so the
+/// counts are a deterministic function of the program, not the schedule.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SyncPoints {
+    /// Rank barriers ([`crate::Comm::barrier`]), the ones inside
+    /// collectives and traversal fences included.
+    pub barriers: u64,
+    /// Collective calls (all-reduce, all-to-all, broadcast).
+    pub collectives: u64,
+}
+
 /// All phase counters of one rank.
 #[derive(Debug, Default)]
 pub struct RankCounters {
     phases: Mutex<BTreeMap<&'static str, Arc<PhaseStats>>>,
+    barriers: AtomicU64,
+    collectives: AtomicU64,
 }
 
 impl RankCounters {
     /// The stats cell for `phase`, creating it on first use.
     pub fn phase(&self, phase: &'static str) -> Arc<PhaseStats> {
         Arc::clone(self.phases.lock().entry(phase).or_default())
+    }
+
+    /// Counts one barrier crossing.
+    pub(crate) fn count_barrier(&self) {
+        self.barriers.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one collective call.
+    pub(crate) fn count_collective(&self) {
+        self.collectives.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The sync points crossed so far.
+    pub fn sync_points(&self) -> SyncPoints {
+        SyncPoints {
+            barriers: self.barriers.load(Ordering::Relaxed),
+            collectives: self.collectives.load(Ordering::Relaxed),
+        }
     }
 
     /// Snapshot of every phase seen so far.
@@ -112,6 +145,27 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap["voronoi"].remote_msgs, 3);
         assert_eq!(snap["voronoi"].total_msgs(), 5);
+    }
+
+    #[test]
+    fn every_rank_counts_each_barrier_and_collective() {
+        let out = crate::World::run(3, |comm| {
+            comm.barrier();
+            let mut x = [1u64];
+            comm.allreduce_sum(&mut x);
+            comm.broadcast(0, (comm.rank() == 0).then_some(7u32));
+            let mut recv = Vec::new();
+            comm.alltoallv("x", &vec![vec![1u32]; 3], &mut recv);
+        });
+        for r in &out.reports {
+            // One plain barrier, then four, three and two inside the
+            // all-reduce, the broadcast and the all-to-all.
+            let want = SyncPoints {
+                barriers: 10,
+                collectives: 3,
+            };
+            assert_eq!(r.sync_points, want);
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod world;
 
 pub use audit::AuditViolation;
 pub use channels::ChannelGroup;
-pub use counters::{merge_snapshots, PhaseSnapshot};
+pub use counters::{merge_snapshots, PhaseSnapshot, SyncPoints};
 pub use failure::{
     panic_message, CooperativeAbort, FailureReason, InjectedCrash, RankFailure, WorldFailure,
 };
@@ -127,6 +127,7 @@ impl Comm {
     /// [`CooperativeAbort`] instead of waiting for a dead peer.
     pub fn barrier(&self) {
         self.pause(SyncPoint::Barrier);
+        self.counters.count_barrier();
         if !self.shared.barrier.wait(&self.shared.abort) {
             self.shared.poll_abort(self.rank);
         }
@@ -415,6 +416,8 @@ pub struct RankReport {
     pub peak_memory_bytes: usize,
     /// Peak algorithm-state bytes per label.
     pub peak_memory_by_label: BTreeMap<&'static str, usize>,
+    /// Barriers and collectives the rank crossed.
+    pub sync_points: SyncPoints,
 }
 
 /// Everything a [`World::run`] produces.

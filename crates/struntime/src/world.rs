@@ -163,6 +163,7 @@ impl JobSetup {
                 counters: counters.snapshot(),
                 peak_memory_bytes: memory.peak_total(),
                 peak_memory_by_label: memory.peaks(),
+                sync_points: counters.sync_points(),
             })
             .collect();
         let w = drain.then_some(world);

@@ -81,20 +81,18 @@
 //! `bench-guard` compares the freshly generated
 //! `BENCH_fig3_strong_scaling.json` in the given directory (default:
 //! `bench_results/`) against the checked-in
-//! `fig3_guard_baseline.json`: per scale point it bounds the drift of
-//! the voronoi phase's share of total time, the visit count (visitors
-//! processed), and the stale-drop and pruned-at-push counters within the
-//! baseline's recorded tolerances; `--mst dist` scale points additionally
-//! pin their Borůvka round count exactly (the rounds are a deterministic
-//! function of the instance). One-rank points run a deterministic
-//! schedule, so their visits and their stale drops plus pruned
-//! relaxations are pinned exactly too: pruning at push may move
-//! relaxations from one counter to the other, never change their sum. A
-//! baseline entry without `pruned` predates the counter and counts as 0.
-//! Multi-rank visit counts are schedule-dependent, so the tolerances are
-//! generous — the guard exists to catch order-of-magnitude regressions
-//! (stale churn returning, the voronoi phase losing its dominance shape),
-//! not single-percent noise.
+//! `fig3_guard_baseline.json`. Per scale point it bounds the drift of the
+//! voronoi phase's share of total time within the baseline's tolerance,
+//! and pins the deterministic counters exactly: every point's sync points
+//! (barriers and collective calls), `--mst dist` points' Borůvka round
+//! count, and one-rank points' visits and stale drops plus pruned
+//! relaxations (one rank runs a deterministic schedule; pruning at push
+//! may move relaxations from one counter to the other, never change
+//! their sum). Multi-rank visits, stale drops and pruned relaxations move
+//! with the thread schedule (FRS at two ranks reads 1,225 or 1,884 visits
+//! on one binary), so they are reported, with a note when they leave the
+//! baseline's recorded tolerances, and never fail the guard. A baseline
+//! entry without `pruned` predates the counter and counts as 0.
 //! `--update-baseline` rewrites the baseline from the current report.
 //! Exit code 0 means every point within tolerance; 1 means drift or a
 //! scale point missing from the fresh report; 2 means usage or I/O
@@ -551,6 +549,9 @@ struct GuardPoint {
     /// pointer-jumping make the round count a pure function of the
     /// instance — so the guard holds it exact, not within a tolerance.
     boruvka_rounds: Option<u64>,
+    /// Rank barriers and collective calls (v10 `sync_points`), the same
+    /// on every rank and on every schedule.
+    sync_points: (u64, u64),
 }
 
 fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
@@ -600,6 +601,12 @@ fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
             .filter(|v| !v.is_null())
             .and_then(|b| b.get("rounds"))
             .and_then(|v| v.as_u64());
+        let sync = |key: &str| {
+            run.get("sync_points")
+                .and_then(|s| s.get(key))
+                .and_then(|v| v.as_u64())
+                .ok_or(format!("missing sync_points.{key}"))
+        };
         points.push(GuardPoint {
             label,
             ranks,
@@ -608,6 +615,7 @@ fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
             stale: total("stale_drops")?,
             pruned: total("pruned_at_push")?,
             boruvka_rounds,
+            sync_points: (sync("barriers")?, sync("collectives")?),
         });
     }
     if points.is_empty() {
@@ -617,9 +625,10 @@ fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
 }
 
 /// Default drift bounds written into a fresh baseline. Phase shares move
-/// with host timing and visit counts are schedule-dependent in the
-/// asynchronous runtime, so these are sized for regression-catching, not
-/// noise-chasing.
+/// with host timing, so the share bound is sized for regression-catching,
+/// not noise-chasing. Multi-rank visit and stale counts are
+/// schedule-dependent: their bounds only decide when the guard prints a
+/// drift note.
 const GUARD_SHARE_ABS: f64 = 0.25;
 const GUARD_VISITS_REL: f64 = 0.25;
 const GUARD_STALE_REL: f64 = 0.5;
@@ -657,6 +666,8 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
                 if let Some(rounds) = p.boruvka_rounds {
                     entry.insert("boruvka_rounds", rounds);
                 }
+                entry.insert("sync_barriers", p.sync_points.0);
+                entry.insert("sync_collectives", p.sync_points.1);
                 entry
             })
             .collect();
@@ -747,25 +758,28 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
                 now.voronoi_share, b_share
             ));
         }
-        let visits_slack = (b_visits as f64 * visits_rel).max(1.0);
-        if (now.visits as f64 - b_visits as f64).abs() > visits_slack {
-            bad.push(format!(
-                "visits {} drifted from {} (tol ±{visits_slack:.0})",
-                now.visits, b_visits
-            ));
-        }
-        for (what, got, want) in [
-            ("stale drops", now.stale, b_stale),
-            ("pruned relaxations", now.pruned, b_pruned),
-        ] {
-            let slack = (want as f64 * stale_rel).max(stale_abs as f64);
-            if (got as f64 - want as f64).abs() > slack {
-                bad.push(format!(
-                    "{what} {got} drifted from {want} (tol ±{slack:.0})"
-                ));
+        if now.ranks > 1 {
+            // Schedule-dependent: reported, never gated.
+            for (what, got, want, rel, abs) in [
+                ("visits", now.visits, b_visits, visits_rel, 1),
+                ("stale drops", now.stale, b_stale, stale_rel, stale_abs),
+                (
+                    "pruned relaxations",
+                    now.pruned,
+                    b_pruned,
+                    stale_rel,
+                    stale_abs,
+                ),
+            ] {
+                let slack = (want as f64 * rel).max(abs as f64);
+                if (got as f64 - want as f64).abs() > slack {
+                    println!(
+                        "  note {label}: {what} {got} drifted from {want} \
+                         (tol ±{slack:.0}; schedule-dependent, not gated)"
+                    );
+                }
             }
-        }
-        if now.ranks == 1 {
+        } else {
             if now.visits != b_visits {
                 bad.push(format!(
                     "visits {} changed from {b_visits} (one rank, tol 0)",
@@ -789,10 +803,27 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
                 now.boruvka_rounds, b_rounds
             ));
         }
+        let b_sync = (
+            base.get("sync_barriers").and_then(|v| v.as_u64()),
+            base.get("sync_collectives").and_then(|v| v.as_u64()),
+        );
+        if b_sync != (Some(now.sync_points.0), Some(now.sync_points.1)) {
+            bad.push(format!(
+                "sync points (barriers, collectives) {:?} changed from {b_sync:?} \
+                 (deterministic, tol 0)",
+                now.sync_points
+            ));
+        }
         if bad.is_empty() {
             println!(
-                "  ok {label}: voronoi share {:.2}, {} visits, {} stale drops, {} pruned",
-                now.voronoi_share, now.visits, now.stale, now.pruned
+                "  ok {label}: voronoi share {:.2}, {} visits, {} stale drops, {} pruned, \
+                 {} barriers, {} collectives",
+                now.voronoi_share,
+                now.visits,
+                now.stale,
+                now.pruned,
+                now.sync_points.0,
+                now.sync_points.1
             );
         } else {
             for b in bad {

@@ -1,24 +1,31 @@
 //! Cross-run performance diff over machine-readable reports.
 //!
-//! Compares two run documents — either bare `RunReport`s (schema v5, from
+//! Compares two run documents — either bare `RunReport`s (from
 //! `steiner-cli solve --report`) or whole `BENCH_*.json` envelopes (solve
 //! entries matched by label) — and flags *regressions*: metrics where B
-//! is worse than A beyond a noise threshold. Improvements and in-noise
-//! drift are reported but never fail the diff, so the tool can gate CI
-//! without chasing scheduler jitter. Two envelopes that both carry no
-//! solve entries (harnesses that time baselines only) have nothing to
-//! compare and are skipped; one such envelope against a solve-carrying
-//! one is an error.
+//! is worse than A beyond what the metric's class allows. Two envelopes
+//! that both carry no solve entries (harnesses that time baselines only)
+//! have nothing to compare and are skipped; one such envelope against a
+//! solve-carrying one is an error.
 //!
-//! Two metric classes with different thresholds:
+//! Three metric classes ([`Class`]):
 //!
 //! * **time** (`phase_times_us.*`, `total_time_us`) — wall-clock, noisy
 //!   on shared hosts: relative slack [`TIME_REL`] with an absolute floor
 //!   of [`TIME_ABS_US`] so microsecond-scale phases never trip the gate.
 //!   Skipped entirely under `--counters-only` (what CI uses).
-//! * **counter** (visits, remote bytes, peak memory, stale drops) —
-//!   schedule-dependent but machine-independent: relative slack
-//!   [`COUNTER_REL`] with a small absolute floor [`COUNTER_ABS`].
+//! * **exact** — counters that repeat exactly on one instance, whatever
+//!   the thread schedule: every counter of a one-rank row (its schedule
+//!   is deterministic), the probe (`local_min_edge`) and trace
+//!   (`tree_edge`) message and byte counts, `distance_graph_edges`, the
+//!   Borůvka round counters, `sync_points` and the tree weight. Any
+//!   change, in either direction, fails: it means the solver did
+//!   different work, so the baseline must be regenerated on purpose.
+//! * **schedule** — multi-rank Voronoi visits, stale drops, pruned
+//!   relaxations and remote bytes, and state peak bytes. They move with
+//!   the interleaving of the rank threads (the same binary reads FRS at
+//!   two ranks as 1,225 or 1,884 visits), so they are reported with
+//!   their drift and never fail the diff.
 
 use std::collections::BTreeMap;
 use stgraph::json::Json;
@@ -27,24 +34,29 @@ use stgraph::json::Json;
 pub const TIME_REL: f64 = 0.5;
 /// Absolute wall-clock floor: phases under a millisecond are all noise.
 pub const TIME_ABS_US: u64 = 1000;
-/// Relative slack for deterministic-ish counters.
-pub const COUNTER_REL: f64 = 0.25;
-/// Absolute counter floor, so tiny runs don't flag ±a few visits.
-pub const COUNTER_ABS: u64 = 64;
+
+/// Phases whose message counts are a function of the instance alone:
+/// the probe exchange sends one probe per evaluated boundary arc, and
+/// the trace walk one message per traced vertex.
+const DETERMINISTIC_PHASES: [&str; 2] = ["local_min_edge", "tree_edge"];
 
 /// Outcome of one diff: every comparison line plus the regression count.
 pub struct Diff {
     /// Human-readable per-metric lines, regressions prefixed `REGRESSION`.
     pub lines: Vec<String>,
-    /// Number of metrics where B exceeded A's noise envelope.
+    /// Number of metrics where B fell outside A's class bound.
     pub regressions: usize,
 }
 
-/// One comparable metric extracted from a run report.
-#[derive(Clone, Copy)]
-struct Metric {
-    value: u64,
-    is_time: bool,
+/// How a metric is compared (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Class {
+    /// Wall clock: gated within [`TIME_REL`] / [`TIME_ABS_US`].
+    Time,
+    /// Schedule-independent counter: gated exactly.
+    Exact,
+    /// Schedule-dependent counter: reported, never gated.
+    Schedule,
 }
 
 /// Extracts the labelled runs a document carries: a BENCH envelope
@@ -73,81 +85,122 @@ fn runs_of(doc: &Json) -> Result<Vec<(String, Json)>, String> {
     }
 }
 
-/// Flattens one run report into named metrics. Missing sections are
-/// skipped, not errors — the diff only compares what both sides have.
-fn metrics_of(run: &Json) -> BTreeMap<String, Metric> {
+/// Flattens one run report into named, classed metrics. Missing
+/// sections are skipped, not errors — the diff only compares what both
+/// sides have.
+fn metrics_of(run: &Json) -> BTreeMap<String, (u64, Class)> {
     let mut out = BTreeMap::new();
-    let mut time = |name: String, value: u64| {
-        out.insert(
-            name,
-            Metric {
-                value,
-                is_time: true,
-            },
-        );
+    let one_rank = run
+        .get("config")
+        .and_then(|c| c.get("num_ranks"))
+        .and_then(|v| v.as_u64())
+        == Some(1);
+    // One rank runs one deterministic schedule, so all its counters are
+    // exact.
+    let by_schedule = if one_rank {
+        Class::Exact
+    } else {
+        Class::Schedule
+    };
+    let mut put = |name: String, value: Option<u64>, class: Class| {
+        if let Some(value) = value {
+            out.insert(name, (value, class));
+        }
     };
     if let Some(phases) = run.get("phase_times_us").and_then(|v| v.as_obj()) {
         for (phase, us) in phases {
-            if let Some(us) = us.as_u64() {
-                time(format!("time/{phase}_us"), us);
-            }
+            put(format!("time/{phase}_us"), us.as_u64(), Class::Time);
         }
     }
-    if let Some(total) = run.get("total_time_us").and_then(|v| v.as_u64()) {
-        time("time/total_us".to_string(), total);
-    }
-
-    let mut counter = |name: String, value: u64| {
-        out.insert(
-            name,
-            Metric {
-                value,
-                is_time: false,
-            },
-        );
-    };
-    if let Some(work) = run.get("rank_work").and_then(|v| v.as_arr()) {
-        counter(
-            "visits/total".to_string(),
-            work.iter().filter_map(|w| w.as_u64()).sum(),
+    put(
+        "time/total_us".to_string(),
+        run.get("total_time_us").and_then(|v| v.as_u64()),
+        Class::Time,
+    );
+    put(
+        "visits/total".to_string(),
+        run.get("rank_work")
+            .and_then(|v| v.as_arr())
+            .map(|work| work.iter().filter_map(|w| w.as_u64()).sum()),
+        by_schedule,
+    );
+    for (key, name) in [
+        ("stale_drops", "visits/stale_drops"),
+        ("pruned_at_push", "visits/pruned_at_push"),
+    ] {
+        let total = run.get(key).and_then(|s| s.get("total"));
+        put(
+            name.to_string(),
+            total.and_then(|v| v.as_u64()),
+            by_schedule,
         );
     }
     if let Some(counts) = run.get("message_counts").and_then(|v| v.as_obj()) {
         for (phase, c) in counts {
-            if let Some(bytes) = c.get("remote_bytes").and_then(|v| v.as_u64()) {
-                counter(format!("bytes/{phase}_remote"), bytes);
+            let class = if DETERMINISTIC_PHASES.contains(&phase.as_str()) {
+                Class::Exact
+            } else {
+                by_schedule
+            };
+            for (key, kind) in [("remote_msgs", "msgs"), ("remote_bytes", "bytes")] {
+                put(
+                    format!("{kind}/{phase}_remote"),
+                    c.get(key).and_then(|v| v.as_u64()),
+                    class,
+                );
             }
         }
     }
-    if let Some(peak) = run.get("state_peak_bytes").and_then(|v| v.as_u64()) {
-        counter("memory/state_peak_bytes".to_string(), peak);
-    }
+    put(
+        "memory/state_peak_bytes".to_string(),
+        run.get("state_peak_bytes").and_then(|v| v.as_u64()),
+        by_schedule,
+    );
     if let Some(phases) = run.get("peak_memory").and_then(|v| v.as_obj()) {
         for (phase, watermarks) in phases {
-            if let Some(total) = watermarks.get("total_bytes").and_then(|v| v.as_u64()) {
-                counter(format!("memory/{phase}_peak_bytes"), total);
-            }
-        }
-    }
-    if let Some(stale) = run
-        .get("stale_drops")
-        .and_then(|s| s.get("total"))
-        .and_then(|v| v.as_u64())
-    {
-        counter("visits/stale_drops".to_string(), stale);
-    }
-    // v7 Borůvka round counters — present (non-null) only for `--mst
-    // dist` runs, so replicated-vs-replicated diffs skip them.
-    if let Some(bv) = run.get("boruvka").filter(|v| !v.is_null()) {
-        if let Some(rounds) = bv.get("rounds").and_then(|v| v.as_u64()) {
-            counter("boruvka/rounds".to_string(), rounds);
-        }
-        if let Some(reduced) = bv.get("edges_reduced").and_then(|v| v.as_arr()) {
-            counter(
-                "boruvka/edges_reduced".to_string(),
-                reduced.iter().filter_map(|n| n.as_u64()).sum(),
+            put(
+                format!("memory/{phase}_peak_bytes"),
+                watermarks.get("total_bytes").and_then(|v| v.as_u64()),
+                by_schedule,
             );
         }
+    }
+    put(
+        "distance_graph/edges".to_string(),
+        run.get("distance_graph_edges").and_then(|v| v.as_u64()),
+        Class::Exact,
+    );
+    put(
+        "tree/total_distance".to_string(),
+        run.get("tree")
+            .and_then(|t| t.get("total_distance"))
+            .and_then(|v| v.as_u64()),
+        Class::Exact,
+    );
+    if let Some(sync) = run.get("sync_points") {
+        for key in ["barriers", "collectives"] {
+            put(
+                format!("sync_points/{key}"),
+                sync.get(key).and_then(|v| v.as_u64()),
+                Class::Exact,
+            );
+        }
+    }
+    // Borůvka round counters — present (non-null) only for `--mst
+    // dist` runs, so replicated-vs-replicated diffs skip them.
+    if let Some(bv) = run.get("boruvka").filter(|v| !v.is_null()) {
+        put(
+            "boruvka/rounds".to_string(),
+            bv.get("rounds").and_then(|v| v.as_u64()),
+            Class::Exact,
+        );
+        put(
+            "boruvka/edges_reduced".to_string(),
+            bv.get("edges_reduced")
+                .and_then(|v| v.as_arr())
+                .map(|reduced| reduced.iter().filter_map(|n| n.as_u64()).sum()),
+            Class::Exact,
+        );
     }
     out
 }
@@ -179,28 +232,33 @@ pub fn diff(a: &Json, b: &Json, counters_only: bool) -> Result<Diff, String> {
             lines.push(format!("note {label}: missing from candidate report"));
             continue;
         };
-        let a_metrics = metrics_of(a_run);
         let b_metrics = metrics_of(b_run);
-        for (name, am) in &a_metrics {
-            if counters_only && am.is_time {
+        for (name, (av, class)) in metrics_of(a_run) {
+            if counters_only && class == Class::Time {
                 continue;
             }
-            let Some(bm) = b_metrics.get(name) else {
+            let Some(&(bv, _)) = b_metrics.get(&name) else {
                 continue;
             };
-            let slack = if am.is_time {
-                (am.value as f64 * TIME_REL).max(TIME_ABS_US as f64)
-            } else {
-                (am.value as f64 * COUNTER_REL).max(COUNTER_ABS as f64)
+            let verdict = match class {
+                Class::Time => {
+                    let slack = (av as f64 * TIME_REL).max(TIME_ABS_US as f64);
+                    (bv as f64 > av as f64 + slack).then(|| format!("tol +{slack:.0}"))
+                }
+                Class::Exact => (bv != av).then(|| "exact counter".to_string()),
+                Class::Schedule => {
+                    lines.push(format!(
+                        "info {label} {name}: {av} -> {bv} (schedule-dependent, not gated)"
+                    ));
+                    continue;
+                }
             };
-            if bm.value as f64 > am.value as f64 + slack {
-                regressions += 1;
-                lines.push(format!(
-                    "REGRESSION {label} {name}: {} -> {} (tol +{slack:.0})",
-                    am.value, bm.value
-                ));
-            } else {
-                lines.push(format!("ok {label} {name}: {} -> {}", am.value, bm.value));
+            match verdict {
+                Some(why) => {
+                    regressions += 1;
+                    lines.push(format!("REGRESSION {label} {name}: {av} -> {bv} ({why})"));
+                }
+                None => lines.push(format!("ok {label} {name}: {av} -> {bv}")),
             }
         }
     }
@@ -219,6 +277,7 @@ mod tests {
     fn sample_run(voronoi_us: u64) -> Json {
         Json::obj()
             .with("schema_version", 5u64)
+            .with("config", Json::obj().with("num_ranks", 2u64))
             .with(
                 "phase_times_us",
                 Json::obj()
@@ -247,7 +306,10 @@ mod tests {
         let a = sample_run(10_000);
         let d = diff(&a, &a, false).unwrap();
         assert_eq!(d.regressions, 0, "{:?}", d.lines);
-        assert!(d.lines.iter().all(|l| l.starts_with("ok ")));
+        assert!(d
+            .lines
+            .iter()
+            .all(|l| l.starts_with("ok ") || l.starts_with("info ")));
     }
 
     #[test]
@@ -268,16 +330,98 @@ mod tests {
     }
 
     #[test]
-    fn counter_regression_survives_counters_only() {
+    fn exact_counter_changes_fail_counters_only_in_either_direction() {
+        let one_rank = |peak: u64| {
+            let mut run = sample_run(10_000);
+            run.insert("config", Json::obj().with("num_ranks", 1u64));
+            run.insert("state_peak_bytes", peak);
+            run
+        };
+        for peak in [2_000_000u64, 999_999] {
+            let d = diff(&one_rank(1_000_000), &one_rank(peak), true).unwrap();
+            assert_eq!(d.regressions, 1, "{:?}", d.lines);
+            assert!(d
+                .lines
+                .iter()
+                .any(|l| l.starts_with("REGRESSION") && l.contains("memory/state_peak_bytes")));
+        }
+        let mut b = sample_run(10_000);
+        b.insert("tree", Json::obj().with("total_distance", 41u64));
+        let mut a = sample_run(10_000);
+        a.insert("tree", Json::obj().with("total_distance", 40u64));
+        assert_eq!(diff(&a, &b, true).unwrap().regressions, 1);
+    }
+
+    #[test]
+    fn schedule_dependent_counters_are_reported_not_gated() {
         let a = sample_run(10_000);
         let mut b = sample_run(10_000);
         b.insert("state_peak_bytes", 2_000_000u64);
+        b.insert(
+            "rank_work",
+            Json::Arr(vec![Json::from(900u64), Json::from(880u64)]),
+        );
         let d = diff(&a, &b, true).unwrap();
-        assert_eq!(d.regressions, 1, "{:?}", d.lines);
-        assert!(d
-            .lines
-            .iter()
-            .any(|l| l.contains("memory/state_peak_bytes")));
+        assert_eq!(d.regressions, 0, "{:?}", d.lines);
+        for name in [
+            "memory/state_peak_bytes",
+            "visits/total",
+            "bytes/voronoi_remote",
+        ] {
+            assert!(
+                d.lines
+                    .iter()
+                    .any(|l| l.starts_with("info ") && l.contains(name)),
+                "{name}: {:?}",
+                d.lines
+            );
+        }
+    }
+
+    /// The split itself: every exact-class counter of a solve repeats
+    /// bit for bit under perturbed thread schedules, at one rank and at
+    /// several, under both MST pipelines.
+    #[test]
+    fn exact_counters_repeat_under_perturbed_schedules() {
+        use std::sync::Arc;
+        use steiner::{MstMode, PersistentWorld, SolverConfig};
+        let g = stgraph::datasets::Dataset::Frs.generate_tiny(3);
+        let cc = stgraph::traversal::connected_components(&g);
+        let verts = cc.largest_component_vertices();
+        let seeds: Vec<u32> = verts.iter().step_by(verts.len() / 12).copied().collect();
+        for p in [1usize, 2, 4] {
+            let pg = Arc::new(stgraph::partition::partition_graph(&g, p, None));
+            for mst_mode in [MstMode::Dist, MstMode::Replicated] {
+                let config = SolverConfig {
+                    num_ranks: p,
+                    mst_mode,
+                    ..SolverConfig::default()
+                };
+                let exact: Vec<BTreeMap<String, u64>> = (0..6u64)
+                    .map(|seed| {
+                        let world = PersistentWorld::new_with_config(
+                            p,
+                            struntime::WorldConfig {
+                                perturb_seed: Some(seed),
+                                ..struntime::WorldConfig::default()
+                            },
+                        );
+                        let report = steiner::solve_on(&world, &pg, &seeds, &config).unwrap();
+                        metrics_of(&report.run_report().to_json())
+                            .into_iter()
+                            .filter(|(_, (_, class))| *class == Class::Exact)
+                            .map(|(name, (value, _))| (name, value))
+                            .collect()
+                    })
+                    .collect();
+                assert!(exact[0].contains_key("sync_points/barriers"));
+                assert!(exact[0].contains_key("msgs/tree_edge_remote") || p == 1);
+                assert_eq!(exact[0].contains_key("visits/total"), p == 1);
+                for (seed, counters) in exact.iter().enumerate() {
+                    assert_eq!(counters, &exact[0], "p={p} {mst_mode:?} seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]
