@@ -8,8 +8,6 @@
 //! - [`shortest_path`]: Dijkstra, Bellman–Ford, and multi-source Dijkstra
 //!   (exact Voronoi cells — the sequential reference for the distributed
 //!   kernel);
-//! - [`delta_stepping`]: the Δ-stepping SSSP kernel the paper weighs
-//!   against its asynchronous Bellman-Ford choice (§III);
 //! - [`apsp`]: seed-pair all-pairs shortest paths (the expensive KMB Step 1
 //!   that Table I compares against Voronoi cells);
 //! - [`mst`]: Kruskal and Prim over auxiliary edge lists; [`dsu`];
@@ -28,7 +26,6 @@
 
 pub mod apsp;
 pub mod common;
-pub mod delta_stepping;
 pub mod exact;
 pub mod improve;
 pub mod kmb;

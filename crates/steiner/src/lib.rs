@@ -43,7 +43,6 @@
 
 pub mod boruvka;
 pub mod distance_graph;
-pub mod interactive;
 pub mod messages;
 pub mod mst;
 pub mod phases;
@@ -297,9 +296,6 @@ fn check_seeds_against(num_vertices: usize, seeds: &[Vertex]) -> Result<Vec<Vert
 /// paths of the distance graph add one edge and a second label, so every
 /// sum the solver forms is at most `(2n - 1) * max_weight`. That bound
 /// must stay below `INF`, which marks an unreached vertex.
-///
-/// [`interactive::InteractiveSession`] forms the same sums, so it checks
-/// the same bound.
 pub(crate) fn check_weights(num_vertices: usize, max_weight: Weight) -> Result<(), SteinerError> {
     let longest = (2 * num_vertices as u64)
         .saturating_sub(1)

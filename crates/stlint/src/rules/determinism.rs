@@ -17,11 +17,7 @@ use std::collections::BTreeSet;
 
 /// Crates whose `src/` trees are solver paths: nondeterminism there can
 /// reach tree outputs, counters, or reports.
-pub const SOLVER_PATHS: &[&str] = &[
-    "crates/steiner/src",
-    "crates/struntime/src",
-    "crates/stvariants/src",
-];
+pub const SOLVER_PATHS: &[&str] = &["crates/steiner/src", "crates/struntime/src"];
 
 fn in_solver_path(path: &str) -> bool {
     SOLVER_PATHS.iter().any(|p| path.starts_with(p))

@@ -8,9 +8,8 @@
 //! queue degrades gracefully to FIFO on uniform priorities.
 //!
 //! The priority discipline is a cyclic ring of buckets, one per key (the
-//! bucket structure of delta-stepping, cf. the sequential
-//! `baselines::delta_stepping` kernel and *Engineering Massively Parallel
-//! MST Algorithms*, arXiv:2302.12199). Pushes are O(1) with no heap sift;
+//! bucket structure of Meyer and Sanders' Δ-stepping, cf. *Engineering
+//! Massively Parallel MST Algorithms*, arXiv:2302.12199). Pushes are O(1) with no heap sift;
 //! pops drain the lowest non-empty bucket in arrival order, which is
 //! exactly the `(prio, seq)` order of a binary heap. Callers choose the
 //! bucket width by the keys they push: the Voronoi kernel pushes

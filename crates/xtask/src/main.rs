@@ -81,9 +81,8 @@
 //! `bench-guard` compares the freshly generated
 //! `BENCH_fig3_strong_scaling.json` in the given directory (default:
 //! `bench_results/`) against the checked-in
-//! `fig3_guard_baseline.json`. Per scale point it bounds the drift of the
-//! voronoi phase's share of total time within the baseline's tolerance,
-//! and pins the deterministic counters exactly: every point's sync points
+//! `fig3_guard_baseline.json`. Per scale point it pins the deterministic
+//! counters exactly: every point's sync points
 //! (barriers and collective calls), `--mst dist` points' Borůvka round
 //! count, and one-rank points' visits and stale drops plus pruned
 //! relaxations (one rank runs a deterministic schedule; pruning at push
@@ -91,8 +90,11 @@
 //! their sum). Multi-rank visits, stale drops and pruned relaxations move
 //! with the thread schedule (FRS at two ranks reads 1,225 or 1,884 visits
 //! on one binary), so they are reported, with a note when they leave the
-//! baseline's recorded tolerances, and never fail the guard. A baseline
-//! entry without `pruned` predates the counter and counts as 0.
+//! baseline's recorded tolerances, and never fail the guard. So is the
+//! voronoi phase's share of total time: a wall-clock share of a ~1 ms
+//! quick solve left the baseline's ±0.25 in one of five runs of an
+//! unchanged binary. A baseline entry without `pruned` predates the
+//! counter and counts as 0.
 //! `--update-baseline` rewrites the baseline from the current report.
 //! Exit code 0 means every point within tolerance; 1 means drift or a
 //! scale point missing from the fresh report; 2 means usage or I/O
@@ -625,9 +627,8 @@ fn guard_points(doc: &stgraph::json::Json) -> Result<Vec<GuardPoint>, String> {
 }
 
 /// Default drift bounds written into a fresh baseline. Phase shares move
-/// with host timing, so the share bound is sized for regression-catching,
-/// not noise-chasing. Multi-rank visit and stale counts are
-/// schedule-dependent: their bounds only decide when the guard prints a
+/// with host timing, and multi-rank visit and stale counts with the
+/// thread schedule: their bounds only decide when the guard prints a
 /// drift note.
 const GUARD_SHARE_ABS: f64 = 0.25;
 const GUARD_VISITS_REL: f64 = 0.25;
@@ -752,11 +753,13 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
             continue;
         };
         let mut bad = Vec::new();
+        // A wall-clock share of a ~1 ms solve: reported, never gated.
         if (now.voronoi_share - b_share).abs() > share_abs {
-            bad.push(format!(
-                "voronoi share {:.2} drifted from {:.2} (tol ±{share_abs:.2})",
+            println!(
+                "  note {label}: voronoi share {:.2} drifted from {:.2} \
+                 (tol ±{share_abs:.2}; wall clock, not gated)",
                 now.voronoi_share, b_share
-            ));
+            );
         }
         if now.ranks > 1 {
             // Schedule-dependent: reported, never gated.

@@ -14,7 +14,8 @@
 //!                      [--telemetry] [--monitor]
 //! steiner-cli compare  --graph graph.bin --select K[:STRATEGY]
 //! steiner-cli repl     --graph graph.bin [--select K[:STRATEGY]]
-//!                      [--ranks P] [--trace trace.json] [--report report.json]
+//!                      [--ranks P] [--queue KIND] [--mst MODE] [--faults SPEC]
+//!                      [--trace trace.json] [--report report.json]
 //!                      [--telemetry] [--monitor]
 //! ```
 //!
@@ -22,17 +23,18 @@
 
 use baselines::{kmb, mehlhorn, takahashi, www};
 use seeds::Strategy;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
-use steiner::interactive::InteractiveSession;
+use std::time::{Duration, Instant};
 use steiner::{
-    solve, FaultPlan, MetricsConfig, MstMode, QueueKind, SolveReport, SolverConfig,
-    TelemetryConfig, TraceConfig,
+    solve, solve_partitioned, FaultPlan, MetricsConfig, MstMode, QueueKind, SolveReport,
+    SolverConfig, TelemetryConfig, TraceConfig,
 };
 use stgraph::csr::{CsrGraph, Vertex};
 use stgraph::datasets::Dataset;
+use stgraph::error::SteinerError;
+use stgraph::partition::{partition_graph, PartitionedGraph};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,7 +74,7 @@ Both choose the bit-identical tree.
 
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
 lane per simulated rank); --report writes the machine-readable RunReport
-(schema v9, with latency quantiles from the runtime's histograms, the
+(schema v10, with latency quantiles from the runtime's histograms, the
 fault/retransmit counters, per-rank stale-relaxation drop and
 pruned-at-push counts, the crash-recovery counters, the Borůvka round
 counters under --mst dist,
@@ -107,8 +109,9 @@ FLIGHT_RECORDER_DIR is set and telemetry is on).
                        [--telemetry] [--monitor]
 
 repl commands: add V | remove V | seeds | tree | solve | dot FILE | help | quit
-(`solve` runs the distributed solver on the current seeds; with the repl's
---trace/--report flags it writes the same artifacts as batch solve)
+(the repl partitions the graph once; `tree`, `dot` and `solve` each run the
+distributed solver on the current seeds with the repl's flags, and `solve`
+also writes the --trace/--report artifacts of batch solve)
 
 datasets: WDC CLW UKW FRS LVJ PTN MCO CTS
 strategies: bfs-level uniform-random eccentric proximate";
@@ -386,16 +389,14 @@ fn mst_mode(flags: &HashMap<String, String>) -> Result<MstMode, String> {
     }
 }
 
-fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
-    let g = load_graph(flags)?;
-    let seeds = seeds_from_flags(&g, flags)?;
-    let queue = queue_kind(flags)?;
+/// The distributed solver's config from the flags batch solve and the
+/// repl share (batch solve adds `--refine`).
+fn solver_config(flags: &HashMap<String, String>) -> Result<SolverConfig, String> {
     let (trace, metrics, telemetry) = observability_config(flags);
-    let config = SolverConfig {
+    Ok(SolverConfig {
         num_ranks: rank_count(flags)?,
-        queue,
+        queue: queue_kind(flags)?,
         mst_mode: mst_mode(flags)?,
-        refine: flags.contains_key("refine"),
         trace,
         metrics,
         telemetry,
@@ -403,6 +404,15 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
         deadline: deadline(flags)?,
         max_restores: restore_budget(flags),
         ..SolverConfig::default()
+    })
+}
+
+fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
+    let g = load_graph(flags)?;
+    let seeds = seeds_from_flags(&g, flags)?;
+    let config = SolverConfig {
+        refine: flags.contains_key("refine"),
+        ..solver_config(flags)?
     };
     let t = Instant::now();
     let report = solve(&g, &seeds, &config).map_err(|e| e.to_string())?;
@@ -542,21 +552,44 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Solves the REPL's current seed set on its once-partitioned graph: the
+/// one path behind `tree`, `dot` and `solve`. Returns the report and the
+/// solve's wall time.
+fn repl_solve(
+    pg: &PartitionedGraph,
+    seeds: &BTreeSet<Vertex>,
+    config: &SolverConfig,
+) -> Result<(SolveReport, Duration), String> {
+    let seeds: Vec<Vertex> = seeds.iter().copied().collect();
+    let t = Instant::now();
+    let report = solve_partitioned(pg, &seeds, config).map_err(|e| e.to_string())?;
+    Ok((report, t.elapsed()))
+}
+
+/// Rejects a seed outside the graph's vertex range at edit time.
+fn check_seed(g: &CsrGraph, v: Vertex) -> Result<Vertex, String> {
+    if (v as usize) < g.num_vertices() {
+        Ok(v)
+    } else {
+        Err(SteinerError::SeedOutOfRange(v).to_string())
+    }
+}
+
 fn cmd_repl(flags: &HashMap<String, String>) -> Result<(), String> {
     let g = load_graph(flags)?;
-    let initial = if flags.contains_key("seeds") || flags.contains_key("select") {
-        seeds_from_flags(&g, flags)?
-    } else {
-        Vec::new()
-    };
-    let (obs_trace, obs_metrics, obs_telemetry) = observability_config(flags);
-    let obs_faults = fault_plan(flags)?;
-    let mut session = InteractiveSession::new(&g, &initial).map_err(|e| e.to_string())?;
+    let mut seeds = BTreeSet::new();
+    if flags.contains_key("seeds") || flags.contains_key("select") {
+        for v in seeds_from_flags(&g, flags)? {
+            seeds.insert(check_seed(&g, v)?);
+        }
+    }
+    let config = solver_config(flags)?;
+    let pg = partition_graph(&g, config.num_ranks, config.delegate_threshold);
     println!(
         "interactive session: {} vertices, {} edges, {} seeds; type `help`",
         g.num_vertices(),
         g.num_edges(),
-        session.seeds().len()
+        seeds.len()
     );
     let stdin = std::io::stdin();
     let mut line = String::new();
@@ -580,84 +613,44 @@ fn cmd_repl(flags: &HashMap<String, String>) -> Result<(), String> {
                 Ok(())
             }
             "seeds" => {
-                println!("{:?}", session.seeds());
+                println!("{:?}", seeds.iter().collect::<Vec<_>>());
                 Ok(())
             }
             "add" | "remove" => match it.next().and_then(|t| t.parse::<Vertex>().ok()) {
                 None => Err(format!("{cmd} needs a vertex id")),
+                Some(v) if cmd == "add" => check_seed(&g, v).map(|v| {
+                    seeds.insert(v);
+                    println!("add {v}: {} seeds", seeds.len());
+                }),
                 Some(v) => {
-                    let t = Instant::now();
-                    let res = if cmd == "add" {
-                        session.add_seed(v)
-                    } else {
-                        session.remove_seed(v)
-                    };
-                    res.map(|stats| {
-                        println!(
-                            "{cmd} {v}: relabeled {} vertices in {:?}",
-                            stats.relabeled,
-                            t.elapsed()
-                        );
-                    })
-                    .map_err(|e| e.to_string())
+                    seeds.remove(&v);
+                    println!("remove {v}: {} seeds", seeds.len());
+                    Ok(())
                 }
             },
-            "tree" => {
-                let t = Instant::now();
-                match session.tree() {
-                    Ok(tree) => {
-                        let m = tree.metrics();
-                        println!(
-                            "tree: distance {} | {} edges | {} steiner vertices | \
-                             diameter {} | built in {:?}",
-                            m.total_distance,
-                            m.num_edges,
-                            m.steiner_vertices,
-                            m.weighted_diameter,
-                            t.elapsed()
-                        );
-                        Ok(())
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            "solve" => {
-                // Full distributed solve on the session's current seeds,
-                // with the same --trace/--report artifact plumbing as the
-                // batch `solve` subcommand (PR 2 wired only that path).
-                let config = SolverConfig {
-                    num_ranks: rank_count(flags)?,
-                    queue: queue_kind(flags)?,
-                    mst_mode: mst_mode(flags)?,
-                    trace: obs_trace,
-                    metrics: obs_metrics,
-                    telemetry: obs_telemetry,
-                    faults: obs_faults,
-                    deadline: deadline(flags)?,
-                    max_restores: restore_budget(flags),
-                    ..SolverConfig::default()
-                };
-                let t = Instant::now();
-                match solve(&g, &session.seeds(), &config) {
-                    Ok(report) => {
-                        println!(
-                            "distributed solve: distance {} | {} edges | {} ranks | {:?}",
-                            report.tree.total_distance(),
-                            report.tree.num_edges(),
-                            config.num_ranks,
-                            t.elapsed()
-                        );
-                        write_solve_artifacts(&report, flags)
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
+            "tree" => repl_solve(&pg, &seeds, &config).map(|(report, elapsed)| {
+                let m = report.tree.metrics();
+                println!(
+                    "tree: distance {} | {} edges | {} steiner vertices | \
+                     diameter {} | built in {elapsed:?}",
+                    m.total_distance, m.num_edges, m.steiner_vertices, m.weighted_diameter,
+                );
+            }),
+            "solve" => repl_solve(&pg, &seeds, &config).and_then(|(report, elapsed)| {
+                println!(
+                    "distributed solve: distance {} | {} edges | {} ranks | {elapsed:?}",
+                    report.tree.total_distance(),
+                    report.tree.num_edges(),
+                    config.num_ranks,
+                );
+                write_solve_artifacts(&report, flags)
+            }),
             "dot" => match it.next() {
                 None => Err("dot needs a file path".into()),
-                Some(path) => session
-                    .tree()
-                    .map_err(|e| e.to_string())
-                    .and_then(|tree| std::fs::write(path, tree.to_dot()).map_err(|e| e.to_string()))
+                Some(path) => repl_solve(&pg, &seeds, &config)
+                    .and_then(|(report, _)| {
+                        std::fs::write(path, report.tree.to_dot()).map_err(|e| e.to_string())
+                    })
                     .map(|()| println!("wrote {path}")),
             },
             other => Err(format!("unknown command {other:?} (try `help`)")),

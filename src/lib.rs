@@ -11,4 +11,3 @@ pub use seeds;
 pub use steiner;
 pub use stgraph;
 pub use struntime;
-pub use stvariants;

@@ -141,10 +141,103 @@ fn repl_executes_scripted_session() {
     let out = child.wait_with_output().expect("wait");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("add 1: relabeled"), "{text}");
+    assert!(text.contains("add 1: 1 seeds"), "{text}");
     assert!(text.contains("tree: distance"), "{text}");
     assert!(text.contains("error: unknown command"), "{text}");
     assert!(text.contains("[1, 100]"), "{text}");
+}
+
+/// Feeds `script` to a REPL over `graph` and returns its stdout; the
+/// REPL must exit cleanly.
+fn run_repl(graph: &std::path::Path, script: &str) -> String {
+    let mut child = cli()
+        .args(["repl", "--graph", graph.to_str().unwrap(), "--ranks", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .expect("write script");
+    let out = child.wait_with_output().expect("wait");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The number after `key` on the first line of `text` that contains it.
+fn number_after(text: &str, key: &str) -> u64 {
+    let rest = &text[text
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key:?} in:\n{text}"))
+        + key.len()..];
+    rest.split_whitespace()
+        .next()
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("no number after {key:?} in:\n{text}"))
+}
+
+#[test]
+fn repl_tree_matches_batch_solve_after_edits() {
+    let dir = tempdir();
+    let graph = generate_graph(&dir);
+    let text = run_repl(
+        &graph,
+        "add 1\nadd 100\nadd 7\nadd 300\nremove 7\nadd 250\nremove 100\nremove 42\n\
+         add 100\ntree\nquit\n",
+    );
+    assert!(text.contains("remove 42: 3 seeds"), "{text}");
+    let out = cli()
+        .args([
+            "solve",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--seeds",
+            "1,100,250,300",
+            "--ranks",
+            "2",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let batch = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        number_after(&text, "tree: distance"),
+        number_after(&batch, "total distance"),
+        "repl:\n{text}\nbatch:\n{batch}"
+    );
+}
+
+#[test]
+fn repl_rejects_out_of_range_add_and_keeps_going() {
+    let dir = tempdir();
+    let graph = generate_graph(&dir);
+    // The CTS tiny analogue has 512 vertices, so 512 is one past the end.
+    let text = run_repl(&graph, "add 512\nadd 3\nseeds\nquit\n");
+    let err = stgraph::error::SteinerError::SeedOutOfRange(512);
+    assert!(text.contains(&format!("error: {err}")), "{text}");
+    assert!(text.contains("add 3: 1 seeds"), "{text}");
+    assert!(text.contains("[3]"), "{text}");
+}
+
+#[test]
+fn repl_tree_with_one_seed_is_a_structured_error() {
+    let dir = tempdir();
+    let graph = generate_graph(&dir);
+    let text = run_repl(&graph, "add 5\ntree\nseeds\nquit\n");
+    let err = stgraph::error::SteinerError::TooFewSeeds { got: 1 };
+    assert!(text.contains(&format!("error: {err}")), "{text}");
+    assert!(text.contains("[5]"), "{text}");
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! `cargo test --release --test stress -- --ignored`.
 //!
 //! These exercise the suite at its largest analogue scale (the paper's
-//! smallest cluster configurations) and under sustained interactive load.
+//! smallest cluster configurations) and under many repeated solves on
+//! resident ranks.
 
 use steiner::{solve, SolverConfig};
 use stgraph::datasets::Dataset;
@@ -46,30 +47,6 @@ fn ten_thousand_seeds_on_largest_analogue() {
     // "under one minute" at cluster scale; our analogue is far smaller, so
     // hold it to the same wall-clock budget on one core.
     assert!(elapsed.as_secs() < 60, "took {elapsed:?}");
-}
-
-#[test]
-#[ignore = "sustained interactive-session churn"]
-fn interactive_session_survives_thousands_of_edits() {
-    use steiner::interactive::InteractiveSession;
-    let g = Dataset::Lvj.generate(3);
-    let cc = stgraph::traversal::connected_components(&g);
-    let verts = cc.largest_component_vertices();
-    let mut session = InteractiveSession::new(&g, &[verts[0]]).expect("valid");
-    // Deterministic churn: add/remove in a rolling window.
-    for (i, &v) in verts.iter().cycle().take(2000).enumerate() {
-        if i % 3 == 2 {
-            session.remove_seed(v).expect("in range");
-        } else {
-            session.add_seed(v).expect("in range");
-        }
-    }
-    session
-        .validate_against_fresh()
-        .expect("state exact after 2000 edits");
-    if session.seeds().len() >= 2 {
-        session.tree().expect("tree").validate(&g).expect("valid");
-    }
 }
 
 #[test]
