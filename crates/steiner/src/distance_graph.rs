@@ -6,17 +6,19 @@
 //! connecting-path length `d_1(s, u) + d(u, v) + d_1(v, t)` becomes a
 //! candidate weight for the distance-graph edge `(s, t)`. The phase is
 //! edge-centric, as in the paper's Alg 5 (a local scan, then a collective
-//! reduce), and runs no traversal: a probe never spawns further work, so
-//! it needs a bulk exchange, not termination detection.
+//! reduce), and runs no traversal.
 //!
-//! - **Scan.** When `v`'s state is held here the arc is offered at once;
-//!   otherwise it becomes a [`ProbeMsg`] in the bucket of `v`'s owner.
-//! - **Exchange.** The buckets cross in one [`Comm::alltoallv`] per
-//!   round, and each rank offers the probes it receives in a tight loop.
-//!   A rank scans its sources in `exchange_rounds` rounds of about
-//!   `ROUND_ARCS` arcs each, so the probes in flight stay bounded. The
-//!   round count is the same on every rank because each rank derives it
-//!   from every rank's arc count.
+//! - **Halo.** Arc targets are local ids ([`stgraph::partition`]): held
+//!   slots, then *ghosts*, the remote targets. Each rank packs the
+//!   `(dist, cell)` of its held slots, sends each peer the entries of its
+//!   mirror list for that peer in one [`Comm::alltoallv`], and appends
+//!   what it receives, which is its ghosts' entries in ghost order. Each
+//!   remote label crosses once, however many arcs name it: the halo
+//!   exchange of the bulk-synchronous MST algorithms of Sanders and
+//!   Schimek (arXiv:2302.12199). Every rank joins the one exchange, with
+//!   or without mirrors, at one rank too.
+//! - **Scan.** Every evaluated arc is then offered locally, from one read
+//!   of its target's `(dist, cell)` pair.
 //! - **Reduce.** Under `--mst replicated` each rank ends with its best
 //!   bridge per cell pair, sorted by pair key, and the global minima are
 //!   found with one dense `Allreduce(MIN)` over the paper's
@@ -24,46 +26,46 @@
 //!   `--mst dist` each rank instead keeps the minimum spanning forest of
 //!   its candidates (`spanning_forest`), at most `|S| - 1` edges, and
 //!   hands it to the Borůvka rounds ([`crate::boruvka`]). A listed rank
-//!   shrinks its candidates to that forest after every round but the
-//!   last, so it holds one round's candidates plus the forest.
+//!   shrinks its candidates to that forest after about every
+//!   `SHRINK_ARCS` scanned arcs, so it holds about that many arcs'
+//!   candidates plus the forest.
 //!
 //! No map sits on the local path:
 //!
 //! - **Cell index.** A cell is named by its seed's index in the sorted
-//!   seed list, resolved once per held vertex (`cell_labels`) rather than
-//!   once per arc endpoint, and packed with the vertex's distance, so an
-//!   arc endpoint costs one array read. Seed-index order is seed-vertex
-//!   order, so tie-breaking is unchanged.
+//!   seed list, resolved once per held vertex (`cell_labels`) rather
+//!   than once per arc endpoint, and packed with the vertex's distance,
+//!   so an arc endpoint costs one array read. Seed-index order is
+//!   seed-vertex order, so tie-breaking is unchanged.
 //! - **Direct loops.** The scan walks each source's adjacency slice
 //!   ([`RankGraph::owned_arcs`], [`RankGraph::delegate_arcs`]); a
-//!   source's index is also the held index of its state, so only the far
-//!   end `v` is looked up.
+//!   source's index is its local id, and so is every target.
 //! - **One evaluation per undirected edge, half the arcs read.** An arc
-//!   `(u, v)` is evaluated iff [`evaluates`] accepts it: `u < v` agrees
-//!   with `u + v` being even. Exactly one of an edge's two arcs passes,
-//!   and self-loops never do. Every arc is stored on exactly one rank:
-//!   the owner of `u`, or the rank holding that share of a delegate `u`'s
-//!   adjacency. The candidate is the same from either direction, so
-//!   per-pair minima are unchanged. The parity spreads the evaluating end
-//!   over both endpoints, so under the block partition probes flow both
-//!   ways instead of all toward the higher rank. `partition_graph` stores
-//!   each source's evaluated arcs first, so the scan walks that prefix
-//!   and stops at the first arc it does not evaluate: one branch per
-//!   source, and the other half of the arcs is never read.
+//!   `(u, v)` is evaluated iff [`evaluates`](stgraph::partition::evaluates)
+//!   accepts it: `u < v` agrees with `u + v` being even. Exactly one of an
+//!   edge's two arcs passes, and self-loops never do. Every arc is stored
+//!   on exactly one rank: the owner of `u`, or the rank holding that
+//!   share of a delegate `u`'s adjacency. The candidate is the same from
+//!   either direction, so per-pair minima are unchanged. The parity
+//!   spreads the evaluating end over both endpoints, so under the block
+//!   partition boundary edges are scanned on both sides, not all on the
+//!   lower rank. `partition_graph` stores each source's evaluated arcs
+//!   first and records how many there are
+//!   ([`RankGraph::num_evaluated`]), so the scan walks that prefix with no
+//!   per-arc test, and the other half of the arcs is never read.
 //! - **Dense or listed candidates.** A rank whose local arc count is at
 //!   least `binom(|S|, 2)` folds candidates into a dense [`pair_offset`]
-//!   table. Otherwise it appends them as `(total, si, ti, a, b, weight)` tuples and sorts (the
-//!   replicated per-pair list) or filters (the forest): the filter/sort
-//!   edge processing of Sanders and Schimek (arXiv:2302.12199). Either
-//!   way the working set is bounded by the rank's arcs, and both give the
-//!   same result.
+//!   table. Otherwise it appends them as `(total, si, ti, a, b, weight)`
+//!   tuples and sorts (the replicated per-pair list) or filters (the
+//!   forest): the filter/sort edge processing of Sanders and Schimek.
+//!   Either way the working set is bounded by the rank's arcs, and both
+//!   give the same result.
 
-use crate::messages::ProbeMsg;
 use crate::state::{VertexStates, NO_VERTEX};
 use crate::{MstMode, Phase};
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::dsu::Dsu;
-use stgraph::partition::{evaluates, BlockPartition, PartitionedGraph, RankGraph};
+use stgraph::partition::{LocalId, PartitionedGraph, RankGraph};
 use struntime::Comm;
 
 /// The winning bridge for one distance-graph edge `(s, t)`.
@@ -125,23 +127,23 @@ pub(crate) fn keyed((total, si, ti, a, b, weight): Cand) -> (PairKey, MinEdge) {
 /// Cell of a vertex no seed reached.
 const NO_CELL: u32 = u32::MAX;
 
-/// This rank's scan input, packed: for each state slot it holds (indexed
-/// by [`VertexStates::held_index`]), the label's distance and the index
-/// in `seeds` of its source, or [`NO_CELL`]. `seeds` must be sorted, as
-/// the solver entry points leave them.
-fn cell_labels(states: &VertexStates, seeds: &[Vertex]) -> Vec<(Distance, u32)> {
-    (0..states.num_held())
-        .map(|i| {
-            let label = states.label_at(i);
-            let cell = match label.src {
-                NO_VERTEX => NO_CELL,
-                src => seeds
-                    .binary_search(&src)
-                    .expect("every label source is a seed") as u32,
-            };
-            (label.dist, cell)
-        })
-        .collect()
+/// This rank's scan input for each held slot: the label's distance and
+/// its cell, the index in `seeds` of its source, or [`NO_CELL`]. `seeds`
+/// must be sorted, as the solver entry points leave them. `capacity`
+/// leaves room for the ghosts' entries.
+fn cell_labels(states: &VertexStates, seeds: &[Vertex], capacity: usize) -> Vec<(Distance, u32)> {
+    let mut cells = Vec::with_capacity(capacity);
+    cells.extend((0..states.num_held()).map(|i| {
+        let label = states.label_at(i);
+        let cell = match label.src {
+            NO_VERTEX => NO_CELL,
+            src => seeds
+                .binary_search(&src)
+                .expect("every label source is a seed") as u32,
+        };
+        (label.dist, cell)
+    }));
+    cells
 }
 
 /// One rank's candidates (see the module docs).
@@ -314,30 +316,17 @@ fn dense_entries(
         .filter(|&(_, e)| e.total != INF)
 }
 
-/// About how many arcs a rank scans per exchange round. It bounds the
-/// probes in flight, which a single whole-rank exchange would hold all
-/// at once.
-const ROUND_ARCS: usize = 1 << 16;
-
-/// Exchange rounds of the local phase: enough that no rank scans more
-/// than about `round_arcs` arcs per round, and at least one. Every rank
-/// computes it from every rank's arc count, so all agree without a
-/// collective.
-fn exchange_rounds(pg: &PartitionedGraph, round_arcs: usize) -> usize {
-    pg.ranks
-        .iter()
-        .map(|rg| rg.num_local_arcs().div_ceil(round_arcs))
-        .max()
-        .unwrap_or(0)
-        .max(1)
-}
+/// About how many stored arcs a rank scans between two shrinks of its
+/// listed candidates to their spanning forest under [`MstMode::Dist`].
+/// It bounds the candidates held at once.
+const SHRINK_ARCS: usize = 1 << 16;
 
 /// Local phase: returns this rank's candidates. Under
 /// [`MstMode::Replicated`] that is each cell pair's best bridge, sorted by
 /// pair key; under [`MstMode::Dist`], the minimum spanning forest of the
 /// rank's candidates. `seeds` is the sorted seed list that names the
-/// cells. Collective: every rank runs the same number of rounds of
-/// [`Comm::alltoallv`].
+/// cells. Collective: every rank joins one [`Comm::alltoallv`], the halo
+/// exchange.
 pub fn local_min_edges(
     comm: &Comm,
     pg: &PartitionedGraph,
@@ -345,122 +334,93 @@ pub fn local_min_edges(
     seeds: &[Vertex],
     mst_mode: MstMode,
 ) -> Vec<(PairKey, MinEdge)> {
-    local_min_edges_in_rounds(comm, pg, states, seeds, mst_mode, ROUND_ARCS)
+    local_min_edges_shrinking(comm, pg, states, seeds, mst_mode, SHRINK_ARCS)
 }
 
-/// [`local_min_edges`] with `round_arcs` arcs per round.
-fn local_min_edges_in_rounds(
+/// [`local_min_edges`], shrinking listed candidates to their forest after
+/// about every `shrink_arcs` stored arcs under [`MstMode::Dist`].
+fn local_min_edges_shrinking(
     comm: &Comm,
     pg: &PartitionedGraph,
     states: &VertexStates,
     seeds: &[Vertex],
     mst_mode: MstMode,
-    round_arcs: usize,
+    shrink_arcs: usize,
 ) -> Vec<(PairKey, MinEdge)> {
     let rg = &pg.ranks[comm.rank()];
-    let cells = cell_labels(states, seeds);
+    let cells = halo_cells(comm, rg, states, seeds);
     let mut mins = PairMins::new(seeds.len(), rg.num_local_arcs());
-    let mut scan = Scan {
-        rg,
-        states,
-        cells: &cells,
-        partition: &pg.partition,
-        out: vec![Vec::new(); comm.num_ranks()],
-    };
-    let rounds = exchange_rounds(pg, round_arcs);
-    let (arcs, sources) = (rg.num_local_arcs(), rg.num_sources());
-    let (mut next, mut scanned) = (0, 0);
-    let mut inbox = Vec::new();
-    for round in 1..=rounds {
-        // Sources up to the round's share of the arcs; the last round
-        // takes the rest.
-        let target = arcs * round / rounds;
-        while next < sources && (scanned < target || round == rounds) {
-            scanned += scan.source(next, &mut mins);
-            next += 1;
-        }
-        comm.alltoallv(Phase::LocalMinEdge.name(), &scan.out, &mut inbox);
-        scan.out.iter_mut().for_each(Vec::clear);
-        for probe in &inbox {
-            let iv = states.held_index(probe.v).expect("probes go to v's owner");
-            let (v_dist, v_cell) = cells[iv];
-            mins.offer(
-                (probe.u, probe.u_cell, probe.u_dist),
-                (probe.v, v_cell, v_dist),
-                probe.weight,
-            );
-        }
-        if round < rounds && mst_mode == MstMode::Dist {
+    let sources = rg.num_sources();
+    let mut unshrunk = 0;
+    for i in 0..sources {
+        unshrunk += scan_source(rg, &cells, i, &mut mins);
+        if mst_mode == MstMode::Dist && unshrunk >= shrink_arcs && i + 1 < sources {
             mins.shrink_to_forest();
+            unshrunk = 0;
         }
     }
     mins.finish(mst_mode)
 }
 
-/// What the local scan reads: the rank's arcs, the held states, their
-/// packed [`cell_labels`] and the owner map; and what it writes: one
-/// probe bucket per rank.
-struct Scan<'a> {
-    rg: &'a RankGraph,
-    states: &'a VertexStates,
-    cells: &'a [(Distance, u32)],
-    partition: &'a BlockPartition,
-    out: Vec<Vec<ProbeMsg>>,
+/// The [`cell_labels`] of every local id of `rg`: its held slots, then
+/// its ghosts. A ghost's entry is its owner's, so each rank sends each
+/// peer the entries of its mirror list for that peer, in one
+/// [`Comm::alltoallv`]. The exchange delivers by source rank, and the
+/// ghosts are grouped by owner in rank order, so what arrives is the
+/// ghosts' entries in ghost order.
+fn halo_cells(
+    comm: &Comm,
+    rg: &RankGraph,
+    states: &VertexStates,
+    seeds: &[Vertex],
+) -> Vec<(Distance, u32)> {
+    let mut cells = cell_labels(states, seeds, rg.num_held() + rg.ghosts().len());
+    let send: Vec<Vec<(Distance, u32)>> = (0..comm.num_ranks())
+        .map(|q| rg.mirrors(q).iter().map(|&m| cells[m as usize]).collect())
+        .collect();
+    let mut ghosts = Vec::with_capacity(rg.ghosts().len());
+    comm.alltoallv(Phase::LocalMinEdge.name(), &send, &mut ghosts);
+    debug_assert_eq!(ghosts.len(), rg.ghosts().len(), "one entry per ghost");
+    cells.extend(ghosts);
+    cells
 }
 
-impl Scan<'_> {
-    /// Evaluates the arcs of source `i` (see [`RankGraph::num_sources`])
-    /// that this rank evaluates ([`evaluates`]): offers the ones whose
-    /// other end is held here, and buckets a probe for the owner of every
-    /// other one. Returns the source's arc count.
-    #[inline]
-    fn source(&mut self, i: usize, mins: &mut PairMins) -> usize {
-        let owned = self.rg.num_owned();
-        if i < owned {
-            let (targets, weights) = self.rg.owned_arcs(i);
-            let arcs = targets.iter().copied().zip(weights.iter().copied());
-            self.arcs(self.rg.owned.start + i as Vertex, i, arcs, mins);
-            targets.len()
-        } else {
-            let slice = self.rg.delegate_arcs(i - owned);
-            self.arcs(self.rg.delegates[i - owned], i, slice.iter().copied(), mins);
-            slice.len()
-        }
+/// Offers every arc of source `i` (see [`RankGraph::num_sources`]) that
+/// this rank evaluates ([`evaluates`](stgraph::partition::evaluates); the
+/// partition stores them first). Returns the source's stored arc count.
+#[inline]
+fn scan_source(rg: &RankGraph, cells: &[(Distance, u32)], i: usize, mins: &mut PairMins) -> usize {
+    let owned = rg.num_owned();
+    let evaluated = rg.num_evaluated(i);
+    if i < owned {
+        let (targets, weights) = rg.owned_arcs(i);
+        let arcs = targets[..evaluated].iter().zip(&weights[..evaluated]);
+        scan_arcs(rg, cells, i, arcs.map(|(&v, &w)| (v, w)), mins);
+        targets.len()
+    } else {
+        let slice = rg.delegate_arcs(i - owned);
+        scan_arcs(rg, cells, i, slice[..evaluated].iter().copied(), mins);
+        slice.len()
     }
+}
 
-    /// The body of [`Scan::source`] for source `u`, held at index `iu`:
-    /// walks the prefix of `arcs` that [`evaluates`] accepts (the
-    /// partition stores it first).
-    #[inline]
-    fn arcs(
-        &mut self,
-        u: Vertex,
-        iu: usize,
-        arcs: impl Iterator<Item = (Vertex, Weight)>,
-        mins: &mut PairMins,
-    ) {
-        let (u_dist, u_cell) = self.cells[iu];
-        if u_cell == NO_CELL {
-            return;
-        }
-        for (v, w) in arcs {
-            if !evaluates(u, v) {
-                break;
-            }
-            match self.states.held_index(v) {
-                Some(iv) => {
-                    let (v_dist, v_cell) = self.cells[iv];
-                    mins.offer((u, u_cell, u_dist), (v, v_cell, v_dist), w);
-                }
-                None => self.out[self.partition.owner(v)].push(ProbeMsg {
-                    v,
-                    u,
-                    weight: w,
-                    u_cell,
-                    u_dist,
-                }),
-            }
-        }
+/// The body of [`scan_source`] for source `i` and its evaluated `arcs`.
+#[inline]
+fn scan_arcs(
+    rg: &RankGraph,
+    cells: &[(Distance, u32)],
+    i: usize,
+    arcs: impl Iterator<Item = (LocalId, Weight)>,
+    mins: &mut PairMins,
+) {
+    let (u_dist, u_cell) = cells[i];
+    if u_cell == NO_CELL {
+        return;
+    }
+    let u = rg.global_id(i as LocalId);
+    for (v, w) in arcs {
+        let (v_dist, v_cell) = cells[v as usize];
+        mins.offer((u, u_cell, u_dist), (rg.global_id(v), v_cell, v_dist), w);
     }
 }
 
@@ -650,15 +610,15 @@ mod tests {
     /// and whether it reduced dense.
     type RankCandidates = (Vec<(PairKey, MinEdge)>, Vec<(PairKey, MinEdge)>, bool);
 
-    /// Voronoi then the local phase in both modes on `p` ranks, in rounds
-    /// of `round_arcs` arcs. Returns every rank's candidates and the label
-    /// of every vertex.
+    /// Voronoi then the local phase in both modes on `p` ranks, shrinking
+    /// every `shrink_arcs` arcs. Returns every rank's candidates and the
+    /// label of every vertex.
     fn local_phase(
         g: &CsrGraph,
         seeds: &[Vertex],
         p: usize,
         delegate_threshold: Option<usize>,
-        round_arcs: usize,
+        shrink_arcs: usize,
     ) -> (Vec<RankCandidates>, Vec<Label>) {
         let pg = partition_graph(g, p, delegate_threshold);
         assert_eq!(pg.delegates.is_empty(), delegate_threshold.is_none());
@@ -675,8 +635,9 @@ mod tests {
                 TraversalOptions::new(QueueKind::Priority),
                 &mut ScratchArena::new(),
             );
-            let [local, forest] = [MstMode::Replicated, MstMode::Dist]
-                .map(|mode| local_min_edges_in_rounds(comm, &pg, &states, seeds, mode, round_arcs));
+            let [local, forest] = [MstMode::Replicated, MstMode::Dist].map(|mode| {
+                local_min_edges_shrinking(comm, &pg, &states, seeds, mode, shrink_arcs)
+            });
             let dense = matches!(
                 PairMins::new(seeds.len(), rg.num_local_arcs()),
                 PairMins::Dense { .. }
@@ -732,19 +693,18 @@ mod tests {
         // arcs (listed).
         let few: Vec<Vertex> = (0..6).map(|i| i * 61 + 3).collect();
         let many: Vec<Vertex> = (0..90).map(|i| i * 4 + 1).collect();
-        // One exchange round, and a dozen or more: the round count comes
-        // from the largest rank, so the others run rounds with nothing to
-        // scan.
-        for round_arcs in [ROUND_ARCS, 97] {
+        // No shrink on this graph, and a shrink every 97 arcs: a dozen or
+        // more on one rank, and the smaller ranks shrink less often.
+        for shrink_arcs in [SHRINK_ARCS, 97] {
             for (seeds, dense) in [(&few, true), (&many, false)] {
                 for p in [1usize, 2, 4] {
                     for delegates in [None, Some(12)] {
                         let ctx = format!(
-                            "|S|={} p={p} delegates={delegates:?} round_arcs={round_arcs}",
+                            "|S|={} p={p} delegates={delegates:?} shrink_arcs={shrink_arcs}",
                             seeds.len()
                         );
                         let (per_rank, labels) =
-                            local_phase(&small, seeds, p, delegates, round_arcs);
+                            local_phase(&small, seeds, p, delegates, shrink_arcs);
                         let mut merged: BTreeMap<PairKey, MinEdge> = BTreeMap::new();
                         let mut forests = Vec::new();
                         for (local, forest, rank_dense) in &per_rank {
@@ -776,7 +736,7 @@ mod tests {
             }
         }
         let one_rank = partition_graph(&small, 1, None);
-        assert!(exchange_rounds(&one_rank, 97) >= 12);
-        assert_eq!(exchange_rounds(&one_rank, ROUND_ARCS), 1);
+        assert!(one_rank.ranks[0].num_local_arcs() >= 12 * 97);
+        assert!(one_rank.ranks[0].num_local_arcs() < SHRINK_ARCS);
     }
 }

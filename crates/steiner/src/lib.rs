@@ -609,6 +609,9 @@ fn rank_main(
 
     let mut states = VertexStates::new(rg);
     comm.memory().record("vertex_state", states.memory_bytes());
+    // The ghost table and mirror lists; the Voronoi phase adds its ghost
+    // labels to the same label while it runs.
+    comm.memory().record("ghosts", rg.ghost_bytes());
     // Per-rank visitor scratch: allocated once here, reused by the phase
     // kernels so the hot path's steady state allocates nothing.
     let mut scratch = state::ScratchArena::new();
@@ -682,8 +685,8 @@ fn rank_main(
         }
     }
 
-    // Step 2: local min-distance cross-cell edges (Alg 5, local part): a
-    // scan plus bounded rounds of probe exchange, no traversal. Under
+    // Step 2: local min-distance cross-cell edges (Alg 5, local part): one
+    // halo exchange of the ghosts' cells, then a local scan, no traversal. Under
     // `MstMode::Dist` each rank keeps only its candidates' spanning forest.
     if completed <= Phase::LocalMinEdge.index() {
         let t = Instant::now();
@@ -1658,5 +1661,75 @@ mod seed_validation_tests {
             solve_partitioned(&pg, &[verts[0], 1_000_000], &cfg),
             Err(SteinerError::SeedOutOfRange(1_000_000))
         ));
+    }
+
+    /// Solves `g` on `p` ranks in both MST modes and checks each tree
+    /// against the one-rank tree; returns the `p`-rank partition.
+    fn assert_rank_count_keeps_tree(g: &CsrGraph, seeds: &[Vertex], p: usize) -> PartitionedGraph {
+        let pg = partition_graph(g, p, None);
+        for mst_mode in [MstMode::Dist, MstMode::Replicated] {
+            let cfg = |num_ranks| SolverConfig {
+                num_ranks,
+                mst_mode,
+                ..SolverConfig::default()
+            };
+            let one = solve_partitioned(&partition_graph(g, 1, None), seeds, &cfg(1)).unwrap();
+            let many = solve_partitioned(&pg, seeds, &cfg(p)).unwrap();
+            assert_eq!(many.tree, one.tree, "p={p} {mst_mode:?}");
+            // Every rank runs the same sync points, halo exchange included.
+            assert_eq!(many.sync_points, one.sync_points, "p={p} {mst_mode:?}");
+        }
+        pg
+    }
+
+    /// Ranks that own no vertex have nothing to mirror and no ghosts, and
+    /// still join the one halo exchange.
+    #[test]
+    fn halo_exchange_with_more_ranks_than_vertices() {
+        let mut b = stgraph::builder::GraphBuilder::new(5);
+        for (u, v, w) in [
+            (0, 1, 2),
+            (1, 2, 1),
+            (2, 3, 4),
+            (3, 4, 1),
+            (0, 4, 9),
+            (1, 3, 3),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        for p in [1, 2, 4, 8] {
+            let pg = assert_rank_count_keeps_tree(&g, &[0, 2, 4], p);
+            if p == 8 {
+                let idle = &pg.ranks[7];
+                assert_eq!(idle.num_owned(), 0);
+                assert!(idle.ghosts().is_empty());
+                assert!((0..p).all(|q| idle.mirrors(q).is_empty()));
+            }
+        }
+    }
+
+    /// A seedless component spread over every rank: its ghosts stay
+    /// unreached (no cell) through the halo exchange and the scan.
+    #[test]
+    fn halo_exchange_with_unreached_ghosts() {
+        let n = 32;
+        let mut b = stgraph::builder::GraphBuilder::new(n);
+        // Even vertices form the seeded path, odd ones a seedless path.
+        for v in 0..n as Vertex - 2 {
+            b.add_edge(v, v + 2, Weight::from(v % 5 + 1));
+        }
+        b.add_edge(4, 20, 7);
+        let g = b.build();
+        for p in [1, 2, 4, 8] {
+            let pg = assert_rank_count_keeps_tree(&g, &[0, 12, 30], p);
+            let unreached_ghosts = pg
+                .ranks
+                .iter()
+                .flat_map(|rg| rg.ghosts())
+                .filter(|gh| gh.global % 2 == 1)
+                .count();
+            assert_eq!(unreached_ghosts > 0, p > 1, "p={p}");
+        }
     }
 }

@@ -1,29 +1,33 @@
 //! Message types exchanged between ranks: one visitor type per
-//! asynchronous phase (each opens its own channel group), and the probe
-//! of the local min-edge phase's bulk exchange.
+//! asynchronous phase (each opens its own channel group).
 //!
 //! Each message type implements the runtime's [`Wire`] codec
-//! (little-endian fields, after a one-byte tag on [`VoronoiMsg`] and
-//! [`ProbeMsg`]) so the traversal loop and [`struntime::Comm::alltoallv`] can
-//! coalesce per-destination batches into flat byte buffers and charge
-//! their exact wire size. The visitors also implement [`DeepBytes`] (all
-//! messages are plain-old-data, so they own no heap).
+//! (little-endian fields, after a one-byte tag on [`VoronoiMsg`]) so the
+//! traversal loop can coalesce per-destination batches into flat byte
+//! buffers and charge their exact wire size. The visitors also implement
+//! [`DeepBytes`] (all messages are plain-old-data, so they own no heap).
 
 use crate::state::Label;
-use stgraph::csr::{Distance, Vertex, Weight};
+use stgraph::csr::{Vertex, Weight};
+use stgraph::partition::LocalId;
 use struntime::{DeepBytes, Wire};
 
 /// Voronoi-cell phase messages (Alg 4 plus delegate synchronization).
+///
+/// A message names its vertex by its held local id on the rank that
+/// visits it (see `stgraph::partition`): the sender resolves it from its
+/// ghost table or the delegate's replica slot, so the visit indexes state
+/// directly. Labels keep global ids.
 #[derive(Clone, Copy, Debug)]
 pub enum VoronoiMsg {
-    /// Local bootstrap: relax the outgoing arcs of seed `s` held by this
-    /// rank (its adjacency, or this rank's slice if `s` is a delegate).
-    Start(Vertex),
+    /// Local bootstrap: relax the outgoing arcs of the seed held at this
+    /// local id (its adjacency, or this rank's slice if it is a delegate).
+    Start(LocalId),
     /// Relaxation of `target` with a candidate label; `pred_weight` is the
     /// weight of the `(label.pred, target)` edge.
     Relax {
-        /// Vertex being relaxed.
-        target: Vertex,
+        /// Local id of the vertex being relaxed.
+        target: LocalId,
         /// Candidate label.
         label: Label,
         /// Weight of the predecessor edge carried with the label.
@@ -31,8 +35,8 @@ pub enum VoronoiMsg {
     },
     /// Controller broadcast: delegate `target`'s replicated label improved.
     DelegateUpdate {
-        /// The delegate vertex.
-        target: Vertex,
+        /// Local id of the delegate's replica.
+        target: LocalId,
         /// Its new label.
         label: Label,
         /// Weight of the predecessor edge.
@@ -52,29 +56,6 @@ impl VoronoiMsg {
         }
     }
 }
-
-/// A boundary arc probe of the local min-edge phase (Alg 5): the rank
-/// holding `u`'s state asks `v`'s owner to evaluate the arc `(u, v)` as a
-/// cross-cell candidate. One probe per cross-rank undirected edge; 29
-/// wire bytes, a tag byte included.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProbeMsg {
-    /// Remote endpoint whose state the receiver holds.
-    pub v: Vertex,
-    /// Local endpoint the sender evaluated.
-    pub u: Vertex,
-    /// Arc weight `d(u, v)`.
-    pub weight: Weight,
-    /// Cell of `u` at the sender: the index of `src(u)` in the sorted
-    /// seed list (same 4 wire bytes as the vertex id it replaces).
-    pub u_cell: u32,
-    /// `d_1(src(u), u)` at the sender.
-    pub u_dist: Distance,
-}
-
-/// The wire tag of a [`ProbeMsg`]. A decoder that meets any other leading
-/// byte rejects the buffer.
-const PROBE_TAG: u8 = 1;
 
 /// Tree-edge phase messages (Alg 6): trace the predecessor chain of a
 /// vertex back to its cell's seed.
@@ -156,34 +137,6 @@ impl DeepBytes for VoronoiMsg {
     }
 }
 
-impl Wire for ProbeMsg {
-    fn encoded_len(&self) -> usize {
-        1 + 4 + 4 + 8 + 4 + 8
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(PROBE_TAG);
-        self.v.encode_into(out);
-        self.u.encode_into(out);
-        self.weight.encode_into(out);
-        self.u_cell.encode_into(out);
-        self.u_dist.encode_into(out);
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        if u8::decode_from(buf, pos)? != PROBE_TAG {
-            return None;
-        }
-        Some(ProbeMsg {
-            v: Vertex::decode_from(buf, pos)?,
-            u: Vertex::decode_from(buf, pos)?,
-            weight: Weight::decode_from(buf, pos)?,
-            u_cell: u32::decode_from(buf, pos)?,
-            u_dist: Distance::decode_from(buf, pos)?,
-        })
-    }
-}
-
 impl Wire for TraceMsg {
     fn encoded_len(&self) -> usize {
         4
@@ -242,29 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_and_trace_msgs_round_trip() {
-        let msgs = [
-            ProbeMsg {
-                v: 1,
-                u: 2,
-                weight: 3,
-                u_cell: 4,
-                u_dist: 5,
-            },
-            ProbeMsg {
-                v: u32::MAX,
-                u: 0,
-                weight: u64::MAX,
-                u_cell: 7,
-                u_dist: 1 << 40,
-            },
-        ];
-        let mut buf = Vec::new();
-        encode_batch(&msgs, &mut buf);
-        assert_eq!(buf.len(), 2 * 29);
-        let back = decode_batch::<ProbeMsg>(&buf, msgs.len()).expect("round trip");
-        assert_eq!(back, msgs);
-
+    fn trace_msgs_round_trip() {
         let t = [TraceMsg { vertex: 77 }];
         let mut buf = Vec::new();
         encode_batch(&t, &mut buf);
@@ -277,7 +208,5 @@ mod tests {
     fn corrupt_tag_is_rejected() {
         let mut pos = 0;
         assert!(VoronoiMsg::decode_from(&[9, 0, 0, 0, 0], &mut pos).is_none());
-        let mut pos = 0;
-        assert!(ProbeMsg::decode_from(&[7], &mut pos).is_none());
     }
 }

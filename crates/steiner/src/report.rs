@@ -1142,8 +1142,8 @@ mod tests {
     fn v10_sync_points_emitted_and_required() {
         let report = sample_report().run_report();
         // Two channel groups (two barriers each), the Voronoi and
-        // tree-edge traversals (three fences each), at least one probe
-        // exchange and the dense reduce: every rank barrier is counted.
+        // tree-edge traversals (three fences each), the halo exchange and
+        // the dense reduce: every rank barrier is counted.
         assert!(
             report.sync_points.collectives >= 2,
             "{:?}",

@@ -16,6 +16,7 @@
 //! deterministic and bit-comparable to the sequential reference.
 
 use crate::messages::VoronoiMsg;
+use std::ops::Range;
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::partition::RankGraph;
 use struntime::Wire;
@@ -99,9 +100,10 @@ impl StateArrays {
             + 1)
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        (self.dist.len() as u64).encode_into(out);
-        for i in 0..self.dist.len() {
+    /// Appends slots `range`, after their count.
+    fn encode_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
+        (range.len() as u64).encode_into(out);
+        for i in range {
             self.dist[i].encode_into(out);
             self.src[i].encode_into(out);
             self.pred[i].encode_into(out);
@@ -110,15 +112,14 @@ impl StateArrays {
         }
     }
 
-    /// Overwrites these arrays from a snapshot; `None` if the snapshot was
-    /// taken for a different vertex count (partitioning changed) or is
+    /// Overwrites slots `range` from a snapshot; `None` if the snapshot
+    /// was taken for a different slot count (partitioning changed) or is
     /// truncated.
-    fn decode_over(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
-        let len = u64::decode_from(buf, pos)? as usize;
-        if len != self.dist.len() {
+    fn decode_over(&mut self, range: Range<usize>, buf: &[u8], pos: &mut usize) -> Option<()> {
+        if u64::decode_from(buf, pos)? as usize != range.len() {
             return None;
         }
-        for i in 0..len {
+        for i in range {
             self.dist[i] = Distance::decode_from(buf, pos)?;
             self.src[i] = Vertex::decode_from(buf, pos)?;
             self.pred[i] = Vertex::decode_from(buf, pos)?;
@@ -129,40 +130,31 @@ impl StateArrays {
     }
 }
 
-/// Which storage a vertex's state lives in on this rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    Owned(usize),
-    Delegate(usize),
-}
-
-/// All Steiner vertex state held by one rank.
+/// All Steiner vertex state held by one rank, one slot per held local id
+/// of its [`RankGraph`]: the owned vertices, then the delegate replicas.
 pub struct VertexStates {
     owned_start: Vertex,
     owned_len: usize,
     delegates: std::sync::Arc<Vec<Vertex>>,
-    owned: StateArrays,
-    replicas: StateArrays,
+    slots: StateArrays,
 }
 
 impl VertexStates {
     /// Allocates state for the rank's owned vertices plus replicas of every
     /// delegate.
     pub fn new(rg: &RankGraph) -> Self {
-        let owned_len = rg.num_owned();
         VertexStates {
             owned_start: rg.owned.start,
-            owned_len,
+            owned_len: rg.num_owned(),
             delegates: std::sync::Arc::clone(&rg.delegates),
-            owned: StateArrays::new(owned_len),
-            replicas: StateArrays::new(rg.delegates.len()),
+            slots: StateArrays::new(rg.num_held()),
         }
     }
 
     /// Approximate bytes of algorithm state held (the Fig 8 "state" series
     /// contribution of the vertex arrays).
     pub fn memory_bytes(&self) -> usize {
-        StateArrays::bytes(self.owned_len) + StateArrays::bytes(self.delegates.len())
+        StateArrays::bytes(self.num_held())
     }
 
     /// Whether `v` is a delegate vertex (state replicated everywhere).
@@ -172,71 +164,40 @@ impl VertexStates {
 
     /// Whether this rank holds state for `v` (owned or replica).
     pub fn holds(&self, v: Vertex) -> bool {
-        self.find(v).is_some()
-    }
-
-    /// Where `v`'s state lives on this rank, with one delegate lookup.
-    fn find(&self, v: Vertex) -> Option<Slot> {
-        if let Ok(i) = self.delegates.binary_search(&v) {
-            return Some(Slot::Delegate(i));
-        }
-        let i = v.wrapping_sub(self.owned_start) as usize;
-        (v >= self.owned_start && i < self.owned_len).then_some(Slot::Owned(i))
-    }
-
-    fn slot(&self, v: Vertex) -> Slot {
-        self.find(v)
-            .unwrap_or_else(|| panic!("rank holds no state for vertex {v}"))
+        self.held_index(v).is_some()
     }
 
     /// Number of state slots this rank holds: the range of
-    /// [`VertexStates::held_index`].
+    /// [`VertexStates::held_index`], and the held local ids of the rank
+    /// graph.
     pub fn num_held(&self) -> usize {
         self.owned_len + self.delegates.len()
     }
 
-    /// Dense index of `v`'s state on this rank — owned slots first, then
-    /// delegate replicas — or `None` if the rank holds no state for `v`.
-    /// Resolves the slot once, so a caller that needs several reads of
-    /// the same vertex pays one delegate lookup.
+    /// The slot of `v`'s state on this rank — its delegate replica, or its
+    /// owned slot — or `None` if the rank holds no state for `v`. This is
+    /// `v`'s held local id in the [`RankGraph`]; one binary search, for
+    /// seeds, the tree-edge phase and tests, while the Voronoi and
+    /// min-edge phases index slots by the local ids their arcs store.
     pub fn held_index(&self, v: Vertex) -> Option<usize> {
-        self.find(v).map(|s| match s {
-            Slot::Owned(i) => i,
-            Slot::Delegate(i) => self.owned_len + i,
-        })
+        match self.delegates.binary_search(&v) {
+            Ok(k) => Some(self.owned_len + k),
+            Err(_) => {
+                let i = v.wrapping_sub(self.owned_start) as usize;
+                (i < self.owned_len).then_some(i)
+            }
+        }
     }
 
-    /// The current label at dense index `i` (see
-    /// [`VertexStates::held_index`]).
+    fn slot(&self, v: Vertex) -> usize {
+        self.held_index(v)
+            .unwrap_or_else(|| panic!("rank holds no state for vertex {v}"))
+    }
+
+    /// The current label at slot `i` (see [`VertexStates::held_index`]).
+    #[inline]
     pub fn label_at(&self, i: usize) -> Label {
-        if i < self.owned_len {
-            self.label_in(Slot::Owned(i))
-        } else {
-            self.label_in(Slot::Delegate(i - self.owned_len))
-        }
-    }
-
-    fn arrays(&self, s: Slot) -> (&StateArrays, usize) {
-        match s {
-            Slot::Owned(i) => (&self.owned, i),
-            Slot::Delegate(i) => (&self.replicas, i),
-        }
-    }
-
-    fn arrays_mut(&mut self, s: Slot) -> (&mut StateArrays, usize) {
-        match s {
-            Slot::Owned(i) => (&mut self.owned, i),
-            Slot::Delegate(i) => (&mut self.replicas, i),
-        }
-    }
-
-    /// The current label of `v`.
-    pub fn label(&self, v: Vertex) -> Label {
-        self.label_in(self.slot(v))
-    }
-
-    fn label_in(&self, s: Slot) -> Label {
-        let (a, i) = self.arrays(s);
+        let a = &self.slots;
         Label {
             dist: a.dist[i],
             src: a.src[i],
@@ -244,22 +205,23 @@ impl VertexStates {
         }
     }
 
-    /// Weight of the predecessor edge recorded with `v`'s label.
-    pub fn pred_weight(&self, v: Vertex) -> Weight {
-        let (a, i) = self.arrays(self.slot(v));
-        a.pred_weight[i]
+    /// The current label of `v`.
+    pub fn label(&self, v: Vertex) -> Label {
+        self.label_at(self.slot(v))
     }
 
-    /// Applies `label` to `v` if it is strictly smaller than the current
-    /// one; records `pred_weight` alongside. Returns whether it improved.
-    pub fn try_improve(&mut self, v: Vertex, label: Label, pred_weight: Weight) -> bool {
-        let (a, i) = self.arrays_mut(self.slot(v));
-        let current = Label {
-            dist: a.dist[i],
-            src: a.src[i],
-            pred: a.pred[i],
-        };
-        if label < current {
+    /// Weight of the predecessor edge recorded with `v`'s label.
+    pub fn pred_weight(&self, v: Vertex) -> Weight {
+        self.slots.pred_weight[self.slot(v)]
+    }
+
+    /// Applies `label` to slot `i` if it is strictly smaller than the
+    /// current one; records `pred_weight` alongside. Returns whether it
+    /// improved.
+    #[inline]
+    pub fn try_improve_at(&mut self, i: usize, label: Label, pred_weight: Weight) -> bool {
+        if label < self.label_at(i) {
+            let a = &mut self.slots;
             a.dist[i] = label.dist;
             a.src[i] = label.src;
             a.pred[i] = label.pred;
@@ -270,13 +232,18 @@ impl VertexStates {
         }
     }
 
+    /// [`VertexStates::try_improve_at`] for vertex `v`.
+    pub fn try_improve(&mut self, v: Vertex, label: Label, pred_weight: Weight) -> bool {
+        self.try_improve_at(self.slot(v), label, pred_weight)
+    }
+
     /// Initializes seed labels: owned seeds and *all* delegate seeds (every
     /// rank can do the latter without communication since the seed list is
     /// globally known).
     pub fn init_seeds(&mut self, seeds: &[Vertex]) {
         for &s in seeds {
-            if let Some(slot) = self.find(s) {
-                let (a, i) = self.arrays_mut(slot);
+            if let Some(i) = self.held_index(s) {
+                let a = &mut self.slots;
                 a.dist[i] = 0;
                 a.src[i] = s;
                 a.pred[i] = NO_VERTEX;
@@ -288,48 +255,34 @@ impl VertexStates {
     /// Marks `v` traced by the tree-edge phase; returns `false` if it was
     /// already traced (the visitor should stop).
     pub fn mark_traced(&mut self, v: Vertex) -> bool {
-        let (a, i) = self.arrays_mut(self.slot(v));
-        if a.traced[i] {
-            false
-        } else {
-            a.traced[i] = true;
-            true
-        }
+        let i = self.slot(v);
+        !std::mem::replace(&mut self.slots.traced[i], true)
     }
 
-    /// Appends a snapshot of all vertex state (owned arrays plus delegate
-    /// replicas) to `out` via the wire codec, for the crash-recovery phase
-    /// checkpoints. The delegate list and ownership range are derived from
-    /// the partition and are not serialized.
+    /// Appends a snapshot of all vertex state (owned slots, then delegate
+    /// replicas, each run after its count) to `out` via the wire codec, for
+    /// the crash-recovery phase checkpoints. The delegate list and
+    /// ownership range are derived from the partition and are not
+    /// serialized.
     pub fn encode_checkpoint(&self, out: &mut Vec<u8>) {
-        self.owned.encode_into(out);
-        self.replicas.encode_into(out);
+        self.slots.encode_into(0..self.owned_len, out);
+        self.slots.encode_into(self.owned_len..self.num_held(), out);
     }
 
     /// Restores a snapshot taken by [`VertexStates::encode_checkpoint`]
     /// over states freshly created for the same rank graph; `None` if the
     /// array shapes do not line up or the buffer is truncated.
     pub fn restore_checkpoint(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
-        self.owned.decode_over(buf, pos)?;
-        self.replicas.decode_over(buf, pos)
+        let (owned, held) = (self.owned_len, self.num_held());
+        self.slots.decode_over(0..owned, buf, pos)?;
+        self.slots.decode_over(owned..held, buf, pos)
     }
 
     /// Iterates the owned (non-delegate) vertices and their labels.
     pub fn owned_labels(&self) -> impl Iterator<Item = (Vertex, Label)> + '_ {
         (0..self.owned_len).filter_map(move |i| {
             let v = self.owned_start + i as Vertex;
-            if self.is_delegate(v) {
-                None
-            } else {
-                Some((
-                    v,
-                    Label {
-                        dist: self.owned.dist[i],
-                        src: self.owned.src[i],
-                        pred: self.owned.pred[i],
-                    },
-                ))
-            }
+            (!self.is_delegate(v)).then(|| (v, self.label_at(i)))
         })
     }
 }
@@ -341,11 +294,11 @@ impl VertexStates {
 /// - `init` — the bootstrap message list the asynchronous phase seeds its
 ///   local queue from,
 /// - `admitted` — the asynchronous phase's best label admitted to the
-///   visitor queue so far, per held vertex (indexed by
-///   [`VertexStates::held_index`]; written by local pushes and by the
-///   admission of inbound visitors),
+///   visitor queue so far, per held local id (written by local pushes and
+///   by the admission of inbound visitors),
 /// - `ghost` — the best label this rank has sent to each remote vertex,
-///   indexed by vertex id (the sender side of the filter).
+///   indexed by ghost id (local id minus the held count): 16 B per ghost
+///   of the rank graph, the sender side of the filter.
 ///
 /// Buffers are cleared (capacity retained) each time they are handed out,
 /// so a fault-injection retry of the whole solve reuses the previous
@@ -366,7 +319,8 @@ impl ScratchArena {
     /// The asynchronous Voronoi phase's buffers, split-borrowed: the
     /// bootstrap message buffer (cleared, capacity retained), the
     /// admitted-label array, reset to `states`' current labels, and
-    /// `ghost_len` ghost labels, reset to [`Label::UNSET`].
+    /// `ghost_len` ghost labels (one per ghost id), reset to
+    /// [`Label::UNSET`].
     pub fn voronoi_buffers(
         &mut self,
         states: &VertexStates,
@@ -515,7 +469,7 @@ mod tests {
             let st = make_states(delegate);
             assert_eq!(
                 st.memory_bytes(),
-                element_bytes(&st.owned) + element_bytes(&st.replicas),
+                element_bytes(&st.slots),
                 "delegates: {delegate}"
             );
             assert_eq!(st.memory_bytes(), 25 * st.num_held());

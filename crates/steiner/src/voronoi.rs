@@ -47,12 +47,14 @@
 //!   traversal queues it without asking the predicate again: the
 //!   compare-then-enqueue of Dijkstra's inner loop.
 //! - **Push, remote target.** A per-rank *ghost* label array, indexed by
-//!   vertex id, holds the best label this rank has sent to each remote
-//!   vertex. A candidate not strictly below it is pruned the same way;
-//!   one that is below it is sent and recorded. This is HavoqGT-style
-//!   sender-side filtering, as in the bulk exchanges of *Engineering
-//!   Massively Parallel MST Algorithms* (arXiv:2302.12199). It costs
-//!   16 B per vertex of the graph on each rank.
+//!   ghost id (see `stgraph::partition`), holds the best label this rank
+//!   has sent to each remote target of its arcs. A candidate not strictly
+//!   below it is pruned the same way; one that is below it is sent and
+//!   recorded. This is HavoqGT-style sender-side filtering, as in the
+//!   bulk exchanges of *Engineering Massively Parallel MST Algorithms*
+//!   (arXiv:2302.12199). It costs 16 B per ghost of the rank graph,
+//!   charged to the rank's `"ghosts"` memory label, and is re-set every
+//!   solve.
 //! - **Queue.** The traversal asks a staleness predicate about every
 //!   `Relax` and `DelegateUpdate` of an inbound batch at queue admission,
 //!   and about every queued one at pop (see `struntime::traversal`,
@@ -91,7 +93,7 @@ use crate::messages::VoronoiMsg;
 use crate::state::{Label, ScratchArena, VertexStates};
 use std::cell::RefCell;
 use stgraph::csr::{Vertex, Weight};
-use stgraph::partition::{BlockPartition, PartitionedGraph, RankGraph};
+use stgraph::partition::{LocalId, PartitionedGraph, RankGraph};
 use struntime::traversal::{run_traversal_filtered, StaleCheck, TraversalOptions};
 use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
 
@@ -105,7 +107,8 @@ pub fn bucket_width(pg: &PartitionedGraph) -> u64 {
 /// Collective. Relaxations are queued under `dist / Δ` ([`bucket_width`]).
 /// `scratch` provides the reusable bootstrap buffer and the admitted- and
 /// ghost-label arrays, so repeated solves (benchmark sweeps) do not
-/// re-allocate per phase.
+/// re-allocate per phase. The ghost labels are charged to the rank's
+/// `"ghosts"` memory label while the phase runs.
 pub fn run(
     comm: &Comm,
     chan: &ChannelGroup<Vec<VoronoiMsg>>,
@@ -115,16 +118,14 @@ pub fn run(
     options: TraversalOptions,
     scratch: &mut ScratchArena,
 ) -> TraversalStats {
-    let (rg, partition) = (&pg.ranks[comm.rank()], &pg.partition);
+    let rg = &pg.ranks[comm.rank()];
     let width = bucket_width(pg);
     states.init_seeds(seeds);
     let filter = options.queue.filters_stale();
-    // Only a filtering run on several ranks has remote targets to track.
-    let ghost_len = if filter && partition.num_ranks() > 1 {
-        partition.num_vertices()
-    } else {
-        0
-    };
+    // Only a filtering run has sent labels to track.
+    let ghost_len = if filter { rg.ghosts().len() } else { 0 };
+    let ghost_bytes = ghost_len * std::mem::size_of::<Label>();
+    comm.memory().record("ghosts", ghost_bytes);
     let (init, admitted, ghost) = scratch.voronoi_buffers(states, ghost_len);
 
     // Bootstrap: this rank starts every seed whose outgoing arcs it holds —
@@ -133,9 +134,8 @@ pub fn run(
     init.extend(
         seeds
             .iter()
-            .copied()
-            .filter(|&s| rg.is_delegate(s) || rg.owns(s))
-            .map(VoronoiMsg::Start),
+            .filter_map(|&s| states.held_index(s))
+            .map(|i| VoronoiMsg::Start(i as LocalId)),
     );
 
     // The stale predicate and the visit callback both need the kernel
@@ -144,13 +144,16 @@ pub fn run(
     // sequence on one thread.
     let kernel = RefCell::new(Kernel {
         rg,
-        partition,
+        starts: (0..pg.partition.num_ranks())
+            .map(|q| pg.partition.range(q).start)
+            .chain([pg.partition.num_vertices() as Vertex])
+            .collect(),
         states,
         admitted,
         ghost,
         filter,
     });
-    run_traversal_filtered(
+    let stats = run_traversal_filtered(
         comm,
         chan,
         options,
@@ -161,20 +164,25 @@ pub fn run(
         // visit as borrowing `kernel` again; it never does.
         // stcheck: allow(lock-order): one thread's RefCell, never re-entered
         |msg, pusher| kernel.borrow_mut().visit(msg, pusher),
-    )
+    );
+    comm.memory().release("ghosts", ghost_bytes);
+    stats
 }
 
-/// One rank's Voronoi kernel state for the length of a phase.
+/// One rank's Voronoi kernel state for the length of a phase. Every
+/// vertex it touches is a local id of `rg`, and every message it visits
+/// names a held local id of this rank (see [`VoronoiMsg`]).
 struct Kernel<'a> {
     rg: &'a RankGraph,
-    partition: &'a BlockPartition,
+    /// First owned vertex of every rank, then the vertex count: rank `q`
+    /// holds vertex `v` of its block in local slot `v - starts[q]`.
+    starts: Vec<Vertex>,
     states: &'a mut VertexStates,
-    /// Best candidate admitted to this rank's queue, per held vertex
-    /// (indexed by [`VertexStates::held_index`]). A local push and the
-    /// admission of an inbound visitor write it.
+    /// Best candidate admitted to this rank's queue, per held local id. A
+    /// local push and the admission of an inbound visitor write it.
     admitted: &'a mut [Label],
-    /// Best label this rank has sent, per remote vertex id (empty unless
-    /// `filter` is on and the world has several ranks).
+    /// Best label this rank has sent, per ghost id (empty unless `filter`
+    /// is on).
     ghost: &'a mut [Label],
     /// Whether the queue discipline filters stale relaxations.
     filter: bool,
@@ -187,9 +195,7 @@ impl Kernel<'_> {
             VoronoiMsg::Start(_) => false,
             VoronoiMsg::Relax { target, label, .. }
             | VoronoiMsg::DelegateUpdate { target, label, .. } => {
-                let Some(i) = self.states.held_index(target) else {
-                    return false;
-                };
+                let i = target as usize;
                 match check {
                     StaleCheck::Admit if label < self.admitted[i] => {
                         self.admitted[i] = label;
@@ -204,23 +210,35 @@ impl Kernel<'_> {
 
     fn visit(&mut self, msg: VoronoiMsg, pusher: &mut Pusher<'_, VoronoiMsg>) {
         match msg {
-            VoronoiMsg::Start(s) => self.relax_out_arcs(s, Label::seed(s), pusher),
+            VoronoiMsg::Start(i) => {
+                let label = Label::seed(self.rg.global_id(i));
+                self.relax_out_arcs(i, label, pusher)
+            }
             VoronoiMsg::Relax {
                 target,
                 label,
                 pred_weight,
             } => {
-                if self.states.try_improve(target, label, pred_weight) {
-                    if self.rg.is_delegate(target) {
+                if self
+                    .states
+                    .try_improve_at(target as usize, label, pred_weight)
+                {
+                    let owned = self.rg.num_owned() as LocalId;
+                    if target >= owned {
                         // Local replica improved: sync the other replicas,
                         // then relax this rank's slice of the hub's adjacency.
-                        pusher.trace_instant("delegate_broadcast", target as u64);
-                        for dest in 0..self.partition.num_ranks() {
+                        let k = target - owned;
+                        pusher.trace_instant(
+                            "delegate_broadcast",
+                            self.rg.delegates[k as usize] as u64,
+                        );
+                        for dest in 0..self.starts.len() - 1 {
                             if dest != pusher.rank() {
+                                let owned_there = self.starts[dest + 1] - self.starts[dest];
                                 pusher.push(
                                     dest,
                                     VoronoiMsg::DelegateUpdate {
-                                        target,
+                                        target: owned_there + k,
                                         label,
                                         pred_weight,
                                     },
@@ -239,41 +257,46 @@ impl Kernel<'_> {
                 // Replica update; priority-queue reordering can deliver a
                 // newer (better) update first, in which case the older one
                 // is a no-op.
-                if self.states.try_improve(target, label, pred_weight) {
+                if self
+                    .states
+                    .try_improve_at(target as usize, label, pred_weight)
+                {
                     self.relax_out_arcs(target, label, pusher);
                 }
             }
         }
     }
 
-    /// Relaxes every outgoing arc of `v` that this rank holds, given `v`'s
-    /// (just-updated) label.
+    /// Relaxes every outgoing arc of held local id `i` that this rank
+    /// holds, given its (just-updated) label.
     #[inline]
-    fn relax_out_arcs(&mut self, v: Vertex, label: Label, pusher: &mut Pusher<'_, VoronoiMsg>) {
+    fn relax_out_arcs(&mut self, i: LocalId, label: Label, pusher: &mut Pusher<'_, VoronoiMsg>) {
         let rg = self.rg;
-        if rg.is_delegate(v) {
-            for &(nbr, w) in rg.delegate_slice(v) {
+        let (v, owned) = (rg.global_id(i), rg.num_owned());
+        if (i as usize) < owned {
+            let (targets, weights) = rg.owned_arcs(i as usize);
+            for (&nbr, &w) in targets.iter().zip(weights) {
                 self.relax(v, label, nbr, w, pusher);
             }
         } else {
-            debug_assert!(rg.owns(v));
-            for (nbr, w) in rg.adj(v) {
+            for &(nbr, w) in rg.delegate_arcs(i as usize - owned) {
                 self.relax(v, label, nbr, w, pusher);
             }
         }
     }
 
-    /// Relaxes the arc `(v, nbr)` of weight `w`. Under a filtering
-    /// discipline a candidate that cannot beat what `nbr` already has on
-    /// this rank (a held target's admitted label, a remote target's
-    /// ghost label) is counted as pruned and never becomes a message; one
-    /// that beats it replaces it, since it is queued here or sent.
+    /// Relaxes the arc from `v` to local id `nbr` of weight `w`. Under a
+    /// filtering discipline a candidate that cannot beat what `nbr`
+    /// already has on this rank (a held target's admitted label, a
+    /// ghost's sent label) is counted as pruned and never becomes a
+    /// message; one that beats it replaces it, since it is queued here or
+    /// sent.
     #[inline]
     fn relax(
         &mut self,
         v: Vertex,
         label: Label,
-        nbr: Vertex,
+        nbr: LocalId,
         w: Weight,
         pusher: &mut Pusher<'_, VoronoiMsg>,
     ) {
@@ -283,35 +306,37 @@ impl Kernel<'_> {
             pred: v,
         };
         // Held targets (owned vertices and delegate replicas) are relaxed
-        // on this rank; everything else routes to its owner.
-        let dest = match self.states.held_index(nbr) {
-            Some(i) => {
-                if self.filter {
-                    let admitted = &mut self.admitted[i];
-                    if cand >= *admitted {
-                        pusher.prune();
-                        return;
-                    }
-                    *admitted = cand;
+        // on this rank; a ghost routes to its owner, named by its slot
+        // there.
+        let held = self.rg.num_held();
+        let (dest, target) = if (nbr as usize) < held {
+            if self.filter {
+                let admitted = &mut self.admitted[nbr as usize];
+                if cand >= *admitted {
+                    pusher.prune();
+                    return;
                 }
-                pusher.rank()
+                *admitted = cand;
             }
-            None => {
-                if self.filter {
-                    let ghost = &mut self.ghost[nbr as usize];
-                    if cand >= *ghost {
-                        pusher.prune();
-                        return;
-                    }
-                    *ghost = cand;
+            (pusher.rank(), nbr)
+        } else {
+            let g = nbr as usize - held;
+            if self.filter {
+                let ghost = &mut self.ghost[g];
+                if cand >= *ghost {
+                    pusher.prune();
+                    return;
                 }
-                self.partition.owner(nbr)
+                *ghost = cand;
             }
+            let ghost = self.rg.ghosts()[g];
+            let owner = ghost.owner as usize;
+            (owner, ghost.global - self.starts[owner])
         };
         pusher.push(
             dest,
             VoronoiMsg::Relax {
-                target: nbr,
+                target,
                 label: cand,
                 pred_weight: w,
             },
@@ -495,6 +520,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The sender-side filter costs 16 B per ghost, charged to the
+    /// `"ghosts"` label while the phase runs: on two ranks that is well
+    /// below the 16 B per vertex of the graph a dense array would take.
+    #[test]
+    fn two_rank_ghost_labels_take_16_bytes_per_ghost() {
+        let (g, seeds) = tiny(11);
+        let n = g.num_vertices();
+        let pg = partition_graph(&g, 2, None);
+        let out = World::run(2, |comm| {
+            let chan = comm.open_channels::<Vec<VoronoiMsg>>("voronoi");
+            let rg = &pg.ranks[comm.rank()];
+            let mut states = VertexStates::new(rg);
+            run(
+                comm,
+                &chan,
+                &pg,
+                &mut states,
+                &seeds,
+                TraversalOptions::new(QueueKind::Priority),
+                &mut ScratchArena::new(),
+            );
+            let memory = comm.memory();
+            (memory.peaks()["ghosts"], memory.current("ghosts"))
+        });
+        for (rank, &(peak, live)) in out.results.iter().enumerate() {
+            let ghosts = pg.ranks[rank].ghosts().len();
+            assert!(ghosts > 0, "rank {rank}");
+            assert_eq!(peak, 16 * ghosts, "rank {rank}");
+            assert!(peak < 16 * n, "rank {rank}: {peak} B for n = {n}");
+            assert_eq!(live, 0, "released when the phase ends");
         }
     }
 }

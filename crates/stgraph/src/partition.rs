@@ -16,9 +16,22 @@
 //! picks. Every stored adjacency, owned rows and delegate slices alike,
 //! holds the arcs `evaluates` accepts first, then the others, each class
 //! in the input graph's order. The scan then reads a prefix of each source
-//! and stops at the first arc it does not evaluate, so it reads half the
-//! arcs and its per-arc test fails once per source. Traversals relax
-//! every arc of a vertex and do not depend on the order.
+//! and stops at the end of the evaluated prefix, whose length
+//! [`RankGraph::num_evaluated`] records, so it reads half the arcs with no
+//! per-arc test. Traversals relax every arc of a vertex and do not depend
+//! on the order.
+//!
+//! **Local ids.** Each rank renumbers the vertices its arcs name, as
+//! HavoqGT's `vertex_locator` addresses a vertex by owner and local id:
+//! owned vertices first, then delegate replicas, then *ghosts*, the
+//! distinct remote targets of the rank's arcs, grouped by owner. Stored
+//! arc targets are these local ids, so a solver phase reads a target's
+//! state, or its ghost slot, with one array index. A side table keeps each
+//! ghost's global id and owner, and every rank keeps, per peer, the
+//! *mirror list* of its own vertices the peer holds as ghosts, in the
+//! peer's ghost order: what one halo exchange sends that peer. The
+//! renumbering happens while the rows are laid out, through one dense
+//! global-to-local map that every rank reuses.
 
 use crate::csr::{CsrGraph, Vertex, Weight};
 use std::ops::Range;
@@ -115,7 +128,29 @@ fn fill_evaluated_first(
     front
 }
 
-/// Per-rank share of the distributed graph.
+/// A vertex id local to one rank: an owned slot, a delegate replica or a
+/// ghost (see [`RankGraph`]).
+pub type LocalId = u32;
+
+/// A remote arc target as one rank sees it: its global id and the rank
+/// that owns it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ghost {
+    /// The vertex's global id.
+    pub global: Vertex,
+    /// The rank that owns it (and holds its state).
+    pub owner: u32,
+}
+
+/// Per-rank share of the distributed graph, in local vertex ids.
+///
+/// Ids `0..num_owned` are the owned vertices in order (`owned.start + i`),
+/// `num_owned..num_held` the delegate replicas in delegate-list order, and
+/// `num_held..` the *ghosts*: the distinct remote targets of this rank's
+/// arcs, grouped by owner in rank order. An arc to a delegate names its
+/// replica, also on the delegate's owner, whose owned slot then has no
+/// arcs and is never named. Arc sources are the held ids, so the source
+/// index of [`RankGraph::num_sources`] is the source's local id.
 #[derive(Clone, Debug)]
 pub struct RankGraph {
     /// This rank's id.
@@ -128,11 +163,18 @@ pub struct RankGraph {
     // CSR over owned vertices. Owned delegates have an empty adjacency here;
     // their edges live in the per-rank delegate slices instead.
     offsets: Vec<u64>,
-    targets: Vec<Vertex>,
+    targets: Vec<LocalId>,
     weights: Vec<Weight>,
     // This rank's round-robin share of every delegate's adjacency, in
     // delegate-list order (parallel to `delegates`).
-    delegate_slices: Vec<Vec<(Vertex, Weight)>>,
+    delegate_slices: Vec<Vec<(LocalId, Weight)>>,
+    // Per source: the length of its evaluated prefix.
+    evaluated: Vec<u32>,
+    // Per ghost id minus `num_held`: the ghost's global id and owner.
+    ghosts: Vec<Ghost>,
+    // Per peer: the local ids of this rank's vertices that the peer holds
+    // as ghosts, in the peer's ghost order.
+    mirrors: Vec<Vec<LocalId>>,
 }
 
 impl RankGraph {
@@ -148,49 +190,75 @@ impl RankGraph {
         (self.owned.end - self.owned.start) as usize
     }
 
-    /// Whether `v` is a delegate (replicated hub) vertex.
+    /// Number of vertices whose state this rank holds: the owned slots,
+    /// then the delegate replicas. Local ids below it are held, the others
+    /// are ghosts.
     #[inline]
-    pub fn is_delegate(&self, v: Vertex) -> bool {
-        self.delegates.binary_search(&v).is_ok()
+    pub fn num_held(&self) -> usize {
+        self.num_owned() + self.delegates.len()
     }
 
-    fn delegate_index(&self, v: Vertex) -> Option<usize> {
-        self.delegates.binary_search(&v).ok()
+    /// The global id of local id `id`.
+    #[inline]
+    pub fn global_id(&self, id: LocalId) -> Vertex {
+        let i = id as usize;
+        if i < self.num_owned() {
+            self.owned.start + id
+        } else if i < self.num_held() {
+            self.delegates[i - self.num_owned()]
+        } else {
+            self.ghosts[i - self.num_held()].global
+        }
     }
 
-    /// Adjacency of an owned, non-delegate vertex `v`.
+    /// The ghost table: entry `g` describes local id `num_held + g`.
+    #[inline]
+    pub fn ghosts(&self) -> &[Ghost] {
+        &self.ghosts
+    }
+
+    /// The local ids of this rank's vertices that `peer` holds as ghosts,
+    /// in `peer`'s ghost order (empty for this rank itself).
+    #[inline]
+    pub fn mirrors(&self, peer: usize) -> &[LocalId] {
+        &self.mirrors[peer]
+    }
+
+    /// Adjacency of an owned, non-delegate vertex `v`, in global ids.
     ///
-    /// Panics if `v` is not owned; returns an empty slice pair for an owned
-    /// delegate (its edges are in the delegate slices).
+    /// Panics if `v` is not owned; empty for an owned delegate (its edges
+    /// are in the delegate slices).
     pub fn adj(&self, v: Vertex) -> impl Iterator<Item = (Vertex, Weight)> + '_ {
         assert!(self.owns(v), "rank {} does not own {v}", self.rank);
         let (targets, weights) = self.owned_arcs((v - self.owned.start) as usize);
-        targets.iter().copied().zip(weights.iter().copied())
+        targets
+            .iter()
+            .map(|&t| self.global_id(t))
+            .zip(weights.iter().copied())
     }
 
-    /// Adjacency of the `i`-th owned vertex as parallel target and weight
-    /// slices (both empty for an owned delegate), the arcs [`evaluates`]
-    /// accepts first.
+    /// Adjacency of the `i`-th owned vertex as parallel local-target and
+    /// weight slices (both empty for an owned delegate), the arcs
+    /// [`evaluates`] accepts first.
     #[inline]
-    pub fn owned_arcs(&self, i: usize) -> (&[Vertex], &[Weight]) {
+    pub fn owned_arcs(&self, i: usize) -> (&[LocalId], &[Weight]) {
         let r = self.offsets[i] as usize..self.offsets[i + 1] as usize;
         (&self.targets[r.clone()], &self.weights[r])
     }
 
-    /// This rank's slice of delegate `v`'s adjacency (empty if this rank
-    /// received no share). Panics if `v` is not a delegate.
-    pub fn delegate_slice(&self, v: Vertex) -> &[(Vertex, Weight)] {
-        let i = self
-            .delegate_index(v)
-            .unwrap_or_else(|| panic!("{v} is not a delegate"));
-        self.delegate_arcs(i)
+    /// This rank's slice of the `k`-th delegate's adjacency, in local
+    /// targets, in the order of [`RankGraph::delegates`], the arcs
+    /// [`evaluates`] accepts first.
+    #[inline]
+    pub fn delegate_arcs(&self, k: usize) -> &[(LocalId, Weight)] {
+        &self.delegate_slices[k]
     }
 
-    /// This rank's slice of the `k`-th delegate's adjacency, in the order
-    /// of [`RankGraph::delegates`], the arcs [`evaluates`] accepts first.
+    /// How many leading arcs of source `i` [`evaluates`] accepts (its
+    /// arcs are stored evaluated first).
     #[inline]
-    pub fn delegate_arcs(&self, k: usize) -> &[(Vertex, Weight)] {
-        &self.delegate_slices[k]
+    pub fn num_evaluated(&self, i: usize) -> usize {
+        self.evaluated[i] as usize
     }
 
     /// Number of arcs stored locally (owned adjacency + delegate slices).
@@ -198,41 +266,64 @@ impl RankGraph {
         self.targets.len() + self.delegate_slices.iter().map(|s| s.len()).sum::<usize>()
     }
 
-    /// Approximate local memory footprint in bytes (Fig 8 "graph" series).
+    /// Approximate local memory footprint in bytes (Fig 8 "graph" series):
+    /// the adjacency and the evaluated-prefix lengths. The ghost table is
+    /// [`RankGraph::ghost_bytes`].
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.targets.len() * std::mem::size_of::<Vertex>()
-            + self.weights.len() * std::mem::size_of::<Weight>()
+        std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.targets[..])
+            + std::mem::size_of_val(&self.weights[..])
+            + std::mem::size_of_val(&self.evaluated[..])
             + self
                 .delegate_slices
                 .iter()
-                .map(|s| s.len() * std::mem::size_of::<(Vertex, Weight)>())
+                .map(|s| std::mem::size_of_val(&s[..]))
+                .sum::<usize>()
+    }
+
+    /// Bytes of the ghost table and the mirror lists.
+    pub fn ghost_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.ghosts[..])
+            + self
+                .mirrors
+                .iter()
+                .map(|m| std::mem::size_of_val(&m[..]))
                 .sum::<usize>()
     }
 
     /// Number of arc sources stored on this rank: the owned vertices
     /// ([`RankGraph::owned_arcs`]), then the delegates
-    /// ([`RankGraph::delegate_arcs`]). Together they hold every local arc
-    /// exactly once: the arcs the edge-centric min-distance-edge phase
-    /// (Alg 5) scans, "every (u, v) ∈ E local to a partition".
+    /// ([`RankGraph::delegate_arcs`]), so source `i` is local id `i`.
+    /// Together they hold every local arc exactly once: the arcs the
+    /// edge-centric min-distance-edge phase (Alg 5) scans, "every
+    /// (u, v) ∈ E local to a partition".
     pub fn num_sources(&self) -> usize {
-        self.num_owned() + self.delegates.len()
+        self.num_held()
     }
 }
 
 #[cfg(test)]
 impl RankGraph {
-    /// Every arc `(u, v, w)` stored on this rank, read source by source
-    /// through the accessors the min-edge scan uses.
+    /// Every arc `(u, v, w)` stored on this rank in global ids, read
+    /// source by source through the accessors the min-edge scan uses.
     pub(crate) fn stored_arcs(&self) -> Vec<(Vertex, Vertex, Weight)> {
         let mut arcs = Vec::new();
         for i in 0..self.num_owned() {
             let u = self.owned.start + i as Vertex;
             let (targets, weights) = self.owned_arcs(i);
-            arcs.extend(targets.iter().zip(weights).map(|(&v, &w)| (u, v, w)));
+            arcs.extend(
+                targets
+                    .iter()
+                    .zip(weights)
+                    .map(|(&v, &w)| (u, self.global_id(v), w)),
+            );
         }
         for (k, &d) in self.delegates.iter().enumerate() {
-            arcs.extend(self.delegate_arcs(k).iter().map(|&(v, w)| (d, v, w)));
+            arcs.extend(
+                self.delegate_arcs(k)
+                    .iter()
+                    .map(|&(v, w)| (d, self.global_id(v), w)),
+            );
         }
         arcs
     }
@@ -253,6 +344,9 @@ pub struct PartitionedGraph {
     pub max_degree: usize,
 }
 
+/// Marks a global id the renumbering map has not assigned.
+const UNMAPPED: LocalId = LocalId::MAX;
+
 /// Splits `g` into `p` rank subgraphs. Vertices with degree at least
 /// `delegate_threshold` (if given) become *delegates*: their adjacency is
 /// dealt round-robin across all ranks, mirroring HavoqGT's vertex-cut
@@ -272,62 +366,20 @@ pub fn partition_graph(
     delegates.sort_unstable();
     let delegates = Arc::new(delegates);
 
-    let mut ranks = Vec::with_capacity(p);
-    for rank in 0..p {
-        let owned = partition.range(rank);
-        let num_owned = (owned.end - owned.start) as usize;
-        // Row lengths come from the degrees, so every row is laid out in
-        // place by `fill_evaluated_first`.
-        let mut offsets = Vec::with_capacity(num_owned + 1);
-        offsets.push(0u64);
-        let mut num_arcs = 0;
-        for v in owned.clone() {
-            if delegates.binary_search(&v).is_err() {
-                num_arcs += g.degree(v);
-            }
-            offsets.push(num_arcs as u64);
+    // Global id -> local id of the rank being built. Every rank leaves it
+    // all `UNMAPPED` again, so one allocation serves them all.
+    let mut local = vec![UNMAPPED; n];
+    let mut ranks: Vec<RankGraph> = (0..p)
+        .map(|rank| build_rank(g, &partition, rank, &delegates, &mut local))
+        .collect();
+    // Rank r's ghosts owned by q, in r's ghost order, are q's mirrors for r.
+    for r in 0..p {
+        for gi in 0..ranks[r].ghosts.len() {
+            let Ghost { global, owner } = ranks[r].ghosts[gi];
+            let q = owner as usize;
+            let id = global - ranks[q].owned.start;
+            ranks[q].mirrors[r].push(id);
         }
-        let mut targets = vec![0; num_arcs];
-        let mut weights = vec![0; num_arcs];
-        for (i, v) in owned.clone().enumerate() {
-            let row = offsets[i] as usize..offsets[i + 1] as usize;
-            if row.is_empty() {
-                // An owned delegate (its arcs are in the delegate slices),
-                // or an isolated vertex.
-                continue;
-            }
-            let (targets, weights) = (&mut targets[row.clone()], &mut weights[row]);
-            let split = fill_evaluated_first(v, g.edges(v), targets.len(), |k, t, w| {
-                targets[k] = t;
-                weights[k] = w;
-            });
-            targets[split..].reverse();
-            weights[split..].reverse();
-        }
-        // Round-robin share of each delegate's arcs: every p-th arc from
-        // index `rank` on.
-        let delegate_slices = delegates
-            .iter()
-            .map(|&d| {
-                let share = g.edges(d).enumerate().filter(|(i, _)| i % p == rank);
-                let mut slice = vec![(0, 0); g.degree(d).saturating_sub(rank).div_ceil(p)];
-                let split =
-                    fill_evaluated_first(d, share.map(|(_, e)| e), slice.len(), |k, t, w| {
-                        slice[k] = (t, w)
-                    });
-                slice[split..].reverse();
-                slice
-            })
-            .collect();
-        ranks.push(RankGraph {
-            rank,
-            owned,
-            delegates: Arc::clone(&delegates),
-            offsets,
-            targets,
-            weights,
-            delegate_slices,
-        });
     }
     PartitionedGraph {
         partition,
@@ -335,6 +387,165 @@ pub fn partition_graph(
         delegates,
         max_weight: g.weight_range().map_or(0, |(_, hi)| hi),
         max_degree: g.max_degree(),
+    }
+}
+
+/// One rank's global-to-local renumbering: the held vertices are
+/// pre-mapped in `local`, and every other target becomes the next ghost
+/// on first sight.
+struct Renumbering<'a> {
+    local: &'a mut [LocalId],
+    num_held: LocalId,
+    /// Ghost global ids, in order of first sight.
+    ghosts: Vec<Vertex>,
+}
+
+impl Renumbering<'_> {
+    /// The id of `v` from the map, a new ghost's if it has none.
+    fn mapped(&mut self, v: Vertex) -> LocalId {
+        match self.local[v as usize] {
+            UNMAPPED => {
+                let id = self.num_held + self.ghosts.len() as LocalId;
+                self.local[v as usize] = id;
+                self.ghosts.push(v);
+                id
+            }
+            id => id,
+        }
+    }
+}
+
+/// Builds rank `rank`'s subgraph, its mirror lists left empty. `local` is
+/// the all-`UNMAPPED` renumbering map, left all `UNMAPPED` again.
+fn build_rank(
+    g: &CsrGraph,
+    partition: &BlockPartition,
+    rank: usize,
+    delegates: &Arc<Vec<Vertex>>,
+    local: &mut [LocalId],
+) -> RankGraph {
+    let p = partition.num_ranks();
+    let owned = partition.range(rank);
+    let num_owned = (owned.end - owned.start) as usize;
+    let num_held = num_owned + delegates.len();
+    // An arc to a delegate names its replica, so an owned delegate keeps
+    // its replica id and its owned slot is never named.
+    for (k, &d) in delegates.iter().enumerate() {
+        local[d as usize] = (num_owned + k) as LocalId;
+    }
+    for v in owned.clone() {
+        if local[v as usize] == UNMAPPED {
+            local[v as usize] = v - owned.start;
+        }
+    }
+    let mut ids = Renumbering {
+        local,
+        num_held: num_held as LocalId,
+        ghosts: Vec::new(),
+    };
+
+    // Row lengths come from the degrees (an owned delegate's row is
+    // empty), so every row is laid out and renamed in place by
+    // `fill_evaluated_first`.
+    let mut offsets = Vec::with_capacity(num_owned + 1);
+    offsets.push(0u64);
+    let mut num_arcs = 0;
+    for v in owned.clone() {
+        if (ids.local[v as usize] as usize) < num_owned {
+            num_arcs += g.degree(v);
+        }
+        offsets.push(num_arcs as u64);
+    }
+    let mut targets = vec![0; num_arcs];
+    let mut weights = vec![0; num_arcs];
+    let mut evaluated = Vec::with_capacity(num_held);
+    for (i, v) in owned.clone().enumerate() {
+        let row = offsets[i] as usize..offsets[i + 1] as usize;
+        if row.is_empty() {
+            // An owned delegate (its arcs are in the delegate slices),
+            // or an isolated vertex.
+            evaluated.push(0);
+            continue;
+        }
+        let (targets, weights) = (&mut targets[row.clone()], &mut weights[row]);
+        let split = fill_evaluated_first(v, g.edges(v), targets.len(), |k, t, w| {
+            targets[k] = ids.mapped(t);
+            weights[k] = w;
+        });
+        targets[split..].reverse();
+        weights[split..].reverse();
+        evaluated.push(split as u32);
+    }
+    // Round-robin share of each delegate's arcs: every p-th arc from
+    // index `rank` on.
+    let mut delegate_slices: Vec<Vec<(LocalId, Weight)>> = delegates
+        .iter()
+        .map(|&d| {
+            let share = g.edges(d).enumerate().filter(|(i, _)| i % p == rank);
+            let mut slice = vec![(0, 0); g.degree(d).saturating_sub(rank).div_ceil(p)];
+            let split = fill_evaluated_first(d, share.map(|(_, e)| e), slice.len(), |k, t, w| {
+                slice[k] = (ids.mapped(t), w)
+            });
+            slice[split..].reverse();
+            evaluated.push(split as u32);
+            slice
+        })
+        .collect();
+
+    // Regroup the ghosts by owner, so each owner's ghosts form one run: a
+    // stable counting sort, and a renaming pass over the targets, unless
+    // first sight already grouped them (always so on two ranks).
+    let local = ids.local;
+    let mut ghosts: Vec<Ghost> = (ids.ghosts.into_iter())
+        .map(|global| Ghost {
+            global,
+            owner: partition.owner(global) as u32,
+        })
+        .collect();
+    if !ghosts.is_sorted_by_key(|gh| gh.owner) {
+        let mut next = vec![0; p + 1];
+        for gh in &ghosts {
+            next[gh.owner as usize + 1] += 1;
+        }
+        for q in 0..p {
+            next[q + 1] += next[q];
+        }
+        let mut regrouped = ghosts.clone();
+        let renamed: Vec<LocalId> = (ghosts.iter())
+            .map(|&gh| {
+                let slot = &mut next[gh.owner as usize];
+                regrouped[*slot] = gh;
+                *slot += 1;
+                (num_held + *slot - 1) as LocalId
+            })
+            .collect();
+        let rename = |t: &mut LocalId| {
+            if *t as usize >= num_held {
+                *t = renamed[*t as usize - num_held];
+            }
+        };
+        targets.iter_mut().for_each(rename);
+        (delegate_slices.iter_mut().flatten()).for_each(|(t, _)| rename(t));
+        ghosts = regrouped;
+    }
+
+    for v in (delegates.iter().copied())
+        .chain(ghosts.iter().map(|gh| gh.global))
+        .chain(owned.clone())
+    {
+        local[v as usize] = UNMAPPED;
+    }
+    RankGraph {
+        rank,
+        owned,
+        delegates: Arc::clone(delegates),
+        offsets,
+        targets,
+        weights,
+        delegate_slices,
+        evaluated,
+        ghosts,
+        mirrors: vec![Vec::new(); p],
     }
 }
 
@@ -397,7 +608,7 @@ mod tests {
         assert_eq!(total, g.num_arcs());
         // The hub's arcs are spread across all ranks.
         for r in &pg.ranks {
-            assert_eq!(r.delegate_slice(0).len(), 2);
+            assert_eq!(r.delegate_arcs(0).len(), 2);
         }
     }
 

@@ -5,7 +5,7 @@ use crate::csr::{CsrGraph, Vertex, Weight};
 use crate::generators::{
     barabasi_albert, erdos_renyi, grid2d, rmat, star, weighted_from_edges, RmatParams,
 };
-use crate::partition::{evaluates, partition_graph, BlockPartition};
+use crate::partition::{evaluates, partition_graph, BlockPartition, Ghost, LocalId};
 use crate::traversal::connected_components;
 use crate::weights::WeightRange;
 use proptest::prelude::*;
@@ -153,22 +153,92 @@ proptest! {
                     let owned = (0..rg.num_owned()).map(|i| {
                         let (targets, weights) = rg.owned_arcs(i);
                         let arcs: Vec<_> = targets.iter().copied().zip(weights.iter().copied()).collect();
-                        (rg.owned.start + i as Vertex, arcs)
+                        (i, arcs)
                     });
-                    let delegated = rg.delegates.iter().enumerate()
-                        .map(|(k, &d)| (d, rg.delegate_arcs(k).to_vec()));
-                    for (u, arcs) in owned.chain(delegated) {
-                        let prefix = arcs.iter().take_while(|&&(v, _)| evaluates(u, v)).count();
+                    let delegated = (0..rg.delegates.len())
+                        .map(|k| (rg.num_owned() + k, rg.delegate_arcs(k).to_vec()));
+                    for (i, arcs) in owned.chain(delegated) {
+                        let u = rg.global_id(i as LocalId);
+                        let arcs: Vec<_> = arcs.iter().map(|&(v, w)| (rg.global_id(v), w)).collect();
+                        let prefix = rg.num_evaluated(i);
                         prop_assert!(
-                            arcs[prefix..].iter().all(|&(v, _)| !evaluates(u, v)),
-                            "source {} at p={} threshold={:?}: evaluated arc after the prefix",
-                            u, p, threshold
+                            arcs[..prefix].iter().all(|&(v, _)| evaluates(u, v))
+                                && arcs[prefix..].iter().all(|&(v, _)| !evaluates(u, v)),
+                            "source {} at p={} threshold={:?}: prefix {} is not the evaluated arcs",
+                            u, p, threshold, prefix
                         );
                         evaluated.extend(arcs[..prefix].iter().map(|&(v, w)| (u.min(v), u.max(v), w)));
                     }
                 }
                 evaluated.sort_unstable();
                 prop_assert_eq!(&evaluated, &edges, "p={} threshold={:?}", p, threshold);
+            }
+        }
+    }
+    /// The per-rank renumbering: every stored arc maps back to the graph's
+    /// arcs; owned, replica and ghost ids are dense and disjoint; each
+    /// ghost's recorded owner owns it; and peer q's mirror list for rank r
+    /// is r's ghosts owned by q, in r's ghost order.
+    #[test]
+    fn local_ids_renumber_every_rank(g in arb_family_graph()) {
+        let mut global: Vec<_> = g.arcs().collect();
+        global.sort_unstable();
+        for p in [1usize, 2, 3, 4] {
+            for threshold in [None, Some(4)] {
+                let ctx = format!("p={p} threshold={threshold:?}");
+                let pg = partition_graph(&g, p, threshold);
+                let mut stored: Vec<_> = pg.ranks.iter().flat_map(|r| r.stored_arcs()).collect();
+                stored.sort_unstable();
+                prop_assert_eq!(&stored, &global, "{}", &ctx);
+                for rg in &pg.ranks {
+                    let (owned, held) = (rg.num_owned(), rg.num_held());
+                    let ids = held + rg.ghosts().len();
+                    // Each id names one vertex and each vertex one id, but
+                    // for an owned delegate's unused owned slot.
+                    let globals: Vec<Vertex> = (0..ids as LocalId).map(|i| rg.global_id(i)).collect();
+                    let owned_delegates = rg.delegates.iter().filter(|&&d| rg.owns(d)).count();
+                    let mut distinct = globals.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    prop_assert_eq!(distinct.len(), ids - owned_delegates, "{}: ids not disjoint", &ctx);
+                    prop_assert!(globals[..owned].iter().copied().eq(rg.owned.clone()), "{}", &ctx);
+                    prop_assert_eq!(&globals[owned..held], &rg.delegates[..], "{}", &ctx);
+                    // Every stored target is a live id, never the unused
+                    // owned slot of an owned delegate.
+                    let targets = (0..owned)
+                        .flat_map(|i| rg.owned_arcs(i).0.to_vec())
+                        .chain((0..rg.delegates.len()).flat_map(|k| rg.delegate_arcs(k).iter().map(|&(t, _)| t).collect::<Vec<_>>()));
+                    let mut named = vec![false; ids];
+                    for t in targets {
+                        prop_assert!((t as usize) < ids, "{}: target {} out of range", &ctx, t);
+                        prop_assert!(
+                            (t as usize) >= owned || !rg.delegates.contains(&globals[t as usize]),
+                            "{}: arc names an owned delegate's owned slot", &ctx
+                        );
+                        named[t as usize] = true;
+                    }
+                    prop_assert!(named[held..].iter().all(|&n| n), "{}: a ghost no arc names", &ctx);
+                    // Ghosts: owned by their recorded owner, elsewhere,
+                    // grouped by owner in rank order.
+                    for &Ghost { global, owner } in rg.ghosts() {
+                        prop_assert_eq!(pg.partition.owner(global), owner as usize, "{}", &ctx);
+                        prop_assert!(owner as usize != rg.rank, "{}", &ctx);
+                        prop_assert!(!rg.delegates.contains(&global), "{}", &ctx);
+                    }
+                    prop_assert!(rg.ghosts().windows(2).all(|w| w[0].owner <= w[1].owner), "{}", &ctx);
+                    // Mirrors: peer q's list for this rank is this rank's
+                    // ghosts owned by q, in this rank's order.
+                    for (q, peer) in pg.ranks.iter().enumerate() {
+                        let want: Vec<Vertex> = rg.ghosts().iter()
+                            .filter(|gh| gh.owner as usize == q)
+                            .map(|gh| gh.global)
+                            .collect();
+                        let mirrors = peer.mirrors(rg.rank);
+                        prop_assert!(mirrors.iter().all(|&m| (m as usize) < peer.num_owned()), "{}", &ctx);
+                        let got: Vec<Vertex> = mirrors.iter().map(|&m| peer.global_id(m)).collect();
+                        prop_assert_eq!(got, want, "{}: mirrors of rank {} for rank {}", &ctx, q, rg.rank);
+                    }
+                }
             }
         }
     }

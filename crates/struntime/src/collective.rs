@@ -4,8 +4,8 @@
 //! These mirror the `MPI_Allreduce(MPI_MIN)` collectives the paper's
 //! Alg 5 uses for global min-distance-edge identification and edge
 //! pruning, the per-round slot reductions of the distributed Borůvka
-//! MST, and the `MPI_Alltoallv` bulk exchange of the local min-edge
-//! phase's boundary probes. The paper's §V-F chunked variant is
+//! MST, and the `MPI_Alltoallv` halo exchange of the local min-edge
+//! phase. The paper's §V-F chunked variant is
 //! deliberately absent: chunking bounds only the shared slot, never the
 //! rank-local buffer, so it never lowered peak memory (Fig 8); Borůvka's
 //! `O(#components)` slots do.

@@ -16,7 +16,7 @@
 //!   Skipped entirely under `--counters-only` (what CI uses).
 //! * **exact** — counters that repeat exactly on one instance, whatever
 //!   the thread schedule: every counter of a one-rank row (its schedule
-//!   is deterministic), the probe (`local_min_edge`) and trace
+//!   is deterministic), the halo (`local_min_edge`) and trace
 //!   (`tree_edge`) message and byte counts, `distance_graph_edges`, the
 //!   Borůvka round counters, `sync_points` and the tree weight. Any
 //!   change, in either direction, fails: it means the solver did
@@ -36,8 +36,8 @@ pub const TIME_REL: f64 = 0.5;
 pub const TIME_ABS_US: u64 = 1000;
 
 /// Phases whose message counts are a function of the instance alone:
-/// the probe exchange sends one probe per evaluated boundary arc, and
-/// the trace walk one message per traced vertex.
+/// the halo exchange sends one entry per ghost of each rank, and the
+/// trace walk one message per traced vertex.
 const DETERMINISTIC_PHASES: [&str; 2] = ["local_min_edge", "tree_edge"];
 
 /// Outcome of one diff: every comparison line plus the regression count.
