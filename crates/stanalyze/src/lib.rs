@@ -26,6 +26,9 @@
 //! - breaks down **load imbalance**: busy vs idle time per rank per
 //!   span, spawn→visit queue-wait per rank per channel phase, and the
 //!   max/mean busy-time ratio across ranks.
+//!
+//! [`gantt`] draws the same model's phase spans as an ASCII timeline,
+//! one row per rank.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -119,7 +122,7 @@ pub fn model_from_dump(dump: &TraceDump) -> TraceModel {
                         });
                     }
                 }
-                TraceEventKind::Instant => {}
+                TraceEventKind::Instant | TraceEventKind::Counter => {}
                 TraceEventKind::Spawn => model.spawns.push(SpawnRec {
                     id: ev.arg,
                     parent: ev.arg2,
@@ -614,121 +617,63 @@ pub fn analyze(model: &TraceModel) -> Analysis {
     a
 }
 
-/// Renders an ASCII phase Gantt / per-rank utilization view from a
-/// telemetry time series (the `timeseries` section of a v5 run report or
-/// a flight-recorder dump — see `struntime::telemetry`).
-///
-/// Each rank is one row over a shared step axis (executed visits, the
-/// sampler's deterministic clock); each column shows the phase the rank
-/// was in at that point, as a single digit/letter assigned in order of
-/// first appearance (`.` = no phase marked, ` ` = rank already
-/// finished). The right margin shows the rank's total executed visits
-/// and its share of the most-loaded rank's. `name_of` maps a phase id to
-/// a display name for the legend (ids it declines stay numeric).
-pub fn gantt_from_timeseries(
-    ts: &Json,
-    name_of: &dyn Fn(u64) -> Option<String>,
-) -> Result<String, String> {
-    // (rank id, [(step, phase id or None)], final visits gauge)
-    type GanttRow = (u64, Vec<(u64, Option<u64>)>, u64);
-    const WIDTH: usize = 64;
-    let ranks = ts
-        .get("ranks")
-        .and_then(|v| v.as_arr())
-        .ok_or("timeseries.ranks must be an array")?;
-    if ranks.is_empty() {
-        return Err("timeseries has no ranks".to_string());
-    }
-    let mut rows: Vec<GanttRow> = Vec::new();
-    for (i, rank) in ranks.iter().enumerate() {
-        let id = rank
-            .get("rank")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("ranks[{i}].rank must be an integer"))?;
-        let steps: Vec<u64> = rank
-            .get("steps")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| format!("ranks[{i}].steps must be an array"))?
-            .iter()
-            .filter_map(|s| s.as_u64())
-            .collect();
-        let phases: Vec<Option<u64>> = rank
-            .get("phases")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| format!("ranks[{i}].phases must be an array"))?
-            .iter()
-            .map(|p| p.as_u64())
-            .collect();
-        if phases.len() != steps.len() {
-            return Err(format!("ranks[{i}]: phases/steps length mismatch"));
-        }
-        let visits = rank
-            .get("gauges")
-            .and_then(|g| g.get("visits"))
-            .and_then(|c| c.as_arr())
-            .and_then(|c| c.last())
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0);
-        rows.push((id, steps.into_iter().zip(phases).collect(), visits));
-    }
-    let max_step = rows
+/// Renders an ASCII phase Gantt / per-rank utilization view from the
+/// phase spans of a trace: one row per rank over a shared wall-clock
+/// axis running from the first phase span's begin to the last one's end.
+/// Each column shows the phase whose span covers the column's midpoint on
+/// that rank, as the digit or letter of its position in `phases` (`.` =
+/// inside no phase span). The right margin shows the rank's visits
+/// (stale drops excluded) and its share of the most-loaded rank's. Spans
+/// not named in `phases` are ignored; a model without a phase span is an
+/// error.
+pub fn gantt(model: &TraceModel, phases: &[&str]) -> Result<String, String> {
+    const WIDTH: u64 = 64;
+    let spans: Vec<(&SpanRec, usize)> = model
+        .spans
         .iter()
-        .flat_map(|(_, samples, _)| samples.iter().map(|&(s, _)| s))
-        .max()
-        .ok_or("timeseries has no samples")?
-        .max(1);
-    let max_visits = rows.iter().map(|&(_, _, v)| v).max().unwrap_or(0).max(1);
-
-    // Stable phase-id -> glyph assignment, in order of first appearance.
-    let mut glyphs: Vec<u64> = Vec::new();
-    let mut glyph_of = |phase: Option<u64>| -> char {
-        match phase {
-            None => '.',
-            Some(p) => {
-                let idx = glyphs.iter().position(|&g| g == p).unwrap_or_else(|| {
-                    glyphs.push(p);
-                    glyphs.len() - 1
-                });
-                char::from_digit(idx as u32, 36).unwrap_or('?')
-            }
-        }
-    };
-
+        .filter_map(|s| phases.iter().position(|&p| p == s.name).map(|i| (s, i)))
+        .collect();
+    let t0 = spans
+        .iter()
+        .map(|(s, _)| s.begin_us)
+        .min()
+        .ok_or("trace holds no phase span")?;
+    let t1 = spans.iter().map(|(s, _)| s.end_us).max().unwrap_or(t0);
+    let len = (t1 - t0).max(1);
+    let glyph = |i: usize| char::from_digit(i as u32, 36).unwrap_or('?');
+    let visits: Vec<u64> = (0..model.num_ranks)
+        .map(|r| {
+            model
+                .visits
+                .iter()
+                .filter(|v| v.rank == r && !v.stale)
+                .count() as u64
+        })
+        .collect();
+    let max_visits = visits.iter().copied().max().unwrap_or(0).max(1);
     let mut out = String::new();
-    for (id, samples, visits) in &rows {
-        let mut line = String::with_capacity(WIDTH);
-        let mut cursor = 0usize;
-        for col in 0..WIDTH {
-            // Phase of the last sample at or below this column's step.
-            let col_end = ((col + 1) as u64 * max_step).div_ceil(WIDTH as u64);
-            while cursor + 1 < samples.len() && samples[cursor + 1].0 <= col_end {
-                cursor += 1;
-            }
-            match samples.get(cursor) {
-                Some(&(step, phase)) if step <= col_end => {
-                    // Past the rank's last sample the row goes blank.
-                    if cursor + 1 == samples.len() && step < (col as u64 * max_step / WIDTH as u64)
-                    {
-                        line.push(' ');
-                    } else {
-                        line.push(glyph_of(phase));
-                    }
-                }
-                _ => line.push(' '),
-            }
-        }
+    for (rank, &v) in visits.iter().enumerate() {
+        let line: String = (0..WIDTH)
+            .map(|col| {
+                let t = t0 + (2 * col + 1) * len / (2 * WIDTH);
+                spans
+                    .iter()
+                    .find(|(s, _)| s.rank == rank && s.begin_us <= t && t <= s.end_us)
+                    .map_or('.', |&(_, i)| glyph(i))
+            })
+            .collect();
         out.push_str(&format!(
-            "r{id:<3} |{line}| {visits} visits ({}%)\n",
-            visits * 100 / max_visits
+            "r{rank:<3} |{line}| {v} visits ({}%)\n",
+            v * 100 / max_visits
         ));
     }
     out.push_str(&format!(
-        "      step axis: 1..{max_step} executed visits per rank\n"
+        "      time axis: {len} us from the first phase span\n"
     ));
-    for (idx, &phase) in glyphs.iter().enumerate() {
-        let glyph = char::from_digit(idx as u32, 36).unwrap_or('?');
-        let name = name_of(phase).unwrap_or_else(|| format!("phase_{phase}"));
-        out.push_str(&format!("      {glyph} = {name}\n"));
+    for (i, name) in phases.iter().enumerate() {
+        if spans.iter().any(|&(_, j)| j == i) {
+            out.push_str(&format!("      {} = {name}\n", glyph(i)));
+        }
     }
     Ok(out)
 }
@@ -968,72 +913,62 @@ mod tests {
         assert_eq!(j.get("acyclic").and_then(|b| b.as_bool()), Some(true));
     }
 
-    fn sample_timeseries() -> Json {
-        // Two ranks, rank 0 twice as loaded; phase 0 then phase 1.
-        let rank = |id: u64, steps: Vec<u64>, phases: Vec<Json>, visits: Vec<u64>| {
-            Json::obj()
-                .with("rank", id)
-                .with("dropped", 0u64)
-                .with(
-                    "steps",
-                    Json::Arr(steps.into_iter().map(Json::from).collect()),
-                )
-                .with("phases", Json::Arr(phases))
-                .with(
-                    "gauges",
-                    Json::obj().with(
-                        "visits",
-                        Json::Arr(visits.into_iter().map(Json::from).collect()),
-                    ),
-                )
-        };
-        Json::obj().with("sample_every", 4u64).with(
-            "ranks",
-            Json::Arr(vec![
-                rank(
-                    0,
-                    vec![1, 5, 9, 13],
-                    vec![
-                        Json::from(0u64),
-                        Json::from(0u64),
-                        Json::from(1u64),
-                        Json::from(1u64),
-                    ],
-                    vec![1, 5, 9, 13],
-                ),
-                rank(
-                    1,
-                    vec![1, 5],
-                    vec![Json::from(0u64), Json::from(1u64)],
-                    vec![1, 5],
-                ),
-            ]),
-        )
-    }
-
     #[test]
     fn gantt_renders_rows_legend_and_utilization() {
-        let ts = sample_timeseries();
-        let text =
-            gantt_from_timeseries(&ts, &|p| (p == 0).then(|| "voronoi".to_string())).unwrap();
-        assert!(text.contains("r0 "), "{text}");
-        assert!(text.contains("r1 "), "{text}");
+        // Two ranks, rank 0 twice as loaded: voronoi then tree_edge on
+        // rank 0, a short voronoi on rank 1.
+        let span = |rank: usize, name: &str, begin_us: u64, end_us: u64| SpanRec {
+            rank,
+            name: name.to_string(),
+            begin_us,
+            end_us,
+        };
+        let visit = |rank: usize, id: u64| VisitRec {
+            id,
+            rank,
+            ts_us: 0,
+            phase: "voronoi".to_string(),
+            stale: false,
+        };
+        let model = TraceModel {
+            num_ranks: 2,
+            spawns: vec![],
+            visits: (0..13)
+                .map(|i| visit(0, i + 1))
+                .chain((0..5).map(|i| visit(1, i + 100)))
+                .collect(),
+            spans: vec![
+                span(0, "voronoi", 0, 60),
+                span(0, "idle", 10, 20),
+                span(0, "tree_edge", 60, 100),
+                span(1, "voronoi", 0, 30),
+            ],
+            dropped: vec![0, 0],
+        };
+        let text = gantt(&model, &["voronoi", "mst", "tree_edge"]).unwrap();
+        let rows: Vec<&str> = text.lines().collect();
+        assert!(rows[0].starts_with("r0   |0000"), "{text}");
+        assert!(rows[0].contains("2222|"), "{text}");
         // Rank 0 executed 13 visits (100%), rank 1 only 5.
-        assert!(text.contains("13 visits (100%)"), "{text}");
-        assert!(text.contains("5 visits (38%)"), "{text}");
-        // Legend: phase 0 got a name from the caller, phase 1 stays numeric.
+        assert!(rows[0].ends_with("13 visits (100%)"), "{text}");
+        assert!(rows[1].ends_with("5 visits (38%)"), "{text}");
+        // Rank 1's row goes blank after its span closes.
+        assert!(rows[1].contains("0...."), "{rows:?}");
+        assert!(text.contains("time axis: 100 us"), "{text}");
+        // The legend names the phases that appear, in `phases` order.
         assert!(text.contains("0 = voronoi"), "{text}");
-        assert!(text.contains("1 = phase_1"), "{text}");
-        // Rank 1's row goes blank after its last sample.
-        let r1 = text.lines().nth(1).unwrap();
-        assert!(r1.contains(' '), "{r1}");
+        assert!(text.contains("2 = tree_edge"), "{text}");
+        assert!(!text.contains("mst"), "{text}");
     }
 
     #[test]
-    fn gantt_rejects_malformed_timeseries() {
-        assert!(gantt_from_timeseries(&Json::obj(), &|_| None).is_err());
-        let empty = Json::obj().with("ranks", Json::Arr(vec![]));
-        assert!(gantt_from_timeseries(&empty, &|_| None).is_err());
+    fn gantt_reads_spans_of_a_traced_world() {
+        let (model, _) = traced_world(2, QueueKind::Fifo, 5);
+        let text = gantt(&model, &["traversal"]).unwrap();
+        assert_eq!(text.lines().filter(|l| l.starts_with('r')).count(), 2);
+        assert!(text.contains("0 = traversal"), "{text}");
+        assert!(gantt(&model, &["voronoi"]).is_err());
+        assert!(gantt(&TraceModel::default(), &["voronoi"]).is_err());
     }
 }
 

@@ -240,7 +240,7 @@ pub fn distributed_mst(
         stats.rounds += 1;
         let remaining = (0..k).filter(|&i| parent[i as usize] == i).count() as u64;
         stats.components.push(remaining);
-        comm.telemetry_gauge("boruvka_components", remaining);
+        comm.trace_counter("boruvka_components", remaining);
         if merged == 0 {
             // No component has an outgoing edge left: the distance
             // graph is exhausted (disconnected if remaining > 1).

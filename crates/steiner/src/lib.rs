@@ -58,8 +58,8 @@ pub use phases::{Phase, PhaseTimes};
 pub use recovery::{CheckpointStore, RecoveryStats};
 pub use report::{ConfigFingerprint, RunReport};
 pub use struntime::{
-    FaultPlan, FaultSnapshot, Gauge, MetricKind, MetricsConfig, MetricsDump, PersistentWorld,
-    QueueKind, SyncPoints, TelemetryConfig, TelemetryDump, TraceConfig, TraceDump,
+    FaultPlan, FaultSnapshot, MetricKind, MetricsConfig, MetricsDump, PersistentWorld, QueueKind,
+    SyncPoints, TraceConfig, TraceDump,
 };
 
 use distance_graph::{MinEdge, PairKey};
@@ -114,7 +114,8 @@ pub struct SolverConfig {
     /// Event-trace recording for the solve's world (off by default; see
     /// [`struntime::trace`]). When enabled, [`SolveReport::trace`] holds
     /// the per-rank event dump, renderable with
-    /// [`TraceDump::to_chrome_trace`].
+    /// [`TraceDump::to_chrome_trace`], and a failed solve leaves it as a
+    /// flight dump when `FLIGHT_RECORDER_DIR` is set.
     pub trace: TraceConfig,
     /// Latency-histogram recording for the solve's world (off by
     /// default; see [`struntime::metrics`]). When enabled,
@@ -128,15 +129,9 @@ pub struct SolverConfig {
     /// bit-identical to a fault-free run; injection and recovery counters
     /// land in [`SolveReport::fault_stats`].
     pub faults: Option<FaultPlan>,
-    /// Gauge time-series sampling for the solve's world (off by default;
-    /// see [`struntime::telemetry`]). Sampling is keyed to executed
-    /// visits, never wall clock, so enabling it leaves the tree and every
-    /// counter bit-identical; the dump lands in [`SolveReport::telemetry`]
-    /// and doubles as the flight recorder's payload on failure.
-    pub telemetry: TelemetryConfig,
     /// Wall-clock deadline for the whole solve. When it expires, the
     /// ranks abort cooperatively at their next sync points and the solve
-    /// returns [`SteinerError::DeadlineExceeded`]; with telemetry on and
+    /// returns [`SteinerError::DeadlineExceeded`]; with tracing on and
     /// `FLIGHT_RECORDER_DIR` set, a flight dump preserves the partial
     /// progress record. `None` (the default) means no deadline.
     pub deadline: Option<Duration>,
@@ -161,7 +156,6 @@ impl Default for SolverConfig {
             trace: TraceConfig::Off,
             metrics: MetricsConfig::Off,
             faults: None,
-            telemetry: TelemetryConfig::Off,
             deadline: None,
             max_restores: 2,
         }
@@ -216,11 +210,6 @@ pub struct SolveReport {
     /// delays, stalls, retransmits, dedup discards, acks).
     /// All-zero when [`SolverConfig::faults`] is off.
     pub fault_stats: FaultSnapshot,
-    /// Per-rank gauge time series (empty unless
-    /// [`SolverConfig::telemetry`] was enabled). Feeds the
-    /// [`RunReport`]'s `timeseries` section and per-phase peak-memory
-    /// watermarks.
-    pub telemetry: TelemetryDump,
     /// Crash-recovery counters: injected crashes, checkpoints taken and
     /// their bytes, restores, replayed phases, cooperative aborts.
     /// All-zero for an undisturbed solve.
@@ -348,7 +337,6 @@ pub fn solve_partitioned(
             trace: config.trace,
             metrics: config.metrics,
             faults,
-            telemetry: config.telemetry,
             deadline: config.deadline,
             ..WorldConfig::default()
         };
@@ -365,11 +353,12 @@ pub fn solve_partitioned(
 ///
 /// Per job, as in [`solve_partitioned`]: [`SolverConfig::deadline`] and
 /// [`SolverConfig::faults`], crash-stop recovery included; a failed job
-/// leaves the world usable. Per world: trace, metrics and telemetry are
-/// fixed when the world is built and accumulate across jobs (drain them
-/// with [`PersistentWorld::finish_trace`] and its siblings), so the
-/// report's `trace`, `metrics` and `telemetry` are empty, and a config
-/// that differs from the world's in any of them is rejected with
+/// leaves the world usable. Per world: trace and metrics are fixed when
+/// the world is built and accumulate across jobs (drain them with
+/// [`PersistentWorld::finish_trace`] and
+/// [`PersistentWorld::finish_metrics`]), so the report's `trace` and
+/// `metrics` are empty, and a config that differs from the world's in
+/// either is rejected with
 /// [`SteinerError::ResidentConfigMismatch`].
 pub fn solve_on(
     world: &PersistentWorld,
@@ -384,7 +373,6 @@ pub fn solve_on(
     let differs = [
         ("trace", config.trace != wc.trace),
         ("metrics", config.metrics != wc.metrics),
-        ("telemetry", config.telemetry != wc.telemetry),
     ];
     if let Some(&(field, _)) = differs.iter().find(|d| d.1) {
         return Err(SteinerError::ResidentConfigMismatch { field });
@@ -483,15 +471,15 @@ fn assemble_report(
     out: RunOutput<RankOutcome>,
     recovery: RecoveryStats,
 ) -> Result<SolveReport, SteinerError> {
-    // Flight recorder: a failed solve dumps its telemetry ring (when
-    // `FLIGHT_RECORDER_DIR` is set and telemetry was on) so the last
-    // sampled gauge states survive for post-mortem analysis.
+    // Flight recorder: a failed solve dumps its trace (when
+    // `FLIGHT_RECORDER_DIR` is set and tracing was on) so the last
+    // events and counter samples survive for post-mortem analysis.
     if !out.audit_violations.is_empty() {
-        struntime::write_flight_dump_env(&out.telemetry, "audit_failure");
+        struntime::write_flight_dump_env(&out.trace, "audit_failure");
     }
     let connected = out.results.iter().all(|r| r.connected);
     if !connected {
-        struntime::write_flight_dump_env(&out.telemetry, "phase_failure");
+        struntime::write_flight_dump_env(&out.trace, "phase_failure");
         // Identify a concrete pair for the error message.
         return Err(first_disconnected_pair_of(pg, &seeds));
     }
@@ -543,7 +531,6 @@ fn assemble_report(
         trace: out.trace,
         metrics: out.metrics,
         fault_stats: out.fault_stats,
-        telemetry: out.telemetry,
         recovery,
         boruvka,
         sync_points,
@@ -662,7 +649,7 @@ fn rank_main(
         let t = Instant::now();
         let span = comm.trace_span(Phase::Voronoi.name());
         comm.set_phase(Phase::Voronoi.name(), Phase::Voronoi.index() as u64);
-        comm.telemetry_gauge("vertex_state_bytes", states.memory_bytes() as u64);
+        comm.trace_counter("vertex_state_bytes", states.memory_bytes() as u64);
         let voronoi_stats = voronoi::run(
             comm,
             &chan_voronoi,
@@ -672,7 +659,7 @@ fn rank_main(
             struntime::traversal::TraversalOptions { queue, batch_size },
             &mut scratch,
         );
-        comm.telemetry_set(Gauge::ArenaBytes, scratch.memory_bytes() as u64);
+        comm.trace_counter("arena_bytes", scratch.memory_bytes() as u64);
         drop(span);
         times[Phase::Voronoi] = t.elapsed();
         work.processed += voronoi_stats.processed;
@@ -734,7 +721,7 @@ fn rank_main(
         match mst_mode {
             MstMode::Replicated => {
                 let d = distance_graph::global_min_edges(comm, &l, seeds.len());
-                comm.telemetry_gauge("distance_graph_edges", d.len() as u64);
+                comm.trace_counter("distance_graph_edges", d.len() as u64);
                 drop(span);
                 times[Phase::GlobalMinEdge] = t.elapsed();
                 dg_len = d.len();
@@ -758,7 +745,7 @@ fn rank_main(
             }
             MstMode::Dist => {
                 let (keyed, stats) = boruvka::distributed_mst(comm, &l, seeds.len());
-                comm.telemetry_gauge("distance_graph_edges", keyed.len() as u64);
+                comm.trace_counter("distance_graph_edges", keyed.len() as u64);
                 drop(span);
                 times[Phase::GlobalMinEdge] = t.elapsed();
                 dg_len = keyed.len();
@@ -913,6 +900,7 @@ fn rank_main(
 mod tests {
     use super::*;
     use stgraph::builder::GraphBuilder;
+    use stgraph::json::Json;
 
     fn path_graph(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::new(n);
@@ -1048,52 +1036,68 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that set the process-global
+    /// `FLIGHT_RECORDER_DIR`, so one test's dump cannot land in another's
+    /// directory or find the variable unset.
+    static FLIGHT_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `f` with `FLIGHT_RECORDER_DIR` pointing at a fresh directory
+    /// and returns its result with the flight dumps it left there, as
+    /// `(file name, document)` pairs.
+    fn with_flight_dir<R>(name: &str, f: impl FnOnce() -> R) -> (R, Vec<(String, Json)>) {
+        let _guard = FLIGHT_ENV.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::env::set_var(struntime::trace::FLIGHT_RECORDER_DIR_ENV, &dir);
+        let out = f();
+        std::env::remove_var(struntime::trace::FLIGHT_RECORDER_DIR_ENV);
+        let mut dumps: Vec<(String, Json)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter_map(|e| e.file_name().into_string().ok().map(|n| (n, e.path())))
+            .filter(|(n, _)| n.starts_with("FLIGHT_") && n.ends_with(".json"))
+            .map(|(n, path)| {
+                let doc = stgraph::json::parse(&std::fs::read_to_string(path).unwrap());
+                (n, doc.unwrap())
+            })
+            .collect();
+        dumps.sort_by(|a, b| a.0.cmp(&b.0));
+        std::fs::remove_dir_all(&dir).ok();
+        (out, dumps)
+    }
+
     #[test]
     fn failed_solve_dumps_flight_recorder() {
-        // Disconnected seeds under an active fault plan, with telemetry
-        // on and FLIGHT_RECORDER_DIR pointed at a scratch dir: the solve
-        // fails, and the telemetry ring must land on disk as a
-        // schema-valid flight dump (what CI uploads on chaos failures).
+        // Disconnected seeds under an active fault plan, traced, with
+        // FLIGHT_RECORDER_DIR pointed at a scratch dir: the solve fails,
+        // and the trace must land on disk as a schema-valid flight dump
+        // (what CI uploads on chaos failures).
         let mut b = GraphBuilder::new(6);
         b.extend_edges([(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)]);
         let g = b.build();
-        let dir = std::env::temp_dir().join(format!("flight_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var(struntime::telemetry::FLIGHT_RECORDER_DIR_ENV, &dir);
         let cfg = SolverConfig {
-            telemetry: TelemetryConfig::Ring {
-                sample_every: 1,
-                monitor: false,
-            },
+            trace: TraceConfig::ring(),
             faults: Some(FaultPlan::from_spec("drop=0.2,seed=5").unwrap()),
             ..config(2)
         };
-        let outcome = solve(&g, &[0, 5], &cfg);
-        std::env::remove_var(struntime::telemetry::FLIGHT_RECORDER_DIR_ENV);
+        let (outcome, dumps) = with_flight_dir("flight_test", || solve(&g, &[0, 5], &cfg));
         assert!(matches!(
             outcome,
             Err(SteinerError::SeedsDisconnected(_, _))
         ));
-        let dumps: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("FLIGHT_phase_failure") && n.ends_with(".json"))
-            })
-            .collect();
         // A failed solve is not retried, so it leaves exactly one
         // schema-valid dump.
-        assert_eq!(dumps.len(), 1, "expected one flight dump in {dir:?}");
-        let doc = stgraph::json::parse(&std::fs::read_to_string(&dumps[0]).unwrap()).unwrap();
-        assert_eq!(report::validate_flight(&doc), Ok(2));
+        assert_eq!(dumps.len(), 1, "expected one flight dump: {dumps:?}");
+        let (name, doc) = &dumps[0];
+        assert!(name.starts_with("FLIGHT_phase_failure"), "{name}");
+        assert_eq!(report::validate_flight(doc), Ok(2));
+        let flight = doc.get("struntime").and_then(|s| s.get("flight"));
         assert_eq!(
-            doc.get("reason").and_then(|v| v.as_str()),
+            flight
+                .and_then(|f| f.get("reason"))
+                .and_then(|v| v.as_str()),
             Some("phase_failure")
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1177,41 +1181,48 @@ mod tests {
     fn deadline_exceeded_is_structured_and_dumps_flight() {
         // An unmeetable deadline trips the cooperative abort: every rank
         // terminates (no hang), the error is structured, and the flight
-        // recorder preserves the partial progress record.
+        // recorder preserves the partial progress record — for a batch
+        // solve and for a job on a traced resident world, which must
+        // then still serve.
         let g = stgraph::datasets::Dataset::Cts.generate_tiny(53);
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 6).copied().collect();
-        let dir = std::env::temp_dir().join(format!("deadline_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var(struntime::telemetry::FLIGHT_RECORDER_DIR_ENV, &dir);
         let cfg = SolverConfig {
             deadline: Some(Duration::ZERO),
-            telemetry: TelemetryConfig::Ring {
-                sample_every: 1,
-                monitor: false,
-            },
+            trace: TraceConfig::ring(),
             ..config(3)
         };
-        let outcome = solve(&g, &seeds, &cfg);
-        std::env::remove_var(struntime::telemetry::FLIGHT_RECORDER_DIR_ENV);
-        assert_eq!(
-            outcome.unwrap_err(),
-            SteinerError::DeadlineExceeded { deadline_ms: 0 }
+        let world = PersistentWorld::new_with_config(
+            3,
+            WorldConfig {
+                trace: cfg.trace,
+                ..WorldConfig::default()
+            },
         );
-        let dump = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("FLIGHT_deadline") && n.ends_with(".json"))
+        let pg = Arc::new(partition_graph(&g, 3, None));
+        for resident in [false, true] {
+            let (outcome, dumps) = with_flight_dir("deadline_test", || {
+                if resident {
+                    solve_on(&world, &pg, &seeds, &cfg)
+                } else {
+                    solve(&g, &seeds, &cfg)
+                }
             });
-        assert!(dump.is_some(), "no deadline flight dump in {dir:?}");
-        let doc = stgraph::json::parse(&std::fs::read_to_string(dump.unwrap()).unwrap()).unwrap();
-        assert_eq!(report::validate_flight(&doc), Ok(3));
-        std::fs::remove_dir_all(&dir).ok();
+            assert_eq!(
+                outcome.unwrap_err(),
+                SteinerError::DeadlineExceeded { deadline_ms: 0 }
+            );
+            assert_eq!(dumps.len(), 1, "resident {resident}: {dumps:?}");
+            let (name, doc) = &dumps[0];
+            assert!(name.starts_with("FLIGHT_deadline"), "{name}");
+            assert_eq!(report::validate_flight(doc), Ok(3));
+        }
+        let served = SolverConfig {
+            deadline: None,
+            ..cfg
+        };
+        assert!(solve_on(&world, &pg, &seeds, &served).is_ok());
     }
 
     #[test]
@@ -1561,13 +1572,6 @@ mod persistent_tests {
                 "metrics",
                 SolverConfig {
                     metrics: MetricsConfig::On,
-                    ..cfg
-                },
-            ),
-            (
-                "telemetry",
-                SolverConfig {
-                    telemetry: TelemetryConfig::ring(),
                     ..cfg
                 },
             ),

@@ -48,16 +48,10 @@ impl Phase {
         }
     }
 
-    /// Position in [`Phase::ALL`] — the stable numeric id used as the
-    /// telemetry sampler's phase marker and in [`crate::RunReport`]'s
-    /// per-phase peak-memory keys.
+    /// Position in [`Phase::ALL`] — the stable numeric id the crash
+    /// injector's phase filter and the checkpoint levels use.
     pub fn index(&self) -> usize {
         Phase::ALL.iter().position(|p| p == self).expect("in ALL")
-    }
-
-    /// Inverse of [`Phase::index`].
-    pub fn from_index(i: usize) -> Option<Phase> {
-        Phase::ALL.get(i).copied()
     }
 }
 

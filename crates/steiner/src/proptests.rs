@@ -286,20 +286,21 @@ proptest! {
         }
     }
 
-    /// Observation never perturbs the result: with telemetry sampling at
-    /// the most aggressive cadence (every visit), the tree and the
+    /// Observation never perturbs the result: with tracing (lineage
+    /// events and counter samples) and metrics on, the tree and the
     /// deterministic derived outputs (distance-graph size, fault
-    /// counters) are bit-identical to the telemetry-off run at every
-    /// rank count and queue discipline. Per-rank visit counts stay out
-    /// of the comparison — they are schedule-dependent between any two
-    /// runs of the asynchronous runtime, telemetry or not (the same
-    /// reason bench-guard carries generous visit tolerances).
+    /// counters) are bit-identical to the unobserved run at every rank
+    /// count and queue discipline. Per-rank visit counts stay out of the
+    /// comparison — they are schedule-dependent between any two runs of
+    /// the asynchronous runtime, observed or not (the same reason
+    /// bench-guard carries generous visit tolerances).
     #[test]
-    fn telemetry_on_and_off_solves_are_bit_identical(
+    fn observed_and_unobserved_solves_are_bit_identical(
         (g, seeds) in arb_connected_instance(14, 16, 5),
         chaos_seed in 0..u64::MAX,
     ) {
-        use crate::TelemetryConfig;
+        use crate::{MetricsConfig, TraceConfig};
+        use struntime::TraceEventKind;
         for p in [1usize, 2, 4] {
             for queue in [
                 QueueKind::Fifo,
@@ -309,7 +310,8 @@ proptest! {
                 let base = SolverConfig { num_ranks: p, queue, ..SolverConfig::default() };
                 let off = solve(&g, &seeds, &base).unwrap();
                 let on = solve(&g, &seeds, &SolverConfig {
-                    telemetry: TelemetryConfig::Ring { sample_every: 1, monitor: false },
+                    trace: TraceConfig::ring(),
+                    metrics: MetricsConfig::On,
                     ..base
                 }).unwrap();
                 prop_assert_eq!(&on.tree, &off.tree,
@@ -317,9 +319,13 @@ proptest! {
                 prop_assert_eq!(on.distance_graph_edges, off.distance_graph_edges,
                     "distance graph differs at p={} queue={:?}", p, queue);
                 prop_assert_eq!(on.fault_stats.injected(), off.fault_stats.injected());
-                prop_assert!(off.telemetry.is_empty());
-                prop_assert!(!on.telemetry.is_empty(),
-                    "sampler recorded nothing at p={} queue={:?}", p, queue);
+                prop_assert!(off.trace.is_empty());
+                let counters = on.trace.ranks.iter()
+                    .flat_map(|r| &r.events)
+                    .filter(|e| e.kind == TraceEventKind::Counter)
+                    .count();
+                prop_assert!(counters > 0,
+                    "no counter events at p={} queue={:?}", p, queue);
             }
         }
     }

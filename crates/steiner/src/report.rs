@@ -23,7 +23,7 @@
 use crate::phases::Phase;
 use crate::{SolveReport, SolverConfig};
 use stgraph::json::Json;
-use struntime::{Gauge, QueueKind, TelemetryDump};
+use struntime::{QueueKind, TraceDump, TraceEventKind};
 
 /// Version of the report JSON layout; see the module docs for the
 /// stability rules.
@@ -51,11 +51,11 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 /// reason: v3 readers comparing visit counts across disciplines would
 /// silently miss that part of the work was filtered, not performed.
 ///
-/// **v4 → v5**: adds `timeseries` (the per-rank columnar gauge time
-/// series from [`struntime::telemetry`], `null` when the solve ran with
-/// telemetry off) and `peak_memory` (per-phase peak-memory watermarks
-/// attributing the high-water mark to queue vs arena vs reliability
-/// buffers, `null` likewise). Strict superset, and breaking for the
+/// **v4 → v5**: adds `timeseries` (a per-rank columnar gauge time
+/// series from a sampler of its own, since removed in v11, `null` when
+/// the solve ran without it) and `peak_memory` (per-phase peak-memory
+/// watermarks attributing the high-water mark to queue vs arena vs
+/// reliability buffers, `null` likewise). Strict superset, and breaking for the
 /// usual reason: v4 readers diffing memory across runs would silently
 /// miss that the peaks are now attributable per phase.
 ///
@@ -98,7 +98,14 @@ use struntime::{Gauge, QueueKind, TelemetryDump};
 /// superset, and breaking for the usual reason: a v9 reader comparing
 /// small-solve times across runs would silently miss how many sync
 /// points each solve paid for.
-pub const SCHEMA_VERSION: u64 = 10;
+///
+/// **v10 → v11**: removes `timeseries`: the runtime has one event ring,
+/// the trace, and its counter events replace the gauge sampler. The four
+/// `peak_memory` keys stay and now come from the trace's counters inside
+/// each phase span, so `peak_memory` is an object exactly when the solve
+/// was traced (it was `null` for a traced solve before). Breaking by
+/// definition — a key was removed.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// The configuration a solve ran with, reduced to plain strings and
 /// numbers for the report.
@@ -243,11 +250,9 @@ pub struct RunReport {
     /// Fault-injection and reliability-protocol counters; all-zero for a
     /// fault-free run (the v3 schema always emits the object).
     pub fault_stats: struntime::FaultSnapshot,
-    /// Columnar per-rank gauge time series (`null` when the solve ran
-    /// with telemetry off; v5).
-    pub timeseries: Option<Json>,
-    /// Per-phase peak-memory watermarks with attribution (`null` when
-    /// the solve ran with telemetry off; v5).
+    /// Per-phase peak-memory watermarks with attribution, from the
+    /// trace's counters (`null` when the solve ran untraced; v5, from the
+    /// trace since v11).
     pub peak_memory: Option<Json>,
     /// Crash-recovery counters (v6; all-zero for an undisturbed solve).
     pub recovery: crate::RecoveryStats,
@@ -269,7 +274,7 @@ impl RunReport {
     /// `graph_bytes`, `state_peak_bytes`, `distance_graph_edges`,
     /// `rank_work`, `stale_drops`, `pruned_at_push`, `sync_points`,
     /// `simulated_speedup`, `imbalance_ratio`, `critical_path`,
-    /// `latency_quantiles`, `faults`, `timeseries`, `peak_memory`,
+    /// `latency_quantiles`, `faults`, `peak_memory`,
     /// `recovery`, `boruvka`, `tree`.
     pub fn to_json(&self) -> Json {
         let mut phase_times = Json::obj();
@@ -329,7 +334,6 @@ impl RunReport {
                     .with("dedup_discards", self.fault_stats.dedup_discards)
                     .with("acks", self.fault_stats.acks),
             )
-            .with("timeseries", self.timeseries.clone().unwrap_or(Json::Null))
             .with(
                 "peak_memory",
                 self.peak_memory.clone().unwrap_or(Json::Null),
@@ -380,27 +384,64 @@ fn per_rank_json(per_rank: &[u64]) -> Json {
         )
 }
 
-/// Renders the per-phase peak-memory watermarks from a telemetry dump:
-/// one object per phase (keyed by phase name), attributing the peak to
+/// The counters behind each `peak_memory` key, in key order.
+const PEAK_COUNTERS: [(&str, &str); 4] = [
+    ("queue_bytes", "queue_bytes"),
+    ("arena_bytes", "arena_bytes"),
+    ("reliability_bytes", "reliability_bytes"),
+    ("total_bytes", "mem_total_bytes"),
+];
+
+/// Renders the per-phase peak-memory watermarks from a trace: one object
+/// per phase span (keyed by phase name), attributing the peak to
 /// `queue_bytes` (visitor queue), `arena_bytes` (scratch arena),
-/// `reliability_bytes` (unacked retransmission buffers), and the rank's
-/// tracked `total_bytes` high-water mark. Phase ids outside
-/// [`Phase::ALL`] (a runtime user's custom marks) render as
-/// `"phase_<id>"`.
-pub fn peak_memory_json(dump: &TelemetryDump) -> Json {
+/// `reliability_bytes` (unacked retransmission buffers) and the rank's
+/// tracked `total_bytes`. A phase's peak is the maximum over ranks of
+/// each counter's samples inside the rank's span of that phase, plus the
+/// value the counter held when the span opened (a counter holds its value
+/// until the next sample).
+pub fn peak_memory_json(trace: &TraceDump) -> Json {
+    let mut peaks: Vec<(&'static str, [u64; 4])> = Vec::new();
+    for rt in &trace.ranks {
+        let mut held = [0u64; 4];
+        let mut open: Option<usize> = None;
+        for ev in &rt.events {
+            match ev.kind {
+                TraceEventKind::SpanBegin if Phase::ALL.iter().any(|p| p.name() == ev.name) => {
+                    let i = match peaks.iter().position(|(name, _)| *name == ev.name) {
+                        Some(i) => i,
+                        None => {
+                            peaks.push((ev.name, [0; 4]));
+                            peaks.len() - 1
+                        }
+                    };
+                    for (peak, v) in peaks[i].1.iter_mut().zip(held) {
+                        *peak = (*peak).max(v);
+                    }
+                    open = Some(i);
+                }
+                TraceEventKind::SpanEnd if open.is_some_and(|i| peaks[i].0 == ev.name) => {
+                    open = None;
+                }
+                TraceEventKind::Counter => {
+                    if let Some(k) = PEAK_COUNTERS.iter().position(|c| c.1 == ev.name) {
+                        held[k] = ev.arg;
+                        if let Some(i) = open {
+                            peaks[i].1[k] = peaks[i].1[k].max(ev.arg);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
     let mut out = Json::obj();
-    for (phase, peaks) in dump.phase_peaks() {
-        let name = Phase::from_index(phase as usize)
-            .map(|p| p.name().to_string())
-            .unwrap_or_else(|| format!("phase_{phase}"));
-        out.insert(
-            &name,
-            Json::obj()
-                .with("queue_bytes", peaks[Gauge::QueueBytes as usize])
-                .with("arena_bytes", peaks[Gauge::ArenaBytes as usize])
-                .with("reliability_bytes", peaks[Gauge::ReliabilityBytes as usize])
-                .with("total_bytes", peaks[Gauge::MemTotalBytes as usize]),
-        );
+    for (phase, values) in peaks {
+        let mut entry = Json::obj();
+        for ((key, _), v) in PEAK_COUNTERS.iter().zip(values) {
+            entry.insert(key, v);
+        }
+        out.insert(phase, entry);
     }
     out
 }
@@ -448,14 +489,7 @@ impl SolveReport {
         } else {
             Some(self.metrics.quantiles_json())
         };
-        let (timeseries, peak_memory) = if self.telemetry.is_empty() {
-            (None, None)
-        } else {
-            (
-                Some(self.telemetry.to_json()),
-                Some(peak_memory_json(&self.telemetry)),
-            )
-        };
+        let peak_memory = (!self.trace.is_empty()).then(|| peak_memory_json(&self.trace));
         let total_work: u64 = self.rank_work.iter().sum();
         let max_work = self.rank_work.iter().copied().max().unwrap_or(0);
         let imbalance_ratio = if total_work == 0 || self.rank_work.is_empty() {
@@ -480,7 +514,6 @@ impl SolveReport {
             critical_path,
             latency_quantiles,
             fault_stats: self.fault_stats,
-            timeseries,
             peak_memory,
             recovery: self.recovery,
             boruvka: self.boruvka.clone(),
@@ -504,9 +537,9 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
             return Err(format!(
                 "schema_version {found} report found; this build reads v{SCHEMA_VERSION} \
                  — regenerate the report with current binaries (version history, \
-                 including when the faults, stale_drops, timeseries, peak_memory, \
-                 recovery, boruvka, pruned_at_push and sync_points sections were \
-                 added: report::SCHEMA_VERSION docs)"
+                 including when the faults, stale_drops, peak_memory, recovery, \
+                 boruvka, pruned_at_push and sync_points sections were added and \
+                 timeseries removed: report::SCHEMA_VERSION docs)"
             ));
         }
         _ => {
@@ -616,20 +649,11 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
         .get("faults")
         .and_then(|v| v.as_str())
         .ok_or("config.faults must be a string (a fault-plan spec or \"off\")")?;
-    let ts = run.get("timeseries").ok_or("missing timeseries")?;
-    if !ts.is_null() {
-        validate_timeseries(ts).map_err(|e| format!("timeseries: {e}"))?;
-    }
     let pm = run.get("peak_memory").ok_or("missing peak_memory")?;
     if !pm.is_null() {
         let phases = pm.as_obj().ok_or("peak_memory must be null or an object")?;
         for (phase, peaks) in phases {
-            for key in [
-                "queue_bytes",
-                "arena_bytes",
-                "reliability_bytes",
-                "total_bytes",
-            ] {
+            for (key, _) in PEAK_COUNTERS {
                 peaks
                     .get(key)
                     .and_then(|v| v.as_u64())
@@ -676,90 +700,48 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a [`struntime::telemetry`] columnar time-series object (the
-/// `timeseries` section of a v5 report and of a flight-recorder dump):
-/// `sample_every` plus per-rank columns of equal length.
-fn validate_timeseries(ts: &Json) -> Result<(), String> {
-    ts.get("sample_every")
-        .and_then(|v| v.as_u64())
-        .ok_or("sample_every must be an integer")?;
-    let ranks = ts
-        .get("ranks")
-        .and_then(|v| v.as_arr())
-        .ok_or("ranks must be an array")?;
-    for (i, rank) in ranks.iter().enumerate() {
-        let check = |e: String| format!("ranks[{i}]: {e}");
-        rank.get("rank")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| check("rank must be an integer".into()))?;
-        rank.get("dropped")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| check("dropped must be an integer".into()))?;
-        let steps = rank
-            .get("steps")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| check("steps must be an array".into()))?;
-        let phases = rank
-            .get("phases")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| check("phases must be an array".into()))?;
-        if phases.len() != steps.len() {
-            return Err(check("phases and steps lengths differ".into()));
-        }
-        let gauges = rank
-            .get("gauges")
-            .and_then(|v| v.as_obj())
-            .ok_or_else(|| check("gauges must be an object".into()))?;
-        for (name, col) in gauges {
-            let col = col
-                .as_arr()
-                .ok_or_else(|| check(format!("gauges.{name} must be an array")))?;
-            if col.len() != steps.len() {
-                return Err(check(format!(
-                    "gauges.{name} length {} != steps length {}",
-                    col.len(),
-                    steps.len()
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Validates a flight-recorder dump (`FLIGHT_<reason>_<n>.json`, written
 /// by [`struntime::write_flight_dump`] when a solve panics, fails a
-/// phase, or trips the audit ledger). Returns the number of ranks in the
-/// dump on success.
+/// phase, trips the audit ledger or runs out of time): a Chrome trace
+/// whose `struntime` object carries `flight = {reason, schema}` and one
+/// `dropped` count per rank. Returns the number of ranks on success.
 pub fn validate_flight(doc: &Json) -> Result<usize, String> {
-    let want = struntime::telemetry::FLIGHT_SCHEMA_VERSION;
-    match doc.get("schema_version").and_then(|v| v.as_u64()) {
-        Some(v) if v == want => {}
-        _ => return Err(format!("schema_version must be {want}")),
+    let meta = doc.get("struntime").ok_or("missing struntime object")?;
+    let flight = meta.get("flight").ok_or("missing struntime.flight")?;
+    let want = struntime::trace::FLIGHT_SCHEMA_VERSION;
+    if flight.get("schema").and_then(|v| v.as_u64()) != Some(want) {
+        return Err(format!("struntime.flight.schema must be {want}"));
     }
-    if doc.get("kind").and_then(|v| v.as_str()) != Some("flight_recorder") {
-        return Err("kind must be \"flight_recorder\"".to_string());
-    }
-    doc.get("reason")
+    flight
+        .get("reason")
         .and_then(|v| v.as_str())
         .filter(|s| !s.is_empty())
-        .ok_or("reason must be a non-empty string")?;
-    let num_ranks = doc
-        .get("num_ranks")
-        .and_then(|v| v.as_u64())
-        .ok_or("num_ranks must be an integer")?;
-    let ts = doc.get("timeseries").ok_or("missing timeseries")?;
-    validate_timeseries(ts).map_err(|e| format!("timeseries: {e}"))?;
-    let got = ts
-        .get("ranks")
+        .ok_or("struntime.flight.reason must be a non-empty string")?;
+    let dropped = meta
+        .get("dropped")
         .and_then(|v| v.as_arr())
-        .map(|a| a.len())
-        .unwrap_or(0);
-    if got as u64 != num_ranks {
-        return Err(format!(
-            "num_ranks {num_ranks} disagrees with {got} timeseries ranks"
-        ));
+        .filter(|d| d.iter().all(|n| n.as_u64().is_some()))
+        .ok_or("struntime.dropped must be an array of integers")?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .ok_or("traceEvents must be an array")?;
+    for (i, ev) in events.iter().enumerate() {
+        ev.get("ph")
+            .and_then(|v| v.as_str())
+            .ok_or_else(|| format!("traceEvents[{i}].ph must be a string"))?;
+        let tid = ev
+            .get("tid")
+            .and_then(|v| v.as_u64())
+            .ok_or_else(|| format!("traceEvents[{i}].tid must be an integer"))?;
+        if tid as usize >= dropped.len().max(1) {
+            return Err(format!(
+                "traceEvents[{i}] is on rank {tid} of {}",
+                dropped.len()
+            ));
+        }
     }
-    Ok(got)
+    Ok(dropped.len())
 }
 
 #[cfg(test)]
@@ -968,50 +950,51 @@ mod tests {
         );
     }
 
-    /// The telemetry `StaleDrops` gauge and the report's `stale_drops`
+    /// The trace's `stale_drops` counter and the report's `stale_drops`
     /// count the same drops (admission and pop alike): each rank's last
-    /// sample carries its final gauge value.
+    /// sample carries its final value.
     #[test]
-    fn telemetry_stale_drop_gauge_matches_run_report() {
+    fn trace_stale_drop_counter_matches_run_report() {
         let g = stgraph::datasets::Dataset::Cts.generate_tiny(5);
         let seeds: Vec<Vertex> = (0..g.num_vertices() as Vertex).step_by(37).collect();
         let cfg = SolverConfig {
             num_ranks: 2,
             queue: QueueKind::Priority,
-            telemetry: crate::TelemetryConfig::Ring {
-                sample_every: 64,
-                monitor: false,
-            },
+            trace: crate::TraceConfig::ring(),
             ..SolverConfig::default()
         };
         let solved = solve(&g, &seeds, &cfg).unwrap();
-        let gauge_total: u64 = solved
-            .telemetry
+        assert_eq!(solved.trace.total_dropped(), 0);
+        let per_rank: Vec<u64> = solved
+            .trace
             .ranks
             .iter()
             .map(|r| {
-                r.samples.last().expect("boundary samples recorded").values
-                    [Gauge::StaleDrops as usize]
+                r.events
+                    .iter()
+                    .rev()
+                    .find(|e| e.kind == TraceEventKind::Counter && e.name == "stale_drops")
+                    .map(|e| e.arg)
+                    .expect("boundary samples recorded")
             })
-            .sum();
+            .collect();
         let report = solved.run_report();
-        assert!(gauge_total > 0);
-        assert_eq!(gauge_total, report.stale_drops.iter().sum::<u64>());
+        assert!(per_rank.iter().sum::<u64>() > 0);
+        assert_eq!(per_rank, report.stale_drops);
     }
 
     #[test]
-    fn v5_telemetry_fields_null_without_telemetry() {
+    fn peak_memory_null_without_trace() {
         let report = sample_report().run_report();
-        assert!(report.timeseries.is_none());
         assert!(report.peak_memory.is_none());
         let doc = report.to_json();
-        assert!(doc.get("timeseries").expect("key present").is_null());
+        assert!(doc.get("timeseries").is_none());
         assert!(doc.get("peak_memory").expect("key present").is_null());
         assert!(validate_run(&doc).is_ok());
     }
 
     #[test]
-    fn v5_telemetry_fields_populated_and_validate() {
+    fn traced_report_has_peak_memory_for_every_phase() {
         let mut b = GraphBuilder::new(12);
         for i in 0..11 {
             b.add_edge(i as Vertex, (i + 1) as Vertex, 2);
@@ -1019,35 +1002,82 @@ mod tests {
         let g = b.build();
         let cfg = SolverConfig {
             num_ranks: 2,
-            telemetry: crate::TelemetryConfig::Ring {
-                sample_every: 1,
-                monitor: false,
-            },
+            trace: crate::TraceConfig::ring(),
             ..SolverConfig::default()
         };
-        let report = solve(&g, &[0, 11], &cfg).unwrap().run_report();
-        let doc = report.to_json();
-        validate_run(&doc).expect("v5 report with telemetry validates");
-        let ts = doc.get("timeseries").unwrap();
-        assert!(!ts.is_null());
-        assert_eq!(
-            ts.get("ranks").and_then(|v| v.as_arr()).map(|a| a.len()),
-            Some(2)
-        );
+        let solved = solve(&g, &[0, 11], &cfg).unwrap();
+        assert_eq!(solved.trace.total_dropped(), 0);
+        let doc = solved.run_report().to_json();
+        validate_run(&doc).expect("traced v11 report validates");
         let pm = doc.get("peak_memory").unwrap();
-        // Every phase was marked, so every phase name keys a watermark.
-        let voronoi = pm.get("voronoi").expect("voronoi watermark");
-        assert!(voronoi
-            .get("total_bytes")
-            .and_then(|v| v.as_u64())
-            .is_some());
-        assert!(voronoi
-            .get("queue_bytes")
-            .and_then(|v| v.as_u64())
-            .is_some());
+        for phase in Phase::ALL {
+            let peaks = pm
+                .get(phase.name())
+                .unwrap_or_else(|| panic!("no {} watermark", phase.name()));
+            for (key, _) in PEAK_COUNTERS {
+                assert!(peaks.get(key).and_then(|v| v.as_u64()).is_some(), "{key}");
+            }
+        }
+        let voronoi = |key: &str| {
+            pm.get("voronoi")
+                .and_then(|p| p.get(key))
+                .and_then(|v| v.as_u64())
+        };
+        assert!(voronoi("total_bytes") > Some(0));
+        assert!(voronoi("arena_bytes") > Some(0));
         // Round-trips through the parser and still validates.
         let reparsed = stgraph::json::parse(&doc.to_pretty()).unwrap();
         assert!(validate_run(&reparsed).is_ok());
+    }
+
+    /// A counter holds its value until the next sample, so a phase whose
+    /// span holds no sample of a counter still reports the value carried
+    /// in; samples outside any phase span count for none.
+    #[test]
+    fn peak_memory_carries_counter_values_into_phase_spans() {
+        use struntime::trace::{RankTrace, TraceEvent};
+        let ev = |kind, name, arg| TraceEvent {
+            name,
+            kind,
+            ts_us: 0,
+            arg,
+            arg2: 0,
+        };
+        let (begin, end, counter) = (
+            TraceEventKind::SpanBegin,
+            TraceEventKind::SpanEnd,
+            TraceEventKind::Counter,
+        );
+        let trace = TraceDump {
+            ranks: vec![RankTrace {
+                rank: 0,
+                dropped: 0,
+                events: vec![
+                    ev(counter, "reliability_bytes", 40),
+                    ev(begin, "voronoi", 0),
+                    ev(counter, "queue_bytes", 100),
+                    ev(counter, "queue_bytes", 300),
+                    ev(counter, "queue_bytes", 0),
+                    ev(end, "voronoi", 0),
+                    ev(counter, "arena_bytes", 9),
+                    ev(begin, "tree_edge", 0),
+                    ev(counter, "queue_bytes", 200),
+                    ev(end, "tree_edge", 0),
+                ],
+            }],
+        };
+        let pm = peak_memory_json(&trace);
+        let get = |phase: &str, key: &str| {
+            pm.get(phase)
+                .and_then(|p| p.get(key))
+                .and_then(|v| v.as_u64())
+        };
+        assert_eq!(get("voronoi", "queue_bytes"), Some(300));
+        assert_eq!(get("voronoi", "reliability_bytes"), Some(40));
+        assert_eq!(get("voronoi", "arena_bytes"), Some(0));
+        assert_eq!(get("tree_edge", "queue_bytes"), Some(200));
+        assert_eq!(get("tree_edge", "arena_bytes"), Some(9));
+        assert_eq!(get("tree_edge", "reliability_bytes"), Some(40));
     }
 
     #[test]
@@ -1233,16 +1263,21 @@ mod tests {
         let g = b.build();
         let cfg = SolverConfig {
             num_ranks: 2,
-            telemetry: crate::TelemetryConfig::ring(),
+            trace: crate::TraceConfig::ring(),
             ..SolverConfig::default()
         };
         let solved = solve(&g, &[0, 7], &cfg).unwrap();
-        let doc = solved.telemetry.flight_json("unit_test");
+        let doc = solved.trace.flight_json("unit_test");
         assert_eq!(validate_flight(&doc), Ok(2));
-        let reparsed = stgraph::json::parse(&doc.to_pretty()).unwrap();
+        let reparsed = stgraph::json::parse(&doc.to_string()).unwrap();
         assert_eq!(validate_flight(&reparsed), Ok(2));
-        // A run report is not a flight dump.
+        // A plain trace and a run report are not flight dumps.
+        let plain = stgraph::json::parse(&solved.trace.to_chrome_trace()).unwrap();
+        assert!(validate_flight(&plain).is_err());
         assert!(validate_flight(&solved.run_report().to_json()).is_err());
+        // Nor is a dump with an empty reason.
+        let empty = solved.trace.flight_json("");
+        assert!(validate_flight(&empty).is_err());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub enum SteinerError {
         num_vertices: usize,
     },
     /// A solve on a resident world asked for a world-level observability
-    /// setting (`trace`, `metrics` or `telemetry`) other than the one the
+    /// setting (`trace` or `metrics`) other than the one the
     /// world was built with.
     ResidentConfigMismatch {
         /// The solver-config field that differs from the world's.

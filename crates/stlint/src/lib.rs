@@ -10,7 +10,7 @@
 //!   `send-after-quiescence`, `uncharged-send`, `relaxed-quiescence`,
 //!   `thread-spawn`, `plain-send-vec`
 //! * label uniqueness — [`rules::labels`]: `phase-label-dup`,
-//!   `trace-label-dup`, `gauge-label-dup`
+//!   `trace-label-dup`
 //! * unsafe hygiene — [`rules::unsafety`]: `unsafe-safety` + inventory
 //! * unwind boundaries — [`rules::unwind`]: `catch-unwind-justify`,
 //!   `unwrap-expect`
@@ -47,7 +47,6 @@ pub const RULE_UNWRAP: &str = "unwrap-expect";
 pub const RULE_PHASE_DUP: &str = "phase-label-dup";
 pub const RULE_TRACE_DUP: &str = "trace-label-dup";
 pub const RULE_PLAIN_SEND: &str = "plain-send-vec";
-pub const RULE_GAUGE_DUP: &str = "gauge-label-dup";
 pub const RULE_UNJUSTIFIED_ALLOW: &str = "unjustified-allow";
 
 /// Every stlint rule id with a one-line summary (emitted in stlint.json).
@@ -90,11 +89,7 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
     ),
     (
         RULE_TRACE_DUP,
-        "trace_span/trace_instant label reused across modules",
-    ),
-    (
-        RULE_GAUGE_DUP,
-        "telemetry_gauge/set_named label reused across modules",
+        "trace_span/trace_instant/trace_counter label reused across modules",
     ),
     (
         RULE_UNSAFE_SAFETY,

@@ -5,20 +5,17 @@
 //! file's non-test code; they key per-phase counters and audit
 //! diagnostics.
 //!
-//! `trace-label-dup` — `trace_span`/`trace_instant` labels are unique
-//! across files; the trace analyzer and Chrome-trace viewers group events
-//! by label. One module may reuse its own label at several points of one
-//! timeline.
-//!
-//! `gauge-label-dup` — `telemetry_gauge`/`set_named` labels are unique
-//! across files; the telemetry dump keys its `named` section by label.
+//! `trace-label-dup` — `trace_span`/`trace_instant`/`trace_counter`
+//! labels are unique across files; the trace analyzer and Chrome-trace
+//! viewers group events (and counter tracks) by label. One module may
+//! reuse its own label at several points of one timeline.
 //!
 //! Only a string literal in first-argument position counts as a label:
 //! definitions (`fn trace_span(&self, …)`) and computed labels are
 //! skipped.
 
 use crate::model::{FileModel, Workspace};
-use crate::{Finding, RULE_GAUGE_DUP, RULE_PHASE_DUP, RULE_TRACE_DUP};
+use crate::{Finding, RULE_PHASE_DUP, RULE_TRACE_DUP};
 use std::collections::BTreeMap;
 
 /// How far a label must be unique.
@@ -38,7 +35,7 @@ struct LabelRule {
     why: &'static str,
 }
 
-const LABEL_RULES: [LabelRule; 3] = [
+const LABEL_RULES: [LabelRule; 2] = [
     LabelRule {
         rule: RULE_PHASE_DUP,
         calls: &["open_channels"],
@@ -49,19 +46,11 @@ const LABEL_RULES: [LabelRule; 3] = [
     },
     LabelRule {
         rule: RULE_TRACE_DUP,
-        calls: &["trace_span", "trace_instant"],
+        calls: &["trace_span", "trace_instant", "trace_counter"],
         scope: Scope::Workspace,
         noun: "trace label",
         why: "the analyzer and trace viewers group events by label, so cross-module \
               reuse merges unrelated timelines",
-    },
-    LabelRule {
-        rule: RULE_GAUGE_DUP,
-        calls: &["telemetry_gauge", "set_named"],
-        scope: Scope::Workspace,
-        noun: "named gauge",
-        why: "the telemetry dump keys its named section by label, so cross-module \
-              reuse merges unrelated time series",
     },
 ];
 
@@ -122,7 +111,7 @@ fn literal_first_arg<'a>(fm: &FileModel<'a>, open: usize) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use crate::tests_support::{analyze_raw, rules_of};
-    use crate::{RULE_GAUGE_DUP, RULE_PHASE_DUP, RULE_TRACE_DUP};
+    use crate::{RULE_PHASE_DUP, RULE_TRACE_DUP};
 
     #[test]
     fn duplicate_phase_labels_are_flagged_with_both_lines() {
@@ -153,10 +142,10 @@ mod tests {
     fn definition_sites_and_dynamic_labels_are_skipped() {
         let defs = "pub fn open_channels<V>(&mut self, phase: &'static str) -> G<V> {}\n\
                     pub fn trace_span(&self, name: &'static str) -> TraceSpan {}\n\
-                    pub fn set_named(&self, name: &'static str, value: u64) {}\n";
+                    pub fn trace_counter(&self, name: &'static str, value: u64) {}\n";
         let uses = "fn g(c: &Comm) {\n\
                         let _s = c.trace_span(phase.name());\n\
-                        c.telemetry_gauge(gauge_name(), 1);\n\
+                        c.trace_counter(counter_name(), 1);\n\
                     }\n";
         assert!(analyze_raw(&[("src/a.rs", defs), ("src/b.rs", uses)]).is_empty());
     }
@@ -172,22 +161,27 @@ mod tests {
     }
 
     #[test]
-    fn gauge_labels_colliding_across_modules_are_flagged() {
-        let a = "fn f(c: &Comm) { c.telemetry_gauge(\"arena\", 1); }\n";
-        let b = "fn g(s: &TelemetrySampler) { s.set_named(\"arena\", 2); }\n";
+    fn counter_labels_collide_with_each_other_and_other_trace_labels() {
+        let a = "fn f(c: &Comm) { c.trace_counter(\"arena\", 1); }\n";
+        let b = "fn g(c: &Comm) { c.trace_counter(\"arena\", 2); }\n";
         let f = analyze_raw(&[("src/a.rs", a), ("src/b.rs", b)]);
-        assert_eq!(rules_of(&f), vec![RULE_GAUGE_DUP]);
+        assert_eq!(rules_of(&f), vec![RULE_TRACE_DUP]);
+        assert_eq!(f[0].path, "src/b.rs");
+        assert!(f[0].message.contains("a.rs:1"), "{}", f[0].message);
+        let b = "fn g(c: &Comm) { let _s = c.trace_span(\"arena\"); }\n";
+        let f = analyze_raw(&[("src/a.rs", a), ("src/b.rs", b)]);
+        assert_eq!(rules_of(&f), vec![RULE_TRACE_DUP]);
         assert_eq!(f[0].path, "src/b.rs");
         assert!(f[0].message.contains("a.rs:1"), "{}", f[0].message);
     }
 
     #[test]
-    fn trace_and_gauge_labels_may_repeat_within_one_module() {
+    fn trace_labels_may_repeat_within_one_module() {
         let src = "fn f(c: &Comm) {\n\
                        c.trace_instant(\"tick\", 1);\n\
                        c.trace_instant(\"tick\", 2);\n\
-                       c.telemetry_gauge(\"frontier\", 1);\n\
-                       c.telemetry_gauge(\"frontier\", 2);\n\
+                       c.trace_counter(\"frontier\", 1);\n\
+                       c.trace_counter(\"frontier\", 2);\n\
                    }\n";
         assert!(analyze_raw(&[("src/a.rs", src)]).is_empty());
     }
@@ -204,11 +198,11 @@ mod tests {
 
     #[test]
     fn label_collisions_can_be_suppressed_with_a_reason() {
-        let a = "fn f(c: &Comm) { c.trace_instant(\"x\", 1); c.telemetry_gauge(\"y\", 1); }\n";
+        let a = "fn f(c: &Comm) { c.trace_instant(\"x\", 1); c.trace_counter(\"y\", 1); }\n";
         let b = "fn g(c: &Comm) {\n\
                      // stcheck: allow(trace-label-dup): same timeline, split module.\n\
                      c.trace_instant(\"x\", 2);\n\
-                     c.telemetry_gauge(\"y\", 2); // stcheck: allow(gauge-label-dup): one series.\n\
+                     c.trace_counter(\"y\", 2); // stcheck: allow(trace-label-dup): one track.\n\
                  }\n";
         assert!(analyze_raw(&[("src/a.rs", a), ("src/b.rs", b)]).is_empty());
     }

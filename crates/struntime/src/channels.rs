@@ -67,7 +67,6 @@ use crate::counters::PhaseStats;
 use crate::faults::{FaultAction, FaultInjector};
 use crate::perturb::{SchedulePerturber, SyncPoint};
 use crate::shared::Shared;
-use crate::telemetry::{Gauge, TelemetrySampler};
 use crate::trace::{TraceBuffer, TraceEventKind};
 use crate::wire::DeepBytes;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
@@ -141,8 +140,8 @@ pub(crate) enum WireMsg<T> {
 struct Unacked<T> {
     payload: Wire<T>,
     lineage: Option<LineageSidecar>,
-    /// Deep wire size of the payload, so the telemetry gauges can release
-    /// exactly what they charged when the ack lands.
+    /// Deep wire size of the payload, so the `reliability_bytes` counter
+    /// releases exactly what it charged when the ack lands.
     bytes: u64,
     /// Transmissions so far (1 after the original send).
     attempts: u32,
@@ -193,6 +192,9 @@ struct ReliableState<T> {
     delayed: Vec<Delayed<T>>,
     /// Receive dedup window, per source.
     dedup: Vec<DedupWindow>,
+    /// Unacknowledged sends and their payload bytes, over destinations.
+    unacked_batches: u64,
+    unacked_bytes: u64,
 }
 
 impl<T> ReliableState<T> {
@@ -202,6 +204,8 @@ impl<T> ReliableState<T> {
             unacked: (0..p).map(|_| BTreeMap::new()).collect(),
             delayed: Vec::new(),
             dedup: (0..p).map(|_| DedupWindow::default()).collect(),
+            unacked_batches: 0,
+            unacked_bytes: 0,
         }
     }
 }
@@ -221,7 +225,6 @@ pub(crate) struct GroupCtx {
     pub perturb: Option<Arc<SchedulePerturber>>,
     pub faults: Option<Arc<FaultInjector>>,
     pub trace: Option<Arc<TraceBuffer>>,
-    pub telemetry: Option<Arc<TelemetrySampler>>,
     pub phase: &'static str,
 }
 
@@ -234,7 +237,6 @@ impl GroupCtx {
             perturb: None,
             faults: None,
             trace: None,
-            telemetry: None,
             phase,
         }
     }
@@ -318,6 +320,17 @@ impl<T: Send + Clone + 'static> ChannelGroup<T> {
     fn trace_instant(&self, name: &'static str, arg: u64) {
         if let Some(buf) = &self.ctx.trace {
             buf.record(TraceEventKind::Instant, name, arg);
+        }
+    }
+
+    /// Samples the unacked buffer into the `unacked_batches` and
+    /// `reliability_bytes` counters after it changed.
+    fn trace_unacked(&self, st: &ReliableState<T>) {
+        if let Some(buf) = &self.ctx.trace {
+            buf.record_counters(&[
+                ("unacked_batches", st.unacked_batches),
+                ("reliability_bytes", st.unacked_bytes),
+            ]);
         }
     }
 
@@ -442,10 +455,9 @@ impl<T: Send + Clone + 'static> ChannelGroup<T> {
                 deadline: backoff_deadline(now, 1),
             },
         );
-        if let Some(t) = &self.ctx.telemetry {
-            t.add(Gauge::UnackedBatches, 1);
-            t.add(Gauge::ReliabilityBytes, bytes);
-        }
+        st.unacked_batches += 1;
+        st.unacked_bytes += bytes;
+        self.trace_unacked(&st);
         match inj.draw(0) {
             FaultAction::Deliver => self.raw_send(dest, msg),
             FaultAction::Drop => {}
@@ -664,13 +676,12 @@ impl<T: Send + Clone + 'static> ChannelGroup<T> {
         loop {
             match self.receiver.try_recv() {
                 Ok(WireMsg::Ack { from, seq }) => {
-                    if let Some(entry) = rel.lock().unacked[from].remove(&seq) {
+                    let mut st = rel.lock();
+                    if let Some(entry) = st.unacked[from].remove(&seq) {
                         inj.stats().acks.fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = &self.ctx.telemetry {
-                            t.sub(Gauge::UnackedBatches, 1);
-                            t.sub(Gauge::ReliabilityBytes, entry.bytes);
-                            t.add(Gauge::AckedBatches, 1);
-                        }
+                        st.unacked_batches -= 1;
+                        st.unacked_bytes -= entry.bytes;
+                        self.trace_unacked(&st);
                     }
                 }
                 Ok(WireMsg::Data {

@@ -16,7 +16,7 @@
 //!    `Comm::pause` / channel pause / collective spin / barrier
 //!    wait polls it — and unwind with a [`CooperativeAbort`] payload.
 //! 3. All ranks therefore report promptly; the supervisor reads the
-//!    telemetry rings for a flight-recorder dump and either surfaces a
+//!    trace rings for a flight-recorder dump and either surfaces a
 //!    [`WorldFailure`] (structured, for a recovery supervisor) or
 //!    re-raises the primary panic (legacy `World::run` and
 //!    `PersistentWorld::execute` behaviour). A resident world then runs

@@ -46,7 +46,6 @@ pub mod persistent;
 pub mod perturb;
 pub mod queue;
 pub mod shared;
-pub mod telemetry;
 pub mod trace;
 pub mod traversal;
 pub mod wire;
@@ -63,11 +62,10 @@ pub use metrics::{HistogramSnapshot, MetricKind, MetricsConfig, MetricsDump};
 pub use persistent::PersistentWorld;
 pub use perturb::{stress_schedules, PerturbAction, SchedulePerturber, SyncPoint, TraceEntry};
 pub use queue::QueueKind;
-pub use telemetry::{
-    write_flight_dump, write_flight_dump_env, Gauge, TelemetryConfig, TelemetryDump,
-    TelemetrySample, TelemetrySampler,
+pub use trace::{
+    write_flight_dump, write_flight_dump_env, TraceConfig, TraceDump, TraceEvent, TraceEventKind,
+    TraceSpan,
 };
-pub use trace::{TraceConfig, TraceDump, TraceEvent, TraceEventKind, TraceSpan};
 #[cfg(feature = "check")]
 pub use traversal::run_traversal_mutant_premature;
 pub use traversal::{
@@ -99,7 +97,10 @@ pub struct Comm {
     trace: Option<Arc<TraceBuffer>>,
     metrics: Option<Arc<RankMetrics>>,
     faults: Option<Arc<FaultInjector>>,
-    telemetry: Option<Arc<TelemetrySampler>>,
+    /// Visits and stale drops of this job's finished traversals, so the
+    /// trace's `visits` and `stale_drops` counters run across the job.
+    /// Updated only when tracing.
+    traversal_totals: [AtomicU64; 2],
     /// Monotone per-rank lineage sequence; world-unique ids are
     /// `rank << 40 | seq` with seq starting at 1 (0 = "no message").
     /// The packing survives a round-trip through JSON's f64 numbers for
@@ -158,14 +159,15 @@ impl Comm {
     }
 
     /// Marks a solver phase transition in one call: updates this rank's
-    /// failure-classification label, the crash injector's phase filter,
-    /// and the telemetry phase series.
+    /// failure-classification label and the crash injector's phase
+    /// filter, and takes a boundary sample of the trace counters, so every
+    /// phase span holds one even when the phase executes few visits.
     pub fn set_phase(&self, name: &'static str, index: u64) {
         self.shared.set_phase_label(self.rank, name);
         if let Some(f) = &self.faults {
             f.set_phase(index as usize);
         }
-        self.telemetry_phase(index);
+        self.trace_sample(0, 0, [0, 0]);
     }
 
     /// Per-visit crash-trigger hook; the traversal drain loop calls this
@@ -200,6 +202,48 @@ impl Comm {
     pub fn trace_instant(&self, name: &'static str, arg: u64) {
         if let Some(buf) = &self.trace {
             buf.record(TraceEventKind::Instant, name, arg);
+        }
+    }
+
+    /// Records a counter sample: `name` holds `v` until its next sample.
+    /// Labels are static and unique across the workspace (the
+    /// `trace-label-dup` lint enforces it). A null check when tracing is
+    /// off.
+    pub fn trace_counter(&self, name: &'static str, v: u64) {
+        if let Some(buf) = &self.trace {
+            buf.record(TraceEventKind::Counter, name, v);
+        }
+    }
+
+    /// Samples the runtime's counters into the trace: the running
+    /// traversal's queue depth and bytes (0 between traversals), this
+    /// job's visits and stale drops, and the memory ledger's total.
+    /// `running` holds the running traversal's own visits and stale drops
+    /// so far. A null check when tracing is off.
+    pub(crate) fn trace_sample(&self, queue_len: usize, queue_bytes: usize, running: [u64; 2]) {
+        let Some(buf) = &self.trace else { return };
+        let totals = &self.traversal_totals;
+        buf.record_counters(&[
+            ("queue_depth", queue_len as u64),
+            ("queue_bytes", queue_bytes as u64),
+            ("visits", totals[0].load(Ordering::Relaxed) + running[0]),
+            (
+                "stale_drops",
+                totals[1].load(Ordering::Relaxed) + running[1],
+            ),
+            ("mem_total_bytes", self.memory.current_total() as u64),
+        ]);
+    }
+
+    /// Adds a finished traversal's visits and stale drops to the job's
+    /// totals and takes its closing sample, with the queue freed. A null
+    /// check when tracing is off.
+    pub(crate) fn trace_traversal_end(&self, done: [u64; 2]) {
+        if self.trace.is_some() {
+            for (total, n) in self.traversal_totals.iter().zip(done) {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
+            self.trace_sample(0, 0, [0, 0]);
         }
     }
 
@@ -245,74 +289,6 @@ impl Comm {
     /// This phase's histogram set, when the world records metrics.
     pub(crate) fn metrics_phase(&self, phase: &'static str) -> Option<Arc<PhaseMetrics>> {
         self.metrics.as_ref().map(|m| m.phase(phase))
-    }
-
-    /// This rank's telemetry sampler, when the world samples telemetry
-    /// (see [`telemetry`]).
-    pub fn telemetry(&self) -> Option<&Arc<TelemetrySampler>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Marks a solver phase transition on the telemetry time series and
-    /// forces a boundary sample, so the Gantt view sees every phase even
-    /// when it executes few visits. A null check when telemetry is off.
-    pub fn telemetry_phase(&self, phase: u64) {
-        if let Some(t) = &self.telemetry {
-            t.set_phase(phase);
-        }
-    }
-
-    /// Sets a fixed telemetry gauge's live value (solvers report arena
-    /// bytes this way). A null check when telemetry is off.
-    pub fn telemetry_set(&self, gauge: Gauge, v: u64) {
-        if let Some(t) = &self.telemetry {
-            t.set(gauge, v);
-        }
-    }
-
-    /// Sets a labelled extension gauge: a final value surfaced in the
-    /// dump, not a time series. Labels are static and must be unique
-    /// across the workspace (the `gauge-label-dup` lint enforces it). A
-    /// null check when telemetry is off.
-    pub fn telemetry_gauge(&self, label: &'static str, v: u64) {
-        if let Some(t) = &self.telemetry {
-            t.set_named(label, v);
-        }
-    }
-
-    /// Per-visit telemetry hook (the traversal drain loop calls this
-    /// after every executed visit): updates the queue gauges, advances
-    /// the step counter, and — on the step-keyed sampling cadence —
-    /// refreshes the memory-ledger and fault gauges and snapshots the
-    /// ring. Deterministic: cadence depends only on the visit count.
-    pub(crate) fn telemetry_visit(&self, queue_len: usize, queue_bytes: usize) {
-        let Some(t) = &self.telemetry else { return };
-        t.set(Gauge::QueueDepth, queue_len as u64);
-        t.set(Gauge::QueueBytes, queue_bytes as u64);
-        t.add(Gauge::Visits, 1);
-        if t.step_tick() {
-            t.set(Gauge::MemTotalBytes, self.memory.current_total() as u64);
-            t.set(
-                Gauge::CollectiveBytes,
-                (self.memory.current("collective_slot") + self.memory.current("collective_buffer"))
-                    as u64,
-            );
-            if self.faults.is_some() {
-                t.set(
-                    Gauge::FaultsInjected,
-                    self.shared.faults.snapshot().injected(),
-                );
-            }
-            t.record_sample();
-        }
-    }
-
-    /// Telemetry hook for stale-filter drops (see
-    /// [`traversal::run_traversal_filtered`]).
-    pub(crate) fn telemetry_stale_drop(&self, n: u64) {
-        if let Some(t) = &self.telemetry {
-            t.add(Gauge::StaleDrops, n);
-        }
     }
 
     /// Collectively opens a typed all-to-all channel group. Every rank must
@@ -394,7 +370,6 @@ impl Comm {
             perturb: self.perturb.clone(),
             faults: self.faults.clone(),
             trace: self.trace.clone(),
-            telemetry: self.telemetry.clone(),
             phase,
         };
         ChannelGroup::new(
@@ -443,9 +418,6 @@ pub struct RunOutput<T> {
     /// Fault-injection and reliability-protocol counters summed over all
     /// ranks; all-zero when the world ran without a [`FaultPlan`].
     pub fault_stats: FaultSnapshot,
-    /// Gauge time series drained from every rank at teardown. Empty
-    /// unless the world ran with [`TelemetryConfig::Ring`].
-    pub telemetry: TelemetryDump,
 }
 
 impl<T> RunOutput<T> {
@@ -462,11 +434,6 @@ impl<T> RunOutput<T> {
         self.metrics.clone()
     }
 
-    /// The drained gauge time series, ready for
-    /// [`TelemetryDump::to_json`] or a flight-recorder dump.
-    pub fn finish_telemetry(&self) -> TelemetryDump {
-        self.telemetry.clone()
-    }
     /// Cluster-wide per-phase message counts (sum over ranks).
     pub fn merged_counters(&self) -> BTreeMap<&'static str, PhaseSnapshot> {
         let snaps: Vec<_> = self.reports.iter().map(|r| r.counters.clone()).collect();
@@ -500,11 +467,6 @@ pub struct WorldConfig {
     /// [`faults::FaultInjector`] seeded from the plan, and the channel
     /// layer runs its reliability protocol (see [`channels`]).
     pub faults: Option<FaultPlan>,
-    /// Gauge time-series sampling (off by default; see [`telemetry`]).
-    /// Sampling is step-keyed, so enabling it leaves results and
-    /// counters bit-identical; `monitor: true` additionally renders a
-    /// live per-rank heartbeat line to stderr.
-    pub telemetry: TelemetryConfig,
     /// Cooperative world deadline (off by default). When set, every sync
     /// point polls the deadline; the first rank to observe expiry records
     /// a [`FailureReason::DeadlineExceeded`] primary failure and the
@@ -1095,23 +1057,21 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_world_records_samples_and_visits() {
+    fn traced_world_samples_counters_inside_phase_spans() {
         let config = WorldConfig {
-            telemetry: TelemetryConfig::Ring {
-                sample_every: 1,
-                monitor: false,
-            },
+            trace: TraceConfig::ring(),
             ..WorldConfig::default()
         };
         let out = World::run_config(2, config, |comm| {
-            let chan = comm.open_channels::<Vec<u32>>("telemetry_world");
-            comm.telemetry_phase(7);
+            let chan = comm.open_channels::<Vec<u32>>("counter_world");
+            let span = comm.trace_span("work");
+            comm.set_phase("work", 7);
             let init: Vec<u32> = if comm.rank() == 0 {
                 (0..16).collect()
             } else {
                 vec![]
             };
-            run_traversal(
+            let stats = run_traversal(
                 comm,
                 &chan,
                 QueueKind::Fifo,
@@ -1123,37 +1083,41 @@ mod tests {
                     }
                 },
             );
-            comm.telemetry_gauge("finished", 1);
+            comm.trace_counter("finished", 1);
+            drop(span);
+            stats.processed
         });
-        let dump = &out.telemetry;
-        assert_eq!(dump.ranks.len(), 2);
-        assert!(dump.num_samples() > 0, "every-step cadence must sample");
-        for rt in &dump.ranks {
-            assert!(
-                rt.samples.iter().any(|s| s.phase == 7),
-                "rank {} never sampled inside phase 7",
-                rt.rank
-            );
-            assert!(
-                rt.samples
+        for (rt, &processed) in out.trace.ranks.iter().zip(&out.results) {
+            let counter = |name: &str| {
+                rt.events
                     .iter()
-                    .any(|s| s.values[Gauge::Visits as usize] > 0),
-                "rank {} recorded no visit gauge",
-                rt.rank
-            );
-            assert_eq!(rt.named.get("finished"), Some(&1));
+                    .rev()
+                    .find(|e| e.kind == TraceEventKind::Counter && e.name == name)
+                    .map(|e| e.arg)
+            };
+            assert_eq!(counter("visits"), Some(processed), "rank {}", rt.rank);
+            assert_eq!(counter("queue_depth"), Some(0), "rank {}", rt.rank);
+            assert_eq!(counter("finished"), Some(1), "rank {}", rt.rank);
+            // The boundary sample lands inside the phase span.
+            let begin = rt
+                .events
+                .iter()
+                .position(|e| e.kind == TraceEventKind::SpanBegin && e.name == "work")
+                .expect("span begins");
+            assert_eq!(rt.events[begin + 1].kind, TraceEventKind::Counter);
         }
     }
 
     #[test]
-    fn telemetry_off_world_dump_is_empty() {
+    fn untraced_world_records_no_counters() {
         let out = World::run(2, |comm| {
-            let chan = comm.open_channels::<Vec<u32>>("telemetry_off");
-            comm.telemetry_phase(1);
+            let chan = comm.open_channels::<Vec<u32>>("counter_off");
+            comm.set_phase("work", 1);
+            comm.trace_counter("finished", 1);
             let init = if comm.rank() == 0 { vec![0u32] } else { vec![] };
             run_traversal(comm, &chan, QueueKind::Fifo, |_| 0, init, |_, _| {})
         });
-        assert!(out.telemetry.is_empty());
+        assert!(out.trace.is_empty());
     }
 
     /// Satellite-1 regression: a mid-phase panic with peers parked on a
@@ -1164,12 +1128,9 @@ mod tests {
     fn mid_phase_panic_aborts_world_and_dumps_flight() {
         let dir = std::env::temp_dir().join(format!("flight_abort_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var(telemetry::FLIGHT_RECORDER_DIR_ENV, &dir);
+        std::env::set_var(trace::FLIGHT_RECORDER_DIR_ENV, &dir);
         let config = WorldConfig {
-            telemetry: TelemetryConfig::Ring {
-                sample_every: 1,
-                monitor: false,
-            },
+            trace: TraceConfig::ring(),
             ..WorldConfig::default()
         };
         let err = World::try_run_config(4, config, |comm| {
@@ -1181,7 +1142,7 @@ mod tests {
             comm.barrier();
         })
         .expect_err("a dead rank must fail the world");
-        std::env::remove_var(telemetry::FLIGHT_RECORDER_DIR_ENV);
+        std::env::remove_var(trace::FLIGHT_RECORDER_DIR_ENV);
         assert_eq!(err.failures.len(), 1, "{err}");
         assert_eq!(err.failures[0].rank, 1);
         assert_eq!(err.failures[0].phase, "voronoi");

@@ -54,9 +54,7 @@ impl MemoryTracker {
         self.inner.lock().total
     }
 
-    /// Current bytes under one label (0 if never recorded). The
-    /// telemetry sampler uses this to attribute live memory to
-    /// categories (queue vs arena vs collective buffers).
+    /// Current bytes under one label (0 if never recorded).
     pub fn current(&self, label: &str) -> usize {
         self.inner.lock().current.get(label).copied().unwrap_or(0)
     }

@@ -9,7 +9,6 @@
 
 use crate::faults::FaultPlan;
 use crate::metrics::{self, MetricsDump};
-use crate::telemetry::{self, TelemetryDump};
 use crate::trace::{self, TraceDump};
 use crate::world::{JobSetup, WorldSetup};
 use crate::{Comm, RunOutput, WorldConfig, WorldFailure};
@@ -35,7 +34,7 @@ impl PersistentWorld {
     }
 
     /// [`PersistentWorld::new`] with explicit [`WorldConfig`]. The
-    /// perturbation seed, trace, metrics and telemetry are per world and
+    /// perturbation seed, trace and metrics are per world and
     /// continue across jobs; `faults` and `deadline` apply afresh to every
     /// [`PersistentWorld::execute`].
     pub fn new_with_config(p: usize, config: WorldConfig) -> Self {
@@ -82,7 +81,7 @@ impl PersistentWorld {
     /// previous job established the happens-before edge to their buffer
     /// writes.
     pub fn finish_trace(&self) -> TraceDump {
-        trace::drain_buffers(&self.world.trace)
+        trace::drain_buffers(&self.world.trace, true)
     }
 
     /// Snapshots every rank's latency histograms accumulated since
@@ -92,15 +91,6 @@ impl PersistentWorld {
     /// contract as [`PersistentWorld::finish_trace`].
     pub fn finish_metrics(&self) -> MetricsDump {
         metrics::drain_registries(&self.world.metrics)
-    }
-
-    /// Drains every rank's gauge time series accumulated since the last
-    /// drain (or construction). Like [`PersistentWorld::finish_trace`],
-    /// a persistent world's telemetry spans jobs; same between-jobs
-    /// calling contract. Empty unless the world was built with
-    /// [`crate::telemetry::TelemetryConfig::Ring`].
-    pub fn finish_telemetry(&self) -> TelemetryDump {
-        telemetry::dump_samplers(&self.world.telemetry, true)
     }
 
     /// Runs `f` on every rank under the world's own `faults` and
@@ -122,7 +112,7 @@ impl PersistentWorld {
     /// [`crate::World::try_run_config`], with `faults` injected and
     /// `deadline` armed from now. A rank death fails only this job: the
     /// world runs the next one on fresh state. The output's `trace`,
-    /// `metrics` and `telemetry` stay empty; they accumulate on the world.
+    /// and `metrics` stay empty; they accumulate on the world.
     pub fn try_execute<T, F>(
         &self,
         faults: Option<FaultPlan>,

@@ -22,11 +22,29 @@
 //! recovery traffic visible in the timeline without touching the
 //! per-phase message counters.
 //!
+//! Counters share the ring: a [`TraceEventKind::Counter`] event holds
+//! one sampled value (queue depth and bytes, visits, stale drops, the
+//! memory ledger's total, unacked reliability batches and bytes, solver
+//! values such as arena bytes). The traversal samples its counters every
+//! 256 executed visits and once at its end, and [`crate::Comm::set_phase`]
+//! takes a boundary sample, so every phase span holds at least one.
+//! The cadence is keyed to the visit count, never to the clock, so a
+//! traced run makes the same scheduling decisions as an untraced one.
+//!
 //! Buffers are drained at world teardown into a [`TraceDump`]
 //! (chronological per-rank event lists), which renders to the Chrome
 //! Trace Event Format via [`TraceDump::to_chrome_trace`] — load the JSON
 //! in `about:tracing` or [Perfetto](https://ui.perfetto.dev) to see one
 //! lane per rank.
+//!
+//! ## Flight recorder
+//!
+//! When the [`FLIGHT_RECORDER_DIR_ENV`] environment variable names a
+//! directory and the world traces, a failed run (a rank panic, an expired
+//! deadline, an audit or phase failure) writes its drained trace there as
+//! `FLIGHT_<reason>_<n>.json`: the Chrome trace with a
+//! `struntime.flight = {reason, schema}` object, so the same viewers and
+//! `xtask analyze` read it.
 //!
 //! ## Safety argument (single-writer ring)
 //!
@@ -42,6 +60,7 @@
 //! reader/writer pair on the same slot.
 
 use std::cell::UnsafeCell;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,6 +69,14 @@ use stgraph::json::Json;
 
 /// Default ring capacity (events per rank) for [`TraceConfig::ring`].
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
+
+/// Environment variable naming the directory flight-recorder dumps are
+/// written to. Unset (the common case) disables all dump writing.
+pub const FLIGHT_RECORDER_DIR_ENV: &str = "FLIGHT_RECORDER_DIR";
+
+/// Version of the flight dump's `struntime.flight` object. Version 1 was
+/// a gauge time series of its own; version 2 is the Chrome trace.
+pub const FLIGHT_SCHEMA_VERSION: u64 = 2;
 
 /// Whether (and how) a world records trace events.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,12 +124,16 @@ pub enum TraceEventKind {
     /// `arg2` is 1. Exported as a Chrome flow finish (`ph: "f"`,
     /// `bp: "e"`) carrying `args.stale`.
     Visit,
+    /// The counter `name` holds the value `arg` from here until its next
+    /// sample (Chrome `ph: "C"`, one track per counter and rank).
+    Counter,
 }
 
 /// One recorded event. `ts_us` is microseconds since the world's trace
 /// epoch (shared by all ranks, so lanes align). `arg` is a free numeric
 /// payload for instants (queue depth, batch size, target vertex) and the
-/// message id for lineage events; `arg2` is the parent message id of a
+/// message id for lineage events and the value of counters; `arg2` is
+/// the parent message id of a
 /// [`TraceEventKind::Spawn`] and the stale flag of a
 /// [`TraceEventKind::Visit`]; both zero for spans.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,7 +145,8 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
     /// Microseconds since the world's shared trace epoch.
     pub ts_us: u64,
-    /// Numeric payload: instants' value, lineage events' message id.
+    /// Numeric payload: instants' and counters' value, lineage events'
+    /// message id.
     pub arg: u64,
     /// Second payload: a spawn's parent message id (0 = traversal seed).
     pub arg2: u64,
@@ -171,26 +203,49 @@ impl TraceBuffer {
     /// Records one event with both payload words (lineage spawns carry
     /// the parent id in `arg2`). Same single-writer contract as `record`.
     pub(crate) fn record2(&self, kind: TraceEventKind, name: &'static str, arg: u64, arg2: u64) {
-        let ts_us = self.epoch.elapsed().as_micros() as u64;
+        self.write(TraceEvent {
+            name,
+            kind,
+            ts_us: self.now_us(),
+            arg,
+            arg2,
+        });
+    }
+
+    /// Records one sample of several counters under one timestamp (one
+    /// clock read). Same single-writer contract as `record`.
+    pub(crate) fn record_counters(&self, counters: &[(&'static str, u64)]) {
+        let ts_us = self.now_us();
+        for &(name, arg) in counters {
+            self.write(TraceEvent {
+                name,
+                kind: TraceEventKind::Counter,
+                ts_us,
+                arg,
+                arg2: 0,
+            });
+        }
+    }
+
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
+    fn write(&self, event: TraceEvent) {
         let n = self.count.load(Ordering::Relaxed);
         let slot = (n % self.capacity as u64) as usize;
         // SAFETY: single-writer discipline (module docs) — no other
         // thread accesses this slot while the rank thread is live.
         unsafe {
-            *self.slots[slot].get() = TraceEvent {
-                name,
-                kind,
-                ts_us,
-                arg,
-                arg2,
-            };
+            *self.slots[slot].get() = event;
         }
         self.count.store(n + 1, Ordering::Release);
     }
 
-    /// Drains the ring into a chronological event list and resets it.
-    /// Must not race `record` (see module docs for when that holds).
-    pub(crate) fn take(&self) -> RankTrace {
+    /// Reads the ring into a chronological event list, resetting it when
+    /// `reset` is set. Must not race `record` (see module docs for when
+    /// that holds).
+    pub(crate) fn read(&self, reset: bool) -> RankTrace {
         let n = self.count.load(Ordering::Acquire);
         let kept = n.min(self.capacity as u64) as usize;
         let mut events = Vec::with_capacity(kept);
@@ -206,7 +261,9 @@ impl TraceBuffer {
             // SAFETY: the writer is quiescent per the drain contract.
             events.push(unsafe { *self.slots[slot].get() });
         }
-        self.count.store(0, Ordering::Release);
+        if reset {
+            self.count.store(0, Ordering::Release);
+        }
         RankTrace {
             rank: self.rank,
             dropped: n - kept as u64,
@@ -286,14 +343,25 @@ impl TraceDump {
     /// form). Open the result in `about:tracing` or Perfetto: one lane
     /// (thread) per rank under a single process, span begin/end pairs as
     /// nested slices, instants as thread-scoped marks carrying their
-    /// numeric argument as `args.v`. Lineage spawns/visits become flow
-    /// events (`ph: "s"` / `ph: "f"`, `cat: "lineage"`) keyed by the
-    /// message id, so viewers draw causal arrows between rank lanes; the
-    /// spawn carries its parent message id as `args.parent`. A top-level
-    /// `struntime` object (ignored by trace viewers) records per-rank
-    /// ring-overflow drop counts so downstream analyzers can tell a
-    /// truncated trace from a complete one.
+    /// numeric argument as `args.v`, counters as `ph: "C"` samples with
+    /// `args.v` and the rank as `id` (one track per counter and rank).
+    /// Lineage spawns/visits become flow events (`ph: "s"` / `ph: "f"`,
+    /// `cat: "lineage"`) keyed by the message id, so viewers draw causal
+    /// arrows between rank lanes; the spawn carries its parent message id
+    /// as `args.parent`. A top-level `struntime` object (ignored by trace
+    /// viewers) records per-rank ring-overflow drop counts so downstream
+    /// analyzers can tell a truncated trace from a complete one.
     pub fn to_chrome_trace(&self) -> String {
+        self.chrome_json(None).to_string()
+    }
+
+    /// The flight-recorder document: the Chrome trace with
+    /// `struntime.flight = {reason, schema}`.
+    pub fn flight_json(&self, reason: &str) -> Json {
+        self.chrome_json(Some(reason))
+    }
+
+    fn chrome_json(&self, flight_reason: Option<&str>) -> Json {
         let mut events = Json::arr();
         events.push(
             Json::obj()
@@ -328,6 +396,7 @@ impl TraceDump {
                             TraceEventKind::Instant => "i",
                             TraceEventKind::Spawn => "s",
                             TraceEventKind::Visit => "f",
+                            TraceEventKind::Counter => "C",
                         },
                     )
                     .with("ts", ev.ts_us)
@@ -336,6 +405,10 @@ impl TraceDump {
                 match ev.kind {
                     TraceEventKind::Instant => {
                         e.insert("s", "t"); // thread-scoped instant
+                        e.insert("args", Json::obj().with("v", ev.arg));
+                    }
+                    TraceEventKind::Counter => {
+                        e.insert("id", rt.rank);
                         e.insert("args", Json::obj().with("v", ev.arg));
                     }
                     TraceEventKind::Spawn => {
@@ -358,15 +431,57 @@ impl TraceDump {
         for rt in &self.ranks {
             dropped.push(rt.dropped);
         }
+        let mut meta = Json::obj()
+            .with("lineage_schema", 1u64)
+            .with("dropped", dropped);
+        if let Some(reason) = flight_reason {
+            meta.insert(
+                "flight",
+                Json::obj()
+                    .with("reason", reason)
+                    .with("schema", FLIGHT_SCHEMA_VERSION),
+            );
+        }
         Json::obj()
             .with("traceEvents", events)
-            .with(
-                "struntime",
-                Json::obj()
-                    .with("lineage_schema", 1u64)
-                    .with("dropped", dropped),
-            )
-            .to_string()
+            .with("struntime", meta)
+    }
+}
+
+static FLIGHT_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes a flight-recorder dump into `dir` as `FLIGHT_<reason>_<n>.json`
+/// (`n` is a process-global counter so repeated dumps never collide).
+/// Returns the path written.
+pub fn write_flight_dump(dump: &TraceDump, reason: &str, dir: &Path) -> std::io::Result<PathBuf> {
+    let n = FLIGHT_SEQ.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("FLIGHT_{reason}_{n}.json"));
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(&path, dump.flight_json(reason).to_string())?;
+    Ok(path)
+}
+
+/// Writes a flight-recorder dump if the [`FLIGHT_RECORDER_DIR_ENV`]
+/// environment variable is set and the world traced; a no-op otherwise.
+/// The guard is "no rank lanes" (tracing off), not "no events": a world
+/// that dies before its first event still leaves a dump, because an
+/// empty-but-present record is itself diagnostic. Write errors are
+/// reported to stderr rather than propagated — the flight recorder must
+/// never turn a diagnosable failure into a different failure.
+pub fn write_flight_dump_env(dump: &TraceDump, reason: &str) -> Option<PathBuf> {
+    if dump.ranks.is_empty() {
+        return None;
+    }
+    let dir = std::env::var_os(FLIGHT_RECORDER_DIR_ENV)?;
+    match write_flight_dump(dump, reason, Path::new(&dir)) {
+        Ok(path) => {
+            eprintln!("flight recorder: wrote {} ({reason})", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("flight recorder: failed to write dump ({reason}): {e}");
+            None
+        }
     }
 }
 
@@ -389,12 +504,13 @@ pub(crate) fn make_buffers(
     }
 }
 
-/// Drains every buffer into a [`TraceDump`] (empty when tracing is off).
-pub(crate) fn drain_buffers(buffers: &Option<Vec<Arc<TraceBuffer>>>) -> TraceDump {
+/// Reads every buffer into a [`TraceDump`] (empty when tracing is off),
+/// resetting the rings when `reset` is set.
+pub(crate) fn drain_buffers(buffers: &Option<Vec<Arc<TraceBuffer>>>, reset: bool) -> TraceDump {
     match buffers {
         None => TraceDump::default(),
         Some(bufs) => TraceDump {
-            ranks: bufs.iter().map(|b| b.take()).collect(),
+            ranks: bufs.iter().map(|b| b.read(reset)).collect(),
         },
     }
 }
@@ -409,7 +525,7 @@ mod tests {
         buf.record(TraceEventKind::SpanBegin, "a", 0);
         buf.record(TraceEventKind::Instant, "q", 5);
         buf.record(TraceEventKind::SpanEnd, "a", 0);
-        let t = buf.take();
+        let t = buf.read(true);
         assert_eq!(t.dropped, 0);
         let names: Vec<_> = t.events.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["a", "q", "a"]);
@@ -423,20 +539,21 @@ mod tests {
         for i in 0..10u64 {
             buf.record(TraceEventKind::Instant, "x", i);
         }
-        let t = buf.take();
+        let t = buf.read(true);
         assert_eq!(t.dropped, 6);
         let args: Vec<_> = t.events.iter().map(|e| e.arg).collect();
         assert_eq!(args, vec![6, 7, 8, 9]);
     }
 
     #[test]
-    fn take_resets_the_ring() {
+    fn read_resets_the_ring_only_when_asked() {
         let buf = TraceBuffer::new(0, 4, Instant::now());
         buf.record(TraceEventKind::Instant, "x", 1);
-        assert_eq!(buf.take().events.len(), 1);
-        assert_eq!(buf.take().events.len(), 0);
+        assert_eq!(buf.read(false).events.len(), 1);
+        assert_eq!(buf.read(true).events.len(), 1);
+        assert_eq!(buf.read(true).events.len(), 0);
         buf.record(TraceEventKind::Instant, "y", 2);
-        let t = buf.take();
+        let t = buf.read(true);
         assert_eq!(t.events.len(), 1);
         assert_eq!(t.events[0].name, "y");
     }
@@ -448,7 +565,7 @@ mod tests {
             let _span = TraceSpan::begin(Some(&buf), "phase");
             buf.record(TraceEventKind::Instant, "inside", 0);
         }
-        let t = buf.take();
+        let t = buf.read(true);
         assert_eq!(t.events[0].kind, TraceEventKind::SpanBegin);
         assert_eq!(t.events[1].name, "inside");
         assert_eq!(t.events[2].kind, TraceEventKind::SpanEnd);
@@ -469,7 +586,7 @@ mod tests {
         bufs[0].record(TraceEventKind::SpanBegin, "voronoi", 0);
         bufs[0].record(TraceEventKind::SpanEnd, "voronoi", 0);
         bufs[1].record(TraceEventKind::Instant, "queue_depth", 3);
-        let dump = drain_buffers(&Some(bufs));
+        let dump = drain_buffers(&Some(bufs), true);
         let text = dump.to_chrome_trace();
         let doc = stgraph::json::parse(&text).expect("chrome trace must parse");
         let events = doc
@@ -501,7 +618,7 @@ mod tests {
     fn off_config_produces_empty_dump() {
         assert!(!TraceConfig::Off.is_enabled());
         assert!(TraceConfig::ring().is_enabled());
-        let dump = drain_buffers(&make_buffers(4, TraceConfig::Off, Instant::now()));
+        let dump = drain_buffers(&make_buffers(4, TraceConfig::Off, Instant::now()), true);
         assert!(dump.is_empty());
         assert_eq!(dump.num_events(), 0);
         assert_eq!(dump.total_dropped(), 0);
@@ -518,7 +635,7 @@ mod tests {
         bufs[0].record2(TraceEventKind::Visit, "voronoi", 7, 0);
         bufs[0].record2(TraceEventKind::Spawn, "voronoi", 9, 7);
         bufs[1].record2(TraceEventKind::Visit, "voronoi", 9, 0);
-        let dump = drain_buffers(&Some(bufs));
+        let dump = drain_buffers(&Some(bufs), true);
         let text = dump.to_chrome_trace();
         let doc = stgraph::json::parse(&text).expect("chrome trace must parse");
         let events = doc
@@ -558,7 +675,7 @@ mod tests {
             bufs[0].record(TraceEventKind::Instant, "x", i);
         }
         bufs[1].record(TraceEventKind::Instant, "y", 0);
-        let dump = drain_buffers(&Some(bufs));
+        let dump = drain_buffers(&Some(bufs), true);
         assert_eq!(dump.total_dropped(), 6);
         let doc = stgraph::json::parse(&dump.to_chrome_trace()).expect("parses");
         let dropped = doc
@@ -568,5 +685,59 @@ mod tests {
             .expect("struntime.dropped array");
         let counts: Vec<u64> = dropped.iter().filter_map(|d| d.as_u64()).collect();
         assert_eq!(counts, vec![6, 0]);
+    }
+
+    #[test]
+    fn counters_export_one_track_per_rank() {
+        let epoch = Instant::now();
+        let bufs: Vec<_> = (0..2)
+            .map(|r| Arc::new(TraceBuffer::new(r, 8, epoch)))
+            .collect();
+        bufs[1].record(TraceEventKind::Counter, "queue_depth", 42);
+        let doc = stgraph::json::parse(&drain_buffers(&Some(bufs), true).to_chrome_trace())
+            .expect("parses");
+        let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        let counter = events
+            .iter()
+            .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("C"))
+            .expect("counter present");
+        assert_eq!(
+            counter.get("name").and_then(|n| n.as_str()),
+            Some("queue_depth")
+        );
+        assert_eq!(counter.get("tid").and_then(|t| t.as_u64()), Some(1));
+        assert_eq!(counter.get("id").and_then(|t| t.as_u64()), Some(1));
+        let v = counter.get("args").and_then(|a| a.get("v"));
+        assert_eq!(v.and_then(|v| v.as_u64()), Some(42));
+    }
+
+    #[test]
+    fn flight_dump_writes_the_trace_with_its_reason() {
+        let buf = Arc::new(TraceBuffer::new(0, 8, Instant::now()));
+        buf.record(TraceEventKind::Counter, "visits", 3);
+        let dump = drain_buffers(&Some(vec![buf]), true);
+        let dir = std::env::temp_dir().join(format!("struntime_flight_{}", std::process::id()));
+        let path = write_flight_dump(&dump, "unit_test", &dir).expect("dump writes");
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap();
+        assert!(name.starts_with("FLIGHT_unit_test_"), "{name}");
+        let text = std::fs::read_to_string(&path).expect("dump readable");
+        std::fs::remove_dir_all(&dir).ok();
+        let doc = stgraph::json::parse(&text).expect("dump parses");
+        let flight = doc.get("struntime").and_then(|s| s.get("flight"));
+        let field = |k: &str| flight.and_then(|f| f.get(k)).cloned();
+        assert_eq!(
+            field("reason").as_ref().and_then(|r| r.as_str()),
+            Some("unit_test")
+        );
+        assert_eq!(
+            field("schema").and_then(|v| v.as_u64()),
+            Some(FLIGHT_SCHEMA_VERSION)
+        );
+        let events = doc.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("C")));
+        // Tracing off: no lanes, so the environment-gated writer is a no-op.
+        assert_eq!(write_flight_dump_env(&TraceDump::default(), "off"), None);
     }
 }

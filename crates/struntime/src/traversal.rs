@@ -524,14 +524,6 @@ where
     )
 }
 
-/// Adds `dropped` stale-filter drops to the rank's stats and telemetry.
-fn count_stale(comm: &Comm, stats: &mut TraversalStats, dropped: u64) {
-    if dropped > 0 {
-        stats.stale_dropped += dropped;
-        comm.telemetry_stale_drop(dropped);
-    }
-}
-
 /// The traversal loop. `PREMATURE_MUTANT` selects the intentionally broken
 /// drain ordering used by the audit mutation check (see
 /// [`run_traversal_mutant_premature`]); production entry points
@@ -649,7 +641,7 @@ where
                 }
                 queue.push(priority(&v), (VisitMeta { id, enq_us: now }, v));
             }
-            count_stale(comm, &mut stats, dropped);
+            stats.stale_dropped += dropped;
         }
         // Sample the peak at drain time, before any visitor is popped:
         // the queue is at its true maximum right after an inbound batch
@@ -672,7 +664,7 @@ where
             }
             true
         });
-        count_stale(comm, &mut stats, dropped);
+        stats.stale_dropped += dropped;
         if let Some((meta, v)) = popped {
             debug_assert!(!idle, "queue cannot be non-empty while idle");
             let visit_start = lineage.now_us(comm);
@@ -710,12 +702,6 @@ where
             }
             stats.processed += 1;
             comm.fault_visit_tick();
-            // Sample queue depth sparsely (every 256 visitors, starting
-            // at the first) so the trace stays light on big runs but
-            // tiny test graphs still get at least one sample.
-            if stats.processed & 0xff == 1 {
-                comm.trace_instant("queue_depth", queue.len() as u64);
-            }
             // Local pushes are queued unchecked: the visit callback made
             // its own check before pushing (see "Stale-entry filtering").
             for (meta, v) in local_buf.drain(..) {
@@ -723,10 +709,17 @@ where
             }
             stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
             stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
-            // Telemetry step hook: advances the step-keyed sampling
-            // cadence once per executed visit (a null check when
-            // telemetry is off, like the sparse trace sample above).
-            comm.telemetry_visit(queue.len(), queue.memory_bytes());
+            // Sample the counters sparsely (every 256 visits, starting at
+            // the first) so the trace stays light on big runs but tiny
+            // test graphs still get a sample. Keyed to the visit count,
+            // never the clock, so tracing leaves the schedule alone.
+            if stats.processed & 0xff == 1 {
+                comm.trace_sample(
+                    queue.len(),
+                    queue.memory_bytes(),
+                    [stats.processed, stats.stale_dropped],
+                );
+            }
             continue;
         }
 
@@ -791,9 +784,13 @@ where
                 queued: queue.len(),
             });
     }
+    drop(queue);
 
     comm.memory()
         .record("visitor_queue_peak", stats.peak_queue_bytes);
+    // The closing sample: the queue is freed and its peak is on the
+    // ledger, so the next phase does not inherit its bytes.
+    comm.trace_traversal_end([stats.processed, stats.stale_dropped]);
     // No rank may reset the detector (next traversal) before all have left.
     comm.barrier();
     if rank == 0 && audit::is_active() {

@@ -11,11 +11,10 @@ use crate::memory::MemoryTracker;
 use crate::metrics::{self, RankMetrics};
 use crate::perturb::SchedulePerturber;
 use crate::shared::Shared;
-use crate::telemetry::{self, TelemetrySampler};
 use crate::trace::{self, TraceBuffer};
 use crate::{Comm, RankReport, RunOutput, WorldConfig};
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,7 +27,6 @@ pub(crate) struct WorldSetup {
     perturbers: Vec<Option<Arc<SchedulePerturber>>>,
     pub(crate) trace: Option<Vec<Arc<TraceBuffer>>>,
     pub(crate) metrics: Option<Vec<Arc<RankMetrics>>>,
-    pub(crate) telemetry: Option<Vec<Arc<TelemetrySampler>>>,
 }
 
 impl WorldSetup {
@@ -50,7 +48,6 @@ impl WorldSetup {
                 .collect(),
             trace: trace::make_buffers(p, config.trace, epoch),
             metrics: metrics::make_registries(p, config.metrics),
-            telemetry: telemetry::make_samplers(p, config.telemetry),
         }
     }
 
@@ -106,7 +103,7 @@ impl JobSetup {
             trace: world.trace.as_ref().map(|b| Arc::clone(&b[rank])),
             metrics: world.metrics.as_ref().map(|m| Arc::clone(&m[rank])),
             faults: self.injectors.as_ref().map(|i| Arc::clone(&i[rank])),
-            telemetry: world.telemetry.as_ref().map(|t| Arc::clone(&t[rank])),
+            traversal_totals: [AtomicU64::new(0), AtomicU64::new(0)],
             lineage_seq: AtomicU64::new(0),
         };
         // stlint: catch-unwind-justify — rank isolation: a dying rank must
@@ -123,8 +120,9 @@ impl JobSetup {
 
     /// The supervisor: turns the per-rank results (in rank order) into a
     /// [`RunOutput`], or into a [`WorldFailure`] plus a flight dump.
-    /// `drain` moves the world's traces, metrics and telemetry into the
-    /// output; a resident world's observers accumulate across jobs.
+    /// `drain` moves the world's traces and metrics into the output; a
+    /// resident world's observers accumulate across jobs, so its flight
+    /// dump reads the trace rings without resetting them.
     pub(crate) fn supervise<T>(
         &self,
         world: &WorldSetup,
@@ -141,10 +139,7 @@ impl JobSetup {
             } else {
                 "panic"
             };
-            telemetry::write_flight_dump_env(
-                &telemetry::dump_samplers(&world.telemetry, drain),
-                reason,
-            );
+            trace::write_flight_dump_env(&trace::drain_buffers(&world.trace, drain), reason);
             return Err(WorldFailure {
                 failures: std::mem::take(&mut *shared.failures.lock()),
                 aborted_ranks: shared.aborted_ranks.load(Ordering::SeqCst),
@@ -177,15 +172,12 @@ impl JobSetup {
                 .map(|p| p.as_ref().map(|p| p.trace()).unwrap_or_default())
                 .collect(),
             trace: w
-                .map(|w| trace::drain_buffers(&w.trace))
+                .map(|w| trace::drain_buffers(&w.trace, true))
                 .unwrap_or_default(),
             metrics: w
                 .map(|w| metrics::drain_registries(&w.metrics))
                 .unwrap_or_default(),
             fault_stats: shared.faults.snapshot(),
-            telemetry: w
-                .map(|w| telemetry::dump_samplers(&w.telemetry, true))
-                .unwrap_or_default(),
         })
     }
 }
@@ -222,7 +214,7 @@ impl World {
     /// runs under `catch_unwind`; a dying rank raises the world's abort
     /// epoch so survivors unblock from barriers, collectives, and channel
     /// waits at their next sync point, every rank joins promptly, the
-    /// telemetry rings are drained for a flight-recorder dump, and the
+    /// trace rings are drained for a flight-recorder dump, and the
     /// run surfaces a structured [`WorldFailure`] instead of a panic.
     pub fn try_run_config<T, F>(
         p: usize,
@@ -235,15 +227,7 @@ impl World {
     {
         let world = WorldSetup::new(p, &config);
         let job = JobSetup::new(&world, config.faults, config.deadline);
-        let monitor_stop = AtomicBool::new(false);
         let joined = std::thread::scope(|scope| {
-            let monitor = match &world.telemetry {
-                Some(s) if config.telemetry.monitor_enabled() => {
-                    let stop = &monitor_stop;
-                    Some(scope.spawn(move || telemetry::monitor_loop(s, stop)))
-                }
-                _ => None,
-            };
             let handles: Vec<_> = (0..p)
                 .map(|rank| {
                     let (world, job, f) = (&world, &job, &f);
@@ -252,16 +236,11 @@ impl World {
                 .collect();
             // Join every rank before reporting: the abort epoch
             // guarantees the stragglers arrive, and a full join means the
-            // telemetry rings are quiescent and safe to drain.
-            let joined: Vec<Result<T, Payload>> = handles
+            // trace rings are quiescent and safe to drain.
+            handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(Err))
-                .collect();
-            monitor_stop.store(true, Ordering::Release);
-            if let Some(m) = monitor {
-                let _ = m.join();
-            }
-            joined
+                .collect::<Vec<Result<T, Payload>>>()
         });
         job.supervise(&world, joined, true)
     }

@@ -34,13 +34,16 @@
 //! schema-valid; 1 means violations (or no reports at all); 2 means
 //! usage or I/O error.
 //!
-//! `analyze` inspects a machine-readable JSON by shape: a Chrome-trace
-//! export (from `steiner-cli solve --trace`) gets the `stanalyze`
-//! critical-path / load-imbalance readout; a v5 `RunReport` with a
-//! `timeseries` section, or a flight-recorder dump, gets the ASCII phase
-//! Gantt and per-rank utilization view. Exit code 0 means the analysis
-//! verified; 1 means a verification failure (or a RunReport recorded
-//! with telemetry off); 2 means usage or I/O error.
+//! `analyze` reads a Chrome-trace export (from `steiner-cli solve
+//! --trace`) or a flight-recorder dump (the same format, written when a
+//! traced solve fails under `FLIGHT_RECORDER_DIR`). It prints the
+//! `stanalyze` critical-path / load-imbalance readout and the ASCII phase
+//! Gantt with per-rank utilization. A trace must verify (acyclic, every
+//! spawn visited) with a non-empty critical path. A flight dump records a
+//! world that died mid-phase, so it must only validate and be acyclic:
+//! its coverage gaps are reported as warnings. Exit code 0 means the
+//! analysis verified; 1 means a verification failure; 2 means usage or
+//! I/O error.
 //!
 //! `perf-diff` compares two run documents (bare `RunReport`s or whole
 //! `BENCH_*.json` envelopes, solve entries matched by label) and flags
@@ -58,11 +61,11 @@
 //! disciplines and rank counts, asserting every faulted solve recovers a
 //! tree bit-identical to the fault-free baseline and actually exercised
 //! the fault path (nonzero injection counters). The fresh-world
-//! message-fault solves run with telemetry sampling on while the
-//! baselines keep it off, so the
-//! sweep doubles as the proof that observation never perturbs the
-//! result. Both sweeps run each combination under `--mst replicated`
-//! and `--mst dist`, comparing every tree against a fault-free baseline
+//! message-fault solves run traced, with counter samples, while the
+//! baselines run untraced, so the sweep doubles as the proof that
+//! observation never perturbs the result. Both sweeps run each
+//! combination under `--mst replicated` and `--mst dist`, comparing
+//! every tree against a fault-free baseline
 //! pinned to `--mst replicated` — so the matrix also pins the distributed
 //! Borůvka pipeline bit-identical to the replicated Prim path. A second
 //! sweep injects seeded crash-stop rank deaths
@@ -386,18 +389,18 @@ fn chaos() -> ExitCode {
                                 return ExitCode::from(2);
                             }
                         };
-                        // Telemetry on for the batch message-fault runs:
-                        // the tree-equality check then also proves
-                        // sampling never perturbs the solve. A resident
-                        // world's telemetry is fixed (off) at build time.
+                        // Tracing on for the batch message-fault runs: the
+                        // tree-equality check then also proves that
+                        // tracing never perturbs the solve. A resident
+                        // world's tracing is fixed (off) at build time.
                         let sampled = !resident && !crashes;
                         let cfg = steiner::SolverConfig {
                             mst_mode,
                             faults: Some(plan),
-                            telemetry: if sampled {
-                                steiner::TelemetryConfig::ring()
+                            trace: if sampled {
+                                steiner::TraceConfig::ring()
                             } else {
-                                steiner::TelemetryConfig::Off
+                                steiner::TraceConfig::Off
                             },
                             ..base_cfg
                         };
@@ -487,8 +490,8 @@ fn chaos() -> ExitCode {
 /// tree: `Ok` carries the summary line, `Err` the reason it fails.
 /// `crashes` marks a crash-stop plan, which must have crashed a rank and
 /// restored from a checkpoint; a message-fault plan must have injected
-/// faults (at more than one rank) and, when `sampled`, recorded
-/// telemetry.
+/// faults (at more than one rank) and, when `sampled`, recorded counter
+/// events in its trace.
 fn chaos_verdict(
     r: &steiner::SolveReport,
     baseline: &stgraph::SteinerTree,
@@ -523,8 +526,9 @@ fn chaos_verdict(
     if r.config.num_ranks > 1 && stats.injected() == 0 {
         return Err("plan injected nothing (fault path not exercised)".into());
     }
-    if sampled && r.telemetry.is_empty() {
-        return Err("telemetry ring sampled nothing".into());
+    let mut events = r.trace.ranks.iter().flat_map(|rt| &rt.events);
+    if sampled && !events.any(|e| e.kind == struntime::TraceEventKind::Counter) {
+        return Err("trace recorded no counter events".into());
     }
     Ok(format!(
         "tree identical ({} drops, {} dups, {} delays, {} retransmits, {} dedups)",
@@ -861,32 +865,6 @@ fn bench_guard(dir: &std::path::Path, update_baseline: bool) -> ExitCode {
     }
 }
 
-/// Maps the sampler's numeric phase marker back to the solver's phase
-/// names for Gantt legends (`steiner::rank_main` marks phases with
-/// `Phase::index()`); ids outside the solver's range stay numeric.
-fn phase_name_of(id: u64) -> Option<String> {
-    usize::try_from(id)
-        .ok()
-        .and_then(steiner::Phase::from_index)
-        .map(|p| p.name().to_string())
-}
-
-/// Renders the Gantt / utilization view for a timeseries section pulled
-/// out of a run report or flight dump.
-fn analyze_timeseries(ts: &stgraph::json::Json, origin: &str) -> ExitCode {
-    match stanalyze::gantt_from_timeseries(ts, &phase_name_of) {
-        Ok(text) => {
-            print!("{text}");
-            println!("xtask analyze: ok ({origin})");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask analyze: FAIL: {origin}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn analyze_trace(path: &std::path::Path) -> ExitCode {
     let doc = match std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
@@ -898,36 +876,11 @@ fn analyze_trace(path: &std::path::Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Dispatch on document shape: flight-recorder dump and v5 RunReport
-    // get the telemetry Gantt, anything with traceEvents the DAG readout.
-    if doc.get("kind").and_then(|v| v.as_str()) == Some("flight_recorder") {
+    let flight = doc.get("struntime").and_then(|s| s.get("flight"));
+    if flight.is_some() {
         if let Err(e) = steiner::report::validate_flight(&doc) {
             eprintln!("xtask analyze: FAIL: {}: {e}", path.display());
             return ExitCode::FAILURE;
-        }
-        let reason = doc
-            .get("reason")
-            .and_then(|v| v.as_str())
-            .unwrap_or("unknown");
-        let Some(ts) = doc.get("timeseries") else {
-            eprintln!("xtask analyze: FAIL: flight dump missing timeseries");
-            return ExitCode::FAILURE;
-        };
-        return analyze_timeseries(ts, &format!("flight recorder, reason: {reason}"));
-    }
-    if doc.get("traceEvents").is_none() && doc.get("phase_times_us").is_some() {
-        match doc.get("timeseries") {
-            Some(ts) if !ts.is_null() => {
-                return analyze_timeseries(ts, "run report timeseries");
-            }
-            _ => {
-                eprintln!(
-                    "xtask analyze: FAIL: {} has no timeseries \
-                     (re-run the solve with --telemetry)",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
         }
     }
     let model = match stanalyze::model_from_chrome(&doc) {
@@ -939,6 +892,25 @@ fn analyze_trace(path: &std::path::Path) -> ExitCode {
     };
     let analysis = stanalyze::analyze(&model);
     print!("{}", analysis.render_text());
+    let phases = steiner::Phase::ALL.map(|p| p.name());
+    match stanalyze::gantt(&model, &phases) {
+        Ok(text) => print!("{text}"),
+        Err(e) => println!("no phase Gantt: {e}"),
+    }
+    if let Some(flight) = flight {
+        // A dead world stops mid-traversal, so spawned messages may never
+        // have been visited: coverage gaps are expected, a cycle is not.
+        let reason = flight.get("reason").and_then(|v| v.as_str()).unwrap_or("?");
+        if !analysis.acyclic {
+            eprintln!("xtask analyze: FAIL: flight dump's causality graph has a cycle");
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "xtask analyze: ok (flight recorder, reason: {reason}, {} visits)",
+            analysis.total_visits
+        );
+        return ExitCode::SUCCESS;
+    }
     if let Err(e) = analysis.verify() {
         eprintln!("xtask analyze: FAIL: {e}");
         return ExitCode::FAILURE;

@@ -11,12 +11,10 @@
 //!                      [--crash crash_rank=1,crash_at_sync=3,seed=7]
 //!                      [--deadline MS] [--no-recover]
 //!                      [--trace trace.json] [--report report.json] [--analyze]
-//!                      [--telemetry] [--monitor]
 //! steiner-cli compare  --graph graph.bin --select K[:STRATEGY]
 //! steiner-cli repl     --graph graph.bin [--select K[:STRATEGY]]
 //!                      [--ranks P] [--queue KIND] [--mst MODE] [--faults SPEC]
 //!                      [--trace trace.json] [--report report.json]
-//!                      [--telemetry] [--monitor]
 //! ```
 //!
 //! Strategies: bfs-level (default), uniform-random, eccentric, proximate.
@@ -29,7 +27,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use steiner::{
     solve, solve_partitioned, FaultPlan, MetricsConfig, MstMode, QueueKind, SolveReport,
-    SolverConfig, TelemetryConfig, TraceConfig,
+    SolverConfig, TraceConfig,
 };
 use stgraph::csr::{CsrGraph, Vertex};
 use stgraph::datasets::Dataset;
@@ -58,7 +56,6 @@ const USAGE: &str = "usage:
                        [--refine] [--improve ROUNDS] [--dot FILE] [--out TREE_FILE]
                        [--faults SPEC] [--crash SPEC] [--deadline MS] [--no-recover]
                        [--trace FILE] [--report FILE] [--analyze]
-                       [--telemetry] [--monitor]
 
 --queue picks the visitor-queue discipline: `priority` (default) settles
 in near-Dijkstra order from a ring of distance buckets whose width comes
@@ -73,21 +70,17 @@ edge buffer never materializes; `replicated` is the paper's Alg 3 Step
 Both choose the bit-identical tree.
 
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
-lane per simulated rank); --report writes the machine-readable RunReport
-(schema v10, with latency quantiles from the runtime's histograms, the
-fault/retransmit counters, per-rank stale-relaxation drop and
-pruned-at-push counts, the crash-recovery counters, the Borůvka round
-counters under --mst dist,
-and — when telemetry is on — the sampled
-timeseries plus per-phase peak-memory watermarks); --analyze turns on
-tracing and prints the causality-DAG readout (critical path, load
-imbalance) after the solve.
---telemetry samples the runtime gauges into bounded per-rank rings on a
-deterministic step-keyed cadence (observation never changes the tree);
---monitor additionally renders a live per-rank heartbeat to stderr while
-the solve runs (implies --telemetry). On a failed solve or audit
-violation, set FLIGHT_RECORDER_DIR=DIR to get the ring dumped as a
-FLIGHT_*.json flight-recorder file for `xtask analyze`.
+lane per simulated rank, with counter tracks for queue depth and bytes,
+visits, stale drops and memory); --report writes the machine-readable
+RunReport (schema v11, with latency quantiles from the runtime's
+histograms, the fault/retransmit counters, per-rank stale-relaxation drop
+and pruned-at-push counts, the crash-recovery counters, the Borůvka round
+counters under --mst dist, and — when tracing — per-phase peak-memory
+watermarks); --analyze turns on tracing and prints the causality-DAG
+readout (critical path, load imbalance) after the solve. Tracing never
+changes the tree. On a failed traced solve, set FLIGHT_RECORDER_DIR=DIR
+to get the trace dumped as a FLIGHT_*.json flight-recorder file for
+`xtask analyze`.
 --faults injects deterministic message faults, e.g.
 `drop=0.1,dup=0.05,delay=0.1,delay_us=200,stall=0.05,seed=7` (probs in
 [0, 0.5]); the runtime's reliability protocol recovers and the tree is
@@ -101,12 +94,11 @@ restore (a crash then fails the solve as unrecoverable);
 --deadline bounds the solve's wall-clock time in milliseconds —
 on expiry the ranks are cooperatively aborted and the solve returns a
 structured deadline-exceeded error (plus a flight dump when
-FLIGHT_RECORDER_DIR is set and telemetry is on).
+FLIGHT_RECORDER_DIR is set and the solve is traced).
   steiner-cli compare  --graph FILE --select K[:STRATEGY]
   steiner-cli repl     --graph FILE [--select K[:STRATEGY]] [--ranks P]
                        [--queue KIND] [--mst MODE] [--faults SPEC]
                        [--trace FILE] [--report FILE]
-                       [--telemetry] [--monitor]
 
 repl commands: add V | remove V | seeds | tree | solve | dot FILE | help | quit
 (the repl partitions the graph once; `tree`, `dot` and `solve` each run the
@@ -125,10 +117,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
-        let boolean = matches!(
-            name,
-            "tiny" | "refine" | "analyze" | "telemetry" | "monitor" | "no-recover"
-        );
+        let boolean = matches!(name, "tiny" | "refine" | "analyze" | "no-recover");
         if boolean {
             flags.insert(name.to_string(), String::new());
             i += 1;
@@ -303,11 +292,8 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Observability settings shared by batch solve and the repl: tracing
 /// when the user asked for a timeline or an analysis, metrics when a
 /// machine-readable report (which embeds latency quantiles) was
-/// requested, and time-series telemetry when sampling (`--telemetry`)
-/// or the live heartbeat (`--monitor`, which implies sampling) is on.
-fn observability_config(
-    flags: &HashMap<String, String>,
-) -> (TraceConfig, MetricsConfig, TelemetryConfig) {
+/// requested.
+fn observability_config(flags: &HashMap<String, String>) -> (TraceConfig, MetricsConfig) {
     let trace = if flags.contains_key("trace") || flags.contains_key("analyze") {
         TraceConfig::ring()
     } else {
@@ -318,20 +304,7 @@ fn observability_config(
     } else {
         MetricsConfig::Off
     };
-    let telemetry = if flags.contains_key("monitor") {
-        match TelemetryConfig::ring() {
-            TelemetryConfig::Ring { sample_every, .. } => TelemetryConfig::Ring {
-                sample_every,
-                monitor: true,
-            },
-            off => off,
-        }
-    } else if flags.contains_key("telemetry") {
-        TelemetryConfig::ring()
-    } else {
-        TelemetryConfig::Off
-    };
-    (trace, metrics, telemetry)
+    (trace, metrics)
 }
 
 /// Writes the `--trace`/`--report` artifacts and prints the `--analyze`
@@ -392,14 +365,13 @@ fn mst_mode(flags: &HashMap<String, String>) -> Result<MstMode, String> {
 /// The distributed solver's config from the flags batch solve and the
 /// repl share (batch solve adds `--refine`).
 fn solver_config(flags: &HashMap<String, String>) -> Result<SolverConfig, String> {
-    let (trace, metrics, telemetry) = observability_config(flags);
+    let (trace, metrics) = observability_config(flags);
     Ok(SolverConfig {
         num_ranks: rank_count(flags)?,
         queue: queue_kind(flags)?,
         mst_mode: mst_mode(flags)?,
         trace,
         metrics,
-        telemetry,
         faults: fault_plan(flags)?,
         deadline: deadline(flags)?,
         max_restores: restore_budget(flags),
@@ -437,14 +409,6 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
     println!("phase breakdown (max across {} ranks):", config.num_ranks);
     for (phase, time) in report.phase_times.iter() {
         println!("  {:<16} {time:?}", phase.name());
-    }
-    if config.telemetry.is_enabled() {
-        println!(
-            "telemetry      {} sample(s) across {} rank(s) (every {} visits)",
-            report.telemetry.num_samples(),
-            report.telemetry.ranks.len(),
-            report.telemetry.sample_every,
-        );
     }
     if let Some(stats) = &report.boruvka {
         println!(
