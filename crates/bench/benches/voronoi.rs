@@ -70,29 +70,10 @@ fn bench_delegates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_sizes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("voronoi_aggregation");
-    let g = Dataset::Lvj.generate_tiny(9);
-    let seeds = pick_seeds(&g, 32);
-    let pg = partition_graph(&g, 4, None);
-    for batch_size in [1usize, 16, 64, 512] {
-        let cfg = SolverConfig {
-            num_ranks: 4,
-            batch_size,
-            ..SolverConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(batch_size), &cfg, |b, cfg| {
-            b.iter(|| solve_partitioned(&pg, &seeds, cfg).expect("connected"));
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_queue_disciplines,
     bench_rank_counts,
-    bench_delegates,
-    bench_batch_sizes
+    bench_delegates
 );
 criterion_main!(benches);

@@ -84,6 +84,12 @@ pub struct BoruvkaStats {
     pub components: Vec<u64>,
 }
 
+struntime::wire_struct!(BoruvkaStats {
+    rounds,
+    edges_reduced,
+    components
+});
+
 impl BoruvkaStats {
     /// Total slots all-reduced across all rounds — the collective
     /// traffic replacing the replicated path's `binom(|S|, 2)` buffer.
@@ -129,9 +135,9 @@ fn find(parent: &[u32], mut i: u32) -> u32 {
 /// ti)` order — bit-identical to the replicated
 /// [`global_min_edges`] + [`mst_of_distance_graph`] pipeline. On a
 /// distance graph that does not span all seeds the loop stops at the
-/// first round with no outgoing edges and returns fewer than
-/// `num_seeds - 1` edges, mirroring the replicated path's
-/// `spans_all_seeds` failure.
+/// first round with no outgoing edges and returns the spanning forest,
+/// fewer than `num_seeds - 1` edges, as Prim does on the replicated
+/// path.
 ///
 /// Peak memory under the `"distance_graph_boruvka"` label is one slot
 /// vector — `O(#components)` per round, at most `num_seeds` entries —

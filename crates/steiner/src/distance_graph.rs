@@ -87,6 +87,13 @@ pub struct MinEdge {
     pub weight: Weight,
 }
 
+struntime::wire_struct!(MinEdge {
+    total,
+    a,
+    b,
+    weight
+});
+
 impl MinEdge {
     /// The "absent" entry — loses to every real candidate.
     pub const UNSET: MinEdge = MinEdge {

@@ -16,12 +16,15 @@
 //!    ([`boruvka`]) that all-reduce one slot per live component; with
 //!    [`MstMode::Replicated`], the paper's one-shot dense `Allreduce(MIN)`
 //!    over the `binom(|S|, 2)` distance-graph buffer;
-//! 4. **MST** of the small distance graph `G_1'` — already chosen by the
-//!    Borůvka rounds, or sequential Prim ([`mst`]) replicated on every
-//!    rank;
+//! 4. **MST** of the small distance graph `G_1'` — sequential Prim
+//!    ([`mst`]) replicated on every rank;
 //! 5. **Edge pruning** — keep only bridges chosen by the MST;
 //! 6. **Tree edges** ([`tree_edges`]) — trace predecessor chains back to
 //!    the seeds (Alg 6).
+//!
+//! Steps 4 and 5 run under [`MstMode::Replicated`] only: the default
+//! Borůvka rounds of step 3 already choose the MST bridges, so a dist
+//! solve runs steps 1, 2, 3 and 6 ([`MstMode::phases`]).
 //!
 //! The approximation bound `D(G_S)/D_min <= 2(1 - 1/l)` is inherited from
 //! KMB via Mehlhorn's proof that every MST of `G_1'` is an MST of the
@@ -62,12 +65,14 @@ pub use struntime::{
     SyncPoints, TraceConfig, TraceDump,
 };
 
-use distance_graph::{MinEdge, PairKey};
+use distance_graph::PairKey;
+use recovery::Progress;
 use state::VertexStates;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stgraph::csr::{CsrGraph, Vertex, Weight, INF};
+use stgraph::dsu::Dsu;
 use stgraph::error::SteinerError;
 use stgraph::partition::{partition_graph, PartitionedGraph};
 use stgraph::steiner_tree::SteinerTree;
@@ -88,6 +93,26 @@ pub enum MstMode {
     Dist,
 }
 
+impl MstMode {
+    /// The Alg 3 steps this mode runs, in order: all six under
+    /// [`MstMode::Replicated`]; under [`MstMode::Dist`] the Borůvka rounds
+    /// of [`Phase::GlobalMinEdge`] already pick the MST bridges, so
+    /// [`Phase::Mst`] and [`Phase::EdgePruning`] do not run (their times
+    /// read zero). Checkpoint level `k` means the first `k` phases of this
+    /// list are done.
+    pub fn phases(self) -> &'static [Phase] {
+        match self {
+            MstMode::Replicated => &Phase::ALL,
+            MstMode::Dist => &[
+                Phase::Voronoi,
+                Phase::LocalMinEdge,
+                Phase::GlobalMinEdge,
+                Phase::TreeEdge,
+            ],
+        }
+    }
+}
+
 /// Configuration of one distributed solve.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -101,16 +126,14 @@ pub struct SolverConfig {
     /// Degree threshold above which a vertex becomes a replicated delegate
     /// (HavoqGT vertex-cut). `None` disables delegation.
     pub delegate_threshold: Option<usize>,
-    /// MST execution mode for the `global_min_edge` + `mst` phases:
-    /// distributed Borůvka rounds (the default, see [`boruvka`]) or the
-    /// paper's replicated dense reduction plus Prim (`--mst replicated`,
-    /// Alg 3 Step 3). Both produce bit-identical trees.
+    /// How the MST of the distance graph is found: distributed Borůvka
+    /// rounds inside `global_min_edge` (the default, see [`boruvka`]), or
+    /// the paper's replicated dense reduction plus Prim and pruning
+    /// (`--mst replicated`, Alg 3 Steps 3–5). Both produce bit-identical
+    /// trees; [`MstMode::phases`] lists the phases each runs.
     pub mst_mode: MstMode,
     /// Apply the optional KMB steps 4–5 refinement to the output tree.
     pub refine: bool,
-    /// Visitors per aggregated network batch in the asynchronous phases
-    /// (HavoqGT-style message aggregation; `1` disables it).
-    pub batch_size: usize,
     /// Event-trace recording for the solve's world (off by default; see
     /// [`struntime::trace`]). When enabled, [`SolveReport::trace`] holds
     /// the per-rank event dump, renderable with
@@ -152,7 +175,6 @@ impl Default for SolverConfig {
             delegate_threshold: None,
             mst_mode: MstMode::Dist,
             refine: false,
-            batch_size: struntime::traversal::DEFAULT_BATCH_SIZE,
             trace: TraceConfig::Off,
             metrics: MetricsConfig::Off,
             faults: None,
@@ -299,13 +321,13 @@ pub(crate) fn check_weights(num_vertices: usize, max_weight: Weight) -> Result<(
     }
 }
 
+/// What one rank hands the supervisor: its share of the tree edges and
+/// its progress record, or the seed pair that shows the seeds are not
+/// connected.
 struct RankOutcome {
     edges: Vec<(Vertex, Vertex, Weight)>,
-    times: PhaseTimes,
-    connected: bool,
-    distance_graph_edges: usize,
-    work: recovery::Work,
-    boruvka: Option<BoruvkaStats>,
+    progress: Progress,
+    disconnected: Option<(Vertex, Vertex)>,
 }
 
 /// Runs the distributed solver end to end. Spawns `config.num_ranks`
@@ -454,7 +476,7 @@ fn supervise(
             });
         };
         recovery.restores += 1;
-        recovery.replayed_phases += (Phase::ALL.len() - completed) as u64;
+        recovery.replayed_phases += (config.mst_mode.phases().len() - completed) as u64;
         resume = Some(completed);
         // Replay with the crash trigger disarmed; the message-level
         // perturbations keep running, so the replayed phases still have to
@@ -477,11 +499,11 @@ fn assemble_report(
     if !out.audit_violations.is_empty() {
         struntime::write_flight_dump_env(&out.trace, "audit_failure");
     }
-    let connected = out.results.iter().all(|r| r.connected);
-    if !connected {
+    // Every rank finds the same pair: the forest it is read from is
+    // replicated.
+    if let Some((s, t)) = out.results.iter().find_map(|r| r.disconnected) {
         struntime::write_flight_dump_env(&out.trace, "phase_failure");
-        // Identify a concrete pair for the error message.
-        return Err(first_disconnected_pair_of(pg, &seeds));
+        return Err(SteinerError::SeedsDisconnected(s, t));
     }
 
     let p = pg.ranks.len();
@@ -494,17 +516,18 @@ fn assemble_report(
     let mut dg_edges = 0;
     for r in &out.results {
         all_edges.extend_from_slice(&r.edges);
-        phase_times = phase_times.max(&r.times);
-        rank_phase_times.push(r.times);
-        rank_work.push(r.work.processed);
-        stale_drops.push(r.work.stale_dropped);
-        pruned_at_push.push(r.work.pruned_at_push);
-        dg_edges = dg_edges.max(r.distance_graph_edges);
+        let Progress { times, work, .. } = r.progress;
+        phase_times = phase_times.max(&times);
+        rank_phase_times.push(times);
+        rank_work.push(work.processed);
+        stale_drops.push(work.stale_dropped);
+        pruned_at_push.push(work.pruned_at_push);
+        dg_edges = dg_edges.max(r.progress.dg_len);
     }
     // The Borůvka counters are replicated (every rank's rounds are
     // driven by identical allreduce results), so rank 0's copy
     // represents the solve.
-    let boruvka = out.results.first().and_then(|r| r.boruvka.clone());
+    let boruvka = out.results.first().and_then(|r| r.progress.boruvka.clone());
     let mut tree = SteinerTree::new(seeds, all_edges);
     if config.refine {
         tree = refine::refine(&tree);
@@ -537,44 +560,20 @@ fn assemble_report(
     })
 }
 
-fn first_disconnected_pair_of(_pg: &PartitionedGraph, seeds: &[Vertex]) -> SteinerError {
-    // Rebuild reachability cheaply from rank 0's perspective is not
-    // possible without the full graph; report the canonical first/last
-    // pair. Callers needing the precise pair can use the sequential
-    // baselines' diagnostics.
-    SteinerError::SeedsDisconnected(seeds[0], *seeds.last().expect("non-empty"))
-}
-
-/// Serializes this rank's snapshot for the `completed`-phases boundary
-/// into `store`, charging the blob to the rank's `"checkpoint"` memory
-/// label. Called in straight-line code right after a phase's closing sync
-/// point, so when a crash in phase `k+1` aborts the world, every rank has
-/// already written (or will write before its next sync point) the level-k
-/// snapshot — the store's level `k` is always restorable.
-#[allow(clippy::too_many_arguments)]
-fn put_checkpoint(
-    comm: &Comm,
-    store: &CheckpointStore,
-    completed: usize,
-    states: &VertexStates,
-    times: &PhaseTimes,
-    work: recovery::Work,
-    local: Option<&[(PairKey, MinEdge)]>,
-    dg: Option<&[(PairKey, MinEdge)]>,
-    chosen: Option<&[usize]>,
-    dg_len: usize,
-    bridges: Option<&[MinEdge]>,
-    boruvka: Option<&BoruvkaStats>,
-) {
-    let blob = recovery::RankCheckpoint::encode(
-        states, times, work, local, dg, chosen, dg_len, bridges, boruvka,
-    );
-    let new_len = blob.len();
-    let old_len = store.put(completed, comm.rank(), blob);
-    comm.memory().record("checkpoint", new_len);
-    if old_len > 0 {
-        comm.memory().release("checkpoint", old_len);
+/// The pair a [`SteinerError::SeedsDisconnected`] names when the MST
+/// `forest` (seed-index pairs) does not span the seeds: `seeds[0]` and
+/// the first seed the forest does not join to it. `None` when it spans.
+fn disconnected_pair(
+    seeds: &[Vertex],
+    forest: impl IntoIterator<Item = PairKey>,
+) -> Option<(Vertex, Vertex)> {
+    let mut dsu = Dsu::new(seeds.len());
+    for (si, ti) in forest {
+        dsu.union(si, ti);
     }
+    (1..seeds.len())
+        .find(|&i| !dsu.same(0, i as u32))
+        .map(|i| (seeds[0], seeds[i]))
 }
 
 fn rank_main(
@@ -584,9 +583,8 @@ fn rank_main(
     config: &SolverConfig,
     recovery: Option<&Resume>,
 ) -> RankOutcome {
-    let (queue, mst_mode, batch_size) = (config.queue, config.mst_mode, config.batch_size);
+    let (queue, mst_mode) = (config.queue, config.mst_mode);
     let rg = &pg.ranks[comm.rank()];
-    let partition = &pg.partition;
 
     // Channel groups for the two asynchronous phases, opened up front in
     // identical order on every rank (also on a resumed run, so the channel
@@ -607,292 +605,138 @@ fn rank_main(
         Some((store, resume)) => (Some(&**store), *resume),
         None => (None, None),
     };
-    // Phases already completed by a previous (crashed) attempt; every
-    // rank gets the same value from the supervisor, so the skipped
-    // barriers and collectives stay in lockstep.
+    // Phases of the mode's list already completed by a previous (crashed)
+    // attempt; every rank gets the same value from the supervisor, so the
+    // skipped barriers and collectives stay in lockstep.
     let completed = resume.unwrap_or(0);
-
-    let mut times = PhaseTimes::default();
-    let mut work = recovery::Work::default();
-    let mut local: Option<Vec<(PairKey, MinEdge)>> = None;
-    let mut dg: Option<Vec<(PairKey, MinEdge)>> = None;
-    let mut chosen: Option<Vec<usize>> = None;
-    let mut dg_len = 0usize;
-    let mut bridges: Option<Vec<MinEdge>> = None;
-    let mut boruvka_stats: Option<BoruvkaStats> = None;
-
-    if let Some(c) = resume {
-        let store = store.expect("resume implies a checkpoint store");
-        let blob = store
-            .get(c, comm.rank())
-            .expect("supervisor restores only complete checkpoint levels");
-        let ck = recovery::RankCheckpoint::decode(&blob, &mut states)
-            .expect("checkpoint taken under the same partitioning decodes");
-        times = ck.times();
-        work = ck.work;
-        local = ck.local;
-        dg_len = ck.dg_len;
-        dg = ck.dg;
-        chosen = ck.chosen;
-        bridges = ck.bridges;
-        boruvka_stats = ck.boruvka;
-    } else if let Some(store) = store {
+    let mut progress = match (store, resume) {
+        (Some(store), Some(c)) => {
+            let blob = store
+                .get(c, comm.rank())
+                .expect("supervisor restores only complete checkpoint levels");
+            Progress::decode_checkpoint(&blob, &mut states)
+                .expect("checkpoint taken under the same partitioning decodes")
+        }
+        _ => Progress::default(),
+    };
+    if let (Some(store), None) = (store, resume) {
         // Checkpoint 0: the initial state, so a crash inside the very
         // first phase is still recoverable.
-        put_checkpoint(
-            comm, store, 0, &states, &times, work, None, None, None, 0, None, None,
-        );
+        progress.save(comm, store, 0, &states);
     }
 
-    // Step 1: Voronoi cells (Alg 4).
-    if completed <= Phase::Voronoi.index() {
+    let phases = mst_mode.phases();
+    let mut edges = Vec::new();
+    // The seed pair that proves the seeds disconnected, once the MST
+    // forest is known; the solve stops there. A resumed run past that
+    // point already passed this check in the crashed attempt (a
+    // disconnected solve completes without crashing and never restores).
+    let mut disconnected = None;
+    for (k, &phase) in phases.iter().enumerate().skip(completed) {
         let t = Instant::now();
-        let span = comm.trace_span(Phase::Voronoi.name());
-        comm.set_phase(Phase::Voronoi.name(), Phase::Voronoi.index() as u64);
-        comm.trace_counter("vertex_state_bytes", states.memory_bytes() as u64);
-        let voronoi_stats = voronoi::run(
-            comm,
-            &chan_voronoi,
-            pg,
-            &mut states,
-            seeds,
-            struntime::traversal::TraversalOptions { queue, batch_size },
-            &mut scratch,
-        );
-        comm.trace_counter("arena_bytes", scratch.memory_bytes() as u64);
-        drop(span);
-        times[Phase::Voronoi] = t.elapsed();
-        work.processed += voronoi_stats.processed;
-        work.stale_dropped += voronoi_stats.stale_dropped;
-        work.pruned_at_push += voronoi_stats.pruned_at_push;
-        if let Some(store) = store {
-            put_checkpoint(
-                comm, store, 1, &states, &times, work, None, None, None, 0, None, None,
-            );
-        }
-    }
-
-    // Step 2: local min-distance cross-cell edges (Alg 5, local part): one
-    // halo exchange of the ghosts' cells, then a local scan, no traversal. Under
-    // `MstMode::Dist` each rank keeps only its candidates' spanning forest.
-    if completed <= Phase::LocalMinEdge.index() {
-        let t = Instant::now();
-        let span = comm.trace_span(Phase::LocalMinEdge.name());
-        comm.set_phase(
-            Phase::LocalMinEdge.name(),
-            Phase::LocalMinEdge.index() as u64,
-        );
-        let l = distance_graph::local_min_edges(comm, pg, &states, seeds, mst_mode);
-        drop(span);
-        times[Phase::LocalMinEdge] = t.elapsed();
-        if let Some(store) = store {
-            put_checkpoint(
-                comm,
-                store,
-                2,
-                &states,
-                &times,
-                work,
-                Some(&l),
-                None,
-                None,
-                0,
-                None,
-                None,
-            );
-        }
-        local = Some(l);
-    }
-
-    // Step 3: global reduction (Alg 5, collective part) — or, in
-    // `MstMode::Dist`, the fused Borůvka rounds ([`boruvka`]) that
-    // reduce one slot per live component and merge via pointer jumping,
-    // producing the chosen bridges directly. The dist checkpoint at
-    // this level therefore stores bridges (plus the round counters)
-    // instead of the distance graph.
-    if completed <= Phase::GlobalMinEdge.index() {
-        let t = Instant::now();
-        let span = comm.trace_span(Phase::GlobalMinEdge.name());
-        comm.set_phase(
-            Phase::GlobalMinEdge.name(),
-            Phase::GlobalMinEdge.index() as u64,
-        );
-        let l = local.take().expect("local min edges computed or restored");
-        match mst_mode {
-            MstMode::Replicated => {
-                let d = distance_graph::global_min_edges(comm, &l, seeds.len());
-                comm.trace_counter("distance_graph_edges", d.len() as u64);
-                drop(span);
-                times[Phase::GlobalMinEdge] = t.elapsed();
-                dg_len = d.len();
-                if let Some(store) = store {
-                    put_checkpoint(
-                        comm,
-                        store,
-                        3,
-                        &states,
-                        &times,
-                        work,
-                        None,
-                        Some(&d),
-                        None,
-                        dg_len,
-                        None,
-                        None,
-                    );
-                }
-                dg = Some(d);
+        let span = comm.trace_span(phase.name());
+        comm.set_phase(phase.name(), phase.index() as u64);
+        match phase {
+            // Step 1: Voronoi cells (Alg 4).
+            Phase::Voronoi => {
+                comm.trace_counter("vertex_state_bytes", states.memory_bytes() as u64);
+                let stats = voronoi::run(
+                    comm,
+                    &chan_voronoi,
+                    pg,
+                    &mut states,
+                    seeds,
+                    struntime::traversal::TraversalOptions::new(queue),
+                    &mut scratch,
+                );
+                comm.trace_counter("arena_bytes", scratch.memory_bytes() as u64);
+                progress.work.processed += stats.processed;
+                progress.work.stale_dropped += stats.stale_dropped;
+                progress.work.pruned_at_push += stats.pruned_at_push;
             }
-            MstMode::Dist => {
-                let (keyed, stats) = boruvka::distributed_mst(comm, &l, seeds.len());
-                comm.trace_counter("distance_graph_edges", keyed.len() as u64);
-                drop(span);
-                times[Phase::GlobalMinEdge] = t.elapsed();
-                dg_len = keyed.len();
-                let b: Vec<MinEdge> = keyed.into_iter().map(|(_, e)| e).collect();
-                if let Some(store) = store {
-                    put_checkpoint(
-                        comm,
-                        store,
-                        3,
-                        &states,
-                        &times,
-                        work,
-                        None,
-                        None,
-                        None,
-                        dg_len,
-                        Some(&b),
-                        Some(&stats),
-                    );
+            // Step 2: local min-distance cross-cell edges (Alg 5, local
+            // part): one halo exchange of the ghosts' cells, then a local
+            // scan, no traversal. Under `MstMode::Dist` each rank keeps
+            // only its candidates' spanning forest.
+            Phase::LocalMinEdge => {
+                let local = distance_graph::local_min_edges(comm, pg, &states, seeds, mst_mode);
+                progress.local = Some(local);
+            }
+            // Step 3: global reduction (Alg 5, collective part) — or, in
+            // `MstMode::Dist`, the Borůvka rounds ([`boruvka`]) that
+            // reduce one slot per live component and merge via pointer
+            // jumping, producing the MST bridges directly.
+            Phase::GlobalMinEdge => {
+                let local = progress
+                    .local
+                    .take()
+                    .expect("local min edges computed or restored");
+                match mst_mode {
+                    MstMode::Replicated => {
+                        let dg = distance_graph::global_min_edges(comm, &local, seeds.len());
+                        progress.dg_len = dg.len();
+                        progress.dg = Some(dg);
+                    }
+                    MstMode::Dist => {
+                        let (keyed, stats) = boruvka::distributed_mst(comm, &local, seeds.len());
+                        disconnected = disconnected_pair(seeds, keyed.iter().map(|&(key, _)| key));
+                        progress.dg_len = keyed.len();
+                        progress.bridges = Some(keyed.into_iter().map(|(_, e)| e).collect());
+                        progress.boruvka = Some(stats);
+                    }
                 }
-                boruvka_stats = Some(stats);
-                bridges = Some(b);
+                comm.trace_counter("distance_graph_edges", progress.dg_len as u64);
+            }
+            // Step 4: MST of G_1' — sequential Prim replicated per rank.
+            Phase::Mst => {
+                let dg = progress
+                    .dg
+                    .as_deref()
+                    .expect("distance graph computed or restored");
+                let chosen = mst::mst_of_distance_graph(seeds.len(), dg);
+                disconnected = disconnected_pair(seeds, chosen.iter().map(|&i| dg[i].0));
+                progress.chosen = Some(chosen);
+                comm.barrier();
+            }
+            // Step 5: global edge pruning — keep only MST bridges.
+            Phase::EdgePruning => {
+                let dg = progress
+                    .dg
+                    .take()
+                    .expect("distance graph live through pruning");
+                let chosen = progress
+                    .chosen
+                    .take()
+                    .expect("mst choices live through pruning");
+                progress.bridges = Some(tree_edges::active_bridges(&dg, &chosen));
+                comm.barrier();
+            }
+            // Step 6: Steiner tree edges by predecessor tracing (Alg 6).
+            Phase::TreeEdge => {
+                let bridges = progress
+                    .bridges
+                    .take()
+                    .expect("bridges computed or restored");
+                let (tree, stats) =
+                    tree_edges::run(comm, &chan_trace, &pg.partition, &mut states, &bridges);
+                edges = tree;
+                progress.work.processed += stats.processed;
             }
         }
-    }
-
-    // Step 4: MST of G_1' — sequential Prim replicated per rank; in
-    // dist mode the merging already happened inside the Borůvka rounds,
-    // so the phase reduces to its barrier, keeping the sync-point
-    // structure and checkpoint levels identical across modes (every
-    // rank shares `mst_mode` from the replicated config, so both arms
-    // stay in lockstep).
-    if completed <= Phase::Mst.index() {
-        let t = Instant::now();
-        let span = comm.trace_span(Phase::Mst.name());
-        comm.set_phase(Phase::Mst.name(), Phase::Mst.index() as u64);
-        let ch = match mst_mode {
-            MstMode::Replicated => Some(mst::mst_of_distance_graph(
-                seeds.len(),
-                dg.as_deref().expect("distance graph computed or restored"),
-            )),
-            MstMode::Dist => None,
-        };
-        comm.barrier();
         drop(span);
-        times[Phase::Mst] = t.elapsed();
-        if let Some(store) = store {
-            put_checkpoint(
-                comm,
-                store,
-                4,
-                &states,
-                &times,
-                work,
-                None,
-                dg.as_deref(),
-                ch.as_deref(),
-                dg_len,
-                bridges.as_deref(),
-                boruvka_stats.as_ref(),
-            );
+        progress.times[phase] = t.elapsed();
+        if disconnected.is_some() {
+            break;
         }
-        chosen = ch;
-    }
-
-    // A resumed run past the MST phase already passed this check in the
-    // crashed attempt (a disconnected solve completes without crashing
-    // and never restores), so absent artifacts mean spanning held. In
-    // dist mode the Borůvka loop is its own spanning witness: exactly
-    // `|S| - 1` chosen bridges iff the distance graph spans all seeds.
-    let spans = match mst_mode {
-        MstMode::Replicated => chosen
-            .as_deref()
-            .is_none_or(|ch| mst::spans_all_seeds(seeds.len(), ch)),
-        MstMode::Dist => bridges
-            .as_deref()
-            .is_none_or(|b| b.len() + 1 == seeds.len()),
-    };
-    if !spans {
-        return RankOutcome {
-            edges: Vec::new(),
-            times,
-            connected: false,
-            distance_graph_edges: dg_len,
-            work,
-            boruvka: boruvka_stats,
-        };
-    }
-
-    // Step 5: global edge pruning — keep only MST bridges. The Borůvka
-    // winners already are exactly the MST bridges, so in dist mode this
-    // phase, too, reduces to its barrier and checkpoint.
-    if completed <= Phase::EdgePruning.index() {
-        let t = Instant::now();
-        let span = comm.trace_span(Phase::EdgePruning.name());
-        comm.set_phase(Phase::EdgePruning.name(), Phase::EdgePruning.index() as u64);
-        if mst_mode == MstMode::Replicated {
-            bridges = Some(tree_edges::active_bridges(
-                dg.as_deref().expect("distance graph live through pruning"),
-                chosen.as_deref().expect("mst choices live through pruning"),
-            ));
-        }
-        comm.barrier();
-        drop(span);
-        times[Phase::EdgePruning] = t.elapsed();
-        if let Some(store) = store {
-            // The distance graph and MST choices are consumed; only the
-            // bridges (edge count, round counters) survive.
-            put_checkpoint(
-                comm,
-                store,
-                5,
-                &states,
-                &times,
-                work,
-                None,
-                None,
-                None,
-                dg_len,
-                bridges.as_deref(),
-                boruvka_stats.as_ref(),
-            );
+        // No checkpoint after the last phase: no replay could resume there.
+        if let Some(store) = store.filter(|_| k + 1 < phases.len()) {
+            progress.save(comm, store, k + 1, &states);
         }
     }
-
-    // Step 6: Steiner tree edges by predecessor tracing (Alg 6).
-    let t = Instant::now();
-    let span = comm.trace_span(Phase::TreeEdge.name());
-    comm.set_phase(Phase::TreeEdge.name(), Phase::TreeEdge.index() as u64);
-    let (edges, trace_stats) = tree_edges::run(
-        comm,
-        &chan_trace,
-        partition,
-        &mut states,
-        bridges.as_deref().expect("bridges computed or restored"),
-    );
-    drop(span);
-    times[Phase::TreeEdge] = t.elapsed();
-    work.processed += trace_stats.processed;
-
     RankOutcome {
         edges,
-        times,
-        connected: true,
-        distance_graph_edges: dg_len,
-        work,
-        boruvka: boruvka_stats,
+        progress,
+        disconnected,
     }
 }
 
@@ -993,6 +837,28 @@ mod tests {
             solve(&g, &[0, 3], &config(2)),
             Err(SteinerError::SeedsDisconnected(_, _))
         ));
+    }
+
+    /// The error names a pair that really is disconnected: with
+    /// components {0, 5} and {1, 2, 3, 4}, seeds 0 and 5 are joined by an
+    /// edge, and seed 2 is the one cut off from seed 0.
+    #[test]
+    fn disconnected_seeds_error_names_a_disconnected_pair() {
+        let mut b = GraphBuilder::new(6);
+        b.extend_edges([(0, 5, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
+        let g = b.build();
+        for mst_mode in [MstMode::Replicated, MstMode::Dist] {
+            let cfg = SolverConfig {
+                mst_mode,
+                ..config(2)
+            };
+            let err = solve(&g, &[0, 2, 5], &cfg).unwrap_err();
+            assert_eq!(err, SteinerError::SeedsDisconnected(0, 2), "{mst_mode:?}");
+            assert_eq!(
+                err.to_string(),
+                "seeds 0 and 2 are not connected in the graph"
+            );
+        }
     }
 
     /// Two seeds joined by a light path 0–3–2 (weight 12) and a heavy
@@ -1137,14 +1003,15 @@ mod tests {
 
     #[test]
     fn crash_at_every_phase_recovers_bit_identical() {
-        // One crash per solver phase (via the phase filter), each
-        // recovered from that phase's entry checkpoint.
+        // One crash per phase the default mode runs (via the phase
+        // filter), each recovered from that phase's entry checkpoint.
         let g = stgraph::datasets::Dataset::Cts.generate_tiny(47);
         let cc = stgraph::traversal::connected_components(&g);
         let verts = cc.largest_component_vertices();
         let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 5).copied().collect();
         let clean = solve(&g, &seeds, &config(3)).unwrap();
-        for phase in Phase::ALL {
+        let phases = config(3).mst_mode.phases();
+        for (k, phase) in phases.iter().enumerate() {
             let spec = format!(
                 "crash_rank=1,crash_at_sync=2,crash_phase={},seed=19",
                 phase.index()
@@ -1157,6 +1024,16 @@ mod tests {
             assert_eq!(r.tree, clean.tree, "phase {}", phase.name());
             assert_eq!(r.recovery.crashes_injected, 1, "phase {}", phase.name());
             assert_eq!(r.recovery.restores, 1, "phase {}", phase.name());
+            // Restored from the phase's entry checkpoint or an earlier one
+            // (a survivor may unwind at a sync point after the phase's
+            // last barrier, before it writes that level), so the replay
+            // covers the crashed phase and every later one of the list.
+            let replayed = r.recovery.replayed_phases as usize;
+            assert!(
+                (phases.len() - k..=phases.len()).contains(&replayed),
+                "phase {}: replayed {replayed}",
+                phase.name()
+            );
         }
     }
 
@@ -1357,8 +1234,8 @@ mod tests {
 
     #[test]
     fn dist_mst_crash_at_every_phase_recovers_bit_identical() {
-        // Crash-stop coverage for the new phase structure: a crash in
-        // any phase of a dist-mode solve must restore (bridges and round
+        // Crash-stop coverage for the dist phase list: a crash in any
+        // phase of a dist-mode solve must restore (bridges and round
         // counters included) and still match the replicated tree.
         let g = stgraph::datasets::Dataset::Cts.generate_tiny(59);
         let cc = stgraph::traversal::connected_components(&g);
@@ -1373,7 +1250,7 @@ mod tests {
             },
         )
         .unwrap();
-        for phase in Phase::ALL {
+        for phase in MstMode::Dist.phases() {
             let spec = format!(
                 "crash_rank=1,crash_at_sync=2,crash_phase={},seed=23",
                 phase.index()
@@ -1390,6 +1267,37 @@ mod tests {
             let stats = r.boruvka.expect("round counters survive recovery");
             assert_eq!(stats.components.last(), Some(&1), "phase {}", phase.name());
         }
+    }
+
+    /// Dist runs only its four phases: the same tree and collectives as
+    /// replicated, the two barrier-only phases' barriers gone, and zero
+    /// time charged to the phases it skips.
+    #[test]
+    fn dist_skips_the_mst_and_pruning_phases() {
+        let g = stgraph::datasets::Dataset::Cts.generate_tiny(61);
+        let cc = stgraph::traversal::connected_components(&g);
+        let verts = cc.largest_component_vertices();
+        let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 6).copied().collect();
+        for p in [1, 3] {
+            let run = |mst_mode| {
+                let cfg = SolverConfig {
+                    mst_mode,
+                    ..config(p)
+                };
+                solve(&g, &seeds, &cfg).unwrap()
+            };
+            let (replicated, dist) = (run(MstMode::Replicated), run(MstMode::Dist));
+            assert_eq!(dist.tree, replicated.tree, "p={p}");
+            let (d, r) = (dist.sync_points, replicated.sync_points);
+            assert_eq!(d.collectives, r.collectives, "p={p}");
+            assert_eq!(d.barriers + 2, r.barriers, "p={p}");
+            for skipped in [Phase::Mst, Phase::EdgePruning] {
+                assert!(!MstMode::Dist.phases().contains(&skipped));
+                assert_eq!(dist.phase_times[skipped], Duration::ZERO, "p={p}");
+                assert!(!dist.message_counts.contains_key(skipped.name()));
+            }
+        }
+        assert_eq!(MstMode::Replicated.phases(), &Phase::ALL);
     }
 
     #[test]
@@ -1582,60 +1490,6 @@ mod persistent_tests {
                 SteinerError::ResidentConfigMismatch { field }
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod batching_tests {
-    use super::*;
-
-    #[test]
-    fn batch_size_does_not_change_tree_or_message_counts() {
-        let g = stgraph::datasets::Dataset::Lvj.generate_tiny(47);
-        let cc = stgraph::traversal::connected_components(&g);
-        let verts = cc.largest_component_vertices();
-        let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 9).copied().collect();
-        let mut reference: Option<SolveReport> = None;
-        for batch_size in [1usize, 4, 64, 4096] {
-            let cfg = SolverConfig {
-                num_ranks: 4,
-                batch_size,
-                ..SolverConfig::default()
-            };
-            let r = solve(&g, &seeds, &cfg).unwrap();
-            if let Some(ref base) = reference {
-                // The deterministic fixpoint absorbs the timing changes
-                // batching introduces; visitor counts may shift (batching
-                // reorders deliveries, changing wasted relaxations) but
-                // the output cannot.
-                assert_eq!(r.tree, base.tree, "batch {batch_size}");
-            } else {
-                reference = Some(r);
-            }
-        }
-    }
-
-    #[test]
-    fn aggregation_reduces_batch_count() {
-        let g = stgraph::datasets::Dataset::Lvj.generate_tiny(53);
-        let cc = stgraph::traversal::connected_components(&g);
-        let verts = cc.largest_component_vertices();
-        let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 9).copied().collect();
-        let batches = |batch_size: usize| {
-            let cfg = SolverConfig {
-                num_ranks: 4,
-                batch_size,
-                ..SolverConfig::default()
-            };
-            let r = solve(&g, &seeds, &cfg).unwrap();
-            r.message_counts["voronoi"].remote_batches
-        };
-        let unbatched = batches(1);
-        let batched = batches(64);
-        assert!(
-            batched < unbatched,
-            "aggregation should cut batches: {batched} vs {unbatched}"
-        );
     }
 }
 

@@ -8,6 +8,10 @@ use std::ops::{Index, IndexMut};
 use std::time::Duration;
 
 /// The six computation steps of the distributed algorithm (Alg 3).
+/// [`crate::MstMode::phases`] lists the ones each MST mode runs: all six
+/// under `replicated`, and under `dist` every step but [`Phase::Mst`] and
+/// [`Phase::EdgePruning`], whose work the Borůvka rounds of
+/// [`Phase::GlobalMinEdge`] already do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Asynchronous Voronoi cell computation (Alg 4).
@@ -49,7 +53,7 @@ impl Phase {
     }
 
     /// Position in [`Phase::ALL`] — the stable numeric id the crash
-    /// injector's phase filter and the checkpoint levels use.
+    /// injector's phase filter (`crash_phase`) uses in both MST modes.
     pub fn index(&self) -> usize {
         Phase::ALL.iter().position(|p| p == self).expect("in ALL")
     }
@@ -60,6 +64,8 @@ impl Phase {
 pub struct PhaseTimes {
     times: [Duration; 6],
 }
+
+struntime::wire_struct!(PhaseTimes { times });
 
 impl PhaseTimes {
     /// Sum of all phase durations.

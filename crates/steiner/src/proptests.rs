@@ -50,8 +50,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Crash-stop recovery is deterministic: a seeded rank death in every
-    /// phase, at ranks {2, 4} and under fifo/priority queues, restores
-    /// from the last complete phase checkpoint and recovers a tree
+    /// phase the default mode runs, at ranks {2, 4} and under
+    /// fifo/priority queues, restores from the last complete phase
+    /// checkpoint and recovers a tree
     /// bit-identical to the undisturbed solve — with exactly one injected
     /// crash and one restore. The no-restore mutant (`max_restores: 0`) of
     /// the same plan must instead surface the structured unrecoverable
@@ -60,12 +61,12 @@ proptest! {
     fn crash_recovery_is_bit_identical_across_phases(
         (g, seeds) in arb_connected_instance(12, 14, 4),
     ) {
-        use crate::{FaultPlan, Phase};
+        use crate::FaultPlan;
         for p in [2usize, 4] {
             for queue in [QueueKind::Fifo, QueueKind::Priority] {
                 let base = SolverConfig { num_ranks: p, queue, ..SolverConfig::default() };
                 let reference = solve(&g, &seeds, &base).unwrap();
-                for phase in Phase::ALL {
+                for phase in base.mst_mode.phases() {
                     let plan = FaultPlan::from_spec(&format!(
                         "crash_rank=1,crash_at_sync=1,crash_phase={},seed=19",
                         phase.index()

@@ -1,34 +1,37 @@
 //! Crash-stop recovery: phase checkpoints and restore bookkeeping.
 //!
-//! The solver is BSP-shaped — six phases, each ending at a global sync
-//! point — so the natural recovery unit is the phase. At every phase
-//! boundary each rank serializes its recoverable state through the wire
-//! codec into an in-memory [`CheckpointStore`] (standing in for the burst
-//! buffers / node-local NVMe a real deployment would use). When the fault
-//! injector crash-stops a rank, the supervisor in
-//! [`crate::solve_partitioned`] restarts the world from the newest phase
-//! boundary for which **every** rank has a snapshot, with the plan's crash
-//! triggers disarmed; the deterministic fixpoint guarantees the replayed
-//! solve produces a tree bit-identical to a fault-free run.
+//! The solver is BSP-shaped — each MST mode runs a fixed list of phases
+//! ([`crate::MstMode::phases`]: six under `replicated`, four under
+//! `dist`), each ending at a global sync point — so the natural recovery
+//! unit is the phase. At every phase boundary each rank serializes its
+//! vertex state and its `Progress` record through the wire codec into
+//! an in-memory [`CheckpointStore`] (standing in for the burst buffers /
+//! node-local NVMe a real deployment would use). When the fault injector
+//! crash-stops a rank, the supervisor in [`crate::solve_partitioned`]
+//! restarts the world from the newest phase boundary for which **every**
+//! rank has a snapshot, with the plan's crash triggers disarmed; the
+//! deterministic fixpoint guarantees the replayed solve produces a tree
+//! bit-identical to a fault-free run.
 //!
-//! Checkpoint indices count *completed phases*: checkpoint `0` is the
-//! initial state (taken before the Voronoi phase starts, so a crash in the
-//! very first phase is still recoverable), checkpoint `k` is taken right
-//! after phase `k-1`'s closing barrier. The store is keyed by
-//! `(completed, rank)`; a checkpoint level is restorable only once all
-//! ranks have written it, which the BSP structure guarantees for every
-//! level at or below the crashed phase (checkpoint writes are straight-line
-//! code after a barrier, and survivors only unwind at their *next* sync
-//! point).
+//! Checkpoint indices count *completed phases of the mode's list*:
+//! checkpoint `0` is the initial state (taken before the Voronoi phase
+//! starts, so a crash in the very first phase is still recoverable), and
+//! checkpoint `k` is taken right after the closing sync point of the
+//! list's `k`-th phase. The store is keyed by `(completed, rank)`; a
+//! checkpoint level is restorable only once all ranks have written it.
+//! The BSP structure guarantees that for every level below the crashed
+//! phase (checkpoint writes are straight-line code after a barrier, and
+//! survivors only unwind at a sync point), and usually for the crashed
+//! phase's entry level too (see `Progress::save`).
 
+use crate::boruvka::BoruvkaStats;
 use crate::distance_graph::{MinEdge, PairKey};
 use crate::phases::{Phase, PhaseTimes};
 use crate::state::VertexStates;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
-use struntime::Wire;
+use struntime::{Comm, Wire};
 
 /// In-memory checkpoint storage shared by all ranks of a solve, keyed by
 /// `(completed phases, rank)`. Byte-accounted so the recovery overhead
@@ -131,219 +134,103 @@ pub(crate) struct Work {
     pub pruned_at_push: u64,
 }
 
-/// One rank's serialized snapshot at a phase boundary: the vertex state
-/// plus whichever phase artifacts later phases (and the final report)
-/// still need. Everything else — channel queues, scratch arenas,
-/// reliability-protocol buffers — is deliberately *not* checkpointed: at a
-/// phase boundary the channels are drained and the protocol quiescent, so
-/// the vertex state and artifacts are the entire live state.
-#[derive(Default)]
-pub(crate) struct RankCheckpoint {
-    /// Per-phase elapsed times so far, in microseconds.
-    pub times_us: [u64; Phase::ALL.len()],
+struntime::wire_struct!(Work {
+    processed,
+    stale_dropped,
+    pruned_at_push
+});
+
+/// One rank's progress through its mode's phase list: the phase times and
+/// work counters so far, plus whichever phase artifacts later phases (and
+/// the final report) still need. `rank_main` updates it phase by phase,
+/// and a phase consumes the artifacts it reads, so the record holds only
+/// live state. Its wire encoding, after the vertex state, is the rank's
+/// checkpoint: everything else — channel queues, scratch arenas,
+/// reliability-protocol buffers — is deliberately *not* checkpointed, as
+/// at a phase boundary the channels are drained and the protocol
+/// quiescent.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Progress {
+    /// Per-phase elapsed times so far.
+    pub times: PhaseTimes,
     /// Work counters so far.
     pub work: Work,
     /// Local min cross-cell edges: per-pair minima in `MstMode::Replicated`,
-    /// the rank's spanning forest in `MstMode::Dist` (present at the
-    /// post-`local_min_edge` boundary only; consumed by the global
-    /// reduction).
+    /// the rank's spanning forest in `MstMode::Dist` (from
+    /// `local_min_edge` until the global reduction consumes them).
     pub local: Option<Vec<(PairKey, MinEdge)>>,
-    /// Reduced distance graph (present after `global_min_edge` through
-    /// `mst`).
+    /// Reduced distance graph (replicated mode, from `global_min_edge`
+    /// until pruning consumes it).
     pub dg: Option<Vec<(PairKey, MinEdge)>>,
-    /// MST parent edge choices (present after `mst`).
+    /// MST parent edge choices (replicated mode, from `mst` until pruning
+    /// consumes them).
     pub chosen: Option<Vec<usize>>,
-    /// `dg.len()` — kept after `dg` itself is dropped so the report's
-    /// edge count survives a late restore.
+    /// Distance-graph edges (replicated) or chosen bridges (dist) — kept
+    /// after the artifacts themselves are consumed so the report's edge
+    /// count survives a late restore.
     pub dg_len: usize,
-    /// MST-chosen bridges (present after `edge_pruning`; in
-    /// `MstMode::Dist`, already present after `global_min_edge` since
-    /// the Borůvka rounds produce them directly).
+    /// MST-chosen bridges: produced by `edge_pruning` in replicated mode
+    /// and directly by the Borůvka rounds of `global_min_edge` in dist
+    /// mode; consumed by `tree_edge`.
     pub bridges: Option<Vec<MinEdge>>,
-    /// Borůvka round counters (dist mode only; present from the
-    /// post-`global_min_edge` boundary onward so a late restore still
-    /// reports the rounds that actually ran).
-    pub boruvka: Option<crate::boruvka::BoruvkaStats>,
+    /// Borůvka round counters (dist mode only, from `global_min_edge` on,
+    /// so a late restore still reports the rounds that actually ran).
+    pub boruvka: Option<BoruvkaStats>,
 }
 
-fn encode_min_edge(e: &MinEdge, out: &mut Vec<u8>) {
-    e.total.encode_into(out);
-    e.a.encode_into(out);
-    e.b.encode_into(out);
-    e.weight.encode_into(out);
-}
+struntime::wire_struct!(Progress {
+    times,
+    work,
+    local,
+    dg,
+    chosen,
+    dg_len,
+    bridges,
+    boruvka
+});
 
-fn decode_min_edge(buf: &[u8], pos: &mut usize) -> Option<MinEdge> {
-    Some(MinEdge {
-        total: Wire::decode_from(buf, pos)?,
-        a: Wire::decode_from(buf, pos)?,
-        b: Wire::decode_from(buf, pos)?,
-        weight: Wire::decode_from(buf, pos)?,
-    })
-}
-
-fn encode_keyed_edges(edges: Option<&[(PairKey, MinEdge)]>, out: &mut Vec<u8>) {
-    match edges {
-        None => false.encode_into(out),
-        Some(edges) => {
-            true.encode_into(out);
-            (edges.len() as u64).encode_into(out);
-            for ((i, j), e) in edges {
-                i.encode_into(out);
-                j.encode_into(out);
-                encode_min_edge(e, out);
-            }
-        }
-    }
-}
-
-fn decode_keyed_edges(buf: &[u8], pos: &mut usize) -> Option<Option<Vec<(PairKey, MinEdge)>>> {
-    if !bool::decode_from(buf, pos)? {
-        return Some(None);
-    }
-    let len = u64::decode_from(buf, pos)? as usize;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        let i = u32::decode_from(buf, pos)?;
-        let j = u32::decode_from(buf, pos)?;
-        out.push(((i, j), decode_min_edge(buf, pos)?));
-    }
-    Some(Some(out))
-}
-
-impl RankCheckpoint {
-    /// Builds the snapshot blob for `states` plus the given artifacts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn encode(
-        states: &VertexStates,
-        times: &PhaseTimes,
-        work: Work,
-        local: Option<&[(PairKey, MinEdge)]>,
-        dg: Option<&[(PairKey, MinEdge)]>,
-        chosen: Option<&[usize]>,
-        dg_len: usize,
-        bridges: Option<&[MinEdge]>,
-        boruvka: Option<&crate::boruvka::BoruvkaStats>,
-    ) -> Vec<u8> {
+impl Progress {
+    /// The checkpoint blob: `states`, then this record.
+    pub(crate) fn encode_checkpoint(&self, states: &VertexStates) -> Vec<u8> {
         let mut out = Vec::new();
         states.encode_checkpoint(&mut out);
-        for phase in Phase::ALL {
-            (times[phase].as_micros() as u64).encode_into(&mut out);
-        }
-        work.processed.encode_into(&mut out);
-        work.stale_dropped.encode_into(&mut out);
-        work.pruned_at_push.encode_into(&mut out);
-        encode_keyed_edges(local, &mut out);
-        encode_keyed_edges(dg, &mut out);
-        match chosen {
-            None => false.encode_into(&mut out),
-            Some(chosen) => {
-                true.encode_into(&mut out);
-                (chosen.len() as u64).encode_into(&mut out);
-                for &c in chosen {
-                    c.encode_into(&mut out);
-                }
-            }
-        }
-        dg_len.encode_into(&mut out);
-        match bridges {
-            None => false.encode_into(&mut out),
-            Some(bridges) => {
-                true.encode_into(&mut out);
-                (bridges.len() as u64).encode_into(&mut out);
-                for e in bridges {
-                    encode_min_edge(e, &mut out);
-                }
-            }
-        }
-        match boruvka {
-            None => false.encode_into(&mut out),
-            Some(b) => {
-                true.encode_into(&mut out);
-                b.rounds.encode_into(&mut out);
-                (b.edges_reduced.len() as u64).encode_into(&mut out);
-                for &n in &b.edges_reduced {
-                    n.encode_into(&mut out);
-                }
-                (b.components.len() as u64).encode_into(&mut out);
-                for &n in &b.components {
-                    n.encode_into(&mut out);
-                }
-            }
-        }
+        self.encode_into(&mut out);
         out
     }
 
-    /// Decodes a snapshot, restoring the vertex-state arrays in place.
-    /// `None` on shape mismatch or truncation — the supervisor treats
-    /// that as unrecoverable rather than resuming from garbage.
-    pub(crate) fn decode(blob: &[u8], states: &mut VertexStates) -> Option<RankCheckpoint> {
+    /// Decodes a checkpoint blob, restoring the vertex-state arrays in
+    /// place. `None` on shape mismatch, truncation or trailing bytes —
+    /// the caller treats that as unrecoverable rather than resuming from
+    /// garbage.
+    pub(crate) fn decode_checkpoint(blob: &[u8], states: &mut VertexStates) -> Option<Progress> {
         let mut pos = 0;
         states.restore_checkpoint(blob, &mut pos)?;
-        let mut ck = RankCheckpoint::default();
-        for t in &mut ck.times_us {
-            *t = u64::decode_from(blob, &mut pos)?;
-        }
-        ck.work = Work {
-            processed: u64::decode_from(blob, &mut pos)?,
-            stale_dropped: u64::decode_from(blob, &mut pos)?,
-            pruned_at_push: u64::decode_from(blob, &mut pos)?,
-        };
-        ck.local = decode_keyed_edges(blob, &mut pos)?;
-        ck.dg = decode_keyed_edges(blob, &mut pos)?;
-        ck.chosen = if bool::decode_from(blob, &mut pos)? {
-            let len = u64::decode_from(blob, &mut pos)? as usize;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(usize::decode_from(blob, &mut pos)?);
-            }
-            Some(v)
-        } else {
-            None
-        };
-        ck.dg_len = usize::decode_from(blob, &mut pos)?;
-        ck.bridges = if bool::decode_from(blob, &mut pos)? {
-            let len = u64::decode_from(blob, &mut pos)? as usize;
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(decode_min_edge(blob, &mut pos)?);
-            }
-            Some(v)
-        } else {
-            None
-        };
-        ck.boruvka = if bool::decode_from(blob, &mut pos)? {
-            let rounds = u64::decode_from(blob, &mut pos)?;
-            let mut edges_reduced = Vec::new();
-            for _ in 0..u64::decode_from(blob, &mut pos)? {
-                edges_reduced.push(u64::decode_from(blob, &mut pos)?);
-            }
-            let mut components = Vec::new();
-            for _ in 0..u64::decode_from(blob, &mut pos)? {
-                components.push(u64::decode_from(blob, &mut pos)?);
-            }
-            Some(crate::boruvka::BoruvkaStats {
-                rounds,
-                edges_reduced,
-                components,
-            })
-        } else {
-            None
-        };
-        if pos == blob.len() {
-            Some(ck)
-        } else {
-            None
-        }
+        let progress = Progress::decode_from(blob, &mut pos)?;
+        (pos == blob.len()).then_some(progress)
     }
 
-    /// The restored phase times as a [`PhaseTimes`].
-    pub(crate) fn times(&self) -> PhaseTimes {
-        let mut times = PhaseTimes::default();
-        for (i, phase) in Phase::ALL.into_iter().enumerate() {
-            times[phase] = Duration::from_micros(self.times_us[i]);
+    /// Writes this rank's level-`completed` checkpoint to `store` and
+    /// charges the blob to the rank's `"checkpoint"` memory label. Called
+    /// in straight-line code right after a phase's closing sync point, so
+    /// when a crash in the next phase aborts the world, every rank has
+    /// usually written this level already. A survivor still inside the
+    /// phase's last collective (an `alltoallv` collects after its final
+    /// barrier) unwinds before writing it, and the supervisor then
+    /// restores the level below, which is complete.
+    pub(crate) fn save(
+        &self,
+        comm: &Comm,
+        store: &CheckpointStore,
+        completed: usize,
+        states: &VertexStates,
+    ) {
+        let blob = self.encode_checkpoint(states);
+        let new_len = blob.len();
+        let old_len = store.put(completed, comm.rank(), blob);
+        comm.memory().record("checkpoint", new_len);
+        if old_len > 0 {
+            comm.memory().release("checkpoint", old_len);
         }
-        times
     }
 }
 
@@ -391,58 +278,51 @@ mod tests {
     fn rank_checkpoint_round_trips_every_artifact() {
         let mut st = states();
         st.init_seeds(&[0, 2]);
-        let mut times = PhaseTimes::default();
-        times[Phase::Voronoi] = Duration::from_micros(1234);
-        let local = vec![(
-            (0u32, 1u32),
-            MinEdge {
-                total: 7,
-                a: 1,
-                b: 2,
-                weight: 3,
-            },
-        )];
-        let bridges = vec![MinEdge {
-            total: 9,
-            a: 0,
-            b: 5,
+        let edge = |total, a, b| MinEdge {
+            total,
+            a,
+            b,
             weight: 2,
-        }];
-        let boruvka = crate::boruvka::BoruvkaStats {
-            rounds: 2,
-            edges_reduced: vec![4, 2],
-            components: vec![2, 1],
         };
-        let work = Work {
-            processed: 42,
-            stale_dropped: 7,
-            pruned_at_push: 5,
+        let mut progress = Progress {
+            work: Work {
+                processed: 42,
+                stale_dropped: 7,
+                pruned_at_push: 5,
+            },
+            local: Some(vec![((0, 1), edge(7, 1, 2))]),
+            dg: Some(vec![((0, 1), edge(7, 1, 2)), ((1, 2), edge(8, 3, 4))]),
+            chosen: Some(vec![3, 1, 4]),
+            dg_len: 11,
+            bridges: Some(vec![edge(9, 0, 5)]),
+            boruvka: Some(BoruvkaStats {
+                rounds: 2,
+                edges_reduced: vec![4, 2],
+                components: vec![2, 1],
+            }),
+            ..Progress::default()
         };
-        let blob = RankCheckpoint::encode(
-            &st,
-            &times,
-            work,
-            Some(&local),
-            None,
-            Some(&[3, 1, 4]),
-            11,
-            Some(&bridges),
-            Some(&boruvka),
-        );
+        progress.times[Phase::Voronoi] = std::time::Duration::new(1, 234_567);
+        let blob = progress.encode_checkpoint(&st);
         let mut fresh = states();
-        let ck = RankCheckpoint::decode(&blob, &mut fresh).expect("round trip");
+        let back = Progress::decode_checkpoint(&blob, &mut fresh).expect("round trip");
         assert_eq!(fresh.label(0), st.label(0));
-        assert_eq!(ck.times()[Phase::Voronoi], Duration::from_micros(1234));
-        assert_eq!(ck.work, work);
-        assert_eq!(ck.local.as_deref(), Some(&local[..]));
-        assert!(ck.dg.is_none());
-        assert_eq!(ck.chosen.as_deref(), Some(&[3usize, 1, 4][..]));
-        assert_eq!(ck.dg_len, 11);
-        assert_eq!(ck.bridges.as_deref(), Some(&bridges[..]));
-        assert_eq!(ck.boruvka.as_ref(), Some(&boruvka));
+        assert_eq!(back, progress, "every artifact, times to the nanosecond");
 
-        // Truncated blobs are rejected, not half-applied.
+        // Absent artifacts stay absent.
+        let empty = Progress::default();
+        let blob_empty = empty.encode_checkpoint(&st);
         let mut fresh = states();
-        assert!(RankCheckpoint::decode(&blob[..blob.len() - 1], &mut fresh).is_none());
+        assert_eq!(
+            Progress::decode_checkpoint(&blob_empty, &mut fresh),
+            Some(empty)
+        );
+
+        // Truncated or padded blobs are rejected, not half-applied.
+        let mut fresh = states();
+        assert!(Progress::decode_checkpoint(&blob[..blob.len() - 1], &mut fresh).is_none());
+        let mut padded = blob.clone();
+        padded.push(0);
+        assert!(Progress::decode_checkpoint(&padded, &mut fresh).is_none());
     }
 }

@@ -122,7 +122,8 @@ pub struct ConfigFingerprint {
     pub mst_mode: String,
     /// Whether KMB steps 4–5 refinement ran.
     pub refine: bool,
-    /// Visitors per aggregated network batch.
+    /// Visitors per aggregated network batch: the runtime's fixed
+    /// [`struntime::traversal::DEFAULT_BATCH_SIZE`].
     pub batch_size: usize,
     /// Fault-plan spec (`"drop=0.1,seed=7"` style, see
     /// [`struntime::faults::FaultPlan::from_spec`]), or `"off"`.
@@ -151,7 +152,7 @@ impl ConfigFingerprint {
             delegate_threshold: config.delegate_threshold,
             mst_mode,
             refine: config.refine,
-            batch_size: config.batch_size,
+            batch_size: struntime::traversal::DEFAULT_BATCH_SIZE,
             faults,
         }
     }
@@ -747,7 +748,7 @@ pub fn validate_flight(doc: &Json) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, QueueKind};
+    use crate::{solve, MstMode, QueueKind};
     use stgraph::builder::GraphBuilder;
     use stgraph::csr::Vertex;
 
@@ -993,6 +994,7 @@ mod tests {
         assert!(validate_run(&doc).is_ok());
     }
 
+    /// Every phase a mode runs has a watermark, and no other phase has.
     #[test]
     fn traced_report_has_peak_memory_for_every_phase() {
         let mut b = GraphBuilder::new(12);
@@ -1000,34 +1002,43 @@ mod tests {
             b.add_edge(i as Vertex, (i + 1) as Vertex, 2);
         }
         let g = b.build();
-        let cfg = SolverConfig {
-            num_ranks: 2,
-            trace: crate::TraceConfig::ring(),
-            ..SolverConfig::default()
-        };
-        let solved = solve(&g, &[0, 11], &cfg).unwrap();
-        assert_eq!(solved.trace.total_dropped(), 0);
-        let doc = solved.run_report().to_json();
-        validate_run(&doc).expect("traced v11 report validates");
-        let pm = doc.get("peak_memory").unwrap();
-        for phase in Phase::ALL {
-            let peaks = pm
-                .get(phase.name())
-                .unwrap_or_else(|| panic!("no {} watermark", phase.name()));
-            for (key, _) in PEAK_COUNTERS {
-                assert!(peaks.get(key).and_then(|v| v.as_u64()).is_some(), "{key}");
+        for mst_mode in [MstMode::Replicated, MstMode::Dist] {
+            let cfg = SolverConfig {
+                num_ranks: 2,
+                mst_mode,
+                trace: crate::TraceConfig::ring(),
+                ..SolverConfig::default()
+            };
+            let solved = solve(&g, &[0, 11], &cfg).unwrap();
+            assert_eq!(solved.trace.total_dropped(), 0);
+            let doc = solved.run_report().to_json();
+            validate_run(&doc).expect("traced v11 report validates");
+            let pm = doc.get("peak_memory").unwrap();
+            for phase in Phase::ALL {
+                let Some(peaks) = pm.get(phase.name()) else {
+                    assert!(
+                        !mst_mode.phases().contains(&phase),
+                        "{mst_mode:?}: no {} watermark",
+                        phase.name()
+                    );
+                    continue;
+                };
+                assert!(mst_mode.phases().contains(&phase), "{}", phase.name());
+                for (key, _) in PEAK_COUNTERS {
+                    assert!(peaks.get(key).and_then(|v| v.as_u64()).is_some(), "{key}");
+                }
             }
+            let voronoi = |key: &str| {
+                pm.get("voronoi")
+                    .and_then(|p| p.get(key))
+                    .and_then(|v| v.as_u64())
+            };
+            assert!(voronoi("total_bytes") > Some(0));
+            assert!(voronoi("arena_bytes") > Some(0));
+            // Round-trips through the parser and still validates.
+            let reparsed = stgraph::json::parse(&doc.to_pretty()).unwrap();
+            assert!(validate_run(&reparsed).is_ok());
         }
-        let voronoi = |key: &str| {
-            pm.get("voronoi")
-                .and_then(|p| p.get(key))
-                .and_then(|v| v.as_u64())
-        };
-        assert!(voronoi("total_bytes") > Some(0));
-        assert!(voronoi("arena_bytes") > Some(0));
-        // Round-trips through the parser and still validates.
-        let reparsed = stgraph::json::parse(&doc.to_pretty()).unwrap();
-        assert!(validate_run(&reparsed).is_ok());
     }
 
     /// A counter holds its value until the next sample, so a phase whose

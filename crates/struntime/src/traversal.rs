@@ -902,6 +902,49 @@ mod tests {
         }
     }
 
+    /// Aggregation ships rank 0's 200 remote pushes in far fewer batches
+    /// at the default batch size than one visitor per batch, and delivers
+    /// the same visitors either way.
+    #[test]
+    fn aggregation_reduces_batch_count() {
+        let run = |batch_size: usize| {
+            let out = World::run(2, |comm| {
+                let chan = comm.open_channels::<Vec<u32>>("fanout");
+                comm.set_phase("fanout", 0);
+                let init = if comm.rank() == 0 { vec![0u32] } else { vec![] };
+                let options = TraversalOptions {
+                    queue: QueueKind::Fifo,
+                    batch_size,
+                };
+                run_traversal_config(
+                    comm,
+                    &chan,
+                    options,
+                    |_| 0,
+                    init,
+                    |v, pusher| {
+                        if v == 0 {
+                            for i in 1..=200 {
+                                pusher.push(1, i);
+                            }
+                        }
+                    },
+                )
+                .processed
+            });
+            let processed: Vec<u64> = out.results.clone();
+            (processed, out.merged_counters()["fanout"].remote_batches)
+        };
+        let (unbatched_visits, unbatched) = run(1);
+        let (batched_visits, batched) = run(DEFAULT_BATCH_SIZE);
+        assert_eq!(batched_visits, unbatched_visits);
+        assert_eq!(batched_visits, vec![1, 200]);
+        assert!(
+            batched * 10 < unbatched,
+            "aggregation should cut batches: {batched} vs {unbatched}"
+        );
+    }
+
     /// A visitor whose codec is broken: `decode_from` rejects the bytes
     /// `encode_into` wrote, so the flush's round trip must fail.
     #[derive(Clone)]

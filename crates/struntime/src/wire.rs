@@ -21,8 +21,11 @@
 //! `size_of + heap_bytes` instead of a bare container header.
 //!
 //! Both traits are implemented here for the primitive and tuple shapes
-//! the runtime's own tests use; message enums (e.g. the Steiner crate's
-//! `VoronoiMsg`) implement them by hand next to their definitions.
+//! the runtime's own tests use, and [`Wire`] also for `Option`, `Vec`,
+//! arrays and `Duration`, so plain records (the Steiner crate's phase
+//! checkpoints) derive theirs field by field with [`crate::wire_struct!`];
+//! message enums (e.g. the Steiner crate's `VoronoiMsg`) implement them
+//! by hand next to their definitions.
 
 /// Bytes a value owns on the heap beyond `size_of::<Self>()`.
 ///
@@ -182,6 +185,109 @@ tuple_wire! {
     (0 A, 1 B, 2 C, 3 D)
 }
 
+/// A one-byte presence flag, then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::encoded_len)
+    }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.is_some().encode_into(out);
+        if let Some(v) = self {
+            v.encode_into(out);
+        }
+    }
+    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        if bool::decode_from(buf, pos)? {
+            Some(Some(T::decode_from(buf, pos)?))
+        } else {
+            Some(None)
+        }
+    }
+}
+
+/// A `u64` length, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Wire::encoded_len).sum::<usize>()
+    }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.len().encode_into(out);
+        encode_batch(self, out);
+    }
+    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let len = usize::decode_from(buf, pos)?;
+        // Every element takes at least one byte, so a corrupt length
+        // cannot reserve more than the buffer holds.
+        let mut out = Vec::with_capacity(len.min(buf.len().saturating_sub(*pos)));
+        for _ in 0..len {
+            out.push(T::decode_from(buf, pos)?);
+        }
+        Some(out)
+    }
+}
+
+/// The elements in order, with no length.
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    fn encoded_len(&self) -> usize {
+        self.iter().map(Wire::encoded_len).sum()
+    }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_batch(self, out);
+    }
+    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let v: Vec<T> = (0..N)
+            .map(|_| T::decode_from(buf, pos))
+            .collect::<Option<_>>()?;
+        v.try_into().ok()
+    }
+}
+
+/// Whole seconds as a `u64`, then the nanoseconds as a `u32`: lossless.
+impl Wire for std::time::Duration {
+    fn encoded_len(&self) -> usize {
+        12
+    }
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        self.as_secs().encode_into(out);
+        self.subsec_nanos().encode_into(out);
+    }
+    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let secs = u64::decode_from(buf, pos)?;
+        let nanos = u32::decode_from(buf, pos)?;
+        (nanos < 1_000_000_000).then(|| std::time::Duration::new(secs, nanos))
+    }
+}
+
+/// Implements [`Wire`] for a struct with named fields: the fields'
+/// encodings, in the listed order, which must name every field.
+///
+/// ```
+/// struct Pair {
+///     a: u32,
+///     b: Option<u64>,
+/// }
+/// struntime::wire_struct!(Pair { a, b });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($t:ty { $($f:ident),+ $(,)? }) => {
+        impl $crate::Wire for $t {
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::Wire::encoded_len(&self.$f))+
+            }
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                $($crate::Wire::encode_into(&self.$f, out);)+
+            }
+            fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
+                // Struct-literal fields evaluate in the order written.
+                Some(Self {
+                    $($f: $crate::Wire::decode_from(buf, pos)?,)+
+                })
+            }
+        }
+    };
+}
+
 impl<T: DeepBytes> DeepBytes for Vec<T> {
     fn heap_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<T>()
@@ -218,6 +324,56 @@ mod tests {
         round_trip(&[(1u32, 2u64), (u32::MAX, 0)]);
         round_trip(&[(1u8, 2u64, 3u32)]);
         round_trip(&[(1u32, 2u32, 3u64, 4u8)]);
+    }
+
+    #[test]
+    fn containers_round_trip() {
+        round_trip(&[None, Some(7u32)]);
+        round_trip(&[vec![], vec![(1u32, 2u64)], vec![(3, 4), (5, 6)]]);
+        round_trip(&[Some(vec![Some(1u8), None]), None]);
+        round_trip(&[[1u64, 2, 3], [0, 0, u64::MAX]]);
+        round_trip(&[
+            std::time::Duration::ZERO,
+            std::time::Duration::new(u64::MAX, 999_999_999),
+        ]);
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Named {
+        id: u32,
+        tags: Vec<u8>,
+        parent: Option<u64>,
+    }
+    crate::wire_struct!(Named { id, tags, parent });
+
+    #[test]
+    fn structs_round_trip_field_by_field() {
+        round_trip(&[
+            Named {
+                id: 1,
+                tags: vec![2, 3],
+                parent: None,
+            },
+            Named {
+                id: u32::MAX,
+                tags: vec![],
+                parent: Some(9),
+            },
+        ]);
+    }
+
+    #[test]
+    fn corrupt_containers_are_rejected() {
+        // A length past the buffer fails on the missing elements instead
+        // of reserving the claimed length.
+        let mut buf = Vec::new();
+        u64::MAX.encode_into(&mut buf);
+        assert_eq!(decode_batch::<Vec<u32>>(&buf, 1), None);
+        // An invalid presence flag, and nanoseconds past one second.
+        assert_eq!(decode_batch::<Option<u8>>(&[2, 0], 1), None);
+        let mut buf = Vec::new();
+        (0u64, 1_000_000_000u32).encode_into(&mut buf);
+        assert_eq!(decode_batch::<std::time::Duration>(&buf, 1), None);
     }
 
     #[test]

@@ -330,13 +330,17 @@ fn chaos() -> ExitCode {
         "delay=0.2,delay_us=200,seed=13",
         "drop=0.1,dup=0.1,delay=0.1,stall=0.05,seed=14",
     ];
-    // Seeded crash-stop rank deaths (visit-triggered in voronoi,
-    // sync-triggered in mst and edge_pruning), run at ranks {2, 4}.
-    let crash_plans = [
-        "crash_rank=1,crash_after_visits=3,crash_phase=0,seed=7",
-        "crash_rank=0,crash_at_sync=2,crash_phase=3,seed=11",
-        "crash_rank=1,crash_at_sync=2,crash_phase=4,seed=13",
-    ];
+    // Seeded crash-stop rank deaths, one in each phase an MST mode runs
+    // (visit-triggered in voronoi, sync-triggered in the others, on
+    // alternating ranks), run at ranks {2, 4}.
+    let crash_plan = |phase: steiner::Phase| match phase.index() {
+        0 => "crash_rank=1,crash_after_visits=3,crash_phase=0,seed=7".to_string(),
+        i => format!(
+            "crash_rank={},crash_at_sync=2,crash_phase={i},seed={}",
+            (i + 1) % 2,
+            2 * i + 5
+        ),
+    };
     let queues = [
         ("fifo", steiner::QueueKind::Fifo),
         ("priority", steiner::QueueKind::Priority),
@@ -374,13 +378,14 @@ fn chaos() -> ExitCode {
             // (queue, ranks) cell, crashed jobs included.
             let world = steiner::PersistentWorld::new(p);
             let pg = Arc::new(partition_graph(&g, p, None));
-            let crash: &[&str] = if p > 1 { &crash_plans } else { &[] };
-            let specs = plans.iter().map(|s| (s, false));
-            let specs: Vec<_> = specs.chain(crash.iter().map(|s| (s, true))).collect();
             for resident in [false, true] {
                 let engine = if resident { "resident" } else { "batch" };
                 for (mname, mst_mode) in modes {
-                    for &(spec, crashes) in &specs {
+                    let crash = mst_mode.phases().iter().filter(|_| p > 1);
+                    let specs = plans.iter().map(|s| (s.to_string(), false));
+                    let specs = specs.chain(crash.map(|&ph| (crash_plan(ph), true)));
+                    for (spec, crashes) in specs {
+                        let spec = spec.as_str();
                         combos += 1;
                         let plan = match steiner::FaultPlan::from_spec(spec) {
                             Ok(plan) => plan,

@@ -63,11 +63,13 @@ from the graph (max edge weight / max degree), and drops stale
 relaxations; `fifo` is the unordered baseline.
 
 --mst picks the distance-graph MST pipeline: `dist` (default) runs
-distributed Borůvka rounds that reduce one lightest-outgoing-edge slot
-per live component and merge via pointer jumping, so the binom(K,2)
-edge buffer never materializes; `replicated` is the paper's Alg 3 Step
-3 — it allreduces the full pair buffer and runs Prim on every rank.
-Both choose the bit-identical tree.
+distributed Borůvka rounds inside global_min_edge that reduce one
+lightest-outgoing-edge slot per live component and merge via pointer
+jumping, so the binom(K,2) edge buffer never materializes and the mst
+and edge_pruning phases do not run (their times read 0); `replicated`
+is the paper's Alg 3 Steps 3-5 — it allreduces the full pair buffer,
+runs Prim on every rank, then prunes. Both choose the bit-identical
+tree.
 
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
 lane per simulated rank, with counter tracks for queue depth and bytes,
