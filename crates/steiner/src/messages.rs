@@ -209,4 +209,14 @@ mod tests {
         let mut pos = 0;
         assert!(VoronoiMsg::decode_from(&[9, 0, 0, 0, 0], &mut pos).is_none());
     }
+
+    /// A queued Voronoi visitor is 32 B; its priority-ring entry adds the
+    /// 4 B bucket-list link, and the 16 B lineage metadata only when
+    /// observed.
+    #[test]
+    fn voronoi_queue_entries_drop_lineage_metadata_when_unobserved() {
+        assert_eq!(std::mem::size_of::<VoronoiMsg>(), 32);
+        assert_eq!(struntime::queue_entry_bytes::<VoronoiMsg>(false), 36);
+        assert_eq!(struntime::queue_entry_bytes::<VoronoiMsg>(true), 52);
+    }
 }

@@ -16,7 +16,6 @@
 //! deterministic and bit-comparable to the sequential reference.
 
 use crate::messages::VoronoiMsg;
-use std::ops::Range;
 use stgraph::csr::{Distance, Vertex, Weight, INF};
 use stgraph::partition::RankGraph;
 use struntime::Wire;
@@ -74,60 +73,51 @@ impl Wire for Label {
     }
 }
 
-struct StateArrays {
-    dist: Vec<Distance>,
-    src: Vec<Vertex>,
-    pred: Vec<Vertex>,
-    pred_weight: Vec<Weight>,
-    traced: Vec<bool>,
+/// One vertex's state: its label, the predecessor edge's weight and the
+/// tree-edge phase's `traced` flag. 25 bytes of fields, padded and aligned
+/// to 32, so a record never straddles a 64-byte cache line and a label
+/// read or an improvement touches one line.
+#[derive(Clone, Copy)]
+#[repr(C, align(32))]
+struct StateRecord {
+    label: Label,
+    pred_weight: Weight,
+    traced: bool,
 }
 
-impl StateArrays {
-    fn new(len: usize) -> Self {
-        StateArrays {
-            dist: vec![INF; len],
-            src: vec![NO_VERTEX; len],
-            pred: vec![NO_VERTEX; len],
-            pred_weight: vec![0; len],
-            traced: vec![false; len],
-        }
-    }
+impl StateRecord {
+    const UNSET: StateRecord = StateRecord {
+        label: Label::UNSET,
+        pred_weight: 0,
+        traced: false,
+    };
+}
 
-    fn bytes(len: usize) -> usize {
-        len * (std::mem::size_of::<Distance>()
-            + 2 * std::mem::size_of::<Vertex>()
-            + std::mem::size_of::<Weight>()
-            + 1)
+/// Appends the records of one run of slots, after their count: each
+/// record's label (dist, src, pred), predecessor weight and flag, the
+/// padding never.
+fn encode_run(run: &[StateRecord], out: &mut Vec<u8>) {
+    (run.len() as u64).encode_into(out);
+    for r in run {
+        r.label.encode_into(out);
+        r.pred_weight.encode_into(out);
+        r.traced.encode_into(out);
     }
+}
 
-    /// Appends slots `range`, after their count.
-    fn encode_into(&self, range: Range<usize>, out: &mut Vec<u8>) {
-        (range.len() as u64).encode_into(out);
-        for i in range {
-            self.dist[i].encode_into(out);
-            self.src[i].encode_into(out);
-            self.pred[i].encode_into(out);
-            self.pred_weight[i].encode_into(out);
-            self.traced[i].encode_into(out);
-        }
+/// Overwrites a run of slots from a snapshot written by [`encode_run`];
+/// `None` if the snapshot was taken for a different slot count
+/// (partitioning changed) or is truncated.
+fn decode_run(run: &mut [StateRecord], buf: &[u8], pos: &mut usize) -> Option<()> {
+    if u64::decode_from(buf, pos)? as usize != run.len() {
+        return None;
     }
-
-    /// Overwrites slots `range` from a snapshot; `None` if the snapshot
-    /// was taken for a different slot count (partitioning changed) or is
-    /// truncated.
-    fn decode_over(&mut self, range: Range<usize>, buf: &[u8], pos: &mut usize) -> Option<()> {
-        if u64::decode_from(buf, pos)? as usize != range.len() {
-            return None;
-        }
-        for i in range {
-            self.dist[i] = Distance::decode_from(buf, pos)?;
-            self.src[i] = Vertex::decode_from(buf, pos)?;
-            self.pred[i] = Vertex::decode_from(buf, pos)?;
-            self.pred_weight[i] = Weight::decode_from(buf, pos)?;
-            self.traced[i] = bool::decode_from(buf, pos)?;
-        }
-        Some(())
+    for r in run {
+        r.label = Label::decode_from(buf, pos)?;
+        r.pred_weight = Weight::decode_from(buf, pos)?;
+        r.traced = bool::decode_from(buf, pos)?;
     }
+    Some(())
 }
 
 /// All Steiner vertex state held by one rank, one slot per held local id
@@ -136,7 +126,9 @@ pub struct VertexStates {
     owned_start: Vertex,
     owned_len: usize,
     delegates: std::sync::Arc<Vec<Vertex>>,
-    slots: StateArrays,
+    /// One record per held slot, in one array: the five per-field arrays
+    /// it replaced spread one label over three cache lines.
+    records: Vec<StateRecord>,
 }
 
 impl VertexStates {
@@ -147,14 +139,14 @@ impl VertexStates {
             owned_start: rg.owned.start,
             owned_len: rg.num_owned(),
             delegates: std::sync::Arc::clone(&rg.delegates),
-            slots: StateArrays::new(rg.num_held()),
+            records: vec![StateRecord::UNSET; rg.num_held()],
         }
     }
 
     /// Approximate bytes of algorithm state held (the Fig 8 "state" series
     /// contribution of the vertex arrays).
     pub fn memory_bytes(&self) -> usize {
-        StateArrays::bytes(self.num_held())
+        self.num_held() * std::mem::size_of::<StateRecord>()
     }
 
     /// Whether `v` is a delegate vertex (state replicated everywhere).
@@ -197,12 +189,7 @@ impl VertexStates {
     /// The current label at slot `i` (see [`VertexStates::held_index`]).
     #[inline]
     pub fn label_at(&self, i: usize) -> Label {
-        let a = &self.slots;
-        Label {
-            dist: a.dist[i],
-            src: a.src[i],
-            pred: a.pred[i],
-        }
+        self.records[i].label
     }
 
     /// The current label of `v`.
@@ -212,7 +199,7 @@ impl VertexStates {
 
     /// Weight of the predecessor edge recorded with `v`'s label.
     pub fn pred_weight(&self, v: Vertex) -> Weight {
-        self.slots.pred_weight[self.slot(v)]
+        self.records[self.slot(v)].pred_weight
     }
 
     /// Applies `label` to slot `i` if it is strictly smaller than the
@@ -220,16 +207,13 @@ impl VertexStates {
     /// improved.
     #[inline]
     pub fn try_improve_at(&mut self, i: usize, label: Label, pred_weight: Weight) -> bool {
-        if label < self.label_at(i) {
-            let a = &mut self.slots;
-            a.dist[i] = label.dist;
-            a.src[i] = label.src;
-            a.pred[i] = label.pred;
-            a.pred_weight[i] = pred_weight;
-            true
-        } else {
-            false
+        let r = &mut self.records[i];
+        let improves = label < r.label;
+        if improves {
+            r.label = label;
+            r.pred_weight = pred_weight;
         }
+        improves
     }
 
     /// [`VertexStates::try_improve_at`] for vertex `v`.
@@ -243,11 +227,9 @@ impl VertexStates {
     pub fn init_seeds(&mut self, seeds: &[Vertex]) {
         for &s in seeds {
             if let Some(i) = self.held_index(s) {
-                let a = &mut self.slots;
-                a.dist[i] = 0;
-                a.src[i] = s;
-                a.pred[i] = NO_VERTEX;
-                a.pred_weight[i] = 0;
+                let r = &mut self.records[i];
+                r.label = Label::seed(s);
+                r.pred_weight = 0;
             }
         }
     }
@@ -256,7 +238,7 @@ impl VertexStates {
     /// already traced (the visitor should stop).
     pub fn mark_traced(&mut self, v: Vertex) -> bool {
         let i = self.slot(v);
-        !std::mem::replace(&mut self.slots.traced[i], true)
+        !std::mem::replace(&mut self.records[i].traced, true)
     }
 
     /// Appends a snapshot of all vertex state (owned slots, then delegate
@@ -265,17 +247,18 @@ impl VertexStates {
     /// ownership range are derived from the partition and are not
     /// serialized.
     pub fn encode_checkpoint(&self, out: &mut Vec<u8>) {
-        self.slots.encode_into(0..self.owned_len, out);
-        self.slots.encode_into(self.owned_len..self.num_held(), out);
+        let (owned, replicas) = self.records.split_at(self.owned_len);
+        encode_run(owned, out);
+        encode_run(replicas, out);
     }
 
     /// Restores a snapshot taken by [`VertexStates::encode_checkpoint`]
     /// over states freshly created for the same rank graph; `None` if the
     /// array shapes do not line up or the buffer is truncated.
     pub fn restore_checkpoint(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
-        let (owned, held) = (self.owned_len, self.num_held());
-        self.slots.decode_over(0..owned, buf, pos)?;
-        self.slots.decode_over(owned..held, buf, pos)
+        let (owned, replicas) = self.records.split_at_mut(self.owned_len);
+        decode_run(owned, buf, pos)?;
+        decode_run(replicas, buf, pos)
     }
 
     /// Iterates the owned (non-delegate) vertices and their labels.
@@ -295,7 +278,9 @@ impl VertexStates {
 ///   local queue from,
 /// - `admitted` — the asynchronous phase's best label admitted to the
 ///   visitor queue so far, per held local id (written by local pushes and
-///   by the admission of inbound visitors),
+///   by the admission of inbound visitors): a 16 B [`Label`] per slot,
+///   kept apart from the state records, because a 64 B record that also
+///   held it measured slower on web-1rank (EXPERIMENTS.md),
 /// - `ghost` — the best label this rank has sent to each remote vertex,
 ///   indexed by ghost id (local id minus the held count): 16 B per ghost
 ///   of the rank graph, the sender side of the filter.
@@ -456,23 +441,23 @@ mod tests {
     }
 
     #[test]
+    fn state_record_fills_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<StateRecord>(), 32);
+        assert_eq!(std::mem::align_of::<StateRecord>(), 32);
+        let st = make_states(false);
+        assert_eq!(st.records.as_ptr() as usize % 32, 0);
+    }
+
+    #[test]
     fn memory_bytes_counts_the_state_arrays_elements() {
-        use std::mem::size_of_val;
-        let element_bytes = |a: &StateArrays| {
-            size_of_val(&a.dist[..])
-                + size_of_val(&a.src[..])
-                + size_of_val(&a.pred[..])
-                + size_of_val(&a.pred_weight[..])
-                + size_of_val(&a.traced[..])
-        };
         for delegate in [false, true] {
             let st = make_states(delegate);
             assert_eq!(
                 st.memory_bytes(),
-                element_bytes(&st.slots),
+                std::mem::size_of_val(&st.records[..]),
                 "delegates: {delegate}"
             );
-            assert_eq!(st.memory_bytes(), 25 * st.num_held());
+            assert_eq!(st.memory_bytes(), 32 * st.num_held());
         }
     }
 

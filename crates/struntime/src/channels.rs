@@ -712,9 +712,9 @@ impl<T: Send + Clone + 'static> ChannelGroup<T> {
         }
     }
 
-    /// Records a visitor delivered locally, bypassing the channel.
-    pub(crate) fn count_local(&self) {
-        self.stats.local_msgs.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` visitors delivered locally, bypassing the channel.
+    pub(crate) fn count_local(&self, n: u64) {
+        self.stats.local_msgs.fetch_add(n, Ordering::Relaxed);
     }
 
     #[cfg(test)]

@@ -69,8 +69,8 @@ pub use trace::{
 #[cfg(feature = "check")]
 pub use traversal::run_traversal_mutant_premature;
 pub use traversal::{
-    run_traversal, run_traversal_config, run_traversal_filtered, Pusher, StaleCheck,
-    TraversalOptions, TraversalStats,
+    queue_entry_bytes, run_traversal, run_traversal_config, run_traversal_filtered, Pusher,
+    StaleCheck, TraversalOptions, TraversalStats,
 };
 pub use wire::{DeepBytes, Wire};
 pub use world::World;

@@ -15,12 +15,13 @@
 //! bucket width by the keys they push: the Voronoi kernel pushes
 //! `dist / Δ` with a Δ derived from the graph (`steiner::voronoi`).
 //!
-//! No bucket allocates. Every queued entry lives in one arena of
-//! fixed-size chunks; a ring slot is the `(head, tail)` pair of `u32`
-//! arena indices of its bucket's FIFO list, and a popped entry joins a
-//! free list that the next push reuses. The arena therefore never
-//! outgrows the peak queue length, and growing or coarsening the ring
-//! re-links list ends without moving an entry.
+//! No bucket allocates. Every queued value lives in one arena of
+//! fixed-size chunks, and every entry's list link in one `u32` array
+//! beside it; a ring slot is the `(head, tail)` pair of `u32` arena
+//! indices of its bucket's FIFO list, and a popped entry joins a free
+//! list that the next push reuses. The arena therefore never outgrows the
+//! peak queue length, and growing or coarsening the ring re-links list
+//! ends without moving an entry.
 //!
 //! The ring holds at most 2^16 buckets (`MAX_BUCKET_WINDOW`). When the live
 //! keys spread wider than that, the queue *coarsens*: it shifts every key
@@ -99,27 +100,26 @@ const MAX_BUCKET_WINDOW: u64 = 1 << 16;
 /// entry's `next`.
 const NIL: u32 = u32::MAX;
 
-/// One arena entry of the priority ring: a queued value and the index of
-/// the next entry in its bucket, or of the next free entry once popped.
-struct Entry<V> {
-    value: Option<V>,
-    next: u32,
-}
-
 /// Entries per arena chunk (a power of two).
 const CHUNK_BITS: u32 = 7;
-const CHUNK: usize = 1 << CHUNK_BITS;
+pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
 
-/// The priority ring's entry store: fixed chunks of [`CHUNK`] entries,
-/// addressed by one `u32` index, with a free list through the popped
-/// entries. It grows a chunk at a time, and a chunk never moves: a single
-/// doubling `Vec` holds its old and new buffers at once on every growth,
-/// which kept web-1rank's peak RSS about 5 MiB higher (EXPERIMENTS.md,
-/// "Lean local visitor path").
+/// The priority ring's entry store: queued values in fixed chunks of
+/// [`CHUNK`] slots, addressed by one `u32` index, and each entry's `next`
+/// index (the next entry of its bucket, or of the free list once popped)
+/// in one array beside them. A push links its entry by writing its
+/// bucket's old tail's `next`, so the links stay apart from the values: at
+/// 4 B an entry they stay in cache, where a link inside a long-queued
+/// value missed. The values grow a chunk at a time, and a chunk never
+/// moves: a single doubling `Vec` of values holds its old and new buffers
+/// at once on every growth, which kept web-1rank's peak RSS about 5 MiB
+/// higher (EXPERIMENTS.md, "Lean local visitor path"). The links, 4 B
+/// each, grow by doubling.
 struct Arena<V> {
-    chunks: Vec<Vec<Entry<V>>>,
-    /// Entries ever allocated, queued or free.
-    len: usize,
+    chunks: Vec<Vec<Option<V>>>,
+    /// `next[i]`: entry `i`'s successor in its bucket or the free list.
+    /// Its length is the number of entries ever allocated.
+    next: Vec<u32>,
     /// Head of the free list.
     free: u32,
 }
@@ -128,28 +128,26 @@ impl<V> Arena<V> {
     fn new() -> Self {
         Arena {
             chunks: Vec::new(),
-            len: 0,
+            next: Vec::new(),
             free: NIL,
         }
     }
 
     #[inline]
-    fn entry(&mut self, i: u32) -> &mut Entry<V> {
+    fn value(&mut self, i: u32) -> &mut Option<V> {
         &mut self.chunks[(i >> CHUNK_BITS) as usize][i as usize & (CHUNK - 1)]
     }
 
     /// Stores `value` as a list end (`next` = [`NIL`]), in a free entry
     /// if there is one, and returns its index.
     fn alloc(&mut self, value: V) -> u32 {
-        let value = Some(value);
         if self.free != NIL {
             let i = self.free;
-            let entry = self.entry(i);
-            let next_free = std::mem::replace(entry, Entry { value, next: NIL }).next;
-            self.free = next_free;
+            self.free = std::mem::replace(&mut self.next[i as usize], NIL);
+            *self.value(i) = Some(value);
             return i;
         }
-        let i = match u32::try_from(self.len) {
+        let i = match u32::try_from(self.next.len()) {
             Ok(i) if i != NIL => i,
             _ => panic!(
                 "visitor queue overflow: the priority ring addresses at most \
@@ -157,33 +155,30 @@ impl<V> Arena<V> {
                 ty = std::any::type_name::<V>(),
             ),
         };
-        let entry = Entry { value, next: NIL };
         match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(entry),
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(Some(value)),
             _ => {
                 let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(entry);
+                chunk.push(Some(value));
                 self.chunks.push(chunk);
             }
         }
-        self.len += 1;
+        self.next.push(NIL);
         i
     }
 
     /// Takes the value out of entry `i` and frees the entry; returns the
     /// value and the entry's old `next`.
     fn release(&mut self, i: u32) -> (Option<V>, u32) {
-        let free = self.free;
-        let entry = self.entry(i);
-        let taken = (entry.value.take(), entry.next);
-        entry.next = free;
+        let next = std::mem::replace(&mut self.next[i as usize], self.free);
         self.free = i;
-        taken
+        (self.value(i).take(), next)
     }
 
     fn memory_bytes(&self) -> usize {
-        self.chunks.len() * CHUNK * std::mem::size_of::<Entry<V>>()
-            + self.chunks.capacity() * std::mem::size_of::<Vec<Entry<V>>>()
+        self.chunks.len() * CHUNK * std::mem::size_of::<Option<V>>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<Option<V>>>()
+            + self.next.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -250,6 +245,10 @@ fn mix_seed(seed: u64) -> u64 {
 }
 
 impl<V> VisitorQueue<V> {
+    /// Bytes one queued value takes in the priority ring's arena: the
+    /// value slot and its bucket-list link.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Option<V>>() + std::mem::size_of::<u32>();
+
     /// An empty queue of the given discipline.
     pub fn new(kind: QueueKind) -> Self {
         let rng_state = match kind {
@@ -356,7 +355,7 @@ impl<V> VisitorQueue<V> {
                 if to.head == NIL {
                     *to = from;
                 } else {
-                    self.arena.entry(to.tail).next = from.head;
+                    self.arena.next[to.tail as usize] = from.head;
                     to.tail = from.tail;
                 }
             }
@@ -372,7 +371,7 @@ impl<V> VisitorQueue<V> {
         if bucket.tail == NIL {
             bucket.head = i;
         } else {
-            self.arena.entry(bucket.tail).next = i;
+            self.arena.next[bucket.tail as usize] = i;
         }
         bucket.tail = i;
         self.bucket_items += 1;
@@ -580,7 +579,7 @@ mod tests {
         assert_eq!(drain(&mut q), vec![0, 1]);
         assert!(q.is_empty());
         let ring = MAX_BUCKET_WINDOW as usize * std::mem::size_of::<Bucket>();
-        let chunk = CHUNK * std::mem::size_of::<Entry<u32>>();
+        let chunk = CHUNK * VisitorQueue::<u32>::ENTRY_BYTES;
         assert!(
             q.memory_bytes() <= ring + chunk + 1024,
             "the ring stays bounded"
@@ -671,7 +670,7 @@ mod tests {
         q.push(0, vec![]);
         q.push(100, vec![]);
         let slots = 128 * std::mem::size_of::<Bucket>();
-        let entries = CHUNK * std::mem::size_of::<Entry<Vec<u64>>>();
+        let entries = CHUNK * std::mem::size_of::<Option<Vec<u64>>>();
         assert!(q.memory_bytes() >= slots + entries);
         q.pop();
         q.pop();
@@ -698,13 +697,13 @@ mod tests {
                 q.pop();
             }
             assert!(
-                q.arena.len <= peak_live,
+                q.arena.next.len() <= peak_live,
                 "round {round}: arena {} past peak live {peak_live}",
-                q.arena.len
+                q.arena.next.len()
             );
         }
         drain(&mut q);
-        assert_eq!(q.arena.len, peak_live, "every entry was once live");
+        assert_eq!(q.arena.next.len(), peak_live, "every entry was once live");
     }
 }
 

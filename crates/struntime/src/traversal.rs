@@ -144,20 +144,78 @@ impl TraversalOptions {
     }
 }
 
-/// Observability metadata carried next to each queued visitor: its
-/// lineage id (`rank << 40 | seq`, 0 when observability is off or the
-/// visitor arrived from an uninstrumented sender) and its local enqueue
-/// time. All-zero — and never read — when neither tracing nor metrics
-/// is enabled.
+/// What a queued visitor carries besides itself: its lineage id
+/// (`rank << 40 | seq`, 0 when the visitor arrived from an
+/// uninstrumented sender) and its local enqueue time. A type parameter of
+/// the traversal loop: [`VisitMeta`] when the world observes
+/// ([`Comm::observing`]), the zero-sized [`NoMeta`] otherwise, so an
+/// unobserved queue entry holds only the visitor and its link.
+trait QueueMeta: Copy + DeepBytes {
+    /// Whether the world observes: the loop's observability gate, a
+    /// constant per instantiation.
+    const OBSERVED: bool;
+    fn from_visit(meta: VisitMeta) -> Self;
+    fn visit_meta(&self) -> VisitMeta;
+}
+
+/// The lineage metadata of an observed traversal's queue entry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct VisitMeta {
     id: u64,
     enq_us: u64,
 }
 
+impl QueueMeta for VisitMeta {
+    const OBSERVED: bool = true;
+    #[inline]
+    fn from_visit(meta: VisitMeta) -> Self {
+        meta
+    }
+    #[inline]
+    fn visit_meta(&self) -> VisitMeta {
+        *self
+    }
+}
+
+/// The metadata of an unobserved traversal's queue entry: none, since
+/// nothing reads an id or a time when observability is off.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct NoMeta;
+
+impl QueueMeta for NoMeta {
+    const OBSERVED: bool = false;
+    #[inline]
+    fn from_visit(_: VisitMeta) -> Self {
+        NoMeta
+    }
+    #[inline]
+    fn visit_meta(&self) -> VisitMeta {
+        VisitMeta::default()
+    }
+}
+
 impl DeepBytes for VisitMeta {
     fn heap_bytes(&self) -> usize {
         0
+    }
+}
+
+impl DeepBytes for NoMeta {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// Bytes one priority-queue entry of visitor type `V` takes in the queue
+/// arena of an observed (`true`) or unobserved traversal: the visitor,
+/// its lineage metadata (16 B, observed only) and its 4 B bucket-list
+/// link. [`TraversalStats::peak_queue_bytes`] counts whole arena chunks
+/// of these.
+pub fn queue_entry_bytes<V>(observed: bool) -> usize {
+    if observed {
+        VisitorQueue::<(VisitMeta, V)>::ENTRY_BYTES
+    } else {
+        VisitorQueue::<(NoMeta, V)>::ENTRY_BYTES
     }
 }
 
@@ -193,11 +251,8 @@ struct Lineage {
 }
 
 impl Lineage {
-    fn new(comm: &Comm) -> Lineage {
-        Lineage {
-            enabled: comm.observing(),
-            parent: 0,
-        }
+    fn new(enabled: bool) -> Lineage {
+        Lineage { enabled, parent: 0 }
     }
 
     /// Assigns the next lineage id and records the parent→child edge as
@@ -238,7 +293,10 @@ pub struct Pusher<'a, V: Send + 'static> {
     batch_size: usize,
     chan: &'a ChannelGroup<Vec<V>>,
     comm: &'a Comm,
-    local: &'a mut Vec<(VisitMeta, V)>,
+    local: &'a mut Vec<V>,
+    /// One entry per local push, parallel to `local`, when observing;
+    /// empty otherwise.
+    local_meta: &'a mut Vec<VisitMeta>,
     outgoing: &'a mut Vec<OutBuf<V>>,
     lineage: &'a Lineage,
     metrics: &'a Option<Arc<PhaseMetrics>>,
@@ -253,9 +311,11 @@ impl<'a, V: Send + Clone + Wire + DeepBytes + 'static> Pusher<'a, V> {
     pub fn push(&mut self, dest: usize, v: V) {
         let id = self.lineage.spawn(self.comm, self.chan.phase());
         if dest == self.rank {
-            self.chan.count_local();
-            let enq_us = self.lineage.now_us(self.comm);
-            self.local.push((VisitMeta { id, enq_us }, v));
+            if self.lineage.enabled {
+                let enq_us = self.comm.now_us();
+                self.local_meta.push(VisitMeta { id, enq_us });
+            }
+            self.local.push(v);
         } else {
             let buf = &mut self.outgoing[dest];
             buf.batch.push(v);
@@ -418,7 +478,7 @@ where
     P: Fn(&V) -> u64,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal_loop::<false, V, P, _, F>(
+    traversal::<false, V, P, _, F>(
         comm,
         chan,
         options,
@@ -477,7 +537,7 @@ where
     S: FnMut(StaleCheck, &V) -> bool,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal_loop::<false, V, P, S, F>(
+    traversal::<false, V, P, S, F>(
         comm,
         chan,
         options,
@@ -512,7 +572,7 @@ where
     P: Fn(&V) -> u64,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal_loop::<true, V, P, _, F>(
+    traversal::<true, V, P, _, F>(
         comm,
         chan,
         options,
@@ -524,12 +584,57 @@ where
     )
 }
 
+/// Runs [`traversal_loop`] with the queue-entry metadata the world needs:
+/// [`VisitMeta`] when it observes, [`NoMeta`] otherwise.
+#[allow(clippy::too_many_arguments)]
+fn traversal<const PREMATURE_MUTANT: bool, V, P, S, F>(
+    comm: &Comm,
+    chan: &ChannelGroup<Vec<V>>,
+    options: TraversalOptions,
+    priority: P,
+    stale: S,
+    init: impl IntoIterator<Item = V>,
+    visit: F,
+    mutant_delay: Duration,
+) -> TraversalStats
+where
+    V: Send + Clone + Wire + DeepBytes + 'static,
+    P: Fn(&V) -> u64,
+    S: FnMut(StaleCheck, &V) -> bool,
+    F: FnMut(V, &mut Pusher<'_, V>),
+{
+    if comm.observing() {
+        traversal_loop::<PREMATURE_MUTANT, VisitMeta, V, P, S, F>(
+            comm,
+            chan,
+            options,
+            priority,
+            stale,
+            init,
+            visit,
+            mutant_delay,
+        )
+    } else {
+        traversal_loop::<PREMATURE_MUTANT, NoMeta, V, P, S, F>(
+            comm,
+            chan,
+            options,
+            priority,
+            stale,
+            init,
+            visit,
+            mutant_delay,
+        )
+    }
+}
+
 /// The traversal loop. `PREMATURE_MUTANT` selects the intentionally broken
 /// drain ordering used by the audit mutation check (see
 /// [`run_traversal_mutant_premature`]); production entry points
-/// monomorphize with `false`, so the mutant branch compiles away.
+/// monomorphize with `false`, so the mutant branch compiles away. `M` is
+/// what a queue entry carries besides its visitor (see [`QueueMeta`]).
 #[allow(clippy::too_many_arguments)]
-fn traversal_loop<const PREMATURE_MUTANT: bool, V, P, S, F>(
+fn traversal_loop<const PREMATURE_MUTANT: bool, M: QueueMeta, V, P, S, F>(
     comm: &Comm,
     chan: &ChannelGroup<Vec<V>>,
     options: TraversalOptions,
@@ -564,18 +669,23 @@ where
     // Fetch the phase's histogram set once so recording inside the loop
     // never touches the registry lock; `lineage` gates every clock read
     // and id assignment so an unobserved run takes only `None` branches.
-    let mut lineage = Lineage::new(comm);
-    let metrics = comm.metrics_phase(chan.phase());
+    debug_assert_eq!(M::OBSERVED, comm.observing());
+    let mut lineage = Lineage::new(M::OBSERVED);
+    let metrics = if M::OBSERVED {
+        comm.metrics_phase(chan.phase())
+    } else {
+        None
+    };
 
     let mut stats = TraversalStats::default();
     // The full-delivery disciplines never consult the predicate.
     let filters = options.queue.filters_stale();
-    let mut queue: VisitorQueue<(VisitMeta, V)> = VisitorQueue::new(options.queue);
+    let mut queue: VisitorQueue<(M, V)> = VisitorQueue::new(options.queue);
     for v in init {
         let pr = priority(&v);
         let id = lineage.spawn(comm, chan.phase());
         let enq_us = lineage.now_us(comm);
-        queue.push(pr, (VisitMeta { id, enq_us }, v));
+        queue.push(pr, (M::from_visit(VisitMeta { id, enq_us }), v));
     }
     // Sample the peak right after seeding: with N init visitors the true
     // maximum is N, which the after-a-visit sample below would miss by
@@ -583,7 +693,8 @@ where
     stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
     stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
 
-    let mut local_buf: Vec<(VisitMeta, V)> = Vec::new();
+    let mut local_buf: Vec<V> = Vec::new();
+    let mut local_meta: Vec<VisitMeta> = Vec::new();
     let mut outgoing: Vec<OutBuf<V>> = (0..p).map(|_| OutBuf::default()).collect();
     let mut idle = false;
     let traversal_span = comm.trace_span("traversal");
@@ -639,15 +750,17 @@ where
                     dropped += 1;
                     continue;
                 }
-                queue.push(priority(&v), (VisitMeta { id, enq_us: now }, v));
+                let meta = M::from_visit(VisitMeta { id, enq_us: now });
+                queue.push(priority(&v), (meta, v));
             }
             stats.stale_dropped += dropped;
+            // Sample the peak as each batch lands, before any visitor is
+            // popped: a point the after-a-visit sample can never see.
+            // Between landings the queue only shrinks or is sampled after
+            // a visit, so no other point can set a new peak.
+            stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
+            stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
         }
-        // Sample the peak at drain time, before any visitor is popped:
-        // the queue is at its true maximum right after an inbound batch
-        // lands, a point the after-a-visit sample can never see.
-        stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
-        stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
 
         // Pop through the stale filter: admitted entries that were
         // superseded while they waited die here without a visit. Their
@@ -657,6 +770,7 @@ where
             if !stale(StaleCheck::Pop, v) {
                 return false;
             }
+            let meta = meta.visit_meta();
             lineage.stale_drop(comm, chan.phase(), meta.id);
             if let Some(m) = metrics.as_deref() {
                 let now = lineage.now_us(comm);
@@ -667,6 +781,7 @@ where
         stats.stale_dropped += dropped;
         if let Some((meta, v)) = popped {
             debug_assert!(!idle, "queue cannot be non-empty while idle");
+            let meta = meta.visit_meta();
             let visit_start = lineage.now_us(comm);
             if lineage.enabled {
                 comm.trace_event2(TraceEventKind::Visit, chan.phase(), meta.id, 0);
@@ -686,6 +801,7 @@ where
                 chan,
                 comm,
                 local: &mut local_buf,
+                local_meta: &mut local_meta,
                 outgoing: &mut outgoing,
                 lineage: &lineage,
                 metrics: &metrics,
@@ -693,6 +809,10 @@ where
             };
             visit(v, &mut pusher);
             stats.pruned_at_push += pusher.pruned;
+            // One counter update per visit, not per local push.
+            if !local_buf.is_empty() {
+                chan.count_local(local_buf.len() as u64);
+            }
             lineage.parent = 0;
             if let Some(m) = metrics.as_deref() {
                 m.record(
@@ -704,7 +824,9 @@ where
             comm.fault_visit_tick();
             // Local pushes are queued unchecked: the visit callback made
             // its own check before pushing (see "Stale-entry filtering").
-            for (meta, v) in local_buf.drain(..) {
+            let mut metas = local_meta.drain(..);
+            for v in local_buf.drain(..) {
+                let meta = M::from_visit(metas.next().unwrap_or_default());
                 queue.push(priority(&v), (meta, v));
             }
             stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
@@ -811,7 +933,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::World;
+    use crate::queue::CHUNK;
+    use crate::{MetricsConfig, RunOutput, TraceConfig, World, WorldConfig};
 
     /// What one rank saw in [`admission_run`]: its stats, the visitors it
     /// visited (sorted), and the checks on which the predicate answered
@@ -823,12 +946,13 @@ mod tests {
         asked: u64,
     }
 
-    /// Two ranks; rank 0's single bootstrap `0` pushes `1..=4` to itself
-    /// and `11..=14` to rank 1, and every other visitor is a leaf. The toy
-    /// predicate calls even non-zero visitors stale — a fixed property,
-    /// so it is monotone.
-    fn admission_run(queue: QueueKind) -> Vec<Seen> {
-        World::run(2, |comm| {
+    /// `p` ranks (1 or 2); rank 0's single bootstrap `0` pushes `1..=4`
+    /// to itself and `11..=14` to rank `1 % p`, and every other visitor is
+    /// a leaf. The toy predicate calls even non-zero visitors stale — a
+    /// fixed property, so it is monotone. Rank 1 receives one batch, so
+    /// every stat is the same under any schedule.
+    fn admission_run(p: usize, queue: QueueKind, config: WorldConfig) -> RunOutput<Seen> {
+        World::run_config(p, config, |comm| {
             let chan = comm.open_channels::<Vec<u32>>("admission");
             let init = if comm.rank() == 0 { vec![0u32] } else { vec![] };
             let mut visited = Vec::new();
@@ -853,7 +977,7 @@ mod tests {
                     if v == 0 {
                         for i in 1..=4 {
                             pusher.push(0, i);
-                            pusher.push(1, 10 + i);
+                            pusher.push(1 % p, 10 + i);
                         }
                     }
                 },
@@ -866,12 +990,11 @@ mod tests {
                 asked,
             }
         })
-        .results
     }
 
     #[test]
     fn priority_queue_drops_stale_visitors_at_admission() {
-        let seen = admission_run(QueueKind::Priority);
+        let seen = admission_run(2, QueueKind::Priority, WorldConfig::default()).results;
         // Only inbound visitors are checked at admission: rank 1 rejects
         // the batch entries 12 and 14 there. Rank 0's own pushes 2 and 4
         // are queued unchecked (a visit checks before it pushes) and
@@ -890,7 +1013,7 @@ mod tests {
     #[test]
     fn full_delivery_queues_never_consult_the_predicate() {
         for queue in [QueueKind::Fifo, QueueKind::Adversarial { seed: 3 }] {
-            let seen = admission_run(queue);
+            let seen = admission_run(2, queue, WorldConfig::default()).results;
             assert_eq!(seen[0].visited, vec![0, 1, 2, 3, 4], "{queue:?}");
             assert_eq!(seen[1].visited, vec![11, 12, 13, 14], "{queue:?}");
             for s in &seen {
@@ -899,6 +1022,79 @@ mod tests {
             }
             let processed: u64 = seen.iter().map(|s| s.stats.processed).sum();
             assert_eq!(processed, 9, "{queue:?}");
+        }
+    }
+
+    /// The observed loop (queue entries with lineage metadata) and the
+    /// unobserved one (entries without) make the same traversal; only the
+    /// observed one records residency and drop ages and closes every
+    /// spawned lineage id with one terminal `Visit` event.
+    #[test]
+    fn observed_and_unobserved_loops_agree() {
+        let observed = WorldConfig {
+            trace: TraceConfig::ring(),
+            metrics: MetricsConfig::On,
+            ..WorldConfig::default()
+        };
+        for p in [1, 2] {
+            let on = admission_run(p, QueueKind::Priority, observed);
+            let off = admission_run(p, QueueKind::Priority, WorldConfig::default());
+            let (on_stats, off_stats): (Vec<_>, Vec<_>) = (
+                on.results.iter().map(|s| s.stats).collect(),
+                off.results.iter().map(|s| s.stats).collect(),
+            );
+            // Queue bytes differ by the metadata alone: the arena holds
+            // the same chunks of wider entries.
+            let entry_gap = queue_entry_bytes::<u32>(true) - queue_entry_bytes::<u32>(false);
+            for (on, off) in on_stats.iter().zip(&off_stats) {
+                let arena_entries = on.peak_queue_len.div_ceil(CHUNK) * CHUNK;
+                assert_eq!(
+                    on.peak_queue_bytes - off.peak_queue_bytes,
+                    arena_entries * entry_gap,
+                    "p = {p}"
+                );
+            }
+            let same_bytes = |s: &TraversalStats| TraversalStats {
+                peak_queue_bytes: 0,
+                ..*s
+            };
+            assert_eq!(
+                on_stats.iter().map(same_bytes).collect::<Vec<_>>(),
+                off_stats.iter().map(same_bytes).collect::<Vec<_>>(),
+                "p = {p}"
+            );
+            assert!(off.trace.is_empty() && off.metrics.is_empty());
+
+            let processed: u64 = on_stats.iter().map(|s| s.processed).sum();
+            let stale: u64 = on_stats.iter().map(|s| s.stale_dropped).sum();
+            let pop_drops = on
+                .results
+                .iter()
+                .flat_map(|s| &s.stale_at)
+                .filter(|(check, _)| *check == StaleCheck::Pop)
+                .count() as u64;
+            let metrics = &on.finish_metrics().aggregate()["admission"];
+            assert_eq!(
+                metrics.hist(MetricKind::QueueResidencyUs).count(),
+                processed
+            );
+            assert_eq!(metrics.hist(MetricKind::StaleDropAgeUs).count(), pop_drops);
+            assert!(pop_drops > 0, "p = {p}");
+
+            let events = || on.trace.ranks.iter().flat_map(|r| &r.events);
+            let mut spawned: Vec<u64> = events()
+                .filter(|e| e.kind == TraceEventKind::Spawn)
+                .map(|e| e.arg)
+                .collect();
+            let mut ended: Vec<u64> = events()
+                .filter(|e| e.kind == TraceEventKind::Visit)
+                .map(|e| e.arg)
+                .collect();
+            spawned.sort_unstable();
+            ended.sort_unstable();
+            assert_eq!(spawned.len() as u64, processed + stale, "p = {p}");
+            assert!(spawned.iter().all(|&id| id != 0));
+            assert_eq!(spawned, ended, "one terminal visit per lineage id");
         }
     }
 
