@@ -42,14 +42,16 @@
 //!   source's index is its local id, and so is every target.
 //! - **One evaluation per undirected edge, half the arcs read.** An arc
 //!   `(u, v)` is evaluated iff [`evaluates`](stgraph::partition::evaluates)
-//!   accepts it: `u < v` agrees with `u + v` being even. Exactly one of an
-//!   edge's two arcs passes, and self-loops never do. Every arc is stored
-//!   on exactly one rank: the owner of `u`, or the rank holding that
-//!   share of a delegate `u`'s adjacency. The candidate is the same from
-//!   either direction, so per-pair minima are unchanged. The parity
-//!   spreads the evaluating end over both endpoints, so under the block
-//!   partition boundary edges are scanned on both sides, not all on the
-//!   lower rank. `partition_graph` stores each source's evaluated arcs
+//!   accepts it: an edge between two blocks from its end of lower degree,
+//!   any other edge from the end that `u + v`'s parity picks. Exactly one
+//!   of an edge's two arcs passes, and self-loops never do. Every arc is
+//!   stored on exactly one rank: the owner of `u`, or the rank holding
+//!   that share of a delegate `u`'s adjacency. The candidate is the same
+//!   from either direction, so per-pair minima are unchanged. The degree
+//!   rule moves the scan of hubs' boundary edges off the ranks that hold
+//!   the hubs, which store more arcs than their share of the scan; the
+//!   parity keeps a block's own layout the same at any rank count.
+//!   `partition_graph` stores each source's evaluated arcs
 //!   first and records how many there are
 //!   ([`RankGraph::num_evaluated`]), so the scan walks that prefix with no
 //!   per-arc test, and the other half of the arcs is never read.

@@ -194,6 +194,13 @@ pub struct SolveReport {
     pub phase_times: PhaseTimes,
     /// Per-rank phase times.
     pub rank_phase_times: Vec<PhaseTimes>,
+    /// Per rank, the part of each phase's time the rank spent blocked: in
+    /// barriers from arrival to release (collectives included) and in a
+    /// traversal's idle set ([`struntime::Comm::wait_time`]). A phase's
+    /// busy time is its time minus its wait. A phase that ends without a
+    /// sync (`local_min_edge`) leaves its early ranks' wait to the next
+    /// phase's first collective.
+    pub rank_phase_wait: Vec<PhaseTimes>,
     /// Cluster-wide message counts per phase (Fig 6's metric).
     pub message_counts: BTreeMap<&'static str, PhaseSnapshot>,
     /// Bytes of the partitioned graph across all ranks (Fig 8 "graph").
@@ -510,15 +517,19 @@ fn assemble_report(
     let mut all_edges = Vec::new();
     let mut phase_times = PhaseTimes::default();
     let mut rank_phase_times = Vec::with_capacity(p);
+    let mut rank_phase_wait = Vec::with_capacity(p);
     let mut rank_work = Vec::with_capacity(p);
     let mut stale_drops = Vec::with_capacity(p);
     let mut pruned_at_push = Vec::with_capacity(p);
     let mut dg_edges = 0;
     for r in &out.results {
         all_edges.extend_from_slice(&r.edges);
-        let Progress { times, work, .. } = r.progress;
+        let Progress {
+            times, wait, work, ..
+        } = r.progress;
         phase_times = phase_times.max(&times);
         rank_phase_times.push(times);
+        rank_phase_wait.push(wait);
         rank_work.push(work.processed);
         stale_drops.push(work.stale_dropped);
         pruned_at_push.push(work.pruned_at_push);
@@ -543,6 +554,7 @@ fn assemble_report(
         tree,
         phase_times,
         rank_phase_times,
+        rank_phase_wait,
         message_counts,
         graph_bytes: pg.ranks.iter().map(|r| r.memory_bytes()).sum(),
         state_peak_bytes,
@@ -634,6 +646,7 @@ fn rank_main(
     let mut disconnected = None;
     for (k, &phase) in phases.iter().enumerate().skip(completed) {
         let t = Instant::now();
+        let waited = comm.wait_time();
         let span = comm.trace_span(phase.name());
         comm.set_phase(phase.name(), phase.index() as u64);
         match phase {
@@ -725,6 +738,7 @@ fn rank_main(
         }
         drop(span);
         progress.times[phase] = t.elapsed();
+        progress.wait[phase] = comm.wait_time() - waited;
         if disconnected.is_some() {
             break;
         }
@@ -859,6 +873,47 @@ mod tests {
                 "seeds 0 and 2 are not connected in the graph"
             );
         }
+    }
+
+    /// Cuts with empty or lopsided blocks: 3, 5 and 8 ranks on every tiny
+    /// dataset, a star whose hub holds every arc, more ranks than live
+    /// vertices, and an edgeless graph. Each solve returns the one-rank
+    /// tree, or the one-rank structured error.
+    #[test]
+    fn degenerate_cuts_solve_like_one_rank() {
+        let check = |g: &CsrGraph, seeds: &[Vertex], ranks: &[usize], what: &str| {
+            let one = solve(g, seeds, &config(1)).map(|r| r.tree);
+            for &p in ranks {
+                let pg = Arc::new(partition_graph(g, p, None));
+                let world = PersistentWorld::new(p);
+                let outcomes = [
+                    solve(g, seeds, &config(p)),
+                    solve_on(&world, &pg, seeds, &config(p)),
+                ];
+                for outcome in outcomes {
+                    assert_eq!(outcome.map(|r| r.tree), one, "{what}, {p} ranks");
+                }
+            }
+        };
+        for ds in stgraph::datasets::Dataset::ALL {
+            let g = ds.generate_tiny(5);
+            let cc = stgraph::traversal::connected_components(&g);
+            let verts = cc.largest_component_vertices();
+            let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 6).copied().collect();
+            check(&g, &seeds, &[3, 5, 8], ds.name());
+        }
+        let mut star = GraphBuilder::new(9);
+        star.extend_edges((1..9).map(|leaf| (0, leaf, leaf as Weight)));
+        check(&star.build(), &[1, 5, 8], &[2, 3, 5, 8], "star");
+        let mut sparse = GraphBuilder::new(10);
+        sparse.extend_edges([(4, 5, 1), (5, 6, 2)]);
+        check(&sparse.build(), &[4, 6], &[3, 5, 8], "three live vertices");
+        let edgeless = GraphBuilder::new(6).build();
+        assert_eq!(
+            solve(&edgeless, &[0, 3], &config(1)).unwrap_err(),
+            SteinerError::SeedsDisconnected(0, 3)
+        );
+        check(&edgeless, &[0, 3], &[2, 5, 8], "edgeless");
     }
 
     /// Two seeds joined by a light path 0–3–2 (weight 12) and a heavy
@@ -1034,6 +1089,49 @@ mod tests {
                 "phase {}: replayed {replayed}",
                 phase.name()
             );
+        }
+    }
+
+    /// A crash at the first sync point of `global_min_edge` restores from
+    /// that phase's entry checkpoint in every case: a survivor still
+    /// collecting the local min-edge halo exchange finishes it and writes
+    /// its checkpoint before it unwinds, so the replay never repeats
+    /// `local_min_edge`.
+    #[test]
+    fn crash_at_the_first_global_sync_replays_from_its_entry() {
+        for seed in [47, 48, 49] {
+            let g = stgraph::datasets::Dataset::Cts.generate_tiny(seed);
+            let cc = stgraph::traversal::connected_components(&g);
+            let verts = cc.largest_component_vertices();
+            let seeds: Vec<Vertex> = verts.iter().step_by(verts.len() / 7).copied().collect();
+            for p in [2, 3, 4] {
+                for mst_mode in [MstMode::Dist, MstMode::Replicated] {
+                    let clean_cfg = SolverConfig {
+                        mst_mode,
+                        ..config(p)
+                    };
+                    let clean = solve(&g, &seeds, &clean_cfg).unwrap();
+                    for crash_rank in 0..p {
+                        let spec = format!(
+                            "crash_rank={crash_rank},crash_at_sync=1,crash_phase={},seed=5",
+                            Phase::GlobalMinEdge.index()
+                        );
+                        let cfg = SolverConfig {
+                            faults: Some(FaultPlan::from_spec(&spec).unwrap()),
+                            ..clean_cfg
+                        };
+                        let r = solve(&g, &seeds, &cfg).unwrap();
+                        let at = format!("seed {seed}, {p} ranks, {mst_mode:?}, rank {crash_rank}");
+                        assert_eq!(r.tree, clean.tree, "{at}");
+                        assert_eq!(r.recovery.restores, 1, "{at}");
+                        assert_eq!(
+                            r.recovery.replayed_phases as usize,
+                            mst_mode.phases().len() - 2,
+                            "{at}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -245,7 +245,7 @@ proptest! {
         let reference = solve(&g, &seeds, &SolverConfig {
             num_ranks: 1, ..SolverConfig::default()
         }).unwrap();
-        for p in [2usize, 4] {
+        for p in [2usize, 3, 4] {
             for queue in [QueueKind::Fifo, QueueKind::Priority] {
                 let cfg = SolverConfig {
                     num_ranks: p,

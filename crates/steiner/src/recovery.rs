@@ -153,6 +153,9 @@ struntime::wire_struct!(Work {
 pub(crate) struct Progress {
     /// Per-phase elapsed times so far.
     pub times: PhaseTimes,
+    /// The part of each phase's time spent blocked
+    /// ([`struntime::Comm::wait_time`]).
+    pub wait: PhaseTimes,
     /// Work counters so far.
     pub work: Work,
     /// Local min cross-cell edges: per-pair minima in `MstMode::Replicated`,
@@ -180,6 +183,7 @@ pub(crate) struct Progress {
 
 struntime::wire_struct!(Progress {
     times,
+    wait,
     work,
     local,
     dg,

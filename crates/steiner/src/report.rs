@@ -20,7 +20,7 @@
 //!   byte-level diffs of two reports line up.
 //! - Durations are integer microseconds (`*_us`), sizes integer bytes.
 
-use crate::phases::Phase;
+use crate::phases::{Phase, PhaseTimes};
 use crate::{SolveReport, SolverConfig};
 use stgraph::json::Json;
 use struntime::{QueueKind, TraceDump, TraceEventKind};
@@ -105,7 +105,15 @@ use struntime::{QueueKind, TraceDump, TraceEventKind};
 /// each phase span, so `peak_memory` is an object exactly when the solve
 /// was traced (it was `null` for a traced solve before). Breaking by
 /// definition — a key was removed.
-pub const SCHEMA_VERSION: u64 = 11;
+///
+/// **v11 → v12**: adds `rank_phase_times_us` and `rank_phase_wait_us`,
+/// one `{phase: microseconds}` object per rank: each rank's own phase
+/// times, and the part of each it spent blocked in barriers (collectives
+/// included) or in a traversal's idle set. A rank's busy time in a phase
+/// is the difference. Strict superset, and breaking for the usual
+/// reason: a v11 reader would read `phase_times_us`, the maximum over
+/// ranks, as work when it can be one rank waiting for another.
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// The configuration a solve ran with, reduced to plain strings and
 /// numbers for the report.
@@ -214,6 +222,12 @@ pub struct RunReport {
     /// `(phase name, microseconds)` in execution order — barrier-bound
     /// max across ranks, like [`SolveReport::phase_times`].
     pub phase_times_us: Vec<(&'static str, u64)>,
+    /// Per rank, its own phase times in microseconds, in the order of
+    /// `phase_times_us` (v12).
+    pub rank_phase_times_us: Vec<Vec<u64>>,
+    /// Per rank, the part of each phase it spent blocked, microseconds
+    /// (v12; [`SolveReport::rank_phase_wait`]).
+    pub rank_phase_wait_us: Vec<Vec<u64>>,
     /// Sum of phase maxima, microseconds (the time-to-solution metric).
     pub total_time_us: u64,
     /// Cluster-wide per-phase message counters, keyed by phase label.
@@ -271,7 +285,8 @@ pub struct RunReport {
 impl RunReport {
     /// Renders the report to JSON (see the module docs for the schema
     /// stability rules). Top-level keys: `schema_version`, `config`,
-    /// `phase_times_us`, `total_time_us`, `message_counts`,
+    /// `phase_times_us`, `rank_phase_times_us`, `rank_phase_wait_us`,
+    /// `total_time_us`, `message_counts`,
     /// `graph_bytes`, `state_peak_bytes`, `distance_graph_edges`,
     /// `rank_work`, `stale_drops`, `pruned_at_push`, `sync_points`,
     /// `simulated_speedup`, `imbalance_ratio`, `critical_path`,
@@ -282,6 +297,17 @@ impl RunReport {
         for &(name, us) in &self.phase_times_us {
             phase_times.insert(name, us);
         }
+        // One `{phase: us}` object per rank, keyed like `phase_times_us`.
+        let per_rank_phases = |ranks: &[Vec<u64>]| {
+            let phase_obj = |times: &Vec<u64>| {
+                let mut obj = Json::obj();
+                for (&(name, _), &us) in self.phase_times_us.iter().zip(times) {
+                    obj.insert(name, us);
+                }
+                obj
+            };
+            Json::Arr(ranks.iter().map(phase_obj).collect())
+        };
         let mut counts = Json::obj();
         for &(name, c) in &self.message_counts {
             counts.insert(
@@ -297,6 +323,14 @@ impl RunReport {
             .with("schema_version", SCHEMA_VERSION)
             .with("config", self.config.to_json())
             .with("phase_times_us", phase_times)
+            .with(
+                "rank_phase_times_us",
+                per_rank_phases(&self.rank_phase_times_us),
+            )
+            .with(
+                "rank_phase_wait_us",
+                per_rank_phases(&self.rank_phase_wait_us),
+            )
             .with("total_time_us", self.total_time_us)
             .with("message_counts", counts)
             .with("graph_bytes", self.graph_bytes)
@@ -459,6 +493,11 @@ impl SolveReport {
             .iter()
             .map(|&p| (p.name(), self.phase_times[p].as_micros() as u64))
             .collect();
+        let per_rank_us = |ranks: &[PhaseTimes]| -> Vec<Vec<u64>> {
+            (ranks.iter())
+                .map(|t| Phase::ALL.map(|p| t[p].as_micros() as u64).to_vec())
+                .collect()
+        };
         let message_counts: Vec<(&'static str, PhaseCounters)> = self
             .message_counts
             .iter()
@@ -501,6 +540,8 @@ impl SolveReport {
         RunReport {
             config: ConfigFingerprint::of(&self.config),
             phase_times_us,
+            rank_phase_times_us: per_rank_us(&self.rank_phase_times),
+            rank_phase_wait_us: per_rank_us(&self.rank_phase_wait),
             total_time_us: self.time_to_solution().as_micros() as u64,
             message_counts,
             graph_bytes: self.graph_bytes,
@@ -539,8 +580,8 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
                 "schema_version {found} report found; this build reads v{SCHEMA_VERSION} \
                  — regenerate the report with current binaries (version history, \
                  including when the faults, stale_drops, peak_memory, recovery, \
-                 boruvka, pruned_at_push and sync_points sections were added and \
-                 timeseries removed: report::SCHEMA_VERSION docs)"
+                 boruvka, pruned_at_push, sync_points and per-rank phase sections \
+                 were added and timeseries removed: report::SCHEMA_VERSION docs)"
             ));
         }
         _ => {
@@ -567,6 +608,22 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
             .get(p.name())
             .and_then(|v| v.as_u64())
             .ok_or_else(|| format!("phase_times_us.{} must be integer microseconds", p.name()))?;
+    }
+    for key in ["rank_phase_times_us", "rank_phase_wait_us"] {
+        let ranks = run
+            .get(key)
+            .and_then(|v| v.as_arr())
+            .ok_or_else(|| format!("{key} must be an array"))?;
+        for (r, times) in ranks.iter().enumerate() {
+            for p in Phase::ALL {
+                times
+                    .get(p.name())
+                    .and_then(|v| v.as_u64())
+                    .ok_or_else(|| {
+                        format!("{key}[{r}].{} must be integer microseconds", p.name())
+                    })?;
+            }
+        }
     }
     run.get("total_time_us")
         .and_then(|v| v.as_u64())
@@ -804,6 +861,25 @@ mod tests {
                 .map(|a| a.len()),
             Some(2)
         );
+        // Per rank and phase: a time, and a wait that is part of it.
+        let per_rank = |key: &str| doc.get(key).and_then(|v| v.as_arr()).expect(key);
+        let (times, waits) = (
+            per_rank("rank_phase_times_us"),
+            per_rank("rank_phase_wait_us"),
+        );
+        assert_eq!((times.len(), waits.len()), (2, 2));
+        for (t, w) in times.iter().zip(waits) {
+            for p in Phase::ALL {
+                let us = |obj: &Json| obj.get(p.name()).and_then(|v| v.as_u64()).unwrap();
+                assert!(
+                    us(w) <= us(t),
+                    "{}: wait {} > time {}",
+                    p.name(),
+                    us(w),
+                    us(t)
+                );
+            }
+        }
         assert!(doc
             .get("simulated_speedup")
             .and_then(|v| v.as_f64())
@@ -1012,7 +1088,7 @@ mod tests {
             let solved = solve(&g, &[0, 11], &cfg).unwrap();
             assert_eq!(solved.trace.total_dropped(), 0);
             let doc = solved.run_report().to_json();
-            validate_run(&doc).expect("traced v11 report validates");
+            validate_run(&doc).expect("traced report validates");
             let pm = doc.get("peak_memory").unwrap();
             for phase in Phase::ALL {
                 let Some(peaks) = pm.get(phase.name()) else {

@@ -429,12 +429,13 @@ mod tests {
     fn held_index_is_dense_over_owned_then_replicas() {
         let mut st = make_states(true);
         st.init_seeds(&[0, 2]);
-        // Rank 0 owns 0..4; vertex 0 is a delegate, so its state is the
-        // replica slot after the owned ones.
+        // Rank 0 owns 0..5 (the delegate costs 26, vertex 1 costs 42 and
+        // vertices 2..7 cost 50 each, of 360); vertex 0 is a delegate, so
+        // its state is the replica slot after the owned ones.
         assert_eq!(st.held_index(2), Some(2));
-        assert_eq!(st.held_index(0), Some(4));
+        assert_eq!(st.held_index(0), Some(5));
         assert_eq!(st.held_index(7), None);
-        assert_eq!(st.num_held(), 5);
+        assert_eq!(st.num_held(), 6);
         for v in [0, 2, 3] {
             assert_eq!(st.label_at(st.held_index(v).unwrap()), st.label(v));
         }

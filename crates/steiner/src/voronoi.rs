@@ -144,10 +144,7 @@ pub fn run(
     // sequence on one thread.
     let kernel = RefCell::new(Kernel {
         rg,
-        starts: (0..pg.partition.num_ranks())
-            .map(|q| pg.partition.range(q).start)
-            .chain([pg.partition.num_vertices() as Vertex])
-            .collect(),
+        starts: pg.partition.cuts(),
         states,
         admitted,
         ghost,
@@ -174,9 +171,10 @@ pub fn run(
 /// names a held local id of this rank (see [`VoronoiMsg`]).
 struct Kernel<'a> {
     rg: &'a RankGraph,
-    /// First owned vertex of every rank, then the vertex count: rank `q`
-    /// holds vertex `v` of its block in local slot `v - starts[q]`.
-    starts: Vec<Vertex>,
+    /// The partition's cut table: first owned vertex of every rank, then
+    /// the vertex count. Rank `q` holds vertex `v` of its block in local
+    /// slot `v - starts[q]`.
+    starts: &'a [Vertex],
     states: &'a mut VertexStates,
     /// Best candidate admitted to this rank's queue, per held local id. A
     /// local push and the admission of an inbound visitor write it.

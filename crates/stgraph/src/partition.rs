@@ -6,10 +6,32 @@
 //! spread the edges of high-degree hub vertices across partitions — crucial
 //! for load balance on scale-free graphs.
 //!
-//! [`BlockPartition`] is the owner map (contiguous, balanced vertex blocks).
-//! [`partition_graph`] materializes per-rank subgraphs ([`RankGraph`]): each
-//! rank stores the full adjacency of its owned non-delegate vertices plus a
-//! round-robin slice of every delegate's adjacency.
+//! [`BlockPartition`] is the owner map: contiguous vertex blocks, stored as
+//! a table of `p + 1` cut offsets. [`partition_graph`] materializes
+//! per-rank subgraphs ([`RankGraph`]): each rank stores the full adjacency
+//! of its owned non-delegate vertices plus a round-robin slice of every
+//! delegate's adjacency.
+//!
+//! **Cost-balanced cuts.** Equal shares of vertex ids are not equal work:
+//! the generators put their hubs at low ids, so at two ranks the first
+//! block of the R-MAT web graph stored 716K of its 955K arcs, and the
+//! other rank idled through most of every Voronoi phase. Equal shares of
+//! arcs over-correct: a cut by cumulative degree made the sparse rank's
+//! visits the bottleneck. Work has both parts — a Voronoi visit pops a
+//! vertex, and relaxes its arcs — so [`partition_graph`] prices each
+//! vertex at its degree plus the mean degree `d = arcs / live vertices`
+//! (a delegate at `d` only, since its arcs are dealt to every rank; an
+//! isolated vertex at 0) and cuts where the cost prefix reaches each
+//! `r / p` of the total. A block's share of the cost is then the mean of
+//! its share of the arcs and its share of the live vertices, so a visit
+//! with its pops is priced at `d` relaxations. The mean degree is the one
+//! weight that needs no constant: it is read off the graph. Blocks stay
+//! contiguous, so locality and the local-id layout keep their shape, and
+//! the cut is two passes over the degrees. One rank's cut is the single
+//! block `0..n`, and [`BlockPartition::new`] is the same cut over unit
+//! costs. An edgeless graph, whose total cost is 0, gets the unit-cost
+//! cut. A block may be empty (more ranks than live vertices): its rank
+//! owns nothing and takes part in every collective.
 //!
 //! **Evaluated arcs first.** The edge-centric min-distance-edge phase
 //! (Alg 5) evaluates each undirected edge once, from the end [`evaluates`]
@@ -37,71 +59,110 @@ use crate::csr::{CsrGraph, Vertex, Weight};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Contiguous block partition of `n` vertices over `p` ranks. The first
-/// `n % p` blocks get one extra vertex, so block sizes differ by at most 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Contiguous vertex blocks over `p` ranks: a table of `p + 1` cut
+/// offsets, rank `r` owning ids `cuts[r]..cuts[r + 1]`. A block may be
+/// empty. [`partition_graph`] places the cuts by cost (see the module
+/// docs); [`BlockPartition::new`] is the same cut over unit costs, so
+/// block sizes differ by at most 1.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockPartition {
-    n: usize,
-    p: usize,
+    cuts: Vec<Vertex>,
 }
 
 impl BlockPartition {
-    /// A partition of `n` vertices across `p >= 1` ranks.
+    /// A partition of `n` vertices across `p >= 1` ranks, every vertex
+    /// costing 1: cut `r` is `ceil(r * n / p)`.
     pub fn new(n: usize, p: usize) -> Self {
+        Self::cut(n, p, n as u128, |_| 1)
+    }
+
+    /// Cuts ids `0..n` into `p` blocks: cut `r` is the first id `k`
+    /// where the prefix sum of `cost` over `0..k` reaches `r / p` of
+    /// `total`, which must be the sum of `cost` over `0..n`. Each block's
+    /// cost is then below `total / p` plus the largest single cost. One
+    /// pass, calling `cost(v)` in id order up to the last cut.
+    pub(crate) fn cut(
+        n: usize,
+        p: usize,
+        total: u128,
+        mut cost: impl FnMut(Vertex) -> u128,
+    ) -> Self {
         assert!(p >= 1, "need at least one rank");
-        BlockPartition { n, p }
+        let ranks = p as u128;
+        let mut cuts = Vec::with_capacity(p + 1);
+        cuts.push(0);
+        let mut prefix = 0;
+        for v in 0..=n as Vertex {
+            // Cut r goes at the first prefix with prefix / total >= r / p.
+            while cuts.len() < p && prefix * ranks >= cuts.len() as u128 * total {
+                cuts.push(v);
+            }
+            if cuts.len() == p || v as usize == n {
+                break;
+            }
+            prefix += cost(v);
+        }
+        debug_assert_eq!(cuts.len(), p, "costs sum to less than the total");
+        cuts.push(n as Vertex);
+        BlockPartition { cuts }
     }
 
     /// Total vertex count.
     pub fn num_vertices(&self) -> usize {
-        self.n
+        self.cuts[self.cuts.len() - 1] as usize
     }
 
     /// Number of ranks.
     pub fn num_ranks(&self) -> usize {
-        self.p
+        self.cuts.len() - 1
     }
 
-    /// The rank owning vertex `v`.
+    /// The `p + 1` cut offsets: rank `r` owns `cuts[r]..cuts[r + 1]`, so
+    /// `cuts[r]` is also the first vertex of rank `r`'s block.
+    pub fn cuts(&self) -> &[Vertex] {
+        &self.cuts
+    }
+
+    /// The rank owning vertex `v`: a binary search over the `p` block
+    /// ends, which skips empty blocks.
+    #[inline]
     pub fn owner(&self, v: Vertex) -> usize {
-        let v = v as usize;
-        debug_assert!(v < self.n);
-        let base = self.n / self.p;
-        let extra = self.n % self.p;
-        // Ranks 0..extra own (base+1) vertices each; the rest own base.
-        let boundary = extra * (base + 1);
-        if v < boundary {
-            v / (base + 1)
-        } else {
-            // When base == 0 every vertex is below `boundary` (= n), so
-            // this division is reached only with base >= 1.
-            debug_assert!(base >= 1);
-            extra + (v - boundary) / base
-        }
+        debug_assert!((v as usize) < self.num_vertices());
+        self.cuts[1..].partition_point(|&end| end <= v)
     }
 
     /// The half-open vertex range owned by `rank`.
     pub fn range(&self, rank: usize) -> Range<Vertex> {
-        assert!(rank < self.p);
-        let base = self.n / self.p;
-        let extra = self.n % self.p;
-        let lo = if rank <= extra {
-            rank * (base + 1)
-        } else {
-            extra * (base + 1) + (rank - extra) * base
-        };
-        let len = if rank < extra { base + 1 } else { base };
-        (lo as Vertex)..((lo + len) as Vertex)
+        self.cuts[rank]..self.cuts[rank + 1]
     }
 }
 
-/// Whether the min-edge scan evaluates arc `(u, v)`: for `u != v`, exactly
-/// one of `(u, v)` and `(v, u)` does, and for `u == v` neither. The end
-/// it picks alternates with `u + v`'s parity, so under the block partition
-/// boundary edges are evaluated from both sides, not all from the lower
-/// rank.
+/// Whether the min-edge scan evaluates arc `(u, v)` of `g` cut by
+/// `partition`: for `u != v`, exactly one of `(u, v)` and `(v, u)` does,
+/// and for `u == v` neither. An edge between two blocks is evaluated from
+/// its end of lower degree. A rank stores every arc of its vertices, so
+/// the ranks holding hubs store more arcs than their share of the scan;
+/// evaluating the hubs' boundary edges from their sparse ends moves that
+/// scan to the other ranks (on the web benchmark graph at two ranks,
+/// 331K / 146K evaluated arcs become 258K / 220K). Any other edge, and a
+/// boundary edge between equal degrees, is evaluated from the end that
+/// `u + v`'s parity picks, so a block's own edges are scanned in the
+/// same layout at any rank count.
 #[inline]
-pub fn evaluates(u: Vertex, v: Vertex) -> bool {
+pub fn evaluates(g: &CsrGraph, partition: &BlockPartition, u: Vertex, v: Vertex) -> bool {
+    evaluates_from(g, &partition.range(partition.owner(u)), u, v)
+}
+
+/// [`evaluates`] for a source `u` of block `block`: only an arc leaving
+/// the block reads the degrees.
+#[inline]
+fn evaluates_from(g: &CsrGraph, block: &Range<Vertex>, u: Vertex, v: Vertex) -> bool {
+    if !block.contains(&v) {
+        let (du, dv) = (g.degree(u), g.degree(v));
+        if du != dv {
+            return du < dv;
+        }
+    }
     (u < v) == ((u ^ v) & 1 == 0)
 }
 
@@ -112,14 +173,17 @@ pub fn evaluates(u: Vertex, v: Vertex) -> bool {
 /// `split..len` to restore their order. Which end an arc takes is a coin
 /// flip per arc, so the position is selected without a branch.
 fn fill_evaluated_first(
+    g: &CsrGraph,
+    partition: &BlockPartition,
     u: Vertex,
     arcs: impl Iterator<Item = (Vertex, Weight)>,
     len: usize,
     mut put: impl FnMut(usize, Vertex, Weight),
 ) -> usize {
+    let block = partition.range(partition.owner(u));
     let (mut front, mut back) = (0, len);
     for (v, w) in arcs {
-        let evaluated = evaluates(u, v);
+        let evaluated = evaluates_from(g, &block, u, v);
         put(if evaluated { front } else { back - 1 }, v, w);
         front += usize::from(evaluated);
         back -= usize::from(!evaluated);
@@ -350,14 +414,15 @@ const UNMAPPED: LocalId = LocalId::MAX;
 /// Splits `g` into `p` rank subgraphs. Vertices with degree at least
 /// `delegate_threshold` (if given) become *delegates*: their adjacency is
 /// dealt round-robin across all ranks, mirroring HavoqGT's vertex-cut
-/// treatment of scale-free hubs. `None` disables delegation.
+/// treatment of scale-free hubs. `None` disables delegation. The blocks
+/// are cut by cost (see the module docs).
 pub fn partition_graph(
     g: &CsrGraph,
     p: usize,
     delegate_threshold: Option<usize>,
 ) -> PartitionedGraph {
     let n = g.num_vertices();
-    let partition = BlockPartition::new(n, p);
+    let partition = cost_cut(g, p, delegate_threshold);
 
     let mut delegates: Vec<Vertex> = match delegate_threshold {
         Some(t) => g.vertices().filter(|&v| g.degree(v) >= t).collect(),
@@ -388,6 +453,55 @@ pub fn partition_graph(
         max_weight: g.weight_range().map_or(0, |(_, hi)| hi),
         max_degree: g.max_degree(),
     }
+}
+
+/// The blocks of `g` over `p` ranks, cut so that every block costs about
+/// the same. With `a` arcs and `l` live vertices (those with at least one
+/// arc), the mean degree is `d = a / l`, and a vertex costs
+///
+/// - `deg(v) + d` when it has arcs and is not a delegate,
+/// - `d` when it is a delegate (its arcs are dealt to every rank),
+/// - 0 when it is isolated.
+///
+/// A block's share of the total is then the mean of its share of the
+/// arcs and its share of the live vertices. Costs are scaled by `l` to
+/// stay integers. Two passes over the degrees: one sums the costs, one
+/// places the cuts. An edgeless graph costs 0 in total; its cut is the
+/// unit-cost cut of [`BlockPartition::new`], so its isolated vertices
+/// spread evenly. At one rank the cut is the single block `0..n`.
+fn cost_cut(g: &CsrGraph, p: usize, delegate_threshold: Option<usize>) -> BlockPartition {
+    let n = g.num_vertices();
+    let arcs = g.num_arcs() as u128;
+    let is_delegate = |deg: usize| delegate_threshold.is_some_and(|t| deg >= t);
+    // Pass 1: live vertices, and the arcs and count of the live
+    // non-delegates, from which the total follows.
+    let (mut live, mut kept_arcs, mut kept) = (0u128, 0u128, 0u128);
+    let mut delegates = 0u128;
+    for v in g.vertices() {
+        let deg = g.degree(v);
+        live += u128::from(deg > 0);
+        if is_delegate(deg) {
+            delegates += 1;
+        } else if deg > 0 {
+            kept_arcs += deg as u128;
+            kept += 1;
+        }
+    }
+    let total = live * kept_arcs + arcs * (kept + delegates);
+    if total == 0 {
+        return BlockPartition::new(n, p);
+    }
+    // Pass 2: the cut.
+    BlockPartition::cut(n, p, total, |v| {
+        let deg = g.degree(v);
+        if is_delegate(deg) {
+            arcs
+        } else if deg > 0 {
+            deg as u128 * live + arcs
+        } else {
+            0
+        }
+    })
 }
 
 /// One rank's global-to-local renumbering: the held vertices are
@@ -468,7 +582,7 @@ fn build_rank(
             continue;
         }
         let (targets, weights) = (&mut targets[row.clone()], &mut weights[row]);
-        let split = fill_evaluated_first(v, g.edges(v), targets.len(), |k, t, w| {
+        let split = fill_evaluated_first(g, partition, v, g.edges(v), targets.len(), |k, t, w| {
             targets[k] = ids.mapped(t);
             weights[k] = w;
         });
@@ -483,9 +597,14 @@ fn build_rank(
         .map(|&d| {
             let share = g.edges(d).enumerate().filter(|(i, _)| i % p == rank);
             let mut slice = vec![(0, 0); g.degree(d).saturating_sub(rank).div_ceil(p)];
-            let split = fill_evaluated_first(d, share.map(|(_, e)| e), slice.len(), |k, t, w| {
-                slice[k] = (ids.mapped(t), w)
-            });
+            let split = fill_evaluated_first(
+                g,
+                partition,
+                d,
+                share.map(|(_, e)| e),
+                slice.len(),
+                |k, t, w| slice[k] = (ids.mapped(t), w),
+            );
             slice[split..].reverse();
             evaluated.push(split as u32);
             slice
@@ -647,15 +766,91 @@ mod tests {
         assert_eq!((edgeless.max_weight, edgeless.max_degree), (0, 0));
     }
 
+    /// Every vertex's owner holds it, the blocks tile `0..n`, and every
+    /// arc is stored once.
+    fn assert_consistent(g: &CsrGraph, pg: &PartitionedGraph) {
+        let p = pg.partition.num_ranks();
+        for v in g.vertices() {
+            let o = pg.partition.owner(v);
+            assert!(pg.ranks[o].owns(v), "owner({v}) = {o}: {:?}", pg.partition);
+        }
+        let sizes: usize = pg.ranks.iter().map(RankGraph::num_owned).sum();
+        assert_eq!(sizes, g.num_vertices());
+        for r in 0..p {
+            assert_eq!(pg.ranks[r].owned, pg.partition.range(r));
+        }
+        let total: usize = pg.ranks.iter().map(|r| r.num_local_arcs()).sum();
+        assert_eq!(total, g.num_arcs());
+    }
+
     #[test]
     fn more_ranks_than_vertices() {
         let g = star_graph(3);
         let pg = partition_graph(&g, 8, None);
-        let total: usize = pg.ranks.iter().map(|r| r.num_local_arcs()).sum();
-        assert_eq!(total, g.num_arcs());
-        for v in 0..3u32 {
-            let o = pg.partition.owner(v);
-            assert!(pg.ranks[o].owns(v));
+        assert_consistent(&g, &pg);
+    }
+
+    /// Three live vertices among ten, at eight ranks: most blocks are
+    /// empty, and every vertex still has exactly one owner.
+    #[test]
+    fn more_ranks_than_live_vertices() {
+        let mut b = GraphBuilder::new(10);
+        b.extend_edges([(4, 5, 1), (5, 6, 2)]);
+        let g = b.build();
+        for p in [3, 5, 8] {
+            let pg = partition_graph(&g, p, None);
+            assert_consistent(&g, &pg);
+            // Only the live vertices carry cost, so past three ranks each
+            // gets a rank of its own and some blocks stay empty.
+            if p > 3 {
+                let mut live_owners: Vec<usize> = (4..7).map(|v| pg.partition.owner(v)).collect();
+                live_owners.dedup();
+                assert_eq!(live_owners.len(), 3, "p={p}: {:?}", pg.partition);
+                assert!(
+                    (0..p).any(|r| pg.partition.range(r).is_empty()),
+                    "p={p}: {:?}",
+                    pg.partition
+                );
+            }
+        }
+    }
+
+    /// An edgeless graph costs 0 in total, and its cut is the unit-cost
+    /// one: sizes differ by at most one.
+    #[test]
+    fn edgeless_graph_gets_the_unit_cut() {
+        for (n, p) in [(10, 3), (2, 5), (0, 4)] {
+            let g = GraphBuilder::new(n).build();
+            let pg = partition_graph(&g, p, None);
+            assert_eq!(pg.partition, BlockPartition::new(n, p), "n={n} p={p}");
+            assert_consistent(&g, &pg);
+        }
+        let pg = partition_graph(&GraphBuilder::new(10).build(), 3, None);
+        assert_eq!(pg.partition.cuts(), &[0, 4, 7, 10]);
+    }
+
+    /// A hub holding every arc costs its degree plus the mean degree, so
+    /// it gets a block to itself; as a delegate it costs the mean degree
+    /// only, like each leaf's mean-degree part.
+    #[test]
+    fn star_hub_gets_a_block_of_its_own() {
+        let g = star_graph(9);
+        let pg = partition_graph(&g, 4, None);
+        assert_consistent(&g, &pg);
+        // Hub 8 * 9 + 16 = 88, leaves 9 + 16 = 25 each, 288 in all.
+        assert_eq!(pg.partition.cuts(), &[0, 1, 4, 7, 9]);
+        let delegated = partition_graph(&g, 4, Some(5));
+        assert_consistent(&g, &delegated);
+        // Hub 16, leaves 25 each, 216 in all: 54 per rank.
+        assert_eq!(delegated.partition.cuts(), &[0, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn one_rank_is_one_block() {
+        let g = star_graph(9);
+        for thresh in [None, Some(3)] {
+            let pg = partition_graph(&g, 1, thresh);
+            assert_eq!(pg.partition.cuts(), &[0, 9]);
         }
     }
 }

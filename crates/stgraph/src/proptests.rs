@@ -48,6 +48,14 @@ fn arb_family_graph() -> impl Strategy<Value = CsrGraph> {
     })
 }
 
+/// Strategy: up to 200 vertex costs, about a quarter of them zero.
+fn arb_costs() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(
+        (0..4u32, 1..1000u64).prop_map(|(zero, c)| if zero == 0 { 0 } else { c }),
+        0..200,
+    )
+}
+
 proptest! {
     #[test]
     fn built_graphs_satisfy_invariants(g in arb_graph(40, 200)) {
@@ -80,6 +88,68 @@ proptest! {
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         prop_assert!(max - min <= 1, "unbalanced: {:?}", sizes);
+    }
+
+    /// The cut over any costs, zeros included: `p` contiguous blocks
+    /// covering `0..n`, `owner` agreeing with `range`, and no block
+    /// costing more than `total / p` plus the largest single cost.
+    #[test]
+    fn cost_cut_is_contiguous_and_balanced(costs in arb_costs(), p in 1usize..17) {
+        let n = costs.len();
+        let total: u128 = costs.iter().map(|&c| c as u128).sum();
+        let part = BlockPartition::cut(n, p, total, |v| costs[v as usize] as u128);
+        let cuts = part.cuts();
+        prop_assert_eq!(cuts.len(), p + 1);
+        prop_assert_eq!((cuts[0], cuts[p]), (0, n as Vertex));
+        prop_assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "not contiguous: {:?}", cuts);
+        let largest = costs.iter().copied().max().unwrap_or(0) as u128;
+        for rank in 0..p {
+            let range = part.range(rank);
+            for v in range.clone() {
+                prop_assert_eq!(part.owner(v), rank);
+            }
+            let cost: u128 = range.map(|v| costs[v as usize] as u128).sum();
+            prop_assert!(
+                cost * p as u128 <= total + p as u128 * largest,
+                "rank {} costs {} of {} (largest {}): {:?}", rank, cost, total, largest, cuts
+            );
+        }
+    }
+
+    /// `partition_graph` cuts by the mixed cost: `deg(v) + d` per vertex
+    /// with arcs, `d` per delegate and 0 per isolated vertex, with `d`
+    /// the mean degree of the live vertices (scaled by their count). An
+    /// edgeless graph gets the unit-cost cut. Every rank owns its block.
+    #[test]
+    fn partition_cuts_by_degree_plus_mean_degree(
+        g in arb_graph(40, 120),
+        p in 1usize..9,
+        thresh in proptest::option::of(1usize..8),
+    ) {
+        let n = g.num_vertices();
+        let arcs = g.num_arcs() as u128;
+        let live = g.vertices().filter(|&v| g.degree(v) > 0).count() as u128;
+        let costs: Vec<u128> = g.vertices().map(|v| {
+            let deg = g.degree(v);
+            if thresh.is_some_and(|t| deg >= t) {
+                arcs
+            } else if deg > 0 {
+                deg as u128 * live + arcs
+            } else {
+                0
+            }
+        }).collect();
+        let total: u128 = costs.iter().sum();
+        let expect = if total == 0 {
+            BlockPartition::new(n, p)
+        } else {
+            BlockPartition::cut(n, p, total, |v| costs[v as usize])
+        };
+        let pg = partition_graph(&g, p, thresh);
+        prop_assert_eq!(&pg.partition, &expect);
+        for (rank, rg) in pg.ranks.iter().enumerate() {
+            prop_assert_eq!(rg.owned.clone(), expect.range(rank));
+        }
     }
 
     #[test]
@@ -162,8 +232,8 @@ proptest! {
                         let arcs: Vec<_> = arcs.iter().map(|&(v, w)| (rg.global_id(v), w)).collect();
                         let prefix = rg.num_evaluated(i);
                         prop_assert!(
-                            arcs[..prefix].iter().all(|&(v, _)| evaluates(u, v))
-                                && arcs[prefix..].iter().all(|&(v, _)| !evaluates(u, v)),
+                            arcs[..prefix].iter().all(|&(v, _)| evaluates(&g, &pg.partition, u, v))
+                                && arcs[prefix..].iter().all(|&(v, _)| !evaluates(&g, &pg.partition, u, v)),
                             "source {} at p={} threshold={:?}: prefix {} is not the evaluated arcs",
                             u, p, threshold, prefix
                         );

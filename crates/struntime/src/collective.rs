@@ -246,10 +246,12 @@ impl Comm {
             }
         }
         // Collect: each rank takes its row; the last one clears the slot,
-        // so the next collective's entry barrier finds it empty.
+        // so the next collective's entry barrier finds it empty. Every
+        // rank has deposited, so the step polls no abort: a rank whose
+        // peer dies after this barrier still completes the exchange.
         self.barrier();
         let row = {
-            self.pause(SyncPoint::CollectiveSlot);
+            self.pause_past_last_barrier(SyncPoint::CollectiveSlot);
             let mut slot = self.shared().collective_slot.lock();
             let entry = match slot.as_mut() {
                 Some(e) => e,

@@ -84,6 +84,7 @@ use shared::{ChannelSlot, Shared};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use trace::TraceBuffer;
 
 /// A rank's handle to the world: identity, channels, collectives, counters.
@@ -106,6 +107,8 @@ pub struct Comm {
     /// The packing survives a round-trip through JSON's f64 numbers for
     /// up to 2^13 ranks x 2^40 messages (< 2^53).
     lineage_seq: AtomicU64,
+    /// Nanoseconds this rank has spent blocked (see [`Comm::wait_time`]).
+    wait_ns: AtomicU64,
 }
 
 impl Comm {
@@ -129,9 +132,27 @@ impl Comm {
     pub fn barrier(&self) {
         self.pause(SyncPoint::Barrier);
         self.counters.count_barrier();
-        if !self.shared.barrier.wait(&self.shared.abort) {
-            self.shared.poll_abort(self.rank);
+        match self.shared.barrier.wait(&self.shared.abort) {
+            Some(waited) => self.add_wait(waited),
+            None => self.shared.poll_abort(self.rank),
         }
+    }
+
+    /// Time this rank has spent blocked since it started: in barriers,
+    /// from its arrival to the release (collectives included, since they
+    /// synchronize through barriers), and in traversals' idle set, from
+    /// joining it to leaving it or to termination. It only grows, so a
+    /// caller charges a span of work with the difference of two reads.
+    /// Measured on every run at one clock read per barrier and per idle
+    /// spell; it never feeds control flow.
+    pub fn wait_time(&self) -> Duration {
+        Duration::from_nanos(self.wait_ns.load(Ordering::Relaxed))
+    }
+
+    /// Adds `waited` to [`Comm::wait_time`].
+    pub(crate) fn add_wait(&self, waited: Duration) {
+        self.wait_ns
+            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// This rank's schedule perturber, when the world runs under
@@ -149,6 +170,17 @@ impl Comm {
     /// perturber decision, so arming it leaves schedules bit-identical.
     pub(crate) fn pause(&self, point: SyncPoint) {
         self.shared.poll_abort(self.rank);
+        self.pause_past_last_barrier(point);
+    }
+
+    /// [`Comm::pause`] without the abort poll, for a collective's steps
+    /// that run after its last barrier. Every peer has then reached the
+    /// barrier, so no step waits on a dead one, and a rank finishes the
+    /// collective and the straight-line code after it (a phase checkpoint
+    /// write) before it unwinds at its next sync point. The perturbation
+    /// and fault hooks still run, so `crash_at_sync` ordinals do not
+    /// change.
+    pub(crate) fn pause_past_last_barrier(&self, point: SyncPoint) {
         if let Some(p) = &self.perturb {
             p.pause(point);
         }

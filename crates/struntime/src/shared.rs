@@ -159,12 +159,14 @@ impl AbortableBarrier {
         }
     }
 
-    /// Blocks until all `count` ranks arrive (returns `true`) or `abort`
-    /// is observed raised (returns `false`, leaving the rendezvous
-    /// incomplete — the world is going down and no rank will reuse it).
-    pub fn wait(&self, abort: &AtomicBool) -> bool {
+    /// Blocks until all `count` ranks arrive, returning how long this
+    /// rank waited from its arrival to the release (zero for the last to
+    /// arrive, which reads no clock), or until `abort` is observed raised
+    /// (returns `None`, leaving the rendezvous incomplete — the world is
+    /// going down and no rank will reuse it).
+    pub fn wait(&self, abort: &AtomicBool) -> Option<Duration> {
         if abort.load(Ordering::SeqCst) {
-            return false;
+            return None;
         }
         // Read before arriving: the generation cannot advance until this
         // rank has arrived, so `gen` is the one this arrival belongs to.
@@ -178,19 +180,20 @@ impl AbortableBarrier {
                 let _guard = self.lock();
                 self.cvar.notify_all();
             }
-            return true;
+            return Some(Duration::ZERO);
         }
+        // The clock bounds the spin and measures the wait; it never feeds
+        // a result.
+        // stcheck: allow(wallclock): spin bound and wait measurement only.
+        let start = Instant::now();
         if !self.spin_limit.is_zero() {
-            // The clock bounds the spin only; it never feeds a result.
-            // stcheck: allow(wallclock): spin bound, synchronization only.
-            let start = Instant::now();
             while start.elapsed() < self.spin_limit {
                 for _ in 0..SPINS_PER_CLOCK_READ {
                     if self.generation.load(Ordering::SeqCst) != gen {
-                        return true;
+                        return Some(start.elapsed());
                     }
                     if abort.load(Ordering::SeqCst) {
-                        return false;
+                        return None;
                     }
                     std::hint::spin_loop();
                 }
@@ -208,7 +211,7 @@ impl AbortableBarrier {
             guard = self.cvar.wait(guard).unwrap_or_else(|e| e.into_inner());
         };
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        released
+        released.then(|| start.elapsed())
     }
 
     /// Poison-tolerant lock: the barrier is the abort path's wake
@@ -423,7 +426,7 @@ mod tests {
                 let abort = AtomicBool::new(false);
                 (1..=ROUNDS).all(|round| {
                     e.fetch_add(1, Ordering::SeqCst);
-                    let ok = b.wait(&abort);
+                    let ok = b.wait(&abort).is_some();
                     // Nobody leaves round `round` before all P entered it.
                     ok && e.load(Ordering::SeqCst) >= round * P
                 })
@@ -448,7 +451,10 @@ mod tests {
         let (b, a) = (Arc::clone(&barrier), Arc::clone(&abort));
         let released = on_threads(P - 1, move |_| b.wait(&a));
         raiser.join().unwrap();
-        assert!(released.iter().all(|&ok| !ok), "abort must report abort");
+        assert!(
+            released.iter().all(Option::is_none),
+            "abort must report abort"
+        );
         assert_eq!(barrier.sleepers.load(Ordering::SeqCst), 0, "none parked");
     }
 
@@ -466,7 +472,10 @@ mod tests {
         let (b, a) = (Arc::clone(&barrier), Arc::clone(&abort));
         let released = on_threads(P - 1, move |_| b.wait(&a));
         raiser.join().unwrap();
-        assert!(released.iter().all(|&ok| !ok), "abort must report abort");
+        assert!(
+            released.iter().all(Option::is_none),
+            "abort must report abort"
+        );
     }
 
     #[test]
@@ -496,10 +505,35 @@ mod tests {
             let b = Arc::clone(&barrier);
             let released = on_threads(3, move |_| {
                 let abort = AtomicBool::new(false);
-                (0..5).all(|_| b.wait(&abort))
+                (0..5).all(|_| b.wait(&abort).is_some())
             });
             assert!(released.into_iter().all(|ok| ok), "limit {limit:?}");
             assert_eq!(barrier.generation.load(Ordering::SeqCst), 3);
+        }
+    }
+
+    /// The last rank to arrive waits zero; an earlier one waits at least
+    /// as long as the last one kept it waiting, whether it parked at once
+    /// or spun first. The late rank holds back until the early one is
+    /// parked, so the early one's clock is running.
+    #[test]
+    fn wait_measures_arrival_to_release() {
+        for limit in [Duration::ZERO, SPIN_LIMIT] {
+            let barrier = Arc::new(AbortableBarrier::with_spin_limit(2, limit));
+            let b = Arc::clone(&barrier);
+            let waits = on_threads(2, move |i| {
+                let abort = AtomicBool::new(false);
+                if i == 1 {
+                    until(|| b.sleepers.load(Ordering::SeqCst) == 1);
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                b.wait(&abort).expect("released")
+            });
+            assert_eq!(waits[1], Duration::ZERO, "limit {limit:?}");
+            assert!(
+                waits[0] >= Duration::from_millis(20),
+                "limit {limit:?}: {waits:?}"
+            );
         }
     }
 
@@ -525,7 +559,7 @@ mod tests {
     fn abort_already_raised_skips_the_wait() {
         let barrier = AbortableBarrier::new(4);
         let abort = AtomicBool::new(true);
-        assert!(!barrier.wait(&abort));
+        assert_eq!(barrier.wait(&abort), None);
     }
 
     #[test]

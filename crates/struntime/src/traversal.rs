@@ -120,7 +120,7 @@ use crate::wire::{decode_batch, encode_batch, DeepBytes, Wire};
 use crate::Comm;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default visitors per network batch (HavoqGT-style aggregation).
 pub const DEFAULT_BATCH_SIZE: usize = 64;
@@ -696,7 +696,9 @@ where
     let mut local_buf: Vec<V> = Vec::new();
     let mut local_meta: Vec<VisitMeta> = Vec::new();
     let mut outgoing: Vec<OutBuf<V>> = (0..p).map(|_| OutBuf::default()).collect();
-    let mut idle = false;
+    // When this rank joined the idle set, while it is in it: the spell
+    // is charged to `Comm::wait_time` when it leaves or terminates.
+    let mut idle: Option<Instant> = None;
     let traversal_span = comm.trace_span("traversal");
 
     // A one-rank world has no other sender, so nothing can arrive: it
@@ -716,17 +718,17 @@ where
                 // race window so the detector can misfire.
                 q.received.fetch_add(1, SeqCst);
                 std::thread::sleep(mutant_delay);
-                if idle {
+                if let Some(since) = idle.take() {
                     comm.pause(SyncPoint::IdleExit);
                     q.idle.fetch_sub(1, SeqCst);
-                    idle = false;
+                    comm.add_wait(since.elapsed());
                     comm.trace_event(TraceEventKind::SpanEnd, "idle", 0);
                 }
             } else {
-                if idle {
+                if let Some(since) = idle.take() {
                     comm.pause(SyncPoint::IdleExit);
                     q.idle.fetch_sub(1, SeqCst);
-                    idle = false;
+                    comm.add_wait(since.elapsed());
                     comm.trace_event(TraceEventKind::SpanEnd, "idle", 0);
                 }
                 q.received.fetch_add(1, SeqCst);
@@ -780,7 +782,7 @@ where
         });
         stats.stale_dropped += dropped;
         if let Some((meta, v)) = popped {
-            debug_assert!(!idle, "queue cannot be non-empty while idle");
+            debug_assert!(idle.is_none(), "queue cannot be non-empty while idle");
             let meta = meta.visit_meta();
             let visit_start = lineage.now_us(comm);
             if lineage.enabled {
@@ -866,10 +868,11 @@ where
         }
 
         // Locally quiet: join the idle set and watch for termination.
-        if !idle {
+        if idle.is_none() {
             comm.pause(SyncPoint::IdleEnter);
             q.idle.fetch_add(1, SeqCst);
-            idle = true;
+            // stcheck: allow(wallclock): wait measurement only.
+            idle = Some(Instant::now());
             comm.trace_event(TraceEventKind::SpanBegin, "idle", 0);
         }
         if q.done.load(SeqCst) {
@@ -891,7 +894,8 @@ where
         std::thread::yield_now();
     }
 
-    if idle {
+    if let Some(since) = idle {
+        comm.add_wait(since.elapsed());
         // Close the open idle span so begin/end events stay paired.
         comm.trace_event(TraceEventKind::SpanEnd, "idle", 0);
     }

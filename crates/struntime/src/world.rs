@@ -105,6 +105,7 @@ impl JobSetup {
             faults: self.injectors.as_ref().map(|i| Arc::clone(&i[rank])),
             traversal_totals: [AtomicU64::new(0), AtomicU64::new(0)],
             lineage_seq: AtomicU64::new(0),
+            wait_ns: AtomicU64::new(0),
         };
         // stlint: catch-unwind-justify — rank isolation: a dying rank must
         // raise the abort epoch right here, before its thread reports, so

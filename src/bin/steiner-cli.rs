@@ -74,7 +74,8 @@ tree.
 --trace writes a Chrome-trace/Perfetto JSON timeline of the solve (one
 lane per simulated rank, with counter tracks for queue depth and bytes,
 visits, stale drops and memory); --report writes the machine-readable
-RunReport (schema v11, with latency quantiles from the runtime's
+RunReport (schema v12, with each rank's phase times and the part of
+each it spent waiting, latency quantiles from the runtime's
 histograms, the fault/retransmit counters, per-rank stale-relaxation drop
 and pruned-at-push counts, the crash-recovery counters, the Borůvka round
 counters under --mst dist, and — when tracing — per-phase peak-memory
@@ -408,9 +409,20 @@ fn cmd_solve(flags: &HashMap<String, String>) -> Result<(), String> {
     println!("total distance {}", tree.total_distance());
     println!("steiner verts  {}", tree.steiner_vertices().len());
     println!("wall time      {wall:?}");
-    println!("phase breakdown (max across {} ranks):", config.num_ranks);
+    println!(
+        "phase breakdown (max across {} ranks; wait per rank):",
+        config.num_ranks
+    );
     for (phase, time) in report.phase_times.iter() {
-        println!("  {:<16} {time:?}", phase.name());
+        let waits: Vec<String> = (report.rank_phase_wait.iter())
+            .map(|w| format!("{:.3}", w[phase].as_secs_f64() * 1e3))
+            .collect();
+        println!(
+            "  {:<16} {:<14} wait ms [{}]",
+            phase.name(),
+            format!("{time:?}"),
+            waits.join(" ")
+        );
     }
     if let Some(stats) = &report.boruvka {
         println!(

@@ -84,7 +84,15 @@ fn solve_reports_tree_and_phases() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("total distance"), "{text}");
-    assert!(text.contains("voronoi"), "{text}");
+    // Each phase line carries one wait per rank.
+    let voronoi = (text.lines())
+        .find(|l| l.trim_start().starts_with("voronoi"))
+        .unwrap_or_else(|| panic!("no voronoi line: {text}"));
+    let waits = voronoi.split("wait ms [").nth(1).expect("wait column");
+    let waits: Vec<f64> = (waits.trim_end_matches(']').split_whitespace())
+        .map(|w| w.parse().expect("wait in ms"))
+        .collect();
+    assert_eq!(waits.len(), 2, "{voronoi}");
     let dot_text = std::fs::read_to_string(&dot).expect("dot written");
     assert!(dot_text.starts_with("graph steiner_tree"));
     let tree_text = std::fs::read_to_string(dir.join("tree.txt")).expect("tree written");
