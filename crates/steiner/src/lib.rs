@@ -216,11 +216,16 @@ pub struct SolveReport {
     /// and tree edges; the local min-edge exchange runs none) — the
     /// simulation's work metric.
     pub rank_work: Vec<u64>,
-    /// Per-rank Voronoi relaxations that never became visits: dropped by
-    /// the stale filter at queue admission or at pop (the priority
-    /// discipline's decrease-key emulation; all-zero under
-    /// FIFO/adversarial queues).
+    /// Per-rank Voronoi relaxations that never became visits: the sum of
+    /// `admission_drops` and `pop_drops` (the priority discipline's
+    /// decrease-key emulation; all-zero under FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
+    /// Per-rank inbound Voronoi relaxations dropped at queue admission:
+    /// not below the target's label when they arrived.
+    pub admission_drops: Vec<u64>,
+    /// Per-rank queued Voronoi entries dropped at pop: their vertex's
+    /// label had been expanded already.
+    pub pop_drops: Vec<u64>,
     /// Per-rank Voronoi relaxations the priority discipline resolved by a
     /// label comparison before they were pushed, so they never became
     /// messages (see [`voronoi`], "Stale-relaxation filtering"; all-zero
@@ -520,6 +525,8 @@ fn assemble_report(
     let mut rank_phase_wait = Vec::with_capacity(p);
     let mut rank_work = Vec::with_capacity(p);
     let mut stale_drops = Vec::with_capacity(p);
+    let mut admission_drops = Vec::with_capacity(p);
+    let mut pop_drops = Vec::with_capacity(p);
     let mut pruned_at_push = Vec::with_capacity(p);
     let mut dg_edges = 0;
     for r in &out.results {
@@ -531,7 +538,9 @@ fn assemble_report(
         rank_phase_times.push(times);
         rank_phase_wait.push(wait);
         rank_work.push(work.processed);
-        stale_drops.push(work.stale_dropped);
+        stale_drops.push(work.admission_dropped + work.pop_dropped);
+        admission_drops.push(work.admission_dropped);
+        pop_drops.push(work.pop_dropped);
         pruned_at_push.push(work.pruned_at_push);
         dg_edges = dg_edges.max(r.progress.dg_len);
     }
@@ -561,6 +570,8 @@ fn assemble_report(
         distance_graph_edges: dg_edges,
         rank_work,
         stale_drops,
+        admission_drops,
+        pop_drops,
         pruned_at_push,
         config: *config,
         trace: out.trace,
@@ -664,7 +675,8 @@ fn rank_main(
                 );
                 comm.trace_counter("arena_bytes", scratch.memory_bytes() as u64);
                 progress.work.processed += stats.processed;
-                progress.work.stale_dropped += stats.stale_dropped;
+                progress.work.admission_dropped += stats.admission_dropped;
+                progress.work.pop_dropped += stats.pop_dropped;
                 progress.work.pruned_at_push += stats.pruned_at_push;
             }
             // Step 2: local min-distance cross-cell edges (Alg 5, local

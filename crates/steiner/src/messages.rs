@@ -7,8 +7,8 @@
 //! buffers and charge their exact wire size. The visitors also implement
 //! [`DeepBytes`] (all messages are plain-old-data, so they own no heap).
 
-use crate::state::Label;
-use stgraph::csr::{Vertex, Weight};
+use crate::state::{Label, NO_VERTEX};
+use stgraph::csr::{Distance, Vertex};
 use stgraph::partition::LocalId;
 use struntime::{DeepBytes, Wire};
 
@@ -17,21 +17,20 @@ use struntime::{DeepBytes, Wire};
 /// A message names its vertex by its held local id on the rank that
 /// visits it (see `stgraph::partition`): the sender resolves it from its
 /// ghost table or the delegate's replica slot, so the visit indexes state
-/// directly. Labels keep global ids.
+/// directly. Labels keep global ids. Under the priority discipline a rank
+/// queues only the held id an admitted message names (see
+/// `crate::voronoi`); the full-delivery disciplines queue the message.
 #[derive(Clone, Copy, Debug)]
 pub enum VoronoiMsg {
     /// Local bootstrap: relax the outgoing arcs of the seed held at this
     /// local id (its adjacency, or this rank's slice if it is a delegate).
     Start(LocalId),
-    /// Relaxation of `target` with a candidate label; `pred_weight` is the
-    /// weight of the `(label.pred, target)` edge.
+    /// Relaxation of `target` with a candidate label.
     Relax {
         /// Local id of the vertex being relaxed.
         target: LocalId,
         /// Candidate label.
         label: Label,
-        /// Weight of the predecessor edge carried with the label.
-        pred_weight: Weight,
     },
     /// Controller broadcast: delegate `target`'s replicated label improved.
     DelegateUpdate {
@@ -39,30 +38,33 @@ pub enum VoronoiMsg {
         target: LocalId,
         /// Its new label.
         label: Label,
-        /// Weight of the predecessor edge.
-        pred_weight: Weight,
     },
 }
 
-impl VoronoiMsg {
-    /// Queue priority: the paper's optimization gives precedence to
-    /// messages from vertices at lower distance.
-    pub fn priority(&self) -> u64 {
-        match self {
-            VoronoiMsg::Start(_) => 0,
-            VoronoiMsg::Relax { label, .. } | VoronoiMsg::DelegateUpdate { label, .. } => {
-                label.dist
-            }
-        }
-    }
-}
-
 /// Tree-edge phase messages (Alg 6): trace the predecessor chain of a
-/// vertex back to its cell's seed.
+/// vertex back to its cell's seed. A message sent along a chain names the
+/// vertex it came from and that vertex's distance, so the visit derives
+/// the edge's weight as `child_dist - d_1(vertex)`.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceMsg {
     /// Vertex whose predecessor chain should be walked.
     pub vertex: Vertex,
+    /// The vertex whose predecessor `vertex` is, or [`NO_VERTEX`] for a
+    /// bridge endpoint, where a trace starts.
+    pub child: Vertex,
+    /// `child`'s distance to its seed (0 for a bridge endpoint).
+    pub child_dist: Distance,
+}
+
+impl TraceMsg {
+    /// The trace that starts at bridge endpoint `vertex`.
+    pub fn start(vertex: Vertex) -> TraceMsg {
+        TraceMsg {
+            vertex,
+            child: NO_VERTEX,
+            child_dist: 0,
+        }
+    }
 }
 
 // ---- wire codec -----------------------------------------------------------
@@ -71,8 +73,8 @@ impl Wire for VoronoiMsg {
     fn encoded_len(&self) -> usize {
         match self {
             VoronoiMsg::Start(_) => 1 + 4,
-            // tag + target + label (dist, src, pred) + pred_weight
-            VoronoiMsg::Relax { .. } | VoronoiMsg::DelegateUpdate { .. } => 1 + 4 + 16 + 8,
+            // tag + target + label (dist, src, pred)
+            VoronoiMsg::Relax { .. } | VoronoiMsg::DelegateUpdate { .. } => 1 + 4 + 16,
         }
     }
 
@@ -82,25 +84,15 @@ impl Wire for VoronoiMsg {
                 out.push(0);
                 s.encode_into(out);
             }
-            VoronoiMsg::Relax {
-                target,
-                label,
-                pred_weight,
-            } => {
+            VoronoiMsg::Relax { target, label } => {
                 out.push(1);
                 target.encode_into(out);
                 label.encode_into(out);
-                pred_weight.encode_into(out);
             }
-            VoronoiMsg::DelegateUpdate {
-                target,
-                label,
-                pred_weight,
-            } => {
+            VoronoiMsg::DelegateUpdate { target, label } => {
                 out.push(2);
                 target.encode_into(out);
                 label.encode_into(out);
-                pred_weight.encode_into(out);
             }
         }
     }
@@ -111,19 +103,10 @@ impl Wire for VoronoiMsg {
             tag @ (1 | 2) => {
                 let target = Vertex::decode_from(buf, pos)?;
                 let label = Label::decode_from(buf, pos)?;
-                let pred_weight = Weight::decode_from(buf, pos)?;
                 Some(if tag == 1 {
-                    VoronoiMsg::Relax {
-                        target,
-                        label,
-                        pred_weight,
-                    }
+                    VoronoiMsg::Relax { target, label }
                 } else {
-                    VoronoiMsg::DelegateUpdate {
-                        target,
-                        label,
-                        pred_weight,
-                    }
+                    VoronoiMsg::DelegateUpdate { target, label }
                 })
             }
             _ => None,
@@ -137,21 +120,11 @@ impl DeepBytes for VoronoiMsg {
     }
 }
 
-impl Wire for TraceMsg {
-    fn encoded_len(&self) -> usize {
-        4
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.vertex.encode_into(out);
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        Some(TraceMsg {
-            vertex: Vertex::decode_from(buf, pos)?,
-        })
-    }
-}
+struntime::wire_struct!(TraceMsg {
+    vertex,
+    child,
+    child_dist
+});
 
 impl DeepBytes for TraceMsg {
     fn heap_bytes(&self) -> usize {
@@ -173,21 +146,14 @@ mod tests {
         };
         let msgs = [
             VoronoiMsg::Start(42),
-            VoronoiMsg::Relax {
-                target: 7,
-                label,
-                pred_weight: 5,
-            },
-            VoronoiMsg::DelegateUpdate {
-                target: 8,
-                label,
-                pred_weight: 2,
-            },
+            VoronoiMsg::Relax { target: 7, label },
+            VoronoiMsg::DelegateUpdate { target: 8, label },
         ];
         let mut buf = Vec::new();
         encode_batch(&msgs, &mut buf);
         let expect: usize = msgs.iter().map(Wire::encoded_len).sum();
         assert_eq!(buf.len(), expect);
+        assert_eq!(msgs[1].encoded_len(), 21, "a Relax is 21 wire bytes");
         let back = decode_batch::<VoronoiMsg>(&buf, msgs.len()).expect("round trip");
         for (a, b) in msgs.iter().zip(&back) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
@@ -196,12 +162,23 @@ mod tests {
 
     #[test]
     fn trace_msgs_round_trip() {
-        let t = [TraceMsg { vertex: 77 }];
+        let t = [
+            TraceMsg::start(77),
+            TraceMsg {
+                vertex: 5,
+                child: 6,
+                child_dist: 40,
+            },
+        ];
         let mut buf = Vec::new();
         encode_batch(&t, &mut buf);
-        assert_eq!(buf.len(), 4);
-        let back = decode_batch::<TraceMsg>(&buf, 1).expect("round trip");
-        assert_eq!(back[0].vertex, 77);
+        assert_eq!(buf.len(), 2 * 16);
+        let back = decode_batch::<TraceMsg>(&buf, 2).expect("round trip");
+        assert_eq!((back[0].vertex, back[0].child), (77, NO_VERTEX));
+        assert_eq!(
+            (back[1].vertex, back[1].child, back[1].child_dist),
+            (5, 6, 40)
+        );
     }
 
     #[test]
@@ -210,13 +187,15 @@ mod tests {
         assert!(VoronoiMsg::decode_from(&[9, 0, 0, 0, 0], &mut pos).is_none());
     }
 
-    /// A queued Voronoi visitor is 32 B; its priority-ring entry adds the
-    /// 4 B bucket-list link, and the 16 B lineage metadata only when
-    /// observed.
+    /// The priority discipline queues a Voronoi vertex's 4 B held id, and
+    /// its ring entry adds the 4 B bucket-list link, plus the 16 B
+    /// lineage metadata only when observed. The full-delivery disciplines
+    /// queue the 24 B message.
     #[test]
-    fn voronoi_queue_entries_drop_lineage_metadata_when_unobserved() {
-        assert_eq!(std::mem::size_of::<VoronoiMsg>(), 32);
-        assert_eq!(struntime::queue_entry_bytes::<VoronoiMsg>(false), 36);
-        assert_eq!(struntime::queue_entry_bytes::<VoronoiMsg>(true), 52);
+    fn voronoi_queue_entries_are_held_ids() {
+        use crate::voronoi::QueuedId;
+        assert_eq!(struntime::queue_entry_bytes::<QueuedId>(false), 8);
+        assert_eq!(struntime::queue_entry_bytes::<QueuedId>(true), 24);
+        assert_eq!(std::mem::size_of::<VoronoiMsg>(), 24);
     }
 }

@@ -123,20 +123,24 @@ pub struct RecoveryStats {
 }
 
 /// One rank's work counters, summed over the phases it has run; the
-/// report's `rank_work`, `stale_drops` and `pruned_at_push` come from them.
+/// report's `rank_work`, `admission_drops`, `pop_drops`, `stale_drops`
+/// and `pruned_at_push` come from them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Work {
     /// Visitors processed.
     pub processed: u64,
-    /// Voronoi relaxations the queue's stale filter dropped.
-    pub stale_dropped: u64,
+    /// Inbound Voronoi relaxations dropped at queue admission.
+    pub admission_dropped: u64,
+    /// Queued Voronoi entries dropped at pop.
+    pub pop_dropped: u64,
     /// Voronoi relaxations pruned before they were pushed.
     pub pruned_at_push: u64,
 }
 
 struntime::wire_struct!(Work {
     processed,
-    stale_dropped,
+    admission_dropped,
+    pop_dropped,
     pruned_at_push
 });
 
@@ -291,7 +295,8 @@ mod tests {
         let mut progress = Progress {
             work: Work {
                 processed: 42,
-                stale_dropped: 7,
+                admission_dropped: 3,
+                pop_dropped: 7,
                 pruned_at_push: 5,
             },
             local: Some(vec![((0, 1), edge(7, 1, 2))]),

@@ -113,7 +113,15 @@ use struntime::{QueueKind, TraceDump, TraceEventKind};
 /// is the difference. Strict superset, and breaking for the usual
 /// reason: a v11 reader would read `phase_times_us`, the maximum over
 /// ranks, as work when it can be one rank waiting for another.
-pub const SCHEMA_VERSION: u64 = 12;
+///
+/// **v12 → v13**: adds the `admission_drops` and `pop_drops` objects
+/// (`total` plus `per_rank`), which split `stale_drops`: Voronoi
+/// relaxations dropped as they arrived from another rank, and queued
+/// vertex entries dropped at pop because their label had been expanded
+/// already. `stale_drops` stays their sum. Strict superset, and breaking
+/// for the usual reason: a v12 reader would read a move between the two
+/// halves as no change at all.
+pub const SCHEMA_VERSION: u64 = 13;
 
 /// The configuration a solve ran with, reduced to plain strings and
 /// numbers for the report.
@@ -245,6 +253,10 @@ pub struct RunReport {
     /// the priority discipline's stale filter at queue admission or at pop
     /// (v4; all-zero under FIFO/adversarial queues).
     pub stale_drops: Vec<u64>,
+    /// The admission half of `stale_drops` (v13).
+    pub admission_drops: Vec<u64>,
+    /// The pop half of `stale_drops` (v13).
+    pub pop_drops: Vec<u64>,
     /// Voronoi relaxations per rank the priority discipline pruned before
     /// they were pushed (v9; all-zero under FIFO/adversarial queues).
     pub pruned_at_push: Vec<u64>,
@@ -288,7 +300,8 @@ impl RunReport {
     /// `phase_times_us`, `rank_phase_times_us`, `rank_phase_wait_us`,
     /// `total_time_us`, `message_counts`,
     /// `graph_bytes`, `state_peak_bytes`, `distance_graph_edges`,
-    /// `rank_work`, `stale_drops`, `pruned_at_push`, `sync_points`,
+    /// `rank_work`, `stale_drops`, `admission_drops`, `pop_drops`,
+    /// `pruned_at_push`, `sync_points`,
     /// `simulated_speedup`, `imbalance_ratio`, `critical_path`,
     /// `latency_quantiles`, `faults`, `peak_memory`,
     /// `recovery`, `boruvka`, `tree`.
@@ -341,6 +354,8 @@ impl RunReport {
                 Json::Arr(self.rank_work.iter().map(|&w| Json::from(w)).collect()),
             )
             .with("stale_drops", per_rank_json(&self.stale_drops))
+            .with("admission_drops", per_rank_json(&self.admission_drops))
+            .with("pop_drops", per_rank_json(&self.pop_drops))
             .with("pruned_at_push", per_rank_json(&self.pruned_at_push))
             .with(
                 "sync_points",
@@ -549,6 +564,8 @@ impl SolveReport {
             distance_graph_edges: self.distance_graph_edges,
             rank_work: self.rank_work.clone(),
             stale_drops: self.stale_drops.clone(),
+            admission_drops: self.admission_drops.clone(),
+            pop_drops: self.pop_drops.clone(),
             pruned_at_push: self.pruned_at_push.clone(),
             sync_points: self.sync_points,
             simulated_speedup: self.simulated_speedup(),
@@ -580,8 +597,8 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
                 "schema_version {found} report found; this build reads v{SCHEMA_VERSION} \
                  — regenerate the report with current binaries (version history, \
                  including when the faults, stale_drops, peak_memory, recovery, \
-                 boruvka, pruned_at_push, sync_points and per-rank phase sections \
-                 were added and timeseries removed: report::SCHEMA_VERSION docs)"
+                 boruvka, pruned_at_push, sync_points, per-rank phase and drop-split \
+                 sections were added and timeseries removed: report::SCHEMA_VERSION docs)"
             ));
         }
         _ => {
@@ -643,7 +660,12 @@ pub fn validate_run(run: &Json) -> Result<(), String> {
     if work.iter().any(|w| w.as_u64().is_none()) {
         return Err("rank_work elements must be integers".to_string());
     }
-    for key in ["stale_drops", "pruned_at_push"] {
+    for key in [
+        "stale_drops",
+        "admission_drops",
+        "pop_drops",
+        "pruned_at_push",
+    ] {
         let counter = run.get(key).ok_or_else(|| format!("missing {key}"))?;
         counter
             .get("total")
@@ -1253,6 +1275,43 @@ mod tests {
         // The full-delivery disciplines never prune.
         let adversarial = sample_report().run_report();
         assert_eq!(adversarial.pruned_at_push, vec![0, 0]);
+    }
+
+    /// v13 splits `stale_drops` into its admission and pop halves, per
+    /// rank; a two-rank priority solve drops at both points.
+    #[test]
+    fn v13_drop_split_sums_to_stale_drops_and_is_required() {
+        let g = stgraph::datasets::Dataset::Cts.generate_tiny(5);
+        let seeds: Vec<Vertex> = (0..g.num_vertices() as Vertex).step_by(37).collect();
+        let cfg = SolverConfig {
+            num_ranks: 2,
+            queue: QueueKind::Priority,
+            ..SolverConfig::default()
+        };
+        let report = solve(&g, &seeds, &cfg).unwrap().run_report();
+        let sums: Vec<u64> = (report.admission_drops.iter())
+            .zip(&report.pop_drops)
+            .map(|(a, p)| a + p)
+            .collect();
+        assert_eq!(sums, report.stale_drops);
+        assert!(report.admission_drops.iter().sum::<u64>() > 0);
+        assert!(report.pop_drops.iter().sum::<u64>() > 0);
+        let doc = report.to_json();
+        assert!(validate_run(&doc).is_ok());
+        for key in ["admission_drops", "pop_drops"] {
+            let total = doc.get(key).and_then(|d| d.get("total"));
+            let sum = match key {
+                "admission_drops" => report.admission_drops.iter().sum::<u64>(),
+                _ => report.pop_drops.iter().sum::<u64>(),
+            };
+            assert_eq!(total.and_then(|v| v.as_u64()), Some(sum), "{key}");
+            let mut missing = doc.clone();
+            if let Json::Obj(pairs) = &mut missing {
+                pairs.retain(|(k, _)| k != key);
+            }
+            let err = validate_run(&missing).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Per-rank distributed vertex state for the Steiner algorithm.
 //!
 //! Every vertex `v` carries the Alg 3 states `src(v)` (nearest seed),
-//! `d_1(src(v), v)` (distance to it), `pred(v)` (predecessor on the
-//! shortest path), the predecessor edge's weight (so tree edges can be
-//! emitted without a remote adjacency lookup), and a `traced` flag used by
-//! the tree-edge phase. State for owned non-delegate vertices lives only on
-//! the owner rank; delegate (hub) vertex state is *replicated* on every
+//! `d_1(src(v), v)` (distance to it) and `pred(v)` (predecessor on the
+//! shortest path) as one 16 B [`Label`], plus a `traced` flag used by the
+//! tree-edge phase. The predecessor edge's weight is not stored: at the
+//! Voronoi fixpoint it is `d_1(v) - d_1(pred(v))` (see
+//! `crate::tree_edges`). State for owned non-delegate vertices lives only
+//! on the owner rank; delegate (hub) vertex state is *replicated* on every
 //! rank and kept consistent by controller broadcasts, mirroring HavoqGT's
 //! delegate mechanism.
 //!
@@ -15,9 +16,8 @@
 //! of message timing — this is what makes the distributed solver's output
 //! deterministic and bit-comparable to the sequential reference.
 
-use crate::messages::VoronoiMsg;
-use stgraph::csr::{Distance, Vertex, Weight, INF};
-use stgraph::partition::RankGraph;
+use stgraph::csr::{Distance, Vertex, INF};
+use stgraph::partition::{LocalId, RankGraph};
 use struntime::Wire;
 
 /// Sentinel for "no vertex" in `src`/`pred` slots.
@@ -73,49 +73,23 @@ impl Wire for Label {
     }
 }
 
-/// One vertex's state: its label, the predecessor edge's weight and the
-/// tree-edge phase's `traced` flag. 25 bytes of fields, padded and aligned
-/// to 32, so a record never straddles a 64-byte cache line and a label
-/// read or an improvement touches one line.
-#[derive(Clone, Copy)]
-#[repr(C, align(32))]
-struct StateRecord {
-    label: Label,
-    pred_weight: Weight,
-    traced: bool,
-}
-
-impl StateRecord {
-    const UNSET: StateRecord = StateRecord {
-        label: Label::UNSET,
-        pred_weight: 0,
-        traced: false,
-    };
-}
-
-/// Appends the records of one run of slots, after their count: each
-/// record's label (dist, src, pred), predecessor weight and flag, the
-/// padding never.
-fn encode_run(run: &[StateRecord], out: &mut Vec<u8>) {
+/// Appends one run of labels after its count.
+fn encode_run(run: &[Label], out: &mut Vec<u8>) {
     (run.len() as u64).encode_into(out);
-    for r in run {
-        r.label.encode_into(out);
-        r.pred_weight.encode_into(out);
-        r.traced.encode_into(out);
+    for label in run {
+        label.encode_into(out);
     }
 }
 
-/// Overwrites a run of slots from a snapshot written by [`encode_run`];
+/// Overwrites a run of labels from a snapshot written by [`encode_run`];
 /// `None` if the snapshot was taken for a different slot count
 /// (partitioning changed) or is truncated.
-fn decode_run(run: &mut [StateRecord], buf: &[u8], pos: &mut usize) -> Option<()> {
+fn decode_run(run: &mut [Label], buf: &[u8], pos: &mut usize) -> Option<()> {
     if u64::decode_from(buf, pos)? as usize != run.len() {
         return None;
     }
-    for r in run {
-        r.label = Label::decode_from(buf, pos)?;
-        r.pred_weight = Weight::decode_from(buf, pos)?;
-        r.traced = bool::decode_from(buf, pos)?;
+    for label in run {
+        *label = Label::decode_from(buf, pos)?;
     }
     Some(())
 }
@@ -126,9 +100,11 @@ pub struct VertexStates {
     owned_start: Vertex,
     owned_len: usize,
     delegates: std::sync::Arc<Vec<Vertex>>,
-    /// One record per held slot, in one array: the five per-field arrays
-    /// it replaced spread one label over three cache lines.
-    records: Vec<StateRecord>,
+    /// One label per held slot: the Voronoi phase's state, and all a
+    /// checkpoint stores.
+    labels: Vec<Label>,
+    /// The tree-edge phase's flag per held slot.
+    traced: Vec<bool>,
 }
 
 impl VertexStates {
@@ -139,14 +115,15 @@ impl VertexStates {
             owned_start: rg.owned.start,
             owned_len: rg.num_owned(),
             delegates: std::sync::Arc::clone(&rg.delegates),
-            records: vec![StateRecord::UNSET; rg.num_held()],
+            labels: vec![Label::UNSET; rg.num_held()],
+            traced: vec![false; rg.num_held()],
         }
     }
 
     /// Approximate bytes of algorithm state held (the Fig 8 "state" series
-    /// contribution of the vertex arrays).
+    /// contribution of the vertex arrays): 17 B per held slot.
     pub fn memory_bytes(&self) -> usize {
-        self.num_held() * std::mem::size_of::<StateRecord>()
+        self.num_held() * (std::mem::size_of::<Label>() + std::mem::size_of::<bool>())
     }
 
     /// Whether `v` is a delegate vertex (state replicated everywhere).
@@ -189,7 +166,7 @@ impl VertexStates {
     /// The current label at slot `i` (see [`VertexStates::held_index`]).
     #[inline]
     pub fn label_at(&self, i: usize) -> Label {
-        self.records[i].label
+        self.labels[i]
     }
 
     /// The current label of `v`.
@@ -197,28 +174,27 @@ impl VertexStates {
         self.label_at(self.slot(v))
     }
 
-    /// Weight of the predecessor edge recorded with `v`'s label.
-    pub fn pred_weight(&self, v: Vertex) -> Weight {
-        self.records[self.slot(v)].pred_weight
+    /// Every held slot's label, indexed by held local id: the Voronoi
+    /// kernel's admitted and committed label in one array.
+    pub fn labels_mut(&mut self) -> &mut [Label] {
+        &mut self.labels
     }
 
     /// Applies `label` to slot `i` if it is strictly smaller than the
-    /// current one; records `pred_weight` alongside. Returns whether it
-    /// improved.
+    /// current one. Returns whether it improved.
     #[inline]
-    pub fn try_improve_at(&mut self, i: usize, label: Label, pred_weight: Weight) -> bool {
-        let r = &mut self.records[i];
-        let improves = label < r.label;
+    pub fn try_improve_at(&mut self, i: usize, label: Label) -> bool {
+        let current = &mut self.labels[i];
+        let improves = label < *current;
         if improves {
-            r.label = label;
-            r.pred_weight = pred_weight;
+            *current = label;
         }
         improves
     }
 
     /// [`VertexStates::try_improve_at`] for vertex `v`.
-    pub fn try_improve(&mut self, v: Vertex, label: Label, pred_weight: Weight) -> bool {
-        self.try_improve_at(self.slot(v), label, pred_weight)
+    pub fn try_improve(&mut self, v: Vertex, label: Label) -> bool {
+        self.try_improve_at(self.slot(v), label)
     }
 
     /// Initializes seed labels: owned seeds and *all* delegate seeds (every
@@ -227,9 +203,7 @@ impl VertexStates {
     pub fn init_seeds(&mut self, seeds: &[Vertex]) {
         for &s in seeds {
             if let Some(i) = self.held_index(s) {
-                let r = &mut self.records[i];
-                r.label = Label::seed(s);
-                r.pred_weight = 0;
+                self.labels[i] = Label::seed(s);
             }
         }
     }
@@ -238,16 +212,18 @@ impl VertexStates {
     /// already traced (the visitor should stop).
     pub fn mark_traced(&mut self, v: Vertex) -> bool {
         let i = self.slot(v);
-        !std::mem::replace(&mut self.records[i].traced, true)
+        !std::mem::replace(&mut self.traced[i], true)
     }
 
-    /// Appends a snapshot of all vertex state (owned slots, then delegate
+    /// Appends a snapshot of the labels (owned slots, then delegate
     /// replicas, each run after its count) to `out` via the wire codec, for
     /// the crash-recovery phase checkpoints. The delegate list and
     /// ownership range are derived from the partition and are not
-    /// serialized.
+    /// serialized, and neither are the `traced` flags: only the tree-edge
+    /// phase sets them, and it is the last phase, after which no
+    /// checkpoint is taken.
     pub fn encode_checkpoint(&self, out: &mut Vec<u8>) {
-        let (owned, replicas) = self.records.split_at(self.owned_len);
+        let (owned, replicas) = self.labels.split_at(self.owned_len);
         encode_run(owned, out);
         encode_run(replicas, out);
     }
@@ -256,7 +232,7 @@ impl VertexStates {
     /// over states freshly created for the same rank graph; `None` if the
     /// array shapes do not line up or the buffer is truncated.
     pub fn restore_checkpoint(&mut self, buf: &[u8], pos: &mut usize) -> Option<()> {
-        let (owned, replicas) = self.records.split_at_mut(self.owned_len);
+        let (owned, replicas) = self.labels.split_at_mut(self.owned_len);
         decode_run(owned, buf, pos)?;
         decode_run(replicas, buf, pos)
     }
@@ -270,17 +246,59 @@ impl VertexStates {
     }
 }
 
+/// A fixed-length set of bits, one per held slot.
+#[derive(Default)]
+pub struct SlotBits {
+    words: Vec<u64>,
+}
+
+impl SlotBits {
+    /// Clears the set to `len` unset bits, keeping the allocation.
+    fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+    }
+
+    /// Whether bit `i` is set.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Sets bit `i` to `on`.
+    #[inline]
+    pub fn set(&mut self, i: usize, on: bool) {
+        let word = &mut self.words[i / 64];
+        *word = *word & !(1 << (i % 64)) | u64::from(on) << (i % 64);
+    }
+}
+
+/// The asynchronous Voronoi phase's buffers, borrowed from a
+/// [`ScratchArena`] (see [`ScratchArena::voronoi_buffers`]).
+pub struct VoronoiBuffers<'a> {
+    /// The held local ids of the seeds this rank bootstraps.
+    pub init: &'a mut Vec<LocalId>,
+    /// Per held slot, whether its current label has been expanded.
+    pub expanded: &'a mut SlotBits,
+    /// Per held slot, whether every other replica already has its label.
+    pub synced: &'a mut SlotBits,
+    /// The best label this rank has sent, per ghost id.
+    pub ghost: &'a mut [Label],
+}
+
 /// Reusable per-rank visitor scratch buffers, allocated once per rank and
 /// reused across phases so the Voronoi hot path's steady state allocates
 /// nothing:
 ///
-/// - `init` — the bootstrap message list the asynchronous phase seeds its
-///   local queue from,
-/// - `admitted` — the asynchronous phase's best label admitted to the
-///   visitor queue so far, per held local id (written by local pushes and
-///   by the admission of inbound visitors): a 16 B [`Label`] per slot,
-///   kept apart from the state records, because a 64 B record that also
-///   held it measured slower on web-1rank (EXPERIMENTS.md),
+/// - `init` — the held local ids of the seeds the asynchronous phase
+///   bootstraps,
+/// - `expanded` — one bit per held slot: whether the slot's current label
+///   has been expanded (its arcs relaxed). A queued id is live exactly
+///   while it is not,
+/// - `synced` — one bit per held slot, read for delegate replicas: whether
+///   every other replica already has the slot's label (it came from a
+///   `DelegateUpdate`, or it is a seed label every rank sets), so its
+///   expansion broadcasts nothing,
 /// - `ghost` — the best label this rank has sent to each remote vertex,
 ///   indexed by ghost id (local id minus the held count): 16 B per ghost
 ///   of the rank graph, the sender side of the filter.
@@ -290,8 +308,9 @@ impl VertexStates {
 /// attempt's allocations.
 #[derive(Default)]
 pub struct ScratchArena {
-    init: Vec<VoronoiMsg>,
-    admitted: Vec<Label>,
+    init: Vec<LocalId>,
+    expanded: SlotBits,
+    synced: SlotBits,
     ghost: Vec<Label>,
 }
 
@@ -301,30 +320,31 @@ impl ScratchArena {
         ScratchArena::default()
     }
 
-    /// The asynchronous Voronoi phase's buffers, split-borrowed: the
-    /// bootstrap message buffer (cleared, capacity retained), the
-    /// admitted-label array, reset to `states`' current labels, and
-    /// `ghost_len` ghost labels (one per ghost id), reset to
+    /// The asynchronous Voronoi phase's buffers: the bootstrap list
+    /// (cleared, capacity retained), `held` unset bits of each bit set,
+    /// and `ghost_len` ghost labels (one per ghost id), reset to
     /// [`Label::UNSET`].
-    pub fn voronoi_buffers(
-        &mut self,
-        states: &VertexStates,
-        ghost_len: usize,
-    ) -> (&mut Vec<VoronoiMsg>, &mut Vec<Label>, &mut Vec<Label>) {
+    pub fn voronoi_buffers(&mut self, held: usize, ghost_len: usize) -> VoronoiBuffers<'_> {
         self.init.clear();
-        self.admitted.clear();
-        self.admitted
-            .extend((0..states.num_held()).map(|i| states.label_at(i)));
+        self.expanded.reset(held);
+        self.synced.reset(held);
         self.ghost.clear();
         self.ghost.resize(ghost_len, Label::UNSET);
-        (&mut self.init, &mut self.admitted, &mut self.ghost)
+        VoronoiBuffers {
+            init: &mut self.init,
+            expanded: &mut self.expanded,
+            synced: &mut self.synced,
+            ghost: &mut self.ghost,
+        }
     }
 
     /// Approximate bytes held across all scratch buffers (capacity, since
     /// retained capacity is what the arena's reuse is about).
     pub fn memory_bytes(&self) -> usize {
-        self.init.capacity() * std::mem::size_of::<VoronoiMsg>()
-            + (self.admitted.capacity() + self.ghost.capacity()) * std::mem::size_of::<Label>()
+        self.init.capacity() * std::mem::size_of::<LocalId>()
+            + (self.expanded.words.capacity() + self.synced.words.capacity())
+                * std::mem::size_of::<u64>()
+            + self.ghost.capacity() * std::mem::size_of::<Label>()
     }
 }
 
@@ -379,11 +399,10 @@ mod tests {
             src: 2,
             pred: 3,
         };
-        assert!(st.try_improve(1, l1, 7));
+        assert!(st.try_improve(1, l1));
         assert_eq!(st.label(1), l1);
-        assert_eq!(st.pred_weight(1), 7);
         // Equal label does not improve.
-        assert!(!st.try_improve(1, l1, 7));
+        assert!(!st.try_improve(1, l1));
         // Worse distance rejected.
         assert!(!st.try_improve(
             1,
@@ -391,8 +410,7 @@ mod tests {
                 dist: 6,
                 src: 0,
                 pred: 0
-            },
-            1
+            }
         ));
         // Same distance, smaller src accepted.
         assert!(st.try_improve(
@@ -401,8 +419,7 @@ mod tests {
                 dist: 5,
                 src: 1,
                 pred: 9
-            },
-            2
+            }
         ));
     }
 
@@ -442,23 +459,16 @@ mod tests {
     }
 
     #[test]
-    fn state_record_fills_half_a_cache_line() {
-        assert_eq!(std::mem::size_of::<StateRecord>(), 32);
-        assert_eq!(std::mem::align_of::<StateRecord>(), 32);
-        let st = make_states(false);
-        assert_eq!(st.records.as_ptr() as usize % 32, 0);
-    }
-
-    #[test]
     fn memory_bytes_counts_the_state_arrays_elements() {
+        assert_eq!(std::mem::size_of::<Label>(), 16);
         for delegate in [false, true] {
             let st = make_states(delegate);
             assert_eq!(
                 st.memory_bytes(),
-                std::mem::size_of_val(&st.records[..]),
+                std::mem::size_of_val(&st.labels[..]) + std::mem::size_of_val(&st.traced[..]),
                 "delegates: {delegate}"
             );
-            assert_eq!(st.memory_bytes(), 32 * st.num_held());
+            assert_eq!(st.memory_bytes(), 17 * st.num_held());
         }
     }
 
@@ -487,7 +497,6 @@ mod tests {
                 src: 1,
                 pred: 1,
             },
-            4,
         );
         st.mark_traced(2);
         let mut blob = Vec::new();
@@ -500,9 +509,12 @@ mod tests {
             .expect("snapshot restores over same-shape states");
         assert_eq!(pos, blob.len(), "restore consumes the whole snapshot");
         assert_eq!(fresh.label(2), st.label(2));
-        assert_eq!(fresh.pred_weight(2), st.pred_weight(2));
         assert_eq!(fresh.label(1), Label::seed(1));
-        assert!(!fresh.mark_traced(2), "traced flags survive the snapshot");
+        assert_eq!(blob.len(), 2 * 8 + 16 * fresh.num_held(), "labels only");
+        assert!(
+            fresh.mark_traced(2),
+            "the last phase's flags are not stored"
+        );
 
         // A snapshot for a different shape is rejected, not misapplied.
         let mut other = {
@@ -520,18 +532,35 @@ mod tests {
 
     #[test]
     fn scratch_arena_clears_but_retains_capacity() {
-        let mut st = make_states(true);
+        let st = make_states(true);
+        let held = st.num_held();
         let mut a = ScratchArena::new();
-        let (init, _, ghost) = a.voronoi_buffers(&st, 8);
-        init.extend([VoronoiMsg::Start(1), VoronoiMsg::Start(2)]);
-        ghost[7] = Label::seed(7);
-        st.init_seeds(&[1]);
-        let (init, admitted, ghost) = a.voronoi_buffers(&st, 8); // handed out cleared
-        assert!(init.is_empty());
-        assert!(init.capacity() >= 2, "reuse must keep the allocation");
-        assert_eq!(admitted.len(), st.num_held());
-        assert_eq!(admitted[st.held_index(1).unwrap()], Label::seed(1));
-        assert_eq!(ghost, &vec![Label::UNSET; 8], "ghost labels start fresh");
-        assert!(a.memory_bytes() >= st.num_held() * std::mem::size_of::<Label>());
+        let bufs = a.voronoi_buffers(held, 8);
+        bufs.init.extend([1, 2]);
+        bufs.expanded.set(held - 1, true);
+        bufs.synced.set(0, true);
+        bufs.ghost[7] = Label::seed(7);
+        let bufs = a.voronoi_buffers(held, 8); // handed out cleared
+        assert!(bufs.init.is_empty());
+        assert!(bufs.init.capacity() >= 2, "reuse must keep the allocation");
+        assert!((0..held).all(|i| !bufs.expanded.get(i) && !bufs.synced.get(i)));
+        assert_eq!(
+            bufs.ghost,
+            &vec![Label::UNSET; 8][..],
+            "ghost labels start fresh"
+        );
+        assert!(a.memory_bytes() >= 8 * std::mem::size_of::<Label>());
+    }
+
+    #[test]
+    fn slot_bits_set_and_clear_one_bit() {
+        let mut bits = SlotBits::default();
+        bits.reset(130);
+        for i in [0, 63, 64, 129] {
+            bits.set(i, true);
+        }
+        bits.set(63, false);
+        let on: Vec<usize> = (0..130).filter(|&i| bits.get(i)).collect();
+        assert_eq!(on, vec![0, 64, 129]);
     }
 }

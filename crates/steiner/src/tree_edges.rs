@@ -8,6 +8,16 @@
 //! per-vertex `traced` flag stops chains that merge into already-walked
 //! paths, which is why this phase's message count is orders of magnitude
 //! below the Voronoi phase's (paper Fig 6).
+//!
+//! A tree edge's weight is derived, not stored: the edge from `pred(v)`
+//! to `v` weighs `d_1(v) - d_1(pred(v))`. That is exact at the Voronoi
+//! fixpoint. `v`'s label is the relaxation of an arc from `pred(v)` at
+//! some distance and seed of `pred(v)`. Had those improved later,
+//! `pred(v)` would have relaxed the arc again and lowered `v`'s label, so
+//! they are `pred(v)`'s final ones. And the arc is the lightest
+//! `(pred(v), v)` edge, since that one gives the smallest candidate. So a
+//! trace message carries `d_1(v)` to the owner of `pred(v)`, which
+//! records the edge.
 
 use crate::distance_graph::{MinEdge, PairKey};
 use crate::messages::TraceMsg;
@@ -43,10 +53,10 @@ pub fn run(
     for e in bridges {
         if partition.owner(e.a) == rank {
             edges.push((e.a, e.b, e.weight));
-            init.push(TraceMsg { vertex: e.a });
+            init.push(TraceMsg::start(e.a));
         }
         if partition.owner(e.b) == rank {
-            init.push(TraceMsg { vertex: e.b });
+            init.push(TraceMsg::start(e.b));
         }
     }
 
@@ -56,16 +66,28 @@ pub fn run(
         QueueKind::Fifo,
         |_| 0,
         init,
-        |TraceMsg { vertex }, pusher| {
+        |msg: TraceMsg, pusher| {
+            let (vertex, label) = (msg.vertex, states.label(msg.vertex));
+            if msg.child != NO_VERTEX {
+                // Each child is traced once, so each edge is recorded once,
+                // even where chains merge.
+                debug_assert!(msg.child_dist >= label.dist, "labels grow along a chain");
+                edges.push((vertex, msg.child, msg.child_dist - label.dist));
+            }
             if !states.mark_traced(vertex) {
                 return; // Chain already walked from another bridge.
             }
-            let label = states.label(vertex);
             if label.src == vertex || label.pred == NO_VERTEX {
                 return; // Reached the cell's seed.
             }
-            edges.push((label.pred, vertex, states.pred_weight(vertex)));
-            pusher.push(partition.owner(label.pred), TraceMsg { vertex: label.pred });
+            pusher.push(
+                partition.owner(label.pred),
+                TraceMsg {
+                    vertex: label.pred,
+                    child: vertex,
+                    child_dist: label.dist,
+                },
+            );
         },
     );
     (edges, stats)

@@ -32,20 +32,23 @@
 //!
 //! ## Stale-relaxation filtering
 //!
-//! Under the priority discipline a relaxation is filtered at up to three
-//! points. FIFO and adversarial queues skip all three: they are the
-//! full-delivery baselines.
+//! Under the priority discipline a rank queues vertex ids, not messages:
+//! the Δ-stepping layout of Meyer and Sanders, whose buckets hold vertices
+//! and whose tentative labels live in one array. Each held slot has one
+//! 16 B label, both the best candidate admitted so far and the label its
+//! visit expands, and an `expanded` bit. An id entry stands for its
+//! vertex's *current* label and is live exactly while that label is
+//! unexpanded. FIFO and adversarial queues keep queuing whole messages
+//! and filter nothing: they are the full-delivery baselines.
 //!
-//! - **Push, held target.** Before `relax` builds a `Relax` for a vertex
-//!   this rank holds (owned slot or delegate replica), it compares the
-//!   candidate with the target's *admitted* label: the best candidate
-//!   admitted to this rank's queue so far, in one dense array seeded from
-//!   the labels after `init_seeds`. A candidate not strictly below it is
-//!   counted in `TraversalStats::pruned_at_push` and never becomes a
-//!   message; one below it becomes the admitted label and is pushed to
-//!   this rank's queue. That write is the local push's admission, so the
-//!   traversal queues it without asking the predicate again: the
-//!   compare-then-enqueue of Dijkstra's inner loop.
+//! A relaxation is filtered at one of three points:
+//!
+//! - **Push, held target.** Before `relax` queues a vertex this rank holds
+//!   (owned slot or delegate replica), it compares the candidate with the
+//!   target's label. A candidate not strictly below it is counted in
+//!   `TraversalStats::pruned_at_push` and never becomes an entry; one
+//!   below it becomes the label, clears the `expanded` bit and queues the
+//!   target's id: the compare-then-enqueue of Dijkstra's inner loop.
 //! - **Push, remote target.** A per-rank *ghost* label array, indexed by
 //!   ghost id (see `stgraph::partition`), holds the best label this rank
 //!   has sent to each remote target of its arcs. A candidate not strictly
@@ -55,47 +58,50 @@
 //!   (arXiv:2302.12199). It costs 16 B per ghost of the rank graph,
 //!   charged to the rank's `"ghosts"` memory label, and is re-set every
 //!   solve.
-//! - **Queue.** The traversal asks a staleness predicate about every
-//!   `Relax` and `DelegateUpdate` of an inbound batch at queue admission,
-//!   and about every queued one at pop (see `struntime::traversal`,
-//!   "Stale-entry filtering"). Admission rejects a candidate that is not
-//!   strictly below the target's admitted label and records it otherwise
-//!   (HavoqGT's `pre_visit`, the tentative-distance filter of
-//!   delta-stepping); pop drops a candidate that is above the admitted
-//!   label (a better one was queued after it) or not below the committed
-//!   label. Both are counted in `TraversalStats::stale_dropped`.
+//! - **Admission.** A `Relax` or `DelegateUpdate` of an inbound batch is
+//!   admitted the same way as a local push: one strictly below the
+//!   target's label becomes it and queues the id; any other is dropped
+//!   (`TraversalStats::admission_dropped`). This is HavoqGT's `pre_visit`
+//!   and the tentative-distance filter of delta-stepping.
+//!
+//! At pop an id whose slot is expanded is dropped
+//! (`TraversalStats::pop_dropped`): its label has been expanded already,
+//! by the visit of an earlier entry for the same vertex. A visit sets the
+//! bit and relaxes the slot's arcs under its label.
 //!
 //! All of them are safe:
 //!
-//! - The committed label is never below the admitted one, so a candidate
-//!   rejected at push or at admission either cannot pass `try_improve`
-//!   or is dominated by an admitted candidate for the same target, whose
-//!   visit (or drop, by induction) leaves the target at a label at least
-//!   as small, and whose out-arc relaxations dominate the rejected one's.
-//! - Admitting a local push at push time queues exactly what a separate
-//!   admission pass over the visit's pushes would: the same candidates,
-//!   compared in the same order against the same running minimum. Only
-//!   the counter differs: a second candidate for one target within one
-//!   visit is pruned rather than dropped at admission, so one-rank visits
-//!   and the stale + pruned sum are the same either way.
+//! - A label changes only to a strictly smaller one, and every change
+//!   queues an entry and clears the bit, so every label a slot takes
+//!   that is still its label when an entry for it pops is expanded
+//!   exactly once. A label superseded before any entry popped needs no
+//!   expansion: the smaller label's out-arc relaxations dominate its own.
+//! - A candidate rejected at push or at admission is not below the
+//!   target's label, which is what its visit would have compared it with,
+//!   so its visit would have been a no-op.
 //! - A ghost label is a candidate this rank really sent. The channel layer
 //!   retransmits until delivery, so the owner eventually receives it, and
 //!   a pruned candidate is dominated by it just as above. Crash recovery
 //!   replays the whole phase on every rank from a checkpoint, and the
 //!   array is rebuilt fresh for each phase run.
-//! - The pop answer is monotone (both labels only shrink) and the visit is
-//!   unchanged.
+//!
+//! A delegate replica's label can come from a local relaxation, which its
+//! expansion broadcasts to the other replicas as a `DelegateUpdate`, or
+//! from a `DelegateUpdate`, which it does not pass on. A `synced` bit per
+//! slot remembers which, so every improvement is still broadcast once.
+//! Seed replicas start synced: every rank sets a seed's label itself.
 //!
 //! So the strict-lexicographic label fixpoint, and the tree, stays
 //! bit-identical across disciplines.
 
 use crate::messages::VoronoiMsg;
-use crate::state::{Label, ScratchArena, VertexStates};
+use crate::state::{Label, ScratchArena, SlotBits, VertexStates};
 use std::cell::RefCell;
+use std::num::NonZeroU32;
 use stgraph::csr::{Vertex, Weight};
 use stgraph::partition::{LocalId, PartitionedGraph, RankGraph};
-use struntime::traversal::{run_traversal_filtered, StaleCheck, TraversalOptions};
-use struntime::{ChannelGroup, Comm, Pusher, TraversalStats};
+use struntime::traversal::{run_traversal_filtered, TraversalOptions};
+use struntime::{run_traversal_config, ChannelGroup, Comm, DeepBytes, Pusher, TraversalStats};
 
 /// The priority queue's bucket width Δ for `pg`: `⌊max w / max deg⌋`,
 /// at least 1 (see "Bucket width" above).
@@ -103,12 +109,37 @@ pub fn bucket_width(pg: &PartitionedGraph) -> u64 {
     (pg.max_weight / pg.max_degree.max(1) as Weight).max(1)
 }
 
+/// A held local id as the priority discipline queues it: the id's
+/// complement in a `NonZeroU32`, so `Option<QueuedId>` needs no tag and a
+/// queue arena entry is the id and its link, 8 B. A rank holds fewer
+/// slots than there are vertex ids, so no held id is `u32::MAX`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct QueuedId(NonZeroU32);
+
+impl QueuedId {
+    #[inline]
+    fn new(i: LocalId) -> QueuedId {
+        QueuedId(NonZeroU32::new(!i).expect("held ids are below u32::MAX"))
+    }
+
+    #[inline]
+    fn id(self) -> LocalId {
+        !self.0.get()
+    }
+}
+
+impl DeepBytes for QueuedId {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
 /// Runs the Voronoi phase to quiescence on this rank's slice of `pg`.
-/// Collective. Relaxations are queued under `dist / Δ` ([`bucket_width`]).
-/// `scratch` provides the reusable bootstrap buffer and the admitted- and
-/// ghost-label arrays, so repeated solves (benchmark sweeps) do not
-/// re-allocate per phase. The ghost labels are charged to the rank's
-/// `"ghosts"` memory label while the phase runs.
+/// Collective. Under the priority discipline vertex ids are queued under
+/// `dist / Δ` ([`bucket_width`]). `scratch` provides the reusable
+/// bootstrap list, bit sets and ghost-label array, so repeated solves
+/// (benchmark sweeps) do not re-allocate per phase. The ghost labels are
+/// charged to the rank's `"ghosts"` memory label while the phase runs.
 pub fn run(
     comm: &Comm,
     chan: &ChannelGroup<Vec<VoronoiMsg>>,
@@ -119,232 +150,266 @@ pub fn run(
     scratch: &mut ScratchArena,
 ) -> TraversalStats {
     let rg = &pg.ranks[comm.rank()];
-    let width = bucket_width(pg);
     states.init_seeds(seeds);
     let filter = options.queue.filters_stale();
     // Only a filtering run has sent labels to track.
     let ghost_len = if filter { rg.ghosts().len() } else { 0 };
     let ghost_bytes = ghost_len * std::mem::size_of::<Label>();
     comm.memory().record("ghosts", ghost_bytes);
-    let (init, admitted, ghost) = scratch.voronoi_buffers(states, ghost_len);
+    let bufs = scratch.voronoi_buffers(rg.num_held(), ghost_len);
 
     // Bootstrap: this rank starts every seed whose outgoing arcs it holds —
     // owned non-delegate seeds, plus every delegate seed (each rank holds a
     // slice of a delegate's adjacency).
-    init.extend(
+    bufs.init.extend(
         seeds
             .iter()
             .filter_map(|&s| states.held_index(s))
-            .map(|i| VoronoiMsg::Start(i as LocalId)),
+            .map(|i| i as LocalId),
     );
-
-    // The stale predicate and the visit callback both need the kernel
-    // state; a RefCell arbitrates. The borrows never overlap: the
-    // traversal calls the predicate and the visit callback strictly in
-    // sequence on one thread.
-    let kernel = RefCell::new(Kernel {
+    let arcs = Arcs {
         rg,
         starts: pg.partition.cuts(),
-        states,
-        admitted,
-        ghost,
-        filter,
-    });
-    let stats = run_traversal_filtered(
-        comm,
-        chan,
-        options,
-        |msg| msg.priority() / width,
-        |check, msg| kernel.borrow_mut().is_stale(check, msg),
-        init.iter().copied(),
-        // The lock-order rule resolves calls by name and so reads the
-        // visit as borrowing `kernel` again; it never does.
-        // stcheck: allow(lock-order): one thread's RefCell, never re-entered
-        |msg, pusher| kernel.borrow_mut().visit(msg, pusher),
-    );
+    };
+    let stats = if filter {
+        // Every rank sets a seed replica's label itself.
+        for &i in bufs.init.iter() {
+            bufs.synced.set(i as usize, true);
+        }
+        let width = bucket_width(pg);
+        // Admission, the pop test, the keys and the visit all read the
+        // kernel state; a RefCell arbitrates. The borrows never overlap:
+        // the traversal calls them strictly in sequence on one thread.
+        let kernel = RefCell::new(IdKernel {
+            arcs,
+            labels: states.labels_mut(),
+            expanded: bufs.expanded,
+            synced: bufs.synced,
+            ghost: bufs.ghost,
+        });
+        run_traversal_filtered(
+            comm,
+            chan,
+            options,
+            |&q: &QueuedId| kernel.borrow().labels[q.id() as usize].dist / width,
+            |msg| kernel.borrow_mut().admit(msg),
+            |&q: &QueuedId| !kernel.borrow().expanded.get(q.id() as usize),
+            bufs.init.iter().map(|&i| QueuedId::new(i)),
+            // The lock-order rule resolves calls by name and so reads the
+            // visit as borrowing `kernel` again; it never does.
+            // stcheck: allow(lock-order): one thread's RefCell, never re-entered
+            |q, pusher| kernel.borrow_mut().visit(q, pusher),
+        )
+    } else {
+        let mut kernel = MsgKernel { arcs, states };
+        run_traversal_config(
+            comm,
+            chan,
+            options,
+            |_| 0,
+            bufs.init.iter().map(|&i| VoronoiMsg::Start(i)),
+            |msg, pusher| kernel.visit(msg, pusher),
+        )
+    };
     comm.memory().release("ghosts", ghost_bytes);
     stats
 }
 
-/// One rank's Voronoi kernel state for the length of a phase. Every
-/// vertex it touches is a local id of `rg`, and every message it visits
-/// names a held local id of this rank (see [`VoronoiMsg`]).
-struct Kernel<'a> {
+/// Where one rank's arcs lead. Every vertex a kernel touches is a local
+/// id of `rg`, and every message it visits names a held local id of this
+/// rank (see [`VoronoiMsg`]).
+#[derive(Clone, Copy)]
+struct Arcs<'a> {
     rg: &'a RankGraph,
     /// The partition's cut table: first owned vertex of every rank, then
     /// the vertex count. Rank `q` holds vertex `v` of its block in local
     /// slot `v - starts[q]`.
     starts: &'a [Vertex],
-    states: &'a mut VertexStates,
-    /// Best candidate admitted to this rank's queue, per held local id. A
-    /// local push and the admission of an inbound visitor write it.
-    admitted: &'a mut [Label],
-    /// Best label this rank has sent, per ghost id (empty unless `filter`
-    /// is on).
-    ghost: &'a mut [Label],
-    /// Whether the queue discipline filters stale relaxations.
-    filter: bool,
 }
 
-impl Kernel<'_> {
-    fn is_stale(&mut self, check: StaleCheck, msg: &VoronoiMsg) -> bool {
-        match *msg {
-            // Bootstraps are never stale: they carry no candidate label.
-            VoronoiMsg::Start(_) => false,
-            VoronoiMsg::Relax { target, label, .. }
-            | VoronoiMsg::DelegateUpdate { target, label, .. } => {
-                let i = target as usize;
-                match check {
-                    StaleCheck::Admit if label < self.admitted[i] => {
-                        self.admitted[i] = label;
-                        false
-                    }
-                    StaleCheck::Admit => true,
-                    StaleCheck::Pop => label > self.admitted[i] || label >= self.states.label_at(i),
-                }
-            }
-        }
-    }
-
-    fn visit(&mut self, msg: VoronoiMsg, pusher: &mut Pusher<'_, VoronoiMsg>) {
-        match msg {
-            VoronoiMsg::Start(i) => {
-                let label = Label::seed(self.rg.global_id(i));
-                self.relax_out_arcs(i, label, pusher)
-            }
-            VoronoiMsg::Relax {
-                target,
-                label,
-                pred_weight,
-            } => {
-                if self
-                    .states
-                    .try_improve_at(target as usize, label, pred_weight)
-                {
-                    let owned = self.rg.num_owned() as LocalId;
-                    if target >= owned {
-                        // Local replica improved: sync the other replicas,
-                        // then relax this rank's slice of the hub's adjacency.
-                        let k = target - owned;
-                        pusher.trace_instant(
-                            "delegate_broadcast",
-                            self.rg.delegates[k as usize] as u64,
-                        );
-                        for dest in 0..self.starts.len() - 1 {
-                            if dest != pusher.rank() {
-                                let owned_there = self.starts[dest + 1] - self.starts[dest];
-                                pusher.push(
-                                    dest,
-                                    VoronoiMsg::DelegateUpdate {
-                                        target: owned_there + k,
-                                        label,
-                                        pred_weight,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    self.relax_out_arcs(target, label, pusher);
-                }
-            }
-            VoronoiMsg::DelegateUpdate {
-                target,
-                label,
-                pred_weight,
-            } => {
-                // Replica update; priority-queue reordering can deliver a
-                // newer (better) update first, in which case the older one
-                // is a no-op.
-                if self
-                    .states
-                    .try_improve_at(target as usize, label, pred_weight)
-                {
-                    self.relax_out_arcs(target, label, pusher);
-                }
-            }
-        }
-    }
-
-    /// Relaxes every outgoing arc of held local id `i` that this rank
-    /// holds, given its (just-updated) label.
+impl Arcs<'_> {
+    /// Calls `f(nbr, w)` for every outgoing arc of held local id `i` that
+    /// this rank holds.
     #[inline]
-    fn relax_out_arcs(&mut self, i: LocalId, label: Label, pusher: &mut Pusher<'_, VoronoiMsg>) {
-        let rg = self.rg;
-        let (v, owned) = (rg.global_id(i), rg.num_owned());
+    fn for_each(&self, i: LocalId, mut f: impl FnMut(LocalId, Weight)) {
+        let (rg, owned) = (self.rg, self.rg.num_owned());
         if (i as usize) < owned {
             let (targets, weights) = rg.owned_arcs(i as usize);
             for (&nbr, &w) in targets.iter().zip(weights) {
-                self.relax(v, label, nbr, w, pusher);
+                f(nbr, w);
             }
         } else {
             for &(nbr, w) in rg.delegate_arcs(i as usize - owned) {
-                self.relax(v, label, nbr, w, pusher);
+                f(nbr, w);
             }
         }
     }
 
-    /// Relaxes the arc from `v` to local id `nbr` of weight `w`. Under a
-    /// filtering discipline a candidate that cannot beat what `nbr`
-    /// already has on this rank (a held target's admitted label, a
-    /// ghost's sent label) is counted as pruned and never becomes a
-    /// message; one that beats it replaces it, since it is queued here or
-    /// sent.
+    /// The owner of ghost id `g` and the target's local id there.
     #[inline]
-    fn relax(
-        &mut self,
-        v: Vertex,
-        label: Label,
-        nbr: LocalId,
-        w: Weight,
-        pusher: &mut Pusher<'_, VoronoiMsg>,
-    ) {
-        let cand = Label {
-            dist: label.dist + w,
-            src: label.src,
-            pred: v,
-        };
-        // Held targets (owned vertices and delegate replicas) are relaxed
-        // on this rank; a ghost routes to its owner, named by its slot
-        // there.
-        let held = self.rg.num_held();
-        let (dest, target) = if (nbr as usize) < held {
-            if self.filter {
-                let admitted = &mut self.admitted[nbr as usize];
-                if cand >= *admitted {
+    fn ghost_route(&self, g: usize) -> (usize, LocalId) {
+        let ghost = self.rg.ghosts()[g];
+        let owner = ghost.owner as usize;
+        (owner, ghost.global - self.starts[owner])
+    }
+
+    /// Sends `label` of replica slot `i` (a delegate) to its replica on
+    /// every other rank.
+    fn broadcast<Q>(&self, i: LocalId, label: Label, pusher: &mut Pusher<'_, VoronoiMsg, Q>) {
+        let k = i - self.rg.num_owned() as LocalId;
+        pusher.trace_instant("delegate_broadcast", self.rg.delegates[k as usize] as u64);
+        for dest in 0..self.starts.len() - 1 {
+            if dest != pusher.rank() {
+                let owned_there = self.starts[dest + 1] - self.starts[dest];
+                let target = owned_there + k;
+                pusher.send(dest, VoronoiMsg::DelegateUpdate { target, label });
+            }
+        }
+    }
+}
+
+/// The label relaxing the arc from `v`, labeled `label`, of weight `w`
+/// offers its target.
+#[inline]
+fn candidate(v: Vertex, label: Label, w: Weight) -> Label {
+    Label {
+        dist: label.dist + w,
+        src: label.src,
+        pred: v,
+    }
+}
+
+/// The priority discipline's kernel: it queues held ids (see
+/// "Stale-relaxation filtering").
+struct IdKernel<'a> {
+    arcs: Arcs<'a>,
+    /// Per held slot, the best label admitted: queued, expanded or
+    /// awaiting expansion.
+    labels: &'a mut [Label],
+    expanded: &'a mut SlotBits,
+    /// Per held slot, whether every other replica has its label already.
+    synced: &'a mut SlotBits,
+    /// Best label this rank has sent, per ghost id.
+    ghost: &'a mut [Label],
+}
+
+impl IdKernel<'_> {
+    /// Makes `label` the label of held slot `i` if it is strictly below the
+    /// current one, and returns `i` to queue; `synced` says whether every
+    /// other replica already has it.
+    #[inline]
+    fn improve(&mut self, i: LocalId, label: Label, synced: bool) -> Option<QueuedId> {
+        let slot = &mut self.labels[i as usize];
+        if label >= *slot {
+            return None;
+        }
+        *slot = label;
+        self.expanded.set(i as usize, false);
+        self.synced.set(i as usize, synced);
+        Some(QueuedId::new(i))
+    }
+
+    fn admit(&mut self, msg: VoronoiMsg) -> Option<QueuedId> {
+        match msg {
+            // Bootstraps are queued as ids and never sent.
+            VoronoiMsg::Start(i) => Some(QueuedId::new(i)),
+            VoronoiMsg::Relax { target, label } => self.improve(target, label, false),
+            VoronoiMsg::DelegateUpdate { target, label } => self.improve(target, label, true),
+        }
+    }
+
+    fn visit(&mut self, q: QueuedId, pusher: &mut Pusher<'_, VoronoiMsg, QueuedId>) {
+        let i = q.id();
+        self.expanded.set(i as usize, true);
+        let label = self.labels[i as usize];
+        let rg = self.arcs.rg;
+        if i as usize >= rg.num_owned() && !self.synced.get(i as usize) {
+            // Local replica improved: sync the other replicas, then relax
+            // this rank's slice of the hub's adjacency.
+            self.synced.set(i as usize, true);
+            self.arcs.broadcast(i, label, pusher);
+        }
+        let (v, held) = (rg.global_id(i), rg.num_held());
+        let arcs = self.arcs;
+        arcs.for_each(i, |nbr, w| {
+            let cand = candidate(v, label, w);
+            // Held targets (owned vertices and delegate replicas) are
+            // relaxed on this rank; a ghost routes to its owner, named by
+            // its slot there.
+            if (nbr as usize) < held {
+                match self.improve(nbr, cand, false) {
+                    Some(nbr) => pusher.push_local(nbr),
+                    None => pusher.prune(),
+                }
+            } else {
+                let g = nbr as usize - held;
+                let sent = &mut self.ghost[g];
+                if cand >= *sent {
                     pusher.prune();
                     return;
                 }
-                *admitted = cand;
+                *sent = cand;
+                let (owner, target) = arcs.ghost_route(g);
+                pusher.send(
+                    owner,
+                    VoronoiMsg::Relax {
+                        target,
+                        label: cand,
+                    },
+                );
             }
-            (pusher.rank(), nbr)
-        } else {
-            let g = nbr as usize - held;
-            if self.filter {
-                let ghost = &mut self.ghost[g];
-                if cand >= *ghost {
-                    pusher.prune();
+        });
+    }
+}
+
+/// The full-delivery disciplines' kernel: it queues whole messages and
+/// visits every one.
+struct MsgKernel<'a> {
+    arcs: Arcs<'a>,
+    states: &'a mut VertexStates,
+}
+
+impl MsgKernel<'_> {
+    fn visit(&mut self, msg: VoronoiMsg, pusher: &mut Pusher<'_, VoronoiMsg>) {
+        let (i, label) = match msg {
+            VoronoiMsg::Start(i) => (i, Label::seed(self.arcs.rg.global_id(i))),
+            VoronoiMsg::Relax { target, label } => {
+                if !self.states.try_improve_at(target as usize, label) {
                     return;
                 }
-                *ghost = cand;
+                if target as usize >= self.arcs.rg.num_owned() {
+                    // Local replica improved: sync the other replicas.
+                    self.arcs.broadcast(target, label, pusher);
+                }
+                (target, label)
             }
-            let ghost = self.rg.ghosts()[g];
-            let owner = ghost.owner as usize;
-            (owner, ghost.global - self.starts[owner])
+            // Replica update; reordering can deliver a newer (better)
+            // update first, in which case the older one is a no-op.
+            VoronoiMsg::DelegateUpdate { target, label } => {
+                if !self.states.try_improve_at(target as usize, label) {
+                    return;
+                }
+                (target, label)
+            }
         };
-        pusher.push(
-            dest,
-            VoronoiMsg::Relax {
-                target,
-                label: cand,
-                pred_weight: w,
-            },
-        );
+        let (rg, arcs) = (self.arcs.rg, self.arcs);
+        let (v, held) = (rg.global_id(i), rg.num_held());
+        arcs.for_each(i, |nbr, w| {
+            let label = candidate(v, label, w);
+            let (dest, target) = if (nbr as usize) < held {
+                (pusher.rank(), nbr)
+            } else {
+                arcs.ghost_route(nbr as usize - held)
+            };
+            pusher.push(dest, VoronoiMsg::Relax { target, label });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::NO_VERTEX;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::collections::BTreeMap;
@@ -419,14 +484,15 @@ mod tests {
     #[test]
     fn priority_visits_plus_drops_equal_pushes_and_queue_stays_short() {
         let (priority, local, bootstraps) = one_rank(QueueKind::Priority);
-        assert!(priority.stale_dropped > 0);
+        assert!(priority.pop_dropped > 0);
+        assert_eq!(priority.admission_dropped, 0, "nothing arrives on one rank");
         assert!(priority.pruned_at_push > 0);
         assert_eq!(
-            priority.processed + priority.stale_dropped,
+            priority.processed + priority.pop_dropped,
             bootstraps + local
         );
         let (fifo, fifo_local, _) = one_rank(QueueKind::Fifo);
-        assert_eq!(fifo.stale_dropped, 0);
+        assert_eq!(fifo.stale_dropped(), 0);
         assert_eq!(fifo.pruned_at_push, 0);
         assert_eq!(fifo.processed, bootstraps + fifo_local);
         assert!(
@@ -437,9 +503,11 @@ mod tests {
         );
     }
 
-    /// Every held vertex's `(label, pred_weight)` after a Voronoi run on
-    /// `p` ranks: owned slots and delegate replicas, each replica checked
-    /// equal across ranks.
+    /// Every held vertex's label after a Voronoi run on `p` ranks, with
+    /// the weight of its predecessor edge derived as `dist(v) -
+    /// dist(pred(v))`: owned slots and delegate replicas, each replica
+    /// checked equal across ranks, and each derived weight checked to be
+    /// the lightest `(pred(v), v)` edge of `g`.
     fn held_labels(
         g: &CsrGraph,
         seeds: &[Vertex],
@@ -464,7 +532,7 @@ mod tests {
             rg.owned
                 .clone()
                 .chain(rg.delegates.iter().copied())
-                .map(|v| (v, (states.label(v), states.pred_weight(v))))
+                .map(|v| (v, states.label(v)))
                 .collect::<Vec<_>>()
         });
         let mut labels = BTreeMap::new();
@@ -477,13 +545,26 @@ mod tests {
             }
         }
         assert_eq!(labels.len(), g.num_vertices());
-        labels
+        (labels.iter())
+            .map(|(&v, &label)| {
+                let w = match label.pred {
+                    NO_VERTEX => 0,
+                    pred => {
+                        let w = label.dist - labels[&pred].dist;
+                        let lightest = g.edges(pred).filter(|&(u, _)| u == v).map(|(_, w)| w).min();
+                        assert_eq!(Some(w), lightest, "edge {pred} -> {v}");
+                        w
+                    }
+                };
+                (v, (label, w))
+            })
+            .collect()
     }
 
     /// The push-time pruning and the bucket width change which
     /// relaxations become messages and in which order they are visited,
-    /// never the fixpoint: every held vertex's `(dist, src, pred,
-    /// pred_weight)` matches the 1-rank FIFO run (no filter at all) under
+    /// never the fixpoint: every held vertex's `(dist, src, pred)` and
+    /// derived predecessor weight match the 1-rank FIFO run (no filter at all) under
     /// every rank count and discipline, delegate replicas and
     /// `DelegateUpdate`s included. Both RMAT graphs derive a width above
     /// 1; the reweighted copy derives a width of 1.

@@ -143,12 +143,17 @@ impl CsrGraph {
         self.arcs().filter(|&(u, v, _)| u < v)
     }
 
-    /// Weight of arc `(u, v)` if present. `O(log deg(u))`.
+    /// Weight of arc `(u, v)` if present: the lightest one, if a
+    /// multigraph built with [`CsrGraph::from_raw_parts`] has several.
+    /// `O(log deg(u))` plus the parallel arcs.
     pub fn edge_weight(&self, u: Vertex, v: Vertex) -> Option<Weight> {
         let nbrs = self.neighbors(u);
-        nbrs.binary_search(&v)
-            .ok()
-            .map(|i| self.neighbor_weights(u)[i])
+        let first = nbrs.partition_point(|&x| x < v);
+        let parallel = nbrs[first..].iter().take_while(|&&x| x == v).count();
+        self.neighbor_weights(u)[first..first + parallel]
+            .iter()
+            .copied()
+            .min()
     }
 
     /// Whether arc `(u, v)` exists. `O(log deg(u))`.

@@ -70,7 +70,7 @@ pub use trace::{
 pub use traversal::run_traversal_mutant_premature;
 pub use traversal::{
     queue_entry_bytes, run_traversal, run_traversal_config, run_traversal_filtered, Pusher,
-    StaleCheck, TraversalOptions, TraversalStats,
+    TraversalOptions, TraversalStats,
 };
 pub use wire::{DeepBytes, Wire};
 pub use world::World;

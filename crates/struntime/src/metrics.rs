@@ -122,10 +122,10 @@ pub enum MetricKind {
     BatchSize,
     /// One visit-callback invocation, microseconds.
     VisitServiceUs,
-    /// Enqueue -> stale-filter drop at pop, microseconds: how long a
-    /// dominated relaxation sat queued before the filter killed it
-    /// unvisited (see `run_traversal_filtered`). Drops at queue admission
-    /// record no sample: they never sat in the queue.
+    /// Enqueue -> pop-test drop, microseconds: how long a dead entry sat
+    /// queued before the pop test dropped it unvisited (see
+    /// `run_traversal_filtered`). Drops at queue admission record no
+    /// sample: they never sat in the queue.
     StaleDropAgeUs,
 }
 

@@ -35,18 +35,19 @@
 //! The priority discipline emulates decrease-key in three steps. A visit
 //! callback can resolve a relaxation by a comparison of its own and never
 //! push it ([`crate::Pusher::prune`]); the Voronoi kernel admits a local
-//! push by that same comparison. The traversal driver filters the
-//! visitors that arrive from other ranks before they are queued (the
-//! admission check of `crate::traversal`, "Stale-entry filtering"), so a
-//! relaxation that does not beat its target's best admitted label never
-//! costs a queue push either way.
+//! push by that same comparison. The traversal driver turns the visitors
+//! that arrive from other ranks into queue entries, or into nothing,
+//! before they are queued (admission, `crate::traversal`, "Queued entries
+//! and stale-entry filtering"), so a relaxation that does not beat its
+//! target's label never costs a queue push either way.
 //! Pushes still never remove the entries a later improvement supersedes,
 //! so [`VisitorQueue::pop_stale_filtered`] applies a caller-supplied
 //! staleness predicate at pop and drops those before they reach the visit
-//! callback — the delta-stepping trick of filtering `dist(v) < tentative`
-//! entries, generalized to a callback. FIFO and adversarial queues ignore
-//! the filter on purpose: they are the full-delivery baselines the
-//! Fig 5/6 experiments and the chaos matrix compare against.
+//! callback — the delta-stepping trick of skipping a vertex whose label
+//! was settled since it was queued, generalized to a callback. FIFO and
+//! adversarial queues ignore the filter on purpose: they are the
+//! full-delivery baselines the Fig 5/6 experiments and the chaos matrix
+//! compare against.
 
 use crate::wire::DeepBytes;
 use std::collections::VecDeque;
@@ -246,7 +247,8 @@ fn mix_seed(seed: u64) -> u64 {
 
 impl<V> VisitorQueue<V> {
     /// Bytes one queued value takes in the priority ring's arena: the
-    /// value slot and its bucket-list link.
+    /// value slot and its bucket-list link. A value with a niche (a
+    /// `NonZero` field, say) fills its `Option` slot without a tag.
     pub const ENTRY_BYTES: usize = std::mem::size_of::<Option<V>>() + std::mem::size_of::<u32>();
 
     /// An empty queue of the given discipline.

@@ -23,40 +23,54 @@
 //! "light-weight and best-effort only" caveat the paper attaches to its
 //! prioritization.
 //!
-//! ## Stale-entry filtering
+//! ## Queued entries and stale-entry filtering
 //!
-//! [`run_traversal_filtered`] threads a staleness predicate through the
-//! queue. Under the priority discipline it is asked at two points, and
-//! the [`StaleCheck`] argument says which:
+//! The type a rank queues (`Q`) can differ from the type it sends (`V`).
+//! [`run_traversal_filtered`] takes three callbacks besides `visit`:
 //!
-//! - **admission** ([`StaleCheck::Admit`]): before a visitor of an
-//!   inbound batch enters this rank's queue. A dominated relaxation never
-//!   reaches the queue, the `pre_visit` filter of HavoqGT's visitor queue
+//! - **admission** turns each visitor of an inbound batch into the entry
+//!   this rank queues, or into nothing: `None` drops it before it is
+//!   queued. This is the `pre_visit` filter of HavoqGT's visitor queue
 //!   and the tentative-distance decrease-key emulation of delta-stepping;
-//! - **pop** ([`StaleCheck::Pop`]): when a queued visitor reaches the
-//!   head of the queue ([`crate::queue::VisitorQueue::pop_stale_filtered`]),
-//!   which catches visitors superseded while they waited.
+//!   it runs under every discipline, since it is what makes the entry;
+//! - **priority** keys an entry when it is queued;
+//! - the **pop test** is asked about an entry when it reaches the head of
+//!   the priority queue ([`crate::queue::VisitorQueue::pop_stale_filtered`]);
+//!   `false` drops it unvisited.
 //!
-//! A visitor dropped at either point is counted in
-//! [`TraversalStats::stale_dropped`], never visited, never re-forwarded,
-//! and meets its terminal lineage `Visit` event (`stale = 1`).
+//! A queued entry need not carry what its visit needs. An entry may name
+//! state the rank keeps (a vertex id, say), stand for that state's value
+//! at pop time, and be live exactly while the state has work the entry
+//! has not yet done; several entries can then stand for one piece of
+//! state, and the first to pop does its work. Such a pop test is not
+//! monotone: an entry whose state has no work left is dead, and turns live
+//! again if the state gains work before the entry pops. It must be safe
+//! instead: it may drop an entry only when dropping loses nothing that
+//! another queued entry, or a visit already made, does not do.
 //!
-//! Visitors a visit pushes to its own rank (drained after the visit
-//! returns) skip the admission check, because the visit callback has
-//! already seen them: it checks a follow-on visitor before it exists, and
-//! one that would be dropped it resolves with [`Pusher::prune`] instead
-//! of [`Pusher::push`]. A pruned visitor costs no lineage id, no message
-//! count, no buffer slot and no queue entry, and is counted in
-//! [`TraversalStats::pruned_at_push`]. The callback owns the safety
-//! argument: it must prune only visitors whose visit would be a no-op or
-//! implied by another, and record for the local pushes it lets through
-//! whatever its admission check would have recorded (the Voronoi
-//! kernel's argument is in `steiner::voronoi`). A local push it does not
-//! check is still dropped at pop once it is stale.
+//! Drops are counted apart: [`TraversalStats::admission_dropped`] for
+//! visitors turned away at admission, [`TraversalStats::pop_dropped`] for
+//! entries the pop test dropped. A dropped visitor is never visited,
+//! never re-forwarded, and meets its terminal lineage `Visit` event
+//! (`stale = 1`).
 //!
-//! FIFO and adversarial queues never consult the predicate. The plain
-//! entry points use a constant-`false` predicate, so their exact
-//! processed counts (which several tests pin) are unchanged.
+//! A visit queues entries on its own rank with [`Pusher::push_local`] and
+//! sends visitors to other ranks with [`Pusher::send`]
+//! ([`Pusher::push`] picks one by destination when `Q = V`). Local entries
+//! skip admission, because the visit callback has already seen them: it
+//! checks a follow-on entry before it exists, and one that would be
+//! dropped it resolves with [`Pusher::prune`] instead. A pruned visitor
+//! costs no lineage id, no message count, no buffer slot and no queue
+//! entry, and is counted in [`TraversalStats::pruned_at_push`]. The
+//! callback owns the safety argument: it must prune only visitors whose
+//! visit would be a no-op or implied by another, and record for the local
+//! entries it lets through whatever admission would have recorded (the
+//! Voronoi kernel's argument is in `steiner::voronoi`).
+//!
+//! FIFO and adversarial queues never ask the pop test. The plain entry
+//! points queue every visitor as itself (`Q = V`, admission always
+//! `Some`), so their exact processed counts (which several tests pin) are
+//! unchanged.
 //!
 //! ## Termination
 //!
@@ -158,8 +172,10 @@ trait QueueMeta: Copy + DeepBytes {
     fn visit_meta(&self) -> VisitMeta;
 }
 
-/// The lineage metadata of an observed traversal's queue entry.
+/// The lineage metadata of an observed traversal's queue entry. Aligned
+/// to 4 B, so beside a 4 B entry it adds exactly its 16 B.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(C, packed(4))]
 struct VisitMeta {
     id: u64,
     enq_us: u64,
@@ -206,16 +222,16 @@ impl DeepBytes for NoMeta {
     }
 }
 
-/// Bytes one priority-queue entry of visitor type `V` takes in the queue
-/// arena of an observed (`true`) or unobserved traversal: the visitor,
-/// its lineage metadata (16 B, observed only) and its 4 B bucket-list
-/// link. [`TraversalStats::peak_queue_bytes`] counts whole arena chunks
-/// of these.
-pub fn queue_entry_bytes<V>(observed: bool) -> usize {
+/// Bytes one priority-queue entry of queued type `Q` takes in the queue
+/// arena of an observed (`true`) or unobserved traversal: the entry, its
+/// lineage metadata (16 B, observed only) and its 4 B bucket-list link.
+/// [`TraversalStats::peak_queue_bytes`] counts whole arena chunks of
+/// these.
+pub fn queue_entry_bytes<Q>(observed: bool) -> usize {
     if observed {
-        VisitorQueue::<(VisitMeta, V)>::ENTRY_BYTES
+        VisitorQueue::<(VisitMeta, Q)>::ENTRY_BYTES
     } else {
-        VisitorQueue::<(NoMeta, V)>::ENTRY_BYTES
+        VisitorQueue::<(NoMeta, Q)>::ENTRY_BYTES
     }
 }
 
@@ -287,13 +303,15 @@ impl Lineage {
     }
 }
 
-/// Handle the `visit` callback uses to emit follow-on visitors.
-pub struct Pusher<'a, V: Send + 'static> {
+/// Handle the `visit` callback uses to emit follow-on visitors: entries
+/// of type `Q` for this rank's queue, visitors of type `V` for other
+/// ranks.
+pub struct Pusher<'a, V: Send + 'static, Q = V> {
     rank: usize,
     batch_size: usize,
     chan: &'a ChannelGroup<Vec<V>>,
     comm: &'a Comm,
-    local: &'a mut Vec<V>,
+    local: &'a mut Vec<Q>,
     /// One entry per local push, parallel to `local`, when observing;
     /// empty otherwise.
     local_meta: &'a mut Vec<VisitMeta>,
@@ -303,35 +321,42 @@ pub struct Pusher<'a, V: Send + 'static> {
     pruned: u64,
 }
 
-impl<'a, V: Send + Clone + Wire + DeepBytes + 'static> Pusher<'a, V> {
-    /// Routes visitor `v` to `dest`: the local queue when `dest` is this
-    /// rank, a (buffered) network batch otherwise. When observability is
-    /// on, the push also records a causal edge from the visitor being
-    /// visited (the traversal threads it through) to the new message.
-    pub fn push(&mut self, dest: usize, v: V) {
+impl<'a, V: Send + Clone + Wire + DeepBytes + 'static, Q> Pusher<'a, V, Q> {
+    /// Queues entry `q` on this rank, unchecked: the visit callback has
+    /// made admission's check itself (see "Queued entries and stale-entry
+    /// filtering"). When observability is on, the push records a causal
+    /// edge from the visitor being visited to the new entry.
+    pub fn push_local(&mut self, q: Q) {
         let id = self.lineage.spawn(self.comm, self.chan.phase());
-        if dest == self.rank {
-            if self.lineage.enabled {
-                let enq_us = self.comm.now_us();
-                self.local_meta.push(VisitMeta { id, enq_us });
-            }
-            self.local.push(v);
-        } else {
-            let buf = &mut self.outgoing[dest];
-            buf.batch.push(v);
-            if self.lineage.enabled {
-                buf.ids.push(id);
-            }
-            if buf.batch.len() >= self.batch_size {
-                flush_one(
-                    self.comm,
-                    self.chan,
-                    buf,
-                    dest,
-                    self.lineage.enabled,
-                    self.metrics.as_deref(),
-                );
-            }
+        if self.lineage.enabled {
+            let enq_us = self.comm.now_us();
+            self.local_meta.push(VisitMeta { id, enq_us });
+        }
+        self.local.push(q);
+    }
+
+    /// Sends visitor `v` to rank `dest`, another rank, through its
+    /// (buffered) network batch; `dest` admits it on arrival.
+    pub fn send(&mut self, dest: usize, v: V) {
+        debug_assert_ne!(
+            dest, self.rank,
+            "a rank queues its own work with push_local"
+        );
+        let id = self.lineage.spawn(self.comm, self.chan.phase());
+        let buf = &mut self.outgoing[dest];
+        buf.batch.push(v);
+        if self.lineage.enabled {
+            buf.ids.push(id);
+        }
+        if buf.batch.len() >= self.batch_size {
+            flush_one(
+                self.comm,
+                self.chan,
+                buf,
+                dest,
+                self.lineage.enabled,
+                self.metrics.as_deref(),
+            );
         }
     }
 
@@ -351,6 +376,19 @@ impl<'a, V: Send + Clone + Wire + DeepBytes + 'static> Pusher<'a, V> {
     /// (e.g. a delegate broadcast). No-op when tracing is off.
     pub fn trace_instant(&self, name: &'static str, arg: u64) {
         self.comm.trace_instant(name, arg);
+    }
+}
+
+impl<V: Send + Clone + Wire + DeepBytes + 'static> Pusher<'_, V, V> {
+    /// Routes visitor `v` to `dest` when a rank queues what it sends: the
+    /// local queue when `dest` is this rank ([`Pusher::push_local`]), a
+    /// (buffered) network batch otherwise ([`Pusher::send`]).
+    pub fn push(&mut self, dest: usize, v: V) {
+        if dest == self.rank {
+            self.push_local(v);
+        } else {
+            self.send(dest, v);
+        }
     }
 }
 
@@ -419,21 +457,31 @@ fn flush_one<V: Send + Clone + Wire + DeepBytes + 'static>(
 pub struct TraversalStats {
     /// Visitors this rank processed (local + remote).
     pub processed: u64,
-    /// Relaxations that never became visits: visitors the stale-entry
-    /// filter of [`run_traversal_filtered`] dropped, either at admission
-    /// (never queued) or at pop (queued, then dropped unvisited). Every
-    /// visitor that reached this rank is therefore counted exactly once in
-    /// `processed + stale_dropped`. Always 0 for the plain entry points and
+    /// Inbound visitors that admission turned away before they were
+    /// queued (see [`run_traversal_filtered`]).
+    pub admission_dropped: u64,
+    /// Queued entries the pop test dropped unvisited. Every visitor that
+    /// reached this rank, and every entry it queued, is counted exactly
+    /// once in `processed`, `admission_dropped` or `pop_dropped`. Both
+    /// drop counts are 0 for the plain entry points, and `pop_dropped`
     /// for the full-delivery disciplines.
-    pub stale_dropped: u64,
+    pub pop_dropped: u64,
     /// Follow-on visitors the visit callback resolved by a comparison and
     /// never pushed ([`Pusher::prune`]): they were never queued, sent or
-    /// counted as messages, so they are not part of `stale_dropped`.
+    /// counted as messages, so they are not part of either drop count.
     pub pruned_at_push: u64,
     /// Peak length of this rank's local queue.
     pub peak_queue_len: usize,
     /// Peak bytes held by this rank's local queue buffers.
     pub peak_queue_bytes: usize,
+}
+
+impl TraversalStats {
+    /// Relaxations that never became visits: drops at admission plus
+    /// drops at pop.
+    pub fn stale_dropped(&self) -> u64 {
+        self.admission_dropped + self.pop_dropped
+    }
 }
 
 /// Runs one asynchronous traversal to quiescence with default aggregation.
@@ -478,71 +526,64 @@ where
     P: Fn(&V) -> u64,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal::<false, V, P, _, F>(
+    traversal::<false, V, V, P, _, _, F>(
         comm,
         chan,
         options,
         priority,
-        |_: StaleCheck, _: &V| false,
+        Some,
+        |_: &V| true,
         init,
         visit,
         Duration::ZERO,
     )
 }
 
-/// Which check [`run_traversal_filtered`] asks its staleness predicate to
-/// make.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StaleCheck {
-    /// A visitor of an inbound batch is about to enter this rank's
-    /// queue. `true` drops it before it is queued.
-    Admit,
-    /// The visitor reached the head of the queue. `true` drops it
-    /// unvisited.
-    Pop,
-}
-
-/// [`run_traversal_config`] with a staleness predicate. Under the priority
-/// discipline ([`QueueKind::filters_stale`]) the traversal calls
-/// `stale(StaleCheck::Admit, v)` before it queues a visitor received in
-/// a batch, and `stale(StaleCheck::Pop, v)` when a queued visitor
-/// reaches the head of the queue. A `true` answer drops the visitor
-/// unvisited and counts it in [`TraversalStats::stale_dropped`] — the
-/// decrease-key emulation of delta-stepping, generalized to a callback.
-/// Bootstrap visitors from `init` and visitors a visit pushes to its own
-/// rank are only checked at pop (see "Stale-entry filtering").
+/// [`run_traversal_config`] with a queued type `Q` of its own, an
+/// admission step and a pop test (see "Queued entries and stale-entry
+/// filtering"). The traversal calls `admit(v)` for every visitor `v` of an
+/// inbound batch and queues the entry it returns under `priority`; `None`
+/// drops `v` unqueued and counts it in
+/// [`TraversalStats::admission_dropped`]. Under the priority discipline
+/// ([`QueueKind::filters_stale`]) it calls `live(q)` when entry `q`
+/// reaches the head of the queue, and `false` drops `q` unvisited and
+/// counts it in [`TraversalStats::pop_dropped`]. `init` entries and the
+/// entries a visit queues with [`Pusher::push_local`] skip admission.
 ///
-/// The predicate may keep state (the admission check typically records
-/// the best candidate admitted so far), but its answers must be safe: a
-/// dropped visitor's visit must be a no-op, or its effect implied by a
-/// visitor that was admitted and is not dropped for the same reason.
-/// Pop answers must be *monotone*: once a visitor is stale it stays stale
-/// (labels only improve), so dropping it can never lose work a later
-/// state would have needed. Under FIFO and adversarial disciplines the
-/// predicate is never called and every visitor is delivered (those are
-/// the full-delivery baselines the chaos matrix compares against).
+/// Admission may keep state (it typically records the best candidate
+/// admitted so far) but must be safe: a dropped visitor's visit must be a
+/// no-op, or its effect implied by an entry that was queued. So must the
+/// pop test: an entry it drops must have no work left that another entry
+/// or a past visit does not do. Under FIFO and adversarial disciplines the
+/// pop test is never called, so a caller whose admission queues every
+/// visitor gets full delivery (those are the baselines the chaos matrix
+/// compares against).
 #[allow(clippy::too_many_arguments)]
-pub fn run_traversal_filtered<V, P, S, F>(
+pub fn run_traversal_filtered<V, Q, P, A, L, F>(
     comm: &Comm,
     chan: &ChannelGroup<Vec<V>>,
     options: TraversalOptions,
     priority: P,
-    stale: S,
-    init: impl IntoIterator<Item = V>,
+    admit: A,
+    live: L,
+    init: impl IntoIterator<Item = Q>,
     visit: F,
 ) -> TraversalStats
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
-    P: Fn(&V) -> u64,
-    S: FnMut(StaleCheck, &V) -> bool,
-    F: FnMut(V, &mut Pusher<'_, V>),
+    Q: DeepBytes,
+    P: Fn(&Q) -> u64,
+    A: FnMut(V) -> Option<Q>,
+    L: FnMut(&Q) -> bool,
+    F: FnMut(Q, &mut Pusher<'_, V, Q>),
 {
-    traversal::<false, V, P, S, F>(
+    traversal::<false, V, Q, P, A, L, F>(
         comm,
         chan,
         options,
         priority,
-        stale,
+        admit,
+        live,
         init,
         visit,
         Duration::ZERO,
@@ -572,12 +613,13 @@ where
     P: Fn(&V) -> u64,
     F: FnMut(V, &mut Pusher<'_, V>),
 {
-    traversal::<true, V, P, _, F>(
+    traversal::<true, V, V, P, _, _, F>(
         comm,
         chan,
         options,
         priority,
-        |_: StaleCheck, _: &V| false,
+        Some,
+        |_: &V| true,
         init,
         visit,
         delay,
@@ -587,40 +629,45 @@ where
 /// Runs [`traversal_loop`] with the queue-entry metadata the world needs:
 /// [`VisitMeta`] when it observes, [`NoMeta`] otherwise.
 #[allow(clippy::too_many_arguments)]
-fn traversal<const PREMATURE_MUTANT: bool, V, P, S, F>(
+fn traversal<const PREMATURE_MUTANT: bool, V, Q, P, A, L, F>(
     comm: &Comm,
     chan: &ChannelGroup<Vec<V>>,
     options: TraversalOptions,
     priority: P,
-    stale: S,
-    init: impl IntoIterator<Item = V>,
+    admit: A,
+    live: L,
+    init: impl IntoIterator<Item = Q>,
     visit: F,
     mutant_delay: Duration,
 ) -> TraversalStats
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
-    P: Fn(&V) -> u64,
-    S: FnMut(StaleCheck, &V) -> bool,
-    F: FnMut(V, &mut Pusher<'_, V>),
+    Q: DeepBytes,
+    P: Fn(&Q) -> u64,
+    A: FnMut(V) -> Option<Q>,
+    L: FnMut(&Q) -> bool,
+    F: FnMut(Q, &mut Pusher<'_, V, Q>),
 {
     if comm.observing() {
-        traversal_loop::<PREMATURE_MUTANT, VisitMeta, V, P, S, F>(
+        traversal_loop::<PREMATURE_MUTANT, VisitMeta, V, Q, P, A, L, F>(
             comm,
             chan,
             options,
             priority,
-            stale,
+            admit,
+            live,
             init,
             visit,
             mutant_delay,
         )
     } else {
-        traversal_loop::<PREMATURE_MUTANT, NoMeta, V, P, S, F>(
+        traversal_loop::<PREMATURE_MUTANT, NoMeta, V, Q, P, A, L, F>(
             comm,
             chan,
             options,
             priority,
-            stale,
+            admit,
+            live,
             init,
             visit,
             mutant_delay,
@@ -632,23 +679,26 @@ where
 /// drain ordering used by the audit mutation check (see
 /// [`run_traversal_mutant_premature`]); production entry points
 /// monomorphize with `false`, so the mutant branch compiles away. `M` is
-/// what a queue entry carries besides its visitor (see [`QueueMeta`]).
+/// what a queue entry carries besides `Q` (see [`QueueMeta`]).
 #[allow(clippy::too_many_arguments)]
-fn traversal_loop<const PREMATURE_MUTANT: bool, M: QueueMeta, V, P, S, F>(
+fn traversal_loop<const PREMATURE_MUTANT: bool, M: QueueMeta, V, Q, P, A, L, F>(
     comm: &Comm,
     chan: &ChannelGroup<Vec<V>>,
     options: TraversalOptions,
     priority: P,
-    mut stale: S,
-    init: impl IntoIterator<Item = V>,
+    mut admit: A,
+    mut live: L,
+    init: impl IntoIterator<Item = Q>,
     mut visit: F,
     mutant_delay: Duration,
 ) -> TraversalStats
 where
     V: Send + Clone + Wire + DeepBytes + 'static,
-    P: Fn(&V) -> u64,
-    S: FnMut(StaleCheck, &V) -> bool,
-    F: FnMut(V, &mut Pusher<'_, V>),
+    Q: DeepBytes,
+    P: Fn(&Q) -> u64,
+    A: FnMut(V) -> Option<Q>,
+    L: FnMut(&Q) -> bool,
+    F: FnMut(Q, &mut Pusher<'_, V, Q>),
 {
     assert!(options.batch_size >= 1, "batch size must be positive");
     let q = &comm.shared().quiescence;
@@ -678,14 +728,12 @@ where
     };
 
     let mut stats = TraversalStats::default();
-    // The full-delivery disciplines never consult the predicate.
-    let filters = options.queue.filters_stale();
-    let mut queue: VisitorQueue<(M, V)> = VisitorQueue::new(options.queue);
-    for v in init {
-        let pr = priority(&v);
+    let mut queue: VisitorQueue<(M, Q)> = VisitorQueue::new(options.queue);
+    for q in init {
+        let pr = priority(&q);
         let id = lineage.spawn(comm, chan.phase());
         let enq_us = lineage.now_us(comm);
-        queue.push(pr, (M::from_visit(VisitMeta { id, enq_us }), v));
+        queue.push(pr, (M::from_visit(VisitMeta { id, enq_us }), q));
     }
     // Sample the peak right after seeding: with N init visitors the true
     // maximum is N, which the after-a-visit sample below would miss by
@@ -693,7 +741,7 @@ where
     stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
     stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
 
-    let mut local_buf: Vec<V> = Vec::new();
+    let mut local_buf: Vec<Q> = Vec::new();
     let mut local_meta: Vec<VisitMeta> = Vec::new();
     let mut outgoing: Vec<OutBuf<V>> = (0..p).map(|_| OutBuf::default()).collect();
     // When this rank joined the idle set, while it is in it: the spell
@@ -737,25 +785,26 @@ where
             if let (Some(m), Some(sc)) = (metrics.as_deref(), sidecar.as_ref()) {
                 m.record(MetricKind::MsgLatencyUs, now.saturating_sub(sc.sent_us));
             }
-            // Admission: a visitor the predicate marks stale is dropped
-            // before it is queued. Such drops record no `StaleDropAgeUs`
-            // sample: that histogram measures how long dropped entries sat
-            // in the queue, and these never entered it.
-            let mut dropped = 0;
+            // Admission: each visitor becomes the entry this rank queues,
+            // or is dropped before it is queued. Such drops record no
+            // `StaleDropAgeUs` sample: that histogram measures how long
+            // dropped entries sat in the queue, and these never entered it.
             for (i, v) in batch.into_iter().enumerate() {
                 let id = sidecar
                     .as_ref()
                     .and_then(|sc| sc.ids.get(i).copied())
                     .unwrap_or(0);
-                if filters && stale(StaleCheck::Admit, &v) {
-                    lineage.stale_drop(comm, chan.phase(), id);
-                    dropped += 1;
-                    continue;
+                match admit(v) {
+                    Some(q) => {
+                        let meta = M::from_visit(VisitMeta { id, enq_us: now });
+                        queue.push(priority(&q), (meta, q));
+                    }
+                    None => {
+                        lineage.stale_drop(comm, chan.phase(), id);
+                        stats.admission_dropped += 1;
+                    }
                 }
-                let meta = M::from_visit(VisitMeta { id, enq_us: now });
-                queue.push(priority(&v), (meta, v));
             }
-            stats.stale_dropped += dropped;
             // Sample the peak as each batch lands, before any visitor is
             // popped: a point the after-a-visit sample can never see.
             // Between landings the queue only shrinks or is sampled after
@@ -764,12 +813,12 @@ where
             stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
         }
 
-        // Pop through the stale filter: admitted entries that were
-        // superseded while they waited die here without a visit. Their
-        // queue residency is recorded as StaleDropAgeUs so the latency
-        // histograms show how long dead relaxations sat in the queue.
-        let (popped, dropped) = queue.pop_stale_filtered(|(meta, v)| {
-            if !stale(StaleCheck::Pop, v) {
+        // Pop through the pop test: entries with no work left die here
+        // without a visit. Their queue residency is recorded as
+        // StaleDropAgeUs so the latency histograms show how long dead
+        // entries sat in the queue.
+        let (popped, dropped) = queue.pop_stale_filtered(|(meta, q)| {
+            if live(q) {
                 return false;
             }
             let meta = meta.visit_meta();
@@ -780,8 +829,8 @@ where
             }
             true
         });
-        stats.stale_dropped += dropped;
-        if let Some((meta, v)) = popped {
+        stats.pop_dropped += dropped;
+        if let Some((meta, q)) = popped {
             debug_assert!(idle.is_none(), "queue cannot be non-empty while idle");
             let meta = meta.visit_meta();
             let visit_start = lineage.now_us(comm);
@@ -809,7 +858,7 @@ where
                 metrics: &metrics,
                 pruned: 0,
             };
-            visit(v, &mut pusher);
+            visit(q, &mut pusher);
             stats.pruned_at_push += pusher.pruned;
             // One counter update per visit, not per local push.
             if !local_buf.is_empty() {
@@ -824,12 +873,13 @@ where
             }
             stats.processed += 1;
             comm.fault_visit_tick();
-            // Local pushes are queued unchecked: the visit callback made
-            // its own check before pushing (see "Stale-entry filtering").
+            // Local entries are queued unchecked: the visit callback made
+            // admission's check before pushing (see "Queued entries and
+            // stale-entry filtering").
             let mut metas = local_meta.drain(..);
-            for v in local_buf.drain(..) {
+            for q in local_buf.drain(..) {
                 let meta = M::from_visit(metas.next().unwrap_or_default());
-                queue.push(priority(&v), (meta, v));
+                queue.push(priority(&q), (meta, q));
             }
             stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
             stats.peak_queue_bytes = stats.peak_queue_bytes.max(queue.memory_bytes());
@@ -841,7 +891,7 @@ where
                 comm.trace_sample(
                     queue.len(),
                     queue.memory_bytes(),
-                    [stats.processed, stats.stale_dropped],
+                    [stats.processed, stats.stale_dropped()],
                 );
             }
             continue;
@@ -916,7 +966,7 @@ where
         .record("visitor_queue_peak", stats.peak_queue_bytes);
     // The closing sample: the queue is freed and its peak is on the
     // ledger, so the next phase does not inherit its bytes.
-    comm.trace_traversal_end([stats.processed, stats.stale_dropped]);
+    comm.trace_traversal_end([stats.processed, stats.stale_dropped()]);
     // No rank may reset the detector (next traversal) before all have left.
     comm.barrier();
     if rank == 0 && audit::is_active() {
@@ -940,48 +990,70 @@ mod tests {
     use crate::queue::CHUNK;
     use crate::{MetricsConfig, RunOutput, TraceConfig, World, WorldConfig};
 
-    /// What one rank saw in [`admission_run`]: its stats, the visitors it
-    /// visited (sorted), and the checks on which the predicate answered
-    /// "stale".
-    struct Seen {
-        stats: TraversalStats,
-        visited: Vec<u32>,
-        stale_at: Vec<(StaleCheck, u32)>,
-        asked: u64,
+    /// Where a toy kernel dropped an entry.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Dropped {
+        Admit,
+        Pop,
     }
 
-    /// `p` ranks (1 or 2); rank 0's single bootstrap `0` pushes `1..=4`
-    /// to itself and `11..=14` to rank `1 % p`, and every other visitor is
-    /// a leaf. The toy predicate calls even non-zero visitors stale — a
-    /// fixed property, so it is monotone. Rank 1 receives one batch, so
-    /// every stat is the same under any schedule.
+    /// What one rank saw in [`admission_run`]: its stats, the entries it
+    /// visited (sorted), where it dropped which entries, and how often the
+    /// pop test was asked.
+    struct Seen {
+        stats: TraversalStats,
+        visited: Vec<u64>,
+        dropped: Vec<(Dropped, u64)>,
+        pop_tests: u64,
+    }
+
+    /// `p` ranks (1 or 2), sending `u32` visitors and queuing them as
+    /// `u64` entries. Rank 0's single bootstrap `0` queues `1..=4` on
+    /// itself and sends `11..=14` to rank `1 % p`, and every other entry
+    /// is a leaf. The toy kernel calls even non-zero entries stale — a
+    /// fixed property, so dropping them is safe — and, like the Voronoi
+    /// kernel, admits everything under a full-delivery discipline. Rank 1
+    /// receives one batch, so every stat is the same under any schedule.
     fn admission_run(p: usize, queue: QueueKind, config: WorldConfig) -> RunOutput<Seen> {
         World::run_config(p, config, |comm| {
             let chan = comm.open_channels::<Vec<u32>>("admission");
-            let init = if comm.rank() == 0 { vec![0u32] } else { vec![] };
+            let init = if comm.rank() == 0 { vec![0u64] } else { vec![] };
+            let stale = |v: u64| v != 0 && v.is_multiple_of(2);
+            let filters = queue.filters_stale();
+            let dropped = std::cell::RefCell::new(Vec::new());
             let mut visited = Vec::new();
-            let mut stale_at = Vec::new();
-            let mut asked = 0;
+            let mut pop_tests = 0;
             let stats = run_traversal_filtered(
                 comm,
                 &chan,
                 TraversalOptions::new(queue),
-                |&v| u64::from(v),
-                |check, &v| {
-                    asked += 1;
-                    let stale = v != 0 && v % 2 == 0;
-                    if stale {
-                        stale_at.push((check, v));
+                |&v: &u64| v,
+                |v: u32| {
+                    let v = u64::from(v);
+                    if filters && stale(v) {
+                        dropped.borrow_mut().push((Dropped::Admit, v));
+                        return None;
                     }
-                    stale
+                    Some(v)
+                },
+                |&v: &u64| {
+                    pop_tests += 1;
+                    if stale(v) {
+                        dropped.borrow_mut().push((Dropped::Pop, v));
+                    }
+                    !stale(v)
                 },
                 init,
-                |v, pusher| {
+                |v: u64, pusher: &mut Pusher<'_, u32, u64>| {
                     visited.push(v);
                     if v == 0 {
                         for i in 1..=4 {
-                            pusher.push(0, i);
-                            pusher.push(1 % p, 10 + i);
+                            pusher.push_local(i);
+                            if p > 1 {
+                                pusher.send(1, 10 + i as u32);
+                            } else {
+                                pusher.push_local(10 + i);
+                            }
                         }
                     }
                 },
@@ -990,8 +1062,8 @@ mod tests {
             Seen {
                 stats,
                 visited,
-                stale_at,
-                asked,
+                dropped: dropped.into_inner(),
+                pop_tests,
             }
         })
     }
@@ -999,30 +1071,38 @@ mod tests {
     #[test]
     fn priority_queue_drops_stale_visitors_at_admission() {
         let seen = admission_run(2, QueueKind::Priority, WorldConfig::default()).results;
-        // Only inbound visitors are checked at admission: rank 1 rejects
-        // the batch entries 12 and 14 there. Rank 0's own pushes 2 and 4
-        // are queued unchecked (a visit checks before it pushes) and
-        // dropped when they reach the head of the queue.
+        // Only inbound visitors go through admission: rank 1 rejects the
+        // batch entries 12 and 14 there. Rank 0's own entries 2 and 4 are
+        // queued unchecked (a visit checks before it pushes) and dropped
+        // when they reach the head of the queue.
         assert_eq!(seen[0].visited, vec![0, 1, 3]);
         assert_eq!(seen[1].visited, vec![11, 13]);
-        let at = |check, vs: [u32; 2]| vs.map(|v| (check, v)).to_vec();
-        assert_eq!(seen[0].stale_at, at(StaleCheck::Pop, [2, 4]));
-        assert_eq!(seen[1].stale_at, at(StaleCheck::Admit, [12, 14]));
-        for (r, s) in seen.iter().enumerate() {
-            assert_eq!(s.stats.stale_dropped, 2, "rank {r}");
+        let at = |kind, vs: [u64; 2]| vs.map(|v| (kind, v)).to_vec();
+        assert_eq!(seen[0].dropped, at(Dropped::Pop, [2, 4]));
+        assert_eq!(seen[1].dropped, at(Dropped::Admit, [12, 14]));
+        assert_eq!(
+            (seen[0].stats.admission_dropped, seen[0].stats.pop_dropped),
+            (0, 2)
+        );
+        assert_eq!(
+            (seen[1].stats.admission_dropped, seen[1].stats.pop_dropped),
+            (2, 0)
+        );
+        for s in &seen {
+            assert_eq!(s.stats.stale_dropped(), 2);
             assert_eq!(s.stats.processed, s.visited.len() as u64);
         }
     }
 
     #[test]
-    fn full_delivery_queues_never_consult_the_predicate() {
+    fn full_delivery_queues_never_ask_the_pop_test() {
         for queue in [QueueKind::Fifo, QueueKind::Adversarial { seed: 3 }] {
             let seen = admission_run(2, queue, WorldConfig::default()).results;
             assert_eq!(seen[0].visited, vec![0, 1, 2, 3, 4], "{queue:?}");
             assert_eq!(seen[1].visited, vec![11, 12, 13, 14], "{queue:?}");
             for s in &seen {
-                assert_eq!(s.stats.stale_dropped, 0, "{queue:?}");
-                assert_eq!(s.asked, 0, "{queue:?}");
+                assert_eq!(s.stats.stale_dropped(), 0, "{queue:?}");
+                assert_eq!(s.pop_tests, 0, "{queue:?}");
             }
             let processed: u64 = seen.iter().map(|s| s.stats.processed).sum();
             assert_eq!(processed, 9, "{queue:?}");
@@ -1049,7 +1129,7 @@ mod tests {
             );
             // Queue bytes differ by the metadata alone: the arena holds
             // the same chunks of wider entries.
-            let entry_gap = queue_entry_bytes::<u32>(true) - queue_entry_bytes::<u32>(false);
+            let entry_gap = queue_entry_bytes::<u64>(true) - queue_entry_bytes::<u64>(false);
             for (on, off) in on_stats.iter().zip(&off_stats) {
                 let arena_entries = on.peak_queue_len.div_ceil(CHUNK) * CHUNK;
                 assert_eq!(
@@ -1070,13 +1150,8 @@ mod tests {
             assert!(off.trace.is_empty() && off.metrics.is_empty());
 
             let processed: u64 = on_stats.iter().map(|s| s.processed).sum();
-            let stale: u64 = on_stats.iter().map(|s| s.stale_dropped).sum();
-            let pop_drops = on
-                .results
-                .iter()
-                .flat_map(|s| &s.stale_at)
-                .filter(|(check, _)| *check == StaleCheck::Pop)
-                .count() as u64;
+            let stale: u64 = on_stats.iter().map(|s| s.stale_dropped()).sum();
+            let pop_drops: u64 = on_stats.iter().map(|s| s.pop_dropped).sum();
             let metrics = &on.finish_metrics().aggregate()["admission"];
             assert_eq!(
                 metrics.hist(MetricKind::QueueResidencyUs).count(),
